@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import partitions as pt
 from .boxmoves import box_successors, dom_to_box_chain, hasse, relation_matrix
 from .errors import GuardExceeded, InvariantViolation
 from .nilmod import (Embedding, hom_dim, picket_hom_profile, realize_tableau,
@@ -33,11 +32,16 @@ EXIT_GUARD = 3
 def _load_json(arg: str):
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
-            return json.load(fh)
-    try:
-        return json.loads(arg)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"argument is neither a file nor valid JSON: {arg!r}") from exc
+            data = json.load(fh)
+    else:
+        try:
+            data = json.loads(arg)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"argument is neither a file nor valid JSON: {arg!r}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _shape(arg: str) -> Shape:

@@ -64,15 +64,18 @@ def space_key(R: np.ndarray) -> bytes:
 
 
 def reduce_vec(v: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Residual of v after elimination against the rref basis R."""
-    out = v.astype(np.int64) % p
-    for row, c in zip(R, pivots):
-        if out[c]:
-            out = (out - out[c] * row) % p
-    return out
+    """Residual of v after elimination against the basis R.
+
+    R must be in reduced row echelon form with these pivots: each pivot
+    column is then a unit vector, so subtracting every row at once,
+    scaled by v's pivot entries, equals eliminating one row at a time.
+    """
+    v = v.astype(np.int64) % p
+    return (v - v[pivots] @ R) % p
 
 
 def in_space(v: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> bool:
+    """Whether v lies in the row space of R, which must be rref (see reduce_vec)."""
     return not reduce_vec(v, R, pivots, p).any()
 
 

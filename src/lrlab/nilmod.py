@@ -10,8 +10,6 @@ is exact linear algebra mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
@@ -19,20 +17,8 @@ from . import partitions as pt
 from . import tableaux as tb
 from .errors import InvariantViolation
 from .partitions import Partition
-from .poles import (ExtendedPole, Picket, Pole, minimal_ambient,
-                    pole_decomposition, pole_tableau)
+from .poles import Picket, Pole, minimal_ambient, pole_decomposition, pole_tableau
 from .tableaux import LRTableau
-
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13}
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if self.p not in _SMALL_PRIMES and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
 
 
 def _is_prime(n: int) -> bool:
@@ -42,12 +28,22 @@ def _is_prime(n: int) -> bool:
 
 
 class NilModule:
-    """A nilpotent action matrix over F_p, optionally graded."""
+    """A nilpotent action matrix over F_p, optionally graded.
+
+    The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1):
+    every matrix product in this package sums at most dim terms below
+    p**2, so int64 arithmetic never wraps.
+    """
 
     __slots__ = ("p", "dim", "action", "grading")
 
     def __init__(self, p: int, action, grading=None):
-        PrimeField(p)
+        # checked first, since it also keeps the trial division below 2**16
+        if max(len(action), 1) * p * p >= 2**63:
+            raise ValueError(f"p = {p} is too large for dimension {len(action)}:"
+                             " need dim * p**2 < 2**63")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         T = la.as_mat(action, p=p)
         n = T.shape[0]
         if T.shape != (n, n):
@@ -111,22 +107,35 @@ def block_offsets(beta: Partition) -> list[int]:
 
 def jordan_type(M: NilModule) -> Partition:
     """Partition of Jordan block sizes, via ranks of the powers."""
-    return _type_from_action(M.action, M.dim, M.p)
+    return _type_from_action(M.action, M.p)
 
 
-def _type_from_action(T: np.ndarray, dim: int, p: int) -> Partition:
-    if dim == 0:
-        return ()
-    ranks = [dim]
-    power = np.eye(dim, dtype=np.int64)
-    while True:
+def _type_from_action(T: np.ndarray, p: int) -> Partition:
+    """Jordan type of the nilpotent square matrix T, from rank T^i."""
+    ranks = [T.shape[0]]
+    power = np.eye(T.shape[0], dtype=np.int64)
+    while ranks[-1]:
         power = (T @ power) % p
-        r = la.rank(power, p)
-        ranks.append(r)
-        if r == 0:
-            break
+        ranks.append(la.rank(power, p))
+        if ranks[-1] == ranks[-2]:
+            raise InvariantViolation("Jordan type of a matrix that is not nilpotent")
     rows = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
     return pt.transpose(pt.partition(rows))
+
+
+def invariant_closure(B: NilModule, vectors) -> tuple[np.ndarray, list[int]]:
+    """Canonical (rref) basis and pivots of the smallest invariant
+    subspace of B containing ``vectors``."""
+    rows = la.as_mat(vectors, width=B.dim, p=B.p)
+    if rows.shape[0] and rows.shape[1] != B.dim:
+        raise ValueError("subspace vectors have the wrong length")
+    span, pivots = la.rref(rows, B.p)
+    while True:
+        grown, grown_pivots = la.rref(
+            np.vstack([span, (span @ B.action.T) % B.p]), B.p)
+        if len(grown_pivots) == len(pivots):
+            return span, pivots
+        span, pivots = grown, grown_pivots
 
 
 class Embedding:
@@ -141,19 +150,13 @@ class Embedding:
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
-        rows = la.as_mat(vectors, width=B.dim, p=B.p)
-        if rows.shape[0] and rows.shape[1] != B.dim:
-            raise ValueError("subspace vectors have the wrong length")
-        span = la.row_space(rows, B.p)
-        while True:
-            grown = la.space_sum(span, (span @ B.action.T) % B.p, B.p)
-            if grown.shape[0] == span.shape[0]:
-                break
-            span = grown
+        span, self._pivots = invariant_closure(B, vectors)
         self.span = span
         self.span.setflags(write=False)
-        self._pivots = la.rref(span, B.p)[1]
-        self.alpha = _type_on_subspace(B, span)
+        # span is rref and invariant, so the pivot coordinates of T a are
+        # the coefficients of T a in the basis rows: the restricted action
+        restricted = ((span @ B.action.T) % B.p)[:, self._pivots]
+        self.alpha = _type_from_action(restricted, B.p)
         self._chain = None
 
     @property
@@ -207,22 +210,6 @@ class Embedding:
                 f"gamma={self.gamma})")
 
 
-def _type_on_subspace(B: NilModule, span: np.ndarray) -> Partition:
-    """Jordan type of the action restricted to an invariant row space."""
-    k = span.shape[0]
-    if k == 0:
-        return ()
-    ranks = [k]
-    rows = span
-    while rows.shape[0]:
-        rows = la.row_space((rows @ B.action.T) % B.p, B.p)
-        ranks.append(rows.shape[0])
-        if rows.shape[0] == 0:
-            break
-    counts = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
-    return pt.transpose(pt.partition(counts))
-
-
 def quotient_type(B: NilModule, span: np.ndarray) -> Partition:
     """Jordan type of B modulo an invariant row space.
 
@@ -231,13 +218,9 @@ def quotient_type(B: NilModule, span: np.ndarray) -> Partition:
     """
     R, pivots = la.rref(span, B.p)
     comp = [c for c in range(B.dim) if c not in pivots]
-    if not comp:
-        return ()
-    Tbar = np.zeros((len(comp), len(comp)), dtype=np.int64)
-    for jj, j in enumerate(comp):
-        w = la.reduce_vec(B.action[:, j].copy(), R, pivots, B.p)
-        Tbar[:, jj] = w[comp]
-    return _type_from_action(Tbar, len(comp), B.p)
+    cols = B.action[:, comp]
+    Tbar = (cols - R.T @ cols[pivots]) % B.p
+    return _type_from_action(Tbar[comp], B.p)
 
 
 def tableau_of_embedding(E: Embedding) -> LRTableau:
@@ -260,17 +243,13 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
     def dims(q: int) -> int:
         # dim (T^{ell-1}A + T^qB) - dim (T^ellA + T^qB)
         TB = la.row_space(E.B.power(q).T, p)
-        lo = la.row_space((E.span @ _pow_T(E, ell - 1)) % p, p)
-        hi = la.row_space((E.span @ _pow_T(E, ell)) % p, p)
+        lo = la.row_space((E.span @ E.B.power(ell - 1).T) % p, p)
+        hi = la.row_space((E.span @ E.B.power(ell).T) % p, p)
         return (
             la.space_sum(lo, TB, p).shape[0] - la.space_sum(hi, TB, p).shape[0]
         )
 
     return dims(r) - dims(r - 1)
-
-
-def _pow_T(E: Embedding, k: int) -> np.ndarray:
-    return E.B.power(k).T
 
 
 def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
@@ -331,38 +310,17 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     d1, d2 = E1.B.dim, E2.B.dim
     if d1 == 0 or d2 == 0:
         return 0
-    n = d1 * d2  # unknowns g[i, j], row-major
-    rows = []
+    # unknowns g[i, j] row-major, so vec(T2 g - g T1) = commute @ vec(g)
     T1, T2 = E1.B.action, E2.B.action
-    # commutation: sum_k T2[i,k] g[k,j] - g[i,k] T1[k,j] = 0
-    for i in range(d2):
-        for j in range(d1):
-            row = np.zeros(n, dtype=np.int64)
-            for k in range(d2):
-                row[k * d1 + j] = (row[k * d1 + j] + T2[i, k]) % p
-            for k in range(d1):
-                row[i * d1 + k] = (row[i * d1 + k] - T1[k, j]) % p
-            rows.append(row)
-    # subspace condition: residual of g a against A2 vanishes
-    R2, piv2 = la.rref(E2.span, p)
+    commute = np.kron(T2, np.eye(d1, dtype=np.int64)) - np.kron(
+        np.eye(d2, dtype=np.int64), T1.T)
+    # the nonzero rows of killer are functionals whose common kernel is A2;
+    # each must vanish on g a for every basis row a of A1
     killer = np.eye(d2, dtype=np.int64)
-    for rrow, c in zip(R2, piv2):
-        e = np.zeros(d2, dtype=np.int64)
-        e[c] = 1
-        killer = (killer - np.outer(rrow, e)) % p
-    # rows of killer are linear functionals vanishing exactly on A2
-    for a in E1.span:
-        for i in range(d2):
-            func = killer[i]
-            if not func.any():
-                continue
-            row = np.zeros(n, dtype=np.int64)
-            for k in range(d2):
-                if func[k]:
-                    row[k * d1 : (k + 1) * d1] = (func[k] * a) % p
-            rows.append(row)
-    M = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
-    return la.solution_space_dim(M, n, p)
+    killer[:, E2._pivots] -= E2.span.T
+    K = killer[killer.any(axis=1)]
+    M = np.vstack([commute, np.kron(K, E1.span)]) % p
+    return la.solution_space_dim(M, d1 * d2, p)
 
 
 def picket_embedding(i: int, ell: int, p: int) -> Embedding:
@@ -427,11 +385,18 @@ def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
         raise ValueError("column lengths must be strictly decreasing")
     shifts = [(k - i) - beta[i] + shift for i in range(k)]
     module = canonical_module(tuple(beta), p, shifts=shifts)
-    offs = block_offsets(tuple(beta))
-    a = np.zeros(module.dim, dtype=np.int64)
-    for i in range(k):
-        a[offs[i] + beta[i] - (k - i)] = 1
-    return Embedding(module, [a])
+    return Embedding(module, [pole_generator(t)])
+
+
+def pole_generator(t: LRTableau) -> np.ndarray:
+    """Coordinates of a = sum_i T^{b_i-(k-i)} g^{b_i} in N_beta, where
+    b_1 > ... > b_k are the column lengths of the pole tableau t."""
+    beta = tuple(c.length for c in t.columns)
+    k = len(beta)
+    a = np.zeros(pt.weight(beta), dtype=np.int64)
+    for i, (off, b) in enumerate(zip(block_offsets(beta), beta)):
+        a[off + b - (k - i)] = 1
+    return a
 
 
 def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
@@ -470,15 +435,6 @@ def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
     for i, c in term.items():
         a[offs[i] + c] = 1
     return Embedding(module, [a])
-
-
-def realize_extended_pole(ep: ExtendedPole, p: int, shift: int = 0) -> Embedding:
-    parts = []
-    if ep.pole is not None:
-        parts.append(realize_pole(ep.pole, p, shift))
-    for n in ep.empty_pickets:
-        parts.append(Embedding(canonical_module((n,), p, shifts=[shift]), []))
-    return direct_sum(*parts)
 
 
 def _subtract_chain(big, small) -> list[Partition]:

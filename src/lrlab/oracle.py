@@ -25,8 +25,8 @@ import numpy as np
 from . import linalg as la
 from . import partitions as pt
 from .errors import GuardExceeded, InvariantViolation
-from .nilmod import (Embedding, canonical_module, hom_dim, realize_picket,
-                     realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, canonical_module, hom_dim, invariant_closure,
+                     realize_picket, realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -234,21 +234,9 @@ def _distinct_submodules(B, alpha) -> list[np.ndarray]:
                     if c:
                         v = (v + c * row) % p
                 gens.append(v)
-        E_span = _close_under_action(B, gens)
+        E_span = invariant_closure(B, gens)[0]
         seen.setdefault(la.space_key(E_span), E_span)
     return list(seen.values())
-
-
-def _close_under_action(B, gens) -> np.ndarray:
-    if not gens:
-        return np.zeros((0, B.dim), dtype=np.int64)
-    rows = la.as_mat(gens, width=B.dim, p=B.p)
-    span = la.row_space(rows, B.p)
-    while True:
-        grown = la.space_sum(span, (span @ B.action.T) % B.p, B.p)
-        if grown.shape[0] == span.shape[0]:
-            return span
-        span = grown
 
 
 def _distinct_submodules_gf2(B, kernels) -> list[np.ndarray]:

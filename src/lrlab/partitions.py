@@ -97,6 +97,7 @@ def to_json(p: Partition) -> list[int]:
 
 
 def from_json(data) -> Partition:
-    if not isinstance(data, (list, tuple)):
-        raise ValueError(f"a partition must be a JSON array, got {data!r}")
+    if not isinstance(data, (list, tuple)) or not all(
+            type(x) is int for x in data):
+        raise ValueError(f"a partition must be a JSON array of integers, got {data!r}")
     return partition(data)

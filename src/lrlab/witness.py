@@ -19,7 +19,7 @@ from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
 from .nilmod import (Embedding, NilModule, block_offsets, direct_sum,
-                     graded_pole_embedding, realize_tableau,
+                     graded_pole_embedding, pole_generator, realize_tableau,
                      tableau_of_embedding)
 from .poles import box_move_pole_partition
 from .tableaux import LRTableau
@@ -61,16 +61,6 @@ def _block_index(t: LRTableau, length: int) -> int:
     raise InvariantViolation(f"no column of length {length} in {t}")
 
 
-def _pole_generator(t: LRTableau, offsets) -> np.ndarray:
-    """Coordinates of a = sum_i T^{b_i - (k-i)} g^{b_i} for a pole tableau."""
-    k = len(t.columns)
-    dim = offsets[-1] + t.columns[-1].length if k else 0
-    a = np.zeros(dim, dtype=np.int64)
-    for i, c in enumerate(t.columns):
-        a[offsets[i] + c.length - (k - i)] = 1
-    return a
-
-
 def witness_sequence(
     t_low: LRTableau, t_high: LRTableau, move: BoxMove, p: int
 ) -> WitnessSequence:
@@ -102,13 +92,11 @@ def witness_sequence(
     T_y[nx:, nx:] = Z.B.action
     grading = tuple(X.B.grading) + tuple(Z.B.grading)
     Ymod = NilModule(p, T_y, grading)
-    a_x = _pole_generator(g1, ox)
-    a_z = _pole_generator(g2, oz)
     gen1 = np.zeros(nx + nz, dtype=np.int64)
-    gen1[:nx] = a_x
+    gen1[:nx] = pole_generator(g1)
     gen1[nx + oz[_block_index(g2, s)] + (s - u)] = 1
     gen2 = np.zeros(nx + nz, dtype=np.int64)
-    gen2[nx:] = a_z
+    gen2[nx:] = pole_generator(g2)
     Y = Embedding(Ymod, [gen1, gen2])
 
     # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s

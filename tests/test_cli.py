@@ -123,7 +123,29 @@ def test_bad_input_exit_code(capsys):
     assert run(["enumerate", '{"alpha":[1],"beta":[2,1],"gamma":[1]}']) == 2
 
 
-@pytest.mark.slow
+N32 = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+       [0, 0, 0, 0, 0], [0, 0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "[1,2]"],
+    ["enumerate", "null"],
+    ["enumerate", '"x"'],
+    ["realize", "[]"],
+    ["tableau", "3"],
+    ["enumerate", '{"alpha":[1],"beta":[2],"gamma":[1.5]}'],
+    ["enumerate", '{"alpha":[true],"beta":[2],"gamma":[1]}'],
+    ["realize", '{"chain":[[1],[2.0]]}'],
+    # dim * p^2 >= 2^63 would overflow int64 products
+    ["tableau", json.dumps({"p": 1358187923, "T": N32, "A_span": []})],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bad input:") and "Traceback" not in err
+
+
 def test_paper_examples_cli(capsys):
     code = run(["paper-examples"])
     out = capsys.readouterr().out

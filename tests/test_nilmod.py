@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import nilmod_reference as ref
 from conftest import iter_strip_shapes, random_pole
 from lrlab import linalg as la
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
@@ -11,6 +12,7 @@ from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
                           picket_embedding, picket_dominance_test,
                           picket_hom_profile, realize_picket, realize_pole,
                           realize_tableau, shift_grading, tableau_of_embedding)
+from lrlab.oracle import picket_pole_catalog, s4_catalog
 from lrlab.poles import Picket, Pole, picket_tableau, pole_tableau, tableau_union
 from lrlab.tableaux import LRTableau, Column, Shape, dominance_leq, enumerate_tableaux
 
@@ -18,6 +20,24 @@ from lrlab.tableaux import LRTableau, Column, Shape, dominance_leq, enumerate_ta
 def test_nilmodule_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         NilModule(2, np.eye(2, dtype=np.int64))
+
+
+# largest prime with 5 p^2 < 2^63, and the next prime
+P_MAX_DIM5, P_OVER_DIM5 = 1358187913, 1358187923
+
+
+def test_prime_bounded_by_int64():
+    assert 5 * P_MAX_DIM5**2 < 2**63 <= 5 * P_OVER_DIM5**2
+    B = canonical_module((3, 2), P_MAX_DIM5)
+    E = Embedding(B, [[0, 1, 0, 1, 0]])
+    S = _random_invertible(np.random.default_rng(7), 5, P_MAX_DIM5)
+    F = _conjugate(E, S)
+    assert jordan_type(F.B) == (3, 2)
+    assert F.alpha == E.alpha == (2,)
+    assert F.chain() == E.chain()
+    assert hom_dim(F, F) == hom_dim(E, E)
+    with pytest.raises(ValueError, match="too large"):
+        NilModule(P_OVER_DIM5, F.B.action)
 
 
 def test_grading_consistency_checked():
@@ -38,13 +58,17 @@ def test_jordan_type_conjugation_invariant():
     rng = np.random.default_rng(2)
     M = canonical_module((4, 2, 1), 3)
     for _ in range(25):
-        while True:
-            S = rng.integers(0, 3, size=(7, 7))
-            if la.rank(S, 3) == 7:
-                break
+        S = _random_invertible(rng, 7, 3)
         Sinv = _inverse_mod_p(S, 3)
         T2 = (S @ M.action @ Sinv) % 3
         assert jordan_type(NilModule(3, T2)) == (4, 2, 1)
+
+
+def _random_invertible(rng, n, p):
+    while True:
+        S = rng.integers(0, p, size=(n, n))
+        if la.rank(S, p) == n:
+            return S
 
 
 def _inverse_mod_p(S, p):
@@ -53,6 +77,44 @@ def _inverse_mod_p(S, p):
     R, piv = la.rref(aug, p)
     assert piv == list(range(n))
     return R[:, n:]
+
+
+def _conjugate(E, S):
+    """The image of E under the base change S: action S T S^-1, subspace S A."""
+    p = E.p
+    T = (((S @ E.B.action) % p) @ _inverse_mod_p(S, p)) % p
+    return Embedding(NilModule(p, T), (E.span @ S.T) % p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matches_loop_reference_on_catalog_pairs(p):
+    cat = [E for _, E in s4_catalog(p) + picket_pole_catalog(p, 5)]
+    for i, E1 in enumerate(cat):
+        for j, E2 in enumerate(cat):
+            assert hom_dim(E1, E2) == ref.hom_dim(E1, E2), (i, j)
+            if j >= i:  # E2 + E1 is E1 + E2 with its blocks swapped
+                S = direct_sum(E1, E2)
+                assert S.alpha == ref.type_on_subspace(S.B, S.span), (i, j)
+                assert S.chain() == ref.chain(S), (i, j)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariants_survive_base_change(p):
+    # general position: non-canonical bases, pivots away from block generators
+    rng = np.random.default_rng(p)
+    cat = [E for _, E in s4_catalog(p)]
+    shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
+    realized = cat + [realize_tableau(t, p) for t in enumerate_tableaux(shape)]
+    for E in realized:
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        assert F.alpha == E.alpha
+        assert F.chain() == E.chain() == ref.chain(F)
+        assert F.beta == E.beta
+        for c in rng.choice(len(cat), size=3, replace=False):
+            C = cat[c]
+            G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+            assert hom_dim(F, G) == hom_dim(E, C)
+            assert hom_dim(G, F) == hom_dim(C, E) == ref.hom_dim(G, F)
 
 
 def test_embedding_closes_generators():

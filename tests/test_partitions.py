@@ -84,5 +84,6 @@ def test_restrict_matches_transpose_definition():
 def test_json_round_trip():
     p = pt.partition((4, 3, 3, 2, 1))
     assert pt.from_json(pt.to_json(p)) == p
-    with pytest.raises(ValueError):
-        pt.from_json({"not": "a partition"})
+    for bad in ({"not": "a partition"}, [1.5], [2, True], ["2"]):
+        with pytest.raises(ValueError):
+            pt.from_json(bad)
