@@ -1,11 +1,13 @@
 """Brute-force submodule census and fingerprint-based classification.
 
-The census enumerates generator tuples for invariant submodules of the
-canonical ambient module, deduplicates by reduced row echelon form,
-filters to the requested subspace and quotient types, and buckets the
-survivors by tableau and by hom-dimension fingerprint against a catalog
-of known indecomposables.  Over F_2 the inner loop runs on bitmask
-vectors; other primes use the generic mod-p path.
+The census lists the invariant submodules of the canonical ambient
+module level by level, adding one generator per part of alpha and
+deduplicating by reduced row echelon form after each; one path serves
+every prime.  It filters the result to the requested subspace and
+quotient types and buckets the survivors by tableau and by
+hom-dimension fingerprint against a catalog of known indecomposables.
+Spans are visited in space_key order, so each class representative is
+its least-keyed member.
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
@@ -25,8 +27,8 @@ import numpy as np
 from . import linalg as la
 from . import partitions as pt
 from .errors import GuardExceeded, InvariantViolation
-from .nilmod import (Embedding, canonical_module, hom_dim, invariant_closure,
-                     realize_picket, realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, canonical_module, hom_dim, realize_picket,
+                     realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -152,10 +154,11 @@ def enumerate_submodules(
     """Census of invariant submodules of N_beta of type alpha, quotient gamma.
 
     Every submodule of type alpha is generated by len(alpha) vectors with
-    the i-th annihilated by T^alpha_i, so the search runs over tuples
-    from those kernels; the guard is nevertheless expressed in nominal
-    full-tuple terms so configured budgets stay comparable across
-    implementations.
+    the i-th annihilated by T^alpha_i.  The search closes the spans found
+    so far with one more such generator per level and keeps one span per
+    canonical basis, so generator tuples are never listed; the guard is
+    nevertheless expressed in nominal full-tuple terms so configured
+    budgets stay comparable across implementations.
     """
     if not slow and nominal_tuple_count(shape, p) > _effective_guard(guard):
         raise GuardExceeded(
@@ -216,93 +219,32 @@ def picket_pole_catalog(p: int, top: int) -> list[tuple[str, Embedding]]:
 
 def _distinct_submodules(B, alpha) -> list[np.ndarray]:
     """Canonical bases of the distinct invariant subspaces generated by
-    tuples with the i-th generator inside ker T^alpha_i."""
+    tuples with the i-th generator inside ker T^alpha_i, in space_key order.
+
+    The search adds one generator per part of alpha and deduplicates after
+    each.  For an invariant span S and v in ker T^a, the closure of S and v
+    is the span of S, v, T v, ..., T^(a-1) v, and it depends only on the
+    line through the residue of v modulo S; so each level closes S with one
+    vector per line of the residue space of the kernel.
+    """
     p, n = B.p, B.dim
-    if not alpha:
-        return [np.zeros((0, n), dtype=np.int64)]
-    kernels = [la.null_space(B.power(a), p) for a in alpha]
-    if p == 2:
-        return _distinct_submodules_gf2(B, kernels)
-    seen: dict[bytes, np.ndarray] = {}
-    coeff_ranges = [list(product(range(p), repeat=k.shape[0])) for k in kernels]
-    for combo in product(*coeff_ranges):
-        gens = []
-        for coeffs, kern in zip(combo, kernels):
-            if any(coeffs):
-                v = np.zeros(n, dtype=np.int64)
-                for c, row in zip(coeffs, kern):
-                    if c:
-                        v = (v + c * row) % p
-                gens.append(v)
-        E_span = invariant_closure(B, gens)[0]
-        seen.setdefault(la.space_key(E_span), E_span)
-    return list(seen.values())
-
-
-def _distinct_submodules_gf2(B, kernels) -> list[np.ndarray]:
-    """Bitmask enumeration over F_2: vectors are ints, echelon by XOR."""
-    n = B.dim
-    t_cols = [int("".join(str(int(B.action[i, j])) for i in range(n))[::-1], 2)
-              if B.action[:, j].any() else 0 for j in range(n)]
-
-    def apply_t(vec: int) -> int:
-        out = 0
-        while vec:
-            low = vec & -vec
-            out ^= t_cols[low.bit_length() - 1]
-            vec ^= low
-        return out
-
-    def vec_of_row(row) -> int:
-        out = 0
-        for j in range(n):
-            if row[j]:
-                out |= 1 << j
-        return out
-
-    kern_bits = [[vec_of_row(r) for r in k] for k in kernels]
-
-    def closure_key(gens: list[int]) -> tuple[int, ...]:
-        basis: list[int] = []  # kept echelonized by leading bit, descending
-        stack = list(gens)
-        while stack:
-            v = stack.pop()
-            for b in basis:
-                if v & (1 << (b.bit_length() - 1)):
-                    v ^= b
-            if v:
-                basis.append(v)
-                basis.sort(key=int.bit_length, reverse=True)
-                stack.append(apply_t(v))
-        # fully reduce upward for a canonical key
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                if i != j and basis[j] & (1 << (basis[i].bit_length() - 1)):
-                    basis[j] ^= basis[i]
-        return tuple(sorted(basis, reverse=True))
-
-    seen: dict[tuple[int, ...], list[int]] = {}
-    ranges = [range(1 << len(k)) for k in kern_bits]
-    for combo in product(*ranges):
-        gens = []
-        for mask, rows in zip(combo, kern_bits):
-            v = 0
-            m = mask
-            while m:
-                low = m & -m
-                v ^= rows[low.bit_length() - 1]
-                m ^= low
-            if v:
-                gens.append(v)
-        key = closure_key(gens)
-        if key not in seen:
-            seen[key] = list(key)
-    out = []
-    for key in seen:
-        rows = np.zeros((len(key), n), dtype=np.int64)
-        for i, v in enumerate(key):
-            for j in range(n):
-                if v & (1 << j):
-                    rows[i, j] = 1
-        out.append(la.row_space(rows, 2))
-    return out
+    zero = np.zeros((0, n), dtype=np.int64)
+    level = {la.space_key(zero): (zero, [])}
+    for a in alpha:
+        kernel = la.null_space(B.power(a), p)
+        grown: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for S, pivots in level.values():
+            grown.setdefault(la.space_key(S), (S, pivots))
+            W = la.row_space((kernel - kernel[:, pivots] @ S) % p, p)
+            r = W.shape[0]
+            # one residue per line: first nonzero coordinate over W is 1
+            for j in range(r):
+                for tail in product(range(p), repeat=r - 1 - j):
+                    v = W[j] + np.array(tail, dtype=np.int64) @ W[j + 1:]
+                    orbit = [S, v % p]
+                    for _ in range(a - 1):
+                        orbit.append((B.action @ orbit[-1]) % p)
+                    R, R_pivots = la.rref(np.vstack(orbit), p)
+                    grown.setdefault(la.space_key(R), (R, R_pivots))
+        level = grown
+    return [level[key][0] for key in sorted(level)]

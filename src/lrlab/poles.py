@@ -178,7 +178,7 @@ def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:
         raise ValueError(f"pole splitting needs a horizontal strip: {t.shape}")
     if t.is_empty():
         raise ValueError("cannot split an empty tableau")
-    picked = _greedy_selection(list(t.columns))
+    picked, _ = _pick_with_detour(list(t.columns), None, None, None, False, False)
     rest = [c for i, c in enumerate(t.columns) if i not in set(picked)]
     extracted = LRTableau([t.columns[i] for i in picked])
     return extracted, LRTableau(rest, alpha=_alpha_of(rest))
@@ -187,25 +187,6 @@ def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:
 def _alpha_of(columns) -> Partition:
     counts = tb.entry_counts(columns)
     return pt.transpose(counts)
-
-
-def _greedy_selection(columns: list[Column]) -> list[int]:
-    """Column indices chosen by the split-off scan, leftmost-first."""
-    top = max(c.entries[0] for c in columns if c.entries)
-    idx = next(i for i, c in enumerate(columns) if c.entries == (top,))
-    picked = [idx]
-    for e in range(top - 1, 0, -1):
-        idx = next(
-            (i for i in range(picked[-1] + 1, len(columns))
-             if columns[i].entries == (e,)),
-            None,
-        )
-        if idx is None:
-            raise InvariantViolation(
-                f"no column with entry {e} right of position {picked[-1]}"
-            )
-        picked.append(idx)
-    return picked
 
 
 def pole_decomposition(t: LRTableau) -> list[ExtendedPole]:
@@ -294,7 +275,8 @@ def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
     When the scan selects a still-wanted special column it continues at
     the first matching column right of the removed column's position
     instead of right of the selection.  Returns (indices, flag) with
-    flag in {"u", "v", None}.
+    flag in {"u", "v", None}.  With nothing wanted it is the plain scan
+    of ``split_off_pole``.
     """
     top = max(c.entries[0] for c in columns if c.entries)
     idx = next(i for i, c in enumerate(columns) if c.entries == (top,))

@@ -172,11 +172,11 @@ class LRTableau:
     @staticmethod
     def from_json(data: dict) -> "LRTableau":
         if data.get("chain") is not None:
-            t = from_chain([pt.from_json(c) for c in data["chain"]])
+            t = from_chain([pt.from_json(c)
+                            for c in _json_list(data["chain"], "chain")])
         elif data.get("columns") is not None:
-            cols = [Column(int(c[0]), int(c[1]), tuple(int(e) for e in c[2]))
-                    for c in data["columns"]]
-            t = LRTableau(cols)
+            t = LRTableau([_column_from_json(c)
+                           for c in _json_list(data["columns"], "columns")])
             report = validate(t)
             if not report.ok:
                 raise ValueError(f"columns are not an LR tableau: {report.violations}")
@@ -185,6 +185,23 @@ class LRTableau:
         if "alpha" in data and t.shape != Shape.from_json(data):
             raise ValueError("tableau does not match the declared shape")
         return t
+
+
+def _json_list(data, name: str):
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {data!r}")
+    return data
+
+
+def _column_from_json(c) -> Column:
+    """A column record [length, base, [entries]], integers only."""
+    if not (isinstance(c, (list, tuple)) and len(c) == 3
+            and type(c[0]) is int and type(c[1]) is int
+            and isinstance(c[2], (list, tuple))
+            and all(type(e) is int for e in c[2])):
+        raise ValueError(
+            f"a column must be [length, base, [entries]] of integers, got {c!r}")
+    return Column(c[0], c[1], tuple(c[2]))
 
 
 def entry_counts(columns: Sequence[Column]) -> tuple[int, ...]:

@@ -3,9 +3,14 @@ from itertools import product
 
 import pytest
 
+from lrlab.oracle import enumerate_submodules
 from lrlab.partitions import partition, partitions_of, weight
 from lrlab.poles import Pole, minimal_ambient
 from lrlab.tableaux import Shape, is_vertical_strip
+
+# the two published census shapes over F_2
+TWO_CLASS = Shape((3, 1), (4, 3, 1), (3, 1))
+FIVE_CLASS = Shape((3, 1), (4, 3, 2, 1), (3, 2, 1))
 
 
 def pytest_addoption(parser):
@@ -20,6 +25,12 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def censuses():
+    """The two published censuses, computed once for every test using them."""
+    return {shape: enumerate_submodules(shape, 2) for shape in (TWO_CLASS, FIVE_CLASS)}
 
 
 def horizontal_gammas(beta):

@@ -1,0 +1,40 @@
+"""Per-tuple reference enumeration for the submodule census.
+
+This is the definitional brute force that the level-wise search in
+``lrlab.oracle`` replaced: close every generator tuple, with the i-th
+generator inside ker T^alpha_i, and keep one span per canonical basis.
+It works for every prime and is kept only so tests can require the same
+set of invariant subspaces from both.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from lrlab import linalg as la
+from lrlab.nilmod import invariant_closure
+
+
+def distinct_submodules(B, alpha):
+    """Canonical bases of the distinct invariant subspaces generated by
+    tuples with the i-th generator inside ker T^alpha_i."""
+    p, n = B.p, B.dim
+    if not alpha:
+        return [np.zeros((0, n), dtype=np.int64)]
+    kernels = [la.null_space(B.power(a), p) for a in alpha]
+    seen: dict[bytes, np.ndarray] = {}
+    coeff_ranges = [list(product(range(p), repeat=k.shape[0])) for k in kernels]
+    for combo in product(*coeff_ranges):
+        gens = []
+        for coeffs, kern in zip(combo, kernels):
+            if any(coeffs):
+                v = np.zeros(n, dtype=np.int64)
+                for c, row in zip(coeffs, kern):
+                    if c:
+                        v = (v + c * row) % p
+                gens.append(v)
+        span = invariant_closure(B, gens)[0]
+        seen.setdefault(la.space_key(span), span)
+    return list(seen.values())

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import iter_strip_shapes, random_pole
+from conftest import FIVE_CLASS, TWO_CLASS, iter_strip_shapes, random_pole
 from lrlab.boxmoves import box_leq, box_successors, dom_to_box_chain, dom_to_box_step
 from lrlab.nilmod import (direct_sum, graded_pole_embedding, hom_dim,
                           invariant_intersection_dim, mu_entries,
@@ -23,8 +23,6 @@ from lrlab.worked_examples import EXT_DEG_SHAPE, ext_deg_modules
 
 RUNNING = Shape((3, 2), (4, 3, 3, 2, 1), (3, 2, 2, 1))
 ALGO = Shape((3, 2, 1), (6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
-FIVE_CLASS = Shape((3, 1), (4, 3, 2, 1), (3, 2, 1))
-TWO_CLASS = Shape((3, 1), (4, 3, 1), (3, 1))
 
 
 @contextmanager
@@ -40,14 +38,6 @@ def criterion(number, description):
 @pytest.fixture(scope="module")
 def strip_tableaux_12():
     return {shape: enumerate_tableaux(shape) for shape in iter_strip_shapes(12)}
-
-
-@pytest.fixture(scope="module")
-def censuses():
-    return {
-        TWO_CLASS: enumerate_submodules(TWO_CLASS, 2),
-        FIVE_CLASS: enumerate_submodules(FIVE_CLASS, 2),
-    }
 
 
 def test_criterion_01_enumeration_counts():

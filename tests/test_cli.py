@@ -138,6 +138,17 @@ N32 = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
     ["realize", '{"chain":[[1],[2.0]]}'],
     # dim * p^2 >= 2^63 would overflow int64 products
     ["tableau", json.dumps({"p": 1358187923, "T": N32, "A_span": []})],
+    ["tableau", '{"p":2.9,"T":[[0,0],[1,0]],"A_span":[]}'],
+    ["tableau", '{"p":true,"T":[[0,0],[1,0]],"A_span":[]}'],
+    ["tableau", '{"p":2,"T":[[0,0],[1.7,0]],"A_span":[]}'],
+    ["tableau", '{"p":2,"T":[[0,0],[1,0]],"A_span":[[0.5,1]]}'],
+    ["tableau", '{"p":2,"T":[[0,0],[1,0]],"A_span":[],"grading":[0.5,1.5]}'],
+    ["tableau", '{"p":2,"T":[[99999999999999999999]],"A_span":[]}'],
+    ["tableau", '{"p":2,"T":5,"A_span":[]}'],
+    ["decompose", '{"columns":[1]}'],
+    ["decompose", '{"columns":[[1.5,0.2,[1]]]}'],
+    ["decompose", '{"columns":[[1,0,[1.9]]]}'],
+    ["decompose", '{"columns":[[true,0,[1]]]}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = run(argv)

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_reference as ref
+from conftest import FIVE_CLASS, TWO_CLASS
+from lrlab import linalg as la
 from lrlab.errors import GuardExceeded
-from lrlab.nilmod import direct_sum, hom_dim, realize_picket, realize_pole
-from lrlab.oracle import (enumerate_submodules, iso_fingerprint,
-                          nominal_tuple_count, s4_catalog)
+from lrlab.nilmod import (canonical_module, direct_sum, hom_dim, realize_picket,
+                          realize_pole)
+from lrlab.oracle import (_distinct_submodules, enumerate_submodules,
+                          iso_fingerprint, nominal_tuple_count, s4_catalog)
 from lrlab.poles import Pole
 from lrlab.tableaux import Shape, enumerate_tableaux
-
-TWO_CLASS = Shape((3, 1), (4, 3, 1), (3, 1))
-FIVE_CLASS = Shape((3, 1), (4, 3, 2, 1), (3, 2, 1))
 
 
 def test_catalog_has_twenty_objects():
@@ -21,19 +22,36 @@ def test_catalog_has_twenty_objects():
     assert sum(1 for n in names if n.startswith("P^")) == 4
 
 
-def test_two_class_census():
-    census = enumerate_submodules(TWO_CLASS, 2)
+def test_two_class_census(censuses):
+    census = censuses[TWO_CLASS]
     assert len(census.classes) == 2
     for t in enumerate_tableaux(TWO_CLASS):
         assert len(census.classes_of(t)) == 1
     assert census.total_submodules == sum(c.submodule_count for c in census.classes)
 
 
-def test_five_class_census_distribution():
-    census = enumerate_submodules(FIVE_CLASS, 2)
+def test_five_class_census_distribution(censuses):
+    census = censuses[FIVE_CLASS]
     assert len(census.classes) == 5
     counts = sorted(len(census.classes_of(t)) for t in enumerate_tableaux(FIVE_CLASS))
     assert counts == [1, 2, 2]
+
+
+@pytest.mark.parametrize("shape,p", [
+    (TWO_CLASS, 2),
+    (Shape((2, 1), (3, 2, 1), (2, 1)), 2),
+    (Shape((2, 1), (2, 1), ()), 3),
+    (Shape((1, 1), (2, 1, 1), (1, 1)), 3),
+    # repeated parts of alpha
+    (Shape((1, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1)), 2),
+    (Shape((), (3, 1), (3, 1)), 3),
+], ids=str)
+def test_level_wise_search_matches_per_tuple_reference(shape, p):
+    B = canonical_module(shape.beta, p)
+    keys = [la.space_key(span) for span in _distinct_submodules(B, shape.alpha)]
+    assert keys == sorted(set(keys))
+    assert set(keys) == {la.space_key(span)
+                         for span in ref.distinct_submodules(B, shape.alpha)}
 
 
 def test_zero_alpha_census():
