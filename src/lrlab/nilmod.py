@@ -27,18 +27,6 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-def _json_ints(data, name: str, depth: int):
-    """Nested JSON arrays, ``depth`` levels deep, of integers in int64 range."""
-    if depth == 0:
-        if type(data) is not int or not -2**63 <= data < 2**63:
-            raise ValueError(
-                f"{name} entries must be integers within int64, got {data!r}")
-        return data
-    if not isinstance(data, (list, tuple)):
-        raise ValueError(f"{name} must be a JSON array, got {data!r}")
-    return [_json_ints(x, name, depth - 1) for x in data]
-
-
 class NilModule:
     """A nilpotent action matrix over F_p, optionally graded.
 
@@ -213,30 +201,25 @@ class Embedding:
 
     @staticmethod
     def from_json(data: dict) -> "Embedding":
-        p = data["p"]
-        if type(p) is not int:
-            raise ValueError(f"p must be an integer, got {p!r}")
+        p = pt.json_ints(data["p"], "p", 0)
         grading = data.get("grading")
         if grading is not None:
-            grading = _json_ints(grading, "grading", 1)
-        module = NilModule(p, _json_ints(data["T"], "T", 2), grading)
-        return Embedding(module, _json_ints(data.get("A_span", []), "A_span", 2))
+            grading = pt.json_ints(grading, "grading", 1)
+        module = NilModule(p, pt.json_ints(data["T"], "T", 2), grading)
+        return Embedding(module, pt.json_ints(data.get("A_span", []), "A_span", 2))
 
     def __repr__(self):
         return (f"Embedding(p={self.p}, beta={self.beta}, alpha={self.alpha}, "
                 f"gamma={self.gamma})")
 
 
-def quotient_type(B: NilModule, span: np.ndarray,
-                  pivots: list[int] | None = None) -> Partition:
+def quotient_type(B: NilModule, R: np.ndarray, pivots: list[int]) -> Partition:
     """Jordan type of B modulo an invariant row space.
 
-    The action is induced on the non-pivot coordinates after eliminating
-    against the subspace basis; no quotient object is materialized.
-    Passing ``pivots`` promises that ``span`` is already rref with those
-    pivots, which skips the row reduction.
+    ``R`` must be rref with pivot columns ``pivots``.  The action is induced
+    on the non-pivot coordinates after eliminating against ``R``; no
+    quotient object is materialized.
     """
-    R, pivots = la.rref(span, B.p) if pivots is None else (span, pivots)
     comp = [c for c in range(B.dim) if c not in pivots]
     cols = B.action[:, comp]
     Tbar = (cols - R.T @ cols[pivots]) % B.p

@@ -96,8 +96,25 @@ def to_json(p: Partition) -> list[int]:
     return list(p)
 
 
+def json_array(data, name: str) -> list:
+    """``data`` itself if it is a JSON array; ValueError otherwise."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {data!r}")
+    return data
+
+
+def json_ints(data, name: str, depth: int):
+    """Nested JSON arrays, ``depth`` levels deep, of integers in int64 range.
+
+    Floats and bools are refused rather than truncated.
+    """
+    if depth == 0:
+        if type(data) is not int or not -2**63 <= data < 2**63:
+            raise ValueError(
+                f"{name}: expected an integer within int64, got {data!r}")
+        return data
+    return [json_ints(x, name, depth - 1) for x in json_array(data, name)]
+
+
 def from_json(data) -> Partition:
-    if not isinstance(data, (list, tuple)) or not all(
-            type(x) is int for x in data):
-        raise ValueError(f"a partition must be a JSON array of integers, got {data!r}")
-    return partition(data)
+    return partition(json_ints(data, "a partition", 1))

@@ -126,6 +126,12 @@ class LRTableau:
                 "columns do not assemble into a skew diagram "
                 f"(bases not weakly decreasing): {cols}"
             )
+        # entry counts of an LR tableau transpose a partition, so no entry
+        # exceeds their total; refusing that early keeps entry_counts small
+        total = sum(len(c.entries) for c in cols)
+        if any(e > total for c in cols for e in c.entries):
+            raise ValueError(
+                f"an entry exceeds the number of entries, {total}: {cols}")
         beta = pt.partition(c.length for c in cols)
         gamma = pt.partition(bases)
         if alpha is None:
@@ -173,10 +179,10 @@ class LRTableau:
     def from_json(data: dict) -> "LRTableau":
         if data.get("chain") is not None:
             t = from_chain([pt.from_json(c)
-                            for c in _json_list(data["chain"], "chain")])
+                            for c in pt.json_array(data["chain"], "chain")])
         elif data.get("columns") is not None:
             t = LRTableau([_column_from_json(c)
-                           for c in _json_list(data["columns"], "columns")])
+                           for c in pt.json_array(data["columns"], "columns")])
             report = validate(t)
             if not report.ok:
                 raise ValueError(f"columns are not an LR tableau: {report.violations}")
@@ -187,21 +193,12 @@ class LRTableau:
         return t
 
 
-def _json_list(data, name: str):
-    if not isinstance(data, (list, tuple)):
-        raise ValueError(f"{name} must be a JSON array, got {data!r}")
-    return data
-
-
 def _column_from_json(c) -> Column:
     """A column record [length, base, [entries]], integers only."""
-    if not (isinstance(c, (list, tuple)) and len(c) == 3
-            and type(c[0]) is int and type(c[1]) is int
-            and isinstance(c[2], (list, tuple))
-            and all(type(e) is int for e in c[2])):
-        raise ValueError(
-            f"a column must be [length, base, [entries]] of integers, got {c!r}")
-    return Column(c[0], c[1], tuple(c[2]))
+    if len(pt.json_array(c, "a column")) != 3:
+        raise ValueError(f"a column must be [length, base, [entries]], got {c!r}")
+    length, base = pt.json_ints(c[:2], "a column", 1)
+    return Column(length, base, tuple(pt.json_ints(c[2], "column entries", 1)))
 
 
 def entry_counts(columns: Sequence[Column]) -> tuple[int, ...]:

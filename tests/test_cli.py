@@ -149,6 +149,9 @@ N32 = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
     ["decompose", '{"columns":[[1.5,0.2,[1]]]}'],
     ["decompose", '{"columns":[[1,0,[1.9]]]}'],
     ["decompose", '{"columns":[[true,0,[1]]]}'],
+    # an entry above the number of entries cannot be an LR tableau, and
+    # counting every value up to it would need terabytes
+    ["decompose", '{"columns":[[1,0,[1000000000000]]]}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = run(argv)
