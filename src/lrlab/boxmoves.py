@@ -101,7 +101,7 @@ def box_leq(t1: LRTableau, t2: LRTableau) -> bool:
     return False
 
 
-def _single_move_between(low: LRTableau, high: LRTableau) -> BoxMove | None:
+def move_between(low: LRTableau, high: LRTableau) -> BoxMove | None:
     """The unique move with apply_move(low, move) == high, if one exists."""
     for t2, move in box_successors(low):
         if t2 == high:
@@ -154,7 +154,7 @@ def dom_to_box_step(
     result = tb.from_word(shape, wt)
     if not tb.dominance_leq(gamma, result):
         raise InvariantViolation("step output fails to dominate the lower tableau")
-    if result != gamma_t and _single_move_between(result, gamma_t) is None:
+    if result != gamma_t and move_between(result, gamma_t) is None:
         raise InvariantViolation("step output is not one box move below the input")
     return result
 
@@ -176,12 +176,12 @@ def dom_to_box_chain(
     while desc[-1] != gamma:
         nxt = dom_to_box_step(gamma, desc[-1], pick_l=pick)
         pick = None
-        if nxt != desc[-1] and _single_move_between(nxt, desc[-1]) is None:
+        if nxt != desc[-1] and move_between(nxt, desc[-1]) is None:
             raise InvariantViolation("chain step is not a single box move")
         desc.append(nxt)
     chain = list(reversed(desc))
     for lo, hi in zip(chain, chain[1:]):
-        if _single_move_between(lo, hi) is None:
+        if move_between(lo, hi) is None:
             raise InvariantViolation("assembled chain contains a non-move step")
     return chain
 

@@ -3,7 +3,7 @@
 Every subcommand reads shapes, tableaux and embeddings as inline JSON or
 as a path to a JSON file, and writes JSON (default), DOT (Hasse
 diagrams) or plain text.  Exit codes: 0 success, 1 verification failure,
-2 bad input, 3 enumeration guard exceeded.
+2 bad input, 3 guard exceeded (the census work budget, or memory).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .boxmoves import box_successors, dom_to_box_chain, hasse, relation_matrix
+from .boxmoves import dom_to_box_chain, hasse, move_between, relation_matrix
 from .errors import GuardExceeded, InvariantViolation
 from .nilmod import (Embedding, hom_dim, picket_hom_profile, realize_tableau,
                      tableau_of_embedding)
@@ -154,11 +154,7 @@ def _cmd_witness(args) -> int:
     shape = _shape(args.shape)
     low = from_word(shape, _word(args.frm))
     high = from_word(shape, _word(args.to))
-    move = None
-    for t2, mv in box_successors(low):
-        if t2 == high:
-            move = mv
-            break
+    move = move_between(low, high)
     if move is None:
         raise ValueError("the two tableaux are not one box move apart")
     if args.move:
@@ -295,8 +291,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
+    except (GuardExceeded, MemoryError) as exc:
+        print(f"guard exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

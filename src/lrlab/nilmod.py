@@ -17,7 +17,7 @@ from . import partitions as pt
 from . import tableaux as tb
 from .errors import InvariantViolation
 from .partitions import Partition
-from .poles import Picket, Pole, minimal_ambient, pole_decomposition, pole_tableau
+from .poles import Picket, Pole, minimal_ambient, pole_tableau, split_off_pole
 from .tableaux import LRTableau
 
 
@@ -294,13 +294,6 @@ def direct_sum(*embeddings: Embedding) -> Embedding:
     return Embedding(NilModule(p, T, gradings), vectors)
 
 
-def shift_grading(E: Embedding, d: int) -> Embedding:
-    if E.B.grading is None:
-        raise ValueError("embedding is not graded")
-    module = NilModule(E.p, E.B.action, tuple(g + d for g in E.B.grading))
-    return Embedding(module, E.span)
-
-
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """Dimension of the space of embedding morphisms E1 -> E2.
 
@@ -482,27 +475,25 @@ def _chain_pole_split(t: LRTableau) -> tuple[Pole, LRTableau]:
 def realize_tableau(t: LRTableau, p: int) -> Embedding:
     """Direct sum of graded poles and empty pickets realizing ``t``.
 
-    Horizontal strips always succeed, via the column-splitting
-    decomposition.  Other tableaux are attempted by peeling minimal
-    poles off the partition chain; tableaux with no pole-sum
-    realization at all (they exist) are rejected.  The result is
+    Horizontal strips always succeed: each column-splitting piece of
+    ``split_off_pole`` is realized as a graded pole.  Other tableaux are
+    attempted by peeling minimal poles off the partition chain; tableaux
+    with no pole-sum realization at all (they exist) are rejected.
+    Leftover empty columns become empty pickets.  The result is
     re-verified to have tableau ``t``.
     """
+    strip = tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
     parts = []
-    if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
-        for ep in pole_decomposition(t):
-            if ep.pole is not None:
-                parts.append(graded_pole_embedding(pole_tableau(ep.pole), p))
-            else:
-                for n in ep.empty_pickets:
-                    parts.append(Embedding(canonical_module((n,), p, shifts=[0]), []))
-    else:
-        rest = t
-        while not rest.is_empty():
+    rest = t
+    while not rest.is_empty():
+        if strip:
+            piece, rest = split_off_pole(rest)
+            parts.append(graded_pole_embedding(piece, p))
+        else:
             pole, rest = _chain_pole_split(rest)
             parts.append(realize_pole(pole, p))
-        for c in rest.columns:
-            parts.append(Embedding(canonical_module((c.length,), p, shifts=[0]), []))
+    for c in rest.columns:
+        parts.append(Embedding(canonical_module((c.length,), p, shifts=[0]), []))
     if not parts:
         return Embedding(canonical_module((), p, shifts=[]), [])
     E = direct_sum(*parts)

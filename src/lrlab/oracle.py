@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def s4_catalog(p: int) -> list[tuple[str, Embedding]]:
     layer_sets = [
         s
         for k in range(1, 5)
-        for s in _subsets((0, 1, 2, 3), k)
+        for s in combinations((0, 1, 2, 3), k)
     ]
     for layers in layer_sets:
         pole = Pole(layers, minimal_ambient(layers))
@@ -69,15 +69,6 @@ def s4_catalog(p: int) -> list[tuple[str, Embedding]]:
     if len(catalog) != 20:
         raise InvariantViolation(f"catalog has {len(catalog)} objects")
     return catalog
-
-
-def _subsets(values, k):
-    if k == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        for rest in _subsets(values[i + 1 :], k - 1):
-            yield (v,) + rest
 
 
 def _x_object(p: int) -> Embedding:
@@ -209,7 +200,7 @@ def picket_pole_catalog(p: int, top: int) -> list[tuple[str, Embedding]]:
             catalog.append((f"P^{n}_{m}", realize_picket(n, m, p)))
     # single-run poles are the pickets above, so only split layer sets add
     for k in range(2, top + 1):
-        for layers in _subsets(tuple(range(top)), k):
+        for layers in combinations(range(top), k):
             amb = minimal_ambient(layers)
             if amb[0] <= top and len(amb) > 1:
                 pole = Pole(layers, amb)

@@ -179,7 +179,7 @@ def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:
     if t.is_empty():
         raise ValueError("cannot split an empty tableau")
     picked, _ = _pick_with_detour(list(t.columns), None, None, None, False, False)
-    rest = [c for i, c in enumerate(t.columns) if i not in set(picked)]
+    rest = [c for i, c in enumerate(t.columns) if i not in picked]
     extracted = LRTableau([t.columns[i] for i in picked])
     return extracted, LRTableau(rest, alpha=_alpha_of(rest))
 
@@ -272,66 +272,30 @@ def box_move_pole_partition(
 def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
     """One split-off scan over ``columns``.
 
-    When the scan selects a still-wanted special column it continues at
-    the first matching column right of the removed column's position
-    instead of right of the selection.  Returns (indices, flag) with
-    flag in {"u", "v", None}.  With nothing wanted it is the plain scan
-    of ``split_off_pole``.
+    Picks the first column holding the largest entry, then for each
+    smaller value the first column holding it right of the last pick.
+    When a pick is a still-wanted special column (the first one only),
+    the next search starts at the removed column's position instead.
+    Returns (indices, flag) with flag in {"u", "v", None}.  With nothing
+    wanted it is the plain scan of ``split_off_pole``.
     """
     top = max(c.entries[0] for c in columns if c.entries)
-    idx = next(i for i, c in enumerate(columns) if c.entries == (top,))
-    picked = [idx]
-    flag = None
-
-    def special(i):
-        nonlocal want_u, want_v, flag
-        if flag is None:
-            if want_u and columns[i] == c_u:
-                want_u = False
-                flag = "u"
-                return True
-            if want_v and columns[i] == cv_t:
-                want_v = False
-                flag = "v"
-                return True
-        elif (want_u and columns[i] == c_u) or (want_v and columns[i] == cv_t):
+    picked, flag = [], None
+    start, gap = 0, False
+    for e in range(top, 0, -1):
+        nxt = next((i for i in range(start, len(columns))
+                    if columns[i].entries == (e,)), None)
+        if nxt is None:
+            where = "the gap" if gap else f"position {start - 1}"
+            raise InvariantViolation(f"no column with entry {e} right of {where}")
+        picked.append(nxt)
+        hit = ("u" if want_u and columns[nxt] == c_u else
+               "v" if want_v and columns[nxt] == cv_t else None)
+        if hit and flag:
             raise InvariantViolation("second special column in a detoured scan")
-        return False
-
-    def first_from(start, e):
-        return next(
-            (i for i in range(start, len(columns)) if columns[i].entries == (e,)),
-            None,
-        )
-
-    e = top - 1
-    if special(idx):
-        if e == 0:
-            return picked, flag
-        start = bisect_left([c.sort_key() for c in columns], missing_key)
-        nxt = first_from(start, e)
-        if nxt is None:
-            raise InvariantViolation(f"no column with entry {e} right of the gap")
-        special(nxt)
-        picked.append(nxt)
-        e -= 1
-
-    while e >= 1:
-        nxt = first_from(picked[-1] + 1, e)
-        if nxt is None:
-            raise InvariantViolation(
-                f"no column with entry {e} right of position {picked[-1]}"
-            )
-        picked.append(nxt)
-        e -= 1
-        if special(nxt) and e:
-            start = bisect_left([c.sort_key() for c in columns], missing_key)
-            nxt2 = first_from(start, e)
-            if nxt2 is None:
-                raise InvariantViolation(f"no column with entry {e} right of the gap")
-            special(nxt2)
-            picked.append(nxt2)
-            e -= 1
+        flag, gap = flag or hit, hit is not None
+        start = (bisect_left([c.sort_key() for c in columns], missing_key)
+                 if gap else nxt + 1)
     return picked, flag
 
 

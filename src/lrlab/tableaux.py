@@ -10,7 +10,11 @@ as many entries ell-1 as entries ell.
 
 Equivalently a tableau is the chain of partitions traced out by the
 regions filled with blanks and entries <= i; both views are implemented
-and kept in bijection by ``to_chain`` / ``from_chain``.
+and kept in bijection by ``to_chain`` / ``from_chain``.  Each region is
+a Young diagram, so ``from_chain`` reads the filling straight off the
+chain: a column holds an entry i for each box its height gains at
+stage i.  Neither it nor ``validate`` loops over rows, so a huge part
+costs them no more than a small one.
 """
 
 from __future__ import annotations
@@ -232,15 +236,14 @@ def validate(t: LRTableau) -> ValidationReport:
                     f" hold {c.entries[j]},{c.entries[j+1]}"
                 )
 
-    nrows = cols[0].length if cols else 0
-    for r in range(1, nrows + 1):
-        prev = None
-        for ci, c in enumerate(cols):
-            if c.base < r <= c.length:
-                e = c.entries[r - 1 - c.base]
-                if prev is not None and e < prev:
-                    v.append(f"row-weak: row {r} decreases at column {ci} ({prev}>{e})")
-                prev = e
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(cols):
+        for j, e in enumerate(c.entries):
+            rows.setdefault(c.row_of(j), []).append((ci, e))
+    for r in sorted(rows):
+        for (_, prev), (ci, e) in zip(rows[r], rows[r][1:]):
+            if e < prev:
+                v.append(f"row-weak: row {r} decreases at column {ci} ({prev}>{e})")
 
     s = len(counts)
     suffix = list(counts)
@@ -269,10 +272,13 @@ def to_chain(t: LRTableau) -> tuple[Partition, ...]:
 def from_chain(chain: Sequence[Partition]) -> LRTableau:
     """Rebuild the tableau from its partition chain.
 
-    Each stage grows some columns by one box; among columns of the
-    required current length the leftmost in canonical order receives the
-    new entry.  Chains whose differences cannot be filled legally are
-    rejected.
+    Stage i is the Young diagram of the cells holding blanks or entries
+    <= i, so column c of the last stage has base chain[0][c] and holds
+    one entry i for each box its height chain[i][c] gains over
+    chain[i-1][c].  A column that gains more than one box in a stage
+    (its entries could not increase) gets fewer entries than boxes, which
+    ``Column`` refuses; fillings that break another LR condition fail
+    ``validate``.
     """
     chain = [pt.partition(c) for c in chain]
     if not chain:
@@ -286,41 +292,12 @@ def from_chain(chain: Sequence[Partition]) -> LRTableau:
     if sizes and sizes[-1] == 0:
         raise ValueError("chain repeats its last partition; drop trailing stages")
 
-    # mutable working records: [length, base, entries-list]
-    work = [[g, g, []] for g in chain[0]]
-    for stage in range(1, len(chain)):
-        prev_t = pt.transpose(chain[stage - 1])
-        cur_t = pt.transpose(chain[stage])
-        grown: set[int] = set()
-        nrows = len(cur_t)
-        for r in range(1, nrows + 1):
-            a = prev_t[r - 1] if r <= len(prev_t) else 0
-            b = cur_t[r - 1]
-            if b < a:
-                raise ValueError(f"chain shrinks in row {r} at stage {stage}")
-            need = b - a
-            if need == 0:
-                continue
-            cands = sorted(
-                (i for i, w in enumerate(work) if w[0] == r - 1 and i not in grown),
-                key=lambda i: (-work[i][1], work[i][2]),
-            )
-            if r == 1:
-                for _ in range(need):
-                    work.append([1, 0, [stage]])
-                    grown.add(len(work) - 1)
-                continue
-            if len(cands) < need:
-                raise ValueError(
-                    f"stage {stage} needs {need} columns of length {r - 1}, "
-                    f"found {len(cands)}"
-                )
-            for i in cands[:need]:
-                work[i][0] += 1
-                work[i][2].append(stage)
-                grown.add(i)
-
-    t = LRTableau([Column(w[0], w[1], tuple(w[2])) for w in work])
+    heights = [c + (0,) * (len(chain[-1]) - len(c)) for c in chain]
+    cols = []
+    for col in zip(*heights):
+        entries = tuple(i for i in range(1, len(col)) if col[i] > col[i - 1])
+        cols.append(Column(col[-1], col[0], entries))
+    t = LRTableau(cols)
     report = validate(t)
     if not report.ok:
         raise ValueError(f"chain does not define an LR tableau: {report.violations}")

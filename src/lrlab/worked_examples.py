@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import partitions as pt
-from .boxmoves import box_leq, box_successors, dom_to_box_chain, dom_to_box_step, hasse
+from .boxmoves import box_leq, dom_to_box_chain, dom_to_box_step, hasse, move_between
 from .nilmod import (Embedding, canonical_module, direct_sum,
                      graded_pole_embedding, hom_dim, invariant_intersection_dim,
                      mu_entries, picket_embedding, realize_picket, realize_pole,
@@ -48,13 +48,6 @@ def _nine_column_pair():
 def _small_move_pair():
     shape = Shape((2, 1), (5, 2, 1), (4, 1))
     return from_word(shape, (1, 2, 1)), from_word(shape, (2, 1, 1))
-
-
-def _move_between(low, high):
-    for t2, move in box_successors(low):
-        if t2 == high:
-            return move
-    raise AssertionError("tableaux are not one box move apart")
 
 
 def check_transpose():
@@ -184,7 +177,7 @@ def check_decompositions():
 
 def check_pole_partition_figure():
     low, high = _nine_column_pair()
-    move = _move_between(low, high)
+    move = move_between(low, high)
     g1, g2, g3, g1t, g2t = box_move_pole_partition(low, high, move)
     assert not g3.columns
     assert pole_of_tableau(g1).layers == (0, 6, 8)
@@ -195,7 +188,7 @@ def check_pole_partition_figure():
 
 def check_pole_partition_small():
     low, high = _small_move_pair()
-    move = _move_between(low, high)
+    move = move_between(low, high)
     g1, g2, g3, g1t, g2t = box_move_pole_partition(low, high, move)
     assert [(c.length, c.entries) for c in g1.columns] == [(5, (1,))]
     assert [(c.length, c.entries[0]) for c in g2t.columns] == [(5, 2), (1, 1)]
@@ -266,7 +259,7 @@ def check_picket_hom_formula():
 
 def check_witness_examples():
     for low, high in (_nine_column_pair(), _small_move_pair()):
-        move = _move_between(low, high)
+        move = move_between(low, high)
         for p in (2, 3):
             ws = witness_sequence(low, high, move, p)
             assert all(ws.report.values()), ws.report

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lrlab
 from lrlab.cli import run
 
 FIVE = '{"alpha":[3,1],"beta":[4,3,2,1],"gamma":[3,2,1]}'
@@ -165,3 +169,43 @@ def test_paper_examples_cli(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
+
+
+HUGE = 10**12
+SRC = os.path.dirname(os.path.dirname(lrlab.__file__))
+# the child caps its own address space at 4 GiB before loading lrlab, so a
+# runaway allocation fails there on any host
+CHILD = ("import resource, runpy; "
+         "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+         "runpy.run_module('lrlab.cli', run_name='__main__')")
+
+
+def run_child(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("tableau", [
+    {"chain": [[HUGE]]},
+    {"columns": [[HUGE, HUGE, []]]},
+])
+def test_decompose_huge_empty_column(tableau):
+    # no per-row work: both used to run out of time and memory
+    done = run_child(["decompose", json.dumps(tableau)])
+    assert done.returncode == 0, done.stderr
+    (part,) = json.loads(done.stdout)["constituents"]
+    assert part["empty_pickets"] == [HUGE]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"],
+    ["orders", "--relation", "dom"],
+])
+def test_out_of_memory_exits_3(argv):
+    shape = {"alpha": [1], "beta": [HUGE, 1], "gamma": [HUGE]}
+    done = run_child([*argv, json.dumps(shape)])
+    assert done.returncode == 3
+    assert done.stderr.startswith("guard exceeded:")
+    assert "Traceback" not in done.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nilmod_reference as ref
+import tableaux_reference
 from conftest import iter_strip_shapes, random_pole
 from lrlab import linalg as la
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
@@ -11,7 +12,7 @@ from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
                           invariant_intersection_dim, jordan_type, mu_entries,
                           picket_embedding, picket_dominance_test,
                           picket_hom_profile, realize_picket, realize_pole,
-                          realize_tableau, shift_grading, tableau_of_embedding)
+                          realize_tableau, tableau_of_embedding)
 from lrlab.oracle import picket_pole_catalog, s4_catalog
 from lrlab.poles import Picket, Pole, picket_tableau, pole_tableau, tableau_union
 from lrlab.tableaux import LRTableau, Column, Shape, dominance_leq, enumerate_tableaux
@@ -220,18 +221,18 @@ def test_graded_pole_example():
     t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
     E = graded_pole_embedding(t, 2)
     assert E.B.grading == (-3, -2, -1, 0, 1, 2, -1, 0, 1, 0)
-    shifted = shift_grading(E, 4)
-    assert shifted.B.grading[0] == 1
     with pytest.raises(ValueError):
         graded_pole_embedding(picket_tableau(Picket(3, 2)), 2)
 
 
 def test_realize_round_trip_exhaustive_small():
-    for shape in iter_strip_shapes(8):
+    # also the same embedding as the Pole round trip realization
+    for shape in iter_strip_shapes(9):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
                 E = realize_tableau(t, p)
                 assert tableau_of_embedding(E) == t
+                assert E.to_json() == tableaux_reference.realize_strip(t, p).to_json()
 
 
 def test_realize_non_horizontal_cases():

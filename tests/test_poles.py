@@ -1,10 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
+import tableaux_reference as ref
 from conftest import iter_strip_shapes, random_pole
 from lrlab.boxmoves import box_successors
-from lrlab.poles import (ExtendedPole, Picket, Pole, box_move_pole_partition,
+from lrlab.errors import InvariantViolation
+from lrlab.poles import (ExtendedPole, Picket, Pole, _pick_with_detour,
+                         box_move_pole_partition,
                          empty_tableau, minimal_ambient, picket_tableau,
                          pole_decomposition, pole_of_tableau, pole_tableau,
                          split_off_pole, tableau_union)
@@ -134,6 +138,64 @@ def test_pole_partition_properties_exhaustive():
                 # reassembly is asserted inside; spot-check the interfaces
                 assert pole_of_tableau(g1).layers
                 assert pole_of_tableau(g2t).layers
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def test_scan_matches_two_copy_reference():
+    # the scans box_move_pole_partition makes on every box-move edge,
+    # started from each of the four (want_u, want_v) pairs and repeated
+    # until the columns run out or a scan raises
+    scans = 0
+    for shape in iter_strip_shapes(10):
+        for t in enumerate_tableaux(shape):
+            for _, move in box_successors(t):
+                c_u = Column(move.r, move.r - 1, (move.u,))
+                c_v = Column(move.s, move.s - 1, (move.v,))
+                cv_t = Column(move.r, move.r - 1, (move.v,))
+                start = list(t.columns)
+                start.remove(c_v)
+                start = sorted(start + [cv_t], key=Column.sort_key)
+                for want_u, want_v in product((False, True), repeat=2):
+                    work = start
+                    while any(c.entries for c in work):
+                        args = (work, c_u, cv_t, c_v.sort_key(), want_u, want_v)
+                        got = _scan_outcome(_pick_with_detour, *args)
+                        assert got == _scan_outcome(ref.pick_with_detour, *args)
+                        scans += 1
+                        if isinstance(got, str):
+                            break
+                        picked, flag = got
+                        work = [c for i, c in enumerate(work) if i not in picked]
+                        want_u, want_v = want_u and flag != "u", want_v and flag != "v"
+    assert scans > 1000
+
+
+def test_scan_matches_two_copy_reference_on_random_columns():
+    # arbitrary one-box columns, special columns and gaps, so that the
+    # failing searches and the second-special check are reached too
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(3000):
+        cols = []
+        for _ in range(rng.randint(1, 7)):
+            n = rng.randint(1, 6)
+            full = rng.random() < 0.8
+            cols.append(Column(n, n - 1, (rng.randint(1, 4),)) if full else Column(n, n, ()))
+        cols.sort(key=Column.sort_key)
+        if not any(c.entries for c in cols):
+            continue
+        c_u, cv_t, gap = (rng.choice(cols) for _ in range(3))
+        args = (cols, c_u, cv_t, gap.sort_key(), rng.random() < 0.7, rng.random() < 0.7)
+        got = _scan_outcome(_pick_with_detour, *args)
+        assert got == _scan_outcome(ref.pick_with_detour, *args), args
+        raised += isinstance(got, str)
+    assert raised > 100
 
 
 def test_pole_partition_rejects_non_move():

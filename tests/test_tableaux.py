@@ -1,7 +1,9 @@
+import random
 from itertools import permutations
 
 import pytest
 
+import tableaux_reference as ref
 from conftest import iter_all_shapes, iter_strip_shapes
 from lrlab import partitions as pt
 from lrlab.tableaux import (Column, LRTableau, Shape, dominance_leq,
@@ -108,7 +110,7 @@ def test_round_trips_exhaustive():
 def test_round_trips_general_shapes():
     for shape in iter_all_shapes(7):
         for t in enumerate_tableaux(shape):
-            assert from_chain(t.chain) == t
+            assert from_chain(t.chain) == ref.from_chain(t.chain) == t
             assert from_word(shape, reading_word(t)) == t
             assert validate(t).ok
 
@@ -120,6 +122,51 @@ def test_from_chain_rejections():
         from_chain([(1,), (2,), (4,)])  # stage sizes increase
     with pytest.raises(ValueError):
         from_chain([(2,), (2,)])  # repeated final stage
+
+
+def _random_chain(rng: random.Random) -> list[tuple[int, ...]]:
+    """A nested chain grown box by box; a column may gain several boxes
+    in one stage and stage sizes may rise, so many chains are invalid."""
+    cur = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True)
+    chain = [tuple(cur)]
+    for _ in range(rng.randint(0, 4)):
+        for _ in range(rng.randint(1, 4)):
+            c = rng.randint(0, len(cur))
+            if c == len(cur):
+                cur.append(0)
+            if c == 0 or cur[c - 1] > cur[c]:
+                cur[c] += 1
+            elif not cur[c]:
+                cur.pop()
+        chain.append(tuple(cur))
+    return chain
+
+
+def _from_chain_outcome(build, chain):
+    try:
+        return build(chain)
+    except ValueError:
+        return ValueError
+
+
+def test_from_chain_matches_stage_growth_reference():
+    rng = random.Random(20141)
+    built = 0
+    for _ in range(5000):
+        chain = _random_chain(rng)
+        got = _from_chain_outcome(from_chain, chain)
+        assert got == _from_chain_outcome(ref.from_chain, chain), chain
+        built += got is not ValueError
+    assert 500 < built < 4500  # both outcomes are well represented
+
+
+def test_from_chain_huge_parts_stay_cheap():
+    # no per-row work: a one-column chain of height 10^12 builds at once
+    t = from_chain([(10**12,)])
+    assert t.columns == (Column(10**12, 10**12, ()),)
+    assert validate(from_chain([(10**12, 1), (10**12, 2)])).ok
+    with pytest.raises(ValueError):
+        from_chain([(1,), (10**12,)])  # one column gains 10^12 - 1 boxes
 
 
 def test_dominance_is_partial_order_on_enumerations():
