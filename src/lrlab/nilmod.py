@@ -5,7 +5,10 @@ optional grading (degree per basis vector, raised by one by the action).
 An embedding is such a module together with the reduced basis of an
 invariant subspace.  Everything downstream -- Jordan types, tableaux of
 embeddings, entry-count formulas, hom spaces, realizations of tableaux --
-is exact linear algebra mod p.
+is exact linear algebra mod p.  Every pole is realized from its tableau
+by one generator formula (``pole_generator``), and a tableau as one
+graded module with one such generator per pole piece
+(``graded_pole_sum``).
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ class NilModule:
             grading = tuple(int(d) for d in grading)
             if len(grading) != n:
                 raise ValueError("grading must assign a degree per basis vector")
-            for j in range(n):
-                for i in range(n):
-                    if T[i, j] and grading[i] != grading[j] + 1:
-                        raise ValueError(
-                            f"action does not raise degree by one at ({i},{j})"
-                        )
+            # column-major, so the first offending (i, j) is reported
+            for j, i in zip(*np.nonzero(T.T)):
+                if grading[i] != grading[j] + 1:
+                    raise ValueError(
+                        f"action does not raise degree by one at ({i},{j})")
         self.p = p
         self.dim = n
         self.action = T
@@ -78,18 +80,20 @@ class NilModule:
         return out
 
 
-def canonical_module(beta: Partition, p: int, shifts=None) -> NilModule:
-    """N_beta with the Jordan basis ordered block by block, generator first.
+def canonical_module(sizes, p: int, shifts=None) -> NilModule:
+    """One Jordan block per size, in the order given (N_beta for sizes
+    beta), the basis ordered block by block, generator first.
 
     ``shifts`` optionally assigns a degree to each block generator, making
     the module graded.
     """
-    beta = pt.partition(beta)
-    n = pt.weight(beta)
+    if any(b <= 0 for b in sizes):
+        raise ValueError(f"block sizes must be positive, got {sizes}")
+    n = sum(sizes)
     T = np.zeros((n, n), dtype=np.int64)
     grading = [] if shifts is not None else None
     off = 0
-    for bi, b in enumerate(beta):
+    for bi, b in enumerate(sizes):
         for j in range(b - 1):
             T[off + j + 1, off + j] = 1
         if shifts is not None:
@@ -359,78 +363,62 @@ def picket_dominance_test(E1: Embedding, E2: Embedding) -> bool:
     return all(a <= b for r1, r2 in zip(p1, p2) for a, b in zip(r1, r2))
 
 
-def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
-    """Graded realization of a one-entry-per-column horizontal strip.
-
-    Column i of t (longest first, strictly decreasing lengths b_i, the
-    i-th holding entry t-i+1) contributes the block P^{b_i} placed so
-    that its generator has degree (t-i+1) - b_i; the subspace generator
-    a = sum_i T^{b_i-(t-i+1)} g^{b_i} is homogeneous of degree 0, then
-    everything is shifted by ``shift``.
-    """
-    cols = t.columns
-    k = len(cols)
-    if any(len(c.entries) != 1 for c in cols):
-        raise ValueError("need exactly one entry per column")
-    if [c.entries[0] for c in cols] != list(range(k, 0, -1)):
-        raise ValueError("columns must hold entries k..1 left to right")
-    if not tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
-        raise ValueError("need a horizontal strip")
-    beta = [c.length for c in cols]
-    if len(set(beta)) != k:
-        raise ValueError("column lengths must be strictly decreasing")
-    shifts = [(k - i) - beta[i] + shift for i in range(k)]
-    module = canonical_module(tuple(beta), p, shifts=shifts)
-    return Embedding(module, [pole_generator(t)])
-
-
 def pole_generator(t: LRTableau) -> np.ndarray:
-    """Coordinates of a = sum_i T^{b_i-(k-i)} g^{b_i} in N_beta, where
-    b_1 > ... > b_k are the column lengths of the pole tableau t."""
-    beta = tuple(c.length for c in t.columns)
-    k = len(beta)
-    a = np.zeros(pt.weight(beta), dtype=np.int64)
-    for i, (off, b) in enumerate(zip(block_offsets(beta), beta)):
-        a[off + b - (k - i)] = 1
+    """Coordinates of the generator a of the pole with tableau t, in the
+    blocks of t's columns taken in order.
+
+    Each entry 1..k must occur once and each column must hold a run of
+    consecutive entries.  A column of length b and base x whose run
+    starts at e contributes the term T^{x-e+1} g^b, so T^{e-1} a reaches
+    radical layer x there; an empty column contributes nothing.
+    """
+    entries = sorted(e for c in t.columns for e in c.entries)
+    if entries != list(range(1, len(entries) + 1)):
+        raise ValueError(f"entries {entries} are not 1..k, each once")
+    a = np.zeros(sum(c.length for c in t.columns), dtype=np.int64)
+    off = 0
+    for c in t.columns:
+        if c.entries:
+            e = c.entries[0]
+            if c.entries != tuple(range(e, e + len(c.entries))):
+                raise ValueError(f"{c} does not hold a run of consecutive entries")
+            if c.base < e - 1:
+                raise ValueError(f"entry {e} of {c} lies above row {e}")
+            a[off + c.base - e + 1] = 1
+        off += c.length
     return a
 
 
-def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
-    """Kaplansky-data realization inside the pole's declared ambient.
+def graded_pole_sum(pieces, p: int, shift: int = 0) -> Embedding:
+    """Graded sum of the poles with tableaux ``pieces``: one module over
+    all their columns in order, one ``pole_generator`` per piece at its
+    block offset, every generator homogeneous of degree ``shift``."""
+    sizes = [c.length for t in pieces for c in t.columns]
+    gens = np.zeros((len(pieces), sum(sizes)), dtype=np.int64)
+    off = 0
+    for row, t in zip(gens, pieces):
+        a = pole_generator(t)
+        row[off:off + len(a)] = a
+        off += len(a)
+    # a term T^c g^b, the block's only nonzero at index c, puts g^b in
+    # degree shift - c; an empty block (argmax 0) sits in degree shift
+    terms = gens.sum(axis=0)
+    shifts = [shift - int(np.argmax(terms[o:o + b]))
+              for o, b in zip(block_offsets(sizes), sizes)]
+    return Embedding(canonical_module(sizes, p, shifts=shifts), gens)
 
-    Each maximal run of consecutive layers starting at layer x with
-    preceding index j contributes the term T^{x-j} g^{b} on a block of
-    size b = one past the run's top layer; unused ambient columns carry
-    no generator term.
-    """
-    layers = pole.layers
-    runs = []  # (start_index, start_layer, block_size)
-    start = 0
-    for i, x in enumerate(layers):
-        if i + 1 == len(layers) or layers[i + 1] != x + 1:
-            runs.append((start, layers[start], x + 1))
-            start = i + 1
-    needed = sorted((b for _, _, b in runs), reverse=True)
-    remaining = list(pole.ambient)
-    for b in needed:
-        if b not in remaining:
-            raise ValueError(f"ambient {pole.ambient} lacks a column of length {b}")
-        remaining.remove(b)
-    # order blocks as in the ambient partition; assign run terms greedily
-    blocks = list(pole.ambient)
-    term: dict[int, int] = {}  # block slot -> exponent of its generator term
-    used: set[int] = set()
-    for idx, x, b in runs:
-        slot = next(i for i, s in enumerate(blocks) if s == b and i not in used)
-        used.add(slot)
-        term[slot] = x - idx
-    shifts = [(-term[i] if i in term else 0) + shift for i in range(len(blocks))]
-    module = canonical_module(tuple(blocks), p, shifts=shifts)
-    offs = block_offsets(tuple(blocks))
-    a = np.zeros(module.dim, dtype=np.int64)
-    for i, c in term.items():
-        a[offs[i] + c] = 1
-    return Embedding(module, [a])
+
+def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
+    """Graded realization of the pole tableau t: the subspace generated by
+    ``pole_generator(t)``, homogeneous of degree ``shift``."""
+    return graded_pole_sum([t], p, shift)
+
+
+def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
+    """Kaplansky-data realization inside the pole's declared ambient:
+    the graded realization of its pole tableau, blocks in that
+    tableau's column order."""
+    return graded_pole_embedding(pole_tableau(pole), p, shift)
 
 
 def _subtract_chain(big, small) -> list[Partition]:
@@ -451,9 +439,10 @@ def _subtract_chain(big, small) -> list[Partition]:
     return out
 
 
-def _chain_pole_split(t: LRTableau) -> tuple[Pole, LRTableau]:
-    """Peel one minimal-ambient pole off an arbitrary tableau by chain
-    subtraction: deepest available row per value, working downward."""
+def _chain_pole_split(t: LRTableau) -> tuple[LRTableau, LRTableau]:
+    """Peel the tableau of one minimal-ambient pole off an arbitrary
+    tableau by chain subtraction: deepest available row per value,
+    working downward."""
     rows_of: dict[int, list[int]] = {}
     for c in t.columns:
         for j, e in enumerate(c.entries):
@@ -467,36 +456,27 @@ def _chain_pole_split(t: LRTableau) -> tuple[Pole, LRTableau]:
             raise ValueError(f"no entry {e} available above row {bound}")
         bound = max(cands)
         layers.append(bound - 1)
-    pole = Pole(tuple(reversed(layers)), minimal_ambient(tuple(reversed(layers))))
-    rest_chain = _subtract_chain(t.chain, pole_tableau(pole).chain)
-    return pole, tb.from_chain(rest_chain)
+    layers = tuple(reversed(layers))
+    piece = pole_tableau(Pole(layers, minimal_ambient(layers)))
+    return piece, tb.from_chain(_subtract_chain(t.chain, piece.chain))
 
 
 def realize_tableau(t: LRTableau, p: int) -> Embedding:
-    """Direct sum of graded poles and empty pickets realizing ``t``.
+    """One graded module realizing ``t`` as a sum of poles and empty pickets.
 
-    Horizontal strips always succeed: each column-splitting piece of
-    ``split_off_pole`` is realized as a graded pole.  Other tableaux are
-    attempted by peeling minimal poles off the partition chain; tableaux
-    with no pole-sum realization at all (they exist) are rejected.
-    Leftover empty columns become empty pickets.  The result is
-    re-verified to have tableau ``t``.
+    Horizontal strips always succeed: ``split_off_pole`` cuts them into
+    pole tableaux.  Other tableaux are attempted by peeling minimal poles
+    off the partition chain; tableaux with no pole-sum realization at all
+    (they exist) are rejected.  The pieces and the empty leftover columns
+    make one ``graded_pole_sum``, re-verified to have tableau ``t``.
     """
-    strip = tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
-    parts = []
-    rest = t
+    split = (split_off_pole if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
+             else _chain_pole_split)
+    pieces, rest = [], t
     while not rest.is_empty():
-        if strip:
-            piece, rest = split_off_pole(rest)
-            parts.append(graded_pole_embedding(piece, p))
-        else:
-            pole, rest = _chain_pole_split(rest)
-            parts.append(realize_pole(pole, p))
-    for c in rest.columns:
-        parts.append(Embedding(canonical_module((c.length,), p, shifts=[0]), []))
-    if not parts:
-        return Embedding(canonical_module((), p, shifts=[]), [])
-    E = direct_sum(*parts)
+        piece, rest = split(rest)
+        pieces.append(piece)
+    E = graded_pole_sum(pieces + [rest], p)
     got = tableau_of_embedding(E)
     if got != t:
         raise ValueError(f"tableau is not a union of pole tableaux: got {got}")

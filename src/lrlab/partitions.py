@@ -9,7 +9,6 @@ Row ``r`` always means the r-th row from the top.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -48,28 +47,18 @@ def transpose(p: Partition) -> Partition:
 def natural_leq(p: Partition, q: Partition) -> bool:
     """Natural (dominance-style) partial order via partial sums of transposes.
 
-    Partitions of different weight are allowed; only the partial-sum
-    inequalities are checked.
+    The first r rows of p hold sum(min(x, r) for x in p) boxes.  The
+    difference of the two sums is piecewise linear in r, constant past
+    the largest part, with slope falling only at parts of p, so checking
+    r at the parts of p suffices.  The weights may differ.
     """
-    sp = sq = 0
-    for a, b in zip_longest(transpose(p), transpose(q), fillvalue=0):
-        sp += a
-        sq += b
-        if sp > sq:
-            return False
-    return True
+    return all(sum(min(x, r) for x in p) <= sum(min(y, r) for y in q)
+               for r in set(p))
 
 
 def union(p: Partition, q: Partition) -> Partition:
     """Multiset union of the columns, sorted weakly decreasing."""
     return tuple(sorted(p + q, reverse=True))
-
-
-def restrict(p: Partition, r: int) -> Partition:
-    """First r rows of p, i.e. every column capped at length r."""
-    if r < 0:
-        raise ValueError("row count must be nonnegative")
-    return partition(min(x, r) for x in p)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

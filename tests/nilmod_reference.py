@@ -1,8 +1,10 @@
-"""Loop-built reference implementations of the nilmod invariants.
+"""Reference implementations of the nilmod invariants and realizations.
 
 These are the straightforward, entry-by-entry versions that the
-vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced.  They
-are kept only so tests can require identical answers from both.
+vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced, and
+the run-based pole, strip-only graded pole and per-part tableau
+realizations that ``graded_pole_sum`` replaced.  They are kept only so
+tests can require identical answers from both.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ import numpy as np
 
 from lrlab import linalg as la
 from lrlab import partitions as pt
+from lrlab import tableaux as tb
+from lrlab.nilmod import (Embedding, _chain_pole_split, block_offsets,
+                          canonical_module, direct_sum, tableau_of_embedding)
+from lrlab.poles import Pole, pole_of_tableau, split_off_pole
+from lrlab.tableaux import LRTableau
 
 
 def reduce_vec(v, R, pivots, p):
@@ -117,3 +124,105 @@ def hom_dim(E1, E2):
             rows.append(row)
     M = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
     return la.solution_space_dim(M, n, p)
+
+
+def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
+    """Graded realization of a one-entry-per-column horizontal strip.
+
+    Column i of t (longest first, strictly decreasing lengths b_i, the
+    i-th holding entry t-i+1) contributes the block P^{b_i} placed so
+    that its generator has degree (t-i+1) - b_i; the subspace generator
+    a = sum_i T^{b_i-(t-i+1)} g^{b_i} is homogeneous of degree 0, then
+    everything is shifted by ``shift``.
+    """
+    cols = t.columns
+    k = len(cols)
+    if any(len(c.entries) != 1 for c in cols):
+        raise ValueError("need exactly one entry per column")
+    if [c.entries[0] for c in cols] != list(range(k, 0, -1)):
+        raise ValueError("columns must hold entries k..1 left to right")
+    if not tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
+        raise ValueError("need a horizontal strip")
+    beta = [c.length for c in cols]
+    if len(set(beta)) != k:
+        raise ValueError("column lengths must be strictly decreasing")
+    shifts = [(k - i) - beta[i] + shift for i in range(k)]
+    module = canonical_module(tuple(beta), p, shifts=shifts)
+    return Embedding(module, [pole_generator(t)])
+
+
+def pole_generator(t: LRTableau) -> np.ndarray:
+    """Coordinates of a = sum_i T^{b_i-(k-i)} g^{b_i} in N_beta, where
+    b_1 > ... > b_k are the column lengths of the pole tableau t."""
+    beta = tuple(c.length for c in t.columns)
+    k = len(beta)
+    a = np.zeros(pt.weight(beta), dtype=np.int64)
+    for i, (off, b) in enumerate(zip(block_offsets(beta), beta)):
+        a[off + b - (k - i)] = 1
+    return a
+
+
+def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
+    """Kaplansky-data realization inside the pole's declared ambient.
+
+    Each maximal run of consecutive layers starting at layer x with
+    preceding index j contributes the term T^{x-j} g^{b} on a block of
+    size b = one past the run's top layer; unused ambient columns carry
+    no generator term.
+    """
+    layers = pole.layers
+    runs = []  # (start_index, start_layer, block_size)
+    start = 0
+    for i, x in enumerate(layers):
+        if i + 1 == len(layers) or layers[i + 1] != x + 1:
+            runs.append((start, layers[start], x + 1))
+            start = i + 1
+    needed = sorted((b for _, _, b in runs), reverse=True)
+    remaining = list(pole.ambient)
+    for b in needed:
+        if b not in remaining:
+            raise ValueError(f"ambient {pole.ambient} lacks a column of length {b}")
+        remaining.remove(b)
+    # order blocks as in the ambient partition; assign run terms greedily
+    blocks = list(pole.ambient)
+    term: dict[int, int] = {}  # block slot -> exponent of its generator term
+    used: set[int] = set()
+    for idx, x, b in runs:
+        slot = next(i for i, s in enumerate(blocks) if s == b and i not in used)
+        used.add(slot)
+        term[slot] = x - idx
+    shifts = [(-term[i] if i in term else 0) + shift for i in range(len(blocks))]
+    module = canonical_module(tuple(blocks), p, shifts=shifts)
+    offs = block_offsets(tuple(blocks))
+    a = np.zeros(module.dim, dtype=np.int64)
+    for i, c in term.items():
+        a[offs[i] + c] = 1
+    return Embedding(module, [a])
+
+
+def realize_tableau(t: LRTableau, p: int) -> Embedding:
+    """Direct sum of separately built graded poles and empty pickets.
+
+    Strip pieces go to the strip-only ``graded_pole_embedding``; chain
+    pieces are read back as Pole records for the run-based
+    ``realize_pole``.
+    """
+    strip = tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
+    parts = []
+    rest = t
+    while not rest.is_empty():
+        if strip:
+            piece, rest = split_off_pole(rest)
+            parts.append(graded_pole_embedding(piece, p))
+        else:
+            piece, rest = _chain_pole_split(rest)
+            parts.append(realize_pole(pole_of_tableau(piece), p))
+    for c in rest.columns:
+        parts.append(Embedding(canonical_module((c.length,), p, shifts=[0]), []))
+    if not parts:
+        return Embedding(canonical_module((), p, shifts=[]), [])
+    E = direct_sum(*parts)
+    got = tableau_of_embedding(E)
+    if got != t:
+        raise ValueError(f"tableau is not a union of pole tableaux: got {got}")
+    return E

@@ -1,5 +1,6 @@
 """Test-only references: the stage-growth ``from_chain``, the two-copy
-split-off scan and the Pole round trip of strip realization.
+split-off scan and the Pole round trip of strip realization, which
+realizes each piece by the strip-only graded pole of ``nilmod_reference``.
 
 ``lrlab`` replaced each by a smaller mechanism with the same answers; the
 cross-checks in ``test_tableaux.py``, ``test_poles.py`` and
@@ -12,10 +13,10 @@ from bisect import bisect_left
 
 from lrlab import partitions as pt
 from lrlab.errors import InvariantViolation
-from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
-                          graded_pole_embedding)
+from lrlab.nilmod import Embedding, canonical_module, direct_sum
 from lrlab.poles import pole_decomposition, pole_tableau
 from lrlab.tableaux import Column, LRTableau, validate
+from nilmod_reference import graded_pole_embedding
 
 
 def from_chain(chain) -> LRTableau:

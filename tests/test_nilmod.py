@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,17 +6,19 @@ import pytest
 
 import nilmod_reference as ref
 import tableaux_reference
-from conftest import iter_strip_shapes, random_pole
+from conftest import iter_all_shapes, iter_strip_shapes, random_pole
 from lrlab import linalg as la
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
                           graded_pole_embedding, hom_dim,
                           invariant_intersection_dim, jordan_type, mu_entries,
                           picket_embedding, picket_dominance_test,
-                          picket_hom_profile, realize_picket, realize_pole,
-                          realize_tableau, tableau_of_embedding)
+                          picket_hom_profile, pole_generator, realize_picket,
+                          realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.oracle import picket_pole_catalog, s4_catalog
-from lrlab.poles import Picket, Pole, picket_tableau, pole_tableau, tableau_union
-from lrlab.tableaux import LRTableau, Column, Shape, dominance_leq, enumerate_tableaux
+from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
+                         pole_tableau, tableau_union)
+from lrlab.tableaux import (LRTableau, Column, Shape, dominance_leq,
+                            enumerate_tableaux, is_horizontal_strip)
 
 
 def test_nilmodule_rejects_non_nilpotent():
@@ -47,12 +50,26 @@ def test_grading_consistency_checked():
     NilModule(2, T, grading=(0, 1))
     with pytest.raises(ValueError):
         NilModule(2, T, grading=(0, 5))
+    with pytest.raises(ValueError, match=r"at \(1,0\)"):
+        NilModule(2, [[0, 0], [1, 0]], [0, 0])
+    # e1 -> e0 -> e2: the first offence in column-major order is reported
+    with pytest.raises(ValueError, match=r"at \(2,0\)"):
+        NilModule(2, [[0, 1, 0], [0, 0, 0], [1, 0, 0]], [0, 0, 0])
 
 
 def test_jordan_type_of_canonical():
     for beta in [(4, 3, 1), (2, 2, 2), (5,), ()]:
         M = canonical_module(beta, 3)
         assert jordan_type(M) == beta
+    # blocks come in the order given, sorted or not
+    for p in (2, 3):
+        M = canonical_module((1, 3), p, shifts=[5, 0])
+        assert jordan_type(M) == (3, 1)
+        assert M.grading == (5, 0, 1, 2)
+        assert M.action[2, 1] == M.action[3, 2] == 1 and M.action.sum() == 2
+    for bad in [(2, 0), (0,), (3, -1)]:
+        with pytest.raises(ValueError, match="positive"):
+            canonical_module(bad, 2)
 
 
 def test_jordan_type_conjugation_invariant():
@@ -221,8 +238,63 @@ def test_graded_pole_example():
     t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
     E = graded_pole_embedding(t, 2)
     assert E.B.grading == (-3, -2, -1, 0, 1, 2, -1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        graded_pole_embedding(picket_tableau(Picket(3, 2)), 2)
+    # a picket is a one-column pole
+    picket = picket_tableau(Picket(3, 2))
+    assert tableau_of_embedding(graded_pole_embedding(picket, 2)) == picket
+    not_poles = [
+        LRTableau([Column(2, 1, (1,)), Column(1, 0, (1,))]),  # repeated entry
+        LRTableau([Column(3, 1, (1, 3)), Column(2, 1, (2,))]),  # no run
+        LRTableau([Column(3, 2, (1,)), Column(1, 0, (2,))]),  # 2 in row 1
+    ]
+    for bad in not_poles:
+        with pytest.raises(ValueError):
+            pole_generator(bad)
+        with pytest.raises(ValueError):
+            graded_pole_embedding(bad, 2)
+
+
+def _json_without_beta(E):
+    """E.to_json() less its beta, which T determines: beta costs a Jordan
+    type per call."""
+    return E.p, E.B.action.tolist(), E.span.tolist(), E.B.grading
+
+
+def test_realize_pole_matches_run_reference():
+    for k in range(1, 9):
+        for layers in itertools.combinations(range(8), k):
+            pole = Pole(layers, minimal_ambient(layers))
+            for p in (2, 3):
+                for shift in (0, 2):
+                    got = _json_without_beta(realize_pole(pole, p, shift))
+                    want = _json_without_beta(ref.realize_pole(pole, p, shift))
+                    assert got == want, pole
+
+
+def test_pole_tableaux_round_trip():
+    # every alpha = (k) tableau is a pole tableau, strip or not
+    for shape in iter_all_shapes(8):
+        if len(shape.alpha) != 1:
+            continue
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                assert tableau_of_embedding(graded_pole_embedding(t, p)) == t
+
+
+def test_realize_non_strip_matches_per_part_reference():
+    refused = 0
+    for shape in iter_all_shapes(8):
+        if is_horizontal_strip(shape.beta, shape.gamma):
+            continue
+        for t in enumerate_tableaux(shape):
+            try:
+                want = _json_without_beta(ref.realize_tableau(t, 2))
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError):
+                    realize_tableau(t, 2)
+                continue
+            assert _json_without_beta(realize_tableau(t, 2)) == want, t
+    assert refused == 22
 
 
 def test_realize_round_trip_exhaustive_small():
@@ -253,8 +325,8 @@ def test_chain_pole_split_two_class_shape():
 
     ts = enumerate_tableaux(Shape((3, 1), (4, 3, 1), (3, 1)))
     larger = next(t for t in ts if reading_word(t) == (3, 2, 1, 1))
-    pole, rest = _chain_pole_split(larger)
-    assert pole.layers == (1, 2, 3) and pole.ambient == (4,)
+    piece, rest = _chain_pole_split(larger)
+    assert piece == pole_tableau(Pole((1, 2, 3), (4,)))
     assert set(rest.columns) == {Column(3, 3, ()), Column(1, 0, (1,))}
 
 

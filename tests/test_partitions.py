@@ -49,6 +49,16 @@ def test_natural_leq_is_partial_order():
             assert pt.natural_leq(a, c)
 
 
+def test_natural_leq_matches_transpose_definition():
+    pool = list(all_partitions_upto(8))
+    for a in pool:
+        for b in pool:
+            ta, tb = pt.transpose(a), pt.transpose(b)
+            rows = max(len(ta), len(tb))
+            want = all(sum(ta[:r]) <= sum(tb[:r]) for r in range(1, rows + 1))
+            assert pt.natural_leq(a, b) == want, (a, b)
+
+
 def test_union():
     assert pt.union((3, 1), (2,)) == (3, 2, 1)
     assert pt.union((4, 3, 3), (3, 1)) == (4, 3, 3, 3, 1)
@@ -60,25 +70,6 @@ def test_union():
         assert pt.union(pt.union(a, b), c) == pt.union(a, pt.union(b, c))
         assert pt.weight(pt.union(a, b)) == pt.weight(a) + pt.weight(b)
         assert pt.union(a, ()) == a
-
-
-def test_restrict():
-    assert pt.restrict((4, 3, 1), 2) == (2, 2, 1)
-    assert pt.restrict((4, 3, 1), 0) == ()
-    for p in all_partitions_upto(10):
-        if p:
-            assert pt.restrict(p, p[0]) == p
-        for r in range(0, 6):
-            q = pt.restrict(p, r)
-            assert all(x <= r for x in q)
-            assert pt.restrict(q, r) == q
-
-
-def test_restrict_matches_transpose_definition():
-    for p in all_partitions_upto(10):
-        for r in range(0, 5):
-            via_transpose = pt.transpose(pt.transpose(p)[:r])
-            assert pt.restrict(p, r) == via_transpose
 
 
 def test_json_round_trip():
