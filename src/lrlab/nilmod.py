@@ -35,10 +35,12 @@ class NilModule:
 
     The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1):
     every matrix product in this package sums at most dim terms below
-    p**2, so int64 arithmetic never wraps.
+    p**2, so int64 arithmetic never wraps.  The Jordan type, a Jordan
+    basis and the kernels of the powers are computed on first use and
+    kept; the action is read-only, so they never go stale.
     """
 
-    __slots__ = ("p", "dim", "action", "grading")
+    __slots__ = ("p", "dim", "action", "grading", "_type", "_basis", "_kernels")
 
     def __init__(self, p: int, action, grading=None):
         # checked first, since it also keeps the trial division below 2**16
@@ -70,6 +72,9 @@ class NilModule:
         self.action = T
         self.action.setflags(write=False)
         self.grading = grading
+        self._type = None
+        self._basis = None
+        self._kernels = {}
 
     def power(self, k: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=np.int64)
@@ -78,6 +83,12 @@ class NilModule:
         if k >= self.dim:
             out = np.zeros_like(out)  # nilpotency index <= dim
         return out
+
+    def kernel(self, k: int) -> np.ndarray:
+        """Canonical (rref) row basis of ker T^k."""
+        if k not in self._kernels:
+            self._kernels[k] = la.null_space(self.power(k), self.p)
+        return self._kernels[k]
 
 
 def canonical_module(sizes, p: int, shifts=None) -> NilModule:
@@ -111,7 +122,40 @@ def block_offsets(beta: Partition) -> list[int]:
 
 def jordan_type(M: NilModule) -> Partition:
     """Partition of Jordan block sizes, via ranks of the powers."""
-    return _type_from_action(M.action, M.p)
+    if M._type is None:
+        M._type = _type_from_action(M.action, M.p)
+    return M._type
+
+
+def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], np.ndarray]:
+    """Block sizes and a Jordan basis Q of M, sizes nonincreasing.
+
+    The rows of Q are g_1, T g_1, ..., g_2, T g_2, ..., so a = c Q gives
+    the Jordan coordinates c of a.  The generators of the size-b blocks
+    are rref rows of a complement of ker T^(b-1) + T ker T^(b+1) in
+    ker T^b: by induction from the top, their chains reach a basis of
+    every ker T^l / ker T^(l-1).
+    """
+    if M._basis is None:
+        p, T = M.p, M.action
+        top = 0
+        while M.kernel(top).shape[0] < M.dim:
+            top += 1
+        sizes, rows = [], []
+        for b in range(top, 0, -1):
+            lower, pivots = la.rref(np.vstack(
+                [M.kernel(b - 1), (M.kernel(b + 1) @ T.T) % p]), p)
+            kernel = M.kernel(b)
+            gens = la.row_space((kernel - kernel[:, pivots] @ lower) % p, p)
+            for g in gens:
+                sizes.append(b)
+                for _ in range(b):
+                    rows.append(g)
+                    g = (T @ g) % p
+        Q = np.array(rows, dtype=np.int64).reshape(M.dim, M.dim)
+        Q.setflags(write=False)
+        M._basis = (tuple(sizes), Q)
+    return M._basis
 
 
 def _type_from_action(T: np.ndarray, p: int) -> Partition:
@@ -129,17 +173,23 @@ def _type_from_action(T: np.ndarray, p: int) -> Partition:
 
 def invariant_closure(B: NilModule, vectors) -> tuple[np.ndarray, list[int]]:
     """Canonical (rref) basis and pivots of the smallest invariant
-    subspace of B containing ``vectors``."""
-    rows = la.as_mat(vectors, width=B.dim, p=B.p)
+    subspace of B containing ``vectors``.
+
+    The images of the basis rows are reduced modulo the span in one step
+    (see ``la.reduce_vec``); the span grows only by a nonzero residue, so
+    a span that is already invariant costs one ``rref``.
+    """
+    p = B.p
+    rows = la.as_mat(vectors, width=B.dim, p=p)
     if rows.shape[0] and rows.shape[1] != B.dim:
         raise ValueError("subspace vectors have the wrong length")
-    span, pivots = la.rref(rows, B.p)
+    span, pivots = la.rref(rows, p)
     while True:
-        grown, grown_pivots = la.rref(
-            np.vstack([span, (span @ B.action.T) % B.p]), B.p)
-        if len(grown_pivots) == len(pivots):
+        img = (span @ B.action.T) % p
+        residue = (img - img[:, pivots] @ span) % p
+        if not residue.any():
             return span, pivots
-        span, pivots = grown, grown_pivots
+        span, pivots = la.rref(np.vstack([span, residue]), p)
 
 
 class Embedding:
@@ -147,10 +197,12 @@ class Embedding:
 
     ``span`` is the canonical (rref) row basis of A; the constructor
     closes the given vectors under the action, so they may be just
-    generators.
+    generators.  The chain, the checked tableau and the pieces of hom
+    systems are computed on first use and kept.
     """
 
-    __slots__ = ("B", "span", "_pivots", "alpha", "_chain")
+    __slots__ = ("B", "span", "_pivots", "alpha", "_chain", "_tableau",
+                 "_coords", "_hom_blocks")
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
@@ -162,6 +214,9 @@ class Embedding:
         restricted = ((span @ B.action.T) % B.p)[:, self._pivots]
         self.alpha = _type_from_action(restricted, B.p)
         self._chain = None
+        self._tableau = None
+        self._coords = None
+        self._hom_blocks = {}
 
     @property
     def p(self) -> int:
@@ -231,13 +286,16 @@ def quotient_type(B: NilModule, R: np.ndarray, pivots: list[int]) -> Partition:
 
 
 def tableau_of_embedding(E: Embedding) -> LRTableau:
-    """Chain of types of B / (action^i A), assembled into a tableau."""
-    t = tb.from_chain(list(E.chain()))
-    if t.shape.alpha != E.alpha:
-        raise InvariantViolation(
-            f"chain stages {t.shape.alpha} disagree with the subspace type {E.alpha}"
-        )
-    return t
+    """Chain of types of B / (action^i A), assembled into a tableau; kept
+    on E once it has passed the check against the subspace type."""
+    if E._tableau is None:
+        t = tb.from_chain(list(E.chain()))
+        if t.shape.alpha != E.alpha:
+            raise InvariantViolation(
+                f"chain stages {t.shape.alpha} disagree with the subspace type {E.alpha}"
+            )
+        E._tableau = t
+    return E._tableau
 
 
 def mu_entries(E: Embedding, ell: int, r: int) -> int:
@@ -263,7 +321,7 @@ def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
     """dim(A  intersect  T^r B  intersect  ker T^s)."""
     p = E.p
     TrB = la.row_space(E.B.power(r).T, p)
-    socs = la.null_space(E.B.power(s), p)
+    socs = E.B.kernel(s)
     W = la.space_intersect(TrB, socs, p)
     return la.space_intersect(E.span, W, p).shape[0]
 
@@ -301,26 +359,59 @@ def direct_sum(*embeddings: Embedding) -> Embedding:
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """Dimension of the space of embedding morphisms E1 -> E2.
 
-    Unknowns are ambient maps g with g T1 = T2 g and g(A1) <= A2; both
-    conditions are rows of one linear system over F_p.
+    A module map g is fixed by the images x_i in ker T2^(b_i) of the
+    generators of E1's Jordan blocks (``jordan_basis``); write each as
+    x_i = y_i N_i with N_i a basis of that kernel.  The one condition left
+    is g(A1) <= A2: for every row c of A1 in Jordan coordinates and every
+    functional k killing A2,
+    sum_i sum_j c[off_i + j] (k T2^j N_i^T) y_i = 0.  That is
+    sum_i dim ker T2^(b_i) unknowns and dim A1 * codim A2 equations.  E1
+    keeps its Jordan coordinates and E2 its k T2^j N^T per block size, so
+    a catalog of queries against one target shares them.
     """
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    p = E1.p
-    d1, d2 = E1.B.dim, E2.B.dim
-    if d1 == 0 or d2 == 0:
+    sizes, coords = _jordan_coords(E1)
+    if not sizes:
         return 0
-    # unknowns g[i, j] row-major, so vec(T2 g - g T1) = commute @ vec(g)
-    T1, T2 = E1.B.action, E2.B.action
-    commute = np.kron(T2, np.eye(d1, dtype=np.int64)) - np.kron(
-        np.eye(d2, dtype=np.int64), T1.T)
-    # the nonzero rows of killer are functionals whose common kernel is A2;
-    # each must vanish on g a for every basis row a of A1
-    killer = np.eye(d2, dtype=np.int64)
-    killer[:, E2._pivots] -= E2.span.T
-    K = killer[killer.any(axis=1)]
-    M = np.vstack([commute, np.kron(K, E1.span)]) % p
-    return la.solution_space_dim(M, d1 * d2, p)
+    blocks, off = [], 0
+    for b in sizes:
+        KTN = _hom_block(E2, b)
+        _, codim, n = KTN.shape
+        # row (c, k) of this block: sum_j c[off + j] (k T2^j N^T)
+        terms = coords[:, off:off + b] @ KTN.reshape(b, codim * n)
+        blocks.append(terms.reshape(len(coords) * codim, n))
+        off += b
+    M = np.hstack(blocks) % E1.p
+    return la.solution_space_dim(M, M.shape[1], E1.p)
+
+
+def _jordan_coords(E: Embedding) -> tuple[tuple[int, ...], np.ndarray]:
+    """Block sizes of E.B and the rows of A in its Jordan coordinates."""
+    if E._coords is None:
+        sizes, Q = jordan_basis(E.B)
+        # c Q = a for every row a of A, solved as Q^T c^T = a^T
+        R, _ = la.rref(np.hstack([Q.T, E.span.T]), E.p)
+        E._coords = sizes, R[:, E.B.dim:].T
+    return E._coords
+
+
+def _hom_block(E: Embedding, b: int) -> np.ndarray:
+    """k T^j N^T for j < b, the functionals k killing A and N a basis of
+    ker T^b: shape (b, codim A, dim ker T^b)."""
+    if b not in E._hom_blocks:
+        B, p = E.B, E.p
+        # the nonzero rows of killer are functionals whose common kernel is A
+        killer = np.eye(B.dim, dtype=np.int64)
+        killer[:, E._pivots] -= E.span.T
+        K = killer[killer.any(axis=1)] % p
+        TN = B.kernel(b).T
+        out = []
+        for _ in range(b):
+            out.append((K @ TN) % p)
+            TN = (B.action @ TN) % p
+        E._hom_blocks[b] = np.array(out)
+    return E._hom_blocks[b]
 
 
 def picket_embedding(i: int, ell: int, p: int) -> Embedding:

@@ -7,7 +7,10 @@ every prime.  It filters the result to the requested subspace and
 quotient types and buckets the survivors by tableau and by
 hom-dimension fingerprint against a catalog of known indecomposables.
 Spans are visited in space_key order, so each class representative is
-its least-keyed member.
+its least-keyed member.  Catalogs are built once per argument and kept.
+Their objects keep their Jordan coordinates and each census embedding
+keeps its side of the hom systems, so one fingerprint's catalog queries
+share both (see ``nilmod.hom_dim``).
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -47,9 +51,16 @@ def s4_catalog(p: int) -> list[tuple[str, Embedding]]:
 
     Four empty pickets, the fifteen poles over layer sets inside
     {0, 1, 2, 3} with minimal ambient, and the one object X whose
-    subspace needs two generators.  X's tableau is re-checked against
-    its known chain before the catalog is returned.
+    subspace needs two generators.  X's tableau is checked against its
+    known chain when the catalog is built.  The catalogs of the last
+    eight primes are kept; every call returns a fresh list of the kept
+    objects.
     """
+    return list(_s4_catalog(p))
+
+
+@lru_cache(maxsize=8)
+def _s4_catalog(p: int) -> tuple[tuple[str, Embedding], ...]:
     catalog: list[tuple[str, Embedding]] = []
     for n in range(1, 5):
         catalog.append((f"P^{n}_0", realize_picket(n, 0, p)))
@@ -68,7 +79,7 @@ def s4_catalog(p: int) -> list[tuple[str, Embedding]]:
     catalog.append(("X", x))
     if len(catalog) != 20:
         raise InvariantViolation(f"catalog has {len(catalog)} objects")
-    return catalog
+    return tuple(catalog)
 
 
 def _x_object(p: int) -> Embedding:
@@ -193,7 +204,13 @@ def enumerate_submodules(
 
 def picket_pole_catalog(p: int, top: int) -> list[tuple[str, Embedding]]:
     """Pickets and poles with ambient parts at most ``top``; a fallback
-    separating family for shapes beyond nilpotency four."""
+    separating family for shapes beyond nilpotency four.  Kept like
+    ``s4_catalog``'s, for the last eight argument pairs."""
+    return list(_picket_pole_catalog(p, top))
+
+
+@lru_cache(maxsize=8)
+def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
     catalog: list[tuple[str, Embedding]] = []
     for n in range(1, top + 1):
         for m in range(0, n + 1):
@@ -205,7 +222,7 @@ def picket_pole_catalog(p: int, top: int) -> list[tuple[str, Embedding]]:
             if amb[0] <= top and len(amb) > 1:
                 pole = Pole(layers, amb)
                 catalog.append((f"P{layers}", realize_pole(pole, p)))
-    return catalog
+    return tuple(catalog)
 
 
 def _distinct_submodules(B, alpha) -> list[np.ndarray]:
@@ -222,7 +239,7 @@ def _distinct_submodules(B, alpha) -> list[np.ndarray]:
     zero = np.zeros((0, n), dtype=np.int64)
     level = {la.space_key(zero): (zero, [])}
     for a in alpha:
-        kernel = la.null_space(B.power(a), p)
+        kernel = B.kernel(a)
         grown: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for S, pivots in level.values():
             grown.setdefault(la.space_key(S), (S, pivots))

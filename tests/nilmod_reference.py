@@ -1,10 +1,12 @@
 """Reference implementations of the nilmod invariants and realizations.
 
 These are the straightforward, entry-by-entry versions that the
-vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced, and
-the run-based pole, strip-only graded pole and per-part tableau
-realizations that ``graded_pole_sum`` replaced.  They are kept only so
-tests can require identical answers from both.
+vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced, the
+``np.kron`` hom system that the block-generator ``hom_dim`` replaced, the
+stacked-rref closure loop, and the run-based pole, strip-only graded
+pole and per-part tableau realizations that ``graded_pole_sum``
+replaced.  They are kept only so tests can require identical answers
+from both.
 """
 
 from __future__ import annotations
@@ -124,6 +126,41 @@ def hom_dim(E1, E2):
             rows.append(row)
     M = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
     return la.solution_space_dim(M, n, p)
+
+
+def kron_hom_dim(E1, E2):
+    """Dimension of Hom(E1, E2) over all d1*d2 ambient maps g: g T1 = T2 g
+    and g(A1) <= A2 as one ``np.kron`` system."""
+    if E1.p != E2.p:
+        raise ValueError("embeddings live over different fields")
+    p = E1.p
+    d1, d2 = E1.B.dim, E2.B.dim
+    if d1 == 0 or d2 == 0:
+        return 0
+    # unknowns g[i, j] row-major, so vec(T2 g - g T1) = commute @ vec(g)
+    T1, T2 = E1.B.action, E2.B.action
+    commute = np.kron(T2, np.eye(d1, dtype=np.int64)) - np.kron(
+        np.eye(d2, dtype=np.int64), T1.T)
+    # the nonzero rows of killer are functionals whose common kernel is A2;
+    # each must vanish on g a for every basis row a of A1
+    killer = np.eye(d2, dtype=np.int64)
+    killer[:, E2._pivots] -= E2.span.T
+    K = killer[killer.any(axis=1)]
+    M = np.vstack([commute, np.kron(K, E1.span)]) % p
+    return la.solution_space_dim(M, d1 * d2, p)
+
+
+def invariant_closure(B, vectors):
+    """Rref basis and pivots of the invariant closure, re-reducing the
+    span stacked on its image until the dimension stops growing."""
+    rows = la.as_mat(vectors, width=B.dim, p=B.p)
+    span, pivots = la.rref(rows, B.p)
+    while True:
+        grown, grown_pivots = la.rref(
+            np.vstack([span, (span @ B.action.T) % B.p]), B.p)
+        if len(grown_pivots) == len(pivots):
+            return span, pivots
+        span, pivots = grown, grown_pivots
 
 
 def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:

@@ -8,13 +8,18 @@ import nilmod_reference as ref
 import tableaux_reference
 from conftest import iter_all_shapes, iter_strip_shapes, random_pole
 from lrlab import linalg as la
+from lrlab import nilmod
+from lrlab import tableaux as tb
+from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
-                          graded_pole_embedding, hom_dim,
-                          invariant_intersection_dim, jordan_type, mu_entries,
+                          graded_pole_embedding, hom_dim, invariant_closure,
+                          invariant_intersection_dim, jordan_basis,
+                          jordan_type, mu_entries,
                           picket_embedding, picket_dominance_test,
                           picket_hom_profile, pole_generator, realize_picket,
                           realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.oracle import picket_pole_catalog, s4_catalog
+from lrlab.partitions import partition
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_tableau, tableau_union)
 from lrlab.tableaux import (LRTableau, Column, Shape, dominance_leq,
@@ -109,7 +114,7 @@ def test_matches_loop_reference_on_catalog_pairs(p):
     cat = [E for _, E in s4_catalog(p) + picket_pole_catalog(p, 5)]
     for i, E1 in enumerate(cat):
         for j, E2 in enumerate(cat):
-            assert hom_dim(E1, E2) == ref.hom_dim(E1, E2), (i, j)
+            assert hom_dim(E1, E2) == ref.hom_dim(E1, E2) == ref.kron_hom_dim(E1, E2), (i, j)
             if j >= i:  # E2 + E1 is E1 + E2 with its blocks swapped
                 S = direct_sum(E1, E2)
                 assert S.alpha == ref.type_on_subspace(S.B, S.span), (i, j)
@@ -133,6 +138,84 @@ def test_invariants_survive_base_change(p):
             G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
             assert hom_dim(F, G) == hom_dim(E, C)
             assert hom_dim(G, F) == hom_dim(C, E) == ref.hom_dim(G, F)
+
+
+JORDAN_TYPES = [(4, 2, 1), (3, 3, 1, 1), (2, 2, 2), (5,), (1, 1, 1), (4, 3, 2, 1),
+                (1,), ()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_basis_of_random_conjugates(p):
+    rng = np.random.default_rng(10 + p)
+    for beta in JORDAN_TYPES:
+        n = sum(beta)
+        for blocks in (beta, tuple(reversed(beta))):
+            S = _random_invertible(rng, n, p)
+            T = (((S @ canonical_module(blocks, p).action) % p)
+                 @ _inverse_mod_p(S, p)) % p
+            B = NilModule(p, T)
+            sizes, Q = jordan_basis(B)
+            assert la.rank(Q, p) == n
+            # row convention: a = c Q, so c maps to c Q T^T Q^-1
+            row_action = (((Q @ T.T) % p) @ _inverse_mod_p(Q, p)) % p
+            assert (row_action == canonical_module(sizes, p).action.T).all()
+            assert partition(sizes) == tuple(sizes) == jordan_type(B) == beta
+            assert jordan_basis(B)[1] is Q  # kept on the module
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_dim_matches_kron_reference_on_random_conjugates(p):
+    rng = np.random.default_rng(20 + p)
+    cat = [E for _, E in s4_catalog(p)]
+    for _ in range(40):
+        E, C = (cat[i] for i in rng.choice(len(cat), size=2))
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        assert hom_dim(F, G) == ref.kron_hom_dim(F, G) == hom_dim(E, C)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariant_closure_matches_stacked_rref_loop(p):
+    rng = np.random.default_rng(30 + p)
+    grown = 0
+    for beta in JORDAN_TYPES:
+        n = sum(beta)
+        B = canonical_module(beta, p)
+        if n:
+            S = _random_invertible(rng, n, p)
+            B = NilModule(p, (((S @ B.action) % p) @ _inverse_mod_p(S, p)) % p)
+        for k in range(3):
+            gens = rng.integers(0, p, size=(k, n))
+            span, pivots = invariant_closure(B, gens)
+            want, want_pivots = ref.invariant_closure(B, gens)
+            assert span.shape == want.shape and (span == want).all()
+            assert pivots == want_pivots
+            grown += span.shape[0] > la.rank(gens, p)
+    assert grown >= 8  # over half the 14 nonempty generator sets grow
+
+
+def test_beta_and_tableau_computed_once(monkeypatch):
+    types, chains = [], []
+    type_from_action, from_chain = nilmod._type_from_action, tb.from_chain
+    monkeypatch.setattr(nilmod, "_type_from_action",
+                        lambda *a: types.append(1) or type_from_action(*a))
+    monkeypatch.setattr(tb, "from_chain",
+                        lambda *a: chains.append(1) or from_chain(*a))
+    E = realize_pole(Pole((0, 2), (3, 1)), 2)
+    chains.clear()  # building the pole tableau used one
+    t = tableau_of_embedding(E)
+    assert tableau_of_embedding(E) is t and len(chains) == 1
+    before = len(types)
+    E.to_json(), repr(E), E.beta
+    assert len(types) == before + 1
+    # a tableau that fails the subspace-type check is not kept
+    F = realize_pole(Pole((0, 2), (3, 1)), 2)
+    F.alpha = E.alpha + (1,)  # same first part, so the same chain
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            tableau_of_embedding(F)
+    F.alpha = E.alpha
+    assert tableau_of_embedding(F) == t
 
 
 def test_embedding_closes_generators():
@@ -196,6 +279,8 @@ def test_hom_min_rule_and_identity():
             assert hom_dim(E1, E2) == min(ell, m)
     E = realize_pole(Pole((0, 2), (3, 1)), 2)
     assert hom_dim(E, E) >= 1
+    zero = Embedding(canonical_module((), 2), [])
+    assert hom_dim(E, zero) == hom_dim(zero, E) == hom_dim(zero, zero) == 0
 
 
 def test_hom_field_mismatch():

@@ -5,11 +5,13 @@ import pytest
 import oracle_reference as ref
 from conftest import FIVE_CLASS, TWO_CLASS
 from lrlab import linalg as la
+from lrlab import oracle
 from lrlab.errors import GuardExceeded
 from lrlab.nilmod import (canonical_module, direct_sum, hom_dim, realize_picket,
                           realize_pole)
 from lrlab.oracle import (_distinct_submodules, enumerate_submodules,
-                          iso_fingerprint, nominal_tuple_count, s4_catalog)
+                          iso_fingerprint, nominal_tuple_count,
+                          picket_pole_catalog, s4_catalog)
 from lrlab.poles import Pole
 from lrlab.tableaux import Shape, enumerate_tableaux
 
@@ -20,6 +22,55 @@ def test_catalog_has_twenty_objects():
     names = [n for n, _ in cat]
     assert names.count("X") == 1
     assert sum(1 for n in names if n.startswith("P^")) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalogs_built_once(p, monkeypatch):
+    builds = (lambda: s4_catalog(p), lambda: picket_pole_catalog(p, 5))
+    firsts = [build() for build in builds]
+
+    def refuse(*args):
+        raise AssertionError("catalog rebuilt")
+
+    monkeypatch.setattr(oracle, "realize_pole", refuse)
+    monkeypatch.setattr(oracle, "realize_picket", refuse)
+    for build, first in zip(builds, firsts):
+        names = [name for name, _ in first]
+        again = build()
+        assert again is not first and again == first  # same objects, new list
+        first.append(first[0])
+        first[0] = ("mutated", None)
+        assert [name for name, _ in build()] == names
+
+
+# (chain of the class tableau, submodules, fingerprint) per class, in class order
+CENSUS_CLASSES = {
+    TWO_CLASS: [
+        (((3, 1), (3, 2, 1), (3, 3, 1), (4, 3, 1)), 8,
+         (3, 5, 7, 8, 2, 4, 6, 8, 3, 8, 10, 5, 12, 7, 4, 11, 9, 6, 4, 10)),
+        (((3, 1), (4, 1, 1), (4, 2, 1), (4, 3, 1)), 8,
+         (3, 5, 7, 8, 2, 5, 7, 8, 3, 8, 9, 6, 12, 7, 4, 10, 8, 6, 4, 10)),
+    ],
+    FIVE_CLASS: [
+        (((3, 2, 1), (3, 2, 2, 1), (3, 3, 2, 1), (4, 3, 2, 1)), 32,
+         (4, 7, 9, 10, 2, 5, 8, 10, 3, 10, 12, 6, 15, 9, 4, 13, 11, 7, 4, 12)),
+        (((3, 2, 1), (3, 2, 2, 1), (3, 3, 2, 1), (4, 3, 2, 1)), 8,
+         (4, 7, 9, 10, 2, 6, 8, 10, 3, 10, 12, 7, 16, 9, 4, 13, 11, 7, 4, 12)),
+        (((3, 2, 1), (3, 3, 1, 1), (3, 3, 2, 1), (4, 3, 2, 1)), 16,
+         (4, 7, 9, 10, 2, 6, 8, 10, 3, 10, 12, 7, 16, 9, 4, 13, 10, 7, 4, 12)),
+        (((3, 2, 1), (3, 3, 1, 1), (3, 3, 2, 1), (4, 3, 2, 1)), 8,
+         (4, 7, 9, 10, 2, 6, 9, 10, 3, 10, 12, 7, 16, 9, 4, 13, 10, 7, 4, 12)),
+        (((3, 2, 1), (4, 2, 1, 1), (4, 2, 2, 1), (4, 3, 2, 1)), 32,
+         (4, 7, 9, 10, 2, 6, 9, 10, 3, 10, 11, 7, 15, 9, 4, 12, 10, 7, 4, 12)),
+    ],
+}
+
+
+def test_published_census_fingerprints(censuses):
+    for shape, want in CENSUS_CLASSES.items():
+        got = [(c.tableau.chain, c.submodule_count, c.fingerprint)
+               for c in censuses[shape].classes]
+        assert got == want
 
 
 def test_two_class_census(censuses):
