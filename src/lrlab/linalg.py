@@ -79,29 +79,6 @@ def in_space(v: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> bool:
     return not reduce_vec(v, R, pivots, p).any()
 
 
-def space_sum(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    if A.shape[0] == 0:
-        return row_space(B, p)
-    if B.shape[0] == 0:
-        return row_space(A, p)
-    return row_space(np.vstack([A, B]), p)
-
-
-def space_intersect(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the intersection of two row spaces (Zassenhaus)."""
-    n = A.shape[1] if A.shape[0] else B.shape[1]
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    top = np.hstack([A, A])
-    bot = np.hstack([B, np.zeros_like(B)])
-    R, pivots = rref(np.vstack([top, bot]), p)
-    # echelon rows whose left block vanished span the intersection
-    out = [R[i, n:] for i in range(len(pivots)) if not R[i, :n].any()]
-    if not out:
-        return np.zeros((0, n), dtype=np.int64)
-    return row_space(np.array(out, dtype=np.int64), p)
-
-
 def null_space(M: np.ndarray, p: int) -> np.ndarray:
     """Basis rows of the right kernel {x : M x = 0}."""
     R, pivots = rref(M, p)

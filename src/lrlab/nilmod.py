@@ -1,17 +1,24 @@
 """Nilpotent modules and invariant-subspace embeddings over a prime field.
 
 A module is a nilpotent square matrix acting on column vectors, with an
-optional grading (degree per basis vector, raised by one by the action).
-An embedding is such a module together with the reduced basis of an
-invariant subspace.  Everything downstream -- Jordan types, tableaux of
-embeddings, entry-count formulas, hom spaces, realizations of tableaux --
-is exact linear algebra mod p.  Every pole is realized from its tableau
-by one generator formula (``pole_generator``), and a tableau as one
-graded module with one such generator per pole piece
+optional grading (degree per basis vector, raised by one by the action),
+and a Jordan basis: given by the constructions that know one, computed
+by ``jordan_basis`` otherwise.  An embedding is such a module together
+with the reduced basis of an invariant subspace A.  In Jordan coordinates
+ordered by position in block, then by block, T^k B is a tail of the
+coordinates, so one echelon form of T^i A gives d[i][k] = dim(T^k B +
+T^i A) for every k; that layer table yields the type of A, the chain of
+types of B / T^i A and the entry counts.  Hom spaces and realizations
+are exact linear algebra mod p too.  Every pole is realized from its
+tableau by one generator formula (``pole_generator``), and a tableau as
+one graded module with one such generator per pole piece
 (``graded_pole_sum``).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +27,8 @@ from . import partitions as pt
 from . import tableaux as tb
 from .errors import InvariantViolation
 from .partitions import Partition
-from .poles import Picket, Pole, minimal_ambient, pole_tableau, split_off_pole
+from .poles import (Picket, Pole, minimal_ambient, picket_tableau, pole_tableau,
+                    split_off_pole)
 from .tableaux import LRTableau
 
 
@@ -30,19 +38,35 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
+class _Jordan(NamedTuple):
+    """A kept Jordan basis Q (see ``jordan_basis``) and its layer order:
+    ``layer`` is Q^-1 with its columns ordered by position in block, then
+    by block; T acts on those coordinates as ``shift``, and T^k B is the
+    coordinates from ``prefix[k]`` on."""
+
+    sizes: tuple[int, ...]
+    Q: np.ndarray
+    inverse: np.ndarray
+    layer: np.ndarray
+    shift: np.ndarray
+    prefix: list[int]
+
+
 class NilModule:
     """A nilpotent action matrix over F_p, optionally graded.
 
     The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1):
     every matrix product in this package sums at most dim terms below
-    p**2, so int64 arithmetic never wraps.  The Jordan type, a Jordan
-    basis and the kernels of the powers are computed on first use and
-    kept; the action is read-only, so they never go stale.
+    p**2, so int64 arithmetic never wraps.  ``basis`` is (block sizes, Q,
+    Q^-1) for a Jordan basis Q as ``jordan_basis`` returns it; it is
+    checked once and kept, and it stands in for the nilpotency check.
+    Without it a basis and the kernels of the powers are computed on first
+    use and kept; the action is read-only, so they never go stale.
     """
 
-    __slots__ = ("p", "dim", "action", "grading", "_type", "_basis", "_kernels")
+    __slots__ = ("p", "dim", "action", "grading", "_jordan", "_kernels")
 
-    def __init__(self, p: int, action, grading=None):
+    def __init__(self, p: int, action, grading=None, basis=None):
         # checked first, since it also keeps the trial division below 2**16
         if max(len(action), 1) * p * p >= 2**63:
             raise ValueError(f"p = {p} is too large for dimension {len(action)}:"
@@ -53,11 +77,12 @@ class NilModule:
         n = T.shape[0]
         if T.shape != (n, n):
             raise ValueError("action matrix must be square")
-        power = np.eye(n, dtype=np.int64)
-        for _ in range(n):
-            power = (T @ power) % p
-        if power.any():
-            raise ValueError("action matrix is not nilpotent")
+        if basis is None:
+            power = np.eye(n, dtype=np.int64)
+            for _ in range(n):
+                power = (T @ power) % p
+            if power.any():
+                raise ValueError("action matrix is not nilpotent")
         if grading is not None:
             grading = tuple(int(d) for d in grading)
             if len(grading) != n:
@@ -72,45 +97,64 @@ class NilModule:
         self.action = T
         self.action.setflags(write=False)
         self.grading = grading
-        self._type = None
-        self._basis = None
+        self._jordan = None
         self._kernels = {}
+        if basis is not None:
+            self._keep_basis(*basis)
 
-    def power(self, k: int) -> np.ndarray:
-        out = np.eye(self.dim, dtype=np.int64)
-        for _ in range(min(k, self.dim)):
-            out = (self.action @ out) % self.p
-        if k >= self.dim:
-            out = np.zeros_like(out)  # nilpotency index <= dim
-        return out
+    def _keep_basis(self, sizes, Q, inverse) -> None:
+        """Keep Q with its layer order once it is checked to be a Jordan
+        basis with these block sizes and this inverse (int64 arrays)."""
+        sizes, n, p = tuple(sizes), self.dim, self.p
+        fits = (all(b > 0 for b in sizes) and sum(sizes) == n
+                and Q.shape == inverse.shape == (n, n))
+        J = _shift(sizes) if fits else None
+        if (not fits or ((Q @ inverse) % p != np.eye(n, dtype=np.int64)).any()
+                or ((Q @ self.action.T - J @ Q) % p).any()):
+            raise InvariantViolation(
+                f"not a Jordan basis with blocks {sizes} of this module")
+        top = max(sizes, default=0)
+        order = [o + j for j in range(top)
+                 for o, b in zip(block_offsets(sizes), sizes) if j < b]
+        Q.setflags(write=False)
+        inverse.setflags(write=False)
+        self._jordan = _Jordan(sizes, Q, inverse, inverse[:, order],
+                               J[np.ix_(order, order)],
+                               [sum(min(b, k) for b in sizes) for k in range(top + 1)])
 
     def kernel(self, k: int) -> np.ndarray:
         """Canonical (rref) row basis of ker T^k."""
         if k not in self._kernels:
-            self._kernels[k] = la.null_space(self.power(k), self.p)
+            power = np.eye(self.dim, dtype=np.int64)
+            for _ in range(min(k, self.dim)):  # T^dim = 0
+                power = (self.action @ power) % self.p
+            self._kernels[k] = la.null_space(power, self.p)
         return self._kernels[k]
 
 
 def canonical_module(sizes, p: int, shifts=None) -> NilModule:
     """One Jordan block per size, in the order given (N_beta for sizes
-    beta), the basis ordered block by block, generator first.
+    beta), the basis ordered block by block, generator first; it is its
+    own Jordan basis.
 
     ``shifts`` optionally assigns a degree to each block generator, making
     the module graded.
     """
     if any(b <= 0 for b in sizes):
         raise ValueError(f"block sizes must be positive, got {sizes}")
-    n = sum(sizes)
-    T = np.zeros((n, n), dtype=np.int64)
-    grading = [] if shifts is not None else None
-    off = 0
-    for bi, b in enumerate(sizes):
-        for j in range(b - 1):
-            T[off + j + 1, off + j] = 1
-        if shifts is not None:
-            grading.extend(shifts[bi] + j for j in range(b))
-        off += b
-    return NilModule(p, T, grading)
+    grading = (None if shifts is None
+               else [d + j for d, b in zip(shifts, sizes) for j in range(b)])
+    J = _shift(sizes)
+    identity = np.eye(len(J), dtype=np.int64)
+    return NilModule(p, J.T, grading, basis=(sizes, identity, identity))
+
+
+def _shift(sizes) -> np.ndarray:
+    """The action c -> c J on Jordan coordinates in block order: each
+    coordinate moves one position on in its block, the last one out."""
+    J = np.eye(sum(sizes), k=1, dtype=np.int64)
+    J[np.cumsum(sizes, dtype=np.int64) - 1] = 0
+    return J
 
 
 def block_offsets(beta: Partition) -> list[int]:
@@ -121,22 +165,22 @@ def block_offsets(beta: Partition) -> list[int]:
 
 
 def jordan_type(M: NilModule) -> Partition:
-    """Partition of Jordan block sizes, via ranks of the powers."""
-    if M._type is None:
-        M._type = _type_from_action(M.action, M.p)
-    return M._type
+    """Partition of Jordan block sizes, sorted from ``jordan_basis``."""
+    return tuple(sorted(jordan_basis(M)[0], reverse=True))
 
 
 def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], np.ndarray]:
-    """Block sizes and a Jordan basis Q of M, sizes nonincreasing.
+    """Block sizes and a Jordan basis Q of M, kept on M.
 
     The rows of Q are g_1, T g_1, ..., g_2, T g_2, ..., so a = c Q gives
-    the Jordan coordinates c of a.  The generators of the size-b blocks
-    are rref rows of a complement of ker T^(b-1) + T ker T^(b+1) in
-    ker T^b: by induction from the top, their chains reach a basis of
-    every ker T^l / ker T^(l-1).
+    the Jordan coordinates c of a.  A module built with its basis keeps
+    it, sizes in its block order.  Otherwise the basis is computed here,
+    sizes nonincreasing: the generators of the size-b blocks are rref rows
+    of a complement of ker T^(b-1) + T ker T^(b+1) in ker T^b, and by
+    induction from the top their chains reach a basis of every
+    ker T^l / ker T^(l-1).
     """
-    if M._basis is None:
+    if M._jordan is None:
         p, T = M.p, M.action
         top = 0
         while M.kernel(top).shape[0] < M.dim:
@@ -153,22 +197,16 @@ def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], np.ndarray]:
                     rows.append(g)
                     g = (T @ g) % p
         Q = np.array(rows, dtype=np.int64).reshape(M.dim, M.dim)
-        Q.setflags(write=False)
-        M._basis = (tuple(sizes), Q)
-    return M._basis
+        # [Q | I] reduces to [I | Q^-1]
+        R, _ = la.rref(np.hstack([Q, np.eye(M.dim, dtype=np.int64)]), p)
+        M._keep_basis(sizes, Q, R[:, M.dim:])
+    return M._jordan.sizes, M._jordan.Q
 
 
-def _type_from_action(T: np.ndarray, p: int) -> Partition:
-    """Jordan type of the nilpotent square matrix T, from rank T^i."""
-    ranks = [T.shape[0]]
-    power = np.eye(T.shape[0], dtype=np.int64)
-    while ranks[-1]:
-        power = (T @ power) % p
-        ranks.append(la.rank(power, p))
-        if ranks[-1] == ranks[-2]:
-            raise InvariantViolation("Jordan type of a matrix that is not nilpotent")
-    rows = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
-    return pt.transpose(pt.partition(rows))
+def _jordan(M: NilModule) -> _Jordan:
+    if M._jordan is None:
+        jordan_basis(M)
+    return M._jordan
 
 
 def invariant_closure(B: NilModule, vectors) -> tuple[np.ndarray, list[int]]:
@@ -197,25 +235,19 @@ class Embedding:
 
     ``span`` is the canonical (rref) row basis of A; the constructor
     closes the given vectors under the action, so they may be just
-    generators.  The chain, the checked tableau and the pieces of hom
-    systems are computed on first use and kept.
+    generators.  The layer table (with alpha and the chain), the tableau
+    and the pieces of hom systems are computed on first use and kept.
     """
 
-    __slots__ = ("B", "span", "_pivots", "alpha", "_chain", "_tableau",
-                 "_coords", "_hom_blocks")
+    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_hom_blocks")
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
         span, self._pivots = invariant_closure(B, vectors)
         self.span = span
         self.span.setflags(write=False)
-        # span is rref and invariant, so the pivot coordinates of T a are
-        # the coefficients of T a in the basis rows: the restricted action
-        restricted = ((span @ B.action.T) % B.p)[:, self._pivots]
-        self.alpha = _type_from_action(restricted, B.p)
-        self._chain = None
+        self._layers = None
         self._tableau = None
-        self._coords = None
         self._hom_blocks = {}
 
     @property
@@ -225,15 +257,37 @@ class Embedding:
     def dim_sub(self) -> int:
         return self.span.shape[0]
 
+    def _table(self):
+        """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
+        alpha_1 and k up to beta_1, computed once.
+
+        In B's Jordan coordinates in layer order, T^k B is the coordinates
+        from prefix[k] on, so d[i][k] is dim T^k B plus the pivots of the
+        echelon form of T^i A before prefix[k].  Stage i of the chain,
+        B / T^i A, has dim T^k(B / T^i A) = d[i][k] - dim T^i A.
+        """
+        if self._layers is None:
+            J, p, n = _jordan(self.B), self.p, self.B.dim
+            C = (self.span @ J.layer) % p
+            dims, table = [], []
+            while C.any():
+                R, pivots = la.rref(C, p)
+                dims.append(len(pivots))
+                table.append(tuple(n - s + bisect_left(pivots, s) for s in J.prefix))
+                C = R @ J.shift  # moves entries, so they stay below p
+            dims.append(0)
+            table.append(tuple(n - s for s in J.prefix))
+            chain = tuple(_type_from_ranks([x - a for x in row])
+                          for row, a in zip(table, dims))
+            self._layers = _type_from_ranks(dims), chain, tuple(table)
+        return self._layers
+
+    @property
+    def alpha(self) -> Partition:
+        return self._table()[0]
+
     def chain(self) -> tuple[Partition, ...]:
-        if self._chain is None:
-            R, pivots = self.span, self._pivots
-            out = [quotient_type(self.B, R, pivots)]
-            for _ in range(self.alpha[0] if self.alpha else 0):
-                R, pivots = la.rref((R @ self.B.action.T) % self.p, self.p)
-                out.append(quotient_type(self.B, R, pivots))
-            self._chain = tuple(out)
-        return self._chain
+        return self._table()[1]
 
     @property
     def gamma(self) -> Partition:
@@ -272,88 +326,75 @@ class Embedding:
                 f"gamma={self.gamma})")
 
 
-def quotient_type(B: NilModule, R: np.ndarray, pivots: list[int]) -> Partition:
-    """Jordan type of B modulo an invariant row space.
-
-    ``R`` must be rref with pivot columns ``pivots``.  The action is induced
-    on the non-pivot coordinates after eliminating against ``R``; no
-    quotient object is materialized.
-    """
-    comp = [c for c in range(B.dim) if c not in pivots]
-    cols = B.action[:, comp]
-    Tbar = (cols - R.T @ cols[pivots]) % B.p
-    return _type_from_action(Tbar[comp], B.p)
+def _type_from_ranks(ranks) -> Partition:
+    """Jordan type whose k-th power has rank ranks[k], the last rank 0:
+    ranks[k-1] - ranks[k] blocks have size at least k."""
+    return pt.transpose(pt.partition(a - b for a, b in zip(ranks, ranks[1:])))
 
 
 def tableau_of_embedding(E: Embedding) -> LRTableau:
-    """Chain of types of B / (action^i A), assembled into a tableau; kept
-    on E once it has passed the check against the subspace type."""
+    """Chain of types of B / (action^i A), assembled into a tableau and
+    kept on E."""
     if E._tableau is None:
-        t = tb.from_chain(list(E.chain()))
-        if t.shape.alpha != E.alpha:
-            raise InvariantViolation(
-                f"chain stages {t.shape.alpha} disagree with the subspace type {E.alpha}"
-            )
-        E._tableau = t
+        E._tableau = tb.from_chain(list(E.chain()))
     return E._tableau
 
 
 def mu_entries(E: Embedding, ell: int, r: int) -> int:
     """Number of entries ``ell`` in row ``r`` of the embedding's tableau,
-    computed from subspace dimensions rather than from the tableau."""
+    computed from subspace dimensions rather than from the tableau: with
+    d[i][k] = dim(T^k B + T^i A) from the layer table, it is
+    (d[ell-1][r] - d[ell][r]) - (d[ell-1][r-1] - d[ell][r-1])."""
     if ell < 1 or r < 1:
         raise ValueError("ell and r are 1-based")
-    p = E.p
+    d = E._table()[2]
 
-    def dims(q: int) -> int:
-        # dim (T^{ell-1}A + T^qB) - dim (T^ellA + T^qB)
-        TB = la.row_space(E.B.power(q).T, p)
-        lo = la.row_space((E.span @ E.B.power(ell - 1).T) % p, p)
-        hi = la.row_space((E.span @ E.B.power(ell).T) % p, p)
-        return (
-            la.space_sum(lo, TB, p).shape[0] - la.space_sum(hi, TB, p).shape[0]
-        )
+    def at(i: int, k: int) -> int:
+        # T^i A = 0 past alpha_1 and T^k B = 0 past beta_1
+        row = d[min(i, len(d) - 1)]
+        return row[min(k, len(row) - 1)]
 
-    return dims(r) - dims(r - 1)
+    return at(ell - 1, r) - at(ell, r) - at(ell - 1, r - 1) + at(ell, r - 1)
 
 
 def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
-    """dim(A  intersect  T^r B  intersect  ker T^s)."""
-    p = E.p
-    TrB = la.row_space(E.B.power(r).T, p)
-    socs = E.B.kernel(s)
-    W = la.space_intersect(TrB, socs, p)
-    return la.space_intersect(E.span, W, p).shape[0]
+    """dim(A  intersect  T^r B  intersect  ker T^s).
+
+    In Jordan coordinates T^r B and ker T^s are the positions at least r
+    and at least b - s in each block of size b, so the intersection is
+    dim A less the rank of A's coordinates at the other positions.
+    """
+    J = _jordan(E.B)
+    outside = [o + j for o, b in zip(block_offsets(J.sizes), J.sizes)
+               for j in range(min(max(r, b - s), b))]
+    return E.dim_sub() - la.rank(((E.span @ J.inverse) % E.p)[:, outside], E.p)
 
 
 def direct_sum(*embeddings: Embedding) -> Embedding:
-    """Block-diagonal direct sum; gradings concatenate when all present."""
+    """Block-diagonal direct sum; gradings concatenate when all present,
+    and the Jordan bases of the summands make its Jordan basis."""
     if not embeddings:
         raise ValueError("need at least one summand")
     p = embeddings[0].p
     if any(e.p != p for e in embeddings):
         raise ValueError("summands live over different fields")
-    dims = [e.B.dim for e in embeddings]
-    total = sum(dims)
-    T = np.zeros((total, total), dtype=np.int64)
-    off = 0
-    gradings: list[int] | None = []
+    total = sum(e.B.dim for e in embeddings)
+    T, Q, inverse = (np.zeros((total, total), dtype=np.int64) for _ in range(3))
+    sizes, spans, off = [], [], 0
     for e in embeddings:
-        T[off : off + e.B.dim, off : off + e.B.dim] = e.B.action
-        if gradings is not None and e.B.grading is not None:
-            gradings.extend(e.B.grading)
-        else:
-            gradings = None
+        J = _jordan(e.B)
+        block = slice(off, off + e.B.dim)
+        T[block, block] = e.B.action
+        Q[block, block] = J.Q
+        inverse[block, block] = J.inverse
+        sizes.extend(J.sizes)
+        spans.append(np.zeros((e.dim_sub(), total), dtype=np.int64))
+        spans[-1][:, block] = e.span
         off += e.B.dim
-    vectors = []
-    off = 0
-    for e in embeddings:
-        for row in e.span:
-            v = np.zeros(total, dtype=np.int64)
-            v[off : off + e.B.dim] = row
-            vectors.append(v)
-        off += e.B.dim
-    return Embedding(NilModule(p, T, gradings), vectors)
+    gradings = (None if any(e.B.grading is None for e in embeddings)
+                else [d for e in embeddings for d in e.B.grading])
+    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)),
+                     np.vstack(spans))
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
@@ -365,17 +406,18 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     is g(A1) <= A2: for every row c of A1 in Jordan coordinates and every
     functional k killing A2,
     sum_i sum_j c[off_i + j] (k T2^j N_i^T) y_i = 0.  That is
-    sum_i dim ker T2^(b_i) unknowns and dim A1 * codim A2 equations.  E1
-    keeps its Jordan coordinates and E2 its k T2^j N^T per block size, so
-    a catalog of queries against one target shares them.
+    sum_i dim ker T2^(b_i) unknowns and dim A1 * codim A2 equations.  E2
+    keeps its k T2^j N^T per block size, so a catalog of queries against
+    one target shares them.
     """
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    sizes, coords = _jordan_coords(E1)
-    if not sizes:
+    J = _jordan(E1.B)
+    if not J.sizes:
         return 0
+    coords = (E1.span @ J.inverse) % E1.p  # c = a Q^-1 for every row a of A1
     blocks, off = [], 0
-    for b in sizes:
+    for b in J.sizes:
         KTN = _hom_block(E2, b)
         _, codim, n = KTN.shape
         # row (c, k) of this block: sum_j c[off + j] (k T2^j N^T)
@@ -384,16 +426,6 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
         off += b
     M = np.hstack(blocks) % E1.p
     return la.solution_space_dim(M, M.shape[1], E1.p)
-
-
-def _jordan_coords(E: Embedding) -> tuple[tuple[int, ...], np.ndarray]:
-    """Block sizes of E.B and the rows of A in its Jordan coordinates."""
-    if E._coords is None:
-        sizes, Q = jordan_basis(E.B)
-        # c Q = a for every row a of A, solved as Q^T c^T = a^T
-        R, _ = la.rref(np.hstack([Q.T, E.span.T]), E.p)
-        E._coords = sizes, R[:, E.B.dim:].T
-    return E._coords
 
 
 def _hom_block(E: Embedding, b: int) -> np.ndarray:
@@ -415,17 +447,9 @@ def _hom_block(E: Embedding, b: int) -> np.ndarray:
 
 
 def picket_embedding(i: int, ell: int, p: int) -> Embedding:
-    """The embedding (soc^i <= P^ell): one block, subspace of dim min(i, ell)."""
-    if ell < 1 or i < 0:
-        raise ValueError("need ell >= 1 and i >= 0")
-    module = canonical_module((ell,), p, shifts=[0])
-    m = min(i, ell)
-    gens = []
-    if m:
-        v = np.zeros(ell, dtype=np.int64)
-        v[ell - m] = 1  # generator T^{ell-m} of the socle layer
-        gens.append(v)
-    return Embedding(module, gens)
+    """The embedding (soc^i <= P^ell): the picket P^ell_min(i, ell) as a
+    one-column pole, its generator in degree 0."""
+    return graded_pole_embedding(picket_tableau(Picket(ell, min(i, ell))), p)
 
 
 def realize_picket(n: int, m: int, p: int) -> Embedding:

@@ -7,10 +7,9 @@ every prime.  It filters the result to the requested subspace and
 quotient types and buckets the survivors by tableau and by
 hom-dimension fingerprint against a catalog of known indecomposables.
 Spans are visited in space_key order, so each class representative is
-its least-keyed member.  Catalogs are built once per argument and kept.
-Their objects keep their Jordan coordinates and each census embedding
-keeps its side of the hom systems, so one fingerprint's catalog queries
-share both (see ``nilmod.hom_dim``).
+its least-keyed member.  Catalogs are built once per argument and kept,
+and each census embedding keeps its side of the hom systems, so one
+fingerprint's catalog queries share it (see ``nilmod.hom_dim``).
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
-from .nilmod import (Embedding, NilModule, block_offsets, direct_sum,
+from .nilmod import (Embedding, block_offsets, canonical_module, direct_sum,
                      graded_pole_embedding, pole_generator, realize_tableau,
                      tableau_of_embedding)
 from .poles import box_move_pole_partition
@@ -87,11 +87,8 @@ def witness_sequence(
     nx, nz = X.B.dim, Z.B.dim
 
     # middle term: ambient X + Z, subspace from the cross generator
-    T_y = np.zeros((nx + nz, nx + nz), dtype=np.int64)
-    T_y[:nx, :nx] = X.B.action
-    T_y[nx:, nx:] = Z.B.action
-    grading = tuple(X.B.grading) + tuple(Z.B.grading)
-    Ymod = NilModule(p, T_y, grading)
+    Ymod = canonical_module(bx + bz, p, shifts=[X.B.grading[o] for o in ox]
+                            + [Z.B.grading[o] for o in oz])
     gen1 = np.zeros(nx + nz, dtype=np.int64)
     gen1[:nx] = pole_generator(g1)
     gen1[nx + oz[_block_index(g2, s)] + (s - u)] = 1

@@ -2,11 +2,13 @@
 
 These are the straightforward, entry-by-entry versions that the
 vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced, the
-``np.kron`` hom system that the block-generator ``hom_dim`` replaced, the
-stacked-rref closure loop, and the run-based pole, strip-only graded
-pole and per-part tableau realizations that ``graded_pole_sum``
-replaced.  They are kept only so tests can require identical answers
-from both.
+rank-per-power Jordan types, quotient types and subspace-sum entry
+counts that the layer table replaced, the subspace sum and Zassenhaus
+intersection it made unused, the ``np.kron`` hom system that
+the block-generator ``hom_dim`` replaced, the stacked-rref closure loop,
+the hand-built picket, and the run-based pole, strip-only graded pole
+and per-part tableau realizations that ``graded_pole_sum`` replaced.
+They are kept only so tests can require identical answers from both.
 """
 
 from __future__ import annotations
@@ -29,6 +31,29 @@ def reduce_vec(v, R, pivots, p):
         if out[c]:
             out = (out - out[c] * row) % p
     return out
+
+
+def space_sum(A, B, p):
+    if A.shape[0] == 0:
+        return la.row_space(B, p)
+    if B.shape[0] == 0:
+        return la.row_space(A, p)
+    return la.row_space(np.vstack([A, B]), p)
+
+
+def space_intersect(A, B, p):
+    """Basis of the intersection of two row spaces (Zassenhaus)."""
+    n = A.shape[1] if A.shape[0] else B.shape[1]
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    top = np.hstack([A, A])
+    bot = np.hstack([B, np.zeros_like(B)])
+    R, pivots = la.rref(np.vstack([top, bot]), p)
+    # echelon rows whose left block vanished span the intersection
+    out = [R[i, n:] for i in range(len(pivots)) if not R[i, :n].any()]
+    if not out:
+        return np.zeros((0, n), dtype=np.int64)
+    return la.row_space(np.array(out, dtype=np.int64), p)
 
 
 def _type_from_ranks(ranks):
@@ -85,6 +110,55 @@ def chain(E):
         out.append(quotient_type(E.B, rows))
         rows = la.row_space((rows @ E.B.action.T) % E.p, E.p)
     return tuple(out)
+
+
+def power(B, k):
+    """T^k as a matrix."""
+    out = np.eye(B.dim, dtype=np.int64)
+    for _ in range(k):
+        out = (B.action @ out) % B.p
+    return out
+
+
+def mu_entries(E, ell, r):
+    """Entries ``ell`` in row ``r`` of E's tableau, from the dimensions of
+    sums of subspaces T^i A + T^q B, six echelon forms per difference."""
+    if ell < 1 or r < 1:
+        raise ValueError("ell and r are 1-based")
+    p = E.p
+
+    def dims(q):
+        # dim (T^{ell-1}A + T^qB) - dim (T^ellA + T^qB)
+        TB = la.row_space(power(E.B, q).T, p)
+        lo = la.row_space((E.span @ power(E.B, ell - 1).T) % p, p)
+        hi = la.row_space((E.span @ power(E.B, ell).T) % p, p)
+        return space_sum(lo, TB, p).shape[0] - space_sum(hi, TB, p).shape[0]
+
+    return dims(r) - dims(r - 1)
+
+
+def invariant_intersection_dim(E, r, s):
+    """dim(A  intersect  T^r B  intersect  ker T^s) by two Zassenhaus
+    intersections."""
+    p = E.p
+    TrB = la.row_space(power(E.B, r).T, p)
+    W = space_intersect(TrB, E.B.kernel(s), p)
+    return space_intersect(E.span, W, p).shape[0]
+
+
+def picket_embedding(i, ell, p):
+    """The embedding (soc^i <= P^ell) built by hand: one block with its
+    generator in degree 0, subspace of dim min(i, ell)."""
+    if ell < 1 or i < 0:
+        raise ValueError("need ell >= 1 and i >= 0")
+    module = canonical_module((ell,), p, shifts=[0])
+    m = min(i, ell)
+    gens = []
+    if m:
+        v = np.zeros(ell, dtype=np.int64)
+        v[ell - m] = 1  # generator T^{ell-m} of the socle layer
+        gens.append(v)
+    return Embedding(module, gens)
 
 
 def hom_dim(E1, E2):

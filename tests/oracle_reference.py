@@ -15,6 +15,7 @@ import numpy as np
 
 from lrlab import linalg as la
 from lrlab.nilmod import invariant_closure
+from nilmod_reference import power
 
 
 def distinct_submodules(B, alpha):
@@ -23,7 +24,7 @@ def distinct_submodules(B, alpha):
     p, n = B.p, B.dim
     if not alpha:
         return [np.zeros((0, n), dtype=np.int64)]
-    kernels = [la.null_space(B.power(a), p) for a in alpha]
+    kernels = [la.null_space(power(B, a), p) for a in alpha]
     seen: dict[bytes, np.ndarray] = {}
     coeff_ranges = [list(product(range(p), repeat=k.shape[0])) for k in kernels]
     for combo in product(*coeff_ranges):

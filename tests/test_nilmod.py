@@ -6,9 +6,8 @@ import pytest
 
 import nilmod_reference as ref
 import tableaux_reference
-from conftest import iter_all_shapes, iter_strip_shapes, random_pole
+from conftest import TWO_CLASS, iter_all_shapes, iter_strip_shapes, random_pole
 from lrlab import linalg as la
-from lrlab import nilmod
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
@@ -18,12 +17,14 @@ from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
                           picket_embedding, picket_dominance_test,
                           picket_hom_profile, pole_generator, realize_picket,
                           realize_pole, realize_tableau, tableau_of_embedding)
-from lrlab.oracle import picket_pole_catalog, s4_catalog
+from lrlab.boxmoves import box_successors
+from lrlab.oracle import _distinct_submodules, picket_pole_catalog, s4_catalog
 from lrlab.partitions import partition
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_tableau, tableau_union)
 from lrlab.tableaux import (LRTableau, Column, Shape, dominance_leq,
                             enumerate_tableaux, is_horizontal_strip)
+from lrlab.witness import witness_sequence
 
 
 def test_nilmodule_rejects_non_nilpotent():
@@ -72,6 +73,10 @@ def test_jordan_type_of_canonical():
         assert jordan_type(M) == (3, 1)
         assert M.grading == (5, 0, 1, 2)
         assert M.action[2, 1] == M.action[3, 2] == 1 and M.action.sum() == 2
+        # the module is its own Jordan basis, blocks in its order
+        assert jordan_basis(M)[0] == (1, 3)
+        S = direct_sum(Embedding(M, []), Embedding(M, []))
+        assert jordan_basis(S.B)[0] == (1, 3, 1, 3)
     for bad in [(2, 0), (0,), (3, -1)]:
         with pytest.raises(ValueError, match="positive"):
             canonical_module(bad, 2)
@@ -195,27 +200,104 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
 
 
 def test_beta_and_tableau_computed_once(monkeypatch):
-    types, chains = [], []
-    type_from_action, from_chain = nilmod._type_from_action, tb.from_chain
-    monkeypatch.setattr(nilmod, "_type_from_action",
-                        lambda *a: types.append(1) or type_from_action(*a))
+    calls, chains = [], []
+    rref, from_chain = la.rref, tb.from_chain
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
     monkeypatch.setattr(tb, "from_chain",
                         lambda *a: chains.append(1) or from_chain(*a))
     E = realize_pole(Pole((0, 2), (3, 1)), 2)
-    chains.clear()  # building the pole tableau used one
-    t = tableau_of_embedding(E)
-    assert tableau_of_embedding(E) is t and len(chains) == 1
-    before = len(types)
-    E.to_json(), repr(E), E.beta
-    assert len(types) == before + 1
-    # a tableau that fails the subspace-type check is not kept
-    F = realize_pole(Pole((0, 2), (3, 1)), 2)
-    F.alpha = E.alpha + (1,)  # same first part, so the same chain
-    for _ in range(2):
-        with pytest.raises(InvariantViolation):
-            tableau_of_embedding(F)
-    F.alpha = E.alpha
-    assert tableau_of_embedding(F) == t
+    # a module read from JSON computes its Jordan basis on first use
+    for F in (E, Embedding.from_json(E.to_json())):
+        chains.clear()  # building the pole tableau used one
+        t = tableau_of_embedding(F)
+        before = len(calls)
+        for _ in range(2):
+            assert tableau_of_embedding(F) is t
+            F.chain(), F.alpha, F.beta, F.gamma, F.to_json(), repr(F)
+        assert len(calls) == before and len(chains) == 1
+
+
+def test_wrong_jordan_basis_raises():
+    T = canonical_module((2, 1), 3).action
+    I = np.eye(3, dtype=np.int64)
+    assert jordan_basis(NilModule(3, T, basis=((2, 1), I, I))) == ((2, 1), I)
+    swapped = I[[1, 0, 2]]  # T g listed before g
+    wrong = [((1, 2), I, I), ((3,), I, I), ((2,), I, I), ((2, 1), I, 2 * I),
+             ((2, 1), swapped, swapped.T), ((2, 0, 1), I, I)]
+    for basis in wrong:
+        with pytest.raises(InvariantViolation, match="not a Jordan basis"):
+            NilModule(3, T, basis=basis)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mu_entries_matches_space_sum_reference(p):
+    # a third of the catalog pairs, rows and columns past alpha_1 and beta_1
+    cat = [E for _, E in s4_catalog(p)]
+    for i, j in itertools.combinations_with_replacement(range(len(cat)), 2):
+        if (i + j) % 3:
+            continue
+        S = direct_sum(cat[i], cat[j])
+        for ell in range(1, 7):
+            for r in range(1, 8):
+                assert mu_entries(S, ell, r) == ref.mu_entries(S, ell, r), (i, j)
+
+
+def test_picket_embedding_is_one_column_pole():
+    for ell in range(1, 8):
+        for i in range(10):
+            for p in (2, 3):
+                E, F = picket_embedding(i, ell, p), ref.picket_embedding(i, ell, p)
+                assert (E.B.action == F.B.action).all()
+                assert (E.span == F.span).all()
+                # the generator T^(ell-m) g moves to degree 0
+                m = min(i, ell)
+                lift = ell - m if m else 0
+                assert E.B.grading == tuple(d - lift for d in F.B.grading)
+    with pytest.raises(ValueError):
+        picket_embedding(-1, 3, 2)
+    with pytest.raises(ValueError):
+        picket_embedding(1, 0, 2)
+
+
+def _same_as_reference(E):
+    return (E.alpha, E.chain()) == (ref.type_on_subspace(E.B, E.span), ref.chain(E))
+
+
+def test_strip_realizations_match_reference_in_two_echelons_per_stage(monkeypatch):
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                calls.clear()
+                E = realize_tableau(t, p)
+                tableau_of_embedding(E)
+                # alpha_1 for the closure, alpha_1 for the layer table
+                assert len(calls) <= 2 * t.shape.alpha[0] + 2, t
+                assert _same_as_reference(E), t
+
+
+def test_witness_terms_match_reference():
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            for t2, move in box_successors(t):
+                for p in (2, 3):
+                    ws = witness_sequence(t, t2, move, p)
+                    assert _same_as_reference(ws.y), (t, t2)
+                    assert _same_as_reference(direct_sum(ws.xt, ws.zt)), (t, t2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_spans_match_reference(p):
+    # every span the search yields, also those the census drops
+    B = canonical_module(TWO_CLASS.beta, p)
+    kept = 0
+    for span in _distinct_submodules(B, TWO_CLASS.alpha):
+        E = Embedding(B, span)
+        assert _same_as_reference(E)
+        kept += (E.alpha, E.gamma) == (TWO_CLASS.alpha, TWO_CLASS.gamma)
+    assert 0 < kept
 
 
 def test_embedding_closes_generators():
@@ -432,6 +514,22 @@ def test_invariant_intersection_examples():
     assert invariant_intersection_dim(M12, 2, 1) == 1
     assert invariant_intersection_dim(M3, 2, 1) == 2
     assert invariant_intersection_dim(M12, 0, M12.B.dim) == M12.dim_sub()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariant_intersection_matches_zassenhaus_reference(p):
+    rng = np.random.default_rng(40 + p)
+    cat = [E for _, E in s4_catalog(p)]
+    for i, j in itertools.combinations_with_replacement(range(len(cat)), 2):
+        if (i + j) % 4:
+            continue
+        S = direct_sum(cat[i], cat[j])
+        F = _conjugate(S, _random_invertible(rng, S.B.dim, p))
+        for r in range(6):
+            for s in range(6):
+                want = ref.invariant_intersection_dim(S, r, s)
+                assert invariant_intersection_dim(S, r, s) == want, (i, j, r, s)
+                assert invariant_intersection_dim(F, r, s) == want, (i, j, r, s)
 
 
 def test_embedding_json_round_trip():
