@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import Literal, Sequence
 
 from . import tableaux as tb
@@ -218,36 +219,60 @@ class HasseDiagram:
 def relation_matrix(
     nodes: Sequence[LRTableau], relation: Literal["dom", "box"]
 ) -> list[list[bool]]:
-    """Full <=-matrix of the chosen order on ``nodes``."""
-    n = len(nodes)
+    """Full <=-matrix of the chosen order on ``nodes``.
+
+    Dominance compares one key per tableau: for each chain stage i and
+    each r among the stage-i parts of all nodes, the number
+    sum(min(x, r)) of boxes in the first r rows of stage i.
+    ``natural_leq(p, q)`` asks that p's count never exceed q's, and the
+    parts of p alone already decide that, so two tableaux compare by
+    comparing their keys entry by entry.  The box order reads
+    reachability off one successor graph, calling ``box_successors`` once
+    per tableau reached.
+    """
     if relation == "dom":
-        return [[tb.dominance_leq(a, b) for b in nodes] for a in nodes]
+        for t in nodes:
+            if t.shape != nodes[0].shape:
+                raise ValueError(f"shape mismatch: {nodes[0].shape} vs {t.shape}")
+        rs = [sorted(set().union(*stage)) for stage in zip(*(t.chain for t in nodes))]
+        keys = [[sum(min(x, r) for x in part) for part, stage_rs in zip(t.chain, rs)
+                 for r in stage_rs] for t in nodes]
+        return [[all(map(le, a, b)) for b in keys] for a in keys]
     if relation == "box":
-        reach = []
-        for a in nodes:
+        successors: dict[LRTableau, list[LRTableau]] = {}
+        # one instance per tableau, so set lookups match by identity
+        same = {t: t for t in nodes}
+
+        def reach(a: LRTableau) -> set[LRTableau]:
             seen = {a}
-            queue = deque([a])
-            while queue:
-                for nxt, _ in box_successors(queue.popleft()):
+            stack = [a]
+            while stack:
+                cur = stack.pop()
+                if cur not in successors:
+                    successors[cur] = [same.setdefault(t, t)
+                                       for t, _ in box_successors(cur)]
+                for nxt in successors[cur]:
                     if nxt not in seen:
                         seen.add(nxt)
-                        queue.append(nxt)
-            reach.append(seen)
-        return [[b in reach[i] for b in nodes] for i, a in enumerate(nodes)]
+                        stack.append(nxt)
+            return seen
+
+        return [[b in above for b in nodes] for above in map(reach, nodes)]
     raise ValueError(f"unknown relation {relation!r}")
 
 
 def hasse(nodes: Sequence[LRTableau], relation: Literal["dom", "box"]) -> HasseDiagram:
-    """Transitive reduction of the chosen order restricted to ``nodes``."""
+    """Transitive reduction of the chosen order restricted to ``nodes``.
+
+    i -> j is an edge when j is strictly above i and no node lies strictly
+    between, i.e. the bitmask of nodes strictly above i and that of nodes
+    strictly below j share no bit.
+    """
     leq = relation_matrix(nodes, relation)
     n = len(nodes)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j] or leq[j][i]:
-                continue
-            if any(k not in (i, j) and leq[i][k] and leq[k][j] and not leq[k][i]
-                   and not leq[j][k] for k in range(n)):
-                continue
-            edges.append((i, j))
+    strict = [[leq[i][j] and not leq[j][i] for j in range(n)] for i in range(n)]
+    above = [sum(1 << j for j in range(n) if strict[i][j]) for i in range(n)]
+    below = [sum(1 << i for i in range(n) if strict[i][j]) for j in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(n)
+             if strict[i][j] and not above[i] & below[j]]
     return HasseDiagram(nodes, edges, relation)

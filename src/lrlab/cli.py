@@ -4,6 +4,13 @@ Every subcommand reads shapes, tableaux and embeddings as inline JSON or
 as a path to a JSON file, and writes JSON (default), DOT (Hasse
 diagrams) or plain text.  Exit codes: 0 success, 1 verification failure,
 2 bad input, 3 guard exceeded (the census work budget, or memory).
+
+The combinatorial subcommands (``enumerate``, ``orders``, ``hasse``,
+``dom2box``, ``decompose``) load only the pure-Python modules and never
+import numpy.  The numeric ones (``realize``, ``tableau``, ``witness``,
+``hom``, ``profile``, ``oracle``, ``paper-examples``) import ``nilmod``,
+``witness``, ``oracle`` or ``worked_examples``, and with them numpy,
+inside their handlers.
 """
 
 from __future__ import annotations
@@ -15,13 +22,8 @@ import sys
 
 from .boxmoves import dom_to_box_chain, hasse, move_between, relation_matrix
 from .errors import GuardExceeded, InvariantViolation
-from .nilmod import (Embedding, hom_dim, picket_hom_profile, realize_tableau,
-                     tableau_of_embedding)
-from .oracle import enumerate_submodules
 from .poles import pole_decomposition
 from .tableaux import LRTableau, Shape, enumerate_tableaux, from_word, reading_word
-from .witness import witness_sequence
-from .worked_examples import run_registry
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -52,7 +54,8 @@ def _tableau(arg: str) -> LRTableau:
     return LRTableau.from_json(_load_json(arg))
 
 
-def _embedding(arg: str) -> Embedding:
+def _embedding(arg: str):
+    from .nilmod import Embedding
     return Embedding.from_json(_load_json(arg))
 
 
@@ -137,6 +140,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .nilmod import realize_tableau
     t = _tableau(args.tableau)
     E = realize_tableau(t, args.prime)
     _emit(args, E.to_json(), [repr(E)])
@@ -144,6 +148,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_tableau(args) -> int:
+    from .nilmod import tableau_of_embedding
     E = _embedding(args.embedding)
     t = tableau_of_embedding(E)
     _emit(args, t.to_json(), [str([list(c) for c in t.chain])])
@@ -151,6 +156,7 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .witness import witness_sequence
     shape = _shape(args.shape)
     low = from_word(shape, _word(args.frm))
     high = from_word(shape, _word(args.to))
@@ -172,6 +178,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    from .nilmod import hom_dim
     E1, E2 = _embedding(args.e1), _embedding(args.e2)
     payload = {"hom_dim": hom_dim(E1, E2)}
     _emit(args, payload, [str(payload["hom_dim"])])
@@ -179,6 +186,7 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .nilmod import picket_hom_profile
     E = _embedding(args.embedding)
     max_i = args.max_i if args.max_i is not None else (E.alpha[0] if E.alpha else 0)
     max_ell = args.max_l if args.max_l is not None else (E.beta[0] if E.beta else 1)
@@ -189,6 +197,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import enumerate_submodules
     shape = _shape(args.shape)
     census = enumerate_submodules(shape, args.prime, slow=args.slow)
     payload = census.to_json()
@@ -204,6 +213,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_paper_examples(args) -> int:
+    from .worked_examples import run_registry
     results, ok = run_registry(slow=args.slow)
     for name, good, msg in results:
         print(f"{'PASS' if good else 'FAIL'} {name}" + (f"  [{msg}]" if msg else ""))

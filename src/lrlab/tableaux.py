@@ -71,8 +71,14 @@ def is_horizontal_strip(beta: Partition, gamma: Partition) -> bool:
 
 
 def is_vertical_strip(beta: Partition, gamma: Partition) -> bool:
-    """True when every row gains at most one box (transpose condition)."""
-    return is_horizontal_strip(pt.transpose(beta), pt.transpose(gamma))
+    """True when every row gains at most one box.
+
+    The new boxes of column j sit in rows gamma_j + 1 .. beta_j, and those
+    of every later column in rows up to beta_{j+1}, so no row gains two
+    exactly when gamma fits in beta and beta_{j+1} <= gamma_j for all j.
+    """
+    g = gamma + (0,) * (len(beta) - len(gamma))
+    return pt.contains(beta, gamma) and all(b <= c for b, c in zip(beta[1:], g))
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class ValidationReport:
 class LRTableau:
     """Immutable tableau: canonical column list plus its declared shape."""
 
-    __slots__ = ("columns", "shape", "_chain", "_word")
+    __slots__ = ("columns", "shape", "_chain", "_word", "_hash")
 
     def __init__(self, columns: Sequence[Column], alpha: Partition | None = None):
         cols = tuple(sorted(columns, key=Column.sort_key))
@@ -151,6 +157,7 @@ class LRTableau:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_chain", None)
         object.__setattr__(self, "_word", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LRTableau is immutable")
@@ -160,7 +167,9 @@ class LRTableau:
             and self.shape == other.shape
 
     def __hash__(self):
-        return hash((self.columns, self.shape))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.columns, self.shape)))
+        return self._hash
 
     def __repr__(self):
         return f"LRTableau(word={list(reading_word(self))}, shape={self.shape})"
@@ -361,8 +370,7 @@ def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
     expected = pt.transpose(shape.alpha)
     s = len(expected)
     remaining = list(expected)
-    nrows = shape.beta[0] if shape.beta else 0
-    row_left = [0] * (nrows + 2)  # last entry placed in each row so far
+    row_left: dict[int, int] = {}  # last entry placed in each row so far
     out: list[LRTableau] = []
     acc: list[tuple[int, ...]] = []
 
@@ -385,18 +393,17 @@ def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
                     acc.pop()
                 return
             row = length - j
-            lo = row_left[row]
+            lo = row_left.get(row, 0)
             hi = below - 1 if below else s
             for v in range(max(lo, 1), hi + 1):
                 if remaining[v - 1] == 0:
                     continue
                 remaining[v - 1] -= 1
-                saved = row_left[row]
                 row_left[row] = v
                 picked.append(v)
                 yield from place(j + 1, v, picked)
                 picked.pop()
-                row_left[row] = saved
+                row_left[row] = lo
                 remaining[v - 1] += 1
 
         yield from place(0, 0, [])

@@ -1,6 +1,7 @@
 """Test-only references: the stage-growth ``from_chain``, the two-copy
-split-off scan and the Pole round trip of strip realization, which
-realizes each piece by the strip-only graded pole of ``nilmod_reference``.
+split-off scan, the Pole round trip of strip realization, which
+realizes each piece by the strip-only graded pole of ``nilmod_reference``,
+and the vertical-strip test by transposition.
 
 ``lrlab`` replaced each by a smaller mechanism with the same answers; the
 cross-checks in ``test_tableaux.py``, ``test_poles.py`` and
@@ -15,7 +16,7 @@ from lrlab import partitions as pt
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import Embedding, canonical_module, direct_sum
 from lrlab.poles import pole_decomposition, pole_tableau
-from lrlab.tableaux import Column, LRTableau, validate
+from lrlab.tableaux import Column, LRTableau, is_horizontal_strip, validate
 from nilmod_reference import graded_pole_embedding
 
 
@@ -73,6 +74,12 @@ def from_chain(chain) -> LRTableau:
     if not report.ok:
         raise ValueError(f"chain does not define an LR tableau: {report.violations}")
     return t
+
+
+def is_vertical_strip(beta, gamma) -> bool:
+    """Every row gains at most one box: the transposes form a horizontal
+    strip."""
+    return is_horizontal_strip(pt.transpose(beta), pt.transpose(gamma))
 
 
 def pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):

@@ -1,14 +1,21 @@
+from collections import Counter
+
 import pytest
 
-from conftest import iter_strip_shapes
+import boxmoves_reference as ref
+import lrlab.boxmoves as bm
+from conftest import iter_all_shapes, iter_strip_shapes
 from lrlab.boxmoves import (BoxMove, apply_move, box_leq, box_successors,
                             dom_to_box_chain, dom_to_box_step, hasse,
                             relation_matrix)
 from lrlab.tableaux import (Shape, dominance_leq, enumerate_tableaux, from_word,
-                            reading_word)
+                            is_horizontal_strip, reading_word)
 
 ALGO = Shape((3, 2, 1), (6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
 RUNNING = Shape((3, 2), (4, 3, 3, 2, 1), (3, 2, 2, 1))
+# the 35- and 90-tableau shapes of the benchmark's cli workload
+MID = Shape((3, 2, 1, 1), (7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
+BIG = Shape((4, 2, 1, 1), (8, 7, 6, 5, 4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1))
 
 
 def test_figure_pair_reachable():
@@ -145,3 +152,47 @@ def test_relation_matrix_agrees_with_hasse_closure():
         for j in range(len(ts)):
             if box[i][j]:
                 assert dom[i][j]
+
+
+def _matches_reference(ts, relation):
+    want = ref.relation_matrix(ts, relation)
+    assert relation_matrix(ts, relation) == want
+    assert hasse(ts, relation).edges == ref.hasse_of(ts, want, relation).edges
+
+
+def test_orders_and_hasse_match_reference_on_all_small_shapes():
+    # the box order exists only on horizontal strips
+    for shape in iter_all_shapes(10):
+        ts = enumerate_tableaux(shape)
+        _matches_reference(ts, "dom")
+        if is_horizontal_strip(shape.beta, shape.gamma):
+            _matches_reference(ts, "box")
+
+
+@pytest.mark.parametrize("shape", [MID, BIG], ids=["35", "90"])
+@pytest.mark.parametrize("relation", ["dom", "box"])
+def test_orders_and_hasse_match_reference_on_benchmark_shapes(shape, relation):
+    _matches_reference(enumerate_tableaux(shape), relation)
+
+
+def test_dom_matrix_refuses_mixed_shapes():
+    ts = enumerate_tableaux(RUNNING) + enumerate_tableaux(ALGO)[:1]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        relation_matrix(ts, "dom")
+
+
+@pytest.mark.parametrize("count", [35, 3])
+def test_box_matrix_expands_each_tableau_once(monkeypatch, count):
+    # every tableau reached has the shape, so it is among ``ts``
+    ts = enumerate_tableaux(MID)
+    nodes = ts[:count]
+    reached = {b for b in ts if any(box_leq(a, b) for a in nodes)}
+    calls = Counter()
+
+    def counted(t):
+        calls[t] += 1
+        return box_successors(t)
+
+    monkeypatch.setattr(bm, "box_successors", counted)
+    relation_matrix(nodes, "box")
+    assert calls == Counter(reached)

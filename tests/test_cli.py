@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrlab
+import lrlab.cli as cli
+from conftest import iter_all_shapes
 from lrlab.cli import run
+from lrlab.tableaux import enumerate_tableaux, reading_word
 
 FIVE = '{"alpha":[3,1],"beta":[4,3,2,1],"gamma":[3,2,1]}'
 ALGO = '{"alpha":[3,2,1],"beta":[6,5,4,3,2,1],"gamma":[5,4,3,2,1]}'
@@ -171,6 +178,16 @@ def test_paper_examples_cli(capsys):
     assert "FAIL" not in out
 
 
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def exhausted(shape):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_tableaux", exhausted)
+    assert run(["enumerate", FIVE]) == 3
+    err = capsys.readouterr().err
+    assert err == "guard exceeded: out of memory\n"
+
+
 HUGE = 10**12
 SRC = os.path.dirname(os.path.dirname(lrlab.__file__))
 # the child caps its own address space at 4 GiB before loading lrlab, so a
@@ -178,12 +195,15 @@ SRC = os.path.dirname(os.path.dirname(lrlab.__file__))
 CHILD = ("import resource, runpy; "
          "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
          "runpy.run_module('lrlab.cli', run_name='__main__')")
+# runs one command, then reports on stderr whether numpy got loaded
+CHILD_NUMPY = ("import sys; from lrlab.cli import run; code = run(sys.argv[1:]); "
+               "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
 
 
-def run_child(argv):
+def run_child(argv, child=CHILD):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env,
                           capture_output=True, text=True, timeout=30)
 
 
@@ -203,9 +223,114 @@ def test_decompose_huge_empty_column(tableau):
     ["enumerate"],
     ["orders", "--relation", "dom"],
 ])
-def test_out_of_memory_exits_3(argv):
+def test_huge_row_count_shape_runs(argv):
+    # one slot per row of beta_1 used to exhaust memory before the search
     shape = {"alpha": [1], "beta": [HUGE, 1], "gamma": [HUGE]}
     done = run_child([*argv, json.dumps(shape)])
-    assert done.returncode == 3
-    assert done.stderr.startswith("guard exceeded:")
-    assert "Traceback" not in done.stderr
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    if argv[0] == "enumerate":
+        assert data["count"] == 1
+        assert data["tableaux"][0]["chain"] == [[HUGE], [HUGE, 1]]
+    else:
+        assert data["words"] == [[1]] and data["leq"] == [[True]]
+
+
+def test_dom2box_beside_a_huge_blank_column():
+    # the vertical-strip test reads the columns, so a blank column of
+    # 10^12 rows costs nothing
+    shape = {"alpha": [3, 2, 1], "beta": [HUGE, 6, 5, 4, 3, 2, 1],
+             "gamma": [HUGE, 5, 4, 3, 2, 1]}
+    done = run_child(["dom2box", json.dumps(shape),
+                      "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["moves"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", FIVE],
+    ["orders", FIVE, "--relation", "box"],
+    ["hasse", FIVE, "--relation", "dom"],
+    ["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
+    ["decompose", '{"alpha":[1],"beta":[2],"gamma":[1],"chain":[[1],[2]]}'],
+], ids=lambda argv: argv[0])
+def test_combinatorial_commands_load_no_numpy(argv):
+    done = run_child(argv, CHILD_NUMPY)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "False\n"
+
+
+# -- the exit-code contract of the combinatorial commands under fuzzing ------
+
+def _case(shape):
+    ts = enumerate_tableaux(shape)
+    return (shape.to_json(), [t.to_json() for t in ts],
+            [",".join(map(str, reading_word(t))) for t in ts])
+
+
+# small shapes with their tableaux' JSON and reading words, so that many
+# drawn commands get past the parser and the input checks
+CASES = [_case(shape) for shape in iter_all_shapes(6)]
+FILLED = [case for case in CASES if case[1]]
+KEYS = ["alpha", "beta", "gamma", "chain", "columns"]
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+word = st.lists(st.integers(-1, 5), max_size=7).map(
+    lambda w: ",".join(map(str, w))) | st.text(max_size=4)
+extra_flags = st.lists(st.one_of(
+    st.tuples(st.just("--format"), st.sampled_from(["json", "text", "dot", "x"])),
+    st.tuples(st.just("--relation"), st.sampled_from(["dom", "box", "ext"])),
+    st.tuples(st.just("--pick-l"), st.integers(-1, 7).map(str) | st.text(max_size=2)),
+    st.tuples(st.just("--bogus")),
+), max_size=2).map(lambda fs: [x for f in fs for x in f])
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` as JSON, sometimes with one field replaced by junk."""
+    data = dict(data)
+    if draw(st.integers(0, 2)) == 2:
+        data[draw(st.sampled_from(sorted(data)))] = draw(small_json)
+    return json.dumps(data)
+
+
+@st.composite
+def combinatorial_argv(draw):
+    command = draw(st.sampled_from(["enumerate", "orders", "hasse", "dom2box",
+                                    "decompose"]))
+    # decompose and dom2box draw from shapes that have tableaux
+    shape, tableaux, words = draw(st.sampled_from(
+        CASES if command in ("enumerate", "orders", "hasse") else FILLED))
+    kind = draw(st.integers(0, 5))
+    if kind == 4:
+        arg = json.dumps(draw(small_json))
+    elif kind == 5:
+        arg = draw(st.text(max_size=6))
+    elif command == "decompose":
+        arg = draw(mutated(draw(st.sampled_from(tableaux))))
+    else:
+        arg = draw(mutated(shape))
+    argv = [command, arg]
+    if command in ("orders", "hasse"):
+        argv += ["--relation", draw(st.sampled_from(["dom", "box"]))]
+    if command == "dom2box":
+        some_word = st.sampled_from(words) | word
+        argv += ["--from", draw(some_word), "--to", draw(some_word)]
+    return argv + draw(extra_flags)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(combinatorial_argv())
+def test_combinatorial_exit_codes_under_fuzzing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()

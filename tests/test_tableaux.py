@@ -72,6 +72,13 @@ def test_strips():
     assert is_horizontal_strip((3, 2), (3, 2)) and is_vertical_strip((3, 2), (3, 2))
 
 
+def test_vertical_strip_matches_transpose_reference():
+    parts = [q for n in range(9) for q in pt.partitions_of(n)]
+    for beta in parts:
+        for gamma in parts:
+            assert is_vertical_strip(beta, gamma) == ref.is_vertical_strip(beta, gamma)
+
+
 def test_reading_words():
     shape = Shape((3, 2, 1), (6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
     words = {reading_word(t) for t in enumerate_tableaux(shape)}
