@@ -4,6 +4,11 @@ Vectors are 1-D numpy int64 arrays with entries in [0, p); a "space" is
 the row space of a 2-D array.  Canonical form is the reduced row echelon
 form with zero rows dropped, which doubles as a dictionary key for
 subspace deduplication.
+
+Elimination runs on Python int rows.  The matrices this package reduces
+are tiny, mostly a few rows by ten columns and seldom beyond a few
+hundred entries, and at that size a numpy call per pivot step costs more
+than the arithmetic.  Callers still get int64 arrays.
 """
 
 from __future__ import annotations
@@ -21,37 +26,59 @@ def as_mat(rows, width: int | None = None, p: int = 2) -> np.ndarray:
     return np.array(rows, dtype=np.int64) % p
 
 
-def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p.
+def _echelon(M: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of M over F_p, as
+    lists of Python ints, and the pivot columns.
 
-    Returns (R, pivots) where R has unit pivots with zeros above and
-    below, zero rows dropped, and pivots lists the pivot columns.
+    Each pivot row is scaled to a unit pivot and cleared from every other
+    row.  Left of its pivot column a pivot row is zero, so only the
+    columns from there on are touched.  Python ints never wrap.
     """
-    R = M.astype(np.int64) % p
-    nrows, ncols = R.shape
+    rows = (M.astype(np.int64) % p).tolist()
+    nrows, ncols = M.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
+        row = rows[i]
+        rows[i] = rows[r]
+        rows[r] = row
+        inv = pow(row[c], p - 2, p)
+        if inv != 1:
+            row[c:] = [x * inv % p for x in row[c:]]
+        tail = row[c:]
+        for j in range(nrows):
+            other = rows[j]
+            f = other[c]
+            if f and j != r:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
         r += 1
-    return R[: len(pivots)], pivots
+    return rows[:r], pivots
+
+
+def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p.
+
+    Returns (R, pivots) where R has unit pivots with zeros above and
+    below, zero rows dropped, and pivots lists the pivot columns.  The
+    elimination runs on Python int rows (see the module docstring); R is
+    one int64 array of shape (rank, columns of M).
+    """
+    rows, pivots = _echelon(M, p)
+    if not rows:
+        return np.zeros((0, M.shape[1]), dtype=np.int64), pivots
+    return np.array(rows, dtype=np.int64), pivots
 
 
 def rank(M: np.ndarray, p: int) -> int:
-    return len(rref(M, p)[1])
+    return len(_echelon(M, p)[1])
 
 
 def row_space(M: np.ndarray, p: int) -> np.ndarray:

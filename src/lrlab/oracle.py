@@ -177,7 +177,12 @@ def enumerate_submodules(
     per_tableau: dict[LRTableau, int] = {}
     buckets: dict[tuple[int, ...], CensusClass] = {}
     total = 0
+    size = pt.weight(shape.alpha)
     for span in spans:
+        # a span of generators v_i in ker T^alpha_i has dimension |alpha|
+        # exactly when their orbits form a basis, and then its type is alpha
+        if span.shape[0] != size:
+            continue
         E = Embedding(B, span)
         if E.alpha != shape.alpha or E.gamma != shape.gamma:
             continue

@@ -7,8 +7,8 @@ from conftest import FIVE_CLASS, TWO_CLASS
 from lrlab import linalg as la
 from lrlab import oracle
 from lrlab.errors import GuardExceeded
-from lrlab.nilmod import (canonical_module, direct_sum, hom_dim, realize_picket,
-                          realize_pole)
+from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
+                          realize_picket, realize_pole)
 from lrlab.oracle import (_distinct_submodules, enumerate_submodules,
                           iso_fingerprint, nominal_tuple_count,
                           picket_pole_catalog, s4_catalog)
@@ -103,6 +103,21 @@ def test_level_wise_search_matches_per_tuple_reference(shape, p):
     assert keys == sorted(set(keys))
     assert set(keys) == {la.space_key(span)
                          for span in ref.distinct_submodules(B, shape.alpha)}
+
+
+@pytest.mark.parametrize("shape", [TWO_CLASS, FIVE_CLASS, Shape((2, 1), (3, 2, 1), (2, 1))],
+                         ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_dimension_skip_is_exact(shape, p):
+    """A span of the level-wise search has |alpha| rows exactly when its
+    embedding has type alpha, so the census may skip the others untyped."""
+    B = canonical_module(shape.beta, p)
+    size = sum(shape.alpha)
+    full = []
+    for span in _distinct_submodules(B, shape.alpha):
+        full.append(span.shape[0] == size)
+        assert full[-1] == (Embedding(B, span).alpha == shape.alpha)
+    assert any(full) and not all(full)
 
 
 def test_zero_alpha_census():
