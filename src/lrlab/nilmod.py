@@ -27,8 +27,8 @@ from . import partitions as pt
 from . import tableaux as tb
 from .errors import InvariantViolation
 from .partitions import Partition
-from .poles import (Picket, Pole, minimal_ambient, picket_tableau, pole_tableau,
-                    split_off_pole)
+from .poles import (Picket, Pole, minimal_ambient, picket_tableau, pole_pieces,
+                    pole_tableau)
 from .tableaux import LRTableau
 
 
@@ -478,21 +478,21 @@ def picket_dominance_test(E1: Embedding, E2: Embedding) -> bool:
     return all(a <= b for r1, r2 in zip(p1, p2) for a, b in zip(r1, r2))
 
 
-def pole_generator(t: LRTableau) -> np.ndarray:
-    """Coordinates of the generator a of the pole with tableau t, in the
-    blocks of t's columns taken in order.
+def pole_generator(columns) -> np.ndarray:
+    """Coordinates of the generator a of the pole whose tableau has these
+    columns, in their blocks taken in order.
 
     Each entry 1..k must occur once and each column must hold a run of
     consecutive entries.  A column of length b and base x whose run
     starts at e contributes the term T^{x-e+1} g^b, so T^{e-1} a reaches
     radical layer x there; an empty column contributes nothing.
     """
-    entries = sorted(e for c in t.columns for e in c.entries)
+    entries = sorted(e for c in columns for e in c.entries)
     if entries != list(range(1, len(entries) + 1)):
         raise ValueError(f"entries {entries} are not 1..k, each once")
-    a = np.zeros(sum(c.length for c in t.columns), dtype=np.int64)
+    a = np.zeros(sum(c.length for c in columns), dtype=np.int64)
     off = 0
-    for c in t.columns:
+    for c in columns:
         if c.entries:
             e = c.entries[0]
             if c.entries != tuple(range(e, e + len(c.entries))):
@@ -504,29 +504,37 @@ def pole_generator(t: LRTableau) -> np.ndarray:
     return a
 
 
-def graded_pole_sum(pieces, p: int, shift: int = 0) -> Embedding:
-    """Graded sum of the poles with tableaux ``pieces``: one module over
-    all their columns in order, one ``pole_generator`` per piece at its
-    block offset, every generator homogeneous of degree ``shift``."""
-    sizes = [c.length for t in pieces for c in t.columns]
+def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, np.ndarray]:
+    """Module and generator rows of the graded poles whose tableaux have
+    the column groups ``pieces``: their columns in order, one
+    ``pole_generator`` row per piece, of degree ``degrees[i]``."""
+    sizes = [c.length for cols in pieces for c in cols]
     gens = np.zeros((len(pieces), sum(sizes)), dtype=np.int64)
     off = 0
-    for row, t in zip(gens, pieces):
-        a = pole_generator(t)
+    for row, cols in zip(gens, pieces):
+        a = pole_generator(cols)
         row[off:off + len(a)] = a
         off += len(a)
     # a term T^c g^b, the block's only nonzero at index c, puts g^b in
-    # degree shift - c; an empty block (argmax 0) sits in degree shift
+    # degree d - c; an empty block (argmax 0) sits in degree d
     terms = gens.sum(axis=0)
-    shifts = [shift - int(np.argmax(terms[o:o + b]))
-              for o, b in zip(block_offsets(sizes), sizes)]
-    return Embedding(canonical_module(sizes, p, shifts=shifts), gens)
+    block_degrees = [d for cols, d in zip(pieces, degrees) for _ in cols]
+    shifts = [d - int(np.argmax(terms[o:o + b]))
+              for o, b, d in zip(block_offsets(sizes), sizes, block_degrees)]
+    return canonical_module(sizes, p, shifts=shifts), gens
+
+
+def graded_pole_sum(pieces, p: int, shift: int = 0) -> Embedding:
+    """Graded sum of the poles whose tableaux have the column groups
+    ``pieces``: the subspace of ``graded_pole_module`` spanned by its
+    generators, all of degree ``shift``."""
+    return Embedding(*graded_pole_module(pieces, p, [shift] * len(pieces)))
 
 
 def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
     """Graded realization of the pole tableau t: the subspace generated by
-    ``pole_generator(t)``, homogeneous of degree ``shift``."""
-    return graded_pole_sum([t], p, shift)
+    ``pole_generator(t.columns)``, homogeneous of degree ``shift``."""
+    return graded_pole_sum([t.columns], p, shift)
 
 
 def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
@@ -579,19 +587,21 @@ def _chain_pole_split(t: LRTableau) -> tuple[LRTableau, LRTableau]:
 def realize_tableau(t: LRTableau, p: int) -> Embedding:
     """One graded module realizing ``t`` as a sum of poles and empty pickets.
 
-    Horizontal strips always succeed: ``split_off_pole`` cuts them into
-    pole tableaux.  Other tableaux are attempted by peeling minimal poles
-    off the partition chain; tableaux with no pole-sum realization at all
-    (they exist) are rejected.  The pieces and the empty leftover columns
-    make one ``graded_pole_sum``, re-verified to have tableau ``t``.
+    Horizontal strips always succeed: ``pole_pieces`` cuts their columns
+    into pole column groups.  Other tableaux are attempted by peeling
+    minimal poles off the partition chain; tableaux with no pole-sum
+    realization at all (they exist) are rejected.  The groups and the
+    empty leftover columns make one ``graded_pole_sum``, re-verified.
     """
-    split = (split_off_pole if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
-             else _chain_pole_split)
-    pieces, rest = [], t
-    while not rest.is_empty():
-        piece, rest = split(rest)
-        pieces.append(piece)
-    E = graded_pole_sum(pieces + [rest], p)
+    if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
+        pieces = pole_pieces(t.columns)
+    else:
+        pieces, rest = [], t
+        while not rest.is_empty():
+            piece, rest = _chain_pole_split(rest)
+            pieces.append(piece.columns)
+        pieces.append(rest.columns)
+    E = graded_pole_sum(pieces, p)
     got = tableau_of_embedding(E)
     if got != t:
         raise ValueError(f"tableau is not a union of pole tableaux: got {got}")

@@ -7,7 +7,8 @@ x_1 + 1, ..., x_k + 1.  Horizontal-strip tableaux decompose into poles
 and empty pickets by repeatedly splitting off the greedy "largest entry,
 then first occurrence rightward" column selection, and a single box move
 refines that decomposition into the five-tableau partition used by the
-witness construction.
+witness construction.  The scans run on plain column lists (``_scan``);
+``pole_pieces`` gives the column groups a strip realization reads.
 """
 
 from __future__ import annotations
@@ -109,15 +110,12 @@ def minimal_ambient(layers: tuple[int, ...]) -> Partition:
 def empty_tableau(beta) -> LRTableau:
     """The tableau with no entries over the ambient ``beta``."""
     beta = pt.partition(sorted(beta, reverse=True))
-    return LRTableau([Column(b, b, ()) for b in beta], alpha=())
+    return LRTableau([Column(b, b, ()) for b in beta])
 
 
 def picket_tableau(p: Picket) -> LRTableau:
     """One column of length n with entries 1..m in the bottom m rows."""
-    return LRTableau(
-        [Column(p.n, p.n - p.m, tuple(range(1, p.m + 1)))],
-        alpha=(p.m,) if p.m else (),
-    )
+    return LRTableau([Column(p.n, p.n - p.m, tuple(range(1, p.m + 1)))])
 
 
 def pole_tableau(p: Pole) -> LRTableau:
@@ -178,33 +176,27 @@ def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:
         raise ValueError(f"pole splitting needs a horizontal strip: {t.shape}")
     if t.is_empty():
         raise ValueError("cannot split an empty tableau")
-    picked, _ = _pick_with_detour(list(t.columns), None, None, None, False, False)
-    rest = [c for i, c in enumerate(t.columns) if i not in picked]
-    extracted = LRTableau([t.columns[i] for i in picked])
-    return extracted, LRTableau(rest, alpha=_alpha_of(rest))
+    work = list(t.columns)
+    picked, _ = next(_scan(work))
+    return LRTableau(picked), LRTableau(work)
 
 
-def _alpha_of(columns) -> Partition:
-    counts = tb.entry_counts(columns)
-    return pt.transpose(counts)
+def pole_pieces(columns) -> list[list[Column]]:
+    """A horizontal strip's columns cut by repeated split-off scans: one
+    group per pole, then the blank columns left over (possibly none)."""
+    work = list(columns)
+    return [group for group, _ in _scan(work)] + [work]
 
 
 def pole_decomposition(t: LRTableau) -> list[ExtendedPole]:
     """Repeated pole splitting; empty leftover columns become empty pickets."""
     if not tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
         raise ValueError(f"pole decomposition needs a horizontal strip: {t.shape}")
-    out: list[ExtendedPole] = []
-    rest = t
-    while not rest.is_empty():
-        extracted, rest = split_off_pole(rest)
-        out.append(ExtendedPole(pole_of_tableau(extracted)))
-    if rest.columns:
-        out.append(ExtendedPole(None, tuple(c.length for c in rest.columns)))
+    *groups, blank = pole_pieces(t.columns)
+    out = [ExtendedPole(pole_of_tableau(LRTableau(g))) for g in groups]
+    if blank:
+        out.append(ExtendedPole(None, tuple(c.length for c in blank)))
     return out
-
-
-def _records_tableau(records: list[Column]) -> LRTableau:
-    return LRTableau(records, alpha=_alpha_of(records))
 
 
 def box_move_pole_partition(
@@ -229,25 +221,17 @@ def box_move_pole_partition(
     work.remove(c_v)
     work.append(cv_t)
     work.sort(key=Column.sort_key)
-    missing_key = c_v.sort_key()
 
     g1 = g2t = None
-    g3_records: list[Column] = []
-
-    while any(c.entries for c in work):
-        indices, flag = _pick_with_detour(
-            work, c_u, cv_t, missing_key, g1 is None, g2t is None
-        )
-        records = [work[i] for i in indices]
-        for i in sorted(indices, reverse=True):
-            del work[i]
+    g3: list[Column] = []
+    for group, flag in _scan(work, c_u, cv_t, c_v.sort_key()):
         if flag == "u":
-            g1 = records
+            g1 = group
         elif flag == "v":
-            g2t = records
+            g2t = group
         else:
-            g3_records.extend(records)
-    g3_records.extend(work)  # leftover empty columns
+            g3.extend(group)
+    g3.extend(work)  # leftover empty columns
 
     if g1 is None or g2t is None:
         raise InvariantViolation("the moved columns were never extracted")
@@ -257,16 +241,32 @@ def box_move_pole_partition(
         out[out.index(old)] = new
         return out
 
-    gamma1 = _records_tableau(g1)
-    gamma1t = _records_tableau(swap(g1, c_u, cu_t))
-    gamma2t = _records_tableau(g2t)
-    gamma2 = _records_tableau(swap(g2t, cv_t, c_v))
-    gamma3 = _records_tableau(g3_records) if g3_records else empty_tableau(())
+    gamma1 = LRTableau(g1)
+    gamma1t = LRTableau(swap(g1, c_u, cu_t))
+    gamma2t = LRTableau(g2t)
+    gamma2 = LRTableau(swap(g2t, cv_t, c_v))
+    gamma3 = LRTableau(g3)
 
     _check_partition_properties(
         t_low, t_high, move, gamma1, gamma2, gamma3, gamma1t, gamma2t
     )
     return gamma1, gamma2, gamma3, gamma1t, gamma2t
+
+
+def _scan(work: list[Column], c_u=None, cv_t=None, missing_key=None):
+    """Repeated split-off scans while ``work`` holds an entry: yields
+    (group, flag) per scan and deletes the group from ``work``, leaving
+    the blank columns.  ``c_u`` and ``cv_t``, when given, stay wanted
+    until a scan flags them (see ``_pick_with_detour``)."""
+    want_u, want_v = c_u is not None, cv_t is not None
+    while any(c.entries for c in work):
+        indices, flag = _pick_with_detour(
+            work, c_u, cv_t, missing_key, want_u, want_v)
+        group = [work[i] for i in indices]
+        for i in sorted(indices, reverse=True):
+            del work[i]
+        want_u, want_v = want_u and flag != "u", want_v and flag != "v"
+        yield group, flag
 
 
 def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
@@ -277,7 +277,7 @@ def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
     When a pick is a still-wanted special column (the first one only),
     the next search starts at the removed column's position instead.
     Returns (indices, flag) with flag in {"u", "v", None}.  With nothing
-    wanted it is the plain scan of ``split_off_pole``.
+    wanted it is the plain scan.
     """
     top = max(c.entries[0] for c in columns if c.entries)
     picked, flag = [], None
@@ -309,8 +309,7 @@ def _check_partition_properties(
             return False
         if any(not c.entries for c in t.columns):
             return False
-        counts = tb.entry_counts(t.columns)
-        return all(c == 1 for c in counts)
+        return len(t.shape.alpha) <= 1  # each entry occurs once
 
     for name, t in (("g1", gamma1), ("g2", gamma2), ("g1t", gamma1t), ("g2t", gamma2t)):
         if not tb.validate(t).ok or not is_extended_pole_strip(t):

@@ -19,6 +19,7 @@ costs them no more than a small one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -124,11 +125,13 @@ class ValidationReport:
 
 
 class LRTableau:
-    """Immutable tableau: canonical column list plus its declared shape."""
+    """Immutable tableau: canonical column list plus its shape, alpha
+    read off the entry counts (which must be nonincreasing); the other LR
+    conditions are left to ``validate``."""
 
     __slots__ = ("columns", "shape", "_chain", "_word", "_hash")
 
-    def __init__(self, columns: Sequence[Column], alpha: Partition | None = None):
+    def __init__(self, columns: Sequence[Column]):
         cols = tuple(sorted(columns, key=Column.sort_key))
         bases = [c.base for c in cols]
         if any(bases[i] < bases[i + 1] for i in range(len(bases) - 1)):
@@ -144,15 +147,11 @@ class LRTableau:
                 f"an entry exceeds the number of entries, {total}: {cols}")
         beta = pt.partition(c.length for c in cols)
         gamma = pt.partition(bases)
-        if alpha is None:
-            counts = entry_counts(cols)
-            if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-                raise ValueError(
-                    f"entry multiplicities {counts} are not a transposed "
-                    "partition; pass alpha explicitly to build anyway"
-                )
-            alpha = pt.transpose(counts)
-        shape = Shape(alpha, beta, gamma)
+        counts = entry_counts(cols)
+        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
+            raise ValueError(
+                f"entry multiplicities {counts} are not a transposed partition")
+        shape = Shape(pt.transpose(counts), beta, gamma)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_chain", None)
@@ -225,18 +224,12 @@ def entry_counts(columns: Sequence[Column]) -> tuple[int, ...]:
 
 
 def validate(t: LRTableau) -> ValidationReport:
-    """Check the entry-count, row-weak, column-strict and lattice conditions."""
+    """Check the column-strict, row-weak and lattice conditions.
+
+    The entry counts need no check: ``LRTableau`` reads alpha off them.
+    """
     v: list[str] = []
     cols = t.columns
-    expected = pt.transpose(t.shape.alpha)
-    counts = entry_counts(cols)
-    top = max(len(expected), len(counts))
-    for ell in range(1, top + 1):
-        want = expected[ell - 1] if ell <= len(expected) else 0
-        got = counts[ell - 1] if ell <= len(counts) else 0
-        if want != got:
-            v.append(f"entry-count: value {ell} occurs {got} times, expected {want}")
-
     for ci, c in enumerate(cols):
         for j in range(len(c.entries) - 1):
             if c.entries[j] >= c.entries[j + 1]:
@@ -254,6 +247,7 @@ def validate(t: LRTableau) -> ValidationReport:
             if e < prev:
                 v.append(f"row-weak: row {r} decreases at column {ci} ({prev}>{e})")
 
+    counts = entry_counts(cols)
     s = len(counts)
     suffix = list(counts)
     for ci, c in enumerate(cols):
@@ -333,6 +327,11 @@ def from_word(shape: Shape, word: Sequence[int]) -> LRTableau:
         raise ValueError(
             f"word length {len(word)} != |alpha| = {pt.weight(shape.alpha)}"
         )
+    want = dict(enumerate(pt.transpose(shape.alpha), 1))
+    got = dict(sorted(Counter(word).items()))
+    if got != want:
+        raise ValueError(f"word has entry counts {got}, but alpha = "
+                         f"{list(shape.alpha)} needs {want}")
     cols = []
     pos = 0
     for length, base in shape.cells():
@@ -340,9 +339,7 @@ def from_word(shape: Shape, word: Sequence[int]) -> LRTableau:
         chunk = word[pos : pos + n]
         pos += n
         cols.append(Column(length, base, tuple(reversed(chunk))))
-    t = LRTableau(cols, alpha=shape.alpha)
-    if t.shape != shape:
-        raise ValueError("word does not fill the declared shape")
+    t = LRTableau(cols)
     report = validate(t)
     if not report.ok:
         raise ValueError(f"word does not define an LR tableau: {report.violations}")
@@ -410,6 +407,6 @@ def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
 
     for _ in fill_column(0):
         cols = [Column(cells[i][0], cells[i][1], acc[i]) for i in range(len(cells))]
-        out.append(LRTableau(cols, alpha=shape.alpha))
+        out.append(LRTableau(cols))
     out.sort(key=reading_word)
     return out

@@ -18,9 +18,8 @@ import numpy as np
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
-from .nilmod import (Embedding, block_offsets, canonical_module, direct_sum,
-                     graded_pole_embedding, pole_generator, realize_tableau,
-                     tableau_of_embedding)
+from .nilmod import (Embedding, block_offsets, direct_sum, graded_pole_embedding,
+                     graded_pole_module, realize_tableau, tableau_of_embedding)
 from .poles import box_move_pole_partition
 from .tableaux import LRTableau
 
@@ -73,8 +72,6 @@ def witness_sequence(
     u, v, r, s = move.u, move.v, move.r, move.s
     d = v - u
 
-    X = graded_pole_embedding(g1, p, shift=d)
-    Z = graded_pole_embedding(g2, p)
     Xt = graded_pole_embedding(g1t, p, shift=d)
     Zt = graded_pole_embedding(g2t, p)
 
@@ -84,17 +81,13 @@ def witness_sequence(
     bzt = [c.length for c in g2t.columns]
     ox, oz = block_offsets(tuple(bx)), block_offsets(tuple(bz))
     oxt, ozt = block_offsets(tuple(bxt)), block_offsets(tuple(bzt))
-    nx, nz = X.B.dim, Z.B.dim
+    nx, nz = sum(bx), sum(bz)
 
-    # middle term: ambient X + Z, subspace from the cross generator
-    Ymod = canonical_module(bx + bz, p, shifts=[X.B.grading[o] for o in ox]
-                            + [Z.B.grading[o] for o in oz])
-    gen1 = np.zeros(nx + nz, dtype=np.int64)
-    gen1[:nx] = pole_generator(g1)
-    gen1[nx + oz[_block_index(g2, s)] + (s - u)] = 1
-    gen2 = np.zeros(nx + nz, dtype=np.int64)
-    gen2[nx:] = pole_generator(g2)
-    Y = Embedding(Ymod, [gen1, gen2])
+    # middle term: the graded poles X (degree d) and Z (degree 0) on one
+    # ambient, the generator of X with the cross term added
+    Ymod, gens = graded_pole_module([g1.columns, g2.columns], p, [d, 0])
+    gens[0, nx + oz[_block_index(g2, s)] + (s - u)] = 1
+    Y = Embedding(Ymod, gens)
 
     # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s
     iota = np.zeros((nx + nz, Xt.B.dim), dtype=np.int64)

@@ -1,5 +1,6 @@
 """Test-only references: the stage-growth ``from_chain``, the two-copy
-split-off scan, the Pole round trip of strip realization, which
+split-off scan, pole pieces split off LRTableau remainders one scan at a
+time, the Pole round trip of strip realization, which
 realizes each piece by the strip-only graded pole of ``nilmod_reference``,
 and the vertical-strip test by transposition.
 
@@ -140,6 +141,24 @@ def pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
             picked.append(nxt2)
             e -= 1
     return picked, flag
+
+
+def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:
+    """One two-copy scan on a strip tableau: the picked columns and the
+    rest, each an LRTableau."""
+    picked, _ = pick_with_detour(list(t.columns), None, None, None, False, False)
+    rest = [c for i, c in enumerate(t.columns) if i not in picked]
+    return LRTableau([t.columns[i] for i in picked]), LRTableau(rest)
+
+
+def pole_pieces(t: LRTableau) -> list[list[Column]]:
+    """Repeated ``split_off_pole`` on LRTableau remainders: the columns of
+    each piece, then the blank columns left over."""
+    pieces, rest = [], t
+    while not rest.is_empty():
+        piece, rest = split_off_pole(rest)
+        pieces.append(list(piece.columns))
+    return pieces + [list(rest.columns)]
 
 
 def realize_strip(t: LRTableau, p: int) -> Embedding:

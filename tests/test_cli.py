@@ -68,6 +68,13 @@ def test_dom2box(capsys):
     assert [2, 3, 1, 2, 1, 1] in data["words"]
 
 
+def test_dom2box_word_with_other_entry_counts_is_bad_input(capsys):
+    # ALGO needs three 1s, two 2s and one 3
+    code = run(["dom2box", ALGO, "--from", "1,3,2,2,2,1", "--to", "2,3,2,1,1,1"])
+    assert code == 2
+    assert "alpha = [3, 2, 1] needs {1: 3, 2: 2, 3: 1}" in capsys.readouterr().err
+
+
 def test_decompose_realize_tableau_round_trip(capsys, tmp_path):
     code, tabs = run_json(capsys, ["enumerate", SMALL])
     tableau_json = json.dumps(tabs["tableaux"][0])

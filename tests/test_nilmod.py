@@ -415,7 +415,7 @@ def test_graded_pole_example():
     ]
     for bad in not_poles:
         with pytest.raises(ValueError):
-            pole_generator(bad)
+            pole_generator(bad.columns)
         with pytest.raises(ValueError):
             graded_pole_embedding(bad, 2)
 
@@ -472,6 +472,19 @@ def test_realize_round_trip_exhaustive_small():
                 E = realize_tableau(t, p)
                 assert tableau_of_embedding(E) == t
                 assert E.to_json() == tableaux_reference.realize_strip(t, p).to_json()
+
+
+def test_strip_realization_builds_one_tableau(monkeypatch):
+    # the pieces stay column groups; the one LRTableau is the re-check's
+    ts = [t for shape in iter_strip_shapes(6) for t in enumerate_tableaux(shape)]
+    built = []
+    init = LRTableau.__init__
+    monkeypatch.setattr(LRTableau, "__init__",
+                        lambda self, cols: built.append(1) or init(self, cols))
+    for t in ts:
+        built.clear()
+        realize_tableau(t, 2)
+        assert len(built) == 1, t
 
 
 def test_realize_non_horizontal_cases():

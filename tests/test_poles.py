@@ -10,8 +10,8 @@ from lrlab.errors import InvariantViolation
 from lrlab.poles import (ExtendedPole, Picket, Pole, _pick_with_detour,
                          box_move_pole_partition,
                          empty_tableau, minimal_ambient, picket_tableau,
-                         pole_decomposition, pole_of_tableau, pole_tableau,
-                         split_off_pole, tableau_union)
+                         pole_decomposition, pole_of_tableau, pole_pieces,
+                         pole_tableau, split_off_pole, tableau_union)
 from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux,
                             is_horizontal_strip, validate)
 
@@ -100,6 +100,15 @@ def test_split_off_errors():
         split_off_pole(not_strip)
 
 
+def test_pole_pieces_match_split_off_reference():
+    # the column scan against splits of LRTableau remainders by the
+    # two-copy scan
+    for shape in iter_strip_shapes(9):
+        for t in enumerate_tableaux(shape):
+            assert pole_pieces(t.columns) == ref.pole_pieces(t), t
+            assert split_off_pole(t) == ref.split_off_pole(t), t
+
+
 def test_decomposition_reassembles_exhaustive():
     for shape in iter_strip_shapes(9):
         for t in enumerate_tableaux(shape):
@@ -127,7 +136,7 @@ def test_decomposition_of_empty_tableau():
     assert len(parts) == 1
     assert parts[0].pole is None
     assert parts[0].empty_pickets == (3, 1)
-    assert pole_decomposition(LRTableau([], alpha=())) == []
+    assert pole_decomposition(LRTableau([])) == []
 
 
 def test_pole_partition_properties_exhaustive():

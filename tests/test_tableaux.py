@@ -42,18 +42,27 @@ def test_validate_reports():
     assert validate(t1).ok
     empty = enumerate_tableaux(Shape((), (3, 1), (3, 1)))[0]
     assert validate(empty).ok
-    bad = LRTableau([Column(3, 1, (2, 2)), Column(1, 0, (1,))], alpha=(2, 1))
+    bad = LRTableau([Column(3, 1, (1, 1)), Column(1, 0, (2,))])
     report = validate(bad)
     assert not report.ok
     assert any("column-strict" in v for v in report.violations)
 
 
-def test_validate_entry_counts():
-    # alpha = (2,) asks for one 1 and one 2, but both entries are 1
-    t = LRTableau([Column(2, 1, (1,)), Column(1, 0, (1,))], alpha=(2,))
-    report = validate(t)
-    assert not report.ok
-    assert any("entry-count" in v for v in report.violations)
+def test_tableau_refuses_counts_of_no_alpha():
+    # one entry 1 but two entries 2: no alpha has these entry counts
+    with pytest.raises(ValueError, match="not a transposed partition"):
+        LRTableau([Column(3, 1, (2, 2)), Column(1, 0, (1,))])
+    t = LRTableau([Column(2, 1, (1,)), Column(1, 0, (1,))])
+    assert t.shape.alpha == (1, 1)
+
+
+def test_from_word_refuses_counts_other_than_alpha():
+    # RUNNING needs entries 1, 1, 2, 2, 3; the counts of the first word
+    # are no transposed partition, those of the second are, but not alpha's
+    for word in [(1, 2, 2, 3, 3), (1, 1, 1, 1, 1)]:
+        with pytest.raises(ValueError, match=r"entry counts \{1: [15].*"
+                           r"alpha = \[3, 2\] needs \{1: 2, 2: 2, 3: 1\}"):
+            from_word(RUNNING, word)
 
 
 def test_column_structure_rejected():
@@ -61,7 +70,7 @@ def test_column_structure_rejected():
         Column(3, 1, (1,))  # not fully filled
     with pytest.raises(ValueError):
         # bases must assemble into a skew diagram
-        LRTableau([Column(4, 1, (1, 2, 3)), Column(3, 3, ())], alpha=(3,))
+        LRTableau([Column(4, 1, (1, 2, 3)), Column(3, 3, ())])
 
 
 def test_strips():
@@ -213,7 +222,7 @@ def brute_force_tableaux(shape: Shape) -> set[LRTableau]:
         if not ok:
             continue
         try:
-            t = LRTableau(cols, alpha=shape.alpha)
+            t = LRTableau(cols)
         except ValueError:
             continue
         if validate(t).ok:
