@@ -9,15 +9,18 @@ ordered by position in block, then by block, T^k B is a tail of the
 coordinates, so one echelon form of T^i A gives d[i][k] = dim(T^k B +
 T^i A) for every k; that layer table yields the type of A, the chain of
 types of B / T^i A and the entry counts.  Hom spaces and realizations
-are exact linear algebra mod p too.  Every pole is realized from its
-tableau by one generator formula (``pole_generator``), and a tableau as
-one graded module with one such generator per pole piece
+are exact linear algebra mod p too; from a source with a cyclic subspace
+a hom space needs no system, only the rank of the target subspace's
+Jordan coordinates outside a set of positions.  Every pole is realized
+from its tableau by one generator formula (``pole_generator``), and a
+tableau as one graded module with one such generator per pole piece
 (``graded_pole_sum``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -235,11 +238,13 @@ class Embedding:
 
     ``span`` is the canonical (rref) row basis of A; the constructor
     closes the given vectors under the action, so they may be just
-    generators.  The layer table (with alpha and the chain), the tableau
-    and the pieces of hom systems are computed on first use and kept.
+    generators.  The layer table (with alpha and the chain), the tableau,
+    the pieces of hom systems and, for a cyclic A, the blocks of its
+    generator are computed on first use and kept.
     """
 
-    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_hom_blocks")
+    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_hom_blocks",
+                 "_generator")
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
@@ -249,6 +254,7 @@ class Embedding:
         self._layers = None
         self._tableau = None
         self._hom_blocks = {}
+        self._generator = None
 
     @property
     def p(self) -> int:
@@ -357,17 +363,31 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
     return at(ell - 1, r) - at(ell, r) - at(ell - 1, r - 1) + at(ell, r - 1)
 
 
+def jordan_coordinates(E: Embedding) -> np.ndarray:
+    """A's basis rows in B's Jordan coordinates (c = a Q^-1), block by
+    block, each block from its generator on."""
+    return (E.span @ _jordan(E.B).inverse) % E.p
+
+
+def coordinate_meet_dim(coords: np.ndarray, outside, p: int) -> int:
+    """dim(A  intersect  U) for the row space A of ``coords`` (independent
+    rows) and U the coordinate subspace on every position not in
+    ``outside``: U is the kernel of the projection onto ``outside``, so
+    the meet has dim A less the rank of A's coordinates there."""
+    return len(coords) - la.rank(coords[:, outside], p)
+
+
 def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
     """dim(A  intersect  T^r B  intersect  ker T^s).
 
     In Jordan coordinates T^r B and ker T^s are the positions at least r
-    and at least b - s in each block of size b, so the intersection is
-    dim A less the rank of A's coordinates at the other positions.
+    and at least b - s in each block of size b, so the intersection is a
+    ``coordinate_meet_dim`` outside the positions below both.
     """
     J = _jordan(E.B)
     outside = [o + j for o, b in zip(block_offsets(J.sizes), J.sizes)
                for j in range(min(max(r, b - s), b))]
-    return E.dim_sub() - la.rank(((E.span @ J.inverse) % E.p)[:, outside], E.p)
+    return coordinate_meet_dim(jordan_coordinates(E), outside, E.p)
 
 
 def direct_sum(*embeddings: Embedding) -> Embedding:
@@ -428,6 +448,55 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     return la.solution_space_dim(M, M.shape[1], E1.p)
 
 
+def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
+    """(b_i, j_i) for every Jordan block i of C's module when A is cyclic,
+    None when A needs two or more generators; kept on C.
+
+    b_i is the block size and j_i the lowest nonzero Jordan coordinate of
+    a generator a of A in that block, or b_i where a vanishes.  A is
+    cyclic when dim A - dim TA <= 1, so A = 0 counts.  In block order T
+    moves every Jordan coordinate one place on, so every vector of TA
+    starts later than the basis row of A that starts first: that row lies
+    outside TA and generates A.
+    """
+    if len(C.alpha) > 1:
+        return None
+    if C._generator is None:
+        sizes = _jordan(C.B).sizes
+        rows = jordan_coordinates(C).tolist()
+        a = min(rows, key=lambda row: _lowest(row, len(row)), default=[0] * C.B.dim)
+        C._generator = tuple((b, _lowest(a[o:o + b], b))
+                             for o, b in zip(block_offsets(sizes), sizes))
+    return C._generator
+
+
+def _lowest(row, empty: int) -> int:
+    return next((j for j, x in enumerate(row) if x), empty)
+
+
+@lru_cache(maxsize=4096)
+def hom_positions(blocks, sizes) -> tuple[int, tuple[int, ...]]:
+    """(base, outside) for a cyclic source C with ``generator_blocks``
+    ``blocks`` and a target E whose Jordan blocks have ``sizes``, in
+    order: dim Hom(C, E) is base plus the ``coordinate_meet_dim`` of E's
+    ``jordan_coordinates`` outside ``outside``.
+
+    A map g is free on the images x_i in ker T^b_i of C's block
+    generators, and g(A_C) <= A_E holds exactly when g(a) lies in A_E.  A
+    polynomial in T with a unit constant term is invertible on ker T^b, so
+    g -> g(a) has image U = sum_i T^j_i ker T^b_i, in a target block of
+    size c the positions from max(j_i, c - b_i + j_i) on.  Hence
+    dim Hom(C, E) = sum_i dim ker T^b_i - |U| + dim(A_E  intersect  U).
+    Kept by these values for the last 4096 pairs.
+    """
+    base, outside = 0, []
+    for o, c in zip(block_offsets(sizes), sizes):
+        start = min([c] + [max(j, c - b + j) for b, j in blocks])
+        base += sum(min(b, c) for b, _ in blocks) - (c - start)
+        outside.extend(range(o, o + start))
+    return base, tuple(outside)
+
+
 def _hom_block(E: Embedding, b: int) -> np.ndarray:
     """k T^j N^T for j < b, the functionals k killing A and N a basis of
     ker T^b: shape (b, codim A, dim ker T^b)."""
@@ -459,9 +528,13 @@ def realize_picket(n: int, m: int, p: int) -> Embedding:
 
 
 def picket_hom_profile(E: Embedding, max_i: int, max_ell: int) -> list[list[int]]:
-    """profile[i][ell-1] = hom_dim(E, P_i^ell) for 0 <= i <= max_i."""
+    """profile[i][ell-1] = hom_dim(E, P_i^ell) for 0 <= i <= max_i, read off
+    the chain: by the adjunction identity it is the sum of min(x, ell)
+    over the parts x of B / T^i A (B itself once T^i A = 0)."""
+    chain = E.chain()
     return [
-        [hom_dim(E, picket_embedding(i, ell, E.p)) for ell in range(1, max_ell + 1)]
+        [sum(min(x, ell) for x in chain[min(i, len(chain) - 1)])
+         for ell in range(1, max_ell + 1)]
         for i in range(max_i + 1)
     ]
 

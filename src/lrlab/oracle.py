@@ -7,19 +7,23 @@ every prime.  It filters the result to the requested subspace and
 quotient types and buckets the survivors by tableau and by
 hom-dimension fingerprint against a catalog of known indecomposables.
 Spans are visited in space_key order, so each class representative is
-its least-keyed member.  Catalogs are built once per argument and kept,
-and each census embedding keeps its side of the hom systems, so one
-fingerprint's catalog queries share it (see ``nilmod.hom_dim``).
+its least-keyed member.  Catalogs are built once per argument and kept.
+A fingerprint solves no system for a catalog object with a cyclic
+subspace (all of the 20-object catalog but X): its hom dimension is read
+off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
+Only the others, X among them, are solved by ``nilmod.hom_dim``.
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
-theorem for arbitrary inputs, so distinct classes with equal
-fingerprints on new shapes would be merged silently.  Pass a richer
-catalog to sharpen the separation.
+theorem for arbitrary inputs, so distinct classes of one tableau with
+equal fingerprints on new shapes would be merged silently (across distinct
+tableaux the census raises, naming a reproducer).  Pass a richer catalog
+to sharpen the separation.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,8 +34,10 @@ import numpy as np
 from . import linalg as la
 from . import partitions as pt
 from .errors import GuardExceeded, InvariantViolation
-from .nilmod import (Embedding, canonical_module, hom_dim, realize_picket,
-                     realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, canonical_module, coordinate_meet_dim,
+                     generator_blocks, hom_dim, hom_positions, jordan_basis,
+                     jordan_coordinates, realize_picket, realize_pole,
+                     tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -94,8 +100,30 @@ def _x_object(p: int) -> Embedding:
 
 
 def iso_fingerprint(E: Embedding, catalog) -> tuple[int, ...]:
-    """hom_dim(C, E) for every catalog object C, in catalog order."""
-    return tuple(hom_dim(C, E) for _, C in catalog)
+    """dim Hom(C, E) for every catalog object C, in catalog order.
+
+    A source C with a cyclic subspace needs no system: its hom dimension
+    is a constant plus the dimension in which A_E meets a coordinate
+    subspace (``nilmod.hom_positions``).  E's Jordan coordinates are read
+    once and ranked once per distinct position set.  A source whose
+    subspace needs two generators (X) is solved by ``nilmod.hom_dim``.
+    """
+    sizes = jordan_basis(E.B)[0]
+    coords = jordan_coordinates(E)
+    meets: dict[tuple[int, ...], int] = {}
+    out = []
+    for _, C in catalog:
+        if C.p != E.p:
+            raise ValueError("embeddings live over different fields")
+        blocks = generator_blocks(C)
+        if blocks is None:
+            out.append(hom_dim(C, E))
+            continue
+        base, outside = hom_positions(blocks, sizes)
+        if outside not in meets:
+            meets[outside] = coordinate_meet_dim(coords, outside, E.p)
+        out.append(base + meets[outside])
+    return tuple(out)
 
 
 @dataclass
@@ -195,8 +223,10 @@ def enumerate_submodules(
             cls.submodule_count += 1
             if cls.tableau != t:
                 raise InvariantViolation(
-                    "fingerprint collision across distinct tableaux"
-                )
+                    f"fingerprint collision across distinct tableaux: shape"
+                    f" {json.dumps(shape.to_json())}, p = {p}, fingerprint"
+                    f" {list(fp)}, chains {cls.tableau.to_json()['chain']}"
+                    f" and {t.to_json()['chain']}")
         else:
             buckets[fp] = CensusClass(fp, t, E, 1)
     classes = sorted(

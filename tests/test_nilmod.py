@@ -11,14 +11,16 @@ from lrlab import linalg as la
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
-                          graded_pole_embedding, hom_dim, invariant_closure,
+                          generator_blocks, graded_pole_embedding, hom_dim,
+                          hom_positions, invariant_closure,
                           invariant_intersection_dim, jordan_basis,
                           jordan_type, mu_entries,
                           picket_embedding, picket_dominance_test,
                           picket_hom_profile, pole_generator, realize_picket,
                           realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.boxmoves import box_successors
-from lrlab.oracle import _distinct_submodules, picket_pole_catalog, s4_catalog
+from lrlab.oracle import (_distinct_submodules, iso_fingerprint,
+                          picket_pole_catalog, s4_catalog)
 from lrlab.partitions import partition
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_tableau, tableau_union)
@@ -143,6 +145,64 @@ def test_invariants_survive_base_change(p):
             G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
             assert hom_dim(F, G) == hom_dim(E, C)
             assert hom_dim(G, F) == hom_dim(C, E) == ref.hom_dim(G, F)
+
+
+def _coordinate_hom_dim(C, E):
+    """dim Hom(C, E) as a census fingerprint reads it, for a cyclic C."""
+    assert generator_blocks(C) is not None
+    return iso_fingerprint(E, [("C", C)])[0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalog_homs_from_coordinates_survive_base_change(p):
+    # every cyclic object of both catalogs as a source, source and target in
+    # general position: a transposed coordinate map would show here
+    rng = np.random.default_rng(50 + p)
+    cat = [E for name, E in s4_catalog(p) + picket_pole_catalog(p, 5) if name != "X"]
+    shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
+    targets = cat + [realize_tableau(t, p) for t in enumerate_tableaux(shape)]
+    for C in cat:
+        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        for t in rng.choice(len(targets), size=2, replace=False):
+            E = targets[t]
+            F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+            assert _coordinate_hom_dim(G, F) == hom_dim(G, F) == hom_dim(C, E)
+
+
+def _random_sizes(rng):
+    return [int(b) for b in rng.integers(1, 5, size=rng.integers(1, 4))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_random_cyclic_sources_match_hom_dim(p):
+    # random generators (not pole generators: several blocks, any lowest
+    # coordinates, sometimes zero) against random targets, both conjugated
+    rng = np.random.default_rng(60 + p)
+    for _ in range(60):
+        sizes = _random_sizes(rng)
+        a = rng.integers(0, p, size=sum(sizes)) * (rng.random(sum(sizes)) < 0.5)
+        C = Embedding(canonical_module(sizes, p), [a])
+        target = _random_sizes(rng)
+        E = Embedding(canonical_module(target, p),
+                      rng.integers(0, p, size=(rng.integers(0, 3), sum(target))))
+        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        assert _coordinate_hom_dim(G, F) == hom_dim(G, F) == ref.hom_dim(C, E)
+        assert _coordinate_hom_dim(C, E) == hom_dim(C, E)
+
+
+def test_generator_blocks():
+    # a = T^2 g1 + g2 + T g2 in N_(4,2,1): lowest coordinates 2, 0 and none
+    C = Embedding(canonical_module((4, 2, 1), 3), [[0, 0, 1, 0, 1, 1, 0]])
+    assert generator_blocks(C) == ((4, 2), (2, 0), (1, 1))
+    assert generator_blocks(C) is generator_blocks(C)  # kept on C
+    assert generator_blocks(Embedding(canonical_module((3, 1), 2), [])) == ((3, 3), (1, 1))
+    X = dict(s4_catalog(2))["X"]
+    two = direct_sum(realize_picket(3, 1, 2), realize_picket(2, 1, 2))
+    assert generator_blocks(X) is generator_blocks(two) is None
+    # in N_(4,1,4), U = T^2 ker T^4 + ker T^2 is positions 2.. of each
+    # size-4 block and the size-1 block; ker T^4, T^2, T have dims 9, 5, 3
+    assert hom_positions(generator_blocks(C), (4, 1, 4)) == (9 + 5 + 3 - 5, (0, 1, 5, 6))
 
 
 JORDAN_TYPES = [(4, 2, 1), (3, 3, 1, 1), (2, 2, 2), (5,), (1, 1, 1), (4, 3, 2, 1),
@@ -373,14 +433,24 @@ def test_hom_field_mismatch():
 
 
 def test_picket_hom_equals_partial_sums():
-    pole = Pole((0, 1, 4), (5, 2))
+    # Hom(E, P_i^ell) is the sum of min(x, ell) over the parts of chain[i];
+    # the profile reads it off the chain.  Checked against solved systems
+    # on both catalogs and realized tableaux, with i and ell one past
+    # alpha_1 and beta_1, where the chain stops growing
+    shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
     for p in (2, 3):
-        E = realize_pole(pole, p)
-        chain = E.chain()
-        for i in range(len(chain)):
-            for ell in range(1, 6):
-                want = sum(min(x, ell) for x in chain[i])
-                assert hom_dim(E, picket_embedding(i, ell, p)) == want
+        objects = [E for _, E in s4_catalog(p) + picket_pole_catalog(p, 5)]
+        objects += [realize_pole(Pole((0, 1, 4), (5, 2)), p)]
+        objects += [realize_tableau(t, p) for t in enumerate_tableaux(shape)]
+        for E in objects:
+            chain = E.chain()
+            max_i, max_ell = len(chain), E.beta[0] + 1
+            want = [[sum(min(x, ell) for x in chain[min(i, len(chain) - 1)])
+                     for ell in range(1, max_ell + 1)] for i in range(max_i + 1)]
+            assert picket_hom_profile(E, max_i, max_ell) == want
+            assert want == [[hom_dim(E, picket_embedding(i, ell, p))
+                             for ell in range(1, max_ell + 1)]
+                            for i in range(max_i + 1)]
 
 
 def test_picket_dominance_agrees_with_tableaux():

@@ -1,4 +1,7 @@
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,7 @@ import oracle_reference as ref
 from conftest import FIVE_CLASS, TWO_CLASS
 from lrlab import linalg as la
 from lrlab import oracle
-from lrlab.errors import GuardExceeded
+from lrlab.errors import GuardExceeded, InvariantViolation
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
                           realize_picket, realize_pole)
 from lrlab.oracle import (_distinct_submodules, enumerate_submodules,
@@ -118,6 +121,76 @@ def test_census_dimension_skip_is_exact(shape, p):
         full.append(span.shape[0] == size)
         assert full[-1] == (Embedding(B, span).alpha == shape.alpha)
     assert any(full) and not all(full)
+
+
+def _census_embeddings(shape, p):
+    """Every embedding the census of ``shape`` over F_p fingerprints."""
+    B = canonical_module(shape.beta, p)
+    for span in _distinct_submodules(B, shape.alpha):
+        E = Embedding(B, span)
+        if E.alpha == shape.alpha and E.gamma == shape.gamma:
+            yield E
+
+
+def _assert_fingerprints_solve_alike(shape, p):
+    cat = s4_catalog(p)
+    count = 0
+    for E in _census_embeddings(shape, p):
+        assert iso_fingerprint(E, cat) == tuple(hom_dim(C, E) for _, C in cat)
+        count += 1
+    assert count
+
+
+@pytest.mark.parametrize("shape,p", [
+    (TWO_CLASS, 2), (FIVE_CLASS, 2), (TWO_CLASS, 3),
+    (Shape((2, 1), (3, 2, 1), (2, 1)), 3),
+    (Shape((2, 2), (4, 2, 1), (3,)), 2),
+    (Shape((2,), (4, 2, 1), (2, 2, 1)), 3),
+], ids=str)
+def test_fingerprints_match_hom_dim_on_census_embeddings(shape, p):
+    _assert_fingerprints_solve_alike(shape, p)
+
+
+@pytest.mark.slow
+def test_fingerprints_match_hom_dim_on_census_pool():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lrbench"))
+    try:
+        from workloads import CENSUS_POOL
+    finally:
+        sys.path.pop(0)
+    assert len(CENSUS_POOL) == 50
+    for shape, p in [(Shape(*raw), p) for raw, p in CENSUS_POOL] + [(FIVE_CLASS, 3)]:
+        _assert_fingerprints_solve_alike(shape, p)
+
+
+def test_fingerprint_solves_only_non_cyclic_sources(monkeypatch):
+    solved = []
+
+    def recording(C, E):
+        solved.append(C)
+        return hom_dim(C, E)
+
+    monkeypatch.setattr(oracle, "hom_dim", recording)
+    cat = s4_catalog(2)
+    two = direct_sum(realize_picket(3, 1, 2), realize_pole(Pole((0, 2), (3, 1)), 2))
+    E = next(_census_embeddings(FIVE_CLASS, 2))
+    fp = iso_fingerprint(E, cat + [("two", two)])
+    assert solved == [dict(cat)["X"], two]
+    assert fp == tuple(hom_dim(C, E) for _, C in cat + [("two", two)])
+    with pytest.raises(ValueError, match="different fields"):
+        iso_fingerprint(E, s4_catalog(3))
+
+
+def test_fingerprint_collision_names_a_reproducer():
+    # one empty picket cannot tell the two tableaux of the published shape apart
+    coarse = [("P^1_0", realize_picket(1, 0, 2))]
+    with pytest.raises(InvariantViolation, match="fingerprint collision") as info:
+        enumerate_submodules(TWO_CLASS, 2, catalog=coarse)
+    message = str(info.value)
+    assert json.dumps(TWO_CLASS.to_json()) in message
+    assert "p = 2" in message and "fingerprint [3]" in message
+    for chain in CENSUS_CLASSES[TWO_CLASS]:
+        assert str([list(c) for c in chain[0]]) in message
 
 
 def test_zero_alpha_census():
