@@ -5,6 +5,12 @@ smaller entry moves up, the columns are re-sorted, and the result is again
 a valid tableau.  The order they generate coincides with dominance when
 the skew diagram is both a horizontal and a vertical strip; the
 ``dom_to_box_*`` functions realize that equivalence constructively.
+
+On a horizontal strip each column holds at most one entry, in its bottom
+row, and the re-sort keeps rows increasing, so a move keeps the shape, the
+columns and the rows; a suffix of the result is one of the source plus at
+most one u and minus at most one v, so ``_moved_columns`` decides the move
+by the lattice comparisons of u - 1 with u and of v with v + 1 alone.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ class BoxMove:
     source_column_v: int
 
     def __post_init__(self):
-        if not (self.u < self.v and self.r > self.s):
-            raise ValueError(f"need u < v and r > s: {self}")
+        if not (self.u < self.v and self.r > self.s
+                and min(self.source_column_u, self.source_column_v) >= 0):
+            raise ValueError(f"need u < v, r > s and nonnegative source columns: {self}")
 
 
 def _require_horizontal(t: LRTableau, what: str) -> None:
@@ -40,46 +47,47 @@ def _require_horizontal(t: LRTableau, what: str) -> None:
         raise ValueError(f"{what} is defined only for horizontal strips: {t.shape}")
 
 
+def _moved_columns(columns: Sequence[Column], move: BoxMove) -> tuple[Column, ...] | None:
+    """The canonical columns after ``move`` on a valid strip, or None if the lattice breaks."""
+    cols = list(columns)
+    for i, e, row in ((move.source_column_u, move.u, move.r),
+                      (move.source_column_v, move.v, move.s)):
+        if cols[i] != Column(row, row - 1, (e,)):
+            raise ValueError(f"column {i} does not hold {e} in row {row}")
+    cols[move.source_column_u] = Column(move.r, move.r - 1, (move.v,))
+    cols[move.source_column_v] = Column(move.s, move.s - 1, (move.u,))
+    cols.sort(key=Column.sort_key)
+    du = dv = 0  # suffix counts of u - 1 minus u and of v minus v + 1
+    for e in (e for c in reversed(cols) for e in c.entries):
+        du += (e == move.u - 1) - (e == move.u)
+        dv += (e == move.v) - (e == move.v + 1)
+        if (move.u > 1 and du < 0) or dv < 0:
+            return None
+    return tuple(cols)
+
+
 def apply_move(t: LRTableau, move: BoxMove) -> LRTableau:
-    """Swap the two entries of ``move`` and re-sort; raises if invalid."""
+    """Swap the two entries of ``move`` in the valid tableau ``t`` and
+    re-sort; raises if the lattice comparisons a move can break fail."""
     _require_horizontal(t, "a box move")
-    cols = list(t.columns)
-    cu, cv = cols[move.source_column_u], cols[move.source_column_v]
-    if cu.entries != (move.u,) or cu.length != move.r:
-        raise ValueError(f"column {move.source_column_u} does not hold {move.u} in row {move.r}")
-    if cv.entries != (move.v,) or cv.length != move.s:
-        raise ValueError(f"column {move.source_column_v} does not hold {move.v} in row {move.s}")
-    cols[move.source_column_u] = Column(cu.length, cu.base, (move.v,))
-    cols[move.source_column_v] = Column(cv.length, cv.base, (move.u,))
-    t2 = LRTableau(cols)
-    report = tb.validate(t2)
-    if not report.ok:
-        raise ValueError(f"move yields an invalid tableau: {report.violations}")
-    return t2
+    cols = _moved_columns(t.columns, move)
+    if cols is None:
+        raise ValueError(f"move {move} breaks the lattice condition")
+    return tb._of_shape(cols, t.shape)
 
 
 def box_successors(t: LRTableau) -> list[tuple[LRTableau, BoxMove]]:
     """All tableaux one box move above ``t``, sorted by reading word."""
     _require_horizontal(t, "box_successors")
-    seen: dict[LRTableau, BoxMove] = {}
-    cols = t.columns
-    for i, ci in enumerate(cols):
-        if not ci.entries:
-            continue
-        u, r = ci.entries[0], ci.length
-        for j, cj in enumerate(cols):
-            if not cj.entries:
-                continue
-            v, s = cj.entries[0], cj.length
-            if not (u < v and r > s):
-                continue
-            move = BoxMove(u, v, r, s, i, j)
-            try:
-                t2 = apply_move(t, move)
-            except ValueError:
-                continue
-            seen.setdefault(t2, move)
-    return sorted(seen.items(), key=lambda pair: tb.reading_word(pair[0]))
+    cells = [(i, c.entries[0], c.length) for i, c in enumerate(t.columns) if c.entries]
+    seen: dict[tuple[Column, ...], BoxMove] = {}
+    for move in (BoxMove(u, v, r, s, i, j) for i, u, r in cells for j, v, s in cells
+                 if u < v and r > s):
+        moved = _moved_columns(t.columns, move)
+        if moved is not None:
+            seen.setdefault(moved, move)
+    return sorted(((tb._of_shape(c, t.shape), m) for c, m in seen.items()),
+                  key=lambda pair: tb.reading_word(pair[0]))
 
 
 def box_leq(t1: LRTableau, t2: LRTableau) -> bool:

@@ -664,7 +664,7 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
     into pole column groups.  Other tableaux are attempted by peeling
     minimal poles off the partition chain; tableaux with no pole-sum
     realization at all (they exist) are rejected.  The groups and the
-    empty leftover columns make one ``graded_pole_sum``, re-verified.
+    empty leftover columns make one ``graded_pole_sum``, re-verified on chains.
     """
     if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
         pieces = pole_pieces(t.columns)
@@ -675,7 +675,8 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
             pieces.append(piece.columns)
         pieces.append(rest.columns)
     E = graded_pole_sum(pieces, p)
-    got = tableau_of_embedding(E)
-    if got != t:
-        raise ValueError(f"tableau is not a union of pole tableaux: got {got}")
+    if E.chain() != t.chain:
+        raise ValueError("tableau is not a union of pole tableaux: got "
+                         f"{tb.from_chain(list(E.chain()))}")
+    E._tableau = t
     return E

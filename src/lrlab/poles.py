@@ -7,8 +7,9 @@ x_1 + 1, ..., x_k + 1.  Horizontal-strip tableaux decompose into poles
 and empty pickets by repeatedly splitting off the greedy "largest entry,
 then first occurrence rightward" column selection, and a single box move
 refines that decomposition into the five-tableau partition used by the
-witness construction.  The scans run on plain column lists (``_scan``);
-``pole_pieces`` gives the column groups a strip realization reads.
+witness construction.  The scans (``_scan``) and the partition's re-check
+run on plain column lists; ``pole_pieces`` gives the column groups a strip
+realization reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import partitions as pt
 from . import tableaux as tb
-from .boxmoves import BoxMove, apply_move, box_successors
+from .boxmoves import BoxMove, _moved_columns, apply_move
 from .errors import InvariantViolation
 from .partitions import Partition
 from .tableaux import Column, LRTableau
@@ -339,17 +340,18 @@ def _check_partition_properties(
     one_column_diff(gamma1, gamma1t, u, s, r)
     one_column_diff(gamma2, gamma2t, v, s, r)
 
-    core_low = tableau_union(gamma1, gamma2)
-    core_high = tableau_union(gamma1t, gamma2t)
-    for t2, mv in box_successors(core_low):
-        if t2 == core_high and (mv.u, mv.v) == (u, v):
-            break
-    else:
+    def union(*parts: LRTableau) -> tuple[Column, ...]:
+        return tuple(sorted((c for t in parts for c in t.columns), key=Column.sort_key))
+
+    # by (1) g1 and g2 read as lattice words, and so does any merge of
+    # them: the core is a valid strip, as the local check needs
+    core = union(gamma1, gamma2)
+    c_u, c_v = Column(r, r - 1, (u,)), Column(s, s - 1, (v,))
+    if c_u not in core or c_v not in core or _moved_columns(core, BoxMove(
+            u, v, r, s, core.index(c_u), core.index(c_v))) != union(gamma1t, gamma2t):
         raise InvariantViolation("property (5): primed unions not one move apart")
 
-    recombined = tableau_union(core_low, gamma3) if gamma3.columns else core_low
-    if recombined != t_low:
+    if union(gamma1, gamma2, gamma3) != t_low.columns:
         raise InvariantViolation("partition does not reassemble the lower tableau")
-    recombined_t = tableau_union(core_high, gamma3) if gamma3.columns else core_high
-    if recombined_t != t_high:
+    if union(gamma1t, gamma2t, gamma3) != t_high.columns:
         raise InvariantViolation("partition does not reassemble the upper tableau")

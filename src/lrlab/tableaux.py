@@ -151,12 +151,12 @@ class LRTableau:
         if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
             raise ValueError(
                 f"entry multiplicities {counts} are not a transposed partition")
-        shape = Shape(pt.transpose(counts), beta, gamma)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_chain", None)
-        object.__setattr__(self, "_word", None)
-        object.__setattr__(self, "_hash", None)
+        self._fill(cols, Shape(pt.transpose(counts), beta, gamma))
+
+    def _fill(self, cols: tuple[Column, ...], shape: Shape) -> LRTableau:
+        for name, value in zip(self.__slots__, (cols, shape, None, None, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LRTableau is immutable")
@@ -203,6 +203,11 @@ class LRTableau:
         if "alpha" in data and t.shape != Shape.from_json(data):
             raise ValueError("tableau does not match the declared shape")
         return t
+
+
+def _of_shape(cols: tuple[Column, ...], shape: Shape) -> LRTableau:
+    """The tableau of canonically ordered columns with their known shape."""
+    return object.__new__(LRTableau)._fill(cols, shape)
 
 
 def _column_from_json(c) -> Column:
@@ -406,7 +411,8 @@ def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
         yield from place(0, 0, [])
 
     for _ in fill_column(0):
-        cols = [Column(cells[i][0], cells[i][1], acc[i]) for i in range(len(cells))]
-        out.append(LRTableau(cols))
+        # row-weak rows already put equal-geometry columns in canonical order
+        cols = tuple(Column(length, base, e) for (length, base), e in zip(cells, acc))
+        out.append(_of_shape(cols, shape))
     out.sort(key=reading_word)
     return out

@@ -6,7 +6,7 @@ import pytest
 from lrlab.oracle import enumerate_submodules
 from lrlab.partitions import partition, partitions_of, weight
 from lrlab.poles import Pole, minimal_ambient
-from lrlab.tableaux import Shape, is_vertical_strip
+from lrlab.tableaux import Shape, enumerate_tableaux, is_vertical_strip
 
 # the two published census shapes over F_2
 TWO_CLASS = Shape((3, 1), (4, 3, 1), (3, 1))
@@ -31,6 +31,13 @@ def pytest_collection_modifyitems(config, items):
 def censuses():
     """The two published censuses, computed once for every test using them."""
     return {shape: enumerate_submodules(shape, 2) for shape in (TWO_CLASS, FIVE_CLASS)}
+
+
+@pytest.fixture(scope="session")
+def strip_tableaux_12():
+    """Every tableau of every horizontal-strip shape with |beta| <= 12
+    (5814 of them), by shape."""
+    return {shape: enumerate_tableaux(shape) for shape in iter_strip_shapes(12)}
 
 
 def horizontal_gammas(beta):

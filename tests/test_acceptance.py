@@ -35,11 +35,6 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number:>2} PASS  {description}")
 
 
-@pytest.fixture(scope="module")
-def strip_tableaux_12():
-    return {shape: enumerate_tableaux(shape) for shape in iter_strip_shapes(12)}
-
-
 def test_criterion_01_enumeration_counts():
     with criterion(1, "published tableau counts"):
         assert len(enumerate_tableaux(RUNNING)) == 2

@@ -4,12 +4,14 @@ import pytest
 
 import boxmoves_reference as ref
 import lrlab.boxmoves as bm
+import lrlab.tableaux as tb
 from conftest import iter_all_shapes, iter_strip_shapes
 from lrlab.boxmoves import (BoxMove, apply_move, box_leq, box_successors,
                             dom_to_box_chain, dom_to_box_step, hasse,
                             relation_matrix)
-from lrlab.tableaux import (Shape, dominance_leq, enumerate_tableaux, from_word,
-                            is_horizontal_strip, reading_word)
+from lrlab.tableaux import (Column, LRTableau, Shape, dominance_leq,
+                            enumerate_tableaux, from_word, is_horizontal_strip,
+                            reading_word)
 
 ALGO = Shape((3, 2, 1), (6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
 RUNNING = Shape((3, 2), (4, 3, 3, 2, 1), (3, 2, 2, 1))
@@ -54,6 +56,52 @@ def test_bad_move_rejected():
         BoxMove(2, 1, 5, 2, 0, 1)  # u must be smaller
     with pytest.raises(ValueError):
         apply_move(low, BoxMove(1, 2, 5, 1, 0, 2))  # wrong source cells
+
+
+def test_negative_source_columns_rejected():
+    # a negative index would silently pick a column counted from the right
+    with pytest.raises(ValueError, match="nonnegative"):
+        BoxMove(1, 2, 5, 1, -3, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BoxMove(1, 2, 5, 1, 0, -1)
+
+
+def _candidate_moves(t):
+    """Every ordered pair of columns holding u < v in rows r > s."""
+    for i, ci in enumerate(t.columns):
+        for j, cj in enumerate(t.columns):
+            if (ci.entries and cj.entries and ci.entries[0] < cj.entries[0]
+                    and ci.length > cj.length):
+                yield BoxMove(ci.entries[0], cj.entries[0], ci.length, cj.length, i, j)
+
+
+def test_local_check_matches_full_validation(strip_tableaux_12):
+    ts = [t for group in strip_tableaux_12.values() for t in group]
+    ts += [t for shape in (RUNNING, ALGO, MID, BIG) for t in enumerate_tableaux(shape)]
+    outcomes = Counter()
+    for t in ts:
+        for move in _candidate_moves(t):
+            try:
+                want = ref.apply_move(t, move)
+            except ValueError:
+                want = None
+            got = bm._moved_columns(t.columns, move)
+            swapped = list(t.columns)
+            swapped[move.source_column_u] = Column(move.r, move.r - 1, (move.v,))
+            swapped[move.source_column_v] = Column(move.s, move.s - 1, (move.u,))
+            resorted = sorted(swapped, key=Column.sort_key) != swapped
+            outcomes[want is not None, resorted] += 1
+            if want is None:
+                assert got is None, (t, move)
+                with pytest.raises(ValueError, match="lattice"):
+                    apply_move(t, move)
+                continue
+            assert got == want.columns, (t, move)
+            moved = apply_move(t, move)
+            assert moved == want and moved.shape == want.shape
+    # (legal, re-sorted after the swap): both outcomes occur on column ties
+    assert outcomes == {(True, False): 1016, (True, True): 59,
+                        (False, False): 296, (False, True): 1}
 
 
 def test_word_algorithm_example():
@@ -196,3 +244,18 @@ def test_box_matrix_expands_each_tableau_once(monkeypatch, count):
     monkeypatch.setattr(bm, "box_successors", counted)
     relation_matrix(nodes, "box")
     assert calls == Counter(reached)
+
+
+def test_moves_build_no_validated_tableau(monkeypatch, strip_tableaux_12):
+    # a move keeps the shape, so its result comes from the known-shape path
+    ts = [t for group in strip_tableaux_12.values() for t in group]
+    monkeypatch.setattr(tb, "validate", lambda t: pytest.fail("validate called"))
+    monkeypatch.setattr(LRTableau, "__init__",
+                        lambda self, cols: pytest.fail("LRTableau built"))
+    results = [(t, t2, move) for t in ts for t2, move in box_successors(t)]
+    assert [apply_move(t, move) for t, _, move in results] == [t2 for _, t2, _ in results]
+    monkeypatch.undo()
+    assert len(results) == 482
+    for t, t2, _ in results:
+        rebuilt = LRTableau(t2.columns)
+        assert rebuilt == t2 and rebuilt.shape == t2.shape and tb.validate(t2).ok

@@ -8,6 +8,7 @@ import nilmod_reference as ref
 import tableaux_reference
 from conftest import TWO_CLASS, iter_all_shapes, iter_strip_shapes, random_pole
 from lrlab import linalg as la
+from lrlab import nilmod
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
@@ -541,11 +542,12 @@ def test_realize_round_trip_exhaustive_small():
             for p in (2, 3):
                 E = realize_tableau(t, p)
                 assert tableau_of_embedding(E) == t
+                assert tb.from_chain(list(E.chain())) == t
                 assert E.to_json() == tableaux_reference.realize_strip(t, p).to_json()
 
 
-def test_strip_realization_builds_one_tableau(monkeypatch):
-    # the pieces stay column groups; the one LRTableau is the re-check's
+def test_strip_realization_builds_no_tableau(monkeypatch):
+    # the pieces stay column groups and the re-check compares chains
     ts = [t for shape in iter_strip_shapes(6) for t in enumerate_tableaux(shape)]
     built = []
     init = LRTableau.__init__
@@ -554,7 +556,15 @@ def test_strip_realization_builds_one_tableau(monkeypatch):
     for t in ts:
         built.clear()
         realize_tableau(t, 2)
-        assert len(built) == 1, t
+        assert not built, t
+
+
+def test_realize_rejects_a_sum_of_another_tableau(monkeypatch):
+    t, other = enumerate_tableaux(TWO_CLASS)
+    wrong = realize_tableau(other, 2)
+    monkeypatch.setattr(nilmod, "graded_pole_sum", lambda pieces, p: wrong)
+    with pytest.raises(ValueError, match="not a union of pole tableaux: got "):
+        realize_tableau(t, 2)
 
 
 def test_realize_non_horizontal_cases():

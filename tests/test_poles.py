@@ -7,13 +7,14 @@ import tableaux_reference as ref
 from conftest import iter_strip_shapes, random_pole
 from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
-from lrlab.poles import (ExtendedPole, Picket, Pole, _pick_with_detour,
-                         box_move_pole_partition,
+import lrlab.tableaux as tb
+from lrlab.poles import (ExtendedPole, Picket, Pole, _check_partition_properties,
+                         _pick_with_detour, box_move_pole_partition,
                          empty_tableau, minimal_ambient, picket_tableau,
                          pole_decomposition, pole_of_tableau, pole_pieces,
                          pole_tableau, split_off_pole, tableau_union)
 from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux,
-                            is_horizontal_strip, validate)
+                            from_word, is_horizontal_strip, validate)
 
 
 def test_picket_tableaux():
@@ -147,6 +148,60 @@ def test_pole_partition_properties_exhaustive():
                 # reassembly is asserted inside; spot-check the interfaces
                 assert pole_of_tableau(g1).layers
                 assert pole_of_tableau(g2t).layers
+
+
+def _edges(max_weight):
+    for shape in iter_strip_shapes(max_weight):
+        for t in enumerate_tableaux(shape):
+            for t2, move in box_successors(t):
+                yield t, t2, move
+
+
+def test_pole_partition_never_rebuilds_from_chains(monkeypatch):
+    edges = list(_edges(10))
+    monkeypatch.setattr(tb, "from_chain", lambda chain: pytest.fail("from_chain called"))
+    for t, t2, move in edges:
+        box_move_pole_partition(t, t2, move)
+
+
+def test_column_unions_match_chain_unions():
+    # the partition check compares sorted column tuples; on these strips
+    # that is the stagewise chain union of ``tableau_union``
+    for t, t2, move in _edges(10):
+        g1, g2, g3, g1t, g2t = box_move_pole_partition(t, t2, move)
+        for parts, whole in (((g1, g2, g3), t), ((g1t, g2t, g3), t2)):
+            core = tableau_union(parts[0], parts[1])
+            assert core == LRTableau(parts[0].columns + parts[1].columns)
+            merged = tableau_union(core, g3) if g3.columns else core
+            assert merged == whole == LRTableau([c for g in parts for c in g.columns])
+
+
+# low = g1 U g2 U g3 and high = g1t U g2t U g3 on one box move (u, v, r, s) =
+# (1, 2, 3, 2); each tamper breaks one checked property of that partition
+EDGE_SHAPE = Shape((2, 1, 1), (3, 2, 1, 1), (2, 1))
+TAMPERS = {
+    r"property \(1\) fails for g1": {"g1": empty_tableau((3,))},
+    r"property \(2\)": {"g3": picket_tableau(Picket(3, 2))},
+    "differ in 0 columns": {"g1t": "g1"},
+    "unexpected lengths": {"g1t": picket_tableau(Picket(1, 1))},
+    r"property \(5\)": {"g1": "g1t", "g2": "g2t", "g1t": "g1", "g2t": "g2"},
+    "lower tableau": {"low": "high"},
+    "upper tableau": {"high": "low"},
+}
+
+
+@pytest.mark.parametrize("message", TAMPERS)
+def test_partition_check_refuses_tampered_pieces(message):
+    low = from_word(EDGE_SHAPE, (1, 2, 1, 1))
+    high = from_word(EDGE_SHAPE, (2, 1, 1, 1))
+    move = next(m for t2, m in box_successors(low) if t2 == high)
+    parts = dict(zip(("g1", "g2", "g3", "g1t", "g2t"),
+                     box_move_pole_partition(low, high, move)), low=low, high=high)
+    assert parts["g3"].columns == (Column(1, 0, (1,)),)
+    tampered = {**parts, **{k: parts.get(v, v) for k, v in TAMPERS[message].items()}}
+    with pytest.raises(InvariantViolation, match=message):
+        _check_partition_properties(tampered["low"], tampered["high"], move, *(
+            tampered[k] for k in ("g1", "g2", "g3", "g1t", "g2t")))
 
 
 def _scan_outcome(scan, *args):

@@ -241,6 +241,14 @@ def test_enumeration_against_brute_force_larger():
         assert set(enumerate_tableaux(shape)) == brute_force_tableaux(shape)
 
 
+def test_enumeration_matches_public_constructor(strip_tableaux_12):
+    # enumerate_tableaux hands its columns and shape to the known-shape path
+    for shape, ts in strip_tableaux_12.items():
+        for t in ts:
+            rebuilt = LRTableau(t.columns)
+            assert rebuilt.columns == t.columns and rebuilt.shape == t.shape == shape
+
+
 def test_enumeration_order_is_lexicographic():
     for shape in iter_strip_shapes(8):
         words = [reading_word(t) for t in enumerate_tableaux(shape)]

@@ -2,9 +2,10 @@ import pytest
 
 from conftest import iter_strip_shapes
 from lrlab.boxmoves import box_successors
+from lrlab.errors import InvariantViolation
 from lrlab.nilmod import tableau_of_embedding
 from lrlab.tableaux import Column, LRTableau, Shape, enumerate_tableaux, from_word
-from lrlab.witness import witness_sequence
+from lrlab.witness import _verify, witness_sequence
 
 
 def nine_column_pair():
@@ -44,6 +45,15 @@ def test_wrong_move_rejected():
     low, high, move = nine_column_pair()
     with pytest.raises(ValueError):
         witness_sequence(high, low, move, 2)
+
+
+def test_verify_compares_both_tableaux():
+    low, high, move = nine_column_pair()
+    ws = witness_sequence(low, high, move, 2)
+    ws.tableau_low, ws.tableau_high = high, low
+    with pytest.raises(InvariantViolation,
+                       match=r"\['middle_tableau', 'end_tableau'\]"):
+        _verify(ws)
 
 
 def test_json_serializable():
