@@ -2,8 +2,6 @@
 prime field, read tableaux back off embeddings, and use hom dimensions
 and invariant intersections as computable order tests."""
 
-import numpy as np
-
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
                           invariant_intersection_dim, jordan_type, mu_entries,
                           picket_embedding, picket_dominance_test,

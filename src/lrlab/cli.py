@@ -5,12 +5,12 @@ as a path to a JSON file, and writes JSON (default), DOT (Hasse
 diagrams) or plain text.  Exit codes: 0 success, 1 verification failure,
 2 bad input, 3 guard exceeded (the census work budget, or memory).
 
-The combinatorial subcommands (``enumerate``, ``orders``, ``hasse``,
-``dom2box``, ``decompose``) load only the pure-Python modules and never
-import numpy.  The numeric ones (``realize``, ``tableau``, ``witness``,
-``hom``, ``profile``, ``oracle``, ``paper-examples``) import ``nilmod``,
-``witness``, ``oracle`` or ``worked_examples``, and with them numpy,
-inside their handlers.
+The package has no runtime dependency.  The combinatorial subcommands
+(``enumerate``, ``orders``, ``hasse``, ``dom2box``, ``decompose``) load
+only the modules they need.  The numeric ones (``realize``, ``tableau``,
+``witness``, ``hom``, ``profile``, ``oracle``, ``paper-examples``) import
+``nilmod``, ``witness``, ``oracle`` or ``worked_examples`` inside their
+handlers, so that start-up stays small.
 """
 
 from __future__ import annotations

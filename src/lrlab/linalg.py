@@ -1,41 +1,33 @@
-"""Dense exact linear algebra over a small prime field.
+"""Dense exact linear algebra over a small prime field, on Python int rows.
 
-Vectors are 1-D numpy int64 arrays with entries in [0, p); a "space" is
-the row space of a 2-D array.  Canonical form is the reduced row echelon
-form with zero rows dropped, which doubles as a dictionary key for
-subspace deduplication.
-
-Elimination runs on Python int rows.  The matrices this package reduces
-are tiny, mostly a few rows by ten columns and seldom beyond a few
-hundred entries, and at that size a numpy call per pivot step costs more
-than the arithmetic.  Callers still get int64 arrays.
+A vector is a tuple of ints in [0, p), a matrix a sequence of rows, and
+a "space" the row space of a matrix.  Canonical form is the reduced row
+echelon form with zero rows dropped, a tuple of row tuples, which is its
+own dictionary key for subspace deduplication.  The matrices this
+package reduces are tiny, mostly a few rows by ten columns and seldom
+beyond a few hundred entries, and the maps it multiplies are shifts,
+permutations and 0/±1 matrices, so products skip zero entries.  Python
+ints never wrap.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
+
+Rows = tuple[tuple[int, ...], ...]
 
 
-def as_mat(rows, width: int | None = None, p: int = 2) -> np.ndarray:
-    """Coerce to a 2-D int64 array reduced mod p."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows.astype(np.int64) % p
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, width if width is not None else 0), dtype=np.int64)
-    return np.array(rows, dtype=np.int64) % p
+def rref(M, p: int) -> tuple[Rows, list[int]]:
+    """Reduced row echelon form over F_p of the rows of M.
 
-
-def _echelon(M: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the reduced row echelon form of M over F_p, as
-    lists of Python ints, and the pivot columns.
-
-    Each pivot row is scaled to a unit pivot and cleared from every other
-    row.  Left of its pivot column a pivot row is zero, so only the
-    columns from there on are touched.  Python ints never wrap.
+    Returns (R, pivots) where R has unit pivots with zeros above and
+    below, zero rows dropped, and pivots lists the pivot columns.  Each
+    pivot row is scaled to a unit pivot and cleared from every other row;
+    left of its pivot column a pivot row is zero, so only the columns from
+    there on are touched.
     """
-    rows = (M.astype(np.int64) % p).tolist()
-    nrows, ncols = M.shape
+    rows = [[x % p for x in row] for row in M]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -60,71 +52,80 @@ def _echelon(M: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
                 other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    return tuple(map(tuple, rows[:r])), pivots
 
 
-def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (R, pivots) where R has unit pivots with zeros above and
-    below, zero rows dropped, and pivots lists the pivot columns.  The
-    elimination runs on Python int rows (see the module docstring); R is
-    one int64 array of shape (rank, columns of M).
-    """
-    rows, pivots = _echelon(M, p)
-    if not rows:
-        return np.zeros((0, M.shape[1]), dtype=np.int64), pivots
-    return np.array(rows, dtype=np.int64), pivots
+def rank(M, p: int) -> int:
+    return len(rref(M, p)[1])
 
 
-def rank(M: np.ndarray, p: int) -> int:
-    return len(_echelon(M, p)[1])
-
-
-def row_space(M: np.ndarray, p: int) -> np.ndarray:
+def row_space(M, p: int) -> Rows:
     return rref(M, p)[0]
 
 
-def space_key(R: np.ndarray) -> bytes:
-    """Hashable key for a canonical (rref) basis."""
-    return R.tobytes() + bytes([R.shape[1] % 251])
+def mul(A, B, p: int) -> Rows:
+    """The rows of A times B over F_p, B's entries in [0, p).  A factor
+    that is the identity costs nothing, nor does a zero entry of A, and a
+    row of A whose one nonzero entry is 1 picks its row of B as it is."""
+    if A == identity(len(B)):
+        return tuple(map(tuple, B))
+    if B == identity(len(B)):
+        return tuple(tuple([x % p for x in a]) for a in A)
+    width = len(B[0]) if B else 0
+    out = []
+    for a in A:
+        terms = [(x, row) for x, row in zip(a, B) if x]
+        if len(terms) == 1 and terms[0][0] == 1:
+            out.append(tuple(terms[0][1]))
+            continue
+        acc = [0] * width
+        for x, row in terms:
+            acc = [s + x * y for s, y in zip(acc, row)]
+        out.append(tuple([s % p for s in acc]))
+    return tuple(out)
 
 
-def reduce_vec(v: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def identity(n: int) -> Rows:
+    return tuple(tuple([0] * i + [1] + [0] * (n - i - 1)) for i in range(n))
+
+
+def reduce_vec(v, R, pivots: list[int], p: int) -> tuple[int, ...]:
     """Residual of v after elimination against the basis R.
 
     R must be in reduced row echelon form with these pivots: each pivot
     column is then a unit vector, so subtracting every row at once,
     scaled by v's pivot entries, equals eliminating one row at a time.
     """
-    v = v.astype(np.int64) % p
-    return (v - v[pivots] @ R) % p
+    out = list(v)
+    for row, c in zip(R, pivots):
+        f = v[c]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple([x % p for x in out])
 
 
-def in_space(v: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> bool:
+def in_space(v, R, pivots: list[int], p: int) -> bool:
     """Whether v lies in the row space of R, which must be rref (see reduce_vec)."""
-    return not reduce_vec(v, R, pivots, p).any()
+    return not any(reduce_vec(v, R, pivots, p))
 
 
-def null_space(M: np.ndarray, p: int) -> np.ndarray:
-    """Basis rows of the right kernel {x : M x = 0}."""
-    R, pivots = rref(M, p)
-    n = M.shape[1]
-    free = [c for c in range(n) if c not in pivots]
+def annihilator(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
+    """The rows e_f - sum_i R[i][f] e_(pivots[i]), one per column f off the
+    pivots, for R rref with these pivots and n columns: a basis of
+    {x : R x = 0}, the functionals that vanish on the row space of R."""
     rows = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(R[i, f])) % p
-        rows.append(v)
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
-    return row_space(np.array(rows, dtype=np.int64), p)
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = 1
+            for row, c in zip(R, pivots):
+                v[c] = -row[f] % p
+            rows.append(v)
+    return rows
 
 
-def solution_space_dim(M: np.ndarray, nunknowns: int, p: int) -> int:
-    """Dimension of {x : M x = 0} for an (equations x unknowns) matrix."""
-    if M.shape[0] == 0:
-        return nunknowns
-    return nunknowns - rank(M, p)
+def null_space(M, p: int) -> Rows:
+    """Canonical basis rows of the right kernel {x : M x = 0}; M has at
+    least one row unless it has no columns."""
+    return row_space(annihilator(*rref(M, p), len(M[0]) if len(M) else 0, p), p)

@@ -19,11 +19,10 @@ tableau as one graded module with one such generator per pole piece
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from . import linalg as la
 from . import partitions as pt
@@ -43,31 +42,40 @@ def _is_prime(n: int) -> bool:
 
 class _Jordan(NamedTuple):
     """A kept Jordan basis Q (see ``jordan_basis``) and its layer order:
-    ``layer`` is Q^-1 with its columns ordered by position in block, then
-    by block; T acts on those coordinates as ``shift``, and T^k B is the
-    coordinates from ``prefix[k]`` on."""
+    ``order`` lists the Jordan coordinates by position in block, then by
+    block; in that order T moves the coordinate at ``shift[k]`` to k (the
+    index one past the end reads 0), and T^k B is the coordinates from
+    ``prefix[k]`` on."""
 
     sizes: tuple[int, ...]
-    Q: np.ndarray
-    inverse: np.ndarray
-    layer: np.ndarray
-    shift: np.ndarray
+    Q: la.Rows
+    inverse: la.Rows
+    order: list[int]
+    shift: tuple[int, ...]
     prefix: list[int]
+
+
+def _rows(M, p: int) -> la.Rows:
+    """Any rows of integers (lists, tuples, arrays) as tuples of ints mod
+    p; tuples already in [0, p) are kept as they are."""
+    return tuple([row if type(row) is tuple and (not row or 0 <= min(row) <= max(row) < p)
+                  else tuple([int(x) % p for x in row]) for row in M])
 
 
 class NilModule:
     """A nilpotent action matrix over F_p, optionally graded.
 
-    The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1):
-    every matrix product in this package sums at most dim terms below
-    p**2, so int64 arithmetic never wraps.  ``basis`` is (block sizes, Q,
+    ``action`` is T as a tuple of rows; T acts on column vectors, so a row
+    vector a maps to the row of T a (``image``).  The prime is bounded by
+    dim * p**2 < 2**63 (dim taken as at least 1), an input contract that
+    Python's unbounded ints no longer need.  ``basis`` is (block sizes, Q,
     Q^-1) for a Jordan basis Q as ``jordan_basis`` returns it; it is
     checked once and kept, and it stands in for the nilpotency check.
     Without it a basis and the kernels of the powers are computed on first
-    use and kept; the action is read-only, so they never go stale.
+    use and kept; the action is immutable, so they never go stale.
     """
 
-    __slots__ = ("p", "dim", "action", "grading", "_jordan", "_kernels")
+    __slots__ = ("p", "dim", "action", "grading", "_images", "_jordan", "_kernels")
 
     def __init__(self, p: int, action, grading=None, basis=None):
         # checked first, since it also keeps the trial division below 2**16
@@ -76,30 +84,32 @@ class NilModule:
                              " need dim * p**2 < 2**63")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        T = la.as_mat(action, p=p)
-        n = T.shape[0]
-        if T.shape != (n, n):
+        T = _rows(action, p)
+        n = len(T)
+        if any(len(row) != n for row in T):
             raise ValueError("action matrix must be square")
         if basis is None:
-            power = np.eye(n, dtype=np.int64)
+            power = la.identity(n)
             for _ in range(n):
-                power = (T @ power) % p
-            if power.any():
+                power = la.mul(T, power, p)
+            if any(map(any, power)):
                 raise ValueError("action matrix is not nilpotent")
+        images = tuple(zip(*T))  # the columns T e_j
         if grading is not None:
             grading = tuple(int(d) for d in grading)
             if len(grading) != n:
                 raise ValueError("grading must assign a degree per basis vector")
             # column-major, so the first offending (i, j) is reported
-            for j, i in zip(*np.nonzero(T.T)):
-                if grading[i] != grading[j] + 1:
-                    raise ValueError(
-                        f"action does not raise degree by one at ({i},{j})")
+            for j, column in enumerate(images):
+                for i, x in enumerate(column):
+                    if x and grading[i] != grading[j] + 1:
+                        raise ValueError(
+                            f"action does not raise degree by one at ({i},{j})")
         self.p = p
         self.dim = n
         self.action = T
-        self.action.setflags(write=False)
         self.grading = grading
+        self._images = images
         self._jordan = None
         self._kernels = {}
         if basis is not None:
@@ -107,30 +117,33 @@ class NilModule:
 
     def _keep_basis(self, sizes, Q, inverse) -> None:
         """Keep Q with its layer order once it is checked to be a Jordan
-        basis with these block sizes and this inverse (int64 arrays)."""
+        basis with these block sizes and this inverse."""
         sizes, n, p = tuple(sizes), self.dim, self.p
+        Q, inverse = _rows(Q, p), _rows(inverse, p)
         fits = (all(b > 0 for b in sizes) and sum(sizes) == n
-                and Q.shape == inverse.shape == (n, n))
-        J = _shift(sizes) if fits else None
-        if (not fits or ((Q @ inverse) % p != np.eye(n, dtype=np.int64)).any()
-                or ((Q @ self.action.T - J @ Q) % p).any()):
+                and len(Q) == len(inverse) == n
+                and all(len(row) == n for row in Q + inverse))
+        if (not fits or la.mul(Q, inverse, p) != la.identity(n)
+                or self.image(Q) != la.mul(_shift(sizes), Q, p)):
             raise InvariantViolation(
                 f"not a Jordan basis with blocks {sizes} of this module")
-        top = max(sizes, default=0)
-        order = [o + j for j in range(top)
-                 for o, b in zip(block_offsets(sizes), sizes) if j < b]
-        Q.setflags(write=False)
-        inverse.setflags(write=False)
-        self._jordan = _Jordan(sizes, Q, inverse, inverse[:, order],
-                               J[np.ix_(order, order)],
+        top, offsets = max(sizes, default=0), block_offsets(sizes)
+        order = [o + j for j in range(top) for o, b in zip(offsets, sizes) if j < b]
+        at = {q: k for k, q in enumerate(order)}
+        self._jordan = _Jordan(sizes, Q, inverse, order,
+                               tuple(n if q in offsets else at[q - 1] for q in order),
                                [sum(min(b, k) for b in sizes) for k in range(top + 1)])
 
-    def kernel(self, k: int) -> np.ndarray:
+    def image(self, rows) -> la.Rows:
+        """The rows of T a for the row vectors a in ``rows``."""
+        return la.mul(rows, self._images, self.p)
+
+    def kernel(self, k: int) -> la.Rows:
         """Canonical (rref) row basis of ker T^k."""
         if k not in self._kernels:
-            power = np.eye(self.dim, dtype=np.int64)
+            power = la.identity(self.dim)
             for _ in range(min(k, self.dim)):  # T^dim = 0
-                power = (self.action @ power) % self.p
+                power = la.mul(self.action, power, self.p)
             self._kernels[k] = la.null_space(power, self.p)
         return self._kernels[k]
 
@@ -147,17 +160,17 @@ def canonical_module(sizes, p: int, shifts=None) -> NilModule:
         raise ValueError(f"block sizes must be positive, got {sizes}")
     grading = (None if shifts is None
                else [d + j for d, b in zip(shifts, sizes) for j in range(b)])
-    J = _shift(sizes)
-    identity = np.eye(len(J), dtype=np.int64)
-    return NilModule(p, J.T, grading, basis=(sizes, identity, identity))
+    identity = la.identity(sum(sizes))
+    return NilModule(p, tuple(zip(*_shift(sizes))), grading,
+                     basis=(sizes, identity, identity))
 
 
-def _shift(sizes) -> np.ndarray:
+def _shift(sizes) -> la.Rows:
     """The action c -> c J on Jordan coordinates in block order: each
     coordinate moves one position on in its block, the last one out."""
-    J = np.eye(sum(sizes), k=1, dtype=np.int64)
-    J[np.cumsum(sizes, dtype=np.int64) - 1] = 0
-    return J
+    n, ends = sum(sizes), {o + b - 1 for o, b in zip(block_offsets(sizes), sizes)}
+    I, zero = la.identity(n), (0,) * n
+    return tuple(zero if i in ends else I[i + 1] for i in range(n))
 
 
 def block_offsets(beta: Partition) -> list[int]:
@@ -172,7 +185,7 @@ def jordan_type(M: NilModule) -> Partition:
     return tuple(sorted(jordan_basis(M)[0], reverse=True))
 
 
-def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], np.ndarray]:
+def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], la.Rows]:
     """Block sizes and a Jordan basis Q of M, kept on M.
 
     The rows of Q are g_1, T g_1, ..., g_2, T g_2, ..., so a = c Q gives
@@ -184,25 +197,23 @@ def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], np.ndarray]:
     ker T^l / ker T^(l-1).
     """
     if M._jordan is None:
-        p, T = M.p, M.action
+        p = M.p
         top = 0
-        while M.kernel(top).shape[0] < M.dim:
+        while len(M.kernel(top)) < M.dim:
             top += 1
-        sizes, rows = [], []
+        sizes, Q = [], []
         for b in range(top, 0, -1):
-            lower, pivots = la.rref(np.vstack(
-                [M.kernel(b - 1), (M.kernel(b + 1) @ T.T) % p]), p)
-            kernel = M.kernel(b)
-            gens = la.row_space((kernel - kernel[:, pivots] @ lower) % p, p)
+            lower, pivots = la.rref(M.kernel(b - 1) + M.image(M.kernel(b + 1)), p)
+            gens = la.row_space(
+                [la.reduce_vec(v, lower, pivots, p) for v in M.kernel(b)], p)
             for g in gens:
                 sizes.append(b)
                 for _ in range(b):
-                    rows.append(g)
-                    g = (T @ g) % p
-        Q = np.array(rows, dtype=np.int64).reshape(M.dim, M.dim)
+                    Q.append(g)
+                    (g,) = M.image([g])
         # [Q | I] reduces to [I | Q^-1]
-        R, _ = la.rref(np.hstack([Q, np.eye(M.dim, dtype=np.int64)]), p)
-        M._keep_basis(sizes, Q, R[:, M.dim:])
+        R, _ = la.rref([q + e for q, e in zip(Q, la.identity(M.dim))], p)
+        M._keep_basis(sizes, Q, [row[M.dim:] for row in R])
     return M._jordan.sizes, M._jordan.Q
 
 
@@ -212,7 +223,7 @@ def _jordan(M: NilModule) -> _Jordan:
     return M._jordan
 
 
-def invariant_closure(B: NilModule, vectors) -> tuple[np.ndarray, list[int]]:
+def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int]]:
     """Canonical (rref) basis and pivots of the smallest invariant
     subspace of B containing ``vectors``.
 
@@ -221,22 +232,22 @@ def invariant_closure(B: NilModule, vectors) -> tuple[np.ndarray, list[int]]:
     a span that is already invariant costs one ``rref``.
     """
     p = B.p
-    rows = la.as_mat(vectors, width=B.dim, p=p)
-    if rows.shape[0] and rows.shape[1] != B.dim:
+    rows = _rows(vectors, p)
+    if any(len(row) != B.dim for row in rows):
         raise ValueError("subspace vectors have the wrong length")
     span, pivots = la.rref(rows, p)
     while True:
-        img = (span @ B.action.T) % p
-        residue = (img - img[:, pivots] @ span) % p
-        if not residue.any():
+        residue = tuple(la.reduce_vec(v, span, pivots, p) for v in B.image(span))
+        if not any(map(any, residue)):
             return span, pivots
-        span, pivots = la.rref(np.vstack([span, residue]), p)
+        span, pivots = la.rref(span + residue, p)
 
 
 class Embedding:
     """An invariant subspace A inside the module B.
 
-    ``span`` is the canonical (rref) row basis of A; the constructor
+    ``span`` is the canonical (rref) row basis of A, a tuple of row
+    tuples and so its own dictionary key; the constructor
     closes the given vectors under the action, so they may be just
     generators.  The layer table (with alpha and the chain), the tableau,
     the pieces of hom systems and, for a cyclic A, the blocks of its
@@ -248,9 +259,7 @@ class Embedding:
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
-        span, self._pivots = invariant_closure(B, vectors)
-        self.span = span
-        self.span.setflags(write=False)
+        self.span, self._pivots = invariant_closure(B, vectors)
         self._layers = None
         self._tableau = None
         self._hom_blocks = {}
@@ -261,7 +270,7 @@ class Embedding:
         return self.B.p
 
     def dim_sub(self) -> int:
-        return self.span.shape[0]
+        return len(self.span)
 
     def _table(self):
         """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
@@ -274,13 +283,13 @@ class Embedding:
         """
         if self._layers is None:
             J, p, n = _jordan(self.B), self.p, self.B.dim
-            C = (self.span @ J.layer) % p
+            C = [[c[q] for q in J.order] for c in jordan_coordinates(self)]
             dims, table = [], []
-            while C.any():
+            while any(map(any, C)):
                 R, pivots = la.rref(C, p)
                 dims.append(len(pivots))
                 table.append(tuple(n - s + bisect_left(pivots, s) for s in J.prefix))
-                C = R @ J.shift  # moves entries, so they stay below p
+                C = [[row[s] for s in J.shift] for row in (r + (0,) for r in R)]
             dims.append(0)
             table.append(tuple(n - s for s in J.prefix))
             chain = tuple(_type_from_ranks([x - a for x in row])
@@ -304,15 +313,14 @@ class Embedding:
         return jordan_type(self.B)
 
     def contains(self, v) -> bool:
-        R, pivots = self.span, self._pivots
-        return la.in_space(np.asarray(v, dtype=np.int64), R, pivots, self.p)
+        return la.in_space(v, self.span, self._pivots, self.p)
 
     def to_json(self) -> dict:
         data = {
             "p": self.p,
             "beta": list(self.beta),
-            "T": self.B.action.tolist(),
-            "A_span": self.span.tolist(),
+            "T": [list(row) for row in self.B.action],
+            "A_span": [list(row) for row in self.span],
         }
         if self.B.grading is not None:
             data["grading"] = list(self.B.grading)
@@ -363,18 +371,18 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
     return at(ell - 1, r) - at(ell, r) - at(ell - 1, r - 1) + at(ell, r - 1)
 
 
-def jordan_coordinates(E: Embedding) -> np.ndarray:
+def jordan_coordinates(E: Embedding) -> la.Rows:
     """A's basis rows in B's Jordan coordinates (c = a Q^-1), block by
     block, each block from its generator on."""
-    return (E.span @ _jordan(E.B).inverse) % E.p
+    return la.mul(E.span, _jordan(E.B).inverse, E.p)
 
 
-def coordinate_meet_dim(coords: np.ndarray, outside, p: int) -> int:
+def coordinate_meet_dim(coords, outside, p: int) -> int:
     """dim(A  intersect  U) for the row space A of ``coords`` (independent
     rows) and U the coordinate subspace on every position not in
     ``outside``: U is the kernel of the projection onto ``outside``, so
     the meet has dim A less the rank of A's coordinates there."""
-    return len(coords) - la.rank(coords[:, outside], p)
+    return len(coords) - la.rank([[c[i] for i in outside] for c in coords], p)
 
 
 def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
@@ -399,22 +407,19 @@ def direct_sum(*embeddings: Embedding) -> Embedding:
     if any(e.p != p for e in embeddings):
         raise ValueError("summands live over different fields")
     total = sum(e.B.dim for e in embeddings)
-    T, Q, inverse = (np.zeros((total, total), dtype=np.int64) for _ in range(3))
-    sizes, spans, off = [], [], 0
+    T, Q, inverse, spans = [], [], [], []
+    sizes, off = [], 0
     for e in embeddings:
         J = _jordan(e.B)
-        block = slice(off, off + e.B.dim)
-        T[block, block] = e.B.action
-        Q[block, block] = J.Q
-        inverse[block, block] = J.inverse
+        left, right = (0,) * off, (0,) * (total - off - e.B.dim)
+        for out, rows in zip((T, Q, inverse, spans),
+                             (e.B.action, J.Q, J.inverse, e.span)):
+            out.extend(left + row + right for row in rows)
         sizes.extend(J.sizes)
-        spans.append(np.zeros((e.dim_sub(), total), dtype=np.int64))
-        spans[-1][:, block] = e.span
         off += e.B.dim
     gradings = (None if any(e.B.grading is None for e in embeddings)
                 else [d for e in embeddings for d in e.B.grading])
-    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)),
-                     np.vstack(spans))
+    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)), spans)
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
@@ -435,17 +440,16 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     J = _jordan(E1.B)
     if not J.sizes:
         return 0
-    coords = (E1.span @ J.inverse) % E1.p  # c = a Q^-1 for every row a of A1
-    blocks, off = [], 0
-    for b in J.sizes:
-        KTN = _hom_block(E2, b)
-        _, codim, n = KTN.shape
-        # row (c, k) of this block: sum_j c[off + j] (k T2^j N^T)
-        terms = coords[:, off:off + b] @ KTN.reshape(b, codim * n)
-        blocks.append(terms.reshape(len(coords) * codim, n))
-        off += b
-    M = np.hstack(blocks) % E1.p
-    return la.solution_space_dim(M, M.shape[1], E1.p)
+    coords = jordan_coordinates(E1)  # c = a Q^-1 for every row a of A1
+    codim = E2.B.dim - E2.dim_sub()
+    blocks = []
+    for o, b in zip(block_offsets(J.sizes), J.sizes):
+        KTN, n = _hom_block(E2, b)
+        # row (c, k) of this block: sum_j c[o + j] (k T2^j N^T)
+        blocks.append((n, la.mul([c[o:o + b] for c in coords], KTN, E1.p)))
+    M = [[x for n, terms in blocks for x in terms[i][k * n:(k + 1) * n]]
+         for i in range(len(coords)) for k in range(codim)]
+    return sum(n for n, _ in blocks) - la.rank(M, E1.p)
 
 
 def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
@@ -463,8 +467,8 @@ def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
         return None
     if C._generator is None:
         sizes = _jordan(C.B).sizes
-        rows = jordan_coordinates(C).tolist()
-        a = min(rows, key=lambda row: _lowest(row, len(row)), default=[0] * C.B.dim)
+        a = min(jordan_coordinates(C), key=lambda row: _lowest(row, len(row)),
+                default=(0,) * C.B.dim)
         C._generator = tuple((b, _lowest(a[o:o + b], b))
                              for o, b in zip(block_offsets(sizes), sizes))
     return C._generator
@@ -497,21 +501,19 @@ def hom_positions(blocks, sizes) -> tuple[int, tuple[int, ...]]:
     return base, tuple(outside)
 
 
-def _hom_block(E: Embedding, b: int) -> np.ndarray:
+def _hom_block(E: Embedding, b: int) -> tuple[la.Rows, int]:
     """k T^j N^T for j < b, the functionals k killing A and N a basis of
-    ker T^b: shape (b, codim A, dim ker T^b)."""
+    ker T^b, as one row per j holding k T^j v at k * n + (index of v in
+    N), and n = dim ker T^b."""
     if b not in E._hom_blocks:
         B, p = E.B, E.p
-        # the nonzero rows of killer are functionals whose common kernel is A
-        killer = np.eye(B.dim, dtype=np.int64)
-        killer[:, E._pivots] -= E.span.T
-        K = killer[killer.any(axis=1)] % p
-        TN = B.kernel(b).T
+        K = la.annihilator(E.span, E._pivots, B.dim, p)
+        TN = N = B.kernel(b)  # rows T^j v for the rows v of N
         out = []
         for _ in range(b):
-            out.append((K @ TN) % p)
-            TN = (B.action @ TN) % p
-        E._hom_blocks[b] = np.array(out)
+            out.append(tuple([sum(map(operator.mul, k, v)) % p for k in K for v in TN]))
+            TN = B.image(TN)
+        E._hom_blocks[b] = tuple(out), len(N)
     return E._hom_blocks[b]
 
 
@@ -551,7 +553,7 @@ def picket_dominance_test(E1: Embedding, E2: Embedding) -> bool:
     return all(a <= b for r1, r2 in zip(p1, p2) for a, b in zip(r1, r2))
 
 
-def pole_generator(columns) -> np.ndarray:
+def pole_generator(columns) -> list[int]:
     """Coordinates of the generator a of the pole whose tableau has these
     columns, in their blocks taken in order.
 
@@ -563,7 +565,7 @@ def pole_generator(columns) -> np.ndarray:
     entries = sorted(e for c in columns for e in c.entries)
     if entries != list(range(1, len(entries) + 1)):
         raise ValueError(f"entries {entries} are not 1..k, each once")
-    a = np.zeros(sum(c.length for c in columns), dtype=np.int64)
+    a = [0] * sum(c.length for c in columns)
     off = 0
     for c in columns:
         if c.entries:
@@ -577,23 +579,21 @@ def pole_generator(columns) -> np.ndarray:
     return a
 
 
-def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, np.ndarray]:
+def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, list[list[int]]]:
     """Module and generator rows of the graded poles whose tableaux have
     the column groups ``pieces``: their columns in order, one
     ``pole_generator`` row per piece, of degree ``degrees[i]``."""
     sizes = [c.length for cols in pieces for c in cols]
-    gens = np.zeros((len(pieces), sum(sizes)), dtype=np.int64)
-    off = 0
-    for row, cols in zip(gens, pieces):
+    gens, shifts, off = [], [], 0
+    for cols, d in zip(pieces, degrees):
         a = pole_generator(cols)
-        row[off:off + len(a)] = a
+        gens.append([0] * off + a + [0] * (sum(sizes) - off - len(a)))
+        # a term T^c g^b, the block's only nonzero at index c, puts g^b in
+        # degree d - c; an empty block sits in degree d
+        lengths = [c.length for c in cols]
+        shifts += [d - _lowest(a[o:o + b], 0)
+                   for o, b in zip(block_offsets(lengths), lengths)]
         off += len(a)
-    # a term T^c g^b, the block's only nonzero at index c, puts g^b in
-    # degree d - c; an empty block (argmax 0) sits in degree d
-    terms = gens.sum(axis=0)
-    block_degrees = [d for cols, d in zip(pieces, degrees) for _ in cols]
-    shifts = [d - int(np.argmax(terms[o:o + b]))
-              for o, b, d in zip(block_offsets(sizes), sizes, block_degrees)]
     return canonical_module(sizes, p, shifts=shifts), gens
 
 

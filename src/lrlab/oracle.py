@@ -6,8 +6,9 @@ deduplicating by reduced row echelon form after each; one path serves
 every prime.  It filters the result to the requested subspace and
 quotient types and buckets the survivors by tableau and by
 hom-dimension fingerprint against a catalog of known indecomposables.
-Spans are visited in space_key order, so each class representative is
-its least-keyed member.  Catalogs are built once per argument and kept.
+Spans are visited in the order of their row tuples, so each class
+representative is its least member.  Catalogs are built once per
+argument and kept.
 A fingerprint solves no system for a catalog object with a cyclic
 subspace (all of the 20-object catalog but X): its hom dimension is read
 off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
@@ -28,8 +29,6 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
 
 from . import linalg as la
 from . import partitions as pt
@@ -91,12 +90,8 @@ def _x_object(p: int) -> Embedding:
     """Ambient N_(4,2); subspace generated by T x + y and T y, where x, y
     generate the two blocks."""
     module = canonical_module((4, 2), p, shifts=[0, 1])
-    g1 = np.zeros(6, dtype=np.int64)
-    g1[1] = 1  # T x
-    g1[4] = 1  # y
-    g2 = np.zeros(6, dtype=np.int64)
-    g2[5] = 1  # T y
-    return Embedding(module, [g1, g2])
+    # x, T x, T^2 x, T^3 x, y, T y
+    return Embedding(module, [[0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]])
 
 
 def iso_fingerprint(E: Embedding, catalog) -> tuple[int, ...]:
@@ -209,7 +204,7 @@ def enumerate_submodules(
     for span in spans:
         # a span of generators v_i in ker T^alpha_i has dimension |alpha|
         # exactly when their orbits form a basis, and then its type is alpha
-        if span.shape[0] != size:
+        if len(span) != size:
             continue
         E = Embedding(B, span)
         if E.alpha != shape.alpha or E.gamma != shape.gamma:
@@ -259,9 +254,9 @@ def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
     return tuple(catalog)
 
 
-def _distinct_submodules(B, alpha) -> list[np.ndarray]:
+def _distinct_submodules(B, alpha) -> list[la.Rows]:
     """Canonical bases of the distinct invariant subspaces generated by
-    tuples with the i-th generator inside ker T^alpha_i, in space_key order.
+    tuples with the i-th generator inside ker T^alpha_i, sorted.
 
     The search adds one generator per part of alpha and deduplicates after
     each.  For an invariant span S and v in ker T^a, the closure of S and v
@@ -269,24 +264,21 @@ def _distinct_submodules(B, alpha) -> list[np.ndarray]:
     line through the residue of v modulo S; so each level closes S with one
     vector per line of the residue space of the kernel.
     """
-    p, n = B.p, B.dim
-    zero = np.zeros((0, n), dtype=np.int64)
-    level = {la.space_key(zero): (zero, [])}
+    p = B.p
+    level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots
     for a in alpha:
         kernel = B.kernel(a)
-        grown: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for S, pivots in level.values():
-            grown.setdefault(la.space_key(S), (S, pivots))
-            W = la.row_space((kernel - kernel[:, pivots] @ S) % p, p)
-            r = W.shape[0]
+        grown: dict[la.Rows, list[int]] = {}
+        for S, pivots in level.items():
+            grown.setdefault(S, pivots)
+            W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
             # one residue per line: first nonzero coordinate over W is 1
-            for j in range(r):
-                for tail in product(range(p), repeat=r - 1 - j):
-                    v = W[j] + np.array(tail, dtype=np.int64) @ W[j + 1:]
-                    orbit = [S, v % p]
+            for j in range(len(W)):
+                for tail in product(range(p), repeat=len(W) - 1 - j):
+                    orbit = la.mul([(1,) + tail], W[j:], p)
                     for _ in range(a - 1):
-                        orbit.append((B.action @ orbit[-1]) % p)
-                    R, R_pivots = la.rref(np.vstack(orbit), p)
-                    grown.setdefault(la.space_key(R), (R, R_pivots))
+                        orbit += B.image(orbit[-1:])
+                    R, R_pivots = la.rref(S + orbit, p)
+                    grown.setdefault(R, R_pivots)
         level = grown
-    return [level[key][0] for key in sorted(level)]
+    return sorted(level)

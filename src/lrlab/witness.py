@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
@@ -31,8 +29,8 @@ class WitnessSequence:
     xt: Embedding
     y: Embedding
     zt: Embedding
-    iota: np.ndarray
-    pi: np.ndarray
+    iota: list[list[int]]
+    pi: list[list[int]]
     move: BoxMove
     tableau_low: LRTableau
     tableau_high: LRTableau
@@ -45,8 +43,8 @@ class WitnessSequence:
             "Xt": self.xt.to_json(),
             "Y": self.y.to_json(),
             "Zt": self.zt.to_json(),
-            "iota": self.iota.tolist(),
-            "pi": self.pi.tolist(),
+            "iota": [list(row) for row in self.iota],
+            "pi": [list(row) for row in self.pi],
             "tableau_low": self.tableau_low.to_json(),
             "tableau_high": self.tableau_high.to_json(),
             "report": self.report,
@@ -86,82 +84,78 @@ def witness_sequence(
     # middle term: the graded poles X (degree d) and Z (degree 0) on one
     # ambient, the generator of X with the cross term added
     Ymod, gens = graded_pole_module([g1.columns, g2.columns], p, [d, 0])
-    gens[0, nx + oz[_block_index(g2, s)] + (s - u)] = 1
+    gens[0][nx + oz[_block_index(g2, s)] + (s - u)] = 1
     Y = Embedding(Ymod, gens)
 
     # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s
-    iota = np.zeros((nx + nz, Xt.B.dim), dtype=np.int64)
+    iota = [[0] * Xt.B.dim for _ in range(nx + nz)]
     ir = _block_index(g1, r)
     for bi, ell in enumerate(bxt):
         for j in range(ell):
             col = oxt[bi] + j
             if ell == s:
-                iota[ox[ir] + j + (r - s), col] = 1
-                iota[nx + oz[_block_index(g2, s)] + j, col] = 1
+                iota[ox[ir] + j + (r - s)][col] = 1
+                iota[nx + oz[_block_index(g2, s)] + j][col] = 1
             else:
-                iota[ox[_block_index(g1, ell)] + j, col] = 1
+                iota[ox[_block_index(g1, ell)] + j][col] = 1
 
     # pi: kill X except its length-r block (with a sign), embed Z
-    pi = np.zeros((Zt.B.dim, nx + nz), dtype=np.int64)
+    pi = [[0] * (nx + nz) for _ in range(Zt.B.dim)]
     irt = _block_index(g2t, r)
     for bi, ell in enumerate(bx):
         if ell != r:
             continue
         for j in range(ell):
-            pi[ozt[irt] + j, ox[bi] + j] = (-1) % p
+            pi[ozt[irt] + j][ox[bi] + j] = (-1) % p
     for bi, ell in enumerate(bz):
         for j in range(ell):
             col = nx + oz[bi] + j
             if ell == s:
-                pi[ozt[irt] + j + (r - s), col] = 1
+                pi[ozt[irt] + j + (r - s)][col] = 1
             else:
-                pi[ozt[_block_index(g2t, ell)] + j, col] = 1
+                pi[ozt[_block_index(g2t, ell)] + j][col] = 1
 
     xt_full, y_full = Xt, Y
     if g3.columns:
         U = realize_tableau(g3, p)
         xt_full = direct_sum(Xt, U)
         y_full = direct_sum(Y, U)
-        ni, mi = iota.shape
-        iota_full = np.zeros((ni + U.B.dim, mi + U.B.dim), dtype=np.int64)
-        iota_full[:ni, :mi] = iota
-        iota_full[ni:, mi:] = np.eye(U.B.dim, dtype=np.int64)
-        iota = iota_full
-        pi = np.hstack([pi, np.zeros((pi.shape[0], U.B.dim), dtype=np.int64)])
+        pad = [0] * U.B.dim
+        iota = ([row + pad for row in iota]
+                + [[0] * Xt.B.dim + list(e) for e in la.identity(U.B.dim)])
+        pi = [row + pad for row in pi]
 
     ws = WitnessSequence(xt_full, y_full, Zt, iota, pi, move, t_low, t_high)
     _verify(ws)
     return ws
 
 
-def _degree_zero(mat: np.ndarray, gto, gfrom) -> bool:
-    rows, cols = np.nonzero(mat)
-    return all(gto[i] == gfrom[j] for i, j in zip(rows, cols))
+def _degree_zero(mat, gto, gfrom) -> bool:
+    return all(gto[i] == gfrom[j]
+               for i, row in enumerate(mat) for j, x in enumerate(row) if x)
 
 
 def _verify(ws: WitnessSequence) -> None:
     p = ws.y.p
     xt, y, zt = ws.xt, ws.y, ws.zt
-    iota, pi = ws.iota % p, ws.pi % p
+    iota, pi = ([[x % p for x in row] for row in m] for m in (ws.iota, ws.pi))
     checks = ws.report
 
     checks["dimension_split"] = y.B.dim == xt.B.dim + zt.B.dim
     checks["iota_injective"] = la.rank(iota, p) == xt.B.dim
     checks["pi_surjective"] = la.rank(pi, p) == zt.B.dim
-    checks["composition_zero"] = not ((pi @ iota) % p).any()
-    checks["iota_commutes"] = not (
-        (iota @ xt.B.action - y.B.action @ iota) % p
-    ).any()
-    checks["pi_commutes"] = not ((pi @ y.B.action - zt.B.action @ pi) % p).any()
+    # the maps, shifts and 0/1 actions are sparse, and products skip zeros
+    checks["composition_zero"] = not any(map(any, la.mul(pi, iota, p)))
+    checks["iota_commutes"] = (la.mul(iota, xt.B.action, p)
+                               == la.mul(y.B.action, iota, p))
+    checks["pi_commutes"] = la.mul(pi, y.B.action, p) == la.mul(zt.B.action, pi, p)
     checks["iota_degree_zero"] = _degree_zero(iota, y.B.grading, xt.B.grading)
     checks["pi_degree_zero"] = _degree_zero(pi, zt.B.grading, y.B.grading)
 
-    image_sub = la.row_space((xt.span @ iota.T) % p, p)
+    image_sub = la.row_space(la.mul(xt.span, list(zip(*iota)), p), p)
     checks["iota_maps_subspace"] = all(y.contains(row) for row in image_sub)
-    pushed = la.row_space((y.span @ pi.T) % p, p)
-    checks["pi_onto_subspace"] = bool(
-        pushed.shape == zt.span.shape and (pushed == zt.span).all()
-    )
+    pushed = la.row_space(la.mul(y.span, list(zip(*pi)), p), p)
+    checks["pi_onto_subspace"] = pushed == zt.span
     checks["subspace_dimension_split"] = (
         y.dim_sub() == xt.dim_sub() + zt.dim_sub()
     )

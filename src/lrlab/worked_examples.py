@@ -7,8 +7,6 @@ the registry and reports one line per check.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import partitions as pt
 from .boxmoves import box_leq, dom_to_box_chain, dom_to_box_step, hasse, move_between
 from .nilmod import (Embedding, canonical_module, direct_sum,
@@ -220,7 +218,7 @@ def check_graded_pole():
     t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
     E = graded_pole_embedding(t, 2)
     assert E.B.grading == (-3, -2, -1, 0, 1, 2, -1, 0, 1, 0)
-    gen = np.zeros(10, dtype=np.int64)
+    gen = [0] * 10
     gen[3] = gen[7] = gen[9] = 1  # T^3 g6 + T g3 + g1
     assert E.contains(gen)
     assert tableau_of_embedding(E) == t
@@ -355,20 +353,20 @@ def ext_deg_modules(p: int) -> dict[str, Embedding]:
     """The five pictured embeddings of the nilpotency-6 example."""
     m12_mod = canonical_module((6, 4, 2), p)
     g6, g4, g2 = 0, 6, 10
-    a1 = np.zeros(12, dtype=np.int64)
+    a1 = [0] * 12
     a1[g6 + 2] = 1  # T^2 x6
     a1[g2 + 0] = 1  # y2
-    a2 = np.zeros(12, dtype=np.int64)
+    a2 = [0] * 12
     a2[g2 + 1] = 1  # T y2
     a2[g4 + 2] = 1  # T^2 z4
     M12 = Embedding(m12_mod, [a1, a2])
 
     m23_mod = canonical_module((6, 4, 2), p)
-    b1 = np.zeros(12, dtype=np.int64)
+    b1 = [0] * 12
     b1[g4 + 1] = 1  # T x4
     b1[g6 + 2] = 1  # T^2 y6
     b1[g2 + 0] = 1  # z2
-    b2 = np.zeros(12, dtype=np.int64)
+    b2 = [0] * 12
     b2[g4 + 2] = 1  # T^2 x4
     M23 = Embedding(m23_mod, [b1, b2])
 

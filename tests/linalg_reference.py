@@ -2,7 +2,8 @@
 
 It eliminates with whole-array operations (one ``outer`` and ``%`` per
 pivot); ``tests/test_linalg.py`` checks that the list kernel in
-``lrlab.linalg`` returns the same ``(R, pivots)``.
+``lrlab.linalg`` returns the same ``(R, pivots)``.  ``mat`` reads the
+package's rows into arrays.
 """
 
 from __future__ import annotations
@@ -37,3 +38,9 @@ def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
+
+
+def mat(rows, ncols: int) -> np.ndarray:
+    """Rows of integers (tuples, lists or an array) as an int64 array with
+    ``ncols`` columns, also when there are no rows."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)

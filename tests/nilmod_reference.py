@@ -9,19 +9,40 @@ the block-generator ``hom_dim`` replaced, the stacked-rref closure loop,
 the hand-built picket, and the run-based pole, strip-only graded pole
 and per-part tableau realizations that ``graded_pole_sum`` replaced.
 They are kept only so tests can require identical answers from both.
+They compute on numpy arrays and convert at their boundary: the package's
+rows come in through ``mat``, and the echelon forms run the package's
+kernel (checked against the numpy one in ``tests/test_linalg.py``) on
+``tolist`` rows.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from lrlab import linalg as la
+from linalg_reference import mat
+from lrlab import linalg
 from lrlab import partitions as pt
 from lrlab import tableaux as tb
 from lrlab.nilmod import (Embedding, _chain_pole_split, block_offsets,
                           canonical_module, direct_sum, tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
+
+
+def _rref(M, p):
+    R, pivots = linalg.rref(M.tolist(), p)
+    return mat(R, M.shape[1]), pivots
+
+
+# the kernel on arrays
+la = SimpleNamespace(
+    rref=_rref,
+    row_space=lambda M, p: _rref(M, p)[0],
+    rank=lambda M, p: len(_rref(M, p)[1]),
+    null_space=lambda M, p: mat(linalg.null_space(M.tolist(), p), M.shape[1]),
+)
 
 
 def reduce_vec(v, R, pivots, p):
@@ -74,29 +95,42 @@ def type_of_action(T, p):
     return _type_from_ranks(ranks)
 
 
+def action_of(B):
+    """B's action matrix as an array."""
+    return mat(B.action, B.dim)
+
+
+def span_of(E):
+    """E's subspace rows as an array."""
+    return mat(E.span, E.B.dim)
+
+
 def type_on_subspace(B, span):
     """Jordan type of the action on an invariant row space, from the
     dimensions of its successive images."""
+    span = mat(span, B.dim)
     k = span.shape[0]
     if k == 0:
         return ()
     ranks = [k]
     rows = span
+    T = action_of(B)
     while rows.shape[0]:
-        rows = la.row_space((rows @ B.action.T) % B.p, B.p)
+        rows = la.row_space((rows @ T.T) % B.p, B.p)
         ranks.append(rows.shape[0])
     return _type_from_ranks(ranks)
 
 
 def quotient_type(B, span):
     """Jordan type of B / span, reducing one column of the action at a time."""
-    R, pivots = la.rref(span, B.p)
+    R, pivots = la.rref(mat(span, B.dim), B.p)
     comp = [c for c in range(B.dim) if c not in pivots]
     if not comp:
         return ()
     Tbar = np.zeros((len(comp), len(comp)), dtype=np.int64)
+    T = action_of(B)
     for jj, j in enumerate(comp):
-        w = reduce_vec(B.action[:, j].copy(), R, pivots, B.p)
+        w = reduce_vec(T[:, j], R, pivots, B.p)
         Tbar[:, jj] = w[comp]
     return type_of_action(Tbar, B.p)
 
@@ -105,18 +139,18 @@ def chain(E):
     """Types of B / T^i A for i = 0 .. (first part of alpha)."""
     alpha = type_on_subspace(E.B, E.span)
     out = []
-    rows = E.span
+    rows = span_of(E)
     for _ in range((alpha[0] if alpha else 0) + 1):
         out.append(quotient_type(E.B, rows))
-        rows = la.row_space((rows @ E.B.action.T) % E.p, E.p)
+        rows = la.row_space((rows @ action_of(E.B).T) % E.p, E.p)
     return tuple(out)
 
 
 def power(B, k):
     """T^k as a matrix."""
-    out = np.eye(B.dim, dtype=np.int64)
+    out, T = np.eye(B.dim, dtype=np.int64), action_of(B)
     for _ in range(k):
-        out = (B.action @ out) % B.p
+        out = (T @ out) % B.p
     return out
 
 
@@ -130,8 +164,8 @@ def mu_entries(E, ell, r):
     def dims(q):
         # dim (T^{ell-1}A + T^qB) - dim (T^ellA + T^qB)
         TB = la.row_space(power(E.B, q).T, p)
-        lo = la.row_space((E.span @ power(E.B, ell - 1).T) % p, p)
-        hi = la.row_space((E.span @ power(E.B, ell).T) % p, p)
+        lo = la.row_space((span_of(E) @ power(E.B, ell - 1).T) % p, p)
+        hi = la.row_space((span_of(E) @ power(E.B, ell).T) % p, p)
         return space_sum(lo, TB, p).shape[0] - space_sum(hi, TB, p).shape[0]
 
     return dims(r) - dims(r - 1)
@@ -142,8 +176,8 @@ def invariant_intersection_dim(E, r, s):
     intersections."""
     p = E.p
     TrB = la.row_space(power(E.B, r).T, p)
-    W = space_intersect(TrB, E.B.kernel(s), p)
-    return space_intersect(E.span, W, p).shape[0]
+    W = space_intersect(TrB, la.null_space(power(E.B, s), p), p)
+    return space_intersect(span_of(E), W, p).shape[0]
 
 
 def picket_embedding(i, ell, p):
@@ -171,7 +205,7 @@ def hom_dim(E1, E2):
         return 0
     n = d1 * d2  # unknowns g[i, j], row-major
     rows = []
-    T1, T2 = E1.B.action, E2.B.action
+    T1, T2 = action_of(E1.B), action_of(E2.B)
     # commutation: sum_k T2[i,k] g[k,j] - g[i,k] T1[k,j] = 0
     for i in range(d2):
         for j in range(d1):
@@ -182,13 +216,13 @@ def hom_dim(E1, E2):
                 row[i * d1 + k] = (row[i * d1 + k] - T1[k, j]) % p
             rows.append(row)
     # subspace condition: residual of g a against A2 vanishes
-    R2, piv2 = la.rref(E2.span, p)
+    R2, piv2 = la.rref(span_of(E2), p)
     killer = np.eye(d2, dtype=np.int64)
     for rrow, c in zip(R2, piv2):
         e = np.zeros(d2, dtype=np.int64)
         e[c] = 1
         killer = (killer - np.outer(rrow, e)) % p
-    for a in E1.span:
+    for a in span_of(E1):
         for i in range(d2):
             func = killer[i]
             if not func.any():
@@ -198,8 +232,7 @@ def hom_dim(E1, E2):
                 if func[k]:
                     row[k * d1 : (k + 1) * d1] = (func[k] * a) % p
             rows.append(row)
-    M = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
-    return la.solution_space_dim(M, n, p)
+    return n - la.rank(mat(rows, n), p)
 
 
 def kron_hom_dim(E1, E2):
@@ -212,26 +245,25 @@ def kron_hom_dim(E1, E2):
     if d1 == 0 or d2 == 0:
         return 0
     # unknowns g[i, j] row-major, so vec(T2 g - g T1) = commute @ vec(g)
-    T1, T2 = E1.B.action, E2.B.action
+    T1, T2 = action_of(E1.B), action_of(E2.B)
     commute = np.kron(T2, np.eye(d1, dtype=np.int64)) - np.kron(
         np.eye(d2, dtype=np.int64), T1.T)
     # the nonzero rows of killer are functionals whose common kernel is A2;
     # each must vanish on g a for every basis row a of A1
     killer = np.eye(d2, dtype=np.int64)
-    killer[:, E2._pivots] -= E2.span.T
+    killer[:, E2._pivots] -= span_of(E2).T
     K = killer[killer.any(axis=1)]
-    M = np.vstack([commute, np.kron(K, E1.span)]) % p
-    return la.solution_space_dim(M, d1 * d2, p)
+    M = np.vstack([commute, np.kron(K, span_of(E1))]) % p
+    return d1 * d2 - la.rank(M, p)
 
 
 def invariant_closure(B, vectors):
     """Rref basis and pivots of the invariant closure, re-reducing the
     span stacked on its image until the dimension stops growing."""
-    rows = la.as_mat(vectors, width=B.dim, p=B.p)
-    span, pivots = la.rref(rows, B.p)
+    span, pivots = la.rref(mat(vectors, B.dim) % B.p, B.p)
     while True:
         grown, grown_pivots = la.rref(
-            np.vstack([span, (span @ B.action.T) % B.p]), B.p)
+            np.vstack([span, (span @ action_of(B).T) % B.p]), B.p)
         if len(grown_pivots) == len(pivots):
             return span, pivots
         span, pivots = grown, grown_pivots

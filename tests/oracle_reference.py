@@ -13,9 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from lrlab import linalg as la
 from lrlab.nilmod import invariant_closure
-from nilmod_reference import power
+from nilmod_reference import la, power
 
 
 def distinct_submodules(B, alpha):
@@ -23,9 +22,9 @@ def distinct_submodules(B, alpha):
     tuples with the i-th generator inside ker T^alpha_i."""
     p, n = B.p, B.dim
     if not alpha:
-        return [np.zeros((0, n), dtype=np.int64)]
+        return [()]
     kernels = [la.null_space(power(B, a), p) for a in alpha]
-    seen: dict[bytes, np.ndarray] = {}
+    seen = set()
     coeff_ranges = [list(product(range(p), repeat=k.shape[0])) for k in kernels]
     for combo in product(*coeff_ranges):
         gens = []
@@ -36,6 +35,5 @@ def distinct_submodules(B, alpha):
                     if c:
                         v = (v + c * row) % p
                 gens.append(v)
-        span = invariant_closure(B, gens)[0]
-        seen.setdefault(la.space_key(span), span)
-    return list(seen.values())
+        seen.add(invariant_closure(B, gens)[0])
+    return list(seen)

@@ -254,17 +254,40 @@ def test_dom2box_beside_a_huge_blank_column():
     assert json.loads(done.stdout)["moves"] == 1
 
 
+PICKET = '{"alpha":[1],"beta":[2],"gamma":[1],"chain":[[1],[2]]}'
+PICKET_EMBEDDING = '{"p":3,"beta":[2],"T":[[0,0],[1,0]],"A_span":[[0,1]],"grading":[-1,0]}'
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", FIVE],
     ["orders", FIVE, "--relation", "box"],
     ["hasse", FIVE, "--relation", "dom"],
     ["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
-    ["decompose", '{"alpha":[1],"beta":[2],"gamma":[1],"chain":[[1],[2]]}'],
+    ["decompose", PICKET],
+    ["realize", PICKET, "-p", "3"],
+    ["tableau", PICKET_EMBEDDING],
+    ["witness", SMALL, "--from", "1,2,1", "--to", "2,1,1", "-p", "3"],
+    ["hom", PICKET_EMBEDDING, PICKET_EMBEDDING],
+    ["profile", PICKET_EMBEDDING],
+    ["oracle", '{"alpha":[1],"beta":[2,1],"gamma":[2]}', "-p", "3"],
+    ["paper-examples"],
 ], ids=lambda argv: argv[0])
-def test_combinatorial_commands_load_no_numpy(argv):
+def test_no_command_loads_numpy(argv):
     done = run_child(argv, CHILD_NUMPY)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "False\n"
+
+
+def test_no_module_loads_numpy():
+    child = ("import pkgutil, sys, importlib, lrlab; "
+             "names = [m.name for m in pkgutil.iter_modules(lrlab.__path__)]; "
+             "[importlib.import_module('lrlab.' + name) for name in names]; "
+             "print(sorted(names), 'numpy' in sys.modules)")
+    done = run_child([], child)
+    assert done.returncode == 0, done.stderr
+    names, loaded = done.stdout.rsplit(" ", 1)
+    assert "worked_examples" in names and "witness" in names
+    assert loaded == "False\n"
 
 
 # -- the exit-code contract of the combinatorial commands under fuzzing ------

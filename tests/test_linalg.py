@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import linalg_reference as linalg_ref
 import nilmod_reference as ref
+from linalg_reference import mat
 from conftest import FIVE_CLASS, TWO_CLASS, iter_strip_shapes
 from lrlab import linalg as la
 from lrlab.nilmod import realize_tableau, tableau_of_embedding
@@ -18,15 +19,14 @@ from lrlab.tableaux import enumerate_tableaux
 def test_rref_idempotent_and_rank(p):
     rng = np.random.default_rng(17)
     for _ in range(50):
-        M = rng.integers(0, p, size=(5, 7))
+        M = rng.integers(0, p, size=(5, 7)).tolist()
         R, piv = la.rref(M, p)
         R2, piv2 = la.rref(R, p)
-        assert (R == R2).all() and piv == piv2
+        assert R == R2 and piv == piv2
         assert la.rank(M, p) == len(piv)
         # pivot columns are unit vectors
         for i, c in enumerate(piv):
-            col = R[:, c]
-            assert col[i] == 1 and (np.delete(col, i) == 0).all()
+            assert [row[c] for row in R] == [int(j == i) for j in range(len(piv))]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -34,40 +34,43 @@ def test_null_space(p):
     rng = np.random.default_rng(5)
     for _ in range(40):
         M = rng.integers(0, p, size=(4, 6))
-        N = la.null_space(M, p)
-        assert N.shape[0] == 6 - la.rank(M, p)
-        if N.shape[0]:
-            assert not ((M @ N.T) % p).any()
+        N = la.null_space(M.tolist(), p)
+        assert len(N) == 6 - la.rank(M.tolist(), p)
+        assert not ((M @ mat(N, 6).T) % p).any()
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_intersection_dimensions(p):
     rng = np.random.default_rng(23)
     for _ in range(60):
-        A = la.row_space(rng.integers(0, p, size=(3, 6)), p)
-        B = la.row_space(rng.integers(0, p, size=(3, 6)), p)
-        inter = ref.space_intersect(A, B, p)
-        sum_dim = ref.space_sum(A, B, p).shape[0]
-        assert inter.shape[0] == A.shape[0] + B.shape[0] - sum_dim
+        A = la.row_space(rng.integers(0, p, size=(3, 6)).tolist(), p)
+        B = la.row_space(rng.integers(0, p, size=(3, 6)).tolist(), p)
+        inter = ref.space_intersect(mat(A, 6), mat(B, 6), p)
+        sum_dim = ref.space_sum(mat(A, 6), mat(B, 6), p).shape[0]
+        assert inter.shape[0] == len(A) + len(B) - sum_dim
         Ra, pa = la.rref(A, p)
         Rb, pb = la.rref(B, p)
-        for v in inter:
+        for v in inter.tolist():
             assert la.in_space(v, Ra, pa, p)
             assert la.in_space(v, Rb, pb, p)
 
 
 def test_reduce_and_membership():
-    A = la.row_space(np.array([[1, 1, 0], [0, 1, 1]]), 2)
+    A = la.row_space([[1, 1, 0], [0, 1, 1]], 2)
     R, piv = la.rref(A, 2)
-    assert la.in_space(np.array([1, 0, 1]), R, piv, 2)
-    assert not la.in_space(np.array([1, 0, 0]), R, piv, 2)
+    assert la.in_space([1, 0, 1], R, piv, 2)
+    assert not la.in_space([1, 0, 0], R, piv, 2)
+    assert la.reduce_vec([1, 0, 0], R, piv, 2) == (0, 0, 1)
 
 
 def test_space_key_distinguishes():
-    A = la.row_space(np.array([[1, 0]]), 2)
-    B = la.row_space(np.array([[0, 1]]), 2)
-    assert la.space_key(A) != la.space_key(B)
-    assert la.space_key(A) == la.space_key(la.row_space(np.array([[1, 0]]), 2))
+    # a canonical basis is a tuple of row tuples: its own dictionary key
+    A = la.row_space([[1, 0]], 2)
+    B = la.row_space([[0, 1]], 2)
+    assert A == ((1, 0),) and A != B
+    spaces = {A: "A", B: "B"}
+    assert spaces[la.row_space([[1, 0], [3, 0]], 2)] == "A"
+    assert spaces[la.row_space([[1, 1], [1, 0]], 2)[1:]] == "B"
 
 
 def _random_matrices(rng, p):
@@ -89,9 +92,12 @@ def _random_matrices(rng, p):
 
 
 def _same(got, want):
+    """The kernel's rows and pivots against the reference's array and
+    pivots, every entry a Python int."""
     (R, pivots), (R_ref, pivots_ref) = got, want
-    return (R.dtype == R_ref.dtype and R.shape == R_ref.shape
-            and (R == R_ref).all() and pivots == pivots_ref)
+    return (type(R) is tuple and all(type(row) is tuple for row in R)
+            and all(type(x) is int for row in R for x in row)
+            and R == tuple(map(tuple, R_ref.tolist())) and pivots == pivots_ref)
 
 
 def test_rref_matches_numpy_reference(monkeypatch):
@@ -101,21 +107,23 @@ def test_rref_matches_numpy_reference(monkeypatch):
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
-            assert _same(la.rref(M, p), linalg_ref.rref(M, p)), (M.tolist(), p)
-            assert la.rank(M, p) == len(linalg_ref.rref(M, p)[1])
+            assert _same(la.rref(M.tolist(), p), linalg_ref.rref(M, p)), (M.tolist(), p)
+            assert la.rank(M.tolist(), p) == len(linalg_ref.rref(M, p)[1])
 
     kernel_rref, kernel_rank = la.rref, la.rank
     calls = []
 
     def checked_rref(M, p):
         got = kernel_rref(M, p)
-        assert _same(got, linalg_ref.rref(M, p)), (M.tolist(), p)
-        calls.append(M.size)
+        width = len(M[0]) if len(M) else 0
+        assert _same(got, linalg_ref.rref(mat(M, width), p)), (M, p)
+        calls.append(len(M) * width)
         return got
 
     def checked_rank(M, p):
         got = kernel_rank(M, p)
-        assert got == len(linalg_ref.rref(M, p)[1]), (M.tolist(), p)
+        width = len(M[0]) if len(M) else 0
+        assert got == len(linalg_ref.rref(mat(M, width), p)[1]), (M, p)
         return got
 
     monkeypatch.setattr(la, "rref", checked_rref)
@@ -137,22 +145,21 @@ def small_matrices(draw):
     entries = st.integers(-2 * p, 2 * p)
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), p
+    return rows, ncols, p
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_matrices())
 def test_rref_properties(case):
-    M, p = case
+    M, ncols, p = case
     R, pivots = la.rref(M, p)
-    assert R.dtype == np.int64 and R.shape == (len(pivots), M.shape[1])
+    assert len(R) == len(pivots) and all(len(row) == ncols for row in R)
+    assert all(0 <= x < p for row in R for x in row)
     assert pivots == sorted(set(pivots))
     for i, c in enumerate(pivots):
-        unit = np.zeros(len(pivots), dtype=np.int64)
-        unit[i] = 1
-        assert (R[:, c] == unit).all()
-    assert all(row.any() for row in R)
+        assert [row[c] for row in R] == [int(j == i) for j in range(len(pivots))]
+    assert all(any(row) for row in R)
     R2, pivots2 = la.rref(R, p)
-    assert (R2 == R).all() and pivots2 == pivots
+    assert R2 == R and pivots2 == pivots
     assert all(la.in_space(v, R, pivots, p) for v in M)
     assert la.rank(M, p) == len(pivots)

@@ -56,6 +56,28 @@ def test_verify_compares_both_tableaux():
         _verify(ws)
 
 
+def test_verify_refuses_tampered_maps():
+    # every map check of the report fails on some broken iota or pi
+    low, high, move = nine_column_pair()
+    ws = witness_sequence(low, high, move, 3)
+    iota, pi = ws.iota, ws.pi
+    cases = [
+        ([[0] * len(iota[0]) for _ in iota], pi, ["iota_injective"]),
+        ([row[1:] + row[:1] for row in iota], pi,
+         ["iota_commutes", "iota_degree_zero", "iota_maps_subspace"]),
+        (iota[:-1] + [[1] + iota[-1][1:]], pi, ["composition_zero", "iota_degree_zero"]),
+        (iota, [[0] * len(pi[0]) for _ in pi], ["pi_surjective", "pi_onto_subspace"]),
+        (iota, pi[1:] + pi[:1], ["pi_commutes", "pi_degree_zero", "pi_onto_subspace"]),
+        (iota, [[int(x != 0) for x in row] for row in pi],
+         ["composition_zero", "pi_onto_subspace"]),
+    ]
+    for ws.iota, ws.pi, failed in cases:
+        ws.report = {}
+        with pytest.raises(InvariantViolation) as info:
+            _verify(ws)
+        assert str(info.value) == f"witness verification failed: {failed}"
+
+
 def test_json_serializable():
     import json
 
