@@ -9,9 +9,11 @@ ordered by position in block, then by block, T^k B is a tail of the
 coordinates, so one echelon form of T^i A gives d[i][k] = dim(T^k B +
 T^i A) for every k; that layer table yields the type of A, the chain of
 types of B / T^i A and the entry counts.  Hom spaces and realizations
-are exact linear algebra mod p too; from a source with a cyclic subspace
-a hom space needs no system, only the rank of the target subspace's
-Jordan coordinates outside a set of positions.  Every pole is realized
+are exact linear algebra mod p too: a hom system is read by index off
+the source subspace's module generators and the target's functionals in
+Jordan coordinates, and from a source with a cyclic subspace a hom space
+needs no system, only the rank of the target subspace's Jordan
+coordinates outside a set of positions.  Every pole is realized
 from its tableau by one generator formula (``pole_generator``), and a
 tableau as one graded module with one such generator per pole piece
 (``graded_pole_sum``).
@@ -250,19 +252,21 @@ class Embedding:
     tuples and so its own dictionary key; the constructor
     closes the given vectors under the action, so they may be just
     generators.  The layer table (with alpha and the chain), the tableau,
-    the pieces of hom systems and, for a cyclic A, the blocks of its
+    A's module generators and the functionals killing A (both in Jordan
+    coordinates, for ``hom_dim``) and, for a cyclic A, the blocks of its
     generator are computed on first use and kept.
     """
 
-    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_hom_blocks",
-                 "_generator")
+    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_gens",
+                 "_killers", "_generator")
 
     def __init__(self, B: NilModule, vectors):
         self.B = B
         self.span, self._pivots = invariant_closure(B, vectors)
         self._layers = None
         self._tableau = None
-        self._hom_blocks = {}
+        self._gens = None
+        self._killers = None
         self._generator = None
 
     @property
@@ -426,30 +430,48 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """Dimension of the space of embedding morphisms E1 -> E2.
 
     A module map g is fixed by the images x_i in ker T2^(b_i) of the
-    generators of E1's Jordan blocks (``jordan_basis``); write each as
-    x_i = y_i N_i with N_i a basis of that kernel.  The one condition left
-    is g(A1) <= A2: for every row c of A1 in Jordan coordinates and every
-    functional k killing A2,
-    sum_i sum_j c[off_i + j] (k T2^j N_i^T) y_i = 0.  That is
-    sum_i dim ker T2^(b_i) unknowns and dim A1 * codim A2 equations.  E2
-    keeps its k T2^j N^T per block size, so a catalog of queries against
-    one target shares them.
+    generators of E1's Jordan blocks (``jordan_basis``), and it maps A1
+    into A2 when it maps A1's module generators a there (``_generators``,
+    len(alpha1) of them, in E1's Jordan coordinates).  In E2's Jordan
+    coordinates ker T2^b is the positions q >= c - b of each block of
+    size c, and T2 moves position q to q + 1; so for a functional k
+    killing A2 (``_functionals``) the unknown x_i at position q of the
+    block at offset o2 enters k g(a) with the coefficient
+    sum_j a[o_i + j] k[o2 + q + j] over j < c - q.  That is
+    sum_i dim ker T2^(b_i) unknowns and len(alpha1) * codim A2 equations.
     """
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    J = _jordan(E1.B)
-    if not J.sizes:
-        return 0
-    coords = jordan_coordinates(E1)  # c = a Q^-1 for every row a of A1
-    codim = E2.B.dim - E2.dim_sub()
-    blocks = []
-    for o, b in zip(block_offsets(J.sizes), J.sizes):
-        KTN, n = _hom_block(E2, b)
-        # row (c, k) of this block: sum_j c[o + j] (k T2^j N^T)
-        blocks.append((n, la.mul([c[o:o + b] for c in coords], KTN, E1.p)))
-    M = [[x for n, terms in blocks for x in terms[i][k * n:(k + 1) * n]]
-         for i in range(len(coords)) for k in range(codim)]
-    return sum(n for n, _ in blocks) - la.rank(M, E1.p)
+    sources, targets = _jordan(E1.B).sizes, _jordan(E2.B).sizes
+    unknowns = [(o, o2 + q, o2 + c)  # x_i at q: a from o, k from o2 + q to o2 + c
+                for o, b in zip(block_offsets(sources), sources)
+                for o2, c in zip(block_offsets(targets), targets)
+                for q in range(max(c - b, 0), c)]
+    M = [[sum(map(operator.mul, a[o:o + end - start], k[start:end]))
+          for o, start, end in unknowns]
+         for a in _generators(E1) for k in _functionals(E2)]
+    return len(unknowns) - la.rank(M, E1.p)
+
+
+def _generators(E: Embedding) -> la.Rows:
+    """Module generators of A in B's Jordan coordinates, kept on E: the
+    rows of the echelon form of A whose pivots are not pivots of T A.
+    They are independent modulo T A, and there are dim A - dim T A =
+    len(alpha) of them."""
+    if E._gens is None:
+        p = E.p
+        R, pivots = la.rref(jordan_coordinates(E), p)
+        shifted = la.rref(la.mul(R, _shift(_jordan(E.B).sizes), p), p)[1]
+        E._gens = tuple(r for r, c in zip(R, pivots) if c not in shifted)
+    return E._gens
+
+
+def _functionals(E: Embedding) -> list[list[int]]:
+    """A basis of the functionals killing A in B's Jordan coordinates
+    (``la.annihilator``), kept on E."""
+    if E._killers is None:
+        E._killers = la.annihilator(*la.rref(jordan_coordinates(E), E.p), E.B.dim, E.p)
+    return E._killers
 
 
 def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
@@ -457,18 +479,16 @@ def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
     None when A needs two or more generators; kept on C.
 
     b_i is the block size and j_i the lowest nonzero Jordan coordinate of
-    a generator a of A in that block, or b_i where a vanishes.  A is
-    cyclic when dim A - dim TA <= 1, so A = 0 counts.  In block order T
-    moves every Jordan coordinate one place on, so every vector of TA
-    starts later than the basis row of A that starts first: that row lies
-    outside TA and generates A.
+    a generator a of A (``_generators``) in that block, or b_i where a
+    vanishes.  A is cyclic when dim A - dim TA <= 1, so A = 0 counts.  The
+    generators of a cyclic A are u(T) a for the polynomials u with a unit
+    constant term, so every generator gives the same j_i.
     """
     if len(C.alpha) > 1:
         return None
     if C._generator is None:
         sizes = _jordan(C.B).sizes
-        a = min(jordan_coordinates(C), key=lambda row: _lowest(row, len(row)),
-                default=(0,) * C.B.dim)
+        a = next(iter(_generators(C)), (0,) * C.B.dim)
         C._generator = tuple((b, _lowest(a[o:o + b], b))
                              for o, b in zip(block_offsets(sizes), sizes))
     return C._generator
@@ -499,22 +519,6 @@ def hom_positions(blocks, sizes) -> tuple[int, tuple[int, ...]]:
         base += sum(min(b, c) for b, _ in blocks) - (c - start)
         outside.extend(range(o, o + start))
     return base, tuple(outside)
-
-
-def _hom_block(E: Embedding, b: int) -> tuple[la.Rows, int]:
-    """k T^j N^T for j < b, the functionals k killing A and N a basis of
-    ker T^b, as one row per j holding k T^j v at k * n + (index of v in
-    N), and n = dim ker T^b."""
-    if b not in E._hom_blocks:
-        B, p = E.B, E.p
-        K = la.annihilator(E.span, E._pivots, B.dim, p)
-        TN = N = B.kernel(b)  # rows T^j v for the rows v of N
-        out = []
-        for _ in range(b):
-            out.append(tuple([sum(map(operator.mul, k, v)) % p for k in K for v in TN]))
-            TN = B.image(TN)
-        E._hom_blocks[b] = tuple(out), len(N)
-    return E._hom_blocks[b]
 
 
 def picket_embedding(i: int, ell: int, p: int) -> Embedding:

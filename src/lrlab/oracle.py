@@ -1,18 +1,22 @@
 """Brute-force submodule census and fingerprint-based classification.
 
-The census lists the invariant submodules of the canonical ambient
-module level by level, adding one generator per part of alpha and
-deduplicating by reduced row echelon form after each; one path serves
-every prime.  It filters the result to the requested subspace and
-quotient types and buckets the survivors by tableau and by
-hom-dimension fingerprint against a catalog of known indecomposables.
+The census lists the invariant submodules of type alpha of the
+canonical ambient module level by level, adding one generator per part
+of alpha and deduplicating by reduced row echelon form after each; a
+span that grows by less than that part is dropped, since it can no
+longer reach dimension |alpha|.  One path serves every prime.  The
+census filters the result to the requested quotient type and buckets
+the survivors by tableau and by hom-dimension fingerprint against a
+catalog of known indecomposables.
 Spans are visited in the order of their row tuples, so each class
 representative is its least member.  Catalogs are built once per
 argument and kept.
 A fingerprint solves no system for a catalog object with a cyclic
 subspace (all of the 20-object catalog but X): its hom dimension is read
 off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
-Only the others, X among them, are solved by ``nilmod.hom_dim``.
+Only the others, X among them, are solved by ``nilmod.hom_dim``, on
+X's two module generators against the census embedding's functionals in
+Jordan coordinates.
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
@@ -182,7 +186,10 @@ def enumerate_submodules(
     so far with one more such generator per level and keeps one span per
     canonical basis, so generator tuples are never listed; the guard is
     nevertheless expressed in nominal full-tuple terms so configured
-    budgets stay comparable across implementations.
+    budgets stay comparable across implementations.  The search returns
+    only spans of dimension |alpha|, each of type alpha (re-checked: a
+    span of another type raises, naming shape, p and span), and the
+    census keeps those with quotient gamma.
     """
     if not slow and nominal_tuple_count(shape, p) > _effective_guard(guard):
         raise GuardExceeded(
@@ -194,20 +201,19 @@ def enumerate_submodules(
         catalog = s4_catalog(p) if top <= 4 else picket_pole_catalog(p, top)
 
     B = canonical_module(shape.beta, p)
-    n = B.dim
     spans = _distinct_submodules(B, shape.alpha)
 
     per_tableau: dict[LRTableau, int] = {}
     buckets: dict[tuple[int, ...], CensusClass] = {}
     total = 0
-    size = pt.weight(shape.alpha)
     for span in spans:
-        # a span of generators v_i in ker T^alpha_i has dimension |alpha|
-        # exactly when their orbits form a basis, and then its type is alpha
-        if len(span) != size:
-            continue
         E = Embedding(B, span)
-        if E.alpha != shape.alpha or E.gamma != shape.gamma:
+        if E.alpha != shape.alpha:
+            raise InvariantViolation(
+                f"search returned a span of type {list(E.alpha)}: shape"
+                f" {json.dumps(shape.to_json())}, p = {p}, span"
+                f" {[list(row) for row in span]}")
+        if E.gamma != shape.gamma:
             continue
         total += 1
         t = tableau_of_embedding(E)
@@ -255,14 +261,18 @@ def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
 
 
 def _distinct_submodules(B, alpha) -> list[la.Rows]:
-    """Canonical bases of the distinct invariant subspaces generated by
-    tuples with the i-th generator inside ker T^alpha_i, sorted.
+    """Canonical bases of the distinct invariant subspaces of dimension
+    |alpha| generated by tuples with the i-th generator inside
+    ker T^alpha_i, sorted; their orbits form a basis, so each has type
+    alpha.
 
     The search adds one generator per part of alpha and deduplicates after
     each.  For an invariant span S and v in ker T^a, the closure of S and v
     is the span of S, v, T v, ..., T^(a-1) v, and it depends only on the
     line through the residue of v modulo S; so each level closes S with one
-    vector per line of the residue space of the kernel.
+    vector per line of the residue space of the kernel.  A level adds at
+    most a dimensions, and exactly a unless T^(a-1) v lies in S, so only
+    spans that grew by a at every level are kept.
     """
     p = B.p
     level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots
@@ -270,7 +280,6 @@ def _distinct_submodules(B, alpha) -> list[la.Rows]:
         kernel = B.kernel(a)
         grown: dict[la.Rows, list[int]] = {}
         for S, pivots in level.items():
-            grown.setdefault(S, pivots)
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
             # one residue per line: first nonzero coordinate over W is 1
             for j in range(len(W)):
@@ -278,6 +287,8 @@ def _distinct_submodules(B, alpha) -> list[la.Rows]:
                     orbit = la.mul([(1,) + tail], W[j:], p)
                     for _ in range(a - 1):
                         orbit += B.image(orbit[-1:])
+                    if not any(la.reduce_vec(orbit[-1], S, pivots, p)):
+                        continue
                     R, R_pivots = la.rref(S + orbit, p)
                     grown.setdefault(R, R_pivots)
         level = grown

@@ -5,18 +5,23 @@ vectorized code in ``lrlab.nilmod`` and ``lrlab.linalg`` replaced, the
 rank-per-power Jordan types, quotient types and subspace-sum entry
 counts that the layer table replaced, the subspace sum and Zassenhaus
 intersection it made unused, the ``np.kron`` hom system that
-the block-generator ``hom_dim`` replaced, the stacked-rref closure loop,
+the block-generator ``hom_dim`` replaced, that block-generator solver
+itself (every row of A1 against ``k T^j N`` products, replaced by module
+generators in Jordan coordinates), the stacked-rref closure loop,
 the hand-built picket, and the run-based pole, strip-only graded pole
 and per-part tableau realizations that ``graded_pole_sum`` replaced.
 They are kept only so tests can require identical answers from both.
 They compute on numpy arrays and convert at their boundary: the package's
 rows come in through ``mat``, and the echelon forms run the package's
 kernel (checked against the numpy one in ``tests/test_linalg.py``) on
-``tolist`` rows.
+``tolist`` rows; the block-generator solver runs on rows as it ran in
+the package.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,8 +30,9 @@ from linalg_reference import mat
 from lrlab import linalg
 from lrlab import partitions as pt
 from lrlab import tableaux as tb
-from lrlab.nilmod import (Embedding, _chain_pole_split, block_offsets,
-                          canonical_module, direct_sum, tableau_of_embedding)
+from lrlab.nilmod import (Embedding, _chain_pole_split, _jordan, block_offsets,
+                          canonical_module, direct_sum, jordan_coordinates,
+                          tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
 
@@ -255,6 +261,44 @@ def kron_hom_dim(E1, E2):
     K = killer[killer.any(axis=1)]
     M = np.vstack([commute, np.kron(K, span_of(E1))]) % p
     return d1 * d2 - la.rank(M, p)
+
+
+def block_hom_dim(E1, E2):
+    """Dimension of Hom(E1, E2) on the images x_i = y_i N_i in
+    ker T2^(b_i) of E1's block generators, N_i a basis of that kernel:
+    for every row c of A1 in Jordan coordinates and every functional k
+    killing A2, sum_i sum_j c[off_i + j] (k T2^j N_i^T) y_i = 0."""
+    if E1.p != E2.p:
+        raise ValueError("embeddings live over different fields")
+    p = E1.p
+    sizes = _jordan(E1.B).sizes
+    if not sizes:
+        return 0
+    coords = jordan_coordinates(E1)
+    codim = E2.B.dim - E2.dim_sub()
+    blocks = []
+    for o, b in zip(block_offsets(sizes), sizes):
+        KTN, n = _hom_block(E2, b)
+        blocks.append((n, linalg.mul([c[o:o + b] for c in coords], KTN, p)))
+    M = [[x for n, terms in blocks for x in terms[i][k * n:(k + 1) * n]]
+         for i in range(len(coords)) for k in range(codim)]
+    return sum(n for n, _ in blocks) - linalg.rank(M, p)
+
+
+@lru_cache(maxsize=1024)
+def _hom_block(E, b):
+    """k T^j N^T for j < b, the functionals k killing A and N a basis of
+    ker T^b, as one row per j holding k T^j v at k * n + (index of v in
+    N), and n = dim ker T^b; kept per target and size, as the package
+    kept them."""
+    B, p = E.B, E.p
+    K = linalg.annihilator(E.span, E._pivots, B.dim, p)
+    TN = N = B.kernel(b)
+    out = []
+    for _ in range(b):
+        out.append(tuple([sum(map(operator.mul, k, v)) % p for k in K for v in TN]))
+        TN = B.image(TN)
+    return tuple(out), len(N)
 
 
 def invariant_closure(B, vectors):

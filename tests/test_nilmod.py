@@ -6,7 +6,8 @@ import pytest
 
 import nilmod_reference as ref
 import tableaux_reference
-from conftest import TWO_CLASS, iter_all_shapes, iter_strip_shapes, random_pole
+from conftest import (FIVE_CLASS, TWO_CLASS, iter_all_shapes, iter_strip_shapes,
+                      random_pole)
 from linalg_reference import mat
 from lrlab import linalg as la
 from lrlab import nilmod
@@ -254,6 +255,91 @@ def test_hom_dim_matches_kron_reference_on_random_conjugates(p):
         assert hom_dim(F, G) == ref.kron_hom_dim(F, G) == hom_dim(E, C)
 
 
+HOM_CENSUS_SHAPES = [(TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), (2, 1)), 3)]
+
+
+def _census_targets(shape, p):
+    """Every embedding the census of ``shape`` over F_p fingerprints."""
+    B = canonical_module(shape.beta, p)
+    spans = _distinct_submodules(B, shape.alpha)
+    return [E for E in (Embedding(B, S) for S in spans) if E.gamma == shape.gamma]
+
+
+@pytest.mark.parametrize("shape,p", HOM_CENSUS_SHAPES, ids=str)
+def test_hom_dim_matches_block_generator_reference_on_census_embeddings(shape, p):
+    # both catalogs, both directions; the loop reference on every 20th
+    # pair and on every pair with X (all pairs in the slow test below)
+    cat = s4_catalog(p) + picket_pole_catalog(p, 5)
+    targets = _census_targets(shape, p)
+    assert targets
+    for name, C in cat:
+        assert len(nilmod._generators(C)) == len(C.alpha), name
+    for i, E in enumerate(targets):
+        assert len(nilmod._generators(E)) == len(E.alpha) == len(shape.alpha)
+        for j, (name, C) in enumerate(cat):
+            got = (hom_dim(C, E), hom_dim(E, C))
+            assert got == (ref.block_hom_dim(C, E), ref.block_hom_dim(E, C)), (i, name)
+            if name == "X" or (i + j) % 20 == 0:
+                assert got == (ref.hom_dim(C, E), ref.hom_dim(E, C)), (i, name)
+
+
+@pytest.mark.slow
+def test_hom_dim_matches_loop_reference_on_census_embeddings():
+    for shape, p in HOM_CENSUS_SHAPES:
+        cat = s4_catalog(p) + picket_pole_catalog(p, 5)
+        for i, E in enumerate(_census_targets(shape, p)):
+            for name, C in cat:
+                assert hom_dim(C, E) == ref.hom_dim(C, E), (shape, p, i, name)
+                assert hom_dim(E, C) == ref.hom_dim(E, C), (shape, p, i, name)
+
+
+def _random_embedding(rng, p):
+    """Up to three random generators in a random canonical module."""
+    sizes = _random_sizes(rng)
+    return Embedding(canonical_module(sizes, p),
+                     rng.integers(0, p, size=(rng.integers(0, 4), sum(sizes))))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_dim_matches_references_on_random_conjugates(p):
+    # random subspaces, often needing two or three module generators, with
+    # source and target both in general position
+    rng = np.random.default_rng(70 + p)
+    several = 0
+    for _ in range(50):
+        E, C = _random_embedding(rng, p), _random_embedding(rng, p)
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        assert len(nilmod._generators(F)) == len(F.alpha) == len(E.alpha)
+        several += len(F.alpha) > 1
+        for pair in ((F, G), (G, F)):
+            assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*pair)
+        assert hom_dim(F, G) == hom_dim(E, C)
+    assert several
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_dim_on_zero_and_full_subspaces(p):
+    # A = 0 as a source and A = B as a target impose nothing, so both give
+    # dim Hom(B1, B2) = sum of min(b, c) over pairs of blocks
+    rng = np.random.default_rng(80 + p)
+    cat = [C for _, C in s4_catalog(p)]
+    for sizes in ((1,), (3, 1), (4, 2, 2)):
+        B = canonical_module(sizes, p)
+        zero, full = Embedding(B, []), Embedding(B, la.identity(B.dim))
+        assert nilmod._generators(zero) == ()
+        assert len(nilmod._generators(full)) == len(sizes)
+        S = _random_invertible(rng, B.dim, p)
+        for Z, U in ((zero, full), (_conjugate(zero, S), _conjugate(full, S))):
+            for E in (Z, U):
+                assert hom_dim(E, E) == ref.block_hom_dim(E, E) == ref.hom_dim(E, E)
+            for C in cat:
+                free = sum(min(b, c) for b in sizes for c in C.beta)
+                assert hom_dim(Z, C) == hom_dim(C, U) == free
+                for pair in ((Z, C), (C, Z), (U, C), (C, U)):
+                    assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*pair)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_invariant_closure_matches_stacked_rref_loop(p):
     rng = np.random.default_rng(30 + p)
@@ -365,7 +451,7 @@ def test_witness_terms_match_reference():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_census_spans_match_reference(p):
-    # every span the search yields, also those the census drops
+    # every span the search yields, also those of another quotient type
     B = canonical_module(TWO_CLASS.beta, p)
     kept = 0
     for span in _distinct_submodules(B, TWO_CLASS.alpha):

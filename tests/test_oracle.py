@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -69,6 +70,22 @@ CENSUS_CLASSES = {
 }
 
 
+# sha256 of the census JSON, class representatives included, as the
+# search that kept every span and the block-generator hom_dim gave it
+CENSUS_DIGESTS = {
+    (TWO_CLASS, 2): "228d53ca80bbf212be7f97ebc2fdd2f7884107290f63ce51d608bca66a05e285",
+    (FIVE_CLASS, 2): "fe1bbfa7300a11a957a389b93f77bfcd3daea6d0d414873138b700a4726d5a44",
+    (Shape((2, 1), (3, 2, 1), (2, 1)), 3):
+        "32f6021b2ec09fd80399ab1f7be76bed49bf6bdbbe8f7c5deecd97a25855ab36",
+}
+
+
+@pytest.mark.parametrize("shape,p", list(CENSUS_DIGESTS), ids=str)
+def test_census_json_is_pinned(shape, p):
+    census = json.dumps(enumerate_submodules(shape, p).to_json(), sort_keys=True)
+    assert hashlib.sha256(census.encode()).hexdigest() == CENSUS_DIGESTS[shape, p]
+
+
 def test_published_census_fingerprints(censuses):
     for shape, want in CENSUS_CLASSES.items():
         got = [(c.tableau.chain, c.submodule_count, c.fingerprint)
@@ -104,7 +121,9 @@ def test_level_wise_search_matches_per_tuple_reference(shape, p):
     B = canonical_module(shape.beta, p)
     spans = _distinct_submodules(B, shape.alpha)
     assert spans == sorted(set(spans))
-    assert set(spans) == set(ref.distinct_submodules(B, shape.alpha))
+    every = ref.distinct_submodules(B, shape.alpha)
+    assert set(ref.level_wise_submodules(B, shape.alpha)) == set(every)
+    assert set(spans) == {S for S in every if len(S) == sum(shape.alpha)}
     # spans of one dimension, the only ones a census compares, sort as
     # their int64 bytes sorted when they were arrays (entries below 256)
     for d in {len(S) for S in spans}:
@@ -116,15 +135,17 @@ def test_level_wise_search_matches_per_tuple_reference(shape, p):
                          ids=str)
 @pytest.mark.parametrize("p", [2, 3])
 def test_census_dimension_skip_is_exact(shape, p):
-    """A span of the level-wise search has |alpha| rows exactly when its
-    embedding has type alpha, so the census may skip the others untyped."""
+    """The search returns, in order, exactly the |alpha|-row spans of the
+    search that keeps every span, and each has type alpha, so the census
+    types no span it then throws away."""
     B = canonical_module(shape.beta, p)
     size = sum(shape.alpha)
-    full = []
-    for span in _distinct_submodules(B, shape.alpha):
-        full.append(len(span) == size)
-        assert full[-1] == (Embedding(B, span).alpha == shape.alpha)
-    assert any(full) and not all(full)
+    spans = _distinct_submodules(B, shape.alpha)
+    every = ref.level_wise_submodules(B, shape.alpha)
+    assert spans == [S for S in every if len(S) == size]
+    assert 0 < len(spans) < len(every)
+    for span in spans:
+        assert len(span) == size and Embedding(B, span).alpha == shape.alpha
 
 
 def _census_embeddings(shape, p):
@@ -195,6 +216,17 @@ def test_fingerprint_collision_names_a_reproducer():
     assert "p = 2" in message and "fingerprint [3]" in message
     for chain in CENSUS_CLASSES[TWO_CLASS]:
         assert str([list(c) for c in chain[0]]) in message
+
+
+def test_census_refuses_a_span_of_another_type(monkeypatch):
+    # the search returns only spans of type alpha; one that is not raises
+    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha: [((0, 0, 0, 1),)])
+    shape = Shape((2,), (3, 1), (2,))
+    with pytest.raises(InvariantViolation, match="span of type") as info:
+        enumerate_submodules(shape, 2)
+    message = str(info.value)
+    assert json.dumps(shape.to_json()) in message
+    assert "p = 2" in message and "[[0, 0, 0, 1]]" in message
 
 
 def test_zero_alpha_census():
@@ -277,7 +309,7 @@ def test_census_order_independence():
     # adding the generators for alpha's parts in the reverse order must
     # reach the same invariant subspaces: the search is order independent
     shape = Shape((2, 1), (3, 2, 1), (2, 1))
-    for p, count in ((2, 45), (3, 111)):
+    for p, count in ((2, 18), (3, 48)):
         B = canonical_module(shape.beta, p)
         keys = [_distinct_submodules(B, alpha)
                 for alpha in (shape.alpha, tuple(reversed(shape.alpha)))]
