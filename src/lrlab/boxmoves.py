@@ -16,29 +16,29 @@ by the lattice comparisons of u - 1 with u and of v with v + 1 alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import le
 from typing import Literal, Sequence
 
 from . import tableaux as tb
 from .errors import InvariantViolation
+from .records import Record, setfield
 from .tableaux import Column, LRTableau
 
 
-@dataclass(frozen=True)
-class BoxMove:
+class BoxMove(Record):
     """Exchange of entries u < v between rows r > s (rows in the source)."""
 
-    u: int
-    v: int
-    r: int
-    s: int
-    source_column_u: int
-    source_column_v: int
+    __slots__ = ("u", "v", "r", "s", "source_column_u", "source_column_v")
 
-    def __post_init__(self):
-        if not (self.u < self.v and self.r > self.s
-                and min(self.source_column_u, self.source_column_v) >= 0):
+    def __init__(self, u: int, v: int, r: int, s: int,
+                 source_column_u: int, source_column_v: int):
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "r", r)
+        setfield(self, "s", s)
+        setfield(self, "source_column_u", source_column_u)
+        setfield(self, "source_column_v", source_column_v)
+        if not (u < v and r > s and min(source_column_u, source_column_v) >= 0):
             raise ValueError(f"need u < v, r > s and nonnegative source columns: {self}")
 
 

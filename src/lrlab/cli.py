@@ -5,12 +5,13 @@ as a path to a JSON file, and writes JSON (default), DOT (Hasse
 diagrams) or plain text.  Exit codes: 0 success, 1 verification failure,
 2 bad input, 3 guard exceeded (the census work budget, or memory).
 
-The package has no runtime dependency.  The combinatorial subcommands
-(``enumerate``, ``orders``, ``hasse``, ``dom2box``, ``decompose``) load
-only the modules they need.  The numeric ones (``realize``, ``tableau``,
-``witness``, ``hom``, ``profile``, ``oracle``, ``paper-examples``) import
-``nilmod``, ``witness``, ``oracle`` or ``worked_examples`` inside their
-handlers, so that start-up stays small.
+The package has no runtime dependency.  Start-up loads only this module,
+``tableaux`` and what it needs; every handler imports the rest of what it
+runs: ``boxmoves`` for ``orders``, ``hasse`` and ``dom2box``, ``poles``
+for ``decompose``, and ``nilmod``, ``witness``, ``oracle`` or
+``worked_examples`` for the numeric subcommands.  So ``enumerate`` loads
+neither box moves nor poles, and no combinatorial subcommand loads the
+finite-field engine.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import json
 import os
 import sys
 
-from .boxmoves import dom_to_box_chain, hasse, move_between, relation_matrix
 from .errors import GuardExceeded, InvariantViolation
-from .poles import pole_decomposition
 from .tableaux import LRTableau, Shape, enumerate_tableaux, from_word, reading_word
 
 EXIT_OK = 0
@@ -82,6 +81,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_orders(args) -> int:
+    from .boxmoves import relation_matrix
     shape = _shape(args.shape)
     ts = enumerate_tableaux(shape)
     leq = relation_matrix(ts, args.relation)
@@ -98,6 +98,7 @@ def _cmd_orders(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
+    from .boxmoves import hasse
     shape = _shape(args.shape)
     ts = enumerate_tableaux(shape)
     diagram = hasse(ts, args.relation)
@@ -109,6 +110,7 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_dom2box(args) -> int:
+    from .boxmoves import dom_to_box_chain
     shape = _shape(args.shape)
     low = from_word(shape, _word(args.frm))
     high = from_word(shape, _word(args.to))
@@ -126,6 +128,7 @@ def _cmd_dom2box(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .poles import pole_decomposition
     t = _tableau(args.tableau)
     parts = pole_decomposition(t)
     payload = {"constituents": [ep.to_json() for ep in parts]}
@@ -156,6 +159,7 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .boxmoves import move_between
     from .witness import witness_sequence
     shape = _shape(args.shape)
     low = from_word(shape, _word(args.frm))

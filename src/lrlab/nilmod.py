@@ -537,6 +537,9 @@ def picket_hom_profile(E: Embedding, max_i: int, max_ell: int) -> list[list[int]
     """profile[i][ell-1] = hom_dim(E, P_i^ell) for 0 <= i <= max_i, read off
     the chain: by the adjunction identity it is the sum of min(x, ell)
     over the parts x of B / T^i A (B itself once T^i A = 0)."""
+    if max_i < 0 or max_ell < 1:
+        raise ValueError(
+            f"need max_i >= 0 and max_ell >= 1, got max_i={max_i}, max_ell={max_ell}")
     chain = E.chain()
     return [
         [sum(min(x, ell) for x in chain[min(i, len(chain) - 1)])

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -125,22 +124,25 @@ def iso_fingerprint(E: Embedding, catalog) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
 class CensusClass:
-    fingerprint: tuple[int, ...]
-    tableau: LRTableau
-    representative: Embedding
-    submodule_count: int
+    def __init__(self, fingerprint: tuple[int, ...], tableau: LRTableau,
+                 representative: Embedding, submodule_count: int):
+        self.fingerprint = fingerprint
+        self.tableau = tableau
+        self.representative = representative
+        self.submodule_count = submodule_count
 
 
-@dataclass
 class Census:
-    shape: Shape
-    p: int
-    total_submodules: int
-    per_tableau: dict[LRTableau, int]
-    classes: list[CensusClass]
-    catalog_names: list[str] = field(default_factory=list)
+    def __init__(self, shape: Shape, p: int, total_submodules: int,
+                 per_tableau: dict[LRTableau, int], classes: list[CensusClass],
+                 catalog_names: list[str]):
+        self.shape = shape
+        self.p = p
+        self.total_submodules = total_submodules
+        self.per_tableau = per_tableau
+        self.classes = classes
+        self.catalog_names = catalog_names
 
     def classes_of(self, t: LRTableau) -> list[CensusClass]:
         return [c for c in self.classes if c.tableau == t]

@@ -15,46 +15,47 @@ realization reads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from . import partitions as pt
 from . import tableaux as tb
 from .boxmoves import BoxMove, _moved_columns, apply_move
 from .errors import InvariantViolation
 from .partitions import Partition
+from .records import Record, setfield
 from .tableaux import Column, LRTableau
 
 
-@dataclass(frozen=True)
-class Picket:
+class Picket(Record):
     """Ambient of length n with the unique invariant subspace of dim m."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if not (0 <= self.m <= self.n) or self.n <= 0:
+    def __init__(self, n: int, m: int):
+        setfield(self, "n", n)
+        setfield(self, "m", m)
+        if not (0 <= m <= n) or n <= 0:
             raise ValueError(f"need 0 <= m <= n with n positive: {self}")
 
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m}
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(Record):
     """Radical layers of the generator powers, plus the ambient partition."""
 
-    layers: tuple[int, ...]
-    ambient: Partition
+    __slots__ = ("layers", "ambient")
 
-    def __post_init__(self):
-        layers = tuple(int(x) for x in self.layers)
+    def __init__(self, layers: tuple[int, ...], ambient: Partition):
+        # the first two checks quote the arguments as given
+        setfield(self, "layers", layers)
+        setfield(self, "ambient", ambient)
+        layers = tuple(int(x) for x in layers)
         if not layers or any(x < 0 for x in layers):
             raise ValueError(f"layers must be nonempty and nonnegative: {self}")
         if any(a >= b for a, b in zip(layers, layers[1:])):
             raise ValueError(f"layers must be strictly increasing: {self}")
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "ambient", pt.partition(self.ambient))
+        setfield(self, "layers", layers)
+        setfield(self, "ambient", pt.partition(ambient))
         if not self.ambient or self.ambient[0] < layers[-1] + 1:
             raise ValueError(f"ambient too small for top layer: {self}")
 
@@ -62,18 +63,15 @@ class Pole:
         return {"layers": list(self.layers), "ambient": list(self.ambient)}
 
 
-@dataclass(frozen=True)
-class ExtendedPole:
+class ExtendedPole(Record):
     """A pole together with a multiset of empty-picket ambient lengths."""
 
-    pole: Pole | None
-    empty_pickets: tuple[int, ...] = field(default=())
+    __slots__ = ("pole", "empty_pickets")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "empty_pickets", tuple(sorted(self.empty_pickets, reverse=True))
-        )
-        if self.pole is None and not self.empty_pickets:
+    def __init__(self, pole: Pole | None, empty_pickets: tuple[int, ...] = ()):
+        setfield(self, "pole", pole)
+        setfield(self, "empty_pickets", tuple(sorted(empty_pickets, reverse=True)))
+        if pole is None and not self.empty_pickets:
             raise ValueError("an extended pole needs a pole or empty pickets")
 
     def tableau(self) -> LRTableau:

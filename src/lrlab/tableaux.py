@@ -20,29 +20,37 @@ costs them no more than a small one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import partitions as pt
 from .partitions import Partition
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     """The triple (alpha, beta, gamma) of partitions defining a skew filling."""
 
-    alpha: Partition
-    beta: Partition
-    gamma: Partition
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", pt.partition(self.alpha))
-        object.__setattr__(self, "beta", pt.partition(self.beta))
-        object.__setattr__(self, "gamma", pt.partition(self.gamma))
+    def __init__(self, alpha, beta, gamma):
+        setfield(self, "alpha", pt.partition(alpha))
+        setfield(self, "beta", pt.partition(beta))
+        setfield(self, "gamma", pt.partition(gamma))
         if not pt.contains(self.beta, self.gamma):
             raise ValueError(f"gamma must fit inside beta columnwise: {self}")
         if pt.weight(self.beta) != pt.weight(self.alpha) + pt.weight(self.gamma):
             raise ValueError(f"|beta| must equal |alpha| + |gamma|: {self}")
+
+    # shapes and columns are compared and hashed in the hot loops, where
+    # naming the fields beats the generic Record methods
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta, self.gamma) \
+                == (other.alpha, other.beta, other.gamma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.gamma))
 
     def cells(self) -> list[tuple[int, int]]:
         """(total_length, base_length) of every column, longest first."""
@@ -82,8 +90,7 @@ def is_vertical_strip(beta: Partition, gamma: Partition) -> bool:
     return pt.contains(beta, gamma) and all(b <= c for b, c in zip(beta[1:], g))
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     """One column of a tableau.
 
     ``entries[j]`` sits in row ``base + 1 + j``; the blank base occupies
@@ -91,17 +98,27 @@ class Column:
     len(entries) == length - base.
     """
 
-    length: int
-    base: int
-    entries: tuple[int, ...]
+    __slots__ = ("length", "base", "entries")
 
-    def __post_init__(self):
-        if not (0 <= self.base <= self.length) or self.length <= 0:
+    def __init__(self, length: int, base: int, entries: tuple[int, ...]):
+        setfield(self, "length", length)
+        setfield(self, "base", base)
+        setfield(self, "entries", entries)
+        if not (0 <= base <= length) or length <= 0:
             raise ValueError(f"bad column geometry: {self}")
-        if len(self.entries) != self.length - self.base:
+        if len(entries) != length - base:
             raise ValueError(f"column must be fully filled: {self}")
-        if any(e < 1 for e in self.entries):
+        if any(e < 1 for e in entries):
             raise ValueError(f"entries must be positive: {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.length, self.base, self.entries) \
+                == (other.length, other.base, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.length, self.base, self.entries))
 
     def row_of(self, j: int) -> int:
         return self.base + 1 + j

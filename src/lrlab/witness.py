@@ -11,8 +11,6 @@ identities are re-verified on every construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
@@ -22,19 +20,21 @@ from .poles import box_move_pole_partition
 from .tableaux import LRTableau
 
 
-@dataclass
 class WitnessSequence:
     """0 -> Xt -> Y -> Zt -> 0 with its maps and verification report."""
 
-    xt: Embedding
-    y: Embedding
-    zt: Embedding
-    iota: list[list[int]]
-    pi: list[list[int]]
-    move: BoxMove
-    tableau_low: LRTableau
-    tableau_high: LRTableau
-    report: dict = field(default_factory=dict)
+    def __init__(self, xt: Embedding, y: Embedding, zt: Embedding,
+                 iota: list[list[int]], pi: list[list[int]], move: BoxMove,
+                 tableau_low: LRTableau, tableau_high: LRTableau):
+        self.xt = xt
+        self.y = y
+        self.zt = zt
+        self.iota = iota
+        self.pi = pi
+        self.move = move
+        self.tableau_low = tableau_low
+        self.tableau_high = tableau_high
+        self.report: dict = {}
 
     def to_json(self) -> dict:
         return {

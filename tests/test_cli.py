@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 import lrlab
 import lrlab.cli as cli
-from conftest import iter_all_shapes
+from conftest import iter_all_shapes, iter_strip_shapes
+from lrlab.boxmoves import box_successors
 from lrlab.cli import run
+from lrlab.nilmod import realize_tableau
 from lrlab.tableaux import enumerate_tableaux, reading_word
 
 FIVE = '{"alpha":[3,1],"beta":[4,3,2,1],"gamma":[3,2,1]}'
 ALGO = '{"alpha":[3,2,1],"beta":[6,5,4,3,2,1],"gamma":[5,4,3,2,1]}'
 SMALL = '{"alpha":[2,1],"beta":[5,2,1],"gamma":[4,1]}'
+PICKET = '{"alpha":[1],"beta":[2],"gamma":[1],"chain":[[1],[2]]}'
+PICKET_EMBEDDING = '{"p":3,"beta":[2],"T":[[0,0],[1,0]],"A_span":[[0,1]],"grading":[-1,0]}'
 
 
 def run_json(capsys, argv):
@@ -121,6 +125,16 @@ def test_hom_and_profile(capsys, tmp_path):
     assert prof["profile"]
 
 
+@pytest.mark.parametrize("bounds", [["--max-i", "-3"], ["--max-l", "0"],
+                                    ["--max-i", "-1", "--max-l", "-1"]])
+def test_profile_refuses_bad_bounds(capsys, bounds):
+    # these used to exit 0 with an empty table
+    assert run(["profile", PICKET_EMBEDDING, *bounds]) == 2
+    assert capsys.readouterr().err.startswith("bad input: need max_i >= 0")
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "0", "--max-l", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["profile"] == [[1]]
+
+
 def test_oracle_cli(capsys):
     code, data = run_json(
         capsys, ["oracle", '{"alpha":[3,1],"beta":[4,3,1],"gamma":[3,1]}', "-p", "2"]
@@ -202,9 +216,14 @@ SRC = os.path.dirname(os.path.dirname(lrlab.__file__))
 CHILD = ("import resource, runpy; "
          "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
          "runpy.run_module('lrlab.cli', run_name='__main__')")
-# runs one command, then reports on stderr whether numpy got loaded
-CHILD_NUMPY = ("import sys; from lrlab.cli import run; code = run(sys.argv[1:]); "
-               "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+# runs one command, then reports on stderr, as JSON, whether numpy and
+# dataclasses got loaded and which lrlab modules did
+CHILD_MODULES = (
+    "import json, sys; from lrlab.cli import run; code = run(sys.argv[1:]); "
+    "print(json.dumps({'numpy': 'numpy' in sys.modules, "
+    "'dataclasses': 'dataclasses' in sys.modules, "
+    "'lrlab': sorted(m for m in sys.modules if m.startswith('lrlab.'))}), "
+    "file=sys.stderr); sys.exit(code)")
 
 
 def run_child(argv, child=CHILD):
@@ -254,40 +273,50 @@ def test_dom2box_beside_a_huge_blank_column():
     assert json.loads(done.stdout)["moves"] == 1
 
 
-PICKET = '{"alpha":[1],"beta":[2],"gamma":[1],"chain":[[1],[2]]}'
-PICKET_EMBEDDING = '{"p":3,"beta":[2],"T":[[0,0],[1,0]],"A_span":[[0,1]],"grading":[-1,0]}'
+# the lrlab modules each command must not load: the combinatorial ones
+# skip the numeric layers, and enumerate needs neither box moves nor poles
+NUMERIC = {"lrlab.nilmod", "lrlab.linalg", "lrlab.witness", "lrlab.oracle",
+           "lrlab.worked_examples"}
+MODULE_CASES = [
+    (["enumerate", FIVE], NUMERIC | {"lrlab.boxmoves", "lrlab.poles"}),
+    (["orders", FIVE, "--relation", "box"], NUMERIC | {"lrlab.poles"}),
+    (["hasse", FIVE, "--relation", "dom"], NUMERIC | {"lrlab.poles"}),
+    (["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
+     NUMERIC | {"lrlab.poles"}),
+    (["decompose", PICKET], NUMERIC),
+    (["realize", PICKET, "-p", "3"], set()),
+    (["tableau", PICKET_EMBEDDING], set()),
+    (["witness", SMALL, "--from", "1,2,1", "--to", "2,1,1", "-p", "3"], set()),
+    (["hom", PICKET_EMBEDDING, PICKET_EMBEDDING], set()),
+    (["profile", PICKET_EMBEDDING], set()),
+    (["oracle", '{"alpha":[1],"beta":[2,1],"gamma":[2]}', "-p", "3"], set()),
+    (["paper-examples"], set()),
+]
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", FIVE],
-    ["orders", FIVE, "--relation", "box"],
-    ["hasse", FIVE, "--relation", "dom"],
-    ["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
-    ["decompose", PICKET],
-    ["realize", PICKET, "-p", "3"],
-    ["tableau", PICKET_EMBEDDING],
-    ["witness", SMALL, "--from", "1,2,1", "--to", "2,1,1", "-p", "3"],
-    ["hom", PICKET_EMBEDDING, PICKET_EMBEDDING],
-    ["profile", PICKET_EMBEDDING],
-    ["oracle", '{"alpha":[1],"beta":[2,1],"gamma":[2]}', "-p", "3"],
-    ["paper-examples"],
-], ids=lambda argv: argv[0])
-def test_no_command_loads_numpy(argv):
-    done = run_child(argv, CHILD_NUMPY)
+@pytest.mark.parametrize("argv, absent", MODULE_CASES,
+                         ids=[argv[0] for argv, _ in MODULE_CASES])
+def test_no_command_loads_numpy(argv, absent):
+    # nor dataclasses, nor an lrlab module the command does not run
+    done = run_child(argv, CHILD_MODULES)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "False\n"
+    loaded = json.loads(done.stderr)
+    assert not loaded["numpy"] and not loaded["dataclasses"]
+    assert "lrlab.tableaux" in loaded["lrlab"]
+    assert not absent & set(loaded["lrlab"]), loaded["lrlab"]
 
 
 def test_no_module_loads_numpy():
+    # nor dataclasses
     child = ("import pkgutil, sys, importlib, lrlab; "
              "names = [m.name for m in pkgutil.iter_modules(lrlab.__path__)]; "
              "[importlib.import_module('lrlab.' + name) for name in names]; "
-             "print(sorted(names), 'numpy' in sys.modules)")
+             "print(sorted(names), 'numpy' in sys.modules, 'dataclasses' in sys.modules)")
     done = run_child([], child)
     assert done.returncode == 0, done.stderr
-    names, loaded = done.stdout.rsplit(" ", 1)
+    names, numpy, dataclasses = done.stdout.rsplit(" ", 2)
     assert "worked_examples" in names and "witness" in names
-    assert loaded == "False\n"
+    assert numpy == "False" and dataclasses == "False\n"
 
 
 # -- the exit-code contract of the combinatorial commands under fuzzing ------
@@ -357,6 +386,84 @@ def combinatorial_argv(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(combinatorial_argv())
 def test_combinatorial_exit_codes_under_fuzzing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+
+
+# -- and of the numeric commands ----------------------------------------------
+
+# the tableaux of every strip shape with |beta| <= 8
+STRIPS = [(shape, enumerate_tableaux(shape)) for shape in iter_strip_shapes(8)]
+# embeddings over F_2 and F_3 of the first tableau of every sixth shape
+EMBEDDINGS = [realize_tableau(ts[0], p).to_json()
+              for _, ts in STRIPS[::6] if ts for p in (2, 3)]
+# every box move: (shape, low word, high word, "u,v")
+EDGES = [(shape.to_json(), ",".join(map(str, reading_word(t))),
+          ",".join(map(str, reading_word(up))), f"{move.u},{move.v}")
+         for shape, ts in STRIPS for t in ts for up, move in box_successors(t)]
+prime = st.sampled_from(["2", "3"]) | st.sampled_from(
+    ["5", "4", "1", "0", "-3", "x", "2147483647"])
+bound = st.integers(-3, 6).map(str) | st.text(max_size=2)
+
+
+@st.composite
+def perturbed(draw, data):
+    """``data`` as JSON with one integer of one nested field changed."""
+    data = json.loads(json.dumps(data))
+    key = draw(st.sampled_from(sorted(data)))
+    holder, index = data, key
+    while isinstance(holder[index], list) and holder[index]:
+        holder, index = holder[index], draw(st.integers(0, len(holder[index]) - 1))
+    holder[index] = draw(st.integers(-2, 4))
+    return json.dumps(data)
+
+
+@st.composite
+def numeric_argv(draw):
+    command = draw(st.sampled_from(["realize", "tableau", "hom", "profile",
+                                    "witness"]))
+    kind = draw(st.integers(0, 6))
+
+    def arg(valid):
+        if kind == 4:
+            return json.dumps(draw(small_json))
+        if kind == 5:
+            return draw(st.text(max_size=6))
+        if kind == 6:
+            return draw(perturbed(valid))
+        return draw(mutated(valid))
+
+    if command == "realize":
+        _, tableaux, _ = draw(st.sampled_from(FILLED))
+        argv = ["realize", arg(draw(st.sampled_from(tableaux))), "-p", draw(prime)]
+    elif command == "witness":
+        shape, low, high, move = draw(st.sampled_from(EDGES))
+        some_word = st.sampled_from([low, high]) | word
+        frm, to = draw(st.sampled_from([(low, high), (high, low)])
+                       | st.tuples(some_word, some_word))
+        argv = ["witness", arg(shape), "--from", frm, "--to", to,
+                "-p", draw(prime)]
+        if draw(st.booleans()):
+            argv += ["--move", draw(st.sampled_from([move, "1,2", "2,1", "x"]))]
+    else:
+        argv = [command, arg(draw(st.sampled_from(EMBEDDINGS)))]
+        if command == "hom":
+            argv.append(arg(draw(st.sampled_from(EMBEDDINGS))))
+        if command == "profile":
+            for flag in ("--max-i", "--max-l"):
+                if draw(st.booleans()):
+                    argv += [flag, draw(bound)]
+    return argv + draw(extra_flags)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(numeric_argv())
+def test_numeric_exit_codes_under_fuzzing(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
