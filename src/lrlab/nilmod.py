@@ -3,8 +3,13 @@
 A module is a nilpotent square matrix acting on column vectors, with an
 optional grading (degree per basis vector, raised by one by the action),
 and a Jordan basis: given by the constructions that know one, computed
-by ``jordan_basis`` otherwise.  An embedding is such a module together
-with the reduced basis of an invariant subspace A.  In Jordan coordinates
+by ``jordan_basis`` otherwise.  Almost every module is a canonical N_beta
+(``canonical_module``), built from its block sizes in its own Jordan
+coordinates: T is a gather, each coordinate moving one place down its
+block, the kernels of its powers are read off the sizes, and a direct
+sum of canonical modules is the canonical module of the concatenated
+sizes.  An embedding is such a module together with the reduced basis
+of an invariant subspace A.  In Jordan coordinates
 ordered by position in block, then by block, T^k B is a tail of the
 coordinates, so one echelon form of T^i A gives d[i][k] = dim(T^k B +
 T^i A) for every k; that layer table yields the type of A, the chain of
@@ -29,7 +34,7 @@ from typing import NamedTuple
 from . import linalg as la
 from . import partitions as pt
 from . import tableaux as tb
-from .errors import InvariantViolation
+from .errors import GuardExceeded, InvariantViolation, guard_budget
 from .partitions import Partition
 from .poles import (Picket, Pole, minimal_ambient, picket_tableau, pole_pieces,
                     pole_tableau)
@@ -74,18 +79,17 @@ class NilModule:
     Q^-1) for a Jordan basis Q as ``jordan_basis`` returns it; it is
     checked once and kept, and it stands in for the nilpotency check.
     Without it a basis and the kernels of the powers are computed on first
-    use and kept; the action is immutable, so they never go stale.
+    use and kept; the action is immutable, so they never go stale.  A
+    ``canonical_module`` is its own Jordan basis, and ``_gather`` applies
+    its T to a row with a 0 appended: it picks for each coordinate j the
+    coordinate that T moves into j, or the appended 0 at a block start.
     """
 
-    __slots__ = ("p", "dim", "action", "grading", "_images", "_jordan", "_kernels")
+    __slots__ = ("p", "dim", "action", "grading", "_images", "_gather", "_jordan",
+                 "_kernels")
 
     def __init__(self, p: int, action, grading=None, basis=None):
-        # checked first, since it also keeps the trial division below 2**16
-        if max(len(action), 1) * p * p >= 2**63:
-            raise ValueError(f"p = {p} is too large for dimension {len(action)}:"
-                             " need dim * p**2 < 2**63")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_field(p, len(action))
         T = _rows(action, p)
         n = len(T)
         if any(len(row) != n for row in T):
@@ -98,20 +102,14 @@ class NilModule:
                 raise ValueError("action matrix is not nilpotent")
         images = tuple(zip(*T))  # the columns T e_j
         if grading is not None:
-            grading = tuple(int(d) for d in grading)
-            if len(grading) != n:
-                raise ValueError("grading must assign a degree per basis vector")
-            # column-major, so the first offending (i, j) is reported
-            for j, column in enumerate(images):
-                for i, x in enumerate(column):
-                    if x and grading[i] != grading[j] + 1:
-                        raise ValueError(
-                            f"action does not raise degree by one at ({i},{j})")
+            grading = _graded(grading, n, ((i, j) for j, column in enumerate(images)
+                                           for i, x in enumerate(column) if x))
         self.p = p
         self.dim = n
         self.action = T
         self.grading = grading
         self._images = images
+        self._gather = None
         self._jordan = None
         self._kernels = {}
         if basis is not None:
@@ -127,27 +125,70 @@ class NilModule:
                 and all(len(row) == n for row in Q + inverse))
         if (not fits or la.mul(Q, inverse, p) != la.identity(n)
                 or self.image(Q) != la.mul(_shift(sizes), Q, p)):
-            raise InvariantViolation(
-                f"not a Jordan basis with blocks {sizes} of this module")
-        top, offsets = max(sizes, default=0), block_offsets(sizes)
-        order = [o + j for j in range(top) for o, b in zip(offsets, sizes) if j < b]
-        at = {q: k for k, q in enumerate(order)}
-        self._jordan = _Jordan(sizes, Q, inverse, order,
-                               tuple(n if q in offsets else at[q - 1] for q in order),
-                               [sum(min(b, k) for b in sizes) for k in range(top + 1)])
+            _not_a_basis(sizes)
+        self._jordan = _Jordan(sizes, Q, inverse, *_layer_order(sizes))
 
     def image(self, rows) -> la.Rows:
-        """The rows of T a for the row vectors a in ``rows``."""
-        return la.mul(rows, self._images, self.p)
+        """The rows of T a for the row vectors a in ``rows``, entries in
+        [0, p)."""
+        gather = self._gather
+        if gather is None:
+            return la.mul(rows, self._images, self.p)
+        return tuple([gather((*row, 0)) for row in rows])
 
     def kernel(self, k: int) -> la.Rows:
-        """Canonical (rref) row basis of ker T^k."""
+        """Canonical (rref) row basis of ker T^k: on a canonical module the
+        unit rows at positions b - k on of each block of size b."""
         if k not in self._kernels:
-            power = la.identity(self.dim)
-            for _ in range(min(k, self.dim)):  # T^dim = 0
-                power = la.mul(self.action, power, self.p)
-            self._kernels[k] = la.null_space(power, self.p)
+            if self._gather is None:
+                power = la.identity(self.dim)
+                for _ in range(min(k, self.dim)):  # T^dim = 0
+                    power = la.mul(self.action, power, self.p)
+                self._kernels[k] = la.null_space(power, self.p)
+            else:
+                sizes, I = self._jordan.sizes, la.identity(self.dim)
+                self._kernels[k] = tuple(I[q] for o, b in zip(block_offsets(sizes), sizes)
+                                         for q in range(o + max(b - k, 0), o + b))
         return self._kernels[k]
+
+
+def _check_field(p: int, n: int) -> None:
+    """The input contract on the prime of a module of dimension n."""
+    # checked first, since it also keeps the trial division below 2**16
+    if max(n, 1) * p * p >= 2**63:
+        raise ValueError(f"p = {p} is too large for dimension {n}:"
+                         " need dim * p**2 < 2**63")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _graded(grading, n: int, nonzeros) -> tuple[int, ...]:
+    """The grading as a tuple of ints, checked to be raised by one by T at
+    every nonzero entry (i, j) of T; they come column-major, so the first
+    offending (i, j) is reported."""
+    grading = tuple(int(d) for d in grading)
+    if len(grading) != n:
+        raise ValueError("grading must assign a degree per basis vector")
+    for i, j in nonzeros:
+        if grading[i] != grading[j] + 1:
+            raise ValueError(f"action does not raise degree by one at ({i},{j})")
+    return grading
+
+
+def _not_a_basis(sizes) -> None:
+    raise InvariantViolation(f"not a Jordan basis with blocks {sizes} of this module")
+
+
+def _layer_order(sizes) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """``_Jordan``'s order, shift and prefix for these block sizes."""
+    offsets = block_offsets(sizes)
+    blocks, order, prefix = list(zip(offsets, sizes)), [], [0]
+    for j in range(max(sizes, default=0)):
+        blocks = [(o, b) for o, b in blocks if j < b]
+        order += [o + j for o, _ in blocks]
+        prefix.append(len(order))
+    at, starts = {q: k for k, q in enumerate(order)}, set(offsets)
+    return order, tuple([len(order) if q in starts else at[q - 1] for q in order]), prefix
 
 
 def canonical_module(sizes, p: int, shifts=None) -> NilModule:
@@ -156,15 +197,34 @@ def canonical_module(sizes, p: int, shifts=None) -> NilModule:
     own Jordan basis.
 
     ``shifts`` optionally assigns a degree to each block generator, making
-    the module graded.
+    the module graded.  The module is built in its Jordan coordinates,
+    with Q = Q^-1 = I, from the table ``moves``: moves[j] is the
+    coordinate that T moves into j, dim at a block start.  The checks of
+    ``NilModule`` run on the table: the prime, the grading, and the action
+    and T I against the shift of these sizes.
     """
     if any(b <= 0 for b in sizes):
         raise ValueError(f"block sizes must be positive, got {sizes}")
-    grading = (None if shifts is None
-               else [d + j for d, b in zip(shifts, sizes) for j in range(b)])
-    identity = la.identity(sum(sizes))
-    return NilModule(p, tuple(zip(*_shift(sizes))), grading,
-                     basis=(sizes, identity, identity))
+    sizes = tuple(sizes)
+    n = sum(sizes)
+    _check_field(p, n)
+    moves = []
+    for o, b in zip(block_offsets(sizes), sizes):
+        moves += [n, *range(o, o + b - 1)]
+    I, zero = la.identity(n), (0,) * n
+    M = object.__new__(NilModule)
+    M.p, M.dim, M._images, M._kernels = p, n, None, {}
+    M.action = tuple([zero if m == n else I[m] for m in moves])
+    # T = 0 below dimension 2, where an itemgetter would not return a tuple
+    M._gather = operator.itemgetter(*moves) if n > 1 else lambda row: (0,) * n
+    M.grading = (None if shifts is None else
+                 _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
+                         ((i, m) for i, m in enumerate(moves) if m < n)))
+    J = _shift(sizes)
+    if tuple(zip(*M.action)) != J or M.image(I) != J:
+        _not_a_basis(sizes)
+    M._jordan = _Jordan(sizes, I, I, *_layer_order(sizes))
+    return M
 
 
 def _shift(sizes) -> la.Rows:
@@ -261,13 +321,17 @@ class Embedding:
                  "_killers", "_generator")
 
     def __init__(self, B: NilModule, vectors):
+        self._fill(B, *invariant_closure(B, vectors))
+
+    def _fill(self, B: NilModule, span: la.Rows, pivots: list[int]) -> "Embedding":
         self.B = B
-        self.span, self._pivots = invariant_closure(B, vectors)
+        self.span, self._pivots = span, pivots
         self._layers = None
         self._tableau = None
         self._gens = None
         self._killers = None
         self._generator = None
+        return self
 
     @property
     def p(self) -> int:
@@ -344,6 +408,12 @@ class Embedding:
                 f"gamma={self.gamma})")
 
 
+def _closed(B: NilModule, span: la.Rows) -> Embedding:
+    """The embedding of a span of B that is already invariant and in rref:
+    no closure is run, and each row's pivot is its first entry 1."""
+    return object.__new__(Embedding)._fill(B, span, [row.index(1) for row in span])
+
+
 def _type_from_ranks(ranks) -> Partition:
     """Jordan type whose k-th power has rank ranks[k], the last rank 0:
     ranks[k-1] - ranks[k] blocks have size at least k."""
@@ -377,7 +447,10 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
 
 def jordan_coordinates(E: Embedding) -> la.Rows:
     """A's basis rows in B's Jordan coordinates (c = a Q^-1), block by
-    block, each block from its generator on."""
+    block, each block from its generator on; a canonical module's rows are
+    their own coordinates."""
+    if E.B._gather is not None:
+        return E.span
     return la.mul(E.span, _jordan(E.B).inverse, E.p)
 
 
@@ -404,26 +477,34 @@ def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
 
 def direct_sum(*embeddings: Embedding) -> Embedding:
     """Block-diagonal direct sum; gradings concatenate when all present,
-    and the Jordan bases of the summands make its Jordan basis."""
+    and the Jordan bases of the summands make its Jordan basis.  A sum of
+    canonical modules is the ``canonical_module`` of their concatenated
+    sizes, graded by the degrees at their block starts, and the stacked
+    spans are already closed and reduced."""
     if not embeddings:
         raise ValueError("need at least one summand")
     p = embeddings[0].p
     if any(e.p != p for e in embeddings):
         raise ValueError("summands live over different fields")
     total = sum(e.B.dim for e in embeddings)
-    T, Q, inverse, spans = [], [], [], []
-    sizes, off = [], 0
-    for e in embeddings:
-        J = _jordan(e.B)
-        left, right = (0,) * off, (0,) * (total - off - e.B.dim)
-        for out, rows in zip((T, Q, inverse, spans),
-                             (e.B.action, J.Q, J.inverse, e.span)):
-            out.extend(left + row + right for row in rows)
-        sizes.extend(J.sizes)
-        off += e.B.dim
+
+    def stack(rows_of) -> list[tuple[int, ...]]:
+        out, off = [], 0
+        for e in embeddings:
+            left, right = (0,) * off, (0,) * (total - off - e.B.dim)
+            out.extend(left + row + right for row in rows_of(e))
+            off += e.B.dim
+        return out
+
+    sizes = [b for e in embeddings for b in _jordan(e.B).sizes]
     gradings = (None if any(e.B.grading is None for e in embeddings)
                 else [d for e in embeddings for d in e.B.grading])
-    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)), spans)
+    spans = stack(lambda e: e.span)
+    if all(e.B._gather is not None for e in embeddings):
+        shifts = None if gradings is None else [gradings[o] for o in block_offsets(sizes)]
+        return _closed(canonical_module(sizes, p, shifts), tuple(spans))
+    basis = (sizes, stack(lambda e: _jordan(e.B).Q), stack(lambda e: _jordan(e.B).inverse))
+    return Embedding(NilModule(p, stack(lambda e: e.B.action), gradings, basis), spans)
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
@@ -536,10 +617,16 @@ def realize_picket(n: int, m: int, p: int) -> Embedding:
 def picket_hom_profile(E: Embedding, max_i: int, max_ell: int) -> list[list[int]]:
     """profile[i][ell-1] = hom_dim(E, P_i^ell) for 0 <= i <= max_i, read off
     the chain: by the adjunction identity it is the sum of min(x, ell)
-    over the parts x of B / T^i A (B itself once T^i A = 0)."""
+    over the parts x of B / T^i A (B itself once T^i A = 0).  A table of
+    more than ``LRLAB_GUARD`` cells raises ``GuardExceeded`` before a row
+    is built."""
     if max_i < 0 or max_ell < 1:
         raise ValueError(
             f"need max_i >= 0 and max_ell >= 1, got max_i={max_i}, max_ell={max_ell}")
+    cells, budget = (max_i + 1) * max_ell, guard_budget()
+    if cells > budget:
+        raise GuardExceeded(f"a profile of {max_i + 1} x {max_ell} = {cells} cells"
+                            f" exceeds the guard of {budget}; raise LRLAB_GUARD to allow it")
     chain = E.chain()
     return [
         [sum(min(x, ell) for x in chain[min(i, len(chain) - 1)])

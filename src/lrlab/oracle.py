@@ -29,28 +29,19 @@ to sharpen the separation.
 from __future__ import annotations
 
 import json
-import os
 from functools import lru_cache
 from itertools import combinations, product
 
 from . import linalg as la
 from . import partitions as pt
-from .errors import GuardExceeded, InvariantViolation
-from .nilmod import (Embedding, canonical_module, coordinate_meet_dim,
+from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
+from .errors import GuardExceeded, InvariantViolation, guard_budget
+from .nilmod import (Embedding, _closed, canonical_module, coordinate_meet_dim,
                      generator_blocks, hom_dim, hom_positions, jordan_basis,
                      jordan_coordinates, realize_picket, realize_pole,
                      tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
-
-DEFAULT_GUARD = 2**22
-
-
-def _effective_guard(guard: int | None) -> int:
-    if guard is not None:
-        return guard
-    env = os.environ.get("LRLAB_GUARD")
-    return int(env) if env else DEFAULT_GUARD
 
 
 def s4_catalog(p: int) -> list[tuple[str, Embedding]]:
@@ -189,11 +180,12 @@ def enumerate_submodules(
     canonical basis, so generator tuples are never listed; the guard is
     nevertheless expressed in nominal full-tuple terms so configured
     budgets stay comparable across implementations.  The search returns
-    only spans of dimension |alpha|, each of type alpha (re-checked: a
-    span of another type raises, naming shape, p and span), and the
-    census keeps those with quotient gamma.
+    only spans of dimension |alpha|, invariant and in rref, so their
+    embeddings need no closure; each has type alpha (re-checked: a span
+    of another type raises, naming shape, p and span), and the census
+    keeps those with quotient gamma.
     """
-    if not slow and nominal_tuple_count(shape, p) > _effective_guard(guard):
+    if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
             f"census for {shape} over F_{p} needs {nominal_tuple_count(shape, p)}"
             f" nominal tuples; pass slow=True to run anyway"
@@ -209,7 +201,7 @@ def enumerate_submodules(
     buckets: dict[tuple[int, ...], CensusClass] = {}
     total = 0
     for span in spans:
-        E = Embedding(B, span)
+        E = _closed(B, span)  # the search closed and reduced it
         if E.alpha != shape.alpha:
             raise InvariantViolation(
                 f"search returned a span of type {list(E.alpha)}: shape"

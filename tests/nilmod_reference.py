@@ -8,8 +8,10 @@ intersection it made unused, the ``np.kron`` hom system that
 the block-generator ``hom_dim`` replaced, that block-generator solver
 itself (every row of A1 against ``k T^j N`` products, replaced by module
 generators in Jordan coordinates), the stacked-rref closure loop,
-the hand-built picket, and the run-based pole, strip-only graded pole
-and per-part tableau realizations that ``graded_pole_sum`` replaced.
+the hand-built picket, the run-based pole, strip-only graded pole
+and per-part tableau realizations that ``graded_pole_sum`` replaced, and
+the general direct sum (concatenated Q and Q^-1, checked again) and the
+layer order by one sum per layer that canonical modules no longer use.
 They are kept only so tests can require identical answers from both.
 They compute on numpy arrays and convert at their boundary: the package's
 rows come in through ``mat``, and the echelon forms run the package's
@@ -30,9 +32,9 @@ from linalg_reference import mat
 from lrlab import linalg
 from lrlab import partitions as pt
 from lrlab import tableaux as tb
-from lrlab.nilmod import (Embedding, _chain_pole_split, _jordan, block_offsets,
-                          canonical_module, direct_sum, jordan_coordinates,
-                          tableau_of_embedding)
+from lrlab.nilmod import (Embedding, NilModule, _chain_pole_split, _jordan,
+                          block_offsets, canonical_module, direct_sum,
+                          jordan_coordinates, tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
 
@@ -413,3 +415,36 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
     if got != t:
         raise ValueError(f"tableau is not a union of pole tableaux: got {got}")
     return E
+
+
+def general_direct_sum(*embeddings):
+    """Block-diagonal direct sum through the general ``NilModule`` path:
+    actions, Jordan bases and their inverses concatenated, the basis
+    checked again, the stacked spans closed again."""
+    p = embeddings[0].p
+    total = sum(e.B.dim for e in embeddings)
+    T, Q, inverse, spans = [], [], [], []
+    sizes, off = [], 0
+    for e in embeddings:
+        J = _jordan(e.B)
+        left, right = (0,) * off, (0,) * (total - off - e.B.dim)
+        for out, rows in zip((T, Q, inverse, spans),
+                             (e.B.action, J.Q, J.inverse, e.span)):
+            out.extend(left + row + right for row in rows)
+        sizes.extend(J.sizes)
+        off += e.B.dim
+    gradings = (None if any(e.B.grading is None for e in embeddings)
+                else [d for e in embeddings for d in e.B.grading])
+    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)), spans)
+
+
+def layer_order(sizes):
+    """(order, shift, prefix) of a Jordan basis with these block sizes:
+    the coordinates by position in block, then by block; where T moves
+    each one from in that order (n at a block start); and per k the
+    sum(min(b, k)) coordinates below position k, one sum per layer."""
+    n, top, offsets = sum(sizes), max(sizes, default=0), block_offsets(sizes)
+    order = [o + j for j in range(top) for o, b in zip(offsets, sizes) if j < b]
+    at = {q: k for k, q in enumerate(order)}
+    return (order, tuple(n if q in offsets else at[q - 1] for q in order),
+            [sum(min(b, k) for b in sizes) for k in range(top + 1)])

@@ -135,6 +135,19 @@ def test_profile_refuses_bad_bounds(capsys, bounds):
     assert json.loads(capsys.readouterr().out)["profile"] == [[1]]
 
 
+def test_profile_guard(capsys, monkeypatch):
+    # (max_i + 1) * max_ell cells: 12 fit a guard of 12, 13 do not
+    monkeypatch.setenv("LRLAB_GUARD", "12")
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "3", "--max-l", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["profile"]) == 4
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "12", "--max-l", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "guard exceeded: a profile of 13 x 1 = 13 cells exceeds the guard"
+        " of 12; raise LRLAB_GUARD to allow it\n")
+    # bad bounds are bad input before they are a large table
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "-13", "--max-l", "-1"]) == 2
+
+
 def test_oracle_cli(capsys):
     code, data = run_json(
         capsys, ["oracle", '{"alpha":[3,1],"beta":[4,3,1],"gamma":[3,1]}', "-p", "2"]
@@ -271,6 +284,15 @@ def test_dom2box_beside_a_huge_blank_column():
                       "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"])
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["moves"] == 1
+
+
+@pytest.mark.parametrize("bounds", [["--max-i", str(HUGE)],
+                                    ["--max-i", "0", "--max-l", str(HUGE)]])
+def test_profile_with_huge_bounds_exits_3(bounds):
+    # the table used to be built cell by cell until a timeout killed it
+    done = run_child(["profile", PICKET_EMBEDDING, *bounds])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("guard exceeded: a profile of")
 
 
 # the lrlab modules each command must not load: the combinatorial ones

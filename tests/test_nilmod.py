@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -388,6 +390,132 @@ def test_wrong_jordan_basis_raises():
     for basis in wrong:
         with pytest.raises(InvariantViolation, match="not a Jordan basis"):
             NilModule(3, T, basis=basis)
+
+
+def _random_blocks(rng):
+    """Block sizes in any order, and degrees for them or None."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 5))]
+    shifts = None if rng.random() < 0.3 else [rng.randint(-3, 3) for _ in sizes]
+    return sizes, shifts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonical_module_matches_general_path(p):
+    rng = random.Random(40 + p)
+    for _ in range(60):
+        sizes, shifts = _random_blocks(rng)
+        M = canonical_module(sizes, p, shifts)
+        I = la.identity(M.dim)
+        G = NilModule(p, M.action, M.grading, basis=(sizes, I, I))
+        assert M._gather is not None and G._gather is None
+        assert (M.action, M.grading) == (G.action, G.grading)
+        if shifts is not None:
+            assert M.grading == tuple(d + j for d, b in zip(shifts, sizes) for j in range(b))
+        assert jordan_basis(M) == jordan_basis(G) == (tuple(sizes), I)
+        JM, JG = nilmod._jordan(M), nilmod._jordan(G)
+        assert JM.inverse == JG.inverse == I
+        assert (JM.order, JM.shift, JM.prefix) == (JG.order, JG.shift, JG.prefix)
+        assert (JM.order, JM.shift, JM.prefix) == ref.layer_order(sizes)
+        # the computed basis of the same action finds the same blocks
+        assert jordan_type(NilModule(p, M.action)) == tuple(sorted(sizes, reverse=True))
+        for k in range(max(sizes, default=0) + 2):
+            assert M.kernel(k) == G.kernel(k), (sizes, k)
+        rows = [tuple(rng.randrange(p) for _ in range(M.dim)) for _ in range(5)]
+        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p) == G.image(rows)
+        assert M.image([]) == G.image([]) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_canonical_direct_sum_matches_general_sum(p):
+    rng = random.Random(p)
+    # one to three catalog objects and ungraded blocks per sum
+    summands = ([E for _, E in s4_catalog(p)] + [E for _, E in picket_pole_catalog(p, 5)]
+                + [Embedding(canonical_module(sizes, p), []) for sizes in ((2, 1), (3,))])
+    targets = ([E for _, E in s4_catalog(p)]
+               + [E for _, E in picket_pole_catalog(p, 5)][::3])
+    for _ in range(25):
+        parts = rng.sample(summands, rng.randint(1, 3))
+        S, R = direct_sum(*parts), ref.general_direct_sum(*parts)
+        assert S.B._gather is not None and R.B._gather is None
+        assert (S.B.action, S.B.grading) == (R.B.action, R.B.grading)
+        assert (S.span, S._pivots, S.chain()) == (R.span, R._pivots, R.chain())
+        assert jordan_basis(S.B) == jordan_basis(R.B)
+        assert [hom_dim(C, S) for C in targets] == [hom_dim(C, R) for C in targets]
+        assert [hom_dim(S, C) for C in targets[::2]] == [hom_dim(R, C) for C in targets[::2]]
+
+
+def test_direct_sum_with_a_general_summand_takes_the_general_path():
+    rng = np.random.default_rng(5)
+    E = realize_pole(Pole((0, 2), (3, 1)), 3)
+    F = _conjugate(E, _random_invertible(rng, E.B.dim, 3))
+    for parts in ((E, F), (F, E), (F,)):
+        S, R = direct_sum(*parts), ref.general_direct_sum(*parts)
+        assert S.B._gather is None
+        assert (S.B.action, S.B.grading, S.span) == (R.B.action, R.B.grading, R.span)
+        assert jordan_basis(S.B) == jordan_basis(R.B)
+        assert S.chain() == R.chain() == ref.chain(S)
+
+
+def test_canonical_module_refuses_what_the_general_path_refuses():
+    for bad in [(2, 0), [0], (3, -1)]:
+        with pytest.raises(ValueError, match=rf"positive, got {re.escape(str(bad))}$"):
+            canonical_module(bad, 2)
+    T = canonical_module((3, 2), 2).action
+    for p in (1, 4, 9, P_OVER_DIM5):
+        with pytest.raises(ValueError) as general:
+            NilModule(p, T)
+        with pytest.raises(ValueError) as canonical:
+            canonical_module((3, 2), p)
+        assert str(canonical.value) == str(general.value)
+    assert str(general.value).startswith(f"p = {P_OVER_DIM5} is too large for dimension 5")
+    with pytest.raises(ValueError, match="a degree per basis vector"):
+        canonical_module((3, 2), 2, shifts=[0])
+
+
+def test_canonical_module_checks_its_basis(monkeypatch):
+    # the Jordan check compares the built action with the shift of the sizes
+    canonical_module((2, 1), 3)
+    monkeypatch.setattr(nilmod, "_shift", lambda sizes: la.identity(sum(sizes)))
+    with pytest.raises(InvariantViolation, match=r"not a Jordan basis with blocks \(2, 1\)"):
+        canonical_module((2, 1), 3)
+
+
+def _general_copy(E):
+    """E rebuilt through the general path from its action, grading and span."""
+    return Embedding(NilModule(E.p, E.B.action, E.B.grading), E.span)
+
+
+def test_realized_json_matches_general_path():
+    for shape in list(iter_strip_shapes(6)) + [FIVE_CLASS, TWO_CLASS]:
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                E = realize_tableau(t, p)
+                assert json.dumps(E.to_json()) == json.dumps(_general_copy(E).to_json()), t
+
+
+def test_witness_json_matches_general_path():
+    moves = [(t, t2, move) for shape in iter_strip_shapes(10)
+             for t in enumerate_tableaux(shape) for t2, move in box_successors(t)]
+    for t, t2, move in random.Random(3).sample(moves, 40):
+        for p in (2, 3):
+            ws = witness_sequence(t, t2, move, p)
+            for E in (ws.xt, ws.y, ws.zt):
+                assert E.B._gather is not None
+                G = _general_copy(E)
+                assert json.dumps(E.to_json()) == json.dumps(G.to_json()), (t, t2)
+                assert E.chain() == G.chain()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_embeddings_skip_closure_alike(p):
+    # the census builds its embeddings without closing the search's spans
+    B = canonical_module(FIVE_CLASS.beta, p)
+    spans = _distinct_submodules(B, FIVE_CLASS.alpha)
+    assert spans
+    for span in spans:
+        E, F = nilmod._closed(B, span), Embedding(B, span)
+        assert (E.span, E._pivots) == (F.span, F._pivots)
+        assert (E.alpha, E.chain()) == (F.alpha, F.chain())
 
 
 @pytest.mark.parametrize("p", [2, 3])
