@@ -1,26 +1,28 @@
 """Nilpotent modules and invariant-subspace embeddings over a prime field.
 
-A module is a nilpotent square matrix acting on column vectors, with an
-optional grading (degree per basis vector, raised by one by the action),
-and a Jordan basis: given by the constructions that know one, computed
-by ``jordan_basis`` otherwise.  Almost every module is a canonical N_beta
-(``canonical_module``), built from its block sizes in its own Jordan
-coordinates: T is a gather, each coordinate moving one place down its
-block, the kernels of its powers are read off the sizes, and a direct
-sum of canonical modules is the canonical module of the concatenated
-sizes.  An embedding is such a module together with the reduced basis
-of an invariant subspace A.  In Jordan coordinates
-ordered by position in block, then by block, T^k B is a tail of the
-coordinates, so one echelon form of T^i A gives d[i][k] = dim(T^k B +
-T^i A) for every k; that layer table yields the type of A, the chain of
-types of B / T^i A and the entry counts.  Hom spaces and realizations
-are exact linear algebra mod p too: a hom system is read by index off
-the source subspace's module generators and the target's functionals in
-Jordan coordinates, and from a source with a cyclic subspace a hom space
-needs no system, only the rank of the target subspace's Jordan
-coordinates outside a set of positions.  Every pole is realized
-from its tableau by one generator formula (``pole_generator``), and a
-tableau as one graded module with one such generator per pole piece
+There is one module representation: N_beta = sum of k[T]/(T^b) over the
+block sizes b (``NilModule``, also named ``canonical_module``), built
+from its sizes in its own Jordan coordinates.  T is a gather, each
+coordinate moving one place down its block, the kernels of its powers
+are read off the sizes, and a direct sum is the module of the
+concatenated sizes.  An action given in some other basis enters only
+through ``Embedding.from_json``, which converts it once, at that
+boundary: ``jordan_basis`` finds the block sizes, a Jordan basis Q and
+Q^-1, and the subspace moves to Jordan coordinates; the caller's T,
+grading and subspace are kept only to be printed back.
+
+An embedding is a module together with the reduced basis of an invariant
+subspace A.  In Jordan coordinates ordered by position in block, then by
+block, T^k B is a tail of the coordinates, so one echelon form of T^i A
+gives d[i][k] = dim(T^k B + T^i A) for every k; that layer table yields
+the type of A, the chain of types of B / T^i A and the entry counts.
+Hom spaces and realizations are exact linear algebra mod p too: a hom
+system is read by index off the source subspace's module generators and
+the target's functionals, and from a source with a cyclic subspace a hom
+space needs no system, only the rank of the target subspace's
+coordinates outside a set of positions.  Every pole is realized from its
+tableau by one generator formula (``pole_generator``), and a tableau as
+one graded module with one such generator per pole piece
 (``graded_pole_sum``).
 """
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import linalg as la
 from . import partitions as pt
@@ -47,21 +48,6 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-class _Jordan(NamedTuple):
-    """A kept Jordan basis Q (see ``jordan_basis``) and its layer order:
-    ``order`` lists the Jordan coordinates by position in block, then by
-    block; in that order T moves the coordinate at ``shift[k]`` to k (the
-    index one past the end reads 0), and T^k B is the coordinates from
-    ``prefix[k]`` on."""
-
-    sizes: tuple[int, ...]
-    Q: la.Rows
-    inverse: la.Rows
-    order: list[int]
-    shift: tuple[int, ...]
-    prefix: list[int]
-
-
 def _rows(M, p: int) -> la.Rows:
     """Any rows of integers (lists, tuples, arrays) as tuples of ints mod
     p; tuples already in [0, p) are kept as they are."""
@@ -69,87 +55,72 @@ def _rows(M, p: int) -> la.Rows:
                   else tuple([int(x) % p for x in row]) for row in M])
 
 
+def _vectors(vectors, n: int, p: int) -> la.Rows:
+    """``_rows`` of subspace vectors, each checked to have length n."""
+    rows = _rows(vectors, p)
+    if any(len(row) != n for row in rows):
+        raise ValueError("subspace vectors have the wrong length")
+    return rows
+
+
 class NilModule:
-    """A nilpotent action matrix over F_p, optionally graded.
+    """N_beta over F_p for block sizes beta, in the order given: one
+    Jordan block per size, the basis ordered block by block, generator
+    first, so the module is its own Jordan basis.
 
     ``action`` is T as a tuple of rows; T acts on column vectors, so a row
-    vector a maps to the row of T a (``image``).  The prime is bounded by
-    dim * p**2 < 2**63 (dim taken as at least 1), an input contract that
-    Python's unbounded ints no longer need.  ``basis`` is (block sizes, Q,
-    Q^-1) for a Jordan basis Q as ``jordan_basis`` returns it; it is
-    checked once and kept, and it stands in for the nilpotency check.
-    Without it a basis and the kernels of the powers are computed on first
-    use and kept; the action is immutable, so they never go stale.  A
-    ``canonical_module`` is its own Jordan basis, and ``_gather`` applies
-    its T to a row with a 0 appended: it picks for each coordinate j the
-    coordinate that T moves into j, or the appended 0 at a block start.
+    vector a maps to the row of T a (``image``).  ``shifts`` optionally
+    assigns a degree to each block generator, making the module graded.
+    The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1),
+    an input contract that Python's unbounded ints no longer need.  The
+    module is built from the table ``moves``: moves[j] is the coordinate
+    that T moves into j, dim at a block start, and ``_gather`` applies T
+    to a row with a 0 appended by picking those coordinates.  The checks
+    run on the table: the prime, the grading, and the action and T I
+    against the shift of these sizes.  ``_order`` is the layer order of
+    ``_layer_order``.
     """
 
-    __slots__ = ("p", "dim", "action", "grading", "_images", "_gather", "_jordan",
-                 "_kernels")
+    __slots__ = ("p", "dim", "sizes", "action", "grading", "_gather", "_order")
 
-    def __init__(self, p: int, action, grading=None, basis=None):
-        _check_field(p, len(action))
-        T = _rows(action, p)
-        n = len(T)
-        if any(len(row) != n for row in T):
-            raise ValueError("action matrix must be square")
-        if basis is None:
-            power = la.identity(n)
-            for _ in range(n):
-                power = la.mul(T, power, p)
-            if any(map(any, power)):
-                raise ValueError("action matrix is not nilpotent")
-        images = tuple(zip(*T))  # the columns T e_j
-        if grading is not None:
-            grading = _graded(grading, n, ((i, j) for j, column in enumerate(images)
-                                           for i, x in enumerate(column) if x))
-        self.p = p
-        self.dim = n
-        self.action = T
-        self.grading = grading
-        self._images = images
-        self._gather = None
-        self._jordan = None
-        self._kernels = {}
-        if basis is not None:
-            self._keep_basis(*basis)
-
-    def _keep_basis(self, sizes, Q, inverse) -> None:
-        """Keep Q with its layer order once it is checked to be a Jordan
-        basis with these block sizes and this inverse."""
-        sizes, n, p = tuple(sizes), self.dim, self.p
-        Q, inverse = _rows(Q, p), _rows(inverse, p)
-        fits = (all(b > 0 for b in sizes) and sum(sizes) == n
-                and len(Q) == len(inverse) == n
-                and all(len(row) == n for row in Q + inverse))
-        if (not fits or la.mul(Q, inverse, p) != la.identity(n)
-                or self.image(Q) != la.mul(_shift(sizes), Q, p)):
+    def __init__(self, sizes, p: int, shifts=None):
+        if any(b <= 0 for b in sizes):
+            raise ValueError(f"block sizes must be positive, got {sizes}")
+        sizes = tuple(sizes)
+        n = sum(sizes)
+        _check_field(p, n)
+        moves = []
+        for o, b in zip(block_offsets(sizes), sizes):
+            moves += [n, *range(o, o + b - 1)]
+        I, zero = la.identity(n), (0,) * n
+        self.p, self.dim, self.sizes = p, n, sizes
+        self.action = tuple([zero if m == n else I[m] for m in moves])
+        # T = 0 below dimension 2, where an itemgetter would not return a tuple
+        self._gather = operator.itemgetter(*moves) if n > 1 else lambda row: (0,) * n
+        self.grading = (None if shifts is None else
+                        _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
+                                ((i, m) for i, m in enumerate(moves) if m < n)))
+        J = _shift(sizes)
+        if tuple(zip(*self.action)) != J or self.image(I) != J:
             _not_a_basis(sizes)
-        self._jordan = _Jordan(sizes, Q, inverse, *_layer_order(sizes))
+        self._order = _layer_order(sizes)
 
     def image(self, rows) -> la.Rows:
         """The rows of T a for the row vectors a in ``rows``, entries in
         [0, p)."""
         gather = self._gather
-        if gather is None:
-            return la.mul(rows, self._images, self.p)
         return tuple([gather((*row, 0)) for row in rows])
 
     def kernel(self, k: int) -> la.Rows:
-        """Canonical (rref) row basis of ker T^k: on a canonical module the
-        unit rows at positions b - k on of each block of size b."""
-        if k not in self._kernels:
-            if self._gather is None:
-                power = la.identity(self.dim)
-                for _ in range(min(k, self.dim)):  # T^dim = 0
-                    power = la.mul(self.action, power, self.p)
-                self._kernels[k] = la.null_space(power, self.p)
-            else:
-                sizes, I = self._jordan.sizes, la.identity(self.dim)
-                self._kernels[k] = tuple(I[q] for o, b in zip(block_offsets(sizes), sizes)
-                                         for q in range(o + max(b - k, 0), o + b))
-        return self._kernels[k]
+        """Canonical (rref) row basis of ker T^k: the unit rows at
+        positions b - k on of each block of size b."""
+        I = la.identity(self.dim)
+        return tuple(I[q] for o, b in zip(block_offsets(self.sizes), self.sizes)
+                     for q in range(o + max(b - k, 0), o + b))
+
+
+# N_beta under the name the constructions use
+canonical_module = NilModule
 
 
 def _check_field(p: int, n: int) -> None:
@@ -180,7 +151,10 @@ def _not_a_basis(sizes) -> None:
 
 
 def _layer_order(sizes) -> tuple[list[int], tuple[int, ...], list[int]]:
-    """``_Jordan``'s order, shift and prefix for these block sizes."""
+    """The Jordan coordinates by position in block, then by block
+    (``order``); in that order T moves the coordinate at ``shift[k]`` to
+    k (the index one past the end reads 0), and T^k B is the coordinates
+    from ``prefix[k]`` on."""
     offsets = block_offsets(sizes)
     blocks, order, prefix = list(zip(offsets, sizes)), [], [0]
     for j in range(max(sizes, default=0)):
@@ -189,42 +163,6 @@ def _layer_order(sizes) -> tuple[list[int], tuple[int, ...], list[int]]:
         prefix.append(len(order))
     at, starts = {q: k for k, q in enumerate(order)}, set(offsets)
     return order, tuple([len(order) if q in starts else at[q - 1] for q in order]), prefix
-
-
-def canonical_module(sizes, p: int, shifts=None) -> NilModule:
-    """One Jordan block per size, in the order given (N_beta for sizes
-    beta), the basis ordered block by block, generator first; it is its
-    own Jordan basis.
-
-    ``shifts`` optionally assigns a degree to each block generator, making
-    the module graded.  The module is built in its Jordan coordinates,
-    with Q = Q^-1 = I, from the table ``moves``: moves[j] is the
-    coordinate that T moves into j, dim at a block start.  The checks of
-    ``NilModule`` run on the table: the prime, the grading, and the action
-    and T I against the shift of these sizes.
-    """
-    if any(b <= 0 for b in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
-    sizes = tuple(sizes)
-    n = sum(sizes)
-    _check_field(p, n)
-    moves = []
-    for o, b in zip(block_offsets(sizes), sizes):
-        moves += [n, *range(o, o + b - 1)]
-    I, zero = la.identity(n), (0,) * n
-    M = object.__new__(NilModule)
-    M.p, M.dim, M._images, M._kernels = p, n, None, {}
-    M.action = tuple([zero if m == n else I[m] for m in moves])
-    # T = 0 below dimension 2, where an itemgetter would not return a tuple
-    M._gather = operator.itemgetter(*moves) if n > 1 else lambda row: (0,) * n
-    M.grading = (None if shifts is None else
-                 _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
-                         ((i, m) for i, m in enumerate(moves) if m < n)))
-    J = _shift(sizes)
-    if tuple(zip(*M.action)) != J or M.image(I) != J:
-        _not_a_basis(sizes)
-    M._jordan = _Jordan(sizes, I, I, *_layer_order(sizes))
-    return M
 
 
 def _shift(sizes) -> la.Rows:
@@ -243,46 +181,60 @@ def block_offsets(beta: Partition) -> list[int]:
 
 
 def jordan_type(M: NilModule) -> Partition:
-    """Partition of Jordan block sizes, sorted from ``jordan_basis``."""
-    return tuple(sorted(jordan_basis(M)[0], reverse=True))
+    """Partition of Jordan block sizes, the module's sizes sorted."""
+    return tuple(sorted(M.sizes, reverse=True))
 
 
-def jordan_basis(M: NilModule) -> tuple[tuple[int, ...], la.Rows]:
-    """Block sizes and a Jordan basis Q of M, kept on M.
+def jordan_basis(action: la.Rows, p: int) -> tuple[tuple[int, ...], la.Rows, la.Rows]:
+    """Block sizes, a Jordan basis Q and Q^-1 of the action T, given as
+    square rows with entries in [0, p) that act on column vectors as in
+    ``NilModule``; ValueError when T is not nilpotent.
 
+    The kernels of the powers of T are computed until ker T^k stops
+    growing, which it does at the whole space exactly when T is nilpotent.
     The rows of Q are g_1, T g_1, ..., g_2, T g_2, ..., so a = c Q gives
-    the Jordan coordinates c of a.  A module built with its basis keeps
-    it, sizes in its block order.  Otherwise the basis is computed here,
-    sizes nonincreasing: the generators of the size-b blocks are rref rows
-    of a complement of ker T^(b-1) + T ker T^(b+1) in ker T^b, and by
-    induction from the top their chains reach a basis of every
-    ker T^l / ker T^(l-1).
+    the Jordan coordinates c of a, sizes nonincreasing: the generators of
+    the size-b blocks are rref rows of a complement of ker T^(b-1) +
+    T ker T^(b+1) in ker T^b, and by induction from the top their chains
+    reach a basis of every ker T^l / ker T^(l-1).
     """
-    if M._jordan is None:
-        p = M.p
-        top = 0
-        while len(M.kernel(top)) < M.dim:
-            top += 1
-        sizes, Q = [], []
-        for b in range(top, 0, -1):
-            lower, pivots = la.rref(M.kernel(b - 1) + M.image(M.kernel(b + 1)), p)
-            gens = la.row_space(
-                [la.reduce_vec(v, lower, pivots, p) for v in M.kernel(b)], p)
-            for g in gens:
-                sizes.append(b)
-                for _ in range(b):
-                    Q.append(g)
-                    (g,) = M.image([g])
-        # [Q | I] reduces to [I | Q^-1]
-        R, _ = la.rref([q + e for q, e in zip(Q, la.identity(M.dim))], p)
-        M._keep_basis(sizes, Q, [row[M.dim:] for row in R])
-    return M._jordan.sizes, M._jordan.Q
+    n, columns = len(action), tuple(zip(*action))
+
+    def image(rows):
+        return la.mul(rows, columns, p)
+
+    kernels, power = [()], la.identity(n)  # ker T^0 = 0
+    while len(kernels[-1]) < n:
+        power = la.mul(action, power, p)
+        kernels.append(la.null_space(power, p))
+        if len(kernels[-1]) == len(kernels[-2]):
+            raise ValueError("action matrix is not nilpotent")
+    kernels.append(kernels[-1])  # ker T^(top+1) = ker T^top
+    sizes, Q = [], []
+    for b in range(len(kernels) - 2, 0, -1):
+        lower, pivots = la.rref(kernels[b - 1] + image(kernels[b + 1]), p)
+        gens = la.row_space([la.reduce_vec(v, lower, pivots, p) for v in kernels[b]], p)
+        for g in gens:
+            sizes.append(b)
+            for _ in range(b):
+                Q.append(g)
+                (g,) = image([g])
+    # [Q | I] reduces to [I | Q^-1]
+    R, _ = la.rref([q + e for q, e in zip(Q, la.identity(n))], p)
+    return tuple(sizes), tuple(Q), tuple(row[n:] for row in R)
 
 
-def _jordan(M: NilModule) -> _Jordan:
-    if M._jordan is None:
-        jordan_basis(M)
-    return M._jordan
+def _check_basis(action: la.Rows, p: int, sizes, Q, inverse) -> None:
+    """InvariantViolation unless Q is a Jordan basis of the action with
+    these block sizes and this inverse: Q Q^-1 = I and T moves each row of
+    Q to the next one in its block (the shift of the sizes)."""
+    n = len(action)
+    fits = (all(b > 0 for b in sizes) and sum(sizes) == n
+            and len(Q) == len(inverse) == n
+            and all(len(row) == n for row in Q + inverse))
+    if (not fits or la.mul(Q, inverse, p) != la.identity(n)
+            or la.mul(Q, tuple(zip(*action)), p) != la.mul(_shift(sizes), Q, p)):
+        _not_a_basis(sizes)
 
 
 def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int]]:
@@ -294,10 +246,7 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int]]:
     a span that is already invariant costs one ``rref``.
     """
     p = B.p
-    rows = _rows(vectors, p)
-    if any(len(row) != B.dim for row in rows):
-        raise ValueError("subspace vectors have the wrong length")
-    span, pivots = la.rref(rows, p)
+    span, pivots = la.rref(_vectors(vectors, B.dim, p), p)
     while True:
         residue = tuple(la.reduce_vec(v, span, pivots, p) for v in B.image(span))
         if not any(map(any, residue)):
@@ -312,13 +261,14 @@ class Embedding:
     tuples and so its own dictionary key; the constructor
     closes the given vectors under the action, so they may be just
     generators.  The layer table (with alpha and the chain), the tableau,
-    A's module generators and the functionals killing A (both in Jordan
-    coordinates, for ``hom_dim``) and, for a cyclic A, the blocks of its
-    generator are computed on first use and kept.
+    A's module generators and the functionals killing A (for ``hom_dim``)
+    and, for a cyclic A, the blocks of its generator are computed on
+    first use and kept.  An embedding read by ``from_json`` keeps the
+    caller's T, grading and subspace rows as ``_source``, for ``to_json``.
     """
 
     __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_gens",
-                 "_killers", "_generator")
+                 "_killers", "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
         self._fill(B, *invariant_closure(B, vectors))
@@ -331,6 +281,7 @@ class Embedding:
         self._gens = None
         self._killers = None
         self._generator = None
+        self._source = None
         return self
 
     @property
@@ -344,22 +295,22 @@ class Embedding:
         """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
         alpha_1 and k up to beta_1, computed once.
 
-        In B's Jordan coordinates in layer order, T^k B is the coordinates
-        from prefix[k] on, so d[i][k] is dim T^k B plus the pivots of the
+        In B's coordinates in layer order, T^k B is the coordinates from
+        prefix[k] on, so d[i][k] is dim T^k B plus the pivots of the
         echelon form of T^i A before prefix[k].  Stage i of the chain,
         B / T^i A, has dim T^k(B / T^i A) = d[i][k] - dim T^i A.
         """
         if self._layers is None:
-            J, p, n = _jordan(self.B), self.p, self.B.dim
-            C = [[c[q] for q in J.order] for c in jordan_coordinates(self)]
+            (order, shift, prefix), p, n = self.B._order, self.p, self.B.dim
+            C = [[c[q] for q in order] for c in self.span]
             dims, table = [], []
             while any(map(any, C)):
                 R, pivots = la.rref(C, p)
                 dims.append(len(pivots))
-                table.append(tuple(n - s + bisect_left(pivots, s) for s in J.prefix))
-                C = [[row[s] for s in J.shift] for row in (r + (0,) for r in R)]
+                table.append(tuple(n - s + bisect_left(pivots, s) for s in prefix))
+                C = [[row[s] for s in shift] for row in (r + (0,) for r in R)]
             dims.append(0)
-            table.append(tuple(n - s for s in J.prefix))
+            table.append(tuple(n - s for s in prefix))
             chain = tuple(_type_from_ranks([x - a for x in row])
                           for row, a in zip(table, dims))
             self._layers = _type_from_ranks(dims), chain, tuple(table)
@@ -384,24 +335,55 @@ class Embedding:
         return la.in_space(v, self.span, self._pivots, self.p)
 
     def to_json(self) -> dict:
+        T, grading, span = self._source or (self.B.action, self.B.grading, self.span)
         data = {
             "p": self.p,
             "beta": list(self.beta),
-            "T": [list(row) for row in self.B.action],
-            "A_span": [list(row) for row in self.span],
+            "T": [list(row) for row in T],
+            "A_span": [list(row) for row in span],
         }
-        if self.B.grading is not None:
-            data["grading"] = list(self.B.grading)
+        if grading is not None:
+            data["grading"] = list(grading)
         return data
 
     @staticmethod
     def from_json(data: dict) -> "Embedding":
+        """The embedding that ``data`` states in any basis, converted here
+        to the Jordan form of its action.
+
+        Refused with ValueError: a bad prime, a T that is not square or
+        not nilpotent, a grading that T does not raise by one, a beta
+        other than the Jordan type of T (an absent beta is allowed), rows
+        of A of the wrong length.  ``jordan_basis`` gives the sizes, Q and
+        Q^-1 of T, checked once; A's rows a go to their coordinates a Q^-1
+        in the module of those sizes and are closed there.  The closure
+        taken back to the given basis (span Q, reduced) is kept with T and
+        the grading for ``to_json``.
+        """
         p = pt.json_ints(data["p"], "p", 0)
         grading = data.get("grading")
         if grading is not None:
             grading = pt.json_ints(grading, "grading", 1)
-        module = NilModule(p, pt.json_ints(data["T"], "T", 2), grading)
-        return Embedding(module, pt.json_ints(data.get("A_span", []), "A_span", 2))
+        T = pt.json_ints(data["T"], "T", 2)
+        _check_field(p, len(T))
+        T = _rows(T, p)
+        n = len(T)
+        if any(len(row) != n for row in T):
+            raise ValueError("action matrix must be square")
+        sizes, Q, inverse = jordan_basis(T, p)
+        _check_basis(T, p, sizes, Q, inverse)
+        if grading is not None:
+            grading = _graded(grading, n, ((i, j) for j, column in enumerate(zip(*T))
+                                           for i, x in enumerate(column) if x))
+        B = canonical_module(sizes, p)
+        beta = data.get("beta")
+        if beta is not None and pt.from_json(beta) != jordan_type(B):
+            raise ValueError(f"beta {beta} is not the Jordan type"
+                             f" {list(jordan_type(B))} of T")
+        A = _vectors(pt.json_ints(data.get("A_span", []), "A_span", 2), n, p)
+        E = Embedding(B, la.mul(A, inverse, p))
+        E._source = (T, grading, la.row_space(la.mul(E.span, Q, p), p))
+        return E
 
     def __repr__(self):
         return (f"Embedding(p={self.p}, beta={self.beta}, alpha={self.alpha}, "
@@ -445,15 +427,6 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
     return at(ell - 1, r) - at(ell, r) - at(ell - 1, r - 1) + at(ell, r - 1)
 
 
-def jordan_coordinates(E: Embedding) -> la.Rows:
-    """A's basis rows in B's Jordan coordinates (c = a Q^-1), block by
-    block, each block from its generator on; a canonical module's rows are
-    their own coordinates."""
-    if E.B._gather is not None:
-        return E.span
-    return la.mul(E.span, _jordan(E.B).inverse, E.p)
-
-
 def coordinate_meet_dim(coords, outside, p: int) -> int:
     """dim(A  intersect  U) for the row space A of ``coords`` (independent
     rows) and U the coordinate subspace on every position not in
@@ -469,52 +442,41 @@ def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
     and at least b - s in each block of size b, so the intersection is a
     ``coordinate_meet_dim`` outside the positions below both.
     """
-    J = _jordan(E.B)
-    outside = [o + j for o, b in zip(block_offsets(J.sizes), J.sizes)
+    sizes = E.B.sizes
+    outside = [o + j for o, b in zip(block_offsets(sizes), sizes)
                for j in range(min(max(r, b - s), b))]
-    return coordinate_meet_dim(jordan_coordinates(E), outside, E.p)
+    return coordinate_meet_dim(E.span, outside, E.p)
 
 
 def direct_sum(*embeddings: Embedding) -> Embedding:
-    """Block-diagonal direct sum; gradings concatenate when all present,
-    and the Jordan bases of the summands make its Jordan basis.  A sum of
-    canonical modules is the ``canonical_module`` of their concatenated
-    sizes, graded by the degrees at their block starts, and the stacked
-    spans are already closed and reduced."""
+    """Block-diagonal direct sum: the module of the concatenated block
+    sizes, graded by the summands' degrees at their block starts when
+    every summand is graded; the stacked spans are already closed and
+    reduced."""
     if not embeddings:
         raise ValueError("need at least one summand")
     p = embeddings[0].p
     if any(e.p != p for e in embeddings):
         raise ValueError("summands live over different fields")
     total = sum(e.B.dim for e in embeddings)
-
-    def stack(rows_of) -> list[tuple[int, ...]]:
-        out, off = [], 0
-        for e in embeddings:
-            left, right = (0,) * off, (0,) * (total - off - e.B.dim)
-            out.extend(left + row + right for row in rows_of(e))
-            off += e.B.dim
-        return out
-
-    sizes = [b for e in embeddings for b in _jordan(e.B).sizes]
-    gradings = (None if any(e.B.grading is None for e in embeddings)
-                else [d for e in embeddings for d in e.B.grading])
-    spans = stack(lambda e: e.span)
-    if all(e.B._gather is not None for e in embeddings):
-        shifts = None if gradings is None else [gradings[o] for o in block_offsets(sizes)]
-        return _closed(canonical_module(sizes, p, shifts), tuple(spans))
-    basis = (sizes, stack(lambda e: _jordan(e.B).Q), stack(lambda e: _jordan(e.B).inverse))
-    return Embedding(NilModule(p, stack(lambda e: e.B.action), gradings, basis), spans)
+    spans, off = [], 0
+    for e in embeddings:
+        left, right = (0,) * off, (0,) * (total - off - e.B.dim)
+        spans.extend(left + row + right for row in e.span)
+        off += e.B.dim
+    shifts = (None if any(e.B.grading is None for e in embeddings)
+              else [e.B.grading[o] for e in embeddings for o in block_offsets(e.B.sizes)])
+    return _closed(canonical_module([b for e in embeddings for b in e.B.sizes], p, shifts),
+                   tuple(spans))
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """Dimension of the space of embedding morphisms E1 -> E2.
 
     A module map g is fixed by the images x_i in ker T2^(b_i) of the
-    generators of E1's Jordan blocks (``jordan_basis``), and it maps A1
-    into A2 when it maps A1's module generators a there (``_generators``,
-    len(alpha1) of them, in E1's Jordan coordinates).  In E2's Jordan
-    coordinates ker T2^b is the positions q >= c - b of each block of
+    generators of E1's Jordan blocks, and it maps A1 into A2 when it maps
+    A1's module generators a there (``_generators``, len(alpha1) of
+    them).  In E2's coordinates ker T2^b is the positions q >= c - b of each block of
     size c, and T2 moves position q to q + 1; so for a functional k
     killing A2 (``_functionals``) the unknown x_i at position q of the
     block at offset o2 enters k g(a) with the coefficient
@@ -523,7 +485,7 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    sources, targets = _jordan(E1.B).sizes, _jordan(E2.B).sizes
+    sources, targets = E1.B.sizes, E2.B.sizes
     unknowns = [(o, o2 + q, o2 + c)  # x_i at q: a from o, k from o2 + q to o2 + c
                 for o, b in zip(block_offsets(sources), sources)
                 for o2, c in zip(block_offsets(targets), targets)
@@ -535,23 +497,20 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
 
 
 def _generators(E: Embedding) -> la.Rows:
-    """Module generators of A in B's Jordan coordinates, kept on E: the
-    rows of the echelon form of A whose pivots are not pivots of T A.
-    They are independent modulo T A, and there are dim A - dim T A =
-    len(alpha) of them."""
+    """Module generators of A, kept on E: the rows of the kept echelon
+    form of A whose pivots are not pivots of T A.  They are independent
+    modulo T A, and there are dim A - dim T A = len(alpha) of them."""
     if E._gens is None:
-        p = E.p
-        R, pivots = la.rref(jordan_coordinates(E), p)
-        shifted = la.rref(la.mul(R, _shift(_jordan(E.B).sizes), p), p)[1]
-        E._gens = tuple(r for r, c in zip(R, pivots) if c not in shifted)
+        shifted = la.rref(E.B.image(E.span), E.p)[1]
+        E._gens = tuple(r for r, c in zip(E.span, E._pivots) if c not in shifted)
     return E._gens
 
 
 def _functionals(E: Embedding) -> list[list[int]]:
-    """A basis of the functionals killing A in B's Jordan coordinates
-    (``la.annihilator``), kept on E."""
+    """A basis of the functionals killing A (``la.annihilator`` of the
+    kept echelon form), kept on E."""
     if E._killers is None:
-        E._killers = la.annihilator(*la.rref(jordan_coordinates(E), E.p), E.B.dim, E.p)
+        E._killers = la.annihilator(E.span, E._pivots, E.B.dim, E.p)
     return E._killers
 
 
@@ -559,7 +518,7 @@ def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
     """(b_i, j_i) for every Jordan block i of C's module when A is cyclic,
     None when A needs two or more generators; kept on C.
 
-    b_i is the block size and j_i the lowest nonzero Jordan coordinate of
+    b_i is the block size and j_i the lowest nonzero coordinate of
     a generator a of A (``_generators``) in that block, or b_i where a
     vanishes.  A is cyclic when dim A - dim TA <= 1, so A = 0 counts.  The
     generators of a cyclic A are u(T) a for the polynomials u with a unit
@@ -568,7 +527,7 @@ def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:
     if len(C.alpha) > 1:
         return None
     if C._generator is None:
-        sizes = _jordan(C.B).sizes
+        sizes = C.B.sizes
         a = next(iter(_generators(C)), (0,) * C.B.dim)
         C._generator = tuple((b, _lowest(a[o:o + b], b))
                              for o, b in zip(block_offsets(sizes), sizes))
@@ -584,7 +543,7 @@ def hom_positions(blocks, sizes) -> tuple[int, tuple[int, ...]]:
     """(base, outside) for a cyclic source C with ``generator_blocks``
     ``blocks`` and a target E whose Jordan blocks have ``sizes``, in
     order: dim Hom(C, E) is base plus the ``coordinate_meet_dim`` of E's
-    ``jordan_coordinates`` outside ``outside``.
+    span outside ``outside``.
 
     A map g is free on the images x_i in ker T^b_i of C's block
     generators, and g(A_C) <= A_E holds exactly when g(a) lies in A_E.  A

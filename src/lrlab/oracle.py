@@ -37,9 +37,8 @@ from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
 from .nilmod import (Embedding, _closed, canonical_module, coordinate_meet_dim,
-                     generator_blocks, hom_dim, hom_positions, jordan_basis,
-                     jordan_coordinates, realize_picket, realize_pole,
-                     tableau_of_embedding)
+                     generator_blocks, hom_dim, hom_positions, realize_picket,
+                     realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -93,12 +92,11 @@ def iso_fingerprint(E: Embedding, catalog) -> tuple[int, ...]:
 
     A source C with a cyclic subspace needs no system: its hom dimension
     is a constant plus the dimension in which A_E meets a coordinate
-    subspace (``nilmod.hom_positions``).  E's Jordan coordinates are read
-    once and ranked once per distinct position set.  A source whose
-    subspace needs two generators (X) is solved by ``nilmod.hom_dim``.
+    subspace (``nilmod.hom_positions``).  E's span is ranked once per
+    distinct position set.  A source whose subspace needs two generators
+    (X) is solved by ``nilmod.hom_dim``.
     """
-    sizes = jordan_basis(E.B)[0]
-    coords = jordan_coordinates(E)
+    sizes, coords = E.B.sizes, E.span
     meets: dict[tuple[int, ...], int] = {}
     out = []
     for _, C in catalog:

@@ -23,6 +23,7 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from . import partitions as pt
+from .errors import GuardExceeded, guard_budget
 from .partitions import Partition
 from .records import Record, setfield
 
@@ -383,9 +384,14 @@ def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
     Backtracking over skew cells column by column, bottom up within a
     column, pruning on the row-weak, column-strict and entry-count
     conditions as cells are placed and on the lattice condition at each
-    column boundary.
+    column boundary.  An |alpha| past ``LRLAB_GUARD`` raises
+    ``GuardExceeded`` before the entry counts are built.
     """
     cells = shape.cells()
+    size, budget = pt.weight(shape.alpha), guard_budget()
+    if size > budget:
+        raise GuardExceeded(f"|alpha| = {size} exceeds the guard of {budget};"
+                            " raise LRLAB_GUARD to allow it")
     expected = pt.transpose(shape.alpha)
     s = len(expected)
     remaining = list(expected)

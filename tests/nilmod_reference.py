@@ -10,14 +10,23 @@ itself (every row of A1 against ``k T^j N`` products, replaced by module
 generators in Jordan coordinates), the stacked-rref closure loop,
 the hand-built picket, the run-based pole, strip-only graded pole
 and per-part tableau realizations that ``graded_pole_sum`` replaced, and
-the general direct sum (concatenated Q and Q^-1, checked again) and the
-layer order by one sum per layer that canonical modules no longer use.
-They are kept only so tests can require identical answers from both.
-They compute on numpy arrays and convert at their boundary: the package's
-rows come in through ``mat``, and the echelon forms run the package's
-kernel (checked against the numpy one in ``tests/test_linalg.py``) on
-``tolist`` rows; the block-generator solver runs on rows as it ran in
-the package.
+the layer order by one sum per layer that canonical modules no longer
+use.  They are kept only so tests can require identical answers from both.
+
+The package has one module representation, N_beta in its own Jordan
+coordinates, and converts an action given in any other basis at
+``Embedding.from_json``.  The references here take any basis:
+``general_embedding`` keeps the action and subspace of a JSON embedding
+as given, with no Jordan basis, and ``general_direct_sum`` stacks the
+summands' actions itself.  So a test can feed a conjugated embedding
+through the boundary and compute the reference on the caller's T, never
+on the converted module.
+
+They compute on numpy arrays and convert at their boundary: the
+package's rows come in through ``mat``, and the echelon forms run the
+package's kernel (checked against the numpy one in
+``tests/test_linalg.py``) on ``tolist`` rows; the block-generator solver
+runs on rows as it ran in the package.
 """
 
 from __future__ import annotations
@@ -32,9 +41,8 @@ from linalg_reference import mat
 from lrlab import linalg
 from lrlab import partitions as pt
 from lrlab import tableaux as tb
-from lrlab.nilmod import (Embedding, NilModule, _chain_pole_split, _jordan,
-                          block_offsets, canonical_module, direct_sum,
-                          jordan_coordinates, tableau_of_embedding)
+from lrlab.nilmod import (Embedding, _chain_pole_split, block_offsets,
+                          canonical_module, direct_sum, tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
 
@@ -101,6 +109,21 @@ def type_of_action(T, p):
         power = (T @ power) % p
         ranks.append(la.rank(power, p))
     return _type_from_ranks(ranks)
+
+
+def general_embedding(data):
+    """The embedding that the JSON ``data`` states, in the basis it is
+    given in: the action T mod p and the closure of A_span under it
+    (``invariant_closure``), with no Jordan basis.  The references here
+    take it wherever they take an embedding; ``data`` stays on it as
+    ``json``."""
+    p, n = data["p"], len(data["T"])
+    grading = data.get("grading")
+    B = SimpleNamespace(p=p, dim=n, action=tuple(map(tuple, (mat(data["T"], n) % p).tolist())),
+                        grading=None if grading is None else tuple(grading))
+    span, pivots = invariant_closure(B, data.get("A_span", []))
+    return SimpleNamespace(p=p, B=B, span=tuple(map(tuple, span.tolist())),
+                           _pivots=pivots, json=data)
 
 
 def action_of(B):
@@ -273,10 +296,10 @@ def block_hom_dim(E1, E2):
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
     p = E1.p
-    sizes = _jordan(E1.B).sizes
+    sizes = E1.B.sizes
     if not sizes:
         return 0
-    coords = jordan_coordinates(E1)
+    coords = E1.span
     codim = E2.B.dim - E2.dim_sub()
     blocks = []
     for o, b in zip(block_offsets(sizes), sizes):
@@ -418,24 +441,21 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
 
 
 def general_direct_sum(*embeddings):
-    """Block-diagonal direct sum through the general ``NilModule`` path:
-    actions, Jordan bases and their inverses concatenated, the basis
-    checked again, the stacked spans closed again."""
+    """Block-diagonal direct sum as a ``general_embedding``: the summands'
+    actions, spans and gradings stacked here, the stacked spans closed
+    again."""
     p = embeddings[0].p
     total = sum(e.B.dim for e in embeddings)
-    T, Q, inverse, spans = [], [], [], []
-    sizes, off = [], 0
+    T, spans, off = np.zeros((total, total), dtype=np.int64), [], 0
     for e in embeddings:
-        J = _jordan(e.B)
-        left, right = (0,) * off, (0,) * (total - off - e.B.dim)
-        for out, rows in zip((T, Q, inverse, spans),
-                             (e.B.action, J.Q, J.inverse, e.span)):
-            out.extend(left + row + right for row in rows)
-        sizes.extend(J.sizes)
-        off += e.B.dim
-    gradings = (None if any(e.B.grading is None for e in embeddings)
-                else [d for e in embeddings for d in e.B.grading])
-    return Embedding(NilModule(p, T, gradings, basis=(sizes, Q, inverse)), spans)
+        d = e.B.dim
+        T[off:off + d, off:off + d] = action_of(e.B)
+        spans.extend([0] * off + list(row) + [0] * (total - off - d) for row in e.span)
+        off += d
+    data = {"p": p, "T": T.tolist(), "A_span": spans}
+    if all(e.B.grading is not None for e in embeddings):
+        data["grading"] = [d for e in embeddings for d in e.B.grading]
+    return general_embedding(data)
 
 
 def layer_order(sizes):

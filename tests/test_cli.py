@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 import lrlab
 import lrlab.cli as cli
-from conftest import iter_all_shapes, iter_strip_shapes
+from conftest import FIVE_CLASS, iter_all_shapes, iter_strip_shapes
+from lrlab import linalg as la
 from lrlab.boxmoves import box_successors
 from lrlab.cli import run
+from lrlab.errors import guard_budget
 from lrlab.nilmod import realize_tableau
 from lrlab.tableaux import enumerate_tableaux, reading_word
 
@@ -125,6 +128,43 @@ def test_hom_and_profile(capsys, tmp_path):
     assert prof["profile"]
 
 
+def _conjugated(data, rng):
+    """The embedding JSON ``data`` under a random invertible base change S
+    over F_p: T becomes S T S^-1 and A_span the rows of S a.  The grading
+    is dropped, since S mixes degrees."""
+    p, n = data["p"], len(data["T"])
+    while True:
+        S = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        # [S | I] reduces to [I | S^-1] when S is invertible
+        R, pivots = la.rref([row + list(e) for row, e in zip(S, la.identity(n))], p)
+        if pivots[n - 1] == n - 1:
+            break
+    inverse = [row[n:] for row in R]
+    T = la.mul(la.mul(S, data["T"], p), inverse, p)
+    A = la.mul(data["A_span"], list(zip(*S)), p)
+    return {"p": p, "beta": data["beta"], "T": [list(row) for row in T],
+            "A_span": [list(row) for row in A]}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_numeric_commands_do_not_depend_on_the_basis(capsys, p):
+    # every embedding of the five-class shape in a random basis prints what
+    # it prints in the basis of its realization
+    rng = random.Random(p)
+    given = [realize_tableau(t, p).to_json() for t in enumerate_tableaux(FIVE_CLASS)]
+    for e1, e2 in zip(given, given[1:] + given[:1]):
+        c1, c2 = _conjugated(e1, rng), _conjugated(e2, rng)
+        assert c1["T"] != e1["T"]
+        for args in (["tableau", "{0}"], ["hom", "{0}", "{1}"], ["hom", "{1}", "{0}"],
+                     ["profile", "{0}"], ["profile", "{0}", "--max-i", "4", "--max-l", "5"]):
+            outputs = []
+            for pair in ((e1, e2), (c1, c2)):
+                argv = [a.format(*map(json.dumps, pair)) for a in args]
+                assert run(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], args
+
+
 @pytest.mark.parametrize("bounds", [["--max-i", "-3"], ["--max-l", "0"],
                                     ["--max-i", "-1", "--max-l", "-1"]])
 def test_profile_refuses_bad_bounds(capsys, bounds):
@@ -190,6 +230,8 @@ N32 = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
     ["tableau", '{"p":2,"T":[[0,0],[1,0]],"A_span":[],"grading":[0.5,1.5]}'],
     ["tableau", '{"p":2,"T":[[99999999999999999999]],"A_span":[]}'],
     ["tableau", '{"p":2,"T":5,"A_span":[]}'],
+    # beta, when given, must be the Jordan type of T
+    ["tableau", '{"p":2,"beta":[5,5],"T":[[0,0],[1,0]],"A_span":[]}'],
     ["decompose", '{"columns":[1]}'],
     ["decompose", '{"columns":[[1.5,0.2,[1]]]}'],
     ["decompose", '{"columns":[[1,0,[1.9]]]}'],
@@ -273,6 +315,21 @@ def test_huge_row_count_shape_runs(argv):
         assert data["tableaux"][0]["chain"] == [[HUGE], [HUGE, 1]]
     else:
         assert data["words"] == [[1]] and data["leq"] == [[True]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"],
+    ["orders", "--relation", "dom"],
+    ["hasse", "--relation", "box"],
+])
+def test_huge_alpha_exits_3(argv):
+    # the entry counts of alpha used to be built one part at a time until
+    # a timeout killed the child
+    shape = {"alpha": [HUGE], "beta": [HUGE], "gamma": []}
+    done = run_child([*argv, json.dumps(shape)])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (f"guard exceeded: |alpha| = {HUGE} exceeds the guard of"
+                           f" {guard_budget()}; raise LRLAB_GUARD to allow it\n")
 
 
 def test_dom2box_beside_a_huge_blank_column():

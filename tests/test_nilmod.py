@@ -15,7 +15,7 @@ from lrlab import linalg as la
 from lrlab import nilmod
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
-from lrlab.nilmod import (Embedding, NilModule, canonical_module, direct_sum,
+from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
                           generator_blocks, graded_pole_embedding, hom_dim,
                           hom_positions, invariant_closure,
                           invariant_intersection_dim, jordan_basis,
@@ -35,21 +35,30 @@ from lrlab.witness import witness_sequence
 
 
 def test_nilmodule_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        NilModule(2, np.eye(2, dtype=np.int64))
+    # the kernel chain stops growing short of the whole space
+    for T in ([[1, 0], [0, 1]], [[0, 0, 0], [1, 0, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_basis(tuple(map(tuple, T)), 2)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            Embedding.from_json({"p": 2, "T": T, "A_span": []})
 
 
 def test_constructors_accept_any_rows_of_integers():
-    # lists, tuples in or out of [0, p) and arrays all give the same rows
-    # of Python ints in [0, p)
+    # subspace vectors as lists, tuples in or out of [0, p) and arrays, and
+    # T as JSON rows in or out of [0, p), all give the same rows of Python
+    # ints in [0, p)
     want = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    actions = [want, [list(row) for row in want], ((0, 0, 3), (4, 0, 0), (0, -2, 0)),
-               np.array(want)]
+    B = canonical_module((3,), 3)
+    assert B.action == want
     vectors = [[(0, 1, 0)], [[0, 4, 0]], ((0, -2, 0),), np.array([[0, 1, 0]])]
-    for T, A in zip(actions, vectors):
-        E = Embedding(NilModule(3, T), A)
-        assert E.B.action == want and E.span == ((0, 1, 0), (0, 0, 1))
+    for A in vectors:
+        E = Embedding(B, A)
+        assert E.span == ((0, 1, 0), (0, 0, 1))
         assert all(type(x) is int for row in E.B.action + E.span for x in row)
+    for T in ([list(row) for row in want], [[0, 0, 3], [4, 0, 0], [0, -2, 0]]):
+        data = Embedding.from_json({"p": 3, "T": T, "A_span": [[0, -2, 0]]}).to_json()
+        assert data["T"] == [list(row) for row in want]
+        assert data["A_span"] == [[0, 1, 0], [0, 0, 1]]
 
 
 # largest prime with 5 p^2 < 2^63, and the next prime
@@ -61,26 +70,31 @@ def test_prime_bounded_by_int64():
     B = canonical_module((3, 2), P_MAX_DIM5)
     E = Embedding(B, [[0, 1, 0, 1, 0]])
     S = _random_invertible(np.random.default_rng(7), 5, P_MAX_DIM5)
-    F = _conjugate(E, S)
+    data = _conjugated(E, S)
+    F = Embedding.from_json(data)
     assert jordan_type(F.B) == (3, 2)
     assert F.alpha == E.alpha == (2,)
     assert F.chain() == E.chain()
     assert hom_dim(F, F) == hom_dim(E, E)
     with pytest.raises(ValueError, match="too large"):
-        NilModule(P_OVER_DIM5, F.B.action)
+        Embedding.from_json(dict(data, p=P_OVER_DIM5))
 
 
 def test_grading_consistency_checked():
-    T = np.zeros((2, 2), dtype=np.int64)
-    T[1, 0] = 1
-    NilModule(2, T, grading=(0, 1))
+    def load(T, grading):
+        return Embedding.from_json({"p": 2, "T": T, "A_span": [], "grading": grading})
+
+    T = [[0, 0], [1, 0]]
+    assert load(T, [0, 1]).to_json()["grading"] == [0, 1]
     with pytest.raises(ValueError):
-        NilModule(2, T, grading=(0, 5))
+        load(T, [0, 5])
     with pytest.raises(ValueError, match=r"at \(1,0\)"):
-        NilModule(2, [[0, 0], [1, 0]], [0, 0])
+        load(T, [0, 0])
     # e1 -> e0 -> e2: the first offence in column-major order is reported
     with pytest.raises(ValueError, match=r"at \(2,0\)"):
-        NilModule(2, [[0, 1, 0], [0, 0, 0], [1, 0, 0]], [0, 0, 0])
+        load([[0, 1, 0], [0, 0, 0], [1, 0, 0]], [0, 0, 0])
+    with pytest.raises(ValueError, match="a degree per basis vector"):
+        load(T, [0])
 
 
 def test_jordan_type_of_canonical():
@@ -94,9 +108,10 @@ def test_jordan_type_of_canonical():
         assert M.grading == (5, 0, 1, 2)
         assert M.action[2][1] == M.action[3][2] == 1 and sum(map(sum, M.action)) == 2
         # the module is its own Jordan basis, blocks in its order
-        assert jordan_basis(M)[0] == (1, 3)
+        assert M.sizes == (1, 3)
+        nilmod._check_basis(M.action, p, M.sizes, la.identity(4), la.identity(4))
         S = direct_sum(Embedding(M, []), Embedding(M, []))
-        assert jordan_basis(S.B)[0] == (1, 3, 1, 3)
+        assert S.B.sizes == (1, 3, 1, 3)
     for bad in [(2, 0), (0,), (3, -1)]:
         with pytest.raises(ValueError, match="positive"):
             canonical_module(bad, 2)
@@ -109,7 +124,8 @@ def test_jordan_type_conjugation_invariant():
         S = _random_invertible(rng, 7, 3)
         Sinv = _inverse_mod_p(S, 3)
         T2 = (S @ ref.action_of(M) @ Sinv) % 3
-        assert jordan_type(NilModule(3, T2)) == (4, 2, 1)
+        F = Embedding.from_json({"p": 3, "T": T2.tolist()})
+        assert jordan_type(F.B) == F.beta == ref.type_of_action(T2, 3) == (4, 2, 1)
 
 
 def _random_invertible(rng, n, p):
@@ -127,11 +143,23 @@ def _inverse_mod_p(S, p):
     return mat([row[n:] for row in R], n)
 
 
-def _conjugate(E, S):
-    """The image of E under the base change S: action S T S^-1, subspace S A."""
+def _conjugated(E, S):
+    """The JSON of the image of E under the base change S: action
+    S T S^-1, subspace S A."""
     p = E.p
     T = (((S @ ref.action_of(E.B)) % p) @ _inverse_mod_p(S, p)) % p
-    return Embedding(NilModule(p, T), (ref.span_of(E) @ S.T) % p)
+    return {"p": p, "T": T.tolist(), "A_span": ((ref.span_of(E) @ S.T) % p).tolist()}
+
+
+def _conjugates(E, S):
+    """The image of E under the base change S read through the boundary,
+    and the same image kept in the conjugated basis for the references."""
+    data = _conjugated(E, S)
+    return Embedding.from_json(data), ref.general_embedding(data)
+
+
+def _conjugate(E, S):
+    return Embedding.from_json(_conjugated(E, S))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -154,15 +182,15 @@ def test_invariants_survive_base_change(p):
     shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
     realized = cat + [realize_tableau(t, p) for t in enumerate_tableaux(shape)]
     for E in realized:
-        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        F, Fr = _conjugates(E, _random_invertible(rng, E.B.dim, p))
         assert F.alpha == E.alpha
-        assert F.chain() == E.chain() == ref.chain(F)
+        assert F.chain() == E.chain() == ref.chain(Fr)
         assert F.beta == E.beta
         for c in rng.choice(len(cat), size=3, replace=False):
             C = cat[c]
-            G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+            G, Gr = _conjugates(C, _random_invertible(rng, C.B.dim, p))
             assert hom_dim(F, G) == hom_dim(E, C)
-            assert hom_dim(G, F) == hom_dim(C, E) == ref.hom_dim(G, F)
+            assert hom_dim(G, F) == hom_dim(C, E) == ref.hom_dim(Gr, Fr)
 
 
 def _coordinate_hom_dim(C, E):
@@ -236,14 +264,14 @@ def test_jordan_basis_of_random_conjugates(p):
             S = _random_invertible(rng, n, p)
             T = (((S @ ref.action_of(canonical_module(blocks, p))) % p)
                  @ _inverse_mod_p(S, p)) % p
-            B = NilModule(p, T)
-            sizes, Q = jordan_basis(B)
+            sizes, Q, inverse = jordan_basis(tuple(map(tuple, T.tolist())), p)
             assert la.rank(Q, p) == n
+            assert (mat(inverse, n) == _inverse_mod_p(mat(Q, n), p)).all()
             # row convention: a = c Q, so c maps to c Q T^T Q^-1
             row_action = (((mat(Q, n) @ T.T) % p) @ _inverse_mod_p(mat(Q, n), p)) % p
             assert (row_action == ref.action_of(canonical_module(sizes, p)).T).all()
-            assert partition(sizes) == tuple(sizes) == jordan_type(B) == beta
-            assert jordan_basis(B)[1] is Q  # kept on the module
+            assert partition(sizes) == tuple(sizes) == ref.type_of_action(T, p) == beta
+            assert Embedding.from_json({"p": p, "T": T.tolist()}).B.sizes == sizes
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -252,9 +280,9 @@ def test_hom_dim_matches_kron_reference_on_random_conjugates(p):
     cat = [E for _, E in s4_catalog(p)]
     for _ in range(40):
         E, C = (cat[i] for i in rng.choice(len(cat), size=2))
-        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
-        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
-        assert hom_dim(F, G) == ref.kron_hom_dim(F, G) == hom_dim(E, C)
+        F, Fr = _conjugates(E, _random_invertible(rng, E.B.dim, p))
+        G, Gr = _conjugates(C, _random_invertible(rng, C.B.dim, p))
+        assert hom_dim(F, G) == ref.kron_hom_dim(Fr, Gr) == hom_dim(E, C)
 
 
 HOM_CENSUS_SHAPES = [(TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), (2, 1)), 3)]
@@ -310,12 +338,12 @@ def test_hom_dim_matches_references_on_random_conjugates(p):
     several = 0
     for _ in range(50):
         E, C = _random_embedding(rng, p), _random_embedding(rng, p)
-        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
-        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        F, Fr = _conjugates(E, _random_invertible(rng, E.B.dim, p))
+        G, Gr = _conjugates(C, _random_invertible(rng, C.B.dim, p))
         assert len(nilmod._generators(F)) == len(F.alpha) == len(E.alpha)
         several += len(F.alpha) > 1
-        for pair in ((F, G), (G, F)):
-            assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*pair)
+        for pair, raw in (((F, G), (Fr, Gr)), ((G, F), (Gr, Fr))):
+            assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*raw)
         assert hom_dim(F, G) == hom_dim(E, C)
     assert several
 
@@ -332,14 +360,17 @@ def test_hom_dim_on_zero_and_full_subspaces(p):
         assert nilmod._generators(zero) == ()
         assert len(nilmod._generators(full)) == len(sizes)
         S = _random_invertible(rng, B.dim, p)
-        for Z, U in ((zero, full), (_conjugate(zero, S), _conjugate(full, S))):
-            for E in (Z, U):
-                assert hom_dim(E, E) == ref.block_hom_dim(E, E) == ref.hom_dim(E, E)
+        # each object with its reference form: itself, or the conjugate as given
+        for (Z, Zr), (U, Ur) in (((zero, zero), (full, full)),
+                                 (_conjugates(zero, S), _conjugates(full, S))):
+            for E, R in ((Z, Zr), (U, Ur)):
+                assert hom_dim(E, E) == ref.block_hom_dim(E, E) == ref.hom_dim(R, R)
             for C in cat:
                 free = sum(min(b, c) for b in sizes for c in C.beta)
                 assert hom_dim(Z, C) == hom_dim(C, U) == free
-                for pair in ((Z, C), (C, Z), (U, C), (C, U)):
-                    assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*pair)
+                for pair, raw in (((Z, C), (Zr, C)), ((C, Z), (C, Zr)),
+                                  ((U, C), (Ur, C)), ((C, U), (C, Ur))):
+                    assert hom_dim(*pair) == ref.block_hom_dim(*pair) == ref.hom_dim(*raw)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -349,16 +380,24 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
     for beta in JORDAN_TYPES:
         n = sum(beta)
         B = canonical_module(beta, p)
+        T = ref.action_of(B)
         if n:
             S = _random_invertible(rng, n, p)
-            B = NilModule(p, (((S @ ref.action_of(B)) % p) @ _inverse_mod_p(S, p)) % p)
+            T = (((S @ T) % p) @ _inverse_mod_p(S, p)) % p
         for k in range(3):
             gens = rng.integers(0, p, size=(k, n))
+            # in Jordan coordinates, and in general position through the
+            # boundary, against the loop on the conjugated T as given
             span, pivots = invariant_closure(B, gens)
             want, want_pivots = ref.invariant_closure(B, gens)
             assert span == tuple(map(tuple, want.tolist()))
             assert pivots == want_pivots
-            grown += len(span) > la.rank(gens.tolist(), p)
+            data = {"p": p, "T": T.tolist(), "A_span": gens.tolist()}
+            got = Embedding.from_json(data).to_json()["A_span"]
+            want, want_pivots = ref.invariant_closure(ref.general_embedding(data).B, gens)
+            assert got == want.tolist()
+            assert la.rref(got, p)[1] == want_pivots
+            grown += len(got) > la.rank(gens.tolist(), p)
     assert grown >= 8  # over half the 14 nonempty generator sets grow
 
 
@@ -369,7 +408,7 @@ def test_beta_and_tableau_computed_once(monkeypatch):
     monkeypatch.setattr(tb, "from_chain",
                         lambda *a: chains.append(1) or from_chain(*a))
     E = realize_pole(Pole((0, 2), (3, 1)), 2)
-    # a module read from JSON computes its Jordan basis on first use
+    # and of an embedding read from JSON, converted as it was read
     for F in (E, Embedding.from_json(E.to_json())):
         chains.clear()  # building the pole tableau used one
         t = tableau_of_embedding(F)
@@ -380,16 +419,21 @@ def test_beta_and_tableau_computed_once(monkeypatch):
         assert len(calls) == before and len(chains) == 1
 
 
-def test_wrong_jordan_basis_raises():
+def test_wrong_jordan_basis_raises(monkeypatch):
+    # the boundary re-checks the basis it computed before it converts
     T = canonical_module((2, 1), 3).action
-    I = np.eye(3, dtype=np.int64)
-    assert jordan_basis(NilModule(3, T, basis=((2, 1), I, I))) == ((2, 1), la.identity(3))
-    swapped = I[[1, 0, 2]]  # T g listed before g
-    wrong = [((1, 2), I, I), ((3,), I, I), ((2,), I, I), ((2, 1), I, 2 * I),
-             ((2, 1), swapped, swapped.T), ((2, 0, 1), I, I)]
+    I = la.identity(3)
+    assert jordan_basis(T, 3) == ((2, 1), I, I)
+    data = {"p": 3, "T": [list(row) for row in T], "A_span": []}
+    Embedding.from_json(data)
+    swapped = (I[1], I[0], I[2])  # T g listed before g
+    twice = tuple(tuple(2 * x for x in row) for row in I)
+    wrong = [((1, 2), I, I), ((3,), I, I), ((2,), I, I), ((2, 1), I, twice),
+             ((2, 1), swapped, swapped), ((2, 0, 1), I, I)]
     for basis in wrong:
+        monkeypatch.setattr(nilmod, "jordan_basis", lambda action, p, basis=basis: basis)
         with pytest.raises(InvariantViolation, match="not a Jordan basis"):
-            NilModule(3, T, basis=basis)
+            Embedding.from_json(data)
 
 
 def _random_blocks(rng):
@@ -400,29 +444,29 @@ def _random_blocks(rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_canonical_module_matches_general_path(p):
+def test_canonical_module_matches_references(p):
     rng = random.Random(40 + p)
     for _ in range(60):
         sizes, shifts = _random_blocks(rng)
         M = canonical_module(sizes, p, shifts)
         I = la.identity(M.dim)
-        G = NilModule(p, M.action, M.grading, basis=(sizes, I, I))
-        assert M._gather is not None and G._gather is None
-        assert (M.action, M.grading) == (G.action, G.grading)
+        # its own Jordan basis, as the boundary checks a computed one
+        nilmod._check_basis(M.action, p, tuple(sizes), I, I)
+        assert M.sizes == tuple(sizes)
         if shifts is not None:
             assert M.grading == tuple(d + j for d, b in zip(shifts, sizes) for j in range(b))
-        assert jordan_basis(M) == jordan_basis(G) == (tuple(sizes), I)
-        JM, JG = nilmod._jordan(M), nilmod._jordan(G)
-        assert JM.inverse == JG.inverse == I
-        assert (JM.order, JM.shift, JM.prefix) == (JG.order, JG.shift, JG.prefix)
-        assert (JM.order, JM.shift, JM.prefix) == ref.layer_order(sizes)
+        # the action raises that grading by one: the boundary reads it back
+        E = Embedding(M, [])
+        assert Embedding.from_json(E.to_json()).to_json() == E.to_json()
+        assert M._order == ref.layer_order(sizes)
         # the computed basis of the same action finds the same blocks
-        assert jordan_type(NilModule(p, M.action)) == tuple(sorted(sizes, reverse=True))
+        assert (jordan_basis(M.action, p)[0] == jordan_type(M)
+                == ref.type_of_action(ref.action_of(M), p) == tuple(sorted(sizes, reverse=True)))
         for k in range(max(sizes, default=0) + 2):
-            assert M.kernel(k) == G.kernel(k), (sizes, k)
+            assert M.kernel(k) == la.null_space(ref.power(M, k).tolist(), p), (sizes, k)
         rows = [tuple(rng.randrange(p) for _ in range(M.dim)) for _ in range(5)]
-        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p) == G.image(rows)
-        assert M.image([]) == G.image([]) == ()
+        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p)
+        assert M.image([]) == ()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -436,34 +480,42 @@ def test_canonical_direct_sum_matches_general_sum(p):
     for _ in range(25):
         parts = rng.sample(summands, rng.randint(1, 3))
         S, R = direct_sum(*parts), ref.general_direct_sum(*parts)
-        assert S.B._gather is not None and R.B._gather is None
         assert (S.B.action, S.B.grading) == (R.B.action, R.B.grading)
-        assert (S.span, S._pivots, S.chain()) == (R.span, R._pivots, R.chain())
-        assert jordan_basis(S.B) == jordan_basis(R.B)
-        assert [hom_dim(C, S) for C in targets] == [hom_dim(C, R) for C in targets]
-        assert [hom_dim(S, C) for C in targets[::2]] == [hom_dim(R, C) for C in targets[::2]]
+        assert (S.span, S._pivots, S.chain()) == (R.span, R._pivots, ref.chain(R))
+        assert S.B.sizes == tuple(b for e in parts for b in e.B.sizes)
+        assert jordan_type(S.B) == ref.type_of_action(ref.action_of(R.B), p)
+        # the stacked sum as input in its own basis
+        G = Embedding.from_json(R.json)
+        assert [hom_dim(C, S) for C in targets] == [hom_dim(C, G) for C in targets]
+        assert [hom_dim(S, C) for C in targets[::2]] == [hom_dim(G, C) for C in targets[::2]]
 
 
-def test_direct_sum_with_a_general_summand_takes_the_general_path():
+def test_direct_sum_with_a_loaded_summand():
+    # a summand read in another basis is in its Jordan form, ungraded, so
+    # the sum is ungraded, in Jordan coordinates, and has the invariants of
+    # the sum stacked from the summands as given
     rng = np.random.default_rng(5)
     E = realize_pole(Pole((0, 2), (3, 1)), 3)
-    F = _conjugate(E, _random_invertible(rng, E.B.dim, 3))
-    for parts in ((E, F), (F, E), (F,)):
-        S, R = direct_sum(*parts), ref.general_direct_sum(*parts)
-        assert S.B._gather is None
-        assert (S.B.action, S.B.grading, S.span) == (R.B.action, R.B.grading, R.span)
-        assert jordan_basis(S.B) == jordan_basis(R.B)
-        assert S.chain() == R.chain() == ref.chain(S)
+    F, Fr = _conjugates(E, _random_invertible(rng, E.B.dim, 3))
+    assert F.B.grading is None and E.B.grading is not None
+    for parts, raw in (((E, F), (E, Fr)), ((F, E), (Fr, E)), ((F,), (Fr,))):
+        S, R = direct_sum(*parts), ref.general_direct_sum(*raw)
+        assert S.B.grading is None
+        assert S.B.sizes == tuple(b for e in parts for b in e.B.sizes)
+        assert S.alpha == ref.type_on_subspace(R.B, R.span)
+        assert S.chain() == ref.chain(R)
+        assert hom_dim(S, S) == ref.hom_dim(R, R)
 
 
 def test_canonical_module_refuses_what_the_general_path_refuses():
+    # the general path: an action in any basis, read by Embedding.from_json
     for bad in [(2, 0), [0], (3, -1)]:
         with pytest.raises(ValueError, match=rf"positive, got {re.escape(str(bad))}$"):
             canonical_module(bad, 2)
-    T = canonical_module((3, 2), 2).action
+    T = [list(row) for row in canonical_module((3, 2), 2).action]
     for p in (1, 4, 9, P_OVER_DIM5):
         with pytest.raises(ValueError) as general:
-            NilModule(p, T)
+            Embedding.from_json({"p": p, "T": T, "A_span": []})
         with pytest.raises(ValueError) as canonical:
             canonical_module((3, 2), p)
         assert str(canonical.value) == str(general.value)
@@ -481,8 +533,11 @@ def test_canonical_module_checks_its_basis(monkeypatch):
 
 
 def _general_copy(E):
-    """E rebuilt through the general path from its action, grading and span."""
-    return Embedding(NilModule(E.p, E.B.action, E.B.grading), E.span)
+    """E read back through the boundary from its action, grading and span:
+    converted with a Jordan basis of its own, sizes sorted."""
+    G = Embedding.from_json(E.to_json())
+    assert G.B.sizes == jordan_type(E.B)
+    return G
 
 
 def test_realized_json_matches_general_path():
@@ -500,7 +555,6 @@ def test_witness_json_matches_general_path():
         for p in (2, 3):
             ws = witness_sequence(t, t2, move, p)
             for E in (ws.xt, ws.y, ws.zt):
-                assert E.B._gather is not None
                 G = _general_copy(E)
                 assert json.dumps(E.to_json()) == json.dumps(G.to_json()), (t, t2)
                 assert E.chain() == G.chain()
@@ -853,10 +907,40 @@ def test_invariant_intersection_matches_zassenhaus_reference(p):
                 assert invariant_intersection_dim(F, r, s) == want, (i, j, r, s)
 
 
+def _graded_invertible(rng, grading, p):
+    """A random invertible S that keeps every degree: one random
+    invertible block on the basis vectors of each degree."""
+    S = np.zeros((len(grading), len(grading)), dtype=np.int64)
+    for d in set(grading):
+        at = [i for i, x in enumerate(grading) if x == d]
+        S[np.ix_(at, at)] = _random_invertible(rng, len(at), p)
+    return S
+
+
 def test_embedding_json_round_trip():
     E = realize_pole(Pole((0, 2), (3, 1)), 2)
     data = E.to_json()
     E2 = Embedding.from_json(data)
-    assert E2.span == E.span
-    assert E2.B.grading == E.B.grading
+    assert E2.to_json() == data
+    # read in its Jordan form: sizes sorted, ungraded, the same invariants
+    assert E2.B.sizes == (3, 1) and E2.B.grading is None
     assert tableau_of_embedding(E2) == tableau_of_embedding(E)
+    # conjugated graded inputs, T off [0, p) and A_span neither closed nor
+    # reduced, print back with T mod p and A_span closed under T and reduced
+    rng = np.random.default_rng(90)
+    shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
+    for p in (2, 3, 5):
+        for t in enumerate_tableaux(shape):
+            E = realize_tableau(t, p)
+            S = _graded_invertible(rng, E.B.grading, p)
+            conj = _conjugated(E, S)
+            # in the key order that to_json prints
+            data = {"p": p, "beta": list(E.beta), "T": conj["T"], "A_span": conj["A_span"],
+                    "grading": list(E.B.grading)}
+            given = dict(data, T=(np.array(data["T"]) + p * rng.integers(-2, 3, size=(9, 9))).tolist())
+            want = dict(data, A_span=[list(row) for row in ref.general_embedding(data).span])
+            assert want["A_span"] != data["A_span"]
+            F = Embedding.from_json(given)
+            assert F.to_json() == want
+            assert json.dumps(Embedding.from_json(want).to_json()) == json.dumps(want)
+            assert (F.alpha, F.chain()) == (E.alpha, E.chain())
