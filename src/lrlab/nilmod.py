@@ -154,15 +154,21 @@ def _layer_order(sizes) -> tuple[list[int], tuple[int, ...], list[int]]:
     """The Jordan coordinates by position in block, then by block
     (``order``); in that order T moves the coordinate at ``shift[k]`` to
     k (the index one past the end reads 0), and T^k B is the coordinates
-    from ``prefix[k]`` on."""
-    offsets = block_offsets(sizes)
-    blocks, order, prefix = list(zip(offsets, sizes)), [], [0]
+    from ``prefix[k]`` on.  Each block carries the index its coordinate
+    got in the previous layer, which is where T moves its next one from."""
+    n = sum(sizes)
+    blocks = [(o, b, n) for o, b in zip(block_offsets(sizes), sizes)]
+    order, shift, prefix = [], [], [0]
     for j in range(max(sizes, default=0)):
-        blocks = [(o, b) for o, b in blocks if j < b]
-        order += [o + j for o, _ in blocks]
+        alive = []
+        for o, b, below in blocks:
+            if j < b:
+                alive.append((o, b, len(order)))
+                order.append(o + j)
+                shift.append(below)
+        blocks = alive
         prefix.append(len(order))
-    at, starts = {q: k for k, q in enumerate(order)}, set(offsets)
-    return order, tuple([len(order) if q in starts else at[q - 1] for q in order]), prefix
+    return order, tuple(shift), prefix
 
 
 def _shift(sizes) -> la.Rows:
@@ -241,25 +247,36 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int]]:
     """Canonical (rref) basis and pivots of the smallest invariant
     subspace of B containing ``vectors``.
 
-    The images of the basis rows are reduced modulo the span in one step
-    (see ``la.reduce_vec``); the span grows only by a nonzero residue, so
-    a span that is already invariant costs one ``rref``.
+    The closure is spanned by the orbits v, T v, T^2 v, ... of the given
+    vectors, each taken until it vanishes, so one ``rref`` of the orbits
+    gives it.  The images of the basis rows are then reduced modulo the
+    span in one step (see ``la.reduce_vec``) as the invariance check: a
+    nonzero residue raises ``InvariantViolation``.  A span that is
+    already invariant costs one ``rref`` and that check.
     """
     p = B.p
-    span, pivots = la.rref(_vectors(vectors, B.dim, p), p)
-    while True:
-        residue = tuple(la.reduce_vec(v, span, pivots, p) for v in B.image(span))
-        if not any(map(any, residue)):
-            return span, pivots
-        span, pivots = la.rref(span + residue, p)
+    rows = _vectors(vectors, B.dim, p)
+    step = [v for v in rows if any(v)]
+    orbits = []
+    while step:
+        orbits += step
+        step = [v for v in B.image(step) if any(v)]
+    span, pivots = la.rref(orbits, p)
+    residue = [la.reduce_vec(v, span, pivots, p) for v in B.image(span)]
+    if any(map(any, residue)):
+        raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
+                                 f" of blocks {list(B.sizes)} over F_{p} do not span"
+                                 " an invariant subspace")
+    return span, pivots
 
 
 class Embedding:
     """An invariant subspace A inside the module B.
 
     ``span`` is the canonical (rref) row basis of A, a tuple of row
-    tuples and so its own dictionary key; the constructor
-    closes the given vectors under the action, so they may be just
+    tuples and so its own dictionary key; the constructor closes the
+    given vectors under the action (``invariant_closure``: one ``rref``
+    of their orbits, then the invariance check), so they may be just
     generators.  The layer table (with alpha and the chain), the tableau,
     A's module generators and the functionals killing A (for ``hom_dim``)
     and, for a cyclic A, the blocks of its generator are computed on
@@ -398,8 +415,24 @@ def _closed(B: NilModule, span: la.Rows) -> Embedding:
 
 def _type_from_ranks(ranks) -> Partition:
     """Jordan type whose k-th power has rank ranks[k], the last rank 0:
-    ranks[k-1] - ranks[k] blocks have size at least k."""
-    return pt.transpose(pt.partition(a - b for a, b in zip(ranks, ranks[1:])))
+    with r padded by a 0, r[k-1] - 2 r[k] + r[k+1] blocks have size k.
+    A last rank other than 0 or a negative count is no Jordan type, a bug
+    in the caller, and raises InvariantViolation."""
+    if not ranks or ranks[-1]:
+        _not_ranks(ranks)
+    r = (*ranks, 0)
+    out = []
+    for k in range(len(ranks) - 1, 0, -1):
+        count = r[k - 1] - 2 * r[k] + r[k + 1]
+        if count < 0:
+            _not_ranks(ranks)
+        out += [k] * count
+    return tuple(out)
+
+
+def _not_ranks(ranks) -> None:
+    raise InvariantViolation(f"ranks {list(ranks)} are not those of the powers"
+                             " of a nilpotent operator")
 
 
 def tableau_of_embedding(E: Embedding) -> LRTableau:
@@ -606,46 +639,49 @@ def picket_dominance_test(E1: Embedding, E2: Embedding) -> bool:
     return all(a <= b for r1, r2 in zip(p1, p2) for a, b in zip(r1, r2))
 
 
-def pole_generator(columns) -> list[int]:
+def pole_generator(columns) -> tuple[list[int], list[int]]:
     """Coordinates of the generator a of the pole whose tableau has these
-    columns, in their blocks taken in order.
+    columns, in their blocks taken in order, and the exponent of T in
+    each block's term.
 
     Each entry 1..k must occur once and each column must hold a run of
     consecutive entries.  A column of length b and base x whose run
     starts at e contributes the term T^{x-e+1} g^b, so T^{e-1} a reaches
-    radical layer x there; an empty column contributes nothing.
+    radical layer x there; an empty column contributes nothing, and its
+    exponent reads 0.
     """
     entries = sorted(e for c in columns for e in c.entries)
     if entries != list(range(1, len(entries) + 1)):
         raise ValueError(f"entries {entries} are not 1..k, each once")
     a = [0] * sum(c.length for c in columns)
-    off = 0
+    exponents, off = [], 0
     for c in columns:
+        power = 0
         if c.entries:
             e = c.entries[0]
             if c.entries != tuple(range(e, e + len(c.entries))):
                 raise ValueError(f"{c} does not hold a run of consecutive entries")
             if c.base < e - 1:
                 raise ValueError(f"entry {e} of {c} lies above row {e}")
-            a[off + c.base - e + 1] = 1
+            power = c.base - e + 1
+            a[off + power] = 1
+        exponents.append(power)
         off += c.length
-    return a
+    return a, exponents
 
 
 def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, list[list[int]]]:
     """Module and generator rows of the graded poles whose tableaux have
     the column groups ``pieces``: their columns in order, one
-    ``pole_generator`` row per piece, of degree ``degrees[i]``."""
+    ``pole_generator`` row per piece, of degree ``degrees[i]``.  A term
+    T^c g^b of a piece of degree d puts the block generator g^b in degree
+    d - c, and an empty block sits in degree d."""
     sizes = [c.length for cols in pieces for c in cols]
     gens, shifts, off = [], [], 0
     for cols, d in zip(pieces, degrees):
-        a = pole_generator(cols)
+        a, exponents = pole_generator(cols)
         gens.append([0] * off + a + [0] * (sum(sizes) - off - len(a)))
-        # a term T^c g^b, the block's only nonzero at index c, puts g^b in
-        # degree d - c; an empty block sits in degree d
-        lengths = [c.length for c in cols]
-        shifts += [d - _lowest(a[o:o + b], 0)
-                   for o, b in zip(block_offsets(lengths), lengths)]
+        shifts += [d - c for c in exponents]
         off += len(a)
     return canonical_module(sizes, p, shifts=shifts), gens
 

@@ -181,7 +181,9 @@ def enumerate_submodules(
     only spans of dimension |alpha|, invariant and in rref, so their
     embeddings need no closure; each has type alpha (re-checked: a span
     of another type raises, naming shape, p and span), and the census
-    keeps those with quotient gamma.
+    keeps those with quotient gamma.  Both failures name the catalog, and
+    with the default one end in the ``lrlab oracle`` command that
+    reproduces them.
     """
     if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
@@ -190,7 +192,15 @@ def enumerate_submodules(
         )
     if catalog is None:
         top = shape.beta[0] if shape.beta else 0
-        catalog = s4_catalog(p) if top <= 4 else picket_pole_catalog(p, top)
+        if top <= 4:
+            catalog, catalog_note = s4_catalog(p), f"s4_catalog({p})"
+        else:
+            catalog, catalog_note = picket_pole_catalog(p, top), f"picket_pole_catalog({p}, {top})"
+        flag = " --slow" if nominal_tuple_count(shape, p) > guard_budget() else ""
+        catalog_note += (f"; reproduce with: lrlab oracle"
+                   f" '{json.dumps(shape.to_json(), separators=(',', ':'))}' -p {p}{flag}")
+    else:
+        catalog_note = f"a caller-given catalog of {len(catalog)} objects"
 
     B = canonical_module(shape.beta, p)
     spans = _distinct_submodules(B, shape.alpha)
@@ -204,7 +214,7 @@ def enumerate_submodules(
             raise InvariantViolation(
                 f"search returned a span of type {list(E.alpha)}: shape"
                 f" {json.dumps(shape.to_json())}, p = {p}, span"
-                f" {[list(row) for row in span]}")
+                f" {[list(row) for row in span]}, catalog {catalog_note}")
         if E.gamma != shape.gamma:
             continue
         total += 1
@@ -219,7 +229,7 @@ def enumerate_submodules(
                     f"fingerprint collision across distinct tableaux: shape"
                     f" {json.dumps(shape.to_json())}, p = {p}, fingerprint"
                     f" {list(fp)}, chains {cls.tableau.to_json()['chain']}"
-                    f" and {t.to_json()['chain']}")
+                    f" and {t.to_json()['chain']}, catalog {catalog_note}")
         else:
             buckets[fp] = CensusClass(fp, t, E, 1)
     classes = sorted(

@@ -9,9 +9,12 @@ the block-generator ``hom_dim`` replaced, that block-generator solver
 itself (every row of A1 against ``k T^j N`` products, replaced by module
 generators in Jordan coordinates), the stacked-rref closure loop,
 the hand-built picket, the run-based pole, strip-only graded pole
-and per-part tableau realizations that ``graded_pole_sum`` replaced, and
-the layer order by one sum per layer that canonical modules no longer
-use.  They are kept only so tests can require identical answers from both.
+and per-part tableau realizations that ``graded_pole_sum`` replaced, the
+layer order by one sum per layer that canonical modules no longer use
+and the layer order by a position dict that the package replaced with
+indices carried from layer to layer, and the Jordan type as the
+transpose of the rank differences that second differences replaced.
+They are kept only so tests can require identical answers from both.
 
 The package has one module representation, N_beta in its own Jordan
 coordinates, and converts an action given in any other basis at
@@ -94,6 +97,8 @@ def space_intersect(A, B, p):
 
 
 def _type_from_ranks(ranks):
+    """The transpose of the rank differences, a ValueError when they are
+    not a partition."""
     counts = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
     return pt.transpose(pt.partition(counts))
 
@@ -468,3 +473,17 @@ def layer_order(sizes):
     at = {q: k for k, q in enumerate(order)}
     return (order, tuple(n if q in offsets else at[q - 1] for q in order),
             [sum(min(b, k) for b in sizes) for k in range(top + 1)])
+
+
+def _layer_order(sizes):
+    """``layer_order`` as the package built it before: the layers' blocks
+    filtered one layer at a time, where T moves each coordinate from
+    looked up in a dict of positions, block starts in a set."""
+    offsets = block_offsets(sizes)
+    blocks, order, prefix = list(zip(offsets, sizes)), [], [0]
+    for j in range(max(sizes, default=0)):
+        blocks = [(o, b) for o, b in blocks if j < b]
+        order += [o + j for o, _ in blocks]
+        prefix.append(len(order))
+    at, starts = {q: k for k, q in enumerate(order)}, set(offsets)
+    return order, tuple([len(order) if q in starts else at[q - 1] for q in order]), prefix

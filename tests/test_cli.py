@@ -5,15 +5,17 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import lrlab
 import lrlab.cli as cli
 from conftest import FIVE_CLASS, iter_all_shapes, iter_strip_shapes
 from lrlab import linalg as la
+from lrlab import nilmod
 from lrlab.boxmoves import box_successors
 from lrlab.cli import run
 from lrlab.errors import guard_budget
@@ -186,6 +188,13 @@ def test_profile_guard(capsys, monkeypatch):
         " of 12; raise LRLAB_GUARD to allow it\n")
     # bad bounds are bad input before they are a large table
     assert run(["profile", PICKET_EMBEDDING, "--max-i", "-13", "--max-l", "-1"]) == 2
+
+
+def test_layer_ranks_of_no_jordan_type_exit_1(capsys, monkeypatch):
+    # ranks that are no Jordan type are a bug, not bad input
+    monkeypatch.setattr(nilmod, "bisect_left", lambda pivots, s: 0)
+    assert run(["tableau", PICKET_EMBEDDING]) == 1
+    assert capsys.readouterr().err.startswith("verification failure: ranks [")
 
 
 def test_oracle_cli(capsys):
@@ -462,16 +471,22 @@ def combinatorial_argv(draw):
     return argv + draw(extra_flags)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(combinatorial_argv())
-def test_combinatorial_exit_codes_under_fuzzing(argv):
+def run_in_process(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``run(argv)`` in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code
-    assert code in (0, 2, 3), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(combinatorial_argv())
+def test_combinatorial_exit_codes_under_fuzzing(argv):
+    code, _, err = run_in_process(argv)
+    assert code in (0, 2, 3), err
 
 
 # -- and of the numeric commands ----------------------------------------------
@@ -543,10 +558,43 @@ def numeric_argv(draw):
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(numeric_argv())
 def test_numeric_exit_codes_under_fuzzing(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse refusing the arguments
-            code = exc.code
-    assert code in (0, 2, 3), err.getvalue()
+    code, _, err = run_in_process(argv)
+    assert code in (0, 2, 3), err
+
+
+# -- a sample of both fuzzes in child processes -------------------------------
+
+def _passable(argv) -> bool:
+    """Whether a process can be started with these arguments."""
+    try:
+        return not any(b"\0" in os.fsencode(arg) for arg in argv)
+    except UnicodeEncodeError:
+        return False
+
+
+def _sample(strategy, n: int) -> list[list[str]]:
+    """The first n argument lists a derandomized run of ``strategy`` draws
+    that a process can be started with."""
+    drawn = []
+
+    @settings(max_examples=n, derandomize=True, database=None, phases=[Phase.generate])
+    @given(strategy.filter(_passable))
+    def draw(argv):
+        drawn.append(argv)
+
+    draw()
+    return drawn
+
+
+@pytest.mark.parametrize("strategy", [combinatorial_argv(), numeric_argv()],
+                         ids=["combinatorial", "numeric"])
+def test_fuzzed_commands_alike_in_a_child(strategy):
+    # a python -m lrlab.cli child under the 4 GiB cap exits and prints as
+    # the in-process run does; two children run at a time
+    sample = _sample(strategy, 10)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        children = list(pool.map(run_child, sample))
+    assert len(sample) == 10
+    for argv, done in zip(sample, children):
+        code, out, _ = run_in_process(argv)
+        assert (done.returncode, done.stdout) == (code, out), (argv, done.stderr)

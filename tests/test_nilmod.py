@@ -26,11 +26,12 @@ from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
 from lrlab.boxmoves import box_successors
 from lrlab.oracle import (_distinct_submodules, iso_fingerprint,
                           picket_pole_catalog, s4_catalog)
-from lrlab.partitions import partition
+from lrlab.partitions import partition, partitions_of
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
-                         pole_tableau, tableau_union)
+                         pole_pieces, pole_tableau, tableau_union)
 from lrlab.tableaux import (LRTableau, Column, Shape, dominance_leq,
                             enumerate_tableaux, is_horizontal_strip)
+from lrlab import witness
 from lrlab.witness import witness_sequence
 
 
@@ -399,6 +400,116 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
             assert la.rref(got, p)[1] == want_pivots
             grown += len(got) > la.rank(gens.tolist(), p)
     assert grown >= 8  # over half the 14 nonempty generator sets grow
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
+    def check(B, vectors):
+        span, pivots = invariant_closure(B, vectors)
+        want, want_pivots = ref.invariant_closure(B, vectors)
+        assert (span, pivots) == (tuple(map(tuple, want.tolist())), want_pivots), vectors
+
+    # graded pole modules with the generators of their poles
+    for shape in iter_strip_shapes(6):
+        for t in enumerate_tableaux(shape):
+            pieces = pole_pieces(t.columns)
+            check(*nilmod.graded_pole_module(pieces, p, range(len(pieces))))
+    # every closure of a witness sequence, among them that of the middle
+    # term Y, whose generator carries a cross term
+    closures, modules = [], []
+    closure, graded = nilmod.invariant_closure, witness.graded_pole_module
+    monkeypatch.setattr(nilmod, "invariant_closure",
+                        lambda B, vectors: closures.append((B, vectors)) or closure(B, vectors))
+    monkeypatch.setattr(witness, "graded_pole_module",
+                        lambda *a: modules.append(graded(*a)) or modules[-1])
+    edges = [(t, up, move) for shape in iter_strip_shapes(9)
+             for t in enumerate_tableaux(shape) for up, move in box_successors(t)]
+    for t, up, move in random.Random(p).sample(edges, 12):
+        witness_sequence(t, up, move, p)
+    monkeypatch.undo()
+    for B, vectors in closures:
+        check(B, vectors)
+    assert sum(any(B is M for M, _ in modules) for B, _ in closures) == 12
+    # random vectors in block sizes in any order
+    rng = random.Random(50 + p)
+    for _ in range(60):
+        sizes, shifts = _random_blocks(rng)
+        B = canonical_module(sizes, p, shifts)
+        check(B, [[rng.randrange(p) for _ in range(B.dim)] for _ in range(rng.randint(0, 3))])
+
+
+def test_closure_check_refuses_a_span_that_t_leaves(monkeypatch):
+    # the residue pass stays as the invariance check: orbits cut short
+    # leave the span, and the check names them
+    B = canonical_module((3, 1), 2)
+    image, calls = nilmod.NilModule.image, []
+
+    def short(self, rows):  # the first orbit step finds T v = 0
+        calls.append(rows)
+        return image(self, rows) if len(calls) > 1 else tuple((0,) * self.dim for _ in rows)
+
+    monkeypatch.setattr(nilmod.NilModule, "image", short)
+    with pytest.raises(InvariantViolation, match=re.escape("[[1, 0, 0, 0]]")):
+        invariant_closure(B, [[1, 0, 0, 0]])
+
+
+def _ranks(lam):
+    """rank T^k on N_lam for k = 0 .. lam_1."""
+    return [sum(max(x - k, 0) for x in lam) for k in range((lam[0] if lam else 0) + 1)]
+
+
+def test_type_from_ranks_matches_transpose_reference():
+    # the ranks of every partition of weight <= 10, also with trailing
+    # zeros, give it back
+    for n in range(11):
+        for lam in partitions_of(n):
+            for extra in range(3):
+                ranks = _ranks(lam) + [0] * extra
+                assert nilmod._type_from_ranks(ranks) == ref._type_from_ranks(ranks) == lam
+    # ranks ending in 0 whose differences are no partition: both refuse
+    rng, refused = random.Random(18), 0
+    for _ in range(400):
+        ranks = [rng.randint(0, 6) for _ in range(rng.randint(0, 5))] + [0]
+        try:
+            want = ref._type_from_ranks(ranks)
+        except ValueError:
+            refused += 1
+            with pytest.raises(InvariantViolation, match=re.escape(str(ranks))):
+                nilmod._type_from_ranks(ranks)
+        else:
+            assert nilmod._type_from_ranks(ranks) == want
+    assert refused > 100
+    for ranks in ([2, 1], []):  # no last rank 0
+        with pytest.raises(InvariantViolation, match=re.escape(str(ranks))):
+            nilmod._type_from_ranks(ranks)
+
+
+def test_layer_order_matches_dict_reference():
+    rng = random.Random(18)
+    cases = [(), (1,)] + [[rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+                          for _ in range(200)]
+    assert sum(list(sizes) != sorted(sizes, reverse=True) for sizes in cases) > 100
+    for sizes in cases:
+        assert nilmod._layer_order(sizes) == ref._layer_order(sizes) == ref.layer_order(sizes)
+
+
+def test_pole_degrees_match_lowest_coordinates():
+    # each block's degree comes from the exponent pole_generator places,
+    # as it came from the lowest nonzero coordinate of the generator row
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            pieces = pole_pieces(t.columns)
+            for cols in pieces:
+                a, exponents = pole_generator(cols)
+                lengths = [c.length for c in cols]
+                assert exponents == [nilmod._lowest(a[o:o + b], 0)
+                                     for o, b in zip(nilmod.block_offsets(lengths), lengths)]
+            M, gens = nilmod.graded_pole_module(pieces, 2, range(len(pieces)))
+            owner = [i for i, cols in enumerate(pieces) for _ in cols]
+            offsets = nilmod.block_offsets(M.sizes)
+            assert [M.grading[o] for o in offsets] == [
+                i - nilmod._lowest(gens[i][o:o + b], 0)
+                for i, o, b in zip(owner, offsets, M.sizes)], t
 
 
 def test_beta_and_tableau_computed_once(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import oracle_reference as ref
 from conftest import FIVE_CLASS, TWO_CLASS
 from linalg_reference import mat
+import lrlab.cli as cli
 from lrlab import oracle
 from lrlab.errors import GuardExceeded, InvariantViolation
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
@@ -216,9 +218,36 @@ def test_fingerprint_collision_names_a_reproducer():
     assert "p = 2" in message and "fingerprint [3]" in message
     for chain in CENSUS_CLASSES[TWO_CLASS]:
         assert str([list(c) for c in chain[0]]) in message
+    # a caller's catalog is named by its size; no command reproduces it
+    assert message.endswith(", catalog a caller-given catalog of 1 objects")
 
 
-def test_census_refuses_a_span_of_another_type(monkeypatch):
+def _reproduce(message, capsys):
+    """The exit code and stderr of the command that ends ``message``."""
+    command = message.rsplit("; reproduce with: ", 1)[1]
+    assert "\n" not in command
+    argv = shlex.split(command)
+    assert argv[0] == "lrlab"
+    code = cli.run(argv[1:])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_default_catalog_collision_names_it_and_its_command(monkeypatch, capsys, p):
+    # a default catalog cut to one object collides, and the message ends
+    # in the command that reproduces the failure, past the guard with --slow
+    monkeypatch.setattr(oracle, "s4_catalog", lambda p: [("P^1_0", realize_picket(1, 0, p))])
+    with pytest.raises(InvariantViolation, match="fingerprint collision") as info:
+        enumerate_submodules(TWO_CLASS, p, slow=True)
+    message = str(info.value)
+    assert message.endswith(
+        f", catalog s4_catalog({p}); reproduce with: lrlab oracle"
+        f" '{json.dumps(TWO_CLASS.to_json(), separators=(',', ':'))}' -p {p}"
+        + (" --slow" if p == 3 else ""))
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
+
+
+def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # the search returns only spans of type alpha; one that is not raises
     monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha: [((0, 0, 0, 1),)])
     shape = Shape((2,), (3, 1), (2,))
@@ -227,6 +256,17 @@ def test_census_refuses_a_span_of_another_type(monkeypatch):
     message = str(info.value)
     assert json.dumps(shape.to_json()) in message
     assert "p = 2" in message and "[[0, 0, 0, 1]]" in message
+    assert "[[0, 0, 0, 1]], catalog s4_catalog(2); reproduce with: lrlab oracle" in message
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
+    # past nilpotency four the default is the picket-pole catalog
+    shape = Shape((2,), (5, 1), (4,))
+    monkeypatch.setattr(oracle, "_distinct_submodules",
+                        lambda B, alpha: [((0, 0, 0, 0, 0, 1),)])
+    with pytest.raises(InvariantViolation, match="span of type") as info:
+        enumerate_submodules(shape, 3)
+    message = str(info.value)
+    assert "catalog picket_pole_catalog(3, 5); reproduce with" in message
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
 
 
 def test_zero_alpha_census():
