@@ -4,13 +4,18 @@ The census lists the invariant submodules of type alpha of the
 canonical ambient module level by level, adding one generator per part
 of alpha and deduplicating by reduced row echelon form after each; a
 span that grows by less than that part is dropped, since it can no
-longer reach dimension |alpha|.  One path serves every prime.  The
-census filters the result to the requested quotient type and buckets
+longer reach dimension |alpha|.  Each level tries one vector per line of
+a residue space, listed by row additions.  One path serves every prime.
+The census filters the result to the requested quotient type and buckets
 the survivors by tableau and by hom-dimension fingerprint against a
 catalog of known indecomposables.
 Spans are visited in the order of their row tuples, so each class
 representative is its least member.  Catalogs are built once per
 argument and kept.
+What does not change within one census is done once per census: the
+fingerprint plan (which catalog objects need a system, and the distinct
+coordinate sets the others read) and one tableau per chain, which every
+span of that chain shares.
 A fingerprint solves no system for a catalog object with a cyclic
 subspace (all of the 20-object catalog but X): its hom dimension is read
 off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
@@ -22,15 +27,17 @@ Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
 theorem for arbitrary inputs, so distinct classes of one tableau with
 equal fingerprints on new shapes would be merged silently (across distinct
-tableaux the census raises, naming a reproducer).  Pass a richer catalog
-to sharpen the separation.
+tableaux the census raises, naming a reproducer).  The tests referee the
+published censuses by isomorphism, and show that a catalog without P(2,)
+merges two classes of the five-class census.  Pass a richer catalog to
+sharpen the separation.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg as la
 from . import partitions as pt
@@ -88,29 +95,45 @@ def _x_object(p: int) -> Embedding:
 
 
 def iso_fingerprint(E: Embedding, catalog) -> tuple[int, ...]:
-    """dim Hom(C, E) for every catalog object C, in catalog order.
+    """dim Hom(C, E) for every catalog object C, in catalog order: the
+    ``_fingerprint_plan`` of the catalog for E's block sizes, applied to
+    E.  A catalog object over another field raises ValueError."""
+    return _fingerprint(_fingerprint_plan(catalog, E.B.sizes, E.p), E)
+
+
+def _fingerprint_plan(catalog, sizes, p: int):
+    """What a fingerprint computes for targets with Jordan blocks of
+    ``sizes`` over F_p, the same for every span of one census.
 
     A source C with a cyclic subspace needs no system: its hom dimension
-    is a constant plus the dimension in which A_E meets a coordinate
-    subspace (``nilmod.hom_positions``).  E's span is ranked once per
-    distinct position set.  A source whose subspace needs two generators
-    (X) is solved by ``nilmod.hom_dim``.
+    is a constant plus the dimension in which the target's span meets a
+    coordinate subspace (``nilmod.hom_positions``), so its step is (base,
+    index of its position set).  A source whose subspace needs two
+    generators (X) is its own step, solved by ``hom_dim``.  The plan is
+    the steps, in catalog order, and the distinct position sets.  A
+    catalog object over another field raises ValueError.
     """
-    sizes, coords = E.B.sizes, E.span
-    meets: dict[tuple[int, ...], int] = {}
-    out = []
+    sets: dict[tuple[int, ...], int] = {}
+    steps = []
     for _, C in catalog:
-        if C.p != E.p:
+        if C.p != p:
             raise ValueError("embeddings live over different fields")
         blocks = generator_blocks(C)
         if blocks is None:
-            out.append(hom_dim(C, E))
-            continue
-        base, outside = hom_positions(blocks, sizes)
-        if outside not in meets:
-            meets[outside] = coordinate_meet_dim(coords, outside, E.p)
-        out.append(base + meets[outside])
-    return tuple(out)
+            steps.append(C)
+        else:
+            base, outside = hom_positions(blocks, sizes)
+            steps.append((base, sets.setdefault(outside, len(sets))))
+    return steps, tuple(sets)
+
+
+def _fingerprint(plan, E: Embedding) -> tuple[int, ...]:
+    """The fingerprint of E by ``plan``: E's span is ranked once per
+    distinct position set, and each non-cyclic source is solved."""
+    steps, sets = plan
+    meets = [coordinate_meet_dim(E.span, outside, E.p) for outside in sets]
+    return tuple([hom_dim(step, E) if isinstance(step, Embedding)
+                  else step[0] + meets[step[1]] for step in steps])
 
 
 class CensusClass:
@@ -203,8 +226,10 @@ def enumerate_submodules(
         catalog_note = f"a caller-given catalog of {len(catalog)} objects"
 
     B = canonical_module(shape.beta, p)
+    plan = _fingerprint_plan(catalog, B.sizes, p)
     spans = _distinct_submodules(B, shape.alpha)
 
+    tableaux: dict[tuple[pt.Partition, ...], LRTableau] = {}  # chain -> its tableau
     per_tableau: dict[LRTableau, int] = {}
     buckets: dict[tuple[int, ...], CensusClass] = {}
     total = 0
@@ -218,9 +243,12 @@ def enumerate_submodules(
         if E.gamma != shape.gamma:
             continue
         total += 1
-        t = tableau_of_embedding(E)
+        chain = E.chain()
+        t = tableaux.get(chain)
+        if t is None:
+            t = tableaux[chain] = tableau_of_embedding(E)
         per_tableau[t] = per_tableau.get(t, 0) + 1
-        fp = iso_fingerprint(E, catalog)
+        fp = _fingerprint(plan, E)
         if fp in buckets:
             cls = buckets[fp]
             cls.submodule_count += 1
@@ -272,9 +300,11 @@ def _distinct_submodules(B, alpha) -> list[la.Rows]:
     each.  For an invariant span S and v in ker T^a, the closure of S and v
     is the span of S, v, T v, ..., T^(a-1) v, and it depends only on the
     line through the residue of v modulo S; so each level closes S with one
-    vector per line of the residue space of the kernel.  A level adds at
-    most a dimensions, and exactly a unless T^(a-1) v lies in S, so only
-    spans that grew by a at every level are kept.
+    vector per line of the residue space W of the kernel
+    (``_residue_lines``).  A level adds at most a dimensions, and exactly a
+    unless T^(a-1) v lies in S, so only spans that grew by a at every level
+    are kept.  The order in which lines and spans are visited does not
+    show: the last level is sorted.
     """
     p = B.p
     level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots
@@ -283,15 +313,33 @@ def _distinct_submodules(B, alpha) -> list[la.Rows]:
         grown: dict[la.Rows, list[int]] = {}
         for S, pivots in level.items():
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
-            # one residue per line: first nonzero coordinate over W is 1
-            for j in range(len(W)):
-                for tail in product(range(p), repeat=len(W) - 1 - j):
-                    orbit = la.mul([(1,) + tail], W[j:], p)
-                    for _ in range(a - 1):
-                        orbit += B.image(orbit[-1:])
-                    if not any(la.reduce_vec(orbit[-1], S, pivots, p)):
-                        continue
-                    R, R_pivots = la.rref(S + orbit, p)
-                    grown.setdefault(R, R_pivots)
+            for v in _residue_lines(W, p):
+                orbit = (v,)
+                for _ in range(a - 1):
+                    orbit += B.image(orbit[-1:])
+                if not any(la.reduce_vec(orbit[-1], S, pivots, p)):
+                    continue
+                R, R_pivots = la.rref(S + orbit, p)
+                grown.setdefault(R, R_pivots)
         level = grown
     return sorted(level)
+
+
+def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, ...]]:
+    """One vector per line of the row space of W, which is in rref: W[j]
+    plus each vector of span(W[j+1:]), for every j, so the first nonzero
+    entry of each is 1.  The spans grow from the last row up, one row at a
+    time, and each new vector is one addition of that row to a vector
+    already listed; the span of all of W is not built."""
+    lines: list[tuple[int, ...]] = []
+    span = [(0,) * len(W[0])] if W else []  # span(W[j+1:])
+    for j in range(len(W) - 1, -1, -1):
+        row = W[j]
+        shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in span]
+        lines += shifted
+        if j:
+            span = span + shifted
+            for _ in range(p - 2):  # the multiples 2 W[j] .. (p-1) W[j]
+                shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in shifted]
+                span += shifted
+    return lines

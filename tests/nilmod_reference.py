@@ -276,10 +276,17 @@ def kron_hom_dim(E1, E2):
     and g(A1) <= A2 as one ``np.kron`` system."""
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    p = E1.p
     d1, d2 = E1.B.dim, E2.B.dim
     if d1 == 0 or d2 == 0:
         return 0
+    return d1 * d2 - la.rank(kron_hom_system(E1, E2), E1.p)
+
+
+def kron_hom_system(E1, E2):
+    """The ``np.kron`` system of Hom(E1, E2), both of positive dimension:
+    its null space is the maps g, as d2 x d1 matrices flattened row by
+    row, with g T1 = T2 g and g(A1) <= A2."""
+    p, d1, d2 = E1.p, E1.B.dim, E2.B.dim
     # unknowns g[i, j] row-major, so vec(T2 g - g T1) = commute @ vec(g)
     T1, T2 = action_of(E1.B), action_of(E2.B)
     commute = np.kron(T2, np.eye(d1, dtype=np.int64)) - np.kron(
@@ -289,8 +296,7 @@ def kron_hom_dim(E1, E2):
     killer = np.eye(d2, dtype=np.int64)
     killer[:, E2._pivots] -= span_of(E2).T
     K = killer[killer.any(axis=1)]
-    M = np.vstack([commute, np.kron(K, span_of(E1))]) % p
-    return d1 * d2 - la.rank(M, p)
+    return np.vstack([commute, np.kron(K, span_of(E1))]) % p
 
 
 def block_hom_dim(E1, E2):

@@ -6,7 +6,14 @@ generator inside ker T^alpha_i, and keep one span per canonical basis.
 It works for every prime and is kept only so tests can require the same
 set of invariant subspaces from both.  Next to it is the level-wise
 search as it was before it dropped the spans that cannot reach dimension
-|alpha|: it keeps every span of every dimension.
+|alpha|: it keeps every span of every dimension, and it lists the lines
+of a residue space by coordinates, one product per line
+(``residue_lines``).
+
+``isomorphic`` is a referee for the census classes, which the census
+forms by fingerprint: it looks for an isomorphism itself, among seeded
+random combinations of a basis of the embedding morphisms
+(``hom_basis``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from lrlab import linalg
 from lrlab.nilmod import invariant_closure
-from nilmod_reference import la, power
+from nilmod_reference import action_of, kron_hom_system, la, power, span_of
 
 
 def distinct_submodules(B, alpha):
@@ -54,12 +61,57 @@ def level_wise_submodules(B, alpha):
         for S, pivots in level.items():
             grown.setdefault(S, pivots)
             W = linalg.row_space([linalg.reduce_vec(v, S, pivots, p) for v in kernel], p)
-            for j in range(len(W)):
-                for tail in product(range(p), repeat=len(W) - 1 - j):
-                    orbit = linalg.mul([(1,) + tail], W[j:], p)
-                    for _ in range(a - 1):
-                        orbit += B.image(orbit[-1:])
-                    R, R_pivots = linalg.rref(S + orbit, p)
-                    grown.setdefault(R, R_pivots)
+            for v in residue_lines(W, p):
+                orbit = (v,)
+                for _ in range(a - 1):
+                    orbit += B.image(orbit[-1:])
+                R, R_pivots = linalg.rref(S + orbit, p)
+                grown.setdefault(R, R_pivots)
         level = grown
     return sorted(level)
+
+
+def residue_lines(W, p):
+    """One vector per line of the row space of W (rref), by coordinates:
+    (1, t) times W[j:] for every j and every tail t over F_p, one product
+    per line."""
+    return [linalg.mul([(1,) + tail], W[j:], p)[0]
+            for j in range(len(W))
+            for tail in product(range(p), repeat=len(W) - 1 - j)]
+
+
+def hom_basis(E1, E2):
+    """A basis of Hom(E1, E2) as d2 x d1 arrays g, g T1 = T2 g and
+    g(A1) <= A2: the null space of ``kron_hom_system``."""
+    d1, d2 = E1.B.dim, E2.B.dim
+    if d1 == 0 or d2 == 0:
+        return []
+    return [g.reshape(d2, d1) for g in la.null_space(kron_hom_system(E1, E2), E1.p)]
+
+
+def isomorphic(E1, E2, rng, draws=200):
+    """Whether some morphism E1 -> E2 is invertible, among ``draws``
+    seeded random combinations of ``hom_basis``.
+
+    An invertible g with g(A1) <= A2 maps A1 onto A2 when the two have
+    equal dimension, so True is certain, and the g found is checked
+    against both conditions here.  False only says that none was found;
+    a caller that needs "not isomorphic" certain backs it with an
+    invariant that isomorphic embeddings share, such as dim End.
+    """
+    p, n = E1.p, E1.B.dim
+    if E1.p != E2.p or (n, E1.dim_sub()) != (E2.B.dim, E2.dim_sub()):
+        return False
+    if n == 0:
+        return True
+    basis = hom_basis(E1, E2)
+    for _ in range(draws):
+        g = np.zeros((n, n), dtype=np.int64)
+        for h in basis:
+            g = (g + rng.randrange(p) * h) % p
+        if la.rank(g, p) == n:
+            T1, T2, A1, A2 = action_of(E1.B), action_of(E2.B), span_of(E1), span_of(E2)
+            assert not ((g @ T1 - T2 @ g) % p).any()
+            assert la.rank(np.vstack([A2, (A1 @ g.T) % p]), p) == len(A2)
+            return True
+    return False

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shlex
 import sys
 from fractions import Fraction
@@ -11,15 +12,18 @@ import oracle_reference as ref
 from conftest import FIVE_CLASS, TWO_CLASS
 from linalg_reference import mat
 import lrlab.cli as cli
+from lrlab import linalg as la
 from lrlab import oracle
+from lrlab import tableaux as tb
 from lrlab.errors import GuardExceeded, InvariantViolation
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
                           realize_picket, realize_pole)
-from lrlab.oracle import (_distinct_submodules, enumerate_submodules,
-                          iso_fingerprint, nominal_tuple_count,
-                          picket_pole_catalog, s4_catalog)
+from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
+                          _residue_lines, enumerate_submodules, iso_fingerprint,
+                          nominal_tuple_count, picket_pole_catalog, s4_catalog)
 from lrlab.poles import Pole
 from lrlab.tableaux import Shape, enumerate_tableaux
+from lrlab.worked_examples import EXT_DEG_SHAPE, ext_deg_modules
 
 
 def test_catalog_has_twenty_objects():
@@ -79,6 +83,28 @@ CENSUS_DIGESTS = {
     (FIVE_CLASS, 2): "fe1bbfa7300a11a957a389b93f77bfcd3daea6d0d414873138b700a4726d5a44",
     (Shape((2, 1), (3, 2, 1), (2, 1)), 3):
         "32f6021b2ec09fd80399ab1f7be76bed49bf6bdbbe8f7c5deecd97a25855ab36",
+    # more shapes of the benchmark's census pool, recorded before the search
+    # listed residue lines by row additions: several classes per shape,
+    (Shape((2, 1), (3, 2, 1), (2, 1)), 2):
+        "7ef0e3b6b2c30398337f298a6ab1d2bdb08b1a9299e7fd99148ede4b79727003",
+    (Shape((2, 1), (3, 2, 1, 1), (2, 1, 1)), 2):
+        "f2a273460f2971848e2bd0e7b488275b0c7168448af00bc96d63c705613eed33",
+    (Shape((2, 1), (4, 2, 1), (3, 1)), 2):
+        "b3080618f1313bc12fa7acffc46dc1f54f55c4e6b42f99a085276d401acfca36",
+    (Shape((3, 1), (4, 2, 1), (2, 1)), 2):
+        "04180a0076ed7579e400f23f9ac233da7bed6c9e0246498b62801d79ac7d45d2",
+    # many submodules over F_3,
+    (Shape((3,), (3, 3), (3,)), 3):
+        "223d2337a7aa12787a0ca6fd8b0f54f1f54540913d7846669282a77c801fbe11",
+    (Shape((2,), (2, 2, 1), (2, 1)), 3):
+        "fbe45cc25c91f01abbc83853a7871d471c859662eb13b81117a7cd48f9f3ad2f",
+    # and repeated parts of alpha
+    (Shape((1, 1), (2, 1, 1), (1, 1)), 3):
+        "8c37d70cf12ac4d8bb8dd0816c2640941e63f86ef43b42bee9b0baa317895ddf",
+    (Shape((1, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1)), 2):
+        "e27705c6534c42fc06aa510d679a118c8852fc44b547918803dd18ef02a5e66f",
+    (Shape((2, 2), (2, 2, 1), (1,)), 2):
+        "57eb3163d78ca3f66b744706e19888799b8fbbb3b630dbc268f4e93019e4945b",
 }
 
 
@@ -150,6 +176,22 @@ def test_census_dimension_skip_is_exact(shape, p):
         assert len(span) == size and Embedding(B, span).alpha == shape.alpha
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_residue_lines_match_the_coordinate_enumeration(p):
+    """The lines built by row additions are those of the coordinate
+    products they replaced, each once and with a first nonzero entry 1."""
+    rng = random.Random(p)
+    for rows in [0, 1, 1, 2, 2, 3, 3, 4]:
+        n = rng.randint(max(rows, 1), 7)
+        W = ()
+        while len(W) < rows:  # seeded random rref of exactly ``rows`` rows
+            W = la.row_space([[rng.randrange(p) for _ in range(n)] for _ in range(rows)], p)
+        lines = _residue_lines(W, p)
+        assert len(lines) == len(set(lines)) == (p ** rows - 1) // (p - 1)
+        assert set(lines) == set(ref.residue_lines(W, p))
+        assert all(next(x for x in v if x) == 1 for v in lines)
+
+
 def _census_embeddings(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
     B = canonical_module(shape.beta, p)
@@ -160,10 +202,14 @@ def _census_embeddings(shape, p):
 
 
 def _assert_fingerprints_solve_alike(shape, p):
+    """The census's plan, built once for the shape, ``iso_fingerprint``
+    and one ``hom_dim`` per catalog object agree on every census span."""
     cat = s4_catalog(p)
+    plan = _fingerprint_plan(cat, shape.beta, p)
     count = 0
     for E in _census_embeddings(shape, p):
-        assert iso_fingerprint(E, cat) == tuple(hom_dim(C, E) for _, C in cat)
+        assert _fingerprint(plan, E) == iso_fingerprint(E, cat) == \
+            tuple(hom_dim(C, E) for _, C in cat)
         count += 1
     assert count
 
@@ -206,6 +252,39 @@ def test_fingerprint_solves_only_non_cyclic_sources(monkeypatch):
     assert fp == tuple(hom_dim(C, E) for _, C in cat + [("two", two)])
     with pytest.raises(ValueError, match="different fields"):
         iso_fingerprint(E, s4_catalog(3))
+
+
+def test_census_refuses_a_catalog_over_another_field_before_searching(monkeypatch):
+    # no span of this shape has quotient gamma, so no fingerprint is taken
+    shape = Shape((2,), (2, 2), (1, 1))
+    assert enumerate_submodules(shape, 2).total_submodules == 0
+    with pytest.raises(ValueError, match="different fields"):
+        enumerate_submodules(shape, 2, catalog=s4_catalog(3))
+
+    def refuse(B, alpha):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracle, "_distinct_submodules", refuse)
+    with pytest.raises(ValueError, match="different fields"):
+        enumerate_submodules(TWO_CLASS, 2, catalog=s4_catalog(2) + s4_catalog(3)[:1])
+
+
+def test_census_builds_one_tableau_per_chain(monkeypatch):
+    s4_catalog(2)  # X's tableau is checked when the catalog is built
+    from_chain, chains = tb.from_chain, []
+
+    def counting(chain):
+        chains.append(tuple(chain))
+        return from_chain(chain)
+
+    monkeypatch.setattr(tb, "from_chain", counting)
+    census = enumerate_submodules(FIVE_CLASS, 2)
+    distinct = {E.chain() for E in _census_embeddings(FIVE_CLASS, 2)}
+    assert sorted(chains) == sorted(distinct) and len(distinct) == 3
+    for c in census.classes:
+        assert c.tableau == from_chain(list(c.representative.chain()))
+        # classes of one chain share the tableau that per_tableau counts
+        assert any(t is c.tableau for t in census.per_tableau)
 
 
 def test_fingerprint_collision_names_a_reproducer():
@@ -355,3 +434,62 @@ def test_census_order_independence():
                 for alpha in (shape.alpha, tuple(reversed(shape.alpha)))]
         assert len(keys[0]) == count
         assert keys[0] == keys[1]
+
+
+def _members(shape, p, catalog):
+    """The census spans of ``shape`` over F_p, regrouped by fingerprint
+    from the search, in the census's order."""
+    groups = {}
+    for E in _census_embeddings(shape, p):
+        groups.setdefault(iso_fingerprint(E, catalog), []).append(E)
+    return groups
+
+
+def _assert_members_isomorphic(shape, p, catalog=None):
+    """Every member of every census class is isomorphic to the class
+    representative, its first member."""
+    census = enumerate_submodules(shape, p, slow=True, catalog=catalog)
+    members = _members(shape, p, catalog or s4_catalog(p))
+    assert sorted(c.fingerprint for c in census.classes) == sorted(members)
+    rng = random.Random(19)
+    for c in census.classes:
+        group = members[c.fingerprint]
+        assert len(group) == c.submodule_count
+        assert group[0].span == c.representative.span
+        assert all(ref.isomorphic(E, c.representative, rng) for E in group)
+
+
+@pytest.mark.parametrize("shape,p", [
+    (TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), (2, 1)), 3),
+], ids=str)
+def test_census_members_are_isomorphic_to_their_representative(shape, p):
+    _assert_members_isomorphic(shape, p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("extra", [False, True], ids=["pickets and poles", "with M1 to M23"])
+def test_nilpotency_six_census_members_are_isomorphic(extra):
+    catalog = picket_pole_catalog(2, 6) + (list(ext_deg_modules(2).items()) if extra else [])
+    _assert_members_isomorphic(EXT_DEG_SHAPE, 2, catalog)
+
+
+def test_referee_catches_the_merge_of_a_trimmed_catalog():
+    """Without P(2,) the five-class census reports four classes and no
+    error; the referee finds members of one class that are not isomorphic
+    to its representative, each certain by its endomorphism dimension."""
+    full = s4_catalog(2)
+    assert full[6][0] == "P(2,)"
+    trimmed = full[:6] + full[7:]
+    census = enumerate_submodules(FIVE_CLASS, 2, catalog=trimmed)
+    assert len(census.classes) == 4
+    members = _members(FIVE_CLASS, 2, trimmed)
+    rng = random.Random(19)
+    apart = []
+    for c in census.classes:
+        R = c.representative
+        end = len(ref.hom_basis(R, R))
+        for E in members[c.fingerprint]:
+            if not ref.isomorphic(E, R, rng):
+                assert len(ref.hom_basis(E, E)) != end
+                apart.append(E)
+    assert len(apart) == 8
