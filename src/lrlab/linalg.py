@@ -64,13 +64,9 @@ def row_space(M, p: int) -> Rows:
 
 
 def mul(A, B, p: int) -> Rows:
-    """The rows of A times B over F_p, B's entries in [0, p).  A factor
-    that is the identity costs nothing, nor does a zero entry of A, and a
-    row of A whose one nonzero entry is 1 picks its row of B as it is."""
-    if A == identity(len(B)):
-        return tuple(map(tuple, B))
-    if B == identity(len(B)):
-        return tuple(tuple([x % p for x in a]) for a in A)
+    """The rows of A times B over F_p, B's entries in [0, p).  A zero
+    entry of A costs nothing, and a row of A whose one nonzero entry is 1
+    picks its row of B as it is."""
     width = len(B[0]) if B else 0
     out = []
     for a in A:

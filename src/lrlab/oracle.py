@@ -167,7 +167,7 @@ class Census:
             "per_tableau": [
                 {"tableau": t.to_json(), "submodules": n}
                 for t, n in sorted(self.per_tableau.items(),
-                                   key=lambda kv: kv[0].to_json()["chain"])
+                                   key=lambda kv: kv[0].chain)
             ],
             "catalog": self.catalog_names,
             "classes": [
@@ -211,7 +211,8 @@ def enumerate_submodules(
     if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
             f"census for {shape} over F_{p} needs {nominal_tuple_count(shape, p)}"
-            f" nominal tuples; pass slow=True to run anyway"
+            f" nominal tuples; raise LRLAB_GUARD to allow it, or pass --slow"
+            " (slow=True from Python)"
         )
     if catalog is None:
         top = shape.beta[0] if shape.beta else 0
@@ -260,9 +261,7 @@ def enumerate_submodules(
                     f" and {t.to_json()['chain']}, catalog {catalog_note}")
         else:
             buckets[fp] = CensusClass(fp, t, E, 1)
-    classes = sorted(
-        buckets.values(), key=lambda c: (c.tableau.to_json()["chain"], c.fingerprint)
-    )
+    classes = sorted(buckets.values(), key=lambda c: (c.tableau.chain, c.fingerprint))
     return Census(shape, p, total, per_tableau, classes,
                   [name for name, _ in catalog])
 

@@ -20,7 +20,7 @@ costs them no more than a small one.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import partitions as pt
 from .errors import GuardExceeded, guard_budget
@@ -338,6 +338,16 @@ def reading_word(t: LRTableau) -> tuple[int, ...]:
     return t._word
 
 
+def _columns(cells, word: Sequence[int]) -> tuple[Column, ...]:
+    """The columns (length, base) of ``cells`` holding a reading word,
+    read as ``reading_word`` writes it."""
+    cols, pos = [], 0
+    for length, base in cells:
+        cols.append(Column(length, base, tuple(word[pos : pos + length - base][::-1])))
+        pos += length - base
+    return tuple(cols)
+
+
 def from_word(shape: Shape, word: Sequence[int]) -> LRTableau:
     """Rebuild a tableau of ``shape`` from its reading word.
 
@@ -355,14 +365,7 @@ def from_word(shape: Shape, word: Sequence[int]) -> LRTableau:
     if got != want:
         raise ValueError(f"word has entry counts {got}, but alpha = "
                          f"{list(shape.alpha)} needs {want}")
-    cols = []
-    pos = 0
-    for length, base in shape.cells():
-        n = length - base
-        chunk = word[pos : pos + n]
-        pos += n
-        cols.append(Column(length, base, tuple(reversed(chunk))))
-    t = LRTableau(cols)
+    t = LRTableau(_columns(shape.cells(), word))
     report = validate(t)
     if not report.ok:
         raise ValueError(f"word does not define an LR tableau: {report.violations}")
@@ -381,61 +384,52 @@ def dominance_leq(t1: LRTableau, t2: LRTableau) -> bool:
 def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
     """All LR tableaux of the shape, in lexicographic reading-word order.
 
-    Backtracking over skew cells column by column, bottom up within a
-    column, pruning on the row-weak, column-strict and entry-count
-    conditions as cells are placed and on the lattice condition at each
-    column boundary.  An |alpha| past ``LRLAB_GUARD`` raises
+    One backtracking loop extends the reading word cell by cell in
+    reading order, each cell taking its values in increasing order, so
+    the words come out sorted.  A value must be at least the cell's row
+    in the skew part (room for the cells above it), at least the entry
+    to its left and below the entry under it.  Placing v may break the
+    lattice condition only between v and v + 1, and later cells of the
+    column are smaller, so the column's final count of v is checked as
+    it is placed.  An |alpha| past ``LRLAB_GUARD`` raises
     ``GuardExceeded`` before the entry counts are built.
     """
-    cells = shape.cells()
     size, budget = pt.weight(shape.alpha), guard_budget()
     if size > budget:
         raise GuardExceeded(f"|alpha| = {size} exceeds the guard of {budget};"
                             " raise LRLAB_GUARD to allow it")
-    expected = pt.transpose(shape.alpha)
-    s = len(expected)
-    remaining = list(expected)
-    row_left: dict[int, int] = {}  # last entry placed in each row so far
+    remaining = [*pt.transpose(shape.alpha), 0]  # entries left to place of 1..s
+    s = len(remaining) - 1
+    # per skew cell in reading order: least value, index of the cell to
+    # its left (-1 for none) and whether the cell before it is below it
+    cells, table = shape.cells(), []
+    pbase = shape.beta[0] if shape.beta else 0  # base of the column to the left
+    for length, base in cells:
+        start = len(table)
+        for row in range(length, base, -1):
+            left = start - row + pbase if row > pbase else -1
+            table.append((row - base, left, row < length))
+        pbase = base
     out: list[LRTableau] = []
-    acc: list[tuple[int, ...]] = []
-
-    def lattice_ok() -> bool:
-        return all(remaining[ell - 2] >= remaining[ell - 1] for ell in range(2, s + 1))
-
-    def fill_column(ci: int) -> Iterator[None]:
-        if ci == len(cells):
-            yield None
-            return
-        length, base = cells[ci]
-        ncells = length - base
-
-        def place(j: int, below: int, picked: list[int]) -> Iterator[None]:
-            # j counts cells from the bottom; the cell is in row length - j
-            if j == ncells:
-                if lattice_ok():
-                    acc.append(tuple(reversed(picked)))
-                    yield from fill_column(ci + 1)
-                    acc.pop()
-                return
-            row = length - j
-            lo = row_left.get(row, 0)
-            hi = below - 1 if below else s
-            for v in range(max(lo, 1), hi + 1):
-                if remaining[v - 1] == 0:
-                    continue
+    word: list[int] = []
+    v = 0  # the last value tried at cell len(word)
+    while True:
+        if len(word) == len(table):
+            # row-weak rows keep equal-geometry columns in canonical order
+            out.append(_of_shape(_columns(cells, word), shape))
+        else:
+            least, left, stacked = table[len(word)]
+            v = max(v + 1, least, word[left] if left >= 0 else 0)
+            top = word[-1] - 1 if stacked else s
+            # placing v must leave at least as many v as v + 1 to place
+            while v <= top and remaining[v - 1] <= remaining[v]:
+                v += 1
+            if v <= top:
                 remaining[v - 1] -= 1
-                row_left[row] = v
-                picked.append(v)
-                yield from place(j + 1, v, picked)
-                picked.pop()
-                row_left[row] = lo
-                remaining[v - 1] += 1
-
-        yield from place(0, 0, [])
-
-    for _ in fill_column(0):
-        # row-weak rows already put equal-geometry columns in canonical order
-        cols = tuple(Column(length, base, e) for (length, base), e in zip(cells, acc))
-        out.append(_of_shape(cols, shape))
-    out.sort(key=reading_word)
-    return out
+                word.append(v)
+                v = 0
+                continue
+        if not word:
+            return out
+        v = word.pop()
+        remaining[v - 1] += 1

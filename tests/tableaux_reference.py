@@ -1,8 +1,8 @@
-"""Test-only references: the stage-growth ``from_chain``, the two-copy
-split-off scan, pole pieces split off LRTableau remainders one scan at a
-time, the Pole round trip of strip realization, which
-realizes each piece by the strip-only graded pole of ``nilmod_reference``,
-and the vertical-strip test by transposition.
+"""Test-only references: the generator search of ``enumerate_tableaux``,
+the stage-growth ``from_chain``, the two-copy split-off scan, pole pieces
+split off LRTableau remainders one scan at a time, the Pole round trip of
+strip realization, which realizes each piece by the strip-only graded pole
+of ``nilmod_reference``, and the vertical-strip test by transposition.
 
 ``lrlab`` replaced each by a smaller mechanism with the same answers; the
 cross-checks in ``test_tableaux.py``, ``test_poles.py`` and
@@ -12,13 +12,78 @@ cross-checks in ``test_tableaux.py``, ``test_poles.py`` and
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Iterator
 
 from lrlab import partitions as pt
-from lrlab.errors import InvariantViolation
+from lrlab.errors import GuardExceeded, InvariantViolation, guard_budget
 from lrlab.nilmod import Embedding, canonical_module, direct_sum
 from lrlab.poles import pole_decomposition, pole_tableau
-from lrlab.tableaux import Column, LRTableau, is_horizontal_strip, validate
+from lrlab.tableaux import (Column, LRTableau, Shape, _of_shape, is_horizontal_strip,
+                            reading_word, validate)
 from nilmod_reference import graded_pole_embedding
+
+
+def enumerate_tableaux(shape: Shape) -> list[LRTableau]:
+    """All LR tableaux of the shape, in lexicographic reading-word order.
+
+    Backtracking over skew cells column by column, bottom up within a
+    column, pruning on the row-weak, column-strict and entry-count
+    conditions as cells are placed and on the lattice condition at each
+    column boundary.  An |alpha| past ``LRLAB_GUARD`` raises
+    ``GuardExceeded`` before the entry counts are built.
+    """
+    cells = shape.cells()
+    size, budget = pt.weight(shape.alpha), guard_budget()
+    if size > budget:
+        raise GuardExceeded(f"|alpha| = {size} exceeds the guard of {budget};"
+                            " raise LRLAB_GUARD to allow it")
+    expected = pt.transpose(shape.alpha)
+    s = len(expected)
+    remaining = list(expected)
+    row_left: dict[int, int] = {}  # last entry placed in each row so far
+    out: list[LRTableau] = []
+    acc: list[tuple[int, ...]] = []
+
+    def lattice_ok() -> bool:
+        return all(remaining[ell - 2] >= remaining[ell - 1] for ell in range(2, s + 1))
+
+    def fill_column(ci: int) -> Iterator[None]:
+        if ci == len(cells):
+            yield None
+            return
+        length, base = cells[ci]
+        ncells = length - base
+
+        def place(j: int, below: int, picked: list[int]) -> Iterator[None]:
+            # j counts cells from the bottom; the cell is in row length - j
+            if j == ncells:
+                if lattice_ok():
+                    acc.append(tuple(reversed(picked)))
+                    yield from fill_column(ci + 1)
+                    acc.pop()
+                return
+            row = length - j
+            lo = row_left.get(row, 0)
+            hi = below - 1 if below else s
+            for v in range(max(lo, 1), hi + 1):
+                if remaining[v - 1] == 0:
+                    continue
+                remaining[v - 1] -= 1
+                row_left[row] = v
+                picked.append(v)
+                yield from place(j + 1, v, picked)
+                picked.pop()
+                row_left[row] = lo
+                remaining[v - 1] += 1
+
+        yield from place(0, 0, [])
+
+    for _ in fill_column(0):
+        # row-weak rows already put equal-geometry columns in canonical order
+        cols = tuple(Column(length, base, e) for (length, base), e in zip(cells, acc))
+        out.append(_of_shape(cols, shape))
+    out.sort(key=reading_word)
+    return out
 
 
 def from_chain(chain) -> LRTableau:

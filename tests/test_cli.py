@@ -209,6 +209,10 @@ def test_oracle_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("LRLAB_GUARD", "10")
     code = run(["oracle", '{"alpha":[3,1],"beta":[4,3,1],"gamma":[3,1]}'])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "guard exceeded: census for Shape(alpha=(3, 1), beta=(4, 3, 1),"
+        " gamma=(3, 1)) over F_2 needs 65536 nominal tuples; raise LRLAB_GUARD"
+        " to allow it, or pass --slow (slow=True from Python)\n")
     monkeypatch.delenv("LRLAB_GUARD")
 
 
@@ -290,11 +294,11 @@ CHILD_MODULES = (
     "file=sys.stderr); sys.exit(code)")
 
 
-def run_child(argv, child=CHILD):
+def run_child(argv, child=CHILD, timeout=30):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("tableau", [
@@ -339,6 +343,18 @@ def test_huge_alpha_exits_3(argv):
     assert done.returncode == 3, done.stderr
     assert done.stderr == (f"guard exceeded: |alpha| = {HUGE} exceeds the guard of"
                            f" {guard_budget()}; raise LRLAB_GUARD to allow it\n")
+
+
+@pytest.mark.parametrize("shape", [
+    {"alpha": [40], "beta": [40], "gamma": []},
+    {"alpha": [1] * 1200, "beta": [1] * 1200, "gamma": []},
+])
+def test_enumerate_tall_column_and_many_columns(shape):
+    # the search used to double its time with each cell of one column,
+    # and to exit 1 with a RecursionError on 1200 columns
+    done = run_child(["enumerate", json.dumps(shape)], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["count"] == 1
 
 
 def test_dom2box_beside_a_huge_blank_column():

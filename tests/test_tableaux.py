@@ -249,8 +249,18 @@ def test_enumeration_matches_public_constructor(strip_tableaux_12):
             assert rebuilt.columns == t.columns and rebuilt.shape == t.shape == shape
 
 
+def test_enumeration_matches_generator_reference(strip_tableaux_12):
+    # the same list in the same order as the previous search
+    blank = [Shape((), beta, beta) for n in range(9) for beta in pt.partitions_of(n)]
+    for shape in [*iter_all_shapes(8), *blank]:
+        assert enumerate_tableaux(shape) == ref.enumerate_tableaux(shape)
+    for shape, ts in strip_tableaux_12.items():
+        assert ts == ref.enumerate_tableaux(shape)
+
+
 def test_enumeration_order_is_lexicographic():
-    for shape in iter_strip_shapes(8):
+    # nothing sorts the list: the search visits the words in order
+    for shape in [*iter_strip_shapes(8), *iter_all_shapes(6)]:
         words = [reading_word(t) for t in enumerate_tableaux(shape)]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
