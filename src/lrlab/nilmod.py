@@ -518,15 +518,46 @@ def hom_dim(E1: Embedding, E2: Embedding) -> int:
     """
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    sources, targets = E1.B.sizes, E2.B.sizes
-    unknowns = [(o, o2 + q, o2 + c)  # x_i at q: a from o, k from o2 + q to o2 + c
-                for o, b in zip(block_offsets(sources), sources)
-                for o2, c in zip(block_offsets(targets), targets)
-                for q in range(max(c - b, 0), c)]
+    unknowns = _hom_unknowns(E1.B.sizes, E2.B.sizes)
     M = [[sum(map(operator.mul, a[o:o + end - start], k[start:end]))
           for o, start, end in unknowns]
          for a in _generators(E1) for k in _functionals(E2)]
     return len(unknowns) - la.rank(M, E1.p)
+
+
+def _hom_unknowns(sources, targets) -> list[tuple[int, int, int]]:
+    """The unknowns of ``hom_dim`` from blocks of ``sources`` to blocks of
+    ``targets``: (o, start, end) for x_i at position q of the target block
+    at offset o2 of size c, with o the offset of the source block, start =
+    o2 + q and end = o2 + c.  The map with that one unknown 1 sends a
+    source vector a to a[o:o + end - start] at positions start to end."""
+    return [(o, o2 + q, o2 + c)
+            for o, b in zip(block_offsets(sources), sources)
+            for o2, c in zip(block_offsets(targets), targets)
+            for q in range(max(c - b, 0), c)]
+
+
+def hom_images(C: Embedding, sizes) -> tuple[int, la.Rows]:
+    """(u, U) for the maps from C to targets E with Jordan blocks of
+    ``sizes``: the u unknowns of ``hom_dim``, and the echelon form U of
+    their images (g(a_1), ..., g(a_m)), one row per unknown, for the
+    module generators a_j of C's subspace (``_generators``).
+
+    g(A_C) <= A_E exactly when every g(a_j) lies in A_E, so dim Hom(C, E)
+    is u less the rank of the map g -> (g(a_j) mod A_E)_j, which is the
+    rank of U with each of its m parts reduced modulo A_E.  U depends on
+    C and ``sizes`` only, so one serves every span of one census.
+    """
+    n, gens = sum(sizes), _generators(C)
+    rows = []
+    for o, start, end in _hom_unknowns(C.B.sizes, sizes):
+        row = []
+        for a in gens:
+            part = [0] * n
+            part[start:end] = a[o:o + end - start]
+            row += part
+        rows.append(row)
+    return len(rows), la.row_space(rows, C.p)
 
 
 def _generators(E: Embedding) -> la.Rows:

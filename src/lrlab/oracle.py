@@ -1,27 +1,32 @@
 """Brute-force submodule census and fingerprint-based classification.
 
-The census lists the invariant submodules of type alpha of the
-canonical ambient module level by level, adding one generator per part
-of alpha and deduplicating by reduced row echelon form after each; a
-span that grows by less than that part is dropped, since it can no
-longer reach dimension |alpha|.  Each level tries one vector per line of
-a residue space, listed by row additions.  One path serves every prime.
-The census filters the result to the requested quotient type and buckets
-the survivors by tableau and by hom-dimension fingerprint against a
-catalog of known indecomposables.
+The census lists the invariant submodules of type alpha and cotype gamma
+of the canonical ambient module level by level, in the module's layer
+order, adding one generator per part of alpha and deduplicating by
+reduced row echelon form after each.  A span that grows by less than
+that part is dropped, since it can no longer reach dimension |alpha|,
+and so is a span whose quotient's type does not contain gamma, since the
+quotient by every span grown from it is a quotient of that one.  Each
+level tries one vector per line of a residue space, listed by row
+additions.  One path serves every prime.  The census re-checks the type
+and cotype of every span it gets back, now in block order, and buckets
+the spans by tableau and by hom-dimension fingerprint against a catalog
+of known indecomposables.
 Spans are visited in the order of their row tuples, so each class
 representative is its least member.  Catalogs are built once per
 argument and kept.
 What does not change within one census is done once per census: the
-fingerprint plan (which catalog objects need a system, and the distinct
-coordinate sets the others read) and one tableau per chain, which every
-span of that chain shares.
+fingerprint plan (the coordinate sets the cyclic catalog objects read,
+and the image echelon form of the others) and one tableau per chain,
+which every span of that chain shares.
 A fingerprint solves no system for a catalog object with a cyclic
 subspace (all of the 20-object catalog but X): its hom dimension is read
 off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
-Only the others, X among them, are solved by ``nilmod.hom_dim``, on
-X's two module generators against the census embedding's functionals in
-Jordan coordinates.
+For the others, X among them, the images of the hom unknowns on the
+object's module generators depend only on the census's block sizes;
+their echelon form U is taken once per census (``nilmod.hom_images``),
+and dim Hom(X, E) is the number of unknowns less the rank of U with each
+part reduced modulo E's span.
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
@@ -36,6 +41,8 @@ sharpen the separation.
 from __future__ import annotations
 
 import json
+import operator
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
@@ -44,7 +51,7 @@ from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
 from .nilmod import (Embedding, _closed, canonical_module, coordinate_meet_dim,
-                     generator_blocks, hom_dim, hom_positions, realize_picket,
+                     generator_blocks, hom_images, hom_positions, realize_picket,
                      realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
@@ -108,10 +115,12 @@ def _fingerprint_plan(catalog, sizes, p: int):
     A source C with a cyclic subspace needs no system: its hom dimension
     is a constant plus the dimension in which the target's span meets a
     coordinate subspace (``nilmod.hom_positions``), so its step is (base,
-    index of its position set).  A source whose subspace needs two
-    generators (X) is its own step, solved by ``hom_dim``.  The plan is
-    the steps, in catalog order, and the distinct position sets.  A
-    catalog object over another field raises ValueError.
+    index of its position set, None).  For a source whose subspace needs
+    two generators (X) the images of the hom unknowns depend only on
+    ``sizes`` (``nilmod.hom_images``), so its step is (unknowns, None,
+    their echelon form U).  The plan is the steps, in catalog order, and
+    the distinct position sets.  A catalog object over another field
+    raises ValueError.
     """
     sets: dict[tuple[int, ...], int] = {}
     steps = []
@@ -120,20 +129,40 @@ def _fingerprint_plan(catalog, sizes, p: int):
             raise ValueError("embeddings live over different fields")
         blocks = generator_blocks(C)
         if blocks is None:
-            steps.append(C)
+            unknowns, U = hom_images(C, sizes)
+            steps.append((unknowns, None, U))
         else:
             base, outside = hom_positions(blocks, sizes)
-            steps.append((base, sets.setdefault(outside, len(sets))))
+            steps.append((base, sets.setdefault(outside, len(sets)), None))
     return steps, tuple(sets)
 
 
 def _fingerprint(plan, E: Embedding) -> tuple[int, ...]:
     """The fingerprint of E by ``plan``: E's span is ranked once per
-    distinct position set, and each non-cyclic source is solved."""
+    distinct position set, and for each non-cyclic source the rank of U
+    with every part reduced modulo E's span is taken."""
     steps, sets = plan
     meets = [coordinate_meet_dim(E.span, outside, E.p) for outside in sets]
-    return tuple([hom_dim(step, E) if isinstance(step, Embedding)
-                  else step[0] + meets[step[1]] for step in steps])
+    return tuple([base + meets[i] if U is None else base - _reduced_rank(U, E)
+                  for base, i, U in steps])
+
+
+def _reduced_rank(U: la.Rows, E: Embedding) -> int:
+    """The rank of U with each of its parts of E.B.dim entries reduced
+    modulo E's span.  The span is in rref, so each part loses the span's
+    rows scaled by its own entries at their pivots (see ``la.reduce_vec``);
+    ``la.rank`` takes the entries mod p."""
+    span, pivots, n = E.span, E._pivots, E.B.dim
+    rows = []
+    for u in U:
+        out = list(u)
+        for j in range(0, len(u), n):
+            for row, c in zip(span, pivots):
+                f = u[j + c]
+                if f:
+                    out[j:j + n] = [x - f * y for x, y in zip(out[j:j + n], row)]
+        rows.append(out)
+    return la.rank(rows, E.p)
 
 
 class CensusClass:
@@ -201,12 +230,12 @@ def enumerate_submodules(
     canonical basis, so generator tuples are never listed; the guard is
     nevertheless expressed in nominal full-tuple terms so configured
     budgets stay comparable across implementations.  The search returns
-    only spans of dimension |alpha|, invariant and in rref, so their
-    embeddings need no closure; each has type alpha (re-checked: a span
-    of another type raises, naming shape, p and span), and the census
-    keeps those with quotient gamma.  Both failures name the catalog, and
-    with the default one end in the ``lrlab oracle`` command that
-    reproduces them.
+    only spans of type alpha and cotype gamma, invariant and in rref, so
+    their embeddings need no closure; both types are re-checked, and a
+    span of another type or cotype raises, naming shape, p and span.
+    That failure and a fingerprint collision name the catalog, and with
+    the default one end in the ``lrlab oracle`` command that reproduces
+    them.
     """
     if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
@@ -228,7 +257,7 @@ def enumerate_submodules(
 
     B = canonical_module(shape.beta, p)
     plan = _fingerprint_plan(catalog, B.sizes, p)
-    spans = _distinct_submodules(B, shape.alpha)
+    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
 
     tableaux: dict[tuple[pt.Partition, ...], LRTableau] = {}  # chain -> its tableau
     per_tableau: dict[LRTableau, int] = {}
@@ -236,13 +265,11 @@ def enumerate_submodules(
     total = 0
     for span in spans:
         E = _closed(B, span)  # the search closed and reduced it
-        if E.alpha != shape.alpha:
+        if E.alpha != shape.alpha or E.gamma != shape.gamma:
             raise InvariantViolation(
-                f"search returned a span of type {list(E.alpha)}: shape"
-                f" {json.dumps(shape.to_json())}, p = {p}, span"
-                f" {[list(row) for row in span]}, catalog {catalog_note}")
-        if E.gamma != shape.gamma:
-            continue
+                f"search returned a span of type {list(E.alpha)} and cotype"
+                f" {list(E.gamma)}: shape {json.dumps(shape.to_json())}, p = {p},"
+                f" span {[list(row) for row in span]}, catalog {catalog_note}")
         total += 1
         chain = E.chain()
         t = tableaux.get(chain)
@@ -289,39 +316,63 @@ def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
     return tuple(catalog)
 
 
-def _distinct_submodules(B, alpha) -> list[la.Rows]:
-    """Canonical bases of the distinct invariant subspaces of dimension
-    |alpha| generated by tuples with the i-th generator inside
-    ker T^alpha_i, sorted; their orbits form a basis, so each has type
-    alpha.
+def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
+    """Canonical bases of the distinct invariant subspaces S of B of type
+    alpha and cotype gamma (B / S of type gamma), sorted; alpha and gamma
+    as in a ``Shape`` whose beta is B's type.
 
-    The search adds one generator per part of alpha and deduplicates after
-    each.  For an invariant span S and v in ker T^a, the closure of S and v
-    is the span of S, v, T v, ..., T^(a-1) v, and it depends only on the
-    line through the residue of v modulo S; so each level closes S with one
-    vector per line of the residue space W of the kernel
-    (``_residue_lines``).  A level adds at most a dimensions, and exactly a
-    unless T^(a-1) v lies in S, so only spans that grew by a at every level
-    are kept.  The order in which lines and spans are visited does not
-    show: the last level is sorted.
+    Every such S is generated by a tuple with the i-th generator inside
+    ker T^alpha_i, and the search adds one generator per part of alpha and
+    deduplicates after each.  For an invariant span S and v in ker T^a,
+    the closure of S and v is the span of S, v, T v, ..., T^(a-1) v, and
+    it depends only on the line through the residue of v modulo S; so
+    each level closes S with one vector per line of the residue space W
+    of the kernel (``_residue_lines``).  A level adds at most a
+    dimensions, and exactly a unless T^(a-1) v lies in S, so only spans
+    that grew by a at every level are kept; their orbits form a basis, so
+    each has type alpha.
+
+    The search runs in B's layer order (``nilmod._layer_order``), where
+    T^k B is the coordinates from prefix[k] on.  So the pivots of the
+    echelon form of a span S, which the search takes anyway, give
+    dim(T^k B + S) by bisection, and with it the rank r_k of T^k on B / S
+    (as in an embedding's layer table).  A span on the way to A has B / A
+    as a quotient of B / S, and a quotient's partition lies inside the
+    module's (Macdonald, *Symmetric functions and Hall polynomials*,
+    Ch. II).  So a span is dropped unless gamma lies inside the type of
+    B / S: unless the k-th column of gamma is at most r_(k-1) - r_k, the
+    number of parts of B / S of size at least k.  After the last level
+    B / S has |beta| - |alpha| = |gamma| boxes, so there containment is
+    equality, and every span kept has cotype gamma.  The survivors go
+    back to block order, one ``rref`` each, and are sorted, so the order
+    in which lines and spans are visited does not show.
     """
-    p = B.p
-    level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots
+    p, n = B.p, B.dim
+    order, shift, prefix = B._order
+    back = sorted(range(n), key=order.__getitem__)  # q -> its index in layer order
+    # T on a row in layer order with a 0 appended; T = 0 below dimension 2
+    image = operator.itemgetter(*shift) if n > 1 else lambda row: (0,) * n
+    columns = pt.transpose(gamma)
+    level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots, in layer order
     for a in alpha:
-        kernel = B.kernel(a)
+        kernel = [tuple([v[q] for q in order]) for v in B.kernel(a)]
         grown: dict[la.Rows, list[int]] = {}
         for S, pivots in level.items():
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
             for v in _residue_lines(W, p):
                 orbit = (v,)
                 for _ in range(a - 1):
-                    orbit += B.image(orbit[-1:])
+                    orbit += (image((*orbit[-1], 0)),)
                 if not any(la.reduce_vec(orbit[-1], S, pivots, p)):
                     continue
                 R, R_pivots = la.rref(S + orbit, p)
-                grown.setdefault(R, R_pivots)
+                d = n - len(R_pivots)
+                r = [d - s + bisect_left(R_pivots, s) for s in prefix]
+                if all([r[k] - r[k + 1] >= c for k, c in enumerate(columns)]):
+                    grown.setdefault(R, R_pivots)
         level = grown
-    return sorted(level)
+    return sorted([la.rref([tuple([row[i] for i in back]) for row in S], p)[0]
+                   for S in level])
 
 
 def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, ...]]:

@@ -15,14 +15,19 @@ realization reads.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 from . import partitions as pt
 from . import tableaux as tb
-from .boxmoves import BoxMove, _moved_columns, apply_move
 from .errors import InvariantViolation
 from .partitions import Partition
 from .records import Record, setfield
 from .tableaux import Column, LRTableau
+
+if TYPE_CHECKING:
+    # box moves are imported where they are used, so that the commands
+    # that move no box do not load them
+    from .boxmoves import BoxMove
 
 
 class Picket(Record):
@@ -208,6 +213,8 @@ def box_move_pole_partition(
     g2/g2t in the one holding v, and g1t U g2t is one box move above
     g1 U g2.  All five stated properties are re-checked at runtime.
     """
+    from .boxmoves import apply_move
+
     if apply_move(t_low, move) != t_high:
         raise ValueError("move does not carry the first tableau to the second")
     u, v, r, s = move.u, move.v, move.r, move.s
@@ -301,6 +308,8 @@ def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
 def _check_partition_properties(
     t_low, t_high, move, gamma1, gamma2, gamma3, gamma1t, gamma2t
 ) -> None:
+    from .boxmoves import BoxMove, _moved_columns
+
     u, v, r, s = move.u, move.v, move.r, move.s
 
     def is_extended_pole_strip(t: LRTableau) -> bool:

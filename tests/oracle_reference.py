@@ -8,7 +8,11 @@ set of invariant subspaces from both.  Next to it is the level-wise
 search as it was before it dropped the spans that cannot reach dimension
 |alpha|: it keeps every span of every dimension, and it lists the lines
 of a residue space by coordinates, one product per line
-(``residue_lines``).
+(``residue_lines``).  ``unpruned_submodules`` is the census search as it
+was before it was pruned by the quotient's type: it returns every
+submodule of type alpha, so closed-form counts (Birkhoff's, Hall
+symmetry) can check it, and the pruned search must equal it filtered to
+one cotype (``cotype_submodules``).
 
 ``isomorphic`` is a referee for the census classes, which the census
 forms by fingerprint: it looks for an isomorphism itself, among seeded
@@ -23,7 +27,8 @@ from itertools import product
 import numpy as np
 
 from lrlab import linalg
-from lrlab.nilmod import invariant_closure
+from lrlab.nilmod import _closed, invariant_closure
+from lrlab.oracle import _residue_lines
 from nilmod_reference import action_of, kron_hom_system, la, power, span_of
 
 
@@ -69,6 +74,41 @@ def level_wise_submodules(B, alpha):
                 grown.setdefault(R, R_pivots)
         level = grown
     return sorted(level)
+
+
+def unpruned_submodules(B, alpha):
+    """Canonical bases of the distinct invariant subspaces of dimension
+    |alpha| generated by tuples with the i-th generator inside
+    ker T^alpha_i, sorted: every submodule of type alpha, whatever its
+    cotype.
+
+    This is the census search before it was pruned by the quotient's
+    type: it runs in block order and keeps every span that grew by the
+    part at every level.
+    """
+    p = B.p
+    level = {(): []}  # span -> pivots
+    for a in alpha:
+        kernel = B.kernel(a)
+        grown = {}
+        for S, pivots in level.items():
+            W = linalg.row_space([linalg.reduce_vec(v, S, pivots, p) for v in kernel], p)
+            for v in _residue_lines(W, p):
+                orbit = (v,)
+                for _ in range(a - 1):
+                    orbit += B.image(orbit[-1:])
+                if not any(linalg.reduce_vec(orbit[-1], S, pivots, p)):
+                    continue
+                R, R_pivots = linalg.rref(S + orbit, p)
+                grown.setdefault(R, R_pivots)
+        level = grown
+    return sorted(level)
+
+
+def cotype_submodules(B, alpha, gamma):
+    """The spans of ``unpruned_submodules`` whose quotient has type gamma,
+    in its order."""
+    return [S for S in unpruned_submodules(B, alpha) if _closed(B, S).gamma == gamma]
 
 
 def residue_lines(W, p):

@@ -378,22 +378,24 @@ def test_profile_with_huge_bounds_exits_3(bounds):
 
 
 # the lrlab modules each command must not load: the combinatorial ones
-# skip the numeric layers, and enumerate needs neither box moves nor poles
+# skip the numeric layers, enumerate needs neither box moves nor poles,
+# and only the commands that move boxes load box moves
 NUMERIC = {"lrlab.nilmod", "lrlab.linalg", "lrlab.witness", "lrlab.oracle",
            "lrlab.worked_examples"}
+BOXMOVES = {"lrlab.boxmoves"}
 MODULE_CASES = [
-    (["enumerate", FIVE], NUMERIC | {"lrlab.boxmoves", "lrlab.poles"}),
+    (["enumerate", FIVE], NUMERIC | BOXMOVES | {"lrlab.poles"}),
     (["orders", FIVE, "--relation", "box"], NUMERIC | {"lrlab.poles"}),
     (["hasse", FIVE, "--relation", "dom"], NUMERIC | {"lrlab.poles"}),
     (["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
      NUMERIC | {"lrlab.poles"}),
-    (["decompose", PICKET], NUMERIC),
-    (["realize", PICKET, "-p", "3"], set()),
-    (["tableau", PICKET_EMBEDDING], set()),
+    (["decompose", PICKET], NUMERIC | BOXMOVES),
+    (["realize", PICKET, "-p", "3"], BOXMOVES),
+    (["tableau", PICKET_EMBEDDING], BOXMOVES),
     (["witness", SMALL, "--from", "1,2,1", "--to", "2,1,1", "-p", "3"], set()),
-    (["hom", PICKET_EMBEDDING, PICKET_EMBEDDING], set()),
-    (["profile", PICKET_EMBEDDING], set()),
-    (["oracle", '{"alpha":[1],"beta":[2,1],"gamma":[2]}', "-p", "3"], set()),
+    (["hom", PICKET_EMBEDDING, PICKET_EMBEDDING], BOXMOVES),
+    (["profile", PICKET_EMBEDDING], BOXMOVES),
+    (["oracle", '{"alpha":[1],"beta":[2,1],"gamma":[2]}', "-p", "3"], BOXMOVES),
     (["paper-examples"], set()),
 ]
 

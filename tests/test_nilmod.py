@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nilmod_reference as ref
+import oracle_reference
 import tableaux_reference
 from conftest import (FIVE_CLASS, TWO_CLASS, iter_all_shapes, iter_strip_shapes,
                       random_pole)
@@ -24,8 +25,8 @@ from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
                           picket_hom_profile, pole_generator, realize_picket,
                           realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.boxmoves import box_successors
-from lrlab.oracle import (_distinct_submodules, iso_fingerprint,
-                          picket_pole_catalog, s4_catalog)
+from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
+                          iso_fingerprint, picket_pole_catalog, s4_catalog)
 from lrlab.partitions import partition, partitions_of
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_pieces, pole_tableau, tableau_union)
@@ -292,8 +293,7 @@ HOM_CENSUS_SHAPES = [(TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), 
 def _census_targets(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
     B = canonical_module(shape.beta, p)
-    spans = _distinct_submodules(B, shape.alpha)
-    return [E for E in (Embedding(B, S) for S in spans) if E.gamma == shape.gamma]
+    return [Embedding(B, S) for S in _distinct_submodules(B, shape.alpha, shape.gamma)]
 
 
 @pytest.mark.parametrize("shape,p", HOM_CENSUS_SHAPES, ids=str)
@@ -312,6 +312,49 @@ def test_hom_dim_matches_block_generator_reference_on_census_embeddings(shape, p
             assert got == (ref.block_hom_dim(C, E), ref.block_hom_dim(E, C)), (i, name)
             if name == "X" or (i + j) % 20 == 0:
                 assert got == (ref.hom_dim(C, E), ref.hom_dim(E, C)), (i, name)
+
+
+def _image_hom_dim(C, E):
+    """dim Hom(C, E) as a census fingerprint reads it for a non-cyclic C:
+    from the echelon form of C's unknown images for E's block sizes."""
+    assert generator_blocks(C) is None
+    return _fingerprint(_fingerprint_plan([("C", C)], E.B.sizes, E.p), E)[0]
+
+
+@pytest.mark.parametrize("shape,p", HOM_CENSUS_SHAPES, ids=str)
+def test_image_echelon_step_matches_hom_dim_on_census_embeddings(shape, p):
+    # X on every census embedding, and on a random conjugate of each
+    # fourth, read back in Jordan coordinates of the same sizes, where its
+    # span is mostly another one
+    rng = np.random.default_rng(90 + p)
+    X = dict(s4_catalog(p))["X"]
+    plan = _fingerprint_plan([("X", X)], shape.beta, p)
+    moved = 0
+    for i, E in enumerate(_census_targets(shape, p)):
+        assert _fingerprint(plan, E) == (hom_dim(X, E),)
+        if i % 4 == 0:
+            F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+            assert F.B.sizes == E.B.sizes
+            assert _image_hom_dim(X, F) == hom_dim(X, F) == hom_dim(X, E)
+            moved += F.span != E.span
+    assert moved
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_image_echelon_step_matches_hom_dim_on_random_conjugates(p):
+    # random sources with two or three module generators against random
+    # targets, both in general position
+    rng = np.random.default_rng(95 + p)
+    sources = 0
+    while sources < 25:
+        C, E = _random_embedding(rng, p), _random_embedding(rng, p)
+        if generator_blocks(C) is not None:
+            continue
+        sources += 1
+        G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        assert _image_hom_dim(G, F) == hom_dim(G, F) == hom_dim(C, E)
+        assert _image_hom_dim(C, E) == hom_dim(C, E)
 
 
 @pytest.mark.slow
@@ -675,7 +718,7 @@ def test_witness_json_matches_general_path():
 def test_census_embeddings_skip_closure_alike(p):
     # the census builds its embeddings without closing the search's spans
     B = canonical_module(FIVE_CLASS.beta, p)
-    spans = _distinct_submodules(B, FIVE_CLASS.alpha)
+    spans = _distinct_submodules(B, FIVE_CLASS.alpha, FIVE_CLASS.gamma)
     assert spans
     for span in spans:
         E, F = nilmod._closed(B, span), Embedding(B, span)
@@ -744,10 +787,10 @@ def test_witness_terms_match_reference():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_census_spans_match_reference(p):
-    # every span the search yields, also those of another quotient type
+    # every span of type alpha, also those of another quotient type
     B = canonical_module(TWO_CLASS.beta, p)
     kept = 0
-    for span in _distinct_submodules(B, TWO_CLASS.alpha):
+    for span in oracle_reference.unpruned_submodules(B, TWO_CLASS.alpha):
         E = Embedding(B, span)
         assert _same_as_reference(E)
         kept += (E.alpha, E.gamma) == (TWO_CLASS.alpha, TWO_CLASS.gamma)

@@ -4,20 +4,22 @@ import random
 import shlex
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import oracle_reference as ref
-from conftest import FIVE_CLASS, TWO_CLASS
+from conftest import FIVE_CLASS, TWO_CLASS, sub_partitions
 from linalg_reference import mat
 import lrlab.cli as cli
 from lrlab import linalg as la
 from lrlab import oracle
+from lrlab import partitions as pt
 from lrlab import tableaux as tb
 from lrlab.errors import GuardExceeded, InvariantViolation
-from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
-                          realize_picket, realize_pole)
+from lrlab.nilmod import (Embedding, canonical_module, direct_sum, hom_dim, hom_images,
+                          realize_picket, realize_pole, tableau_of_embedding)
 from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
                           _residue_lines, enumerate_submodules, iso_fingerprint,
                           nominal_tuple_count, picket_pole_catalog, s4_catalog)
@@ -147,11 +149,13 @@ def test_five_class_census_distribution(censuses):
 ], ids=str)
 def test_level_wise_search_matches_per_tuple_reference(shape, p):
     B = canonical_module(shape.beta, p)
-    spans = _distinct_submodules(B, shape.alpha)
+    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
     assert spans == sorted(set(spans))
     every = ref.distinct_submodules(B, shape.alpha)
     assert set(ref.level_wise_submodules(B, shape.alpha)) == set(every)
-    assert set(spans) == {S for S in every if len(S) == sum(shape.alpha)}
+    typed = {S for S in every if len(S) == sum(shape.alpha)}
+    assert set(ref.unpruned_submodules(B, shape.alpha)) == typed
+    assert set(spans) == {S for S in typed if Embedding(B, S).gamma == shape.gamma}
     # spans of one dimension, the only ones a census compares, sort as
     # their int64 bytes sorted when they were arrays (entries below 256)
     for d in {len(S) for S in spans}:
@@ -163,17 +167,20 @@ def test_level_wise_search_matches_per_tuple_reference(shape, p):
                          ids=str)
 @pytest.mark.parametrize("p", [2, 3])
 def test_census_dimension_skip_is_exact(shape, p):
-    """The search returns, in order, exactly the |alpha|-row spans of the
-    search that keeps every span, and each has type alpha, so the census
-    types no span it then throws away."""
+    """The search returns, in order, exactly the |alpha|-row spans of
+    cotype gamma of the search that keeps every span, and each has type
+    alpha and cotype gamma, so the census types no span it then throws
+    away."""
     B = canonical_module(shape.beta, p)
     size = sum(shape.alpha)
-    spans = _distinct_submodules(B, shape.alpha)
+    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
     every = ref.level_wise_submodules(B, shape.alpha)
-    assert spans == [S for S in every if len(S) == size]
-    assert 0 < len(spans) < len(every)
+    assert spans == [S for S in every
+                     if len(S) == size and Embedding(B, S).gamma == shape.gamma]
+    assert 0 < len(spans) < len(ref.unpruned_submodules(B, shape.alpha)) < len(every)
     for span in spans:
-        assert len(span) == size and Embedding(B, span).alpha == shape.alpha
+        E = Embedding(B, span)
+        assert len(span) == size and (E.alpha, E.gamma) == (shape.alpha, shape.gamma)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -195,10 +202,8 @@ def test_residue_lines_match_the_coordinate_enumeration(p):
 def _census_embeddings(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
     B = canonical_module(shape.beta, p)
-    for span in _distinct_submodules(B, shape.alpha):
-        E = Embedding(B, span)
-        if E.alpha == shape.alpha and E.gamma == shape.gamma:
-            yield E
+    for span in _distinct_submodules(B, shape.alpha, shape.gamma):
+        yield Embedding(B, span)
 
 
 def _assert_fingerprints_solve_alike(shape, p):
@@ -239,11 +244,11 @@ def test_fingerprints_match_hom_dim_on_census_pool():
 def test_fingerprint_solves_only_non_cyclic_sources(monkeypatch):
     solved = []
 
-    def recording(C, E):
+    def recording(C, sizes):
         solved.append(C)
-        return hom_dim(C, E)
+        return hom_images(C, sizes)
 
-    monkeypatch.setattr(oracle, "hom_dim", recording)
+    monkeypatch.setattr(oracle, "hom_images", recording)
     cat = s4_catalog(2)
     two = direct_sum(realize_picket(3, 1, 2), realize_pole(Pole((0, 2), (3, 1)), 2))
     E = next(_census_embeddings(FIVE_CLASS, 2))
@@ -261,7 +266,7 @@ def test_census_refuses_a_catalog_over_another_field_before_searching(monkeypatc
     with pytest.raises(ValueError, match="different fields"):
         enumerate_submodules(shape, 2, catalog=s4_catalog(3))
 
-    def refuse(B, alpha):
+    def refuse(B, alpha, gamma):
         raise AssertionError("searched")
 
     monkeypatch.setattr(oracle, "_distinct_submodules", refuse)
@@ -328,7 +333,8 @@ def test_default_catalog_collision_names_it_and_its_command(monkeypatch, capsys,
 
 def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # the search returns only spans of type alpha; one that is not raises
-    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha: [((0, 0, 0, 1),)])
+    monkeypatch.setattr(oracle, "_distinct_submodules",
+                        lambda B, alpha, gamma: [((0, 0, 0, 1),)])
     shape = Shape((2,), (3, 1), (2,))
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 2)
@@ -340,11 +346,26 @@ def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # past nilpotency four the default is the picket-pole catalog
     shape = Shape((2,), (5, 1), (4,))
     monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha: [((0, 0, 0, 0, 0, 1),)])
+                        lambda B, alpha, gamma: [((0, 0, 0, 0, 0, 1),)])
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 3)
     message = str(info.value)
     assert "catalog picket_pole_catalog(3, 5); reproduce with" in message
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
+
+
+def test_census_refuses_a_span_of_another_cotype(monkeypatch, capsys):
+    # T B in N_(3,1) has type (2) but cotype (1, 1); the search returns
+    # only spans of cotype gamma, and one that is not raises
+    span = ((0, 1, 0, 0), (0, 0, 1, 0))
+    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha, gamma: [span])
+    shape = Shape((2,), (3, 1), (2,))
+    with pytest.raises(InvariantViolation, match="span of type") as info:
+        enumerate_submodules(shape, 2)
+    message = str(info.value)
+    assert "type [2] and cotype [1, 1]: shape " + json.dumps(shape.to_json()) in message
+    assert ("p = 2, span [[0, 1, 0, 0], [0, 0, 1, 0]], catalog s4_catalog(2);"
+            " reproduce with: lrlab oracle") in message
     assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
 
 
@@ -426,14 +447,167 @@ def test_zero_embedding_fingerprint():
 
 def test_census_order_independence():
     # adding the generators for alpha's parts in the reverse order must
-    # reach the same invariant subspaces: the search is order independent
+    # reach the same invariant subspaces: the search is order independent,
+    # pruned or not
     shape = Shape((2, 1), (3, 2, 1), (2, 1))
-    for p, count in ((2, 18), (3, 48)):
+    for p, count, kept in ((2, 18, 9), (3, 48, 20)):
         B = canonical_module(shape.beta, p)
-        keys = [_distinct_submodules(B, alpha)
-                for alpha in (shape.alpha, tuple(reversed(shape.alpha)))]
-        assert len(keys[0]) == count
-        assert keys[0] == keys[1]
+        orders = (shape.alpha, tuple(reversed(shape.alpha)))
+        every = [ref.unpruned_submodules(B, alpha) for alpha in orders]
+        keys = [_distinct_submodules(B, alpha, shape.gamma) for alpha in orders]
+        assert len(every[0]) == count and len(keys[0]) == kept
+        assert every[0] == every[1]
+        assert keys[0] == keys[1] == ref.cotype_submodules(B, shape.alpha, shape.gamma)
+
+
+def _gaussian(n, k, q):
+    """The Gaussian binomial [n choose k]_q, 0 outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _birkhoff_count(alpha, beta, q):
+    """Birkhoff's count of the submodules of type alpha of N_beta over F_q:
+    the product over i of q^(a'_(i+1) (b'_i - a'_i)) times
+    [b'_i - a'_(i+1) choose a'_i - a'_(i+1)]_q, with a' and b' the
+    conjugates of alpha and beta (L. M. Butler, Subgroup lattices and
+    symmetric functions, Mem. AMS 539, 1994, Ch. 1)."""
+    a, b = pt.transpose(alpha), pt.transpose(beta)
+    top = max(len(a), len(b))
+    a, b = a + (0,) * (top + 1 - len(a)), b + (0,) * (top - len(b))
+    out = 1
+    for i, bi in enumerate(b):
+        out *= q ** (a[i + 1] * (bi - a[i])) * _gaussian(bi - a[i + 1], a[i] - a[i + 1], q)
+    return out
+
+
+def _types_in_range(max_weight, p):
+    """(beta, alpha) for every beta with |beta| <= max_weight and every
+    alpha inside it, () included, whose census stays inside the default
+    guard."""
+    for n in range(1, max_weight + 1):
+        for beta in pt.partitions_of(n):
+            for alpha in [()] + [a for m in range(1, n + 1) for a in pt.partitions_of(m)]:
+                if pt.contains(beta, alpha) and \
+                        (p ** n) ** len(alpha) <= oracle.DEFAULT_GUARD:
+                    yield beta, alpha
+
+
+@lru_cache(maxsize=None)
+def _strata(beta, alpha, p):
+    """The spans of the unpruned reference search for type alpha in N_beta
+    over F_p, by cotype, each list in the search's order."""
+    B = canonical_module(beta, p)
+    out = {}
+    for S in ref.unpruned_submodules(B, alpha):
+        out.setdefault(Embedding(B, S).gamma, []).append(S)
+    return out
+
+
+# (p, largest |beta|): the ranges in tier-1, then the full ones under
+# --runslow, with the number of (beta, alpha) pairs each checks against
+# Birkhoff's count and of nonzero Hall-symmetric (beta, alpha, gamma)
+COUNT_RANGES = {(2, 6): (215, 263), (3, 5): (95, 100)}
+SLOW_COUNT_RANGES = {(2, 7): (399, 517), (3, 6): (180, 183)}
+
+
+def _assert_birkhoff(p, max_weight):
+    checked = 0
+    for beta, alpha in _types_in_range(max_weight, p):
+        spans = sum(_strata(beta, alpha, p).values(), [])
+        assert len(spans) == _birkhoff_count(alpha, beta, p), (beta, alpha)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("p,max_weight", COUNT_RANGES, ids=str)
+def test_unpruned_search_meets_birkhoffs_count(p, max_weight):
+    """The reference search, which the pruned one must match, finds every
+    submodule of type alpha: as many as Birkhoff's formula counts."""
+    assert _assert_birkhoff(p, max_weight) == COUNT_RANGES[p, max_weight][0]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,max_weight", SLOW_COUNT_RANGES, ids=str)
+def test_unpruned_search_meets_birkhoffs_count_slow(p, max_weight):
+    assert _assert_birkhoff(p, max_weight) == SLOW_COUNT_RANGES[p, max_weight][0]
+
+
+def test_birkhoffs_count_on_known_values():
+    # lines and planes of F_q^3, the socle alone in N_(2), and no
+    # submodule of type (2) in N_(1,1)
+    assert [_birkhoff_count((1,) * k, (1, 1, 1), 3) for k in range(4)] == [1, 13, 13, 1]
+    assert _birkhoff_count((1,), (2,), 5) == 1
+    assert _birkhoff_count((2,), (1, 1), 2) == 0
+
+
+def _assert_hall_symmetric(p, max_weight):
+    """Submodules of type alpha and cotype gamma are as many as those of
+    type gamma and cotype alpha (Macdonald, Symmetric functions and Hall
+    polynomials, Ch. II), on every pair in range both ways."""
+    pairs = 0
+    types = {}
+    for beta, alpha in _types_in_range(max_weight, p):
+        types.setdefault(beta, []).append(alpha)
+    for beta, alphas in types.items():
+        for alpha in alphas:
+            for gamma in alphas:
+                counts = [len(_strata(beta, x, p).get(y, ())) for x, y in
+                          ((alpha, gamma), (gamma, alpha))]
+                assert counts[0] == counts[1], (beta, alpha, gamma)
+                pairs += counts[0] > 0
+    return pairs
+
+
+@pytest.mark.parametrize("p,max_weight", COUNT_RANGES, ids=str)
+def test_counts_by_cotype_are_hall_symmetric(p, max_weight):
+    assert _assert_hall_symmetric(p, max_weight) == COUNT_RANGES[p, max_weight][1]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,max_weight", SLOW_COUNT_RANGES, ids=str)
+def test_counts_by_cotype_are_hall_symmetric_slow(p, max_weight):
+    assert _assert_hall_symmetric(p, max_weight) == SLOW_COUNT_RANGES[p, max_weight][1]
+
+
+def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
+    """On every shape in range with beta_1 <= top: the pruned search is
+    the reference filtered to cotype gamma, in its order, and the
+    tableaux of its spans are those of the shape (one stratum per
+    tableau; T. Klein, J. London Math. Soc. 43, 1968)."""
+    shapes = 0
+    for beta, alpha in _types_in_range(max_weight, p):
+        if top and beta[0] > top:
+            continue
+        B = canonical_module(beta, p)
+        strata = _strata(beta, alpha, p)
+        for gamma in sub_partitions(beta):
+            if pt.weight(gamma) + pt.weight(alpha) != pt.weight(beta):
+                continue
+            shape = Shape(alpha, beta, gamma)
+            spans = _distinct_submodules(B, alpha, gamma)
+            assert spans == strata.get(gamma, []), shape
+            got = {tableau_of_embedding(Embedding(B, S)) for S in spans}
+            assert got == set(enumerate_tableaux(shape)), shape
+            shapes += 1
+    return shapes
+
+
+@pytest.mark.parametrize("p,max_weight,shapes", [(2, 6, 338), (3, 5, 129)], ids=str)
+def test_pruned_search_is_one_stratum_per_tableau(p, max_weight, shapes):
+    assert _assert_pruned_search_is_the_stratum(p, max_weight) == shapes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,max_weight,top,shapes", [(2, 7, None, 739), (3, 6, 4, 254)],
+                         ids=str)
+def test_pruned_search_is_one_stratum_per_tableau_slow(p, max_weight, top, shapes):
+    assert _assert_pruned_search_is_the_stratum(p, max_weight, top) == shapes
 
 
 def _members(shape, p, catalog):
