@@ -15,7 +15,6 @@ by the lattice comparisons of u - 1 with u and of v with v + 1 alone.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import le
 from typing import Literal, Sequence
 
@@ -91,23 +90,30 @@ def box_successors(t: LRTableau) -> list[tuple[LRTableau, BoxMove]]:
 
 
 def box_leq(t1: LRTableau, t2: LRTableau) -> bool:
-    """Reachability of t2 from t1 by upward box moves (breadth first)."""
+    """Reachability of t2 from t1 by upward box moves."""
     if t1.shape != t2.shape:
         raise ValueError(f"shape mismatch: {t1.shape} vs {t2.shape}")
     _require_horizontal(t1, "box_leq")
-    if t1 == t2:
-        return True
-    queue = deque([t1])
-    visited = {t1}
-    while queue:
-        cur = queue.popleft()
-        for nxt, _ in box_successors(cur):
-            if nxt == t2:
-                return True
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-    return False
+    return t2 in _reach(t1, {}, {})
+
+
+def _reach(a: LRTableau, successors: dict, same: dict) -> set[LRTableau]:
+    """a and every tableau above it by upward box moves, depth first.
+
+    ``successors`` maps each tableau walked to those one move above it and
+    is filled by ``box_successors`` on first need, so walks that share it
+    share that work; ``same`` maps each tableau to its one instance."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        cur = stack.pop()
+        if cur not in successors:
+            successors[cur] = [same.setdefault(t, t) for t, _ in box_successors(cur)]
+        for nxt in successors[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def move_between(low: LRTableau, high: LRTableau) -> BoxMove | None:
@@ -244,22 +250,8 @@ def relation_matrix(
         successors: dict[LRTableau, list[LRTableau]] = {}
         # one instance per tableau, so set lookups match by identity
         same = {t: t for t in nodes}
-
-        def reach(a: LRTableau) -> set[LRTableau]:
-            seen = {a}
-            stack = [a]
-            while stack:
-                cur = stack.pop()
-                if cur not in successors:
-                    successors[cur] = [same.setdefault(t, t)
-                                       for t, _ in box_successors(cur)]
-                for nxt in successors[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return seen
-
-        return [[b in above for b in nodes] for above in map(reach, nodes)]
+        return [[b in above for b in nodes]
+                for above in (_reach(a, successors, same) for a in nodes)]
     raise ValueError(f"unknown relation {relation!r}")
 
 

@@ -16,11 +16,12 @@ subspace A.  In Jordan coordinates ordered by position in block, then by
 block, T^k B is a tail of the coordinates, so one echelon form of T^i A
 gives d[i][k] = dim(T^k B + T^i A) for every k; that layer table yields
 the type of A, the chain of types of B / T^i A and the entry counts.
-Hom spaces and realizations are exact linear algebra mod p too: a hom
-system is read by index off the source subspace's module generators and
-the target's functionals, and from a source with a cyclic subspace a hom
-space needs no system, only the rank of the target subspace's
-coordinates outside a set of positions.  Every pole is realized from its
+Hom spaces and realizations are exact linear algebra mod p too: dim
+Hom(C, E) is the number of maps of C's block generators into E's kernels
+less the rank of their images on C's subspace generators, each image
+reduced modulo E's subspace, and from a source with a cyclic subspace a
+hom space needs only the rank of the target subspace's coordinates
+outside a set of positions.  Every pole is realized from its
 tableau by one generator formula (``pole_generator``), and a tableau as
 one graded module with one such generator per pole piece
 (``graded_pole_sum``).
@@ -278,14 +279,14 @@ class Embedding:
     given vectors under the action (``invariant_closure``: one ``rref``
     of their orbits, then the invariance check), so they may be just
     generators.  The layer table (with alpha and the chain), the tableau,
-    A's module generators and the functionals killing A (for ``hom_dim``)
-    and, for a cyclic A, the blocks of its generator are computed on
-    first use and kept.  An embedding read by ``from_json`` keeps the
-    caller's T, grading and subspace rows as ``_source``, for ``to_json``.
+    A's module generators (for ``hom_images``) and, for a cyclic A, the
+    blocks of its generator are computed on first use and kept.  An
+    embedding read by ``from_json`` keeps the caller's T, grading and
+    subspace rows as ``_source``, for ``to_json``.
     """
 
     __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_gens",
-                 "_killers", "_generator", "_source")
+                 "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
         self._fill(B, *invariant_closure(B, vectors))
@@ -296,7 +297,6 @@ class Embedding:
         self._layers = None
         self._tableau = None
         self._gens = None
-        self._killers = None
         self._generator = None
         self._source = None
         return self
@@ -504,44 +504,27 @@ def direct_sum(*embeddings: Embedding) -> Embedding:
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
-    """Dimension of the space of embedding morphisms E1 -> E2.
-
-    A module map g is fixed by the images x_i in ker T2^(b_i) of the
-    generators of E1's Jordan blocks, and it maps A1 into A2 when it maps
-    A1's module generators a there (``_generators``, len(alpha1) of
-    them).  In E2's coordinates ker T2^b is the positions q >= c - b of each block of
-    size c, and T2 moves position q to q + 1; so for a functional k
-    killing A2 (``_functionals``) the unknown x_i at position q of the
-    block at offset o2 enters k g(a) with the coefficient
-    sum_j a[o_i + j] k[o2 + q + j] over j < c - q.  That is
-    sum_i dim ker T2^(b_i) unknowns and len(alpha1) * codim A2 equations.
-    """
+    """Dimension of the space of embedding morphisms E1 -> E2: the u
+    unknowns of ``hom_images`` less the rank of their images reduced
+    modulo A2 (``_reduced_rank``)."""
     if E1.p != E2.p:
         raise ValueError("embeddings live over different fields")
-    unknowns = _hom_unknowns(E1.B.sizes, E2.B.sizes)
-    M = [[sum(map(operator.mul, a[o:o + end - start], k[start:end]))
-          for o, start, end in unknowns]
-         for a in _generators(E1) for k in _functionals(E2)]
-    return len(unknowns) - la.rank(M, E1.p)
-
-
-def _hom_unknowns(sources, targets) -> list[tuple[int, int, int]]:
-    """The unknowns of ``hom_dim`` from blocks of ``sources`` to blocks of
-    ``targets``: (o, start, end) for x_i at position q of the target block
-    at offset o2 of size c, with o the offset of the source block, start =
-    o2 + q and end = o2 + c.  The map with that one unknown 1 sends a
-    source vector a to a[o:o + end - start] at positions start to end."""
-    return [(o, o2 + q, o2 + c)
-            for o, b in zip(block_offsets(sources), sources)
-            for o2, c in zip(block_offsets(targets), targets)
-            for q in range(max(c - b, 0), c)]
+    u, U = hom_images(E1, E2.B.sizes)
+    return u - _reduced_rank(U, E2)
 
 
 def hom_images(C: Embedding, sizes) -> tuple[int, la.Rows]:
     """(u, U) for the maps from C to targets E with Jordan blocks of
-    ``sizes``: the u unknowns of ``hom_dim``, and the echelon form U of
-    their images (g(a_1), ..., g(a_m)), one row per unknown, for the
-    module generators a_j of C's subspace (``_generators``).
+    ``sizes``: u unknowns, and the echelon form U of their images
+    (g(a_1), ..., g(a_m)), one row per unknown, for the module generators
+    a_j of C's subspace (``_generators``, len(alpha) of them).
+
+    A module map g is fixed by the images x_i in ker T_E^(b_i) of the
+    generators of C's Jordan blocks.  In E's coordinates ker T_E^b is the
+    positions q >= c - b of each block of size c, and T_E moves position q
+    to q + 1; so the map with the one unknown x_i at position q of the
+    target block at offset o2 sends a to a[o_i:o_i + c - q] at positions
+    o2 + q to o2 + c.  That is u = sum_i dim ker T_E^(b_i) unknowns.
 
     g(A_C) <= A_E exactly when every g(a_j) lies in A_E, so dim Hom(C, E)
     is u less the rank of the map g -> (g(a_j) mod A_E)_j, which is the
@@ -550,14 +533,34 @@ def hom_images(C: Embedding, sizes) -> tuple[int, la.Rows]:
     """
     n, gens = sum(sizes), _generators(C)
     rows = []
-    for o, start, end in _hom_unknowns(C.B.sizes, sizes):
-        row = []
-        for a in gens:
-            part = [0] * n
-            part[start:end] = a[o:o + end - start]
-            row += part
-        rows.append(row)
+    for o, b in zip(block_offsets(C.B.sizes), C.B.sizes):
+        for o2, c in zip(block_offsets(sizes), sizes):
+            for q in range(max(c - b, 0), c):
+                row = []
+                for a in gens:
+                    part = [0] * n
+                    part[o2 + q:o2 + c] = a[o:o + c - q]
+                    row += part
+                rows.append(row)
     return len(rows), la.row_space(rows, C.p)
+
+
+def _reduced_rank(U: la.Rows, E: Embedding) -> int:
+    """The rank of U with each of its parts of E.B.dim entries reduced
+    modulo E's span.  The span is in rref, so each part loses the span's
+    rows scaled by its own entries at their pivots (see ``la.reduce_vec``);
+    ``la.rank`` takes the entries mod p."""
+    span, pivots, n = E.span, E._pivots, E.B.dim
+    rows = []
+    for u in U:
+        out = list(u)
+        for j in range(0, len(u), n):
+            for row, c in zip(span, pivots):
+                f = u[j + c]
+                if f:
+                    out[j:j + n] = [x - f * y for x, y in zip(out[j:j + n], row)]
+        rows.append(out)
+    return la.rank(rows, E.p)
 
 
 def _generators(E: Embedding) -> la.Rows:
@@ -568,14 +571,6 @@ def _generators(E: Embedding) -> la.Rows:
         shifted = la.rref(E.B.image(E.span), E.p)[1]
         E._gens = tuple(r for r, c in zip(E.span, E._pivots) if c not in shifted)
     return E._gens
-
-
-def _functionals(E: Embedding) -> list[list[int]]:
-    """A basis of the functionals killing A (``la.annihilator`` of the
-    kept echelon form), kept on E."""
-    if E._killers is None:
-        E._killers = la.annihilator(E.span, E._pivots, E.B.dim, E.p)
-    return E._killers
 
 
 def generator_blocks(C: Embedding) -> tuple[tuple[int, int], ...] | None:

@@ -19,14 +19,14 @@ What does not change within one census is done once per census: the
 fingerprint plan (the coordinate sets the cyclic catalog objects read,
 and the image echelon form of the others) and one tableau per chain,
 which every span of that chain shares.
-A fingerprint solves no system for a catalog object with a cyclic
-subspace (all of the 20-object catalog but X): its hom dimension is read
-off the census embedding's Jordan coordinates (``nilmod.hom_positions``).
-For the others, X among them, the images of the hom unknowns on the
-object's module generators depend only on the census's block sizes;
-their echelon form U is taken once per census (``nilmod.hom_images``),
-and dim Hom(X, E) is the number of unknowns less the rank of U with each
-part reduced modulo E's span.
+For a catalog object with a cyclic subspace (all of the 20-object
+catalog but X) a fingerprint reads the hom dimension off the census
+embedding's Jordan coordinates (``nilmod.hom_positions``).  For the
+others, X among them, it applies ``nilmod.hom_dim``'s formula in two
+halves: the echelon form U of the hom unknowns' images depends only on
+the census's block sizes and is taken once per census
+(``nilmod.hom_images``), and each span reduces it
+(``nilmod._reduced_rank``).
 
 Fingerprints agree for isomorphic embeddings; the converse is validated
 against every nonisomorphy asserted by the worked examples but is not a
@@ -50,9 +50,10 @@ from . import linalg as la
 from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
-from .nilmod import (Embedding, _closed, canonical_module, coordinate_meet_dim,
-                     generator_blocks, hom_images, hom_positions, realize_picket,
-                     realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, _closed, _reduced_rank, canonical_module,
+                     coordinate_meet_dim, generator_blocks, hom_images,
+                     hom_positions, realize_picket, realize_pole,
+                     tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -112,15 +113,15 @@ def _fingerprint_plan(catalog, sizes, p: int):
     """What a fingerprint computes for targets with Jordan blocks of
     ``sizes`` over F_p, the same for every span of one census.
 
-    A source C with a cyclic subspace needs no system: its hom dimension
-    is a constant plus the dimension in which the target's span meets a
-    coordinate subspace (``nilmod.hom_positions``), so its step is (base,
-    index of its position set, None).  For a source whose subspace needs
-    two generators (X) the images of the hom unknowns depend only on
-    ``sizes`` (``nilmod.hom_images``), so its step is (unknowns, None,
-    their echelon form U).  The plan is the steps, in catalog order, and
-    the distinct position sets.  A catalog object over another field
-    raises ValueError.
+    For a source C with a cyclic subspace the hom dimension is a constant
+    plus the dimension in which the target's span meets a coordinate
+    subspace (``nilmod.hom_positions``), so its step is (base, index of
+    its position set, None).  For a source whose subspace needs two
+    generators (X) the images of the hom unknowns depend only on ``sizes``
+    (``nilmod.hom_images``), so its step is (unknowns, None, their
+    echelon form U).  The plan is the steps, in catalog order, and the
+    distinct position sets.  A catalog object over another field raises
+    ValueError.
     """
     sets: dict[tuple[int, ...], int] = {}
     steps = []
@@ -145,24 +146,6 @@ def _fingerprint(plan, E: Embedding) -> tuple[int, ...]:
     meets = [coordinate_meet_dim(E.span, outside, E.p) for outside in sets]
     return tuple([base + meets[i] if U is None else base - _reduced_rank(U, E)
                   for base, i, U in steps])
-
-
-def _reduced_rank(U: la.Rows, E: Embedding) -> int:
-    """The rank of U with each of its parts of E.B.dim entries reduced
-    modulo E's span.  The span is in rref, so each part loses the span's
-    rows scaled by its own entries at their pivots (see ``la.reduce_vec``);
-    ``la.rank`` takes the entries mod p."""
-    span, pivots, n = E.span, E._pivots, E.B.dim
-    rows = []
-    for u in U:
-        out = list(u)
-        for j in range(0, len(u), n):
-            for row, c in zip(span, pivots):
-                f = u[j + c]
-                if f:
-                    out[j:j + n] = [x - f * y for x, y in zip(out[j:j + n], row)]
-        rows.append(out)
-    return la.rank(rows, E.p)
 
 
 class CensusClass:

@@ -331,11 +331,12 @@ def test_image_echelon_step_matches_hom_dim_on_census_embeddings(shape, p):
     plan = _fingerprint_plan([("X", X)], shape.beta, p)
     moved = 0
     for i, E in enumerate(_census_targets(shape, p)):
-        assert _fingerprint(plan, E) == (hom_dim(X, E),)
+        assert _fingerprint(plan, E) == (hom_dim(X, E),) == (ref.block_hom_dim(X, E),)
         if i % 4 == 0:
             F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
             assert F.B.sizes == E.B.sizes
-            assert _image_hom_dim(X, F) == hom_dim(X, F) == hom_dim(X, E)
+            assert (_image_hom_dim(X, F) == hom_dim(X, F) == ref.block_hom_dim(X, F)
+                    == hom_dim(X, E))
             moved += F.span != E.span
     assert moved
 
@@ -353,8 +354,9 @@ def test_image_echelon_step_matches_hom_dim_on_random_conjugates(p):
         sources += 1
         G = _conjugate(C, _random_invertible(rng, C.B.dim, p))
         F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
-        assert _image_hom_dim(G, F) == hom_dim(G, F) == hom_dim(C, E)
-        assert _image_hom_dim(C, E) == hom_dim(C, E)
+        assert (_image_hom_dim(G, F) == hom_dim(G, F) == ref.block_hom_dim(G, F)
+                == hom_dim(C, E))
+        assert _image_hom_dim(C, E) == hom_dim(C, E) == ref.block_hom_dim(C, E)
 
 
 @pytest.mark.slow

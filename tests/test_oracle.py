@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import nilmod_reference
 import oracle_reference as ref
 from conftest import FIVE_CLASS, TWO_CLASS, sub_partitions
 from linalg_reference import mat
@@ -404,11 +405,15 @@ def test_fingerprints_separate_known_nonisomorphic():
     assert iso_fingerprint(M12, cat) != iso_fingerprint(M1, cat)
 
 
-def test_fingerprint_recovers_multiplicities():
+@pytest.mark.parametrize("p", [2, 3])
+def test_fingerprint_recovers_multiplicities(p):
     # fingerprint of a direct sum solves back to its summand multiplicities
-    # through the catalog self-hom matrix
-    cat = s4_catalog(2)
+    # through the catalog self-hom matrix, checked entry by entry against
+    # the block-generator solver
+    cat = s4_catalog(p)
     hom_matrix = [[Fraction(hom_dim(ci, cj)) for _, cj in cat] for _, ci in cat]
+    assert hom_matrix == [[nilmod_reference.block_hom_dim(ci, cj) for _, cj in cat]
+                          for _, ci in cat]
     mult = {4: 2, 9: 1, 16: 1}  # arbitrary catalog picks
     E = direct_sum(*[cat[i][1] for i, m in mult.items() for _ in range(m)])
     fp = [Fraction(x) for x in iso_fingerprint(E, cat)]
