@@ -8,20 +8,27 @@ that part is dropped, since it can no longer reach dimension |alpha|,
 and so is a span whose quotient's type does not contain gamma, since the
 quotient by every span grown from it is a quotient of that one.  Each
 level tries one vector per line of a residue space, listed by row
-additions.  One path serves every prime.  The census re-checks the type
-and cotype of every span it gets back, now in block order, and buckets
-the spans by tableau and by hom-dimension fingerprint against a catalog
-of known indecomposables.
+additions, and from one parent takes one echelon form per span it
+reaches: the first line to reach a span names the others that would,
+and they are skipped.  One path serves every prime.  The census
+re-checks the type and cotype of every span it gets back, now in block
+order, and buckets the spans by tableau and by hom-dimension
+fingerprint against a catalog of known indecomposables.
 Spans are visited in the order of their row tuples, so each class
 representative is its least member.  Catalogs are built once per
 argument and kept.
 What does not change within one census is done once per census: the
-fingerprint plan (the coordinate sets the cyclic catalog objects read,
-and the image echelon form of the others) and one tableau per chain,
+fingerprint plan (the chains of position sets the cyclic catalog
+objects read, a column order each, and the image echelon form of the
+others) and one tableau per chain,
 which every span of that chain shares.
 For a catalog object with a cyclic subspace (all of the 20-object
 catalog but X) a fingerprint reads the hom dimension off the census
-embedding's Jordan coordinates (``nilmod.hom_positions``).  For the
+embedding's Jordan coordinates (``nilmod.hom_positions``): off the rank
+of the span's columns in a position set.  The sets of one census
+largely nest, so the plan covers them with chains, and a fingerprint
+takes one echelon form per chain, whose pivots give the rank of every
+set of it.  For the
 others, X among them, it applies ``nilmod.hom_dim``'s formula in two
 halves: the echelon form U of the hom unknowns' images depends only on
 the census's block sizes and is taken once per census
@@ -51,9 +58,8 @@ from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
 from .nilmod import (Embedding, _closed, _reduced_rank, canonical_module,
-                     coordinate_meet_dim, generator_blocks, hom_images,
-                     hom_positions, realize_picket, realize_pole,
-                     tableau_of_embedding)
+                     generator_blocks, hom_images, hom_positions, realize_picket,
+                     realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -114,16 +120,23 @@ def _fingerprint_plan(catalog, sizes, p: int):
     ``sizes`` over F_p, the same for every span of one census.
 
     For a source C with a cyclic subspace the hom dimension is a constant
-    plus the dimension in which the target's span meets a coordinate
-    subspace (``nilmod.hom_positions``), so its step is (base, index of
-    its position set, None).  For a source whose subspace needs two
-    generators (X) the images of the hom unknowns depend only on ``sizes``
-    (``nilmod.hom_images``), so its step is (unknowns, None, their
-    echelon form U).  The plan is the steps, in catalog order, and the
-    distinct position sets.  A catalog object over another field raises
-    ValueError.
+    plus the dimension in which the target's span A meets the coordinate
+    subspace off a position set (``nilmod.hom_positions``): dim A less the
+    rank of A's columns in that set.  The sets of one census largely nest,
+    so the plan covers them with chains under inclusion: taken by size
+    (in catalog order within one size), each set joins the first chain
+    whose last set it contains, or starts one.  Each chain gets a column
+    order in which every one of its sets is a prefix, and the step of C is
+    (base, its chain, the length L of its set, None).  Row operations keep
+    the rank of every column subset, and in an echelon form the rank of a
+    column prefix is the number of its pivots, so one echelon form of A's
+    columns in the chain's order gives the rank of every set of the chain.
+    For a source whose subspace needs two generators (X) the images of
+    the hom unknowns depend only on ``sizes`` (``nilmod.hom_images``), so
+    its step is (unknowns, None, 0, their echelon form U).  The plan is
+    the steps, in catalog order, and the chains' column orders.  A
+    catalog object over another field raises ValueError.
     """
-    sets: dict[tuple[int, ...], int] = {}
     steps = []
     for _, C in catalog:
         if C.p != p:
@@ -134,18 +147,33 @@ def _fingerprint_plan(catalog, sizes, p: int):
             steps.append((unknowns, None, U))
         else:
             base, outside = hom_positions(blocks, sizes)
-            steps.append((base, sets.setdefault(outside, len(sets)), None))
-    return steps, tuple(sets)
+            steps.append((base, outside, None))
+    orders: list[list[int]] = []  # per chain: its last set, the earlier ones prefixes
+    prefix = {}  # set -> (its chain, its length)
+    for outside in sorted(dict.fromkeys([s for _, s, U in steps if U is None]), key=len):
+        new = set(outside)
+        for i, order in enumerate(orders):
+            if new.issuperset(order):
+                order += sorted(new.difference(order))
+                break
+        else:
+            i = len(orders)
+            orders.append(list(outside))
+        prefix[outside] = (i, len(outside))
+    return ([(base, *prefix[s], None) if U is None else (base, None, 0, U)
+             for base, s, U in steps], orders)
 
 
 def _fingerprint(plan, E: Embedding) -> tuple[int, ...]:
-    """The fingerprint of E by ``plan``: E's span is ranked once per
-    distinct position set, and for each non-cyclic source the rank of U
-    with every part reduced modulo E's span is taken."""
-    steps, sets = plan
-    meets = [coordinate_meet_dim(E.span, outside, E.p) for outside in sets]
-    return tuple([base + meets[i] if U is None else base - _reduced_rank(U, E)
-                  for base, i, U in steps])
+    """The fingerprint of E by ``plan``: one echelon form of E's span per
+    chain, its columns in the chain's order, whose pivots below L count
+    the rank of the set with prefix length L; and for each non-cyclic
+    source the rank of U with every part reduced modulo E's span."""
+    steps, orders = plan
+    span, p, n = E.span, E.p, len(E.span)
+    pivots = [la.rref([[row[q] for q in order] for row in span], p)[1] for order in orders]
+    return tuple([base + n - bisect_left(pivots[i], L) if U is None
+                  else base - _reduced_rank(U, E) for base, i, L, U in steps])
 
 
 class CensusClass:
@@ -315,6 +343,19 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
     that grew by a at every level are kept; their orbits form a basis, so
     each has type alpha.
 
+    From one parent S, two lines that grow S by a give the same span
+    exactly when one is u(T) times the other modulo S, for a polynomial u
+    with a unit constant term.  In layer order T moves every coordinate of
+    v past v's leading one, and reducing modulo the rref S adds nothing
+    left of a vector's first nonzero entry, so the listed vectors of those
+    lines are v + c_1 r_1 + ... + c_(a-1) r_(a-1) over all c_i in F_p,
+    with r_i the residue of T^i v modulo S: each has its first nonzero
+    entry, a 1, where v has it.  Once a line passes the T^(a-1) v test,
+    those p^(a-1) vectors are kept for S, and the later lines among them
+    are skipped before their orbit is built, so S takes one echelon form
+    per span it reaches.  A span reached from two parents is still
+    reduced once from each.
+
     The search runs in B's layer order (``nilmod._layer_order``), where
     T^k B is the coordinates from prefix[k] on.  So the pivots of the
     echelon form of a span S, which the search takes anyway, give
@@ -342,12 +383,22 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
         grown: dict[la.Rows, list[int]] = {}
         for S, pivots in level.items():
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
+            reached = set()  # lines of W whose closure with S is already taken
             for v in _residue_lines(W, p):
+                if v in reached:
+                    continue
                 orbit = (v,)
                 for _ in range(a - 1):
                     orbit += (image((*orbit[-1], 0)),)
-                if not any(la.reduce_vec(orbit[-1], S, pivots, p)):
+                # v itself is reduced modulo S, and not 0
+                residues = [la.reduce_vec(w, S, pivots, p) for w in orbit[1:]]
+                if residues and not any(residues[-1]):
                     continue
+                same = [v]  # v plus every combination of the residues
+                for res in residues:
+                    same = [tuple([(x + c * y) % p for x, y in zip(u, res)])
+                            for u in same for c in range(p)]
+                reached.update(same)
                 R, R_pivots = la.rref(S + orbit, p)
                 d = n - len(R_pivots)
                 r = [d - s + bisect_left(R_pivots, s) for s in prefix]

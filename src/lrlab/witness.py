@@ -5,19 +5,24 @@ five-tableau pole partition yields graded poles X, Z, X-tilde, Z-tilde.
 The middle term Y glues X and Z along the cross generator
 (a_X, T^{s-u} g_Z^s); the maps send the shortened block of X-tilde across
 both summands and collapse the lengthened block of Z-tilde with a sign.
+The common part G3 rides along in the sub and middle terms: each term
+is one graded pole module, G3's pieces after the others.
 Exactness, homogeneity, subspace compatibility and both tableau
-identities are re-verified on every construction.
+identities are re-verified on every construction; a failure lists the
+checks that failed and ends in the ``lrlab witness`` command that
+reproduces it.
 """
 
 from __future__ import annotations
 
+import json
+
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
-from .nilmod import (Embedding, block_offsets, direct_sum, graded_pole_embedding,
-                     graded_pole_module, realize_tableau)
-from .poles import box_move_pole_partition
-from .tableaux import LRTableau
+from .nilmod import Embedding, block_offsets, direct_sum, graded_pole_module
+from .poles import box_move_pole_partition, pole_pieces
+from .tableaux import LRTableau, reading_word
 
 
 class WitnessSequence:
@@ -63,15 +68,21 @@ def witness_sequence(
 ) -> WitnessSequence:
     """Build and verify the witness sequence for one box move.
 
-    The common part of the pole partition is realized separately and
-    direct-summed onto the sub and middle terms.
+    Each term is one graded pole module.  The common part g3 of the pole
+    partition is a horizontal strip (property (2)), which ``pole_pieces``
+    cuts into poles and blank columns.  Its pieces follow those of
+    X-tilde in the sub term and those of X and Z in the middle term, in
+    degree 0: a graded pole sum of concatenated pieces is the direct sum
+    of the pieces' sums, so this sums g3's realization onto both terms,
+    and iota is the identity on it.
     """
     g1, g2, g3, g1t, g2t = box_move_pole_partition(t_low, t_high, move)
     u, v, r, s = move.u, move.v, move.r, move.s
     d = v - u
 
-    Xt = graded_pole_embedding(g1t, p, shift=d)
-    Zt = graded_pole_embedding(g2t, p)
+    common = pole_pieces(g3.columns)
+    Xt = Embedding(*graded_pole_module([g1t.columns, *common], p, [d] + [0] * len(common)))
+    Zt = Embedding(*graded_pole_module([g2t.columns], p, [0]))
 
     bx = [c.length for c in g1.columns]
     bz = [c.length for c in g2.columns]
@@ -79,15 +90,18 @@ def witness_sequence(
     bzt = [c.length for c in g2t.columns]
     ox, oz = block_offsets(tuple(bx)), block_offsets(tuple(bz))
     oxt, ozt = block_offsets(tuple(bxt)), block_offsets(tuple(bzt))
-    nx, nz = sum(bx), sum(bz)
+    nx, nz, nxt = sum(bx), sum(bz), sum(bxt)
+    nc = Xt.B.dim - nxt  # the common part
 
-    # middle term: the graded poles X (degree d) and Z (degree 0) on one
-    # ambient, the generator of X with the cross term added
-    Ymod, gens = graded_pole_module([g1.columns, g2.columns], p, [d, 0])
+    # middle term: the graded poles X (degree d) and Z (degree 0) and the
+    # common part on one ambient, the generator of X with the cross term added
+    Ymod, gens = graded_pole_module([g1.columns, g2.columns, *common], p,
+                                    [d, 0] + [0] * len(common))
     gens[0][nx + oz[_block_index(g2, s)] + (s - u)] = 1
     Y = Embedding(Ymod, gens)
 
-    # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s
+    # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s, and
+    # the common part to itself
     iota = [[0] * Xt.B.dim for _ in range(nx + nz)]
     ir = _block_index(g1, r)
     for bi, ell in enumerate(bxt):
@@ -98,9 +112,11 @@ def witness_sequence(
                 iota[nx + oz[_block_index(g2, s)] + j][col] = 1
             else:
                 iota[ox[_block_index(g1, ell)] + j][col] = 1
+    iota += [[0] * nxt + list(e) for e in la.identity(nc)]
 
-    # pi: kill X except its length-r block (with a sign), embed Z
-    pi = [[0] * (nx + nz) for _ in range(Zt.B.dim)]
+    # pi: kill X except its length-r block (with a sign), embed Z, kill
+    # the common part
+    pi = [[0] * (nx + nz + nc) for _ in range(Zt.B.dim)]
     irt = _block_index(g2t, r)
     for bi, ell in enumerate(bx):
         if ell != r:
@@ -115,17 +131,7 @@ def witness_sequence(
             else:
                 pi[ozt[_block_index(g2t, ell)] + j][col] = 1
 
-    xt_full, y_full = Xt, Y
-    if g3.columns:
-        U = realize_tableau(g3, p)
-        xt_full = direct_sum(Xt, U)
-        y_full = direct_sum(Y, U)
-        pad = [0] * U.B.dim
-        iota = ([row + pad for row in iota]
-                + [[0] * Xt.B.dim + list(e) for e in la.identity(U.B.dim)])
-        pi = [row + pad for row in pi]
-
-    ws = WitnessSequence(xt_full, y_full, Zt, iota, pi, move, t_low, t_high)
+    ws = WitnessSequence(Xt, Y, Zt, iota, pi, move, t_low, t_high)
     _verify(ws)
     return ws
 
@@ -164,4 +170,9 @@ def _verify(ws: WitnessSequence) -> None:
 
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
-        raise InvariantViolation(f"witness verification failed: {failed}")
+        low, high = (",".join(map(str, reading_word(t)))
+                     for t in (ws.tableau_low, ws.tableau_high))
+        shape = json.dumps(ws.tableau_low.shape.to_json(), separators=(",", ":"))
+        raise InvariantViolation(
+            f"witness verification failed: {failed}; reproduce with: lrlab witness"
+            f" '{shape}' --from {low} --to {high} --move {ws.move.u},{ws.move.v} -p {p}")

@@ -14,6 +14,10 @@ submodule of type alpha, so closed-form counts (Birkhoff's, Hall
 symmetry) can check it, and the pruned search must equal it filtered to
 one cotype (``cotype_submodules``).
 
+``fingerprint_plan`` and ``fingerprint`` are the census fingerprint as
+it was before the position sets of one census were covered by chains:
+one ``coordinate_meet_dim``, a full rank, per distinct position set.
+
 ``isomorphic`` is a referee for the census classes, which the census
 forms by fingerprint: it looks for an isomorphism itself, among seeded
 random combinations of a basis of the embedding morphisms
@@ -27,7 +31,8 @@ from itertools import product
 import numpy as np
 
 from lrlab import linalg
-from lrlab.nilmod import _closed, invariant_closure
+from lrlab.nilmod import (_closed, _reduced_rank, coordinate_meet_dim, generator_blocks,
+                          hom_images, hom_positions, invariant_closure)
 from lrlab.oracle import _residue_lines
 from nilmod_reference import action_of, kron_hom_system, la, power, span_of
 
@@ -118,6 +123,35 @@ def residue_lines(W, p):
     return [linalg.mul([(1,) + tail], W[j:], p)[0]
             for j in range(len(W))
             for tail in product(range(p), repeat=len(W) - 1 - j)]
+
+
+def fingerprint_plan(catalog, sizes, p):
+    """(steps, sets): per catalog object, in order, (base, index of its
+    position set, None) for a cyclic source (``hom_positions``) and
+    (unknowns, None, U) for another (``hom_images``); and the distinct
+    position sets, in the order of their first use."""
+    sets = {}
+    steps = []
+    for _, C in catalog:
+        if C.p != p:
+            raise ValueError("embeddings live over different fields")
+        blocks = generator_blocks(C)
+        if blocks is None:
+            unknowns, U = hom_images(C, sizes)
+            steps.append((unknowns, None, U))
+        else:
+            base, outside = hom_positions(blocks, sizes)
+            steps.append((base, sets.setdefault(outside, len(sets)), None))
+    return steps, tuple(sets)
+
+
+def fingerprint(plan, E):
+    """The fingerprint of E by a ``fingerprint_plan``: E's span is ranked
+    once per distinct position set."""
+    steps, sets = plan
+    meets = [coordinate_meet_dim(E.span, outside, E.p) for outside in sets]
+    return tuple([base + meets[i] if U is None else base - _reduced_rank(U, E)
+                  for base, i, U in steps])
 
 
 def hom_basis(E1, E2):

@@ -474,7 +474,10 @@ def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
     monkeypatch.undo()
     for B, vectors in closures:
         check(B, vectors)
-    assert sum(any(B is M for M, _ in modules) for B, _ in closures) == 12
+    # one graded module per term, built for Xt, Zt and Y in that order;
+    # each of the 12 Ys is closed
+    assert len(modules) == 36
+    assert sum(any(B is M for M, _ in modules[2::3]) for B, _ in closures) == 12
     # random vectors in block sizes in any order
     rng = random.Random(50 + p)
     for _ in range(60):

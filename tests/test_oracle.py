@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +109,13 @@ CENSUS_DIGESTS = {
         "e27705c6534c42fc06aa510d679a118c8852fc44b547918803dd18ef02a5e66f",
     (Shape((2, 2), (2, 2, 1), (1,)), 2):
         "57eb3163d78ca3f66b744706e19888799b8fbbb3b630dbc268f4e93019e4945b",
+    # two chains of position sets and a part of 3 or more, recorded before
+    # the search skipped the lines a parent had reached and the
+    # fingerprint took one echelon form per chain
+    (Shape((4, 1), (4, 1), ()), 3):
+        "8c2b9058add408530c5149d53bd6428135ba8bb81f5f3bbd9ee3c7306586b50a",
+    (Shape((3,), (4, 1, 1), (1, 1, 1)), 3):
+        "0206a069059c43e4709850b90092935ff1faea549b08e33bca25b28507f35677",
 }
 
 
@@ -184,6 +192,41 @@ def test_census_dimension_skip_is_exact(shape, p):
         assert len(span) == size and (E.alpha, E.gamma) == (shape.alpha, shape.gamma)
 
 
+@pytest.mark.parametrize("shape,p", [
+    (FIVE_CLASS, 2),
+    (Shape((3,), (3, 3), (3,)), 3),  # 9 lines per span
+    (Shape((2, 1), (3, 2, 1), (2, 1)), 3),
+    # a second part of 2 or more, so residues modulo a nonzero parent count
+    (Shape((2, 2), (3, 2, 1), (2,)), 3),
+    (Shape((2, 2), (4, 2, 1), (3,)), 2),
+], ids=str)
+def test_search_takes_one_echelon_form_per_span_a_parent_reaches(shape, p, monkeypatch):
+    """Output cannot show this: a search that closes every line still
+    returns the same spans.  Every ``rref(S + orbit)`` call is recorded
+    with its span, and no parent S takes two that give one span."""
+    calls = []
+
+    def recording(M, p):
+        out = la.rref(M, p)
+        calls.append((tuple(M), out[0]))
+        return out
+
+    monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "rref": recording}))
+    B = canonical_module(shape.beta, p)
+    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
+    monkeypatch.undo()
+    assert spans == sorted(ref.cotype_submodules(B, shape.alpha, shape.gamma))
+    # the last calls take each survivor back to block order
+    assert sorted([R for _, R in calls[len(calls) - len(spans):]]) == spans
+    part = {sum(shape.alpha[:i + 1]): a for i, a in enumerate(shape.alpha)}
+    reached = {}  # parent -> the spans its echelon forms gave
+    for M, R in calls[:len(calls) - len(spans)]:
+        reached.setdefault(M[:len(M) - part[len(M)]], []).append(R)
+    assert len(reached) > 1 or len(shape.alpha) == 1
+    for parent, grown in reached.items():
+        assert len(grown) == len(set(grown)), parent
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_residue_lines_match_the_coordinate_enumeration(p):
     """The lines built by row additions are those of the coordinate
@@ -218,6 +261,41 @@ def _assert_fingerprints_solve_alike(shape, p):
             tuple(hom_dim(C, E) for _, C in cat)
         count += 1
     assert count
+
+
+def _assert_chains_match_the_per_set_reference(shape, p, catalog):
+    """Every position set of the reference plan is a prefix of its chain's
+    column order in the census's plan, and the two plans give the same
+    fingerprint on every census span; returns the numbers of sets and
+    chains."""
+    steps, orders = plan = _fingerprint_plan(catalog, shape.beta, p)
+    ref_steps, sets = ref_plan = ref.fingerprint_plan(catalog, shape.beta, p)
+    for (base, i, L, U), (ref_base, j, ref_U) in zip(steps, ref_steps, strict=True):
+        assert (base, U) == (ref_base, ref_U)
+        if U is None:
+            assert sorted(orders[i][:L]) == list(sets[j])
+    count = 0
+    for E in _census_embeddings(shape, p):
+        assert _fingerprint(plan, E) == ref.fingerprint(ref_plan, E)
+        count += 1
+    assert count
+    return len(sets), len(orders)
+
+
+@pytest.mark.parametrize("shape", [
+    TWO_CLASS, FIVE_CLASS, Shape((2, 1), (3, 2, 1), (2, 1)),
+    Shape((2, 2), (4, 2, 1), (3,)), Shape((2,), (4, 2, 1), (2, 2, 1)),
+], ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_fingerprints_match_the_per_set_reference(shape, p):
+    sets, chains = _assert_chains_match_the_per_set_reference(shape, p, s4_catalog(p))
+    assert chains < sets
+
+
+def test_chain_fingerprints_match_the_per_set_reference_beyond_nilpotency_four():
+    shape = Shape((2, 1), (5, 2, 1), (4, 1))
+    assert _assert_chains_match_the_per_set_reference(
+        shape, 2, picket_pole_catalog(2, 5)) == (16, 3)
 
 
 @pytest.mark.parametrize("shape,p", [

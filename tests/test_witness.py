@@ -1,9 +1,15 @@
+import shlex
+
 import pytest
 
+import lrlab.cli as cli
 from conftest import iter_strip_shapes
+from lrlab import linalg as la
+from lrlab import witness
 from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
-from lrlab.nilmod import tableau_of_embedding
+from lrlab.nilmod import direct_sum, realize_tableau, tableau_of_embedding
+from lrlab.poles import box_move_pole_partition
 from lrlab.tableaux import Column, LRTableau, Shape, enumerate_tableaux, from_word
 from lrlab.witness import _verify, witness_sequence
 
@@ -52,8 +58,18 @@ def test_verify_compares_both_tableaux():
     ws = witness_sequence(low, high, move, 2)
     ws.tableau_low, ws.tableau_high = high, low
     with pytest.raises(InvariantViolation,
-                       match=r"\['middle_tableau', 'end_tableau'\]"):
+                       match=r"\['middle_tableau', 'end_tableau'\]") as info:
         _verify(ws)
+    # the message ends in one command naming the sequence's two tableaux
+    command = str(info.value).split("; reproduce with: ")[1]
+    assert "\n" not in command
+    argv = shlex.split(command)
+    assert argv[:2] == ["lrlab", "witness"]
+    args = cli.build_parser().parse_args(argv[1:])
+    assert cli._shape(args.shape) == low.shape
+    assert from_word(low.shape, cli._word(args.frm)) == high
+    assert from_word(low.shape, cli._word(args.to)) == low
+    assert (args.move, args.prime) == (f"{move.u},{move.v}", 2)
 
 
 def test_verify_refuses_tampered_maps():
@@ -75,7 +91,9 @@ def test_verify_refuses_tampered_maps():
         ws.report = {}
         with pytest.raises(InvariantViolation) as info:
             _verify(ws)
-        assert str(info.value) == f"witness verification failed: {failed}"
+        message, command = str(info.value).split("; reproduce with: ")
+        assert message == f"witness verification failed: {failed}"
+        assert command.startswith("lrlab witness '")
 
 
 def test_json_serializable():
@@ -94,3 +112,32 @@ def test_exhaustive_edges_small():
                 for p in (2, 3):
                     ws = witness_sequence(t, t2, move, p)
                     assert all(ws.report.values())
+
+
+def test_common_part_matches_a_direct_sum(monkeypatch):
+    """Xt, Y and the maps are those of the construction that realized the
+    common part G3 alone (``realize_tableau``) and direct-summed it onto
+    the sub and middle terms, with iota the identity on it."""
+    edges = [(t, t2, move) for shape in iter_strip_shapes(9)
+             for t in enumerate_tableaux(shape) for t2, move in box_successors(t)]
+    for p in (2, 3):
+        new = [witness_sequence(t, t2, move, p) for t, t2, move in edges]
+        with monkeypatch.context() as m:  # the sequences without G3, unverified
+            m.setattr(witness, "pole_pieces", lambda columns: [])
+            m.setattr(witness, "_verify", lambda ws: None)
+            bare = [witness_sequence(t, t2, move, p) for t, t2, move in edges]
+        summed = 0
+        for (t, t2, move), ws, old in zip(edges, new, bare):
+            g3 = box_move_pole_partition(t, t2, move)[2]
+            if g3.columns:
+                U = realize_tableau(g3, p)
+                pad, n = [0] * U.B.dim, old.xt.B.dim
+                old.xt, old.y = direct_sum(old.xt, U), direct_sum(old.y, U)
+                old.iota = ([row + pad for row in old.iota]
+                            + [[0] * n + list(e) for e in la.identity(U.B.dim)])
+                old.pi = [row + pad for row in old.pi]
+                summed += 1
+            assert (ws.xt.to_json(), ws.y.to_json(), ws.zt.to_json()) == \
+                (old.xt.to_json(), old.y.to_json(), old.zt.to_json())
+            assert (ws.iota, ws.pi) == (old.iota, old.pi)
+        assert 0 < summed < len(edges)
