@@ -3,7 +3,10 @@
 A vector is a tuple of ints in [0, p), a matrix a sequence of rows, and
 a "space" the row space of a matrix.  Canonical form is the reduced row
 echelon form with zero rows dropped, a tuple of row tuples, which is its
-own dictionary key for subspace deduplication.  The matrices this
+own dictionary key for subspace deduplication.  One kernel takes it:
+``extend`` adds rows to an echelon form one at a time, and ``rref`` is
+``extend`` of the empty form, so a caller that holds the echelon form
+of a span reduces only the rows it adds.  The matrices this
 package reduces are tiny, mostly a few rows by ten columns and seldom
 beyond a few hundred entries, and the maps it multiplies are shifts,
 permutations and 0/±1 matrices, so products skip zero entries.  Python
@@ -12,47 +15,59 @@ ints never wrap.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-def rref(M, p: int) -> tuple[Rows, list[int]]:
-    """Reduced row echelon form over F_p of the rows of M.
+def extend(R, pivots: list[int], M, p: int) -> tuple[Rows, list[int]]:
+    """Reduced row echelon form over F_p of the rows of R and then M,
+    where R is already in that form with these pivots.
 
-    Returns (R, pivots) where R has unit pivots with zeros above and
-    below, zero rows dropped, and pivots lists the pivot columns.  Each
-    pivot row is scaled to a unit pivot and cleared from every other row;
-    left of its pivot column a pivot row is zero, so only the columns from
-    there on are touched.
+    Returns (R', pivots') as ``rref`` does.  The rows of M enter one at a
+    time: each is reduced at the pivots so far, and, unless that leaves
+    it zero, scaled to a unit lead, cleared from the earlier rows and
+    put in its place by its lead.  Reducing subtracts each earlier row
+    once, scaled by the new row's entry at that row's pivot, and takes
+    the entries mod p after the last: a pivot column of an echelon form is
+    a unit vector, so no subtraction moves another pivot's entry (see
+    ``reduce_vec``).
     """
-    rows = [[x % p for x in row] for row in M]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if rows[i][c]:
+    rows, pivots = list(R), list(pivots)
+    for v in M:
+        for row, c in zip(rows, pivots):
+            f = v[c]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        v = [x % p for x in v]
+        for lead, x in enumerate(v):
+            if x:
                 break
         else:
             continue
-        row = rows[i]
-        rows[i] = rows[r]
-        rows[r] = row
-        inv = pow(row[c], p - 2, p)
-        if inv != 1:
-            row[c:] = [x * inv % p for x in row[c:]]
-        tail = row[c:]
-        for j in range(nrows):
-            other = rows[j]
-            f = other[c]
-            if f and j != r:
-                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
-        pivots.append(c)
-        r += 1
-    return tuple(map(tuple, rows[:r])), pivots
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            v = [y * inv % p for y in v]
+        v = tuple(v)
+        for i, row in enumerate(rows):
+            f = row[lead]
+            if f:
+                rows[i] = tuple([(x - f * y) % p for x, y in zip(row, v)])
+        k = bisect_left(pivots, lead)
+        rows.insert(k, v)
+        pivots.insert(k, lead)
+    return tuple(rows), pivots
+
+
+def rref(M, p: int) -> tuple[Rows, list[int]]:
+    """Reduced row echelon form over F_p of the rows of M: ``extend`` of
+    the empty echelon form by M.
+
+    Returns (R, pivots) where R has unit pivots with zeros above and
+    below, zero rows dropped, and pivots lists the pivot columns.
+    """
+    return extend((), [], M, p)
 
 
 def rank(M, p: int) -> int:

@@ -696,17 +696,18 @@ def pole_generator(columns) -> tuple[list[int], list[int]]:
     return a, exponents
 
 
-def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, list[list[int]]]:
+def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, list[tuple[int, ...]]]:
     """Module and generator rows of the graded poles whose tableaux have
     the column groups ``pieces``: their columns in order, one
-    ``pole_generator`` row per piece, of degree ``degrees[i]``.  A term
+    ``pole_generator`` row per piece, of degree ``degrees[i]``.  The rows
+    are tuples of 0s and 1s, so ``Embedding`` takes them as they are.  A term
     T^c g^b of a piece of degree d puts the block generator g^b in degree
     d - c, and an empty block sits in degree d."""
     sizes = [c.length for cols in pieces for c in cols]
     gens, shifts, off = [], [], 0
     for cols, d in zip(pieces, degrees):
         a, exponents = pole_generator(cols)
-        gens.append([0] * off + a + [0] * (sum(sizes) - off - len(a)))
+        gens.append(tuple([0] * off + a + [0] * (sum(sizes) - off - len(a))))
         shifts += [d - c for c in exponents]
         off += len(a)
     return canonical_module(sizes, p, shifts=shifts), gens

@@ -8,9 +8,12 @@ that part is dropped, since it can no longer reach dimension |alpha|,
 and so is a span whose quotient's type does not contain gamma, since the
 quotient by every span grown from it is a quotient of that one.  Each
 level tries one vector per line of a residue space, listed by row
-additions, and from one parent takes one echelon form per span it
-reaches: the first line to reach a span names the others that would,
-and they are skipped.  One path serves every prime.  The census
+additions; the first line to reach a span from one parent names the
+others that would, and they are skipped.  The pivots of a grown span
+are its parent's merged with the leading entries of the residues of the
+line's orbit, so the cotype test takes no elimination, and only a span
+that passes it gets an echelon form, by extending its parent's
+(``linalg.extend``).  One path serves every prime.  The census
 re-checks the type and cotype of every span it gets back, now in block
 order, and buckets the spans by tableau and by hom-dimension
 fingerprint against a catalog of known indecomposables.
@@ -349,27 +352,38 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
     v past v's leading one, and reducing modulo the rref S adds nothing
     left of a vector's first nonzero entry, so the listed vectors of those
     lines are v + c_1 r_1 + ... + c_(a-1) r_(a-1) over all c_i in F_p,
-    with r_i the residue of T^i v modulo S: each has its first nonzero
-    entry, a 1, where v has it.  Once a line passes the T^(a-1) v test,
-    those p^(a-1) vectors are kept for S, and the later lines among them
-    are skipped before their orbit is built, so S takes one echelon form
-    per span it reaches.  A span reached from two parents is still
+    with r_i the residue of T^i v modulo S, which is the residue of
+    T r_(i-1) since S is invariant: each has its first nonzero entry, a 1,
+    where v has it.  Once a line passes the T^(a-1) v test, those
+    p^(a-1) vectors are kept for S, and the later lines among them are
+    skipped before their residues are taken.
+
+    The same two facts place the pivots.  The residues r_0 = v, r_1, ...,
+    r_(a-1) are zero at S's pivots, and their leading entries strictly
+    increase, so once r_(a-1) is not 0 the rows of S and the residues
+    have distinct leads: the pivots of the grown span are S's pivots
+    merged with the residues' leads, with no elimination.  Only a span
+    that passes the cotype test below gets an echelon form, S's extended
+    by the residues (``linalg.extend``), and its pivots are re-checked
+    against the merged ones; a mismatch raises, naming beta, alpha, gamma,
+    p and the parent in block order.  So S takes one echelon form per
+    span it reaches and keeps.  A span reached from two parents is still
     reduced once from each.
 
     The search runs in B's layer order (``nilmod._layer_order``), where
-    T^k B is the coordinates from prefix[k] on.  So the pivots of the
-    echelon form of a span S, which the search takes anyway, give
-    dim(T^k B + S) by bisection, and with it the rank r_k of T^k on B / S
-    (as in an embedding's layer table).  A span on the way to A has B / A
-    as a quotient of B / S, and a quotient's partition lies inside the
-    module's (Macdonald, *Symmetric functions and Hall polynomials*,
-    Ch. II).  So a span is dropped unless gamma lies inside the type of
-    B / S: unless the k-th column of gamma is at most r_(k-1) - r_k, the
-    number of parts of B / S of size at least k.  After the last level
-    B / S has |beta| - |alpha| = |gamma| boxes, so there containment is
-    equality, and every span kept has cotype gamma.  The survivors go
-    back to block order, one ``rref`` each, and are sorted, so the order
-    in which lines and spans are visited does not show.
+    T^k B is the coordinates from prefix[k] on.  So the pivots of a grown
+    span S give dim(T^k B + S) by bisection, and with it the rank r_k of
+    T^k on B / S (as in an embedding's layer table).  A span on the way
+    to A has B / A as a quotient of B / S, and a quotient's partition lies
+    inside the module's (Macdonald, *Symmetric functions and Hall
+    polynomials*, Ch. II).  So a span is dropped unless gamma lies inside
+    the type of B / S: unless the k-th column of gamma is at most
+    r_(k-1) - r_k, the number of parts of B / S of size at least k.  This
+    is the cotype test.  After the last level B / S has |beta| - |alpha|
+    = |gamma| boxes, so there containment is equality, and every span
+    kept has cotype gamma.  The survivors go back to block order, one
+    ``rref`` each, and are sorted, so the order in which lines and spans
+    are visited does not show.
     """
     p, n = B.p, B.dim
     order, shift, prefix = B._order
@@ -387,22 +401,28 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
             for v in _residue_lines(W, p):
                 if v in reached:
                     continue
-                orbit = (v,)
+                residues = [v]  # v is reduced modulo S, and not 0
                 for _ in range(a - 1):
-                    orbit += (image((*orbit[-1], 0)),)
-                # v itself is reduced modulo S, and not 0
-                residues = [la.reduce_vec(w, S, pivots, p) for w in orbit[1:]]
-                if residues and not any(residues[-1]):
+                    residues.append(la.reduce_vec(image((*residues[-1], 0)), S, pivots, p))
+                if not any(residues[-1]):
                     continue
-                same = [v]  # v plus every combination of the residues
-                for res in residues:
+                same = [v]  # v plus every combination of the later residues
+                for res in residues[1:]:
                     same = [tuple([(x + c * y) % p for x, y in zip(u, res)])
                             for u in same for c in range(p)]
                 reached.update(same)
-                R, R_pivots = la.rref(S + orbit, p)
+                leads = [res.index(next(filter(None, res))) for res in residues]  # first nonzero
+                R_pivots = sorted(pivots + leads)
                 d = n - len(R_pivots)
                 r = [d - s + bisect_left(R_pivots, s) for s in prefix]
                 if all([r[k] - r[k + 1] >= c for k, c in enumerate(columns)]):
+                    R, got = la.extend(S, pivots, residues, p)
+                    if got != R_pivots:
+                        raise InvariantViolation(
+                            f"search: a span grown from a parent has pivots {got}, not"
+                            f" {R_pivots} from its residues' leads: beta {list(B.sizes)},"
+                            f" alpha {list(alpha)}, gamma {list(gamma)}, p = {p}, parent"
+                            f" span {[[row[i] for i in back] for row in S]}")
                     grown.setdefault(R, R_pivots)
         level = grown
     return sorted([la.rref([tuple([row[i] for i in back]) for row in S], p)[0]

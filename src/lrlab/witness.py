@@ -97,7 +97,9 @@ def witness_sequence(
     # common part on one ambient, the generator of X with the cross term added
     Ymod, gens = graded_pole_module([g1.columns, g2.columns, *common], p,
                                     [d, 0] + [0] * len(common))
-    gens[0][nx + oz[_block_index(g2, s)] + (s - u)] = 1
+    cross = list(gens[0])
+    cross[nx + oz[_block_index(g2, s)] + (s - u)] = 1
+    gens[0] = tuple(cross)
     Y = Embedding(Ymod, gens)
 
     # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s, and

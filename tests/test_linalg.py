@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as linalg_ref
@@ -101,17 +101,22 @@ def _same(got, want):
 
 
 def test_rref_matches_numpy_reference(monkeypatch):
-    """The list kernel equals the numpy reference on seeded random inputs,
-    and on every echelon form of the published censuses and of the round
-    trip on strip tableaux with |beta| <= 7 over F_2 and F_3."""
+    """The kernel equals the numpy reference and the column sweep it
+    replaced on seeded random inputs, and the numpy reference on every
+    echelon form of the published censuses and of the round trip on strip
+    tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend`` call is
+    checked too: the census search extends a parent's echelon form by the
+    residues of its orbit directly."""
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
-            assert _same(la.rref(M.tolist(), p), linalg_ref.rref(M, p)), (M.tolist(), p)
+            got = la.rref(M.tolist(), p)
+            assert _same(got, linalg_ref.rref(M, p)), (M.tolist(), p)
+            assert got == linalg_ref.sweep_rref(M.tolist(), p), (M.tolist(), p)
             assert la.rank(M.tolist(), p) == len(linalg_ref.rref(M, p)[1])
 
-    kernel_rref, kernel_rank = la.rref, la.rank
-    calls = []
+    kernel_rref, kernel_rank, kernel_extend = la.rref, la.rank, la.extend
+    calls, extensions = [], []
 
     def checked_rref(M, p):
         got = kernel_rref(M, p)
@@ -126,15 +131,25 @@ def test_rref_matches_numpy_reference(monkeypatch):
         assert got == len(linalg_ref.rref(mat(M, width), p)[1]), (M, p)
         return got
 
+    def checked_extend(R, pivots, M, p):
+        got = kernel_extend(R, pivots, M, p)
+        rows = [*R, *M]
+        width = len(rows[0]) if rows else 0
+        assert _same(got, linalg_ref.rref(mat(rows, width), p)), (R, pivots, M, p)
+        if R:  # rref extends the empty form; only the search passes a parent
+            extensions.append(len(M))
+        return got
+
     monkeypatch.setattr(la, "rref", checked_rref)
     monkeypatch.setattr(la, "rank", checked_rank)
+    monkeypatch.setattr(la, "extend", checked_extend)
     for shape in (TWO_CLASS, FIVE_CLASS):
         enumerate_submodules(shape, 2)
     for shape in iter_strip_shapes(7):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
                 assert tableau_of_embedding(realize_tableau(t, p)) == t
-    assert len(calls) > 1000
+    assert len(calls) > 1000 and len(extensions) > 100
 
 
 @st.composite
@@ -163,3 +178,37 @@ def test_rref_properties(case):
     assert R2 == R and pivots2 == pivots
     assert all(la.in_space(v, R, pivots, p) for v in M)
     assert la.rank(M, p) == len(pivots)
+
+
+@st.composite
+def extensions(draw):
+    """An echelon form R of random rows and rows M to add, over F_p for a
+    small and a large prime, with entries from -2p to 2p, some columns
+    zero throughout and some rows of M zero."""
+    p = draw(st.sampled_from([2, 3, 5, 1358187913]))
+    ncols = draw(st.integers(0, 7))
+    zero_columns = draw(st.sets(st.integers(0, 6), max_size=3))
+    entries = st.integers(-2 * p, 2 * p)
+
+    def rows(n):
+        drawn = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                              max_size=n))
+        return [[0 if c in zero_columns else x for c, x in enumerate(row)] for row in drawn]
+
+    R, pivots = la.rref(rows(5), p)
+    M = rows(5)
+    for i in draw(st.lists(st.integers(0, len(M)), max_size=2)):
+        M.insert(i, [0] * ncols)
+    return R, pivots, M, p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(extensions())
+@example(((), [], [[0, 0, 0], [-1, 0, 2]], 3))  # a zero row, a zero column
+@example((((1, 0, 0, 5),), [0], [[0, 0, 0, 0], [-2, 0, 1, -7]], 1358187913))
+@example((((0, 1),), [1], [[0, -1], [0, 0]], 2))  # nothing new
+@example(((), [], [[], []], 5))  # no columns
+def test_extend_equals_the_echelon_form_of_the_stacked_rows(case):
+    R, pivots, M, p = case
+    got = la.extend(R, pivots, M, p)
+    assert got == la.rref([*R, *M], p) == linalg_ref.sweep_rref([*R, *M], p)

@@ -447,6 +447,19 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
     assert grown >= 8  # over half the 14 nonempty generator sets grow
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_graded_pole_generators_are_taken_as_they_are(p):
+    """``graded_pole_module`` returns tuple rows of 0s and 1s, which
+    ``Embedding`` keeps as they are instead of converting them entry by
+    entry."""
+    for shape in iter_strip_shapes(6):
+        for t in enumerate_tableaux(shape):
+            pieces = pole_pieces(t.columns)
+            M, gens = nilmod.graded_pole_module(pieces, p, range(len(pieces)))
+            assert all(type(g) is tuple and set(g) <= {0, 1} for g in gens)
+            assert all(a is b for a, b in zip(nilmod._vectors(gens, M.dim, p), gens))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
     def check(B, vectors):

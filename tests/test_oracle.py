@@ -199,32 +199,128 @@ def test_census_dimension_skip_is_exact(shape, p):
     # a second part of 2 or more, so residues modulo a nonzero parent count
     (Shape((2, 2), (3, 2, 1), (2,)), 3),
     (Shape((2, 2), (4, 2, 1), (3,)), 2),
+    # a parent with a pivot at the lead of T v, so reducing moves that lead
+    (Shape((2, 2), (3, 3, 1), (2, 1)), 2),
+    (Shape((2, 2), (3, 3, 1), (2, 1)), 3),
 ], ids=str)
 def test_search_takes_one_echelon_form_per_span_a_parent_reaches(shape, p, monkeypatch):
-    """Output cannot show this: a search that closes every line still
-    returns the same spans.  Every ``rref(S + orbit)`` call is recorded
-    with its span, and no parent S takes two that give one span."""
-    calls = []
+    """Output cannot show this: a search that closes every line, or takes
+    an echelon form of every span it grows, still returns the same spans.
+    Every ``extend`` call is recorded with its parent and the span it
+    gives: no parent takes two that give one span, and every span it
+    gives passes the cotype test (gamma lies inside the type of B / S),
+    so no echelon form is taken for a span the search then drops."""
+    extensions, conversions = [], []
 
-    def recording(M, p):
-        out = la.rref(M, p)
-        calls.append((tuple(M), out[0]))
+    def recording_extend(R, pivots, M, p):
+        out = la.extend(R, pivots, M, p)
+        extensions.append((R, out[0]))
         return out
 
-    monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "rref": recording}))
+    def recording_rref(M, p):
+        out = la.rref(M, p)
+        conversions.append(out[0])
+        return out
+
+    monkeypatch.setattr(oracle, "la", SimpleNamespace(
+        **{**vars(la), "extend": recording_extend, "rref": recording_rref}))
     B = canonical_module(shape.beta, p)
     spans = _distinct_submodules(B, shape.alpha, shape.gamma)
     monkeypatch.undo()
     assert spans == sorted(ref.cotype_submodules(B, shape.alpha, shape.gamma))
-    # the last calls take each survivor back to block order
-    assert sorted([R for _, R in calls[len(calls) - len(spans):]]) == spans
-    part = {sum(shape.alpha[:i + 1]): a for i, a in enumerate(shape.alpha)}
+    # the only ``rref`` calls take each survivor back to block order
+    assert sorted(conversions) == spans
     reached = {}  # parent -> the spans its echelon forms gave
-    for M, R in calls[:len(calls) - len(spans)]:
-        reached.setdefault(M[:len(M) - part[len(M)]], []).append(R)
+    for parent, R in extensions:
+        reached.setdefault(parent, []).append(R)
     assert len(reached) > 1 or len(shape.alpha) == 1
     for parent, grown in reached.items():
         assert len(grown) == len(set(grown)), parent
+    back = sorted(range(B.dim), key=B._order[0].__getitem__)
+    for _, R in extensions:
+        E = Embedding(B, [[row[i] for i in back] for row in R])
+        assert pt.contains(E.gamma, shape.gamma), (R, E.gamma)
+
+
+def _census_pool():
+    """The 50 shapes and primes of the benchmark's census workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lrbench"))
+    try:
+        from workloads import CENSUS_POOL
+    finally:
+        sys.path.pop(0)
+    assert len(CENSUS_POOL) == 50
+    return [(Shape(*raw), p) for raw, p in CENSUS_POOL]
+
+
+def test_residue_leads_give_the_pivots_of_the_grown_span(monkeypatch):
+    """The lemma behind the search's cotype test, on every parent of the
+    searches of the census pool (and of a shape where reducing moves a
+    lead) and every line of its residue space that grows it by a full
+    part a.  In layer order the residues r_0 = v, r_1, ..., r_(a-1) of
+    the orbit v, T v, ... modulo the parent S vanish on S's pivots,
+    r_(i+1) is the residue of T r_i, and their first nonzero entries
+    strictly increase; so the pivots of rref(S + orbit) are S's pivots
+    merged with those leads."""
+    parents = []
+    extend = la.extend
+
+    def recording(R, pivots, M, p):
+        out = extend(R, pivots, M, p)
+        parents.append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "extend": recording}))
+    lines = moved = 0
+    for shape, p in _census_pool() + [(Shape((2, 2), (3, 3, 1), (2, 1)), 2)]:
+        B = canonical_module(shape.beta, p)
+        order, shift, _ = B._order
+        del parents[:]
+        _distinct_submodules(B, shape.alpha, shape.gamma)
+        parts = {sum(shape.alpha[:i]): a for i, a in enumerate(shape.alpha)}
+        levels = {R: piv for R, piv in [((), [])] + parents if len(R) in parts}
+        for S, pivots in levels.items():
+            a = parts[len(S)]
+            kernel = [tuple([v[q] for q in order]) for v in B.kernel(a)]
+            W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
+            for v in _residue_lines(W, p):
+                orbit = [v]
+                for _ in range(a - 1):
+                    orbit.append(tuple([(orbit[-1] + (0,))[k] for k in shift]))
+                residues = [la.reduce_vec(w, S, pivots, p) for w in orbit]
+                if not any(residues[-1]):
+                    continue
+                lines += 1
+                assert residues[0] == v
+                for r, r_next in zip(residues, residues[1:]):
+                    T_r = tuple([(r + (0,))[k] for k in shift])
+                    assert la.reduce_vec(T_r, S, pivots, p) == r_next
+                assert all(r[c] == 0 for r in residues for c in pivots)
+                leads = [next(j for j, x in enumerate(r) if x) for r in residues]
+                assert leads == sorted(set(leads)), (shape, p, S, v)
+                assert sorted(pivots + leads) == la.rref(S + tuple(orbit), p)[1]
+                moved += leads != [next(j for j, x in enumerate(w) if x) for w in orbit]
+    assert lines > 4000 and moved  # 4654 lines; the orbit's leads are not the residues'
+
+
+def test_search_refuses_an_echelon_form_off_its_residues_leads(monkeypatch):
+    """A grown span whose echelon form has other pivots than the merge of
+    its parent's pivots and its residues' leads raises, naming beta,
+    alpha, gamma, p and the parent span in block order."""
+    extend = la.extend
+
+    def wrong(R, pivots, M, p):
+        out, out_pivots = extend(R, pivots, M, p)
+        return out, out_pivots[:-1] + [out_pivots[-1] + 1] if R else out_pivots
+
+    monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "extend": wrong}))
+    B = canonical_module(FIVE_CLASS.beta, 2)
+    with pytest.raises(InvariantViolation) as err:
+        _distinct_submodules(B, FIVE_CLASS.alpha, FIVE_CLASS.gamma)
+    message = str(err.value)
+    assert "beta [4, 3, 2, 1], alpha [3, 1], gamma [3, 2, 1], p = 2" in message
+    parent = json.loads(message.split("parent span ")[1])
+    assert len(parent) == 3 and Embedding(B, parent).alpha == (3,)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -310,13 +406,7 @@ def test_fingerprints_match_hom_dim_on_census_embeddings(shape, p):
 
 @pytest.mark.slow
 def test_fingerprints_match_hom_dim_on_census_pool():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lrbench"))
-    try:
-        from workloads import CENSUS_POOL
-    finally:
-        sys.path.pop(0)
-    assert len(CENSUS_POOL) == 50
-    for shape, p in [(Shape(*raw), p) for raw, p in CENSUS_POOL] + [(FIVE_CLASS, 3)]:
+    for shape, p in _census_pool() + [(FIVE_CLASS, 3)]:
         _assert_fingerprints_solve_alike(shape, p)
 
 
