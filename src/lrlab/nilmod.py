@@ -22,9 +22,10 @@ less the rank of their images on C's subspace generators, each image
 reduced modulo E's subspace, and from a source with a cyclic subspace a
 hom space needs only the rank of the target subspace's coordinates
 outside a set of positions.  Every pole is realized from its
-tableau by one generator formula (``pole_generator``), and a tableau as
-one graded module with one such generator per pole piece
-(``graded_pole_sum``).
+tableau by one generator formula (``pole_generator``).  A picket, a
+pole and a tableau are each one graded module with one such generator
+per pole piece (``graded_pole_module``), and the embedding is the
+subspace those generators span.
 """
 
 from __future__ import annotations
@@ -621,15 +622,14 @@ def hom_positions(blocks, sizes) -> tuple[int, tuple[int, ...]]:
 
 
 def picket_embedding(i: int, ell: int, p: int) -> Embedding:
-    """The embedding (soc^i <= P^ell): the picket P^ell_min(i, ell) as a
-    one-column pole, its generator in degree 0."""
-    return graded_pole_embedding(picket_tableau(Picket(ell, min(i, ell))), p)
+    """The embedding (soc^i <= P^ell): the picket P^ell_min(i, ell)."""
+    return realize_picket(ell, min(i, ell), p)
 
 
 def realize_picket(n: int, m: int, p: int) -> Embedding:
-    """P^n_m as an embedding: subspace generated by T^{n-m}."""
-    Picket(n, m)
-    return picket_embedding(m, n, p)
+    """P^n_m as an embedding: its picket tableau as a one-column pole,
+    the subspace generated by T^{n-m}, its generator in degree 0."""
+    return Embedding(*graded_pole_module([picket_tableau(Picket(n, m)).columns], p, [0]))
 
 
 def picket_hom_profile(E: Embedding, max_i: int, max_ell: int) -> list[list[int]]:
@@ -713,24 +713,11 @@ def graded_pole_module(pieces, p: int, degrees) -> tuple[NilModule, list[tuple[i
     return canonical_module(sizes, p, shifts=shifts), gens
 
 
-def graded_pole_sum(pieces, p: int, shift: int = 0) -> Embedding:
-    """Graded sum of the poles whose tableaux have the column groups
-    ``pieces``: the subspace of ``graded_pole_module`` spanned by its
-    generators, all of degree ``shift``."""
-    return Embedding(*graded_pole_module(pieces, p, [shift] * len(pieces)))
-
-
-def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:
-    """Graded realization of the pole tableau t: the subspace generated by
-    ``pole_generator(t.columns)``, homogeneous of degree ``shift``."""
-    return graded_pole_sum([t.columns], p, shift)
-
-
-def realize_pole(pole: Pole, p: int, shift: int = 0) -> Embedding:
+def realize_pole(pole: Pole, p: int) -> Embedding:
     """Kaplansky-data realization inside the pole's declared ambient:
     the graded realization of its pole tableau, blocks in that
-    tableau's column order."""
-    return graded_pole_embedding(pole_tableau(pole), p, shift)
+    tableau's column order, its generator in degree 0."""
+    return Embedding(*graded_pole_module([pole_tableau(pole).columns], p, [0]))
 
 
 def _subtract_chain(big, small) -> list[Partition]:
@@ -780,7 +767,8 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
     into pole column groups.  Other tableaux are attempted by peeling
     minimal poles off the partition chain; tableaux with no pole-sum
     realization at all (they exist) are rejected.  The groups and the
-    empty leftover columns make one ``graded_pole_sum``, re-verified on chains.
+    empty leftover columns make one ``graded_pole_module``, every generator
+    in degree 0, re-verified on chains.
     """
     if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
         pieces = pole_pieces(t.columns)
@@ -790,7 +778,7 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
             piece, rest = _chain_pole_split(rest)
             pieces.append(piece.columns)
         pieces.append(rest.columns)
-    E = graded_pole_sum(pieces, p)
+    E = Embedding(*graded_pole_module(pieces, p, [0] * len(pieces)))
     if E.chain() != t.chain:
         raise ValueError("tableau is not a union of pole tableaux: got "
                          f"{tb.from_chain(list(E.chain()))}")

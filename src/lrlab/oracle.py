@@ -38,14 +38,21 @@ the census's block sizes and is taken once per census
 (``nilmod.hom_images``), and each span reduces it
 (``nilmod._reduced_rank``).
 
-Fingerprints agree for isomorphic embeddings; the converse is validated
-against every nonisomorphy asserted by the worked examples but is not a
-theorem for arbitrary inputs, so distinct classes of one tableau with
-equal fingerprints on new shapes would be merged silently (across distinct
-tableaux the census raises, naming a reproducer).  The tests referee the
-published censuses by isomorphism, and show that a catalog without P(2,)
-merges two classes of the five-class census.  Pass a richer catalog to
-sharpen the separation.
+Fingerprints agree for isomorphic embeddings.  For beta_1 <= 4 the
+converse is a theorem at p = 2 and 3.  The 20 catalog objects are all
+the indecomposables of nilpotency index at most 4 (Ringel and
+Schmidmeier, J. reine angew. Math. 614, 2008).  So by Krull-Schmidt a
+census member is fixed up to isomorphism by its multiplicities m, and
+its fingerprint is H m with H the catalog's matrix of hom dimensions.
+The tests check at both primes that each object has a local
+endomorphism ring and that H is invertible, and decompose every class
+of the pinned and the benchmark censuses.  For beta_1 >= 5 the picket
+and pole catalog is not complete and the converse is not a theorem:
+distinct classes of one tableau with equal fingerprints would be merged
+silently (across distinct tableaux the census raises, naming a
+reproducer).  The tests referee the published censuses by isomorphism,
+and show that a catalog without P(2,) merges two classes of the
+five-class census.  Pass a richer catalog to sharpen the separation.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ five-tableau pole partition yields graded poles X, Z, X-tilde, Z-tilde.
 The middle term Y glues X and Z along the cross generator
 (a_X, T^{s-u} g_Z^s); the maps send the shortened block of X-tilde across
 both summands and collapse the lengthened block of Z-tilde with a sign.
+A k[T]-map out of a graded pole module is fixed by where it sends the
+generator of each Jordan block, so iota and pi are stated as those
+images, each a list of (position, coefficient) terms, and T^j of an
+image is column j of its block; blocks are found by column length.
 The common part G3 rides along in the sub and middle terms: each term
 is one graded pole module, G3's pieces after the others.
 Exactness, homogeneity, subspace compatibility and both tableau
@@ -16,6 +20,7 @@ reproduces it.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 from . import linalg as la
 from .boxmoves import BoxMove
@@ -56,11 +61,30 @@ class WitnessSequence:
         }
 
 
-def _block_index(t: LRTableau, length: int) -> int:
-    for i, c in enumerate(t.columns):
-        if c.length == length:
-            return i
-    raise InvariantViolation(f"no column of length {length} in {t}")
+def _offsets(t: LRTableau, start: int) -> dict[int, int]:
+    """The offset of each block of a pole piece whose blocks start at
+    ``start``, by column length: the lengths of g1, g2 and g2t are
+    distinct by property (1)."""
+    lengths = [c.length for c in t.columns]
+    at = dict(zip(lengths, accumulate(lengths, initial=start)))
+    if len(at) < len(lengths):
+        raise InvariantViolation(f"column lengths repeat in the pole piece {t}")
+    return at
+
+
+def _map(images, sizes, n: int) -> list[list[int]]:
+    """The n-row matrix of the k[T]-map sending the generator of the i-th
+    source block, of size ``sizes[i]``, to ``images[i]``, a list of
+    (target position, coefficient) terms: column j of the block is T^j of
+    the image, each term j places further down its target block."""
+    rows = [[0] * sum(sizes) for _ in range(n)]
+    col = 0
+    for terms, b in zip(images, sizes):
+        for pos, c in terms:
+            for j in range(b):
+                rows[pos + j][col + j] = c
+        col += b
+    return rows
 
 
 def witness_sequence(
@@ -79,61 +103,39 @@ def witness_sequence(
     g1, g2, g3, g1t, g2t = box_move_pole_partition(t_low, t_high, move)
     u, v, r, s = move.u, move.v, move.r, move.s
     d = v - u
+    x_at, zt_at = _offsets(g1, 0), _offsets(g2t, 0)
+    z_at = _offsets(g2, sum(c.length for c in g1.columns))
 
     common = pole_pieces(g3.columns)
     Xt = Embedding(*graded_pole_module([g1t.columns, *common], p, [d] + [0] * len(common)))
     Zt = Embedding(*graded_pole_module([g2t.columns], p, [0]))
 
-    bx = [c.length for c in g1.columns]
-    bz = [c.length for c in g2.columns]
-    bxt = [c.length for c in g1t.columns]
-    bzt = [c.length for c in g2t.columns]
-    ox, oz = block_offsets(tuple(bx)), block_offsets(tuple(bz))
-    oxt, ozt = block_offsets(tuple(bxt)), block_offsets(tuple(bzt))
-    nx, nz, nxt = sum(bx), sum(bz), sum(bxt)
-    nc = Xt.B.dim - nxt  # the common part
-
     # middle term: the graded poles X (degree d) and Z (degree 0) and the
-    # common part on one ambient, the generator of X with the cross term added
+    # common part on one ambient, the generator of X with the cross term
+    # T^{s-u} g_Z^s added
     Ymod, gens = graded_pole_module([g1.columns, g2.columns, *common], p,
                                     [d, 0] + [0] * len(common))
     cross = list(gens[0])
-    cross[nx + oz[_block_index(g2, s)] + (s - u)] = 1
+    cross[z_at[s] + s - u] = 1
     gens[0] = tuple(cross)
     Y = Embedding(Ymod, gens)
 
-    # iota: the block of length s in Xt goes to g_X^r T^{r-s} + g_Z^s, and
-    # the common part to itself
-    iota = [[0] * Xt.B.dim for _ in range(nx + nz)]
-    ir = _block_index(g1, r)
-    for bi, ell in enumerate(bxt):
-        for j in range(ell):
-            col = oxt[bi] + j
-            if ell == s:
-                iota[ox[ir] + j + (r - s)][col] = 1
-                iota[nx + oz[_block_index(g2, s)] + j][col] = 1
-            else:
-                iota[ox[_block_index(g1, ell)] + j][col] = 1
-    iota += [[0] * nxt + list(e) for e in la.identity(nc)]
+    # iota: g^s of Xt goes to T^{r-s} g_X^r + g_Z^s, every other block of
+    # g1t to X's block of its length, and the common part to itself
+    iota = [[(x_at[r] + r - s, 1), (z_at[s], 1)] if c.length == s
+            else [(x_at[c.length], 1)] for c in g1t.columns]
+    common_at = block_offsets(Xt.B.sizes)[len(g1t.columns):]
+    iota += [[(o + Ymod.dim - Xt.B.dim, 1)] for o in common_at]
+    # pi: kill X except its block of length r (with a sign), g_Z^s to
+    # T^{r-s} g_Zt^r, every other block of Z to Zt's block of its length,
+    # and kill the common part
+    pi = ([[(zt_at[r], (-1) % p)] if c.length == r else [] for c in g1.columns]
+          + [[(zt_at[r] + r - s, 1)] if c.length == s else [(zt_at[c.length], 1)]
+             for c in g2.columns]
+          + [[]] * len(common_at))
 
-    # pi: kill X except its length-r block (with a sign), embed Z, kill
-    # the common part
-    pi = [[0] * (nx + nz + nc) for _ in range(Zt.B.dim)]
-    irt = _block_index(g2t, r)
-    for bi, ell in enumerate(bx):
-        if ell != r:
-            continue
-        for j in range(ell):
-            pi[ozt[irt] + j][ox[bi] + j] = (-1) % p
-    for bi, ell in enumerate(bz):
-        for j in range(ell):
-            col = nx + oz[bi] + j
-            if ell == s:
-                pi[ozt[irt] + j + (r - s)][col] = 1
-            else:
-                pi[ozt[_block_index(g2t, ell)] + j][col] = 1
-
-    ws = WitnessSequence(Xt, Y, Zt, iota, pi, move, t_low, t_high)
+    ws = WitnessSequence(Xt, Y, Zt, _map(iota, Xt.B.sizes, Ymod.dim),
+                         _map(pi, Ymod.sizes, Zt.B.dim), move, t_low, t_high)
     _verify(ws)
     return ws
 

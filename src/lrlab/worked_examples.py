@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from . import partitions as pt
 from .boxmoves import box_leq, dom_to_box_chain, dom_to_box_step, hasse, move_between
-from .nilmod import (Embedding, canonical_module, direct_sum,
-                     graded_pole_embedding, hom_dim, invariant_intersection_dim,
-                     mu_entries, picket_embedding, realize_picket, realize_pole,
-                     realize_tableau, tableau_of_embedding)
+from .nilmod import (Embedding, canonical_module, direct_sum, hom_dim,
+                     invariant_intersection_dim, mu_entries, picket_embedding,
+                     realize_picket, realize_pole, realize_tableau,
+                     tableau_of_embedding)
 from .oracle import enumerate_submodules, iso_fingerprint, s4_catalog
 from .poles import (Picket, Pole, box_move_pole_partition, picket_tableau,
                     pole_decomposition, pole_of_tableau, pole_tableau,
@@ -215,13 +215,13 @@ def check_mu_entries():
 
 
 def check_graded_pole():
-    t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
-    E = graded_pole_embedding(t, 2)
+    pole = Pole((0, 2, 5), (6, 3, 1))
+    E = realize_pole(pole, 2)
     assert E.B.grading == (-3, -2, -1, 0, 1, 2, -1, 0, 1, 0)
     gen = [0] * 10
     gen[3] = gen[7] = gen[9] = 1  # T^3 g6 + T g3 + g1
     assert E.contains(gen)
-    assert tableau_of_embedding(E) == t
+    assert tableau_of_embedding(E) == pole_tableau(pole)
 
 
 def check_realization_is_picket_sum():

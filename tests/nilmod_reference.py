@@ -9,7 +9,8 @@ the block-generator ``hom_dim`` replaced, that block-generator solver
 itself (every row of A1 against ``k T^j N`` products, replaced by module
 generators in Jordan coordinates), the stacked-rref closure loop,
 the hand-built picket, the run-based pole, strip-only graded pole
-and per-part tableau realizations that ``graded_pole_sum`` replaced, the
+and per-part tableau realizations that one ``graded_pole_module`` per
+embedding replaced, the
 layer order by one sum per layer that canonical modules no longer use
 and the layer order by a position dict that the package replaced with
 indices carried from layer to layer, and the Jordan type as the

@@ -9,10 +9,10 @@ import pytest
 
 from conftest import FIVE_CLASS, TWO_CLASS, iter_strip_shapes, random_pole
 from lrlab.boxmoves import box_leq, box_successors, dom_to_box_chain, dom_to_box_step
-from lrlab.nilmod import (direct_sum, graded_pole_embedding, hom_dim,
-                          invariant_intersection_dim, mu_entries,
-                          picket_embedding, picket_dominance_test, realize_picket,
-                          realize_pole, realize_tableau, tableau_of_embedding)
+from lrlab.nilmod import (direct_sum, hom_dim, invariant_intersection_dim,
+                          mu_entries, picket_embedding, picket_dominance_test,
+                          realize_picket, realize_pole, realize_tableau,
+                          tableau_of_embedding)
 from lrlab.oracle import (enumerate_submodules, iso_fingerprint,
                           picket_pole_catalog)
 from lrlab.poles import Pole, pole_tableau, tableau_union
@@ -100,8 +100,8 @@ def test_criterion_06_pole_chain():
 
 def test_criterion_07_graded_pole():
     with criterion(7, "graded realization of the three-block pole"):
-        t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
-        E = graded_pole_embedding(t, 2)
+        pole = Pole((0, 2, 5), (6, 3, 1))
+        E = realize_pole(pole, 2)
         blocks = {(6, -3), (3, -1), (1, 0)}
         got = set()
         grading = E.B.grading
@@ -113,7 +113,7 @@ def test_criterion_07_graded_pole():
         gen = np.zeros(10, dtype=np.int64)
         gen[3] = gen[7] = gen[9] = 1  # coordinates of 1, T, T^3 on the blocks
         assert E.contains(gen)
-        assert tableau_of_embedding(E) == t
+        assert tableau_of_embedding(E) == pole_tableau(pole)
 
 
 def test_criterion_08_realize_round_trip(strip_tableaux_12):

@@ -17,7 +17,7 @@ from lrlab import nilmod
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
-                          generator_blocks, graded_pole_embedding, hom_dim,
+                          generator_blocks, graded_pole_module, hom_dim,
                           hom_positions, invariant_closure,
                           invariant_intersection_dim, jordan_basis,
                           jordan_type, mu_entries,
@@ -926,13 +926,18 @@ def test_profile_shape():
         assert all(a <= b for a, b in zip(row, row[1:]))
 
 
+def _pole_embedding(t, p):
+    """The graded realization of the pole tableau t, generator in degree 0."""
+    return Embedding(*graded_pole_module([t.columns], p, [0]))
+
+
 def test_graded_pole_example():
     t = pole_tableau(Pole((0, 2, 5), (6, 3, 1)))
-    E = graded_pole_embedding(t, 2)
+    E = _pole_embedding(t, 2)
     assert E.B.grading == (-3, -2, -1, 0, 1, 2, -1, 0, 1, 0)
     # a picket is a one-column pole
     picket = picket_tableau(Picket(3, 2))
-    assert tableau_of_embedding(graded_pole_embedding(picket, 2)) == picket
+    assert tableau_of_embedding(_pole_embedding(picket, 2)) == picket
     not_poles = [
         LRTableau([Column(2, 1, (1,)), Column(1, 0, (1,))]),  # repeated entry
         LRTableau([Column(3, 1, (1, 3)), Column(2, 1, (2,))]),  # no run
@@ -942,7 +947,7 @@ def test_graded_pole_example():
         with pytest.raises(ValueError):
             pole_generator(bad.columns)
         with pytest.raises(ValueError):
-            graded_pole_embedding(bad, 2)
+            _pole_embedding(bad, 2)
 
 
 def _json_without_beta(E):
@@ -956,10 +961,9 @@ def test_realize_pole_matches_run_reference():
         for layers in itertools.combinations(range(8), k):
             pole = Pole(layers, minimal_ambient(layers))
             for p in (2, 3):
-                for shift in (0, 2):
-                    got = _json_without_beta(realize_pole(pole, p, shift))
-                    want = _json_without_beta(ref.realize_pole(pole, p, shift))
-                    assert got == want, pole
+                got = _json_without_beta(realize_pole(pole, p))
+                want = _json_without_beta(ref.realize_pole(pole, p))
+                assert got == want, pole
 
 
 def test_pole_tableaux_round_trip():
@@ -969,7 +973,7 @@ def test_pole_tableaux_round_trip():
             continue
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
-                assert tableau_of_embedding(graded_pole_embedding(t, p)) == t
+                assert tableau_of_embedding(_pole_embedding(t, p)) == t
 
 
 def test_realize_non_strip_matches_per_part_reference():
@@ -1016,7 +1020,8 @@ def test_strip_realization_builds_no_tableau(monkeypatch):
 def test_realize_rejects_a_sum_of_another_tableau(monkeypatch):
     t, other = enumerate_tableaux(TWO_CLASS)
     wrong = realize_tableau(other, 2)
-    monkeypatch.setattr(nilmod, "graded_pole_sum", lambda pieces, p: wrong)
+    monkeypatch.setattr(nilmod, "graded_pole_module",
+                        lambda pieces, p, degrees: (wrong.B, wrong.span))
     with pytest.raises(ValueError, match="not a union of pole tableaux: got "):
         realize_tableau(t, 2)
 

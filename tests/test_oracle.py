@@ -5,9 +5,11 @@ import shlex
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nilmod_reference
@@ -607,6 +609,63 @@ def _solve_exact(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def _is_local(E):
+    """Whether every endomorphism of E is nilpotent or invertible, over
+    all p^(dim End) combinations of ``ref.hom_basis``: then End is local
+    and E is indecomposable."""
+    p, n = E.p, E.B.dim
+    basis = np.array(ref.hom_basis(E, E))
+    ends = np.tensordot(np.array(list(product(range(p), repeat=len(basis)))), basis, 1) % p
+    power = ends
+    for _ in range(n.bit_length()):  # the 2^k-th powers, 2^k > n
+        power = power @ power % p
+    nilpotent = ~power.any(axis=(1, 2))
+    return all(la.rank(g, p) == n for g in ends[~nilpotent].tolist())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_catalog_objects_have_local_endomorphism_rings(p):
+    cat = s4_catalog(p)
+    assert {len(ref.hom_basis(C, C)) for _, C in cat} == {1, 2, 3, 4, 5, 6, 8, 9}
+    assert all(_is_local(C) for _, C in cat)
+    assert not _is_local(direct_sum(cat[0][1], cat[4][1]))
+
+
+def _decomposed_classes(shapes, p):
+    """Krull-Schmidt: the catalog objects are indecomposable (local End),
+    so a census member with beta_1 <= 4 is a sum of them, fixed up to
+    isomorphism by the multiplicities m, and its fingerprint is H m with
+    H = [dim Hom(C_i, C_j)].  H is invertible, so equal fingerprints mean
+    isomorphic members: each class of each census over F_p of ``shapes``
+    is the sum that H^-1 fingerprint names.  Returns the number of
+    classes."""
+    cat = s4_catalog(p)
+    H = [[Fraction(hom_dim(ci, cj)) for _, cj in cat] for _, ci in cat]
+    assert _solve_exact(H, [Fraction(0)] * len(cat)) is not None  # invertible
+    rng = random.Random(23)
+    classes = 0
+    for shape in shapes:
+        for c in enumerate_submodules(shape, p).classes:
+            m = _solve_exact(H, [Fraction(x) for x in c.fingerprint])
+            assert all(x.denominator == 1 and x >= 0 for x in m), (shape, m)
+            summed = direct_sum(*[C for (_, C), k in zip(cat, m) for _ in range(int(k))])
+            assert ref.isomorphic(summed, c.representative, rng), (shape, m)
+            classes += 1
+    return classes
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_classes_are_sums_of_catalog_objects(p):
+    shapes = [shape for shape, q in CENSUS_DIGESTS if q == p]
+    assert _decomposed_classes(shapes, p) == {2: 21, 3: 8}[p]
+
+
+def test_census_pool_classes_are_sums_of_catalog_objects():
+    pool = _census_pool()
+    assert sum(_decomposed_classes([shape for shape, q in pool if q == p], p)
+               for p in (2, 3)) == 65
 
 
 def test_zero_embedding_fingerprint():

@@ -1,8 +1,10 @@
+import json
 import shlex
 
 import pytest
 
 import lrlab.cli as cli
+import witness_reference
 from conftest import iter_strip_shapes
 from lrlab import linalg as la
 from lrlab import witness
@@ -10,7 +12,8 @@ from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import direct_sum, realize_tableau, tableau_of_embedding
 from lrlab.poles import box_move_pole_partition
-from lrlab.tableaux import Column, LRTableau, Shape, enumerate_tableaux, from_word
+from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux, from_word,
+                            reading_word)
 from lrlab.witness import _verify, witness_sequence
 
 
@@ -97,8 +100,6 @@ def test_verify_refuses_tampered_maps():
 
 
 def test_json_serializable():
-    import json
-
     low, high, move = nine_column_pair()
     ws = witness_sequence(low, high, move, 2)
     payload = json.dumps(ws.to_json())
@@ -112,6 +113,52 @@ def test_exhaustive_edges_small():
                 for p in (2, 3):
                     ws = witness_sequence(t, t2, move, p)
                     assert all(ws.report.values())
+
+
+def test_maps_by_generator_images_match_the_hand_indexed_reference():
+    for shape in iter_strip_shapes(9):
+        for t in enumerate_tableaux(shape):
+            for t2, move in box_successors(t):
+                for p in (2, 3):
+                    ws = witness_sequence(t, t2, move, p)
+                    iota, pi, Y = witness_reference.witness_maps(t, t2, move, p)
+                    assert (ws.iota, ws.pi, ws.y.to_json()) == (iota, pi, Y.to_json())
+
+
+def test_verify_refuses_the_s_block_image_without_its_shift(monkeypatch):
+    """The block of length s in Xt sent to g_X^r + g_Z^s instead of
+    T^{r-s} g_X^r + g_Z^s: g_X^r is not killed by T^s, so the map does
+    not commute with T."""
+    low, high, move = nine_column_pair()
+    build = witness._map
+
+    def mutant(images, sizes, n):
+        return build([[(terms[0][0] - (move.r - move.s), 1), terms[1]]
+                      if len(terms) == 2 else terms for terms in images], sizes, n)
+
+    monkeypatch.setattr(witness, "_map", mutant)
+    for p in (2, 3):
+        with pytest.raises(InvariantViolation, match=r"failed: \[[^]]*'iota_commutes'"):
+            witness_sequence(low, high, move, p)
+
+
+@pytest.mark.parametrize("piece", [0, 1, 4], ids=["g1", "g2", "g2t"])
+def test_repeated_column_lengths_in_a_piece_fail_verification(monkeypatch, capsys, piece):
+    """Blocks are found by column length, so a pole piece whose lengths
+    repeat is refused as a verification failure (exit code 1), not a
+    missing key or index."""
+    low, high, move = nine_column_pair()
+    parts = list(box_move_pole_partition(low, high, move))
+    parts[piece] = LRTableau([*parts[piece].columns, parts[piece].columns[-1]])
+    monkeypatch.setattr(witness, "box_move_pole_partition", lambda *args: tuple(parts))
+    with pytest.raises(InvariantViolation, match="column lengths repeat"):
+        witness_sequence(low, high, move, 2)
+    words = [",".join(map(str, reading_word(t))) for t in (low, high)]
+    shape = json.dumps(low.shape.to_json())
+    argv = ["witness", shape, "--from", words[0], "--to", words[1],
+            "--move", f"{move.u},{move.v}", "-p", "2"]
+    assert cli.run(argv) == cli.EXIT_VERIFICATION
+    assert "verification failure: column lengths repeat" in capsys.readouterr().err
 
 
 def test_common_part_matches_a_direct_sum(monkeypatch):
