@@ -6,10 +6,14 @@ generator, which place the entries 1..k of its tableau in rows
 x_1 + 1, ..., x_k + 1.  Horizontal-strip tableaux decompose into poles
 and empty pickets by repeatedly splitting off the greedy "largest entry,
 then first occurrence rightward" column selection, and a single box move
-refines that decomposition into the five-tableau partition used by the
-witness construction.  The scans (``_scan``) and the partition's re-check
-run on plain column lists; ``pole_pieces`` gives the column groups a strip
-realization reads.
+refines that decomposition into the five-piece partition used by the
+witness construction.  The scans (``_scan``) run on plain column lists.
+The partition (``pole_partition_columns``) is cut and re-checked on
+column tuples, which is all the witness reads; on pieces of one entry per
+column the LR conditions reduce to a few comparisons of bases and entries
+(``_is_pole_piece``, ``_is_strip``).  ``box_move_pole_partition`` gives
+the same pieces as tableaux, and ``pole_pieces`` the column groups a
+strip realization reads.
 """
 
 from __future__ import annotations
@@ -206,12 +210,21 @@ def pole_decomposition(t: LRTableau) -> list[ExtendedPole]:
 def box_move_pole_partition(
     t_low: LRTableau, t_high: LRTableau, move: BoxMove
 ) -> tuple[LRTableau, LRTableau, LRTableau, LRTableau, LRTableau]:
-    """Partition the columns of a box-move pair into compatible pole tableaux.
+    """The five pieces of ``pole_partition_columns`` as tableaux."""
+    return tuple(LRTableau(cols) for cols in pole_partition_columns(t_low, t_high, move))
 
-    Returns (g1, g2, g3, g1t, g2t) with t_low = g1 U g2 U g3 and
-    t_high = g1t U g2t U g3; g1/g1t differ in the one column holding u,
-    g2/g2t in the one holding v, and g1t U g2t is one box move above
-    g1 U g2.  All five stated properties are re-checked at runtime.
+
+def pole_partition_columns(
+    t_low: LRTableau, t_high: LRTableau, move: BoxMove
+) -> tuple[tuple[Column, ...], ...]:
+    """Partition the columns of a box-move pair into compatible pole pieces.
+
+    Returns (g1, g2, g3, g1t, g2t), each a tuple of columns in the order
+    of ``Column.sort_key`` (that of ``LRTableau.columns``), with
+    t_low = g1 U g2 U g3 and t_high = g1t U g2t U g3; g1/g1t differ in
+    the one column holding u, g2/g2t in the one holding v, and g1t U g2t
+    is one box move above g1 U g2.  All five stated properties are
+    re-checked at runtime, on the column tuples (``_check_partition``).
     """
     from .boxmoves import apply_move
 
@@ -247,16 +260,14 @@ def box_move_pole_partition(
         out[out.index(old)] = new
         return out
 
-    gamma1 = LRTableau(g1)
-    gamma1t = LRTableau(swap(g1, c_u, cu_t))
-    gamma2t = LRTableau(g2t)
-    gamma2 = LRTableau(swap(g2t, cv_t, c_v))
-    gamma3 = LRTableau(g3)
+    pieces = tuple(_sorted(cols) for cols in (
+        g1, swap(g2t, cv_t, c_v), g3, swap(g1, c_u, cu_t), g2t))
+    _check_partition(t_low, t_high, move, *pieces)
+    return pieces
 
-    _check_partition_properties(
-        t_low, t_high, move, gamma1, gamma2, gamma3, gamma1t, gamma2t
-    )
-    return gamma1, gamma2, gamma3, gamma1t, gamma2t
+
+def _sorted(columns) -> tuple[Column, ...]:
+    return tuple(sorted(columns, key=Column.sort_key))
 
 
 def _scan(work: list[Column], c_u=None, cv_t=None, missing_key=None):
@@ -305,31 +316,20 @@ def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
     return picked, flag
 
 
-def _check_partition_properties(
-    t_low, t_high, move, gamma1, gamma2, gamma3, gamma1t, gamma2t
-) -> None:
+def _check_partition(t_low, t_high, move, g1, g2, g3, g1t, g2t) -> None:
+    """The five properties of the pole partition, on the column tuples of
+    its pieces; each failure raises ``InvariantViolation``."""
     from .boxmoves import BoxMove, _moved_columns
 
     u, v, r, s = move.u, move.v, move.r, move.s
-
-    def is_extended_pole_strip(t: LRTableau) -> bool:
-        if not tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
-            return False
-        if any(not c.entries for c in t.columns):
-            return False
-        return len(t.shape.alpha) <= 1  # each entry occurs once
-
-    for name, t in (("g1", gamma1), ("g2", gamma2), ("g1t", gamma1t), ("g2t", gamma2t)):
-        if not tb.validate(t).ok or not is_extended_pole_strip(t):
+    for name, cols in (("g1", g1), ("g2", g2), ("g1t", g1t), ("g2t", g2t)):
+        if not _is_pole_piece(cols):
             raise InvariantViolation(f"property (1) fails for {name}")
-    if gamma3.columns and (
-        not tb.validate(gamma3).ok
-        or not tb.is_horizontal_strip(gamma3.shape.beta, gamma3.shape.gamma)
-    ):
+    if g3 and not _is_strip(g3):
         raise InvariantViolation("property (2) fails for the common part")
 
-    def one_column_diff(a: LRTableau, b: LRTableau, entry: int, lo: int, hi: int):
-        ca, cb = list(a.columns), list(b.columns)
+    def one_column_diff(a, b, entry: int, lo: int, hi: int):
+        ca, cb = list(a), list(b)
         for c in list(ca):
             if c in cb:
                 ca.remove(c)
@@ -340,25 +340,54 @@ def _check_partition_properties(
             raise InvariantViolation(f"differing columns do not hold {entry}")
         if {ca[0].length, cb[0].length} != {lo, hi}:
             raise InvariantViolation("differing columns have unexpected lengths")
-        for t in (a, b):
-            if any(lo < c.length < hi for c in t.columns):
+        for cols in (a, b):
+            if any(lo < c.length < hi for c in cols):
                 raise InvariantViolation("a column length lies strictly in between")
 
-    one_column_diff(gamma1, gamma1t, u, s, r)
-    one_column_diff(gamma2, gamma2t, v, s, r)
-
-    def union(*parts: LRTableau) -> tuple[Column, ...]:
-        return tuple(sorted((c for t in parts for c in t.columns), key=Column.sort_key))
+    one_column_diff(g1, g1t, u, s, r)
+    one_column_diff(g2, g2t, v, s, r)
 
     # by (1) g1 and g2 read as lattice words, and so does any merge of
     # them: the core is a valid strip, as the local check needs
-    core = union(gamma1, gamma2)
+    core = _sorted(g1 + g2)
     c_u, c_v = Column(r, r - 1, (u,)), Column(s, s - 1, (v,))
     if c_u not in core or c_v not in core or _moved_columns(core, BoxMove(
-            u, v, r, s, core.index(c_u), core.index(c_v))) != union(gamma1t, gamma2t):
+            u, v, r, s, core.index(c_u), core.index(c_v))) != _sorted(g1t + g2t):
         raise InvariantViolation("property (5): primed unions not one move apart")
 
-    if union(gamma1, gamma2, gamma3) != t_low.columns:
+    if _sorted(g1 + g2 + g3) != t_low.columns:
         raise InvariantViolation("partition does not reassemble the lower tableau")
-    if union(gamma1t, gamma2t, gamma3) != t_high.columns:
+    if _sorted(g1t + g2t + g3) != t_high.columns:
         raise InvariantViolation("partition does not reassemble the upper tableau")
+
+
+def _is_pole_piece(cols) -> bool:
+    """Property (1) on sorted columns: one entry per column, k, k - 1,
+    ..., 1 from left to right.  Sorted columns of at most one entry each
+    always form a skew diagram (a longer column's base is at least the
+    shorter one's length), and with one entry per column this is what
+    ``validate``, the strip test and "each entry once" come to: the
+    lattice condition puts each entry right of the next larger one, and
+    the row-weak one then keeps them in distinct rows, which the sort
+    order of equal columns already does."""
+    return (all(len(c.entries) == 1 for c in cols)
+            and [c.entries[0] for c in cols] == list(range(len(cols), 0, -1)))
+
+
+def _is_strip(cols) -> bool:
+    """Property (2) on sorted columns: a horizontal-strip LR filling.  The
+    columns hold at most one entry each, and read from the right every
+    entry e > 1 is preceded by more e - 1 than e, the whole word included
+    (the entry counts transpose a partition).  Such columns form a skew
+    diagram (see ``_is_pole_piece``), and their rows are weak: the entries
+    of one row lie in columns of one length and base, which the sort
+    orders by entry."""
+    if any(len(c.entries) > 1 for c in cols):
+        return False
+    counts = [0] * (max((e for c in cols for e in c.entries), default=0) + 1)
+    for c in reversed(cols):
+        for e in c.entries:
+            counts[e] += 1
+            if e > 1 and counts[e] > counts[e - 1]:
+                return False
+    return True

@@ -14,19 +14,25 @@ is one graded pole module, G3's pieces after the others.
 Exactness, homogeneity, subspace compatibility and both tableau
 identities are re-verified on every construction; a failure lists the
 checks that failed and ends in the ``lrlab witness`` command that
-reproduces it.
+reproduces it, as does a failed check of the pole partition.
+The construction reads the partition's column tuples
+(``pole_partition_columns``) and builds no tableau.  In Jordan
+coordinates T is a shift, so the commutation checks take T M and M T as
+gathers of rows and columns of M (``_t_times``, ``_times_t``) instead of
+products with the action matrices.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import accumulate
+from operator import itemgetter
 
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
 from .nilmod import Embedding, block_offsets, direct_sum, graded_pole_module
-from .poles import box_move_pole_partition, pole_pieces
+from .poles import pole_partition_columns, pole_pieces
 from .tableaux import LRTableau, reading_word
 
 
@@ -61,14 +67,14 @@ class WitnessSequence:
         }
 
 
-def _offsets(t: LRTableau, start: int) -> dict[int, int]:
-    """The offset of each block of a pole piece whose blocks start at
-    ``start``, by column length: the lengths of g1, g2 and g2t are
-    distinct by property (1)."""
-    lengths = [c.length for c in t.columns]
+def _offsets(cols, start: int) -> dict[int, int]:
+    """The offset of each block of a pole piece with columns ``cols``
+    whose blocks start at ``start``, by column length: the lengths of g1,
+    g2 and g2t are distinct by property (1)."""
+    lengths = [c.length for c in cols]
     at = dict(zip(lengths, accumulate(lengths, initial=start)))
     if len(at) < len(lengths):
-        raise InvariantViolation(f"column lengths repeat in the pole piece {t}")
+        raise InvariantViolation(f"column lengths repeat in the pole piece {cols}")
     return at
 
 
@@ -98,23 +104,34 @@ def witness_sequence(
     X-tilde in the sub term and those of X and Z in the middle term, in
     degree 0: a graded pole sum of concatenated pieces is the direct sum
     of the pieces' sums, so this sums g3's realization onto both terms,
-    and iota is the identity on it.
+    and iota is the identity on it.  A check that fails before the
+    verification raises with the same reproducing command.
     """
-    g1, g2, g3, g1t, g2t = box_move_pole_partition(t_low, t_high, move)
+    try:
+        ws = _sequence(t_low, t_high, move, p)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{exc}{_reproduce(t_low, t_high, move, p)}") from exc
+    _verify(ws)
+    return ws
+
+
+def _sequence(t_low: LRTableau, t_high: LRTableau, move: BoxMove,
+              p: int) -> WitnessSequence:
+    """The witness sequence of ``witness_sequence``, not yet verified."""
+    g1, g2, g3, g1t, g2t = pole_partition_columns(t_low, t_high, move)
     u, v, r, s = move.u, move.v, move.r, move.s
     d = v - u
     x_at, zt_at = _offsets(g1, 0), _offsets(g2t, 0)
-    z_at = _offsets(g2, sum(c.length for c in g1.columns))
+    z_at = _offsets(g2, sum(c.length for c in g1))
 
-    common = pole_pieces(g3.columns)
-    Xt = Embedding(*graded_pole_module([g1t.columns, *common], p, [d] + [0] * len(common)))
-    Zt = Embedding(*graded_pole_module([g2t.columns], p, [0]))
+    common = pole_pieces(g3)
+    Xt = Embedding(*graded_pole_module([g1t, *common], p, [d] + [0] * len(common)))
+    Zt = Embedding(*graded_pole_module([g2t], p, [0]))
 
     # middle term: the graded poles X (degree d) and Z (degree 0) and the
     # common part on one ambient, the generator of X with the cross term
     # T^{s-u} g_Z^s added
-    Ymod, gens = graded_pole_module([g1.columns, g2.columns, *common], p,
-                                    [d, 0] + [0] * len(common))
+    Ymod, gens = graded_pole_module([g1, g2, *common], p, [d, 0] + [0] * len(common))
     cross = list(gens[0])
     cross[z_at[s] + s - u] = 1
     gens[0] = tuple(cross)
@@ -123,21 +140,52 @@ def witness_sequence(
     # iota: g^s of Xt goes to T^{r-s} g_X^r + g_Z^s, every other block of
     # g1t to X's block of its length, and the common part to itself
     iota = [[(x_at[r] + r - s, 1), (z_at[s], 1)] if c.length == s
-            else [(x_at[c.length], 1)] for c in g1t.columns]
-    common_at = block_offsets(Xt.B.sizes)[len(g1t.columns):]
+            else [(x_at[c.length], 1)] for c in g1t]
+    common_at = block_offsets(Xt.B.sizes)[len(g1t):]
     iota += [[(o + Ymod.dim - Xt.B.dim, 1)] for o in common_at]
     # pi: kill X except its block of length r (with a sign), g_Z^s to
     # T^{r-s} g_Zt^r, every other block of Z to Zt's block of its length,
     # and kill the common part
-    pi = ([[(zt_at[r], (-1) % p)] if c.length == r else [] for c in g1.columns]
+    pi = ([[(zt_at[r], (-1) % p)] if c.length == r else [] for c in g1]
           + [[(zt_at[r] + r - s, 1)] if c.length == s else [(zt_at[c.length], 1)]
-             for c in g2.columns]
+             for c in g2]
           + [[]] * len(common_at))
 
-    ws = WitnessSequence(Xt, Y, Zt, _map(iota, Xt.B.sizes, Ymod.dim),
-                         _map(pi, Ymod.sizes, Zt.B.dim), move, t_low, t_high)
-    _verify(ws)
-    return ws
+    return WitnessSequence(Xt, Y, Zt, _map(iota, Xt.B.sizes, Ymod.dim),
+                           _map(pi, Ymod.sizes, Zt.B.dim), move, t_low, t_high)
+
+
+def _reproduce(t_low: LRTableau, t_high: LRTableau, move: BoxMove, p: int) -> str:
+    """The tail of a failure message: the ``lrlab witness`` command that
+    runs the construction for this move again."""
+    low, high = (",".join(map(str, reading_word(t))) for t in (t_low, t_high))
+    shape = json.dumps(t_low.shape.to_json(), separators=(",", ":"))
+    return (f"; reproduce with: lrlab witness '{shape}' --from {low} --to {high}"
+            f" --move {move.u},{move.v} -p {p}")
+
+
+def _t_times(M, sizes) -> la.Rows:
+    """T M for T the action on Jordan blocks ``sizes`` (M has sum(sizes)
+    rows): T moves each coordinate one place on in its block, so row j of
+    T M is row j - 1 of M, and a zero row at each block start."""
+    zero = (0,) * (len(M[0]) if M else 0)
+    out = []
+    for o, b in zip(block_offsets(sizes), sizes):
+        out.append(zero)
+        out += map(tuple, M[o:o + b - 1])
+    return tuple(out)
+
+
+def _times_t(M, sizes) -> la.Rows:
+    """M T for T as in ``_t_times`` (M has sum(sizes) columns): column k
+    of M T is column k + 1 of M inside a block, and 0 at a block's last
+    column."""
+    n = sum(sizes)
+    ends = {o + b - 1 for o, b in zip(block_offsets(sizes), sizes)}
+    if n <= 1:  # an itemgetter of one index returns an entry, not a tuple
+        return tuple((0,) * n for _ in M)
+    pick = itemgetter(*[n if k in ends else k + 1 for k in range(n)])
+    return tuple([pick((*row, 0)) for row in M])
 
 
 def _degree_zero(mat, gto, gfrom) -> bool:
@@ -154,11 +202,10 @@ def _verify(ws: WitnessSequence) -> None:
     checks["dimension_split"] = y.B.dim == xt.B.dim + zt.B.dim
     checks["iota_injective"] = la.rank(iota, p) == xt.B.dim
     checks["pi_surjective"] = la.rank(pi, p) == zt.B.dim
-    # the maps, shifts and 0/1 actions are sparse, and products skip zeros
+    # the maps are sparse, and products skip zeros
     checks["composition_zero"] = not any(map(any, la.mul(pi, iota, p)))
-    checks["iota_commutes"] = (la.mul(iota, xt.B.action, p)
-                               == la.mul(y.B.action, iota, p))
-    checks["pi_commutes"] = la.mul(pi, y.B.action, p) == la.mul(zt.B.action, pi, p)
+    checks["iota_commutes"] = _times_t(iota, xt.B.sizes) == _t_times(iota, y.B.sizes)
+    checks["pi_commutes"] = _times_t(pi, y.B.sizes) == _t_times(pi, zt.B.sizes)
     checks["iota_degree_zero"] = _degree_zero(iota, y.B.grading, xt.B.grading)
     checks["pi_degree_zero"] = _degree_zero(pi, zt.B.grading, y.B.grading)
 
@@ -174,9 +221,5 @@ def _verify(ws: WitnessSequence) -> None:
 
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
-        low, high = (",".join(map(str, reading_word(t)))
-                     for t in (ws.tableau_low, ws.tableau_high))
-        shape = json.dumps(ws.tableau_low.shape.to_json(), separators=(",", ":"))
-        raise InvariantViolation(
-            f"witness verification failed: {failed}; reproduce with: lrlab witness"
-            f" '{shape}' --from {low} --to {high} --move {ws.move.u},{ws.move.v} -p {p}")
+        raise InvariantViolation(f"witness verification failed: {failed}"
+                                 + _reproduce(ws.tableau_low, ws.tableau_high, ws.move, p))

@@ -1,18 +1,23 @@
+import json
 import random
+import re
 from itertools import product
 
 import pytest
 
+import poles_reference
 import tableaux_reference as ref
 from conftest import iter_strip_shapes, random_pole
+import lrlab.cli as cli
+import lrlab.poles as poles
 from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
 import lrlab.tableaux as tb
-from lrlab.poles import (ExtendedPole, Picket, Pole, _check_partition_properties,
+from lrlab.poles import (ExtendedPole, Picket, Pole, _check_partition,
                          _pick_with_detour, box_move_pole_partition,
                          empty_tableau, minimal_ambient, picket_tableau,
-                         pole_decomposition, pole_of_tableau, pole_pieces,
-                         pole_tableau, split_off_pole, tableau_union)
+                         pole_decomposition, pole_of_tableau, pole_partition_columns,
+                         pole_pieces, pole_tableau, split_off_pole, tableau_union)
 from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux,
                             from_word, is_horizontal_strip, validate)
 
@@ -164,6 +169,18 @@ def test_pole_partition_never_rebuilds_from_chains(monkeypatch):
         box_move_pole_partition(t, t2, move)
 
 
+def test_column_core_matches_the_tableau_reference():
+    # the same five column tuples as the LRTableau pieces the partition
+    # was built and re-validated as, on every box-move edge with |beta| <= 10
+    edges = 0
+    for t, t2, move in _edges(10):
+        want = tuple(g.columns for g in poles_reference.box_move_pole_partition(t, t2, move))
+        assert pole_partition_columns(t, t2, move) == want, (t, t2, move)
+        assert box_move_pole_partition(t, t2, move) == tuple(map(LRTableau, want))
+        edges += 1
+    assert edges > 80  # 92
+
+
 def test_column_unions_match_chain_unions():
     # the partition check compares sorted column tuples; on these strips
     # that is the stagewise chain union of ``tableau_union``
@@ -190,18 +207,97 @@ TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("message", TAMPERS)
-def test_partition_check_refuses_tampered_pieces(message):
+PIECES = ("g1", "g2", "g3", "g1t", "g2t")
+
+
+def _edge():
     low = from_word(EDGE_SHAPE, (1, 2, 1, 1))
     high = from_word(EDGE_SHAPE, (2, 1, 1, 1))
-    move = next(m for t2, m in box_successors(low) if t2 == high)
-    parts = dict(zip(("g1", "g2", "g3", "g1t", "g2t"),
-                     box_move_pole_partition(low, high, move)), low=low, high=high)
+    return low, high, next(m for t2, m in box_successors(low) if t2 == high)
+
+
+def _refusal(check, *args) -> str:
+    with pytest.raises(InvariantViolation) as info:
+        check(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("message", TAMPERS)
+def test_partition_check_refuses_tampered_pieces(message):
+    # the column check raises what the tableau reference raises
+    low, high, move = _edge()
+    parts = dict(zip(PIECES, box_move_pole_partition(low, high, move)), low=low, high=high)
     assert parts["g3"].columns == (Column(1, 0, (1,)),)
     tampered = {**parts, **{k: parts.get(v, v) for k, v in TAMPERS[message].items()}}
-    with pytest.raises(InvariantViolation, match=message):
-        _check_partition_properties(tampered["low"], tampered["high"], move, *(
-            tampered[k] for k in ("g1", "g2", "g3", "g1t", "g2t")))
+    want = _refusal(poles_reference.check_partition_properties, tampered["low"],
+                    tampered["high"], move, *(tampered[k] for k in PIECES))
+    assert re.search(message, want)
+    got = _refusal(_check_partition, tampered["low"], tampered["high"], move,
+                   *(tampered[k].columns for k in PIECES))
+    assert got == want
+
+
+# columns whose bases do not weakly decrease in their sorted order: no skew
+# diagram, so no LRTableau, for a piece with one entry per column and for one
+# with a blank column
+NOT_SKEW = {"g1": (Column(3, 1, (1, 2)), Column(2, 2, ())),
+            "g3": (Column(2, 0, (1, 2)), Column(1, 1, ()))}
+
+
+@pytest.mark.parametrize("piece", PIECES)
+def test_partition_check_refuses_pieces_that_are_no_skew_diagram(monkeypatch, capsys,
+                                                                   piece):
+    """A tampered piece of no skew diagram is a failed check (exit code 1),
+    not the ``ValueError`` of building it as a tableau (exit code 2)."""
+    bad = NOT_SKEW["g3" if piece == "g3" else "g1"]
+    with pytest.raises(ValueError, match="skew diagram"):
+        LRTableau(bad)
+    low, high, move = _edge()
+    parts = dict(zip(PIECES, pole_partition_columns(low, high, move)), **{piece: bad})
+    message = _refusal(_check_partition, low, high, move, *(parts[k] for k in PIECES))
+    assert message == ("property (2) fails for the common part" if piece == "g3"
+                       else f"property (1) fails for {piece}")
+
+    check = poles._check_partition
+
+    def tampered(t_low, t_high, move, *pieces):
+        return check(t_low, t_high, move, *(bad if k == piece else g
+                                            for k, g in zip(PIECES, pieces)))
+
+    monkeypatch.setattr(poles, "_check_partition", tampered)
+    argv = ["witness", json.dumps(EDGE_SHAPE.to_json()), "--from", "1,2,1,1",
+            "--to", "2,1,1,1", "--move", f"{move.u},{move.v}"]
+    assert cli.run(argv) == cli.EXIT_VERIFICATION
+    assert f"verification failure: {message}; reproduce with: " in capsys.readouterr().err
+
+
+def _tableau_verdicts(cols):
+    """(property (1), property (2)) as the tableau reference decides them:
+    build the tableau, validate it, test the strip and count the entries."""
+    try:
+        t = LRTableau(cols)
+    except ValueError:
+        return False, False
+    strip = validate(t).ok and is_horizontal_strip(t.shape.beta, t.shape.gamma)
+    return strip and all(c.entries for c in cols) and len(t.shape.alpha) <= 1, strip
+
+
+def test_piece_checks_match_tableau_validation_on_random_columns():
+    rng = random.Random(11)
+    seen, poles_seen = set(), 0
+    for _ in range(6000):
+        cols = []
+        for _ in range(rng.randint(0, 5)):
+            n = rng.randint(1, 5)
+            k = rng.choice((0, 1, 1, 1, 2)) if n > 1 else rng.randint(0, 1)
+            cols.append(Column(n, n - k, tuple(sorted(rng.sample(range(1, 5), k)))))
+        cols = tuple(sorted(cols, key=Column.sort_key))
+        want = _tableau_verdicts(cols)
+        assert (poles._is_pole_piece(cols), poles._is_strip(cols)) == want, cols
+        seen.add(want)
+        poles_seen += bool(cols) and want[0]
+    assert seen == {(False, False), (False, True), (True, True)}
+    assert poles_seen > 100
 
 
 def _scan_outcome(scan, *args):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import shlex
 
 import pytest
@@ -7,14 +9,15 @@ import lrlab.cli as cli
 import witness_reference
 from conftest import iter_strip_shapes
 from lrlab import linalg as la
-from lrlab import witness
+from lrlab import poles, witness
 from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
-from lrlab.nilmod import direct_sum, realize_tableau, tableau_of_embedding
-from lrlab.poles import box_move_pole_partition
+from lrlab.nilmod import (NilModule, direct_sum, realize_tableau,
+                          tableau_of_embedding)
+from lrlab.poles import box_move_pole_partition, pole_partition_columns
 from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux, from_word,
                             reading_word)
-from lrlab.witness import _verify, witness_sequence
+from lrlab.witness import _t_times, _times_t, _verify, witness_sequence
 
 
 def nine_column_pair():
@@ -56,6 +59,19 @@ def test_wrong_move_rejected():
         witness_sequence(high, low, move, 2)
 
 
+def _reproduced(message: str):
+    """(low, high, "u,v", p) of the one ``lrlab witness`` command that a
+    failure message ends in, read back through the CLI's parser."""
+    command = message.split("; reproduce with: ")[1]
+    assert "\n" not in command
+    argv = shlex.split(command)
+    assert argv[:2] == ["lrlab", "witness"]
+    args = cli.build_parser().parse_args(argv[1:])
+    shape = cli._shape(args.shape)
+    return (from_word(shape, cli._word(args.frm)), from_word(shape, cli._word(args.to)),
+            args.move, args.prime)
+
+
 def test_verify_compares_both_tableaux():
     low, high, move = nine_column_pair()
     ws = witness_sequence(low, high, move, 2)
@@ -64,23 +80,13 @@ def test_verify_compares_both_tableaux():
                        match=r"\['middle_tableau', 'end_tableau'\]") as info:
         _verify(ws)
     # the message ends in one command naming the sequence's two tableaux
-    command = str(info.value).split("; reproduce with: ")[1]
-    assert "\n" not in command
-    argv = shlex.split(command)
-    assert argv[:2] == ["lrlab", "witness"]
-    args = cli.build_parser().parse_args(argv[1:])
-    assert cli._shape(args.shape) == low.shape
-    assert from_word(low.shape, cli._word(args.frm)) == high
-    assert from_word(low.shape, cli._word(args.to)) == low
-    assert (args.move, args.prime) == (f"{move.u},{move.v}", 2)
+    assert _reproduced(str(info.value)) == (high, low, f"{move.u},{move.v}", 2)
 
 
-def test_verify_refuses_tampered_maps():
-    # every map check of the report fails on some broken iota or pi
-    low, high, move = nine_column_pair()
-    ws = witness_sequence(low, high, move, 3)
+def _tampered_maps(ws):
+    """(iota, pi, the checks they fail) for six broken maps of ``ws``."""
     iota, pi = ws.iota, ws.pi
-    cases = [
+    return [
         ([[0] * len(iota[0]) for _ in iota], pi, ["iota_injective"]),
         ([row[1:] + row[:1] for row in iota], pi,
          ["iota_commutes", "iota_degree_zero", "iota_maps_subspace"]),
@@ -90,7 +96,13 @@ def test_verify_refuses_tampered_maps():
         (iota, [[int(x != 0) for x in row] for row in pi],
          ["composition_zero", "pi_onto_subspace"]),
     ]
-    for ws.iota, ws.pi, failed in cases:
+
+
+def test_verify_refuses_tampered_maps():
+    # every map check of the report fails on some broken iota or pi
+    low, high, move = nine_column_pair()
+    ws = witness_sequence(low, high, move, 3)
+    for ws.iota, ws.pi, failed in _tampered_maps(ws):
         ws.report = {}
         with pytest.raises(InvariantViolation) as info:
             _verify(ws)
@@ -148,11 +160,13 @@ def test_repeated_column_lengths_in_a_piece_fail_verification(monkeypatch, capsy
     repeat is refused as a verification failure (exit code 1), not a
     missing key or index."""
     low, high, move = nine_column_pair()
-    parts = list(box_move_pole_partition(low, high, move))
-    parts[piece] = LRTableau([*parts[piece].columns, parts[piece].columns[-1]])
-    monkeypatch.setattr(witness, "box_move_pole_partition", lambda *args: tuple(parts))
-    with pytest.raises(InvariantViolation, match="column lengths repeat"):
+    parts = list(pole_partition_columns(low, high, move))
+    parts[piece] = (*parts[piece], parts[piece][-1])
+    monkeypatch.setattr(witness, "pole_partition_columns", lambda *args: tuple(parts))
+    with pytest.raises(InvariantViolation, match="column lengths repeat") as info:
         witness_sequence(low, high, move, 2)
+    # the message ends in the command of the edge, as a failed verification does
+    assert _reproduced(str(info.value)) == (low, high, f"{move.u},{move.v}", 2)
     words = [",".join(map(str, reading_word(t))) for t in (low, high)]
     shape = json.dumps(low.shape.to_json())
     argv = ["witness", shape, "--from", words[0], "--to", words[1],
@@ -188,3 +202,95 @@ def test_common_part_matches_a_direct_sum(monkeypatch):
                 (old.xt.to_json(), old.y.to_json(), old.zt.to_json())
             assert (ws.iota, ws.pi) == (old.iota, old.pi)
         assert 0 < summed < len(edges)
+
+
+def test_failed_partition_check_ends_in_the_reproducing_command(monkeypatch):
+    low, high, move = nine_column_pair()
+    monkeypatch.setattr(poles, "_is_pole_piece", lambda cols: False)
+    for p in (2, 3):
+        with pytest.raises(InvariantViolation) as info:
+            witness_sequence(low, high, move, p)
+        message = str(info.value)
+        assert message.startswith("property (1) fails for g1; reproduce with: ")
+        assert _reproduced(message) == (low, high, f"{move.u},{move.v}", p)
+
+
+def _edges_small():
+    return [(t, t2, move) for shape in iter_strip_shapes(9)
+            for t in enumerate_tableaux(shape) for t2, move in box_successors(t)]
+
+
+def _products_with_t(ws):
+    """The four products of ``_verify``'s commutation checks, as gathers
+    and as ``la.mul`` with the action matrices."""
+    p, xt, y, zt = ws.y.p, ws.xt.B, ws.y.B, ws.zt.B
+    iota, pi = ([[x % p for x in row] for row in m] for m in (ws.iota, ws.pi))
+    return ([_times_t(iota, xt.sizes), _t_times(iota, y.sizes),
+             _times_t(pi, y.sizes), _t_times(pi, zt.sizes)],
+            [la.mul(iota, xt.action, p), la.mul(y.action, iota, p),
+             la.mul(pi, y.action, p), la.mul(zt.action, pi, p)])
+
+
+def test_gathers_match_products_with_the_action():
+    seen = 0
+    for t, t2, move in _edges_small():
+        for p in (2, 3):
+            ws = witness_sequence(t, t2, move, p)
+            gathers, products = _products_with_t(ws)
+            assert gathers == products
+            seen += 1
+    low, high, move = nine_column_pair()
+    ws = witness_sequence(low, high, move, 3)
+    for ws.iota, ws.pi, _ in _tampered_maps(ws):
+        gathers, products = _products_with_t(ws)
+        assert gathers == products
+    # modules of dimension 0 and 1 and a few more, under random matrices
+    rng = random.Random(5)
+    for sizes in [(), (1,), (1, 1), (2,), (3, 1, 1), (2, 2, 1), (4, 3, 1, 1)]:
+        B, n = NilModule(sizes, 3), sum(sizes)
+        for m in (0, 1, 3):
+            M = [[rng.randrange(3) for _ in range(n)] for _ in range(m)]
+            assert _times_t(M, sizes) == la.mul(M, B.action, 3)
+            M = [[rng.randrange(3) for _ in range(m)] for _ in range(n)]
+            assert _t_times(M, sizes) == la.mul(B.action, M, 3)
+    assert seen == 72
+
+
+def test_witness_builds_no_tableau_and_multiplies_no_action(monkeypatch):
+    """The fast path: the pole partition stays on column tuples, and the
+    commutation checks take no product with a module's action matrix."""
+    edges = _edges_small()
+    monkeypatch.setattr(LRTableau, "__init__",
+                        lambda *args: pytest.fail("LRTableau constructed"))
+    actions, init, mul = [], NilModule.__init__, la.mul
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        actions.append(self.action)
+
+    def guarded(A, B, p):
+        assert not any(M is a for M in (A, B) for a in actions), "product with T"
+        calls.append(1)
+        return mul(A, B, p)
+
+    calls = []
+    monkeypatch.setattr(NilModule, "__init__", recording)
+    monkeypatch.setattr(la, "mul", guarded)
+    for t, t2, move in edges:
+        for p in (2, 3):
+            assert all(witness_sequence(t, t2, move, p).report.values())
+    assert actions and len(calls) >= 3 * 72  # composition and both subspace maps
+
+
+# sha256 over json.dumps(to_json(), sort_keys=True) of every witness sequence
+# with |beta| <= 9, edge by edge, p = 2 then 3
+WITNESS_DIGEST = "579f9339cb64f7ca96c3efd3ef3e3595c0f46da461e0b811c1466f6164a00d6f"
+
+
+def test_witness_output_is_pinned():
+    digest = hashlib.sha256()
+    for t, t2, move in _edges_small():
+        for p in (2, 3):
+            ws = witness_sequence(t, t2, move, p)
+            digest.update(json.dumps(ws.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
