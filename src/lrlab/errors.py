@@ -20,8 +20,13 @@ class GuardExceeded(Exception):
 
 def guard_budget(guard: int | None = None) -> int:
     """``guard`` when given, else the ``LRLAB_GUARD`` environment variable,
-    else ``DEFAULT_GUARD``."""
+    else ``DEFAULT_GUARD``.  A set variable must be a nonnegative integer
+    in decimal digits; anything else raises ValueError naming it."""
     if guard is not None:
         return guard
     env = os.environ.get("LRLAB_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+    if not env:
+        return DEFAULT_GUARD
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"LRLAB_GUARD must be a nonnegative integer, got {env!r}")
+    return int(env)

@@ -2,9 +2,10 @@
 
 There is one module representation: N_beta = sum of k[T]/(T^b) over the
 block sizes b (``NilModule``, also named ``canonical_module``), built
-from its sizes in its own Jordan coordinates.  T is a gather, each
-coordinate moving one place down its block, the kernels of its powers
-are read off the sizes, and a direct sum is the module of the
+from its sizes in its own Jordan coordinates and kept as tables of
+them: T is a gather, each coordinate moving one place down its block,
+and T as a matrix is built only when it is read; the kernels of its
+powers are read off the sizes, and a direct sum is the module of the
 concatenated sizes.  An action given in some other basis enters only
 through ``Embedding.from_json``, which converts it once, at that
 boundary: ``jordan_basis`` finds the block sizes, a Jordan basis Q and
@@ -70,20 +71,22 @@ class NilModule:
     Jordan block per size, the basis ordered block by block, generator
     first, so the module is its own Jordan basis.
 
-    ``action`` is T as a tuple of rows; T acts on column vectors, so a row
-    vector a maps to the row of T a (``image``).  ``shifts`` optionally
-    assigns a degree to each block generator, making the module graded.
-    The prime is bounded by dim * p**2 < 2**63 (dim taken as at least 1),
-    an input contract that Python's unbounded ints no longer need.  The
-    module is built from the table ``moves``: moves[j] is the coordinate
-    that T moves into j, dim at a block start, and ``_gather`` applies T
-    to a row with a 0 appended by picking those coordinates.  The checks
-    run on the table: the prime, the grading, and the action and T I
-    against the shift of these sizes.  ``_order`` is the layer order of
-    ``_layer_order``.
+    T acts on column vectors, so a row vector a maps to the row of T a
+    (``image``).  ``shifts`` optionally assigns a degree to each block
+    generator, making the module graded.  The prime is bounded by
+    dim * p**2 < 2**63 (dim taken as at least 1), an input contract that
+    Python's unbounded ints no longer need.  The module keeps only tables
+    of its sizes: ``_moves``, where moves[j] is the coordinate that T
+    moves into j, dim at a block start, the gather ``_gather`` that
+    applies T to a row with a 0 appended by picking those coordinates,
+    and the layer order ``_order`` of ``_layer_order``.  ``action``, T as
+    a tuple of rows, is built from ``_moves`` when it is read.  The checks
+    run on the tables: the prime, the grading, and the gather against the
+    layer walk, T moving into the coordinate order[k] the one at
+    (order + [dim])[shift[k]] for every k.
     """
 
-    __slots__ = ("p", "dim", "sizes", "action", "grading", "_gather", "_order")
+    __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_gather", "_order")
 
     def __init__(self, sizes, p: int, shifts=None):
         if any(b <= 0 for b in sizes):
@@ -94,18 +97,25 @@ class NilModule:
         moves = []
         for o, b in zip(block_offsets(sizes), sizes):
             moves += [n, *range(o, o + b - 1)]
-        I, zero = la.identity(n), (0,) * n
-        self.p, self.dim, self.sizes = p, n, sizes
-        self.action = tuple([zero if m == n else I[m] for m in moves])
+        self.p, self.dim, self.sizes, self._moves = p, n, sizes, moves
         # T = 0 below dimension 2, where an itemgetter would not return a tuple
         self._gather = operator.itemgetter(*moves) if n > 1 else lambda row: (0,) * n
         self.grading = (None if shifts is None else
                         _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
                                 ((i, m) for i, m in enumerate(moves) if m < n)))
-        J = _shift(sizes)
-        if tuple(zip(*self.action)) != J or self.image(I) != J:
+        order, shift, _ = self._order = _layer_order(sizes)
+        # in layer order T moves the coordinate at shift[k] to k, n reading 0
+        ends = order + [n]
+        if [moves[j] for j in order] != [ends[s] for s in shift]:
             _not_a_basis(sizes)
-        self._order = _layer_order(sizes)
+
+    @property
+    def action(self) -> la.Rows:
+        """T as a tuple of rows, built from ``_moves`` on each read: row j
+        is 0 at a block start and the unit row at moves[j] elsewhere."""
+        n = self.dim
+        I, zero = la.identity(n), (0,) * n
+        return tuple([zero if m == n else I[m] for m in self._moves])
 
     def image(self, rows) -> la.Rows:
         """The rows of T a for the row vectors a in ``rows``, entries in

@@ -164,13 +164,17 @@ def pole_of_tableau(t: LRTableau) -> Pole:
 
 
 def tableau_union(t1: LRTableau, t2: LRTableau) -> LRTableau:
-    """Stagewise union of the partition chains (tail-padded)."""
-    c1, c2 = t1.chain, t2.chain
+    """The tableau of the ``chain_union`` of the two chains."""
+    return tb.from_chain(chain_union(t1.chain, t2.chain))
+
+
+def chain_union(c1, c2) -> tuple[Partition, ...]:
+    """Stagewise union of two partition chains, the shorter one padded
+    with its last stage: the chain of a direct sum of two embeddings,
+    since B / T^i A of a sum is the sum of the summands' quotients."""
     m = max(len(c1), len(c2))
-    merged = [
-        pt.union(c1[min(i, len(c1) - 1)], c2[min(i, len(c2) - 1)]) for i in range(m)
-    ]
-    return tb.from_chain(merged)
+    return tuple([pt.union(c1[min(i, len(c1) - 1)], c2[min(i, len(c2) - 1)])
+                  for i in range(m)])
 
 
 def split_off_pole(t: LRTableau) -> tuple[LRTableau, LRTableau]:

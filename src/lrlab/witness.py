@@ -14,7 +14,10 @@ is one graded pole module, G3's pieces after the others.
 Exactness, homogeneity, subspace compatibility and both tableau
 identities are re-verified on every construction; a failure lists the
 checks that failed and ends in the ``lrlab witness`` command that
-reproduces it, as does a failed check of the pole partition.
+reproduces it, as does a failed check of the pole partition.  The end
+tableau is that of X-tilde + Z-tilde, whose chain is the stagewise
+union of the summands' chains (``chain_union``), so no direct sum is
+built to read it.
 The construction reads the partition's column tuples
 (``pole_partition_columns``) and builds no tableau.  In Jordan
 coordinates T is a shift, so the commutation checks take T M and M T as
@@ -31,8 +34,8 @@ from operator import itemgetter
 from . import linalg as la
 from .boxmoves import BoxMove
 from .errors import InvariantViolation
-from .nilmod import Embedding, block_offsets, direct_sum, graded_pole_module
-from .poles import pole_partition_columns, pole_pieces
+from .nilmod import Embedding, block_offsets, graded_pole_module
+from .poles import chain_union, pole_partition_columns, pole_pieces
 from .tableaux import LRTableau, reading_word
 
 
@@ -217,7 +220,7 @@ def _verify(ws: WitnessSequence) -> None:
         y.dim_sub() == xt.dim_sub() + zt.dim_sub()
     )
     checks["middle_tableau"] = y.chain() == ws.tableau_low.chain
-    checks["end_tableau"] = direct_sum(xt, zt).chain() == ws.tableau_high.chain
+    checks["end_tableau"] = chain_union(xt.chain(), zt.chain()) == ws.tableau_high.chain
 
     failed = [name for name, ok in checks.items() if not ok]
     if failed:

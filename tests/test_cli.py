@@ -190,6 +190,18 @@ def test_profile_guard(capsys, monkeypatch):
     assert run(["profile", PICKET_EMBEDDING, "--max-i", "-13", "--max-l", "-1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "+5", "1e3", " 12"])
+def test_guard_must_be_a_nonnegative_integer(capsys, monkeypatch, value):
+    # these used to exit 2 without naming the variable (abc, 1e3), exit 3
+    # on a negative guard, or pass as 5 and 12
+    monkeypatch.setenv("LRLAB_GUARD", value)
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "0", "--max-l", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"bad input: LRLAB_GUARD must be a nonnegative integer, got {value!r}\n")
+    monkeypatch.setenv("LRLAB_GUARD", "0")
+    assert run(["profile", PICKET_EMBEDDING, "--max-i", "0", "--max-l", "1"]) == 3
+
+
 def test_layer_ranks_of_no_jordan_type_exit_1(capsys, monkeypatch):
     # ranks that are no Jordan type are a bug, not bad input
     monkeypatch.setattr(nilmod, "bisect_left", lambda pivots, s: 0)

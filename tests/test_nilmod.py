@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -642,6 +643,35 @@ def test_canonical_module_matches_references(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
+def test_action_is_built_from_the_gather_when_read(p):
+    # the matrix a module no longer keeps: the transposed shift of its
+    # sizes, and the product that its gather stands for
+    rng = random.Random(70 + p)
+    for sizes in [(), (1,), (1, 1)] + [_random_blocks(rng)[0] for _ in range(40)]:
+        M = canonical_module(sizes, p)
+        assert M.action == tuple(zip(*nilmod._shift(sizes)))
+        assert all(type(row) is tuple for row in M.action)
+        rows = [tuple(rng.randrange(p) for _ in range(M.dim)) for _ in range(4)]
+        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p)
+
+
+# sha256 over json.dumps(realize_tableau(t, p).to_json(), sort_keys=True) of
+# every tableau of a horizontal-strip shape with |beta| <= 8, p = 2 then 3
+REALIZED_DIGEST = "e17d42f1ae0f90f9036c5c8c8722d3863600fd20d43593e42da998a7a3e3d1ad"
+
+
+def test_realized_output_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                digest.update(json.dumps(realize_tableau(t, p).to_json(),
+                                         sort_keys=True).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (1114, REALIZED_DIGEST)
+
+
+@pytest.mark.parametrize("p", [2, 3])
 def test_canonical_direct_sum_matches_general_sum(p):
     rng = random.Random(p)
     # one to three catalog objects and ungraded blocks per sum
@@ -697,11 +727,25 @@ def test_canonical_module_refuses_what_the_general_path_refuses():
 
 
 def test_canonical_module_checks_its_basis(monkeypatch):
-    # the Jordan check compares the built action with the shift of the sizes
-    canonical_module((2, 1), 3)
-    monkeypatch.setattr(nilmod, "_shift", lambda sizes: la.identity(sum(sizes)))
-    with pytest.raises(InvariantViolation, match=r"not a Jordan basis with blocks \(2, 1\)"):
-        canonical_module((2, 1), 3)
+    # the module checks its gather against the layer walk: a shift moved by
+    # one place, or two coordinates of a layer swapped, is refused
+    M = canonical_module((2, 1), 3)
+    layers = nilmod._layer_order
+    assert layers((2, 1)) == ([0, 2, 1], (3, 3, 0), [0, 2, 3])
+    message = r"not a Jordan basis with blocks \(2, 1\)"
+    corrupt = [lambda order, shift, prefix: (order, shift[1:] + shift[:1], prefix),
+               lambda order, shift, prefix: ([order[1], order[0], *order[2:]], shift, prefix)]
+    for wrong in corrupt:
+        with monkeypatch.context() as m:
+            m.setattr(nilmod, "_layer_order", lambda sizes: wrong(*layers(sizes)))
+            with pytest.raises(InvariantViolation, match=message):
+                canonical_module((2, 1), 3)
+    # a basis read from JSON is still checked against the shift of its sizes
+    I = la.identity(3)
+    nilmod._check_basis(M.action, 3, M.sizes, I, I)
+    monkeypatch.setattr(nilmod, "_shift", lambda sizes: I)
+    with pytest.raises(InvariantViolation, match=message):
+        nilmod._check_basis(M.action, 3, M.sizes, I, I)
 
 
 def _general_copy(E):

@@ -9,12 +9,12 @@ import lrlab.cli as cli
 import witness_reference
 from conftest import iter_strip_shapes
 from lrlab import linalg as la
-from lrlab import poles, witness
+from lrlab import nilmod, poles, witness
 from lrlab.boxmoves import box_successors
 from lrlab.errors import InvariantViolation
-from lrlab.nilmod import (NilModule, direct_sum, realize_tableau,
+from lrlab.nilmod import (Embedding, NilModule, direct_sum, realize_tableau,
                           tableau_of_embedding)
-from lrlab.poles import box_move_pole_partition, pole_partition_columns
+from lrlab.poles import box_move_pole_partition, chain_union, pole_partition_columns
 from lrlab.tableaux import (Column, LRTableau, Shape, enumerate_tableaux, from_word,
                             reading_word)
 from lrlab.witness import _t_times, _times_t, _verify, witness_sequence
@@ -257,29 +257,63 @@ def test_gathers_match_products_with_the_action():
 
 
 def test_witness_builds_no_tableau_and_multiplies_no_action(monkeypatch):
-    """The fast path: the pole partition stays on column tuples, and the
-    commutation checks take no product with a module's action matrix."""
-    edges = _edges_small()
+    """The fast path: the pole partition stays on column tuples, no
+    module's action matrix is read, so no product is taken with one, and
+    the end tableau is read off the summands without a direct sum.  The
+    realization and its tableau read no action either."""
     monkeypatch.setattr(LRTableau, "__init__",
                         lambda *args: pytest.fail("LRTableau constructed"))
-    actions, init, mul = [], NilModule.__init__, la.mul
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        actions.append(self.action)
-
-    def guarded(A, B, p):
-        assert not any(M is a for M in (A, B) for a in actions), "product with T"
-        calls.append(1)
-        return mul(A, B, p)
-
-    calls = []
-    monkeypatch.setattr(NilModule, "__init__", recording)
-    monkeypatch.setattr(la, "mul", guarded)
-    for t, t2, move in edges:
+    monkeypatch.setattr(NilModule, "action",
+                        property(lambda self: pytest.fail("action read")))
+    for module in (nilmod, witness):
+        monkeypatch.setattr(module, "direct_sum",
+                            lambda *args: pytest.fail("direct sum built"), raising=False)
+    with pytest.raises(pytest.fail.Exception, match="action read"):
+        NilModule((2, 1), 2).action
+    for t, t2, move in _edges_small():
         for p in (2, 3):
             assert all(witness_sequence(t, t2, move, p).report.values())
-    assert actions and len(calls) >= 3 * 72  # composition and both subspace maps
+    monkeypatch.undo()
+    tableaux = [t for shape in iter_strip_shapes(6) for t in enumerate_tableaux(shape)]
+    monkeypatch.setattr(NilModule, "action",
+                        property(lambda self: pytest.fail("action read")))
+    for t in tableaux:
+        for p in (2, 3):
+            assert tableau_of_embedding(realize_tableau(t, p)) == t
+
+
+def test_end_tableau_is_the_chain_of_the_direct_sum():
+    """The union of the summands' chains, the shorter one padded, is the
+    chain of the direct sum that ``_verify`` used to build: on every edge
+    with |beta| <= 9, most of them with alpha_1 of Xt below that of Zt."""
+    padded = 0
+    for t, t2, move in _edges_small():
+        for p in (2, 3):
+            ws = witness_sequence(t, t2, move, p)
+            a, b = ws.xt.chain(), ws.zt.chain()
+            want = direct_sum(ws.xt, ws.zt).chain()
+            assert chain_union(a, b) == chain_union(b, a) == want == t2.chain
+            assert direct_sum(ws.zt, ws.xt).chain() == want
+            padded += len(a) != len(b)
+    assert padded == 70
+
+
+def test_verify_refuses_a_wrong_zt_span():
+    # Zt's span replaced by a cyclic subspace of the same dimension and
+    # another chain: the end tableau no longer matches
+    low, high, move = nine_column_pair()
+    for p in (2, 3):
+        ws = witness_sequence(low, high, move, p)
+        zt = ws.zt
+        ws.zt = Embedding(zt.B, [la.identity(zt.B.dim)[5]])
+        assert ws.zt.dim_sub() == zt.dim_sub() and ws.zt.chain() != zt.chain()
+        ws.report = {}
+        with pytest.raises(InvariantViolation) as info:
+            _verify(ws)
+        message = str(info.value)
+        assert message.startswith(
+            "witness verification failed: ['pi_onto_subspace', 'end_tableau']; ")
+        assert _reproduced(message) == (low, high, f"{move.u},{move.v}", p)
 
 
 # sha256 over json.dumps(to_json(), sort_keys=True) of every witness sequence
