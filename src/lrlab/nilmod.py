@@ -14,9 +14,20 @@ grading and subspace are kept only to be printed back.
 
 An embedding is a module together with the reduced basis of an invariant
 subspace A.  In Jordan coordinates ordered by position in block, then by
-block, T^k B is a tail of the coordinates, so one echelon form of T^i A
-gives d[i][k] = dim(T^k B + T^i A) for every k; that layer table yields
-the type of A, the chain of types of B / T^i A and the entry counts.
+block (layer order), T^k B is a tail of the coordinates, so one echelon
+form of T^i A gives d[i][k] = dim(T^k B + T^i A) for every k; that layer
+table yields the type of A, the chain of types of B / T^i A and the
+entry counts.  So an embedding keeps A's echelon form in layer order:
+closing given vectors (``Embedding``) yields it, and it is the table's
+first stage.  In layer order T is a partial shift that keeps the order
+of the coordinates it keeps, so the images of a reduced stage's rows
+are already reduced but for those of the rows whose pivots T kills,
+which alone are reduced into them to give the next stage.  The
+canonical basis of A in block order, which JSON, hom spaces,
+fingerprints and the witness read, is derived from the layer-order
+form when first read.  A span given in block order (``_closed``: census
+spans, direct sums) is kept as given, and its layer-order form is
+derived at once, unless the census hands over the one it built.
 Hom spaces and realizations are exact linear algebra mod p too: dim
 Hom(C, E) is the number of maps of C's block generators into E's kernels
 less the rank of their images on C's subspace generators, each image
@@ -79,14 +90,18 @@ class NilModule:
     of its sizes: ``_moves``, where moves[j] is the coordinate that T
     moves into j, dim at a block start, the gather ``_gather`` that
     applies T to a row with a 0 appended by picking those coordinates,
-    and the layer order ``_order`` of ``_layer_order``.  ``action``, T as
-    a tuple of rows, is built from ``_moves`` when it is read.  The checks
-    run on the tables: the prime, the grading, and the gather against the
-    layer walk, T moving into the coordinate order[k] the one at
-    (order + [dim])[shift[k]] for every k.
+    and the layer order ``_order`` of ``_layer_order``.  Beside the layer
+    order it keeps ``_layered``, which takes a row to layer order, the
+    gather ``_step`` of T on rows in layer order (``layer_image``), and
+    ``_to``, where T moves each coordinate it keeps in layer order:
+    to[shift[k]] = k.  ``action``, T as a tuple of rows, is built from
+    ``_moves`` when it is read.  The checks run on the tables: the prime,
+    the grading, and the gather against the layer walk, T moving into the
+    coordinate order[k] the one at (order + [dim])[shift[k]] for every k.
     """
 
-    __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_gather", "_order")
+    __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_gather", "_order",
+                 "_layered", "_step", "_to")
 
     def __init__(self, sizes, p: int, shifts=None):
         if any(b <= 0 for b in sizes):
@@ -98,8 +113,7 @@ class NilModule:
         for o, b in zip(block_offsets(sizes), sizes):
             moves += [n, *range(o, o + b - 1)]
         self.p, self.dim, self.sizes, self._moves = p, n, sizes, moves
-        # T = 0 below dimension 2, where an itemgetter would not return a tuple
-        self._gather = operator.itemgetter(*moves) if n > 1 else lambda row: (0,) * n
+        self._gather = _picker(moves)
         self.grading = (None if shifts is None else
                         _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
                                 ((i, m) for i, m in enumerate(moves) if m < n)))
@@ -108,6 +122,9 @@ class NilModule:
         ends = order + [n]
         if [moves[j] for j in order] != [ends[s] for s in shift]:
             _not_a_basis(sizes)
+        self._layered, self._step = _picker(order), _picker(shift)
+        to = self._to = dict(zip(shift, range(n)))
+        to.pop(n, None)
 
     @property
     def action(self) -> la.Rows:
@@ -122,6 +139,11 @@ class NilModule:
         [0, p)."""
         gather = self._gather
         return tuple([gather((*row, 0)) for row in rows])
+
+    def layer_image(self, rows) -> list[tuple[int, ...]]:
+        """``image`` for rows in layer order."""
+        step = self._step
+        return [step((*row, 0)) for row in rows]
 
     def kernel(self, k: int) -> la.Rows:
         """Canonical (rref) row basis of ker T^k: the unit rows at
@@ -156,6 +178,17 @@ def _graded(grading, n: int, nonzeros) -> tuple[int, ...]:
         if grading[i] != grading[j] + 1:
             raise ValueError(f"action does not raise degree by one at ({i},{j})")
     return grading
+
+
+def _picker(indices):
+    """The entries of a row at ``indices``, as a tuple: an itemgetter,
+    which returns a bare entry for one index and cannot take none."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def _not_a_basis(sizes) -> None:
@@ -255,56 +288,70 @@ def _check_basis(action: la.Rows, p: int, sizes, Q, inverse) -> None:
         _not_a_basis(sizes)
 
 
-def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int]]:
-    """Canonical (rref) basis and pivots of the smallest invariant
-    subspace of B containing ``vectors``.
+def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[tuple[int, ...]]]:
+    """Canonical (rref) basis in B's layer order (``_layer_order``), its
+    pivots and the T-images of its rows, for the smallest invariant
+    subspace of B containing ``vectors``, given in block order.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
-    vectors, each taken until it vanishes, so one ``rref`` of the orbits
-    gives it.  The images of the basis rows are then reduced modulo the
-    span in one step (see ``la.reduce_vec``) as the invariance check: a
-    nonzero residue raises ``InvariantViolation``.  A span that is
-    already invariant costs one ``rref`` and that check.
+    vectors, each taken until it vanishes, so one ``rref`` of the orbits,
+    taken to layer order, gives it.  The images of the basis rows are
+    then reduced modulo the span in one step (see ``la.reduce_vec``) as
+    the invariance check: a nonzero residue raises ``InvariantViolation``.
+    A span that is already invariant costs one ``rref`` and that check.
+    The images are returned for the layer table, whose next stage they
+    span.
     """
     p = B.p
     rows = _vectors(vectors, B.dim, p)
-    step = [v for v in rows if any(v)]
+    layered = B._layered
+    step = [layered(v) for v in rows if any(v)]
     orbits = []
     while step:
         orbits += step
-        step = [v for v in B.image(step) if any(v)]
+        step = [v for v in B.layer_image(step) if any(v)]
     span, pivots = la.rref(orbits, p)
-    residue = [la.reduce_vec(v, span, pivots, p) for v in B.image(span)]
+    images = B.layer_image(span)
+    residue = [la.reduce_vec(v, span, pivots, p) for v in images]
     if any(map(any, residue)):
         raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
                                  f" of blocks {list(B.sizes)} over F_{p} do not span"
                                  " an invariant subspace")
-    return span, pivots
+    return span, pivots, images
 
 
 class Embedding:
     """An invariant subspace A inside the module B.
 
-    ``span`` is the canonical (rref) row basis of A, a tuple of row
-    tuples and so its own dictionary key; the constructor closes the
-    given vectors under the action (``invariant_closure``: one ``rref``
+    The embedding keeps the echelon form of A that its layer table reads:
+    the canonical (rref) row basis of A in B's layer order
+    (``_layer_order``), with its pivots.  The constructor closes the given
+    vectors under the action there (``invariant_closure``: one ``rref``
     of their orbits, then the invariance check), so they may be just
-    generators.  The layer table (with alpha and the chain), the tableau,
-    A's module generators (for ``hom_images``) and, for a cyclic A, the
-    blocks of its generator are computed on first use and kept.  An
-    embedding read by ``from_json`` keeps the caller's T, grading and
-    subspace rows as ``_source``, for ``to_json``.
+    generators, and keeps the check's T-images of the basis as the
+    table's next stage.  ``span``, the canonical row basis of A in block
+    order, a tuple of row tuples and so its own dictionary key, and its
+    pivots are derived from that form on first read (``_derive_span``:
+    one permutation and one ``rref``) and kept; embeddings made from a
+    block-order span (``_closed``) keep it as given.  The layer table
+    (with alpha and the chain), the tableau, A's module generators (for
+    ``hom_images``) and, for a cyclic A, the blocks of its generator are
+    computed on first use and kept.  An embedding read by ``from_json``
+    keeps the caller's T, grading and subspace rows as ``_source``, for
+    ``to_json``.
     """
 
-    __slots__ = ("B", "span", "_pivots", "_layers", "_tableau", "_gens",
-                 "_generator", "_source")
+    __slots__ = ("B", "_echelon", "_leads", "_images", "_span", "_span_pivots", "_layers",
+                 "_tableau", "_gens", "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
         self._fill(B, *invariant_closure(B, vectors))
 
-    def _fill(self, B: NilModule, span: la.Rows, pivots: list[int]) -> "Embedding":
+    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int],
+              images=None) -> "Embedding":
         self.B = B
-        self.span, self._pivots = span, pivots
+        self._echelon, self._leads, self._images = echelon, leads, images
+        self._span = self._span_pivots = None
         self._layers = None
         self._tableau = None
         self._gens = None
@@ -316,8 +363,27 @@ class Embedding:
     def p(self) -> int:
         return self.B.p
 
+    @property
+    def span(self) -> la.Rows:
+        if self._span is None:
+            self._derive_span()
+        return self._span
+
+    @property
+    def _pivots(self) -> list[int]:
+        if self._span is None:
+            self._derive_span()
+        return self._span_pivots
+
+    def _derive_span(self) -> None:
+        """The block-order ``span`` and its pivots from the layer-order
+        echelon form: its rows taken back to block order, then reduced."""
+        order = self.B._order[0]
+        back = _picker(sorted(range(self.B.dim), key=order.__getitem__))
+        self._span, self._span_pivots = la.rref([back(row) for row in self._echelon], self.p)
+
     def dim_sub(self) -> int:
-        return len(self.span)
+        return len(self._echelon)
 
     def _table(self):
         """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
@@ -327,21 +393,42 @@ class Embedding:
         prefix[k] on, so d[i][k] is dim T^k B plus the pivots of the
         echelon form of T^i A before prefix[k].  Stage i of the chain,
         B / T^i A, has dim T^k(B / T^i A) = d[i][k] - dim T^i A.
+
+        Stage 0 is the kept echelon form of A, and T carries each stage to
+        the next: the T-images of the rows of T^i A's rref span T^(i+1) A.
+        In layer order T is a partial shift that keeps the order of the
+        coordinates it keeps (``NilModule._to``).  So the image of a row
+        whose pivot c T keeps has its lead 1 at to[c], and at the moved
+        pivot of every other such row the entry that the row had at that
+        pivot, 0: these images are already reduced, with pivots to[c] in
+        order.  Only the images of the rows whose pivot T kills are
+        reduced into them (``la.extend``).
         """
         if self._layers is None:
-            (order, shift, prefix), p, n = self.B._order, self.p, self.B.dim
-            C = [[c[q] for q in order] for c in self.span]
+            B, p = self.B, self.p
+            n, to, prefix = B.dim, B._to, B._order[2]
+            R, pivots, images = self._echelon, self._leads, self._images
             dims, table = [], []
-            while any(map(any, C)):
-                R, pivots = la.rref(C, p)
+            while R:
                 dims.append(len(pivots))
-                table.append(tuple(n - s + bisect_left(pivots, s) for s in prefix))
-                C = [[row[s] for s in shift] for row in (r + (0,) for r in R)]
+                table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
+                if images is None:
+                    images = B.layer_image(R)
+                kept, moved, killed = [], [], []
+                for v, c in zip(images, pivots):
+                    if c in to:
+                        kept.append(v)
+                        moved.append(to[c])
+                    else:
+                        killed.append(v)
+                R, pivots = la.extend(kept, moved, killed, p)
+                images = None
             dims.append(0)
             table.append(tuple(n - s for s in prefix))
             chain = tuple(_type_from_ranks([x - a for x in row])
                           for row, a in zip(table, dims))
             self._layers = _type_from_ranks(dims), chain, tuple(table)
+            self._images = None
         return self._layers
 
     @property
@@ -360,7 +447,18 @@ class Embedding:
         return jordan_type(self.B)
 
     def contains(self, v) -> bool:
-        return la.in_space(v, self.span, self._pivots, self.p)
+        """Whether the row v, in block order, lies in A: v taken to layer
+        order against the kept echelon form, so no block-order span is
+        derived."""
+        return la.in_space(self.B._layered(v), self._echelon, self._leads, self.p)
+
+    def map_image(self, M) -> la.Rows:
+        """The canonical (rref) basis of g(A), for the map g of the matrix
+        M with B.dim columns, acting on column vectors: the kept echelon
+        form of A times the transpose of M, whose rows are taken to layer
+        order to match it, so no block-order span is derived."""
+        columns = list(zip(*M)) if M else [()] * self.B.dim  # M^T, also of a map to 0
+        return la.row_space(la.mul(self._echelon, self.B._layered(columns), self.p), self.p)
 
     def to_json(self) -> dict:
         T, grading, span = self._source or (self.B.action, self.B.grading, self.span)
@@ -418,10 +516,17 @@ class Embedding:
                 f"gamma={self.gamma})")
 
 
-def _closed(B: NilModule, span: la.Rows) -> Embedding:
-    """The embedding of a span of B that is already invariant and in rref:
-    no closure is run, and each row's pivot is its first entry 1."""
-    return object.__new__(Embedding)._fill(B, span, [row.index(1) for row in span])
+def _closed(B: NilModule, span: la.Rows, layered=None) -> Embedding:
+    """The embedding of a span of B that is already invariant and in rref,
+    in block order: no closure is run, the span is kept as given, and each
+    row's pivot is its first entry 1.  ``layered`` is the span's echelon
+    form in layer order with its pivots, when the caller has it; else it
+    is derived with one permutation and one ``rref``."""
+    if layered is None:
+        layered = la.rref([B._layered(row) for row in span], B.p)
+    E = object.__new__(Embedding)._fill(B, *layered)
+    E._span, E._span_pivots = span, [row.index(1) for row in span]
+    return E
 
 
 def _type_from_ranks(ranks) -> Partition:
@@ -495,8 +600,9 @@ def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
 def direct_sum(*embeddings: Embedding) -> Embedding:
     """Block-diagonal direct sum: the module of the concatenated block
     sizes, graded by the summands' degrees at their block starts when
-    every summand is graded; the stacked spans are already closed and
-    reduced."""
+    every summand is graded; the stacked block-order spans are already
+    closed and reduced, and ``_closed`` derives the sum's layer-order
+    form from them."""
     if not embeddings:
         raise ValueError("need at least one summand")
     p = embeddings[0].p
@@ -575,9 +681,10 @@ def _reduced_rank(U: la.Rows, E: Embedding) -> int:
 
 
 def _generators(E: Embedding) -> la.Rows:
-    """Module generators of A, kept on E: the rows of the kept echelon
-    form of A whose pivots are not pivots of T A.  They are independent
-    modulo T A, and there are dim A - dim T A = len(alpha) of them."""
+    """Module generators of A, kept on E: the rows of A's block-order
+    echelon form (``span``) whose pivots are not pivots of T A.  They are
+    independent modulo T A, and there are dim A - dim T A = len(alpha) of
+    them."""
     if E._gens is None:
         shifted = la.rref(E.B.image(E.span), E.p)[1]
         E._gens = tuple(r for r, c in zip(E.span, E._pivots) if c not in shifted)

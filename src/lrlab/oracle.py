@@ -14,9 +14,10 @@ are its parent's merged with the leading entries of the residues of the
 line's orbit, so the cotype test takes no elimination, and only a span
 that passes it gets an echelon form, by extending its parent's
 (``linalg.extend``).  One path serves every prime.  The census
-re-checks the type and cotype of every span it gets back, now in block
-order, and buckets the spans by tableau and by hom-dimension
-fingerprint against a catalog of known indecomposables.
+re-checks the type and cotype of every span it gets back, reading its
+layer table off the search's own echelon form, and buckets the spans,
+now in block order, by tableau and by hom-dimension fingerprint against
+a catalog of known indecomposables.
 Spans are visited in the order of their row tuples, so each class
 representative is its least member.  Catalogs are built once per
 argument and kept.
@@ -58,7 +59,6 @@ five-class census.  Pass a richer catalog to sharpen the separation.
 from __future__ import annotations
 
 import json
-import operator
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
@@ -284,8 +284,8 @@ def enumerate_submodules(
     per_tableau: dict[LRTableau, int] = {}
     buckets: dict[tuple[int, ...], CensusClass] = {}
     total = 0
-    for span in spans:
-        E = _closed(B, span)  # the search closed and reduced it
+    for span, layered in spans:
+        E = _closed(B, span, layered)  # the search closed and reduced it
         if E.alpha != shape.alpha or E.gamma != shape.gamma:
             raise InvariantViolation(
                 f"search returned a span of type {list(E.alpha)} and cotype"
@@ -337,10 +337,12 @@ def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
     return tuple(catalog)
 
 
-def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
+def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[int]]]]:
     """Canonical bases of the distinct invariant subspaces S of B of type
-    alpha and cotype gamma (B / S of type gamma), sorted; alpha and gamma
-    as in a ``Shape`` whose beta is B's type.
+    alpha and cotype gamma (B / S of type gamma), sorted, each with its
+    echelon form and pivots in B's layer order, which the search built
+    and an embedding's layer table reads; alpha and gamma as in a
+    ``Shape`` whose beta is B's type.
 
     Every such S is generated by a tuple with the i-th generator inside
     ker T^alpha_i, and the search adds one generator per part of alpha and
@@ -389,18 +391,17 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
     is the cotype test.  After the last level B / S has |beta| - |alpha|
     = |gamma| boxes, so there containment is equality, and every span
     kept has cotype gamma.  The survivors go back to block order, one
-    ``rref`` each, and are sorted, so the order in which lines and spans
-    are visited does not show.
+    ``rref`` each, and are sorted by that form, so the order in which
+    lines and spans are visited does not show.
     """
     p, n = B.p, B.dim
-    order, shift, prefix = B._order
+    order, _, prefix = B._order
     back = sorted(range(n), key=order.__getitem__)  # q -> its index in layer order
-    # T on a row in layer order with a 0 appended; T = 0 below dimension 2
-    image = operator.itemgetter(*shift) if n > 1 else lambda row: (0,) * n
+    image = B._step  # T on a row in layer order with a 0 appended
     columns = pt.transpose(gamma)
     level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots, in layer order
     for a in alpha:
-        kernel = [tuple([v[q] for q in order]) for v in B.kernel(a)]
+        kernel = [B._layered(v) for v in B.kernel(a)]
         grown: dict[la.Rows, list[int]] = {}
         for S, pivots in level.items():
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
@@ -432,8 +433,8 @@ def _distinct_submodules(B, alpha, gamma) -> list[la.Rows]:
                             f" span {[[row[i] for i in back] for row in S]}")
                     grown.setdefault(R, R_pivots)
         level = grown
-    return sorted([la.rref([tuple([row[i] for i in back]) for row in S], p)[0]
-                   for S in level])
+    return sorted([(la.rref([tuple([row[i] for i in back]) for row in S], p)[0], (S, pivots))
+                   for S, pivots in level.items()])
 
 
 def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, ...]]:

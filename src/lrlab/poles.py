@@ -7,7 +7,8 @@ x_1 + 1, ..., x_k + 1.  Horizontal-strip tableaux decompose into poles
 and empty pickets by repeatedly splitting off the greedy "largest entry,
 then first occurrence rightward" column selection, and a single box move
 refines that decomposition into the five-piece partition used by the
-witness construction.  The scans (``_scan``) run on plain column lists.
+witness construction.  The scans (``_scan``) run on plain column lists,
+with a list of the columns' single entries beside them.
 The partition (``pole_partition_columns``) is cut and re-checked on
 column tuples, which is all the witness reads; on pieces of one entry per
 column the LR conditions reduce to a few comparisons of bases and entries
@@ -278,20 +279,26 @@ def _scan(work: list[Column], c_u=None, cv_t=None, missing_key=None):
     """Repeated split-off scans while ``work`` holds an entry: yields
     (group, flag) per scan and deletes the group from ``work``, leaving
     the blank columns.  ``c_u`` and ``cv_t``, when given, stay wanted
-    until a scan flags them (see ``_pick_with_detour``)."""
+    until a scan flags them (see ``_pick_with_detour``).  The list
+    ``single`` keeps, in step with ``work``, each column's single entry:
+    0 for a blank column and -1 for a column of two or more entries, which
+    no scan picks."""
+    single = [(c.entries[0] if len(c.entries) == 1 else -1) if c.entries else 0
+              for c in work]
     want_u, want_v = c_u is not None, cv_t is not None
-    while any(c.entries for c in work):
+    while any(single):
         indices, flag = _pick_with_detour(
-            work, c_u, cv_t, missing_key, want_u, want_v)
+            work, single, c_u, cv_t, missing_key, want_u, want_v)
         group = [work[i] for i in indices]
         for i in sorted(indices, reverse=True):
-            del work[i]
+            del work[i], single[i]
         want_u, want_v = want_u and flag != "u", want_v and flag != "v"
         yield group, flag
 
 
-def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
-    """One split-off scan over ``columns``.
+def _pick_with_detour(columns, single, c_u, cv_t, missing_key, want_u, want_v):
+    """One split-off scan over ``columns``, whose single entries are
+    ``single`` (see ``_scan``).
 
     Picks the first column holding the largest entry, then for each
     smaller value the first column holding it right of the last pick.
@@ -300,15 +307,17 @@ def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
     Returns (indices, flag) with flag in {"u", "v", None}.  With nothing
     wanted it is the plain scan.
     """
-    top = max(c.entries[0] for c in columns if c.entries)
+    top = max(single)
+    if -1 in single:  # a longer column is never picked, but may set the top
+        top = max(top, *[c.entries[0] for c, x in zip(columns, single) if x < 0])
     picked, flag = [], None
     start, gap = 0, False
     for e in range(top, 0, -1):
-        nxt = next((i for i in range(start, len(columns))
-                    if columns[i].entries == (e,)), None)
-        if nxt is None:
+        try:
+            nxt = single.index(e, start)
+        except ValueError:
             where = "the gap" if gap else f"position {start - 1}"
-            raise InvariantViolation(f"no column with entry {e} right of {where}")
+            raise InvariantViolation(f"no column with entry {e} right of {where}") from None
         picked.append(nxt)
         hit = ("u" if want_u and columns[nxt] == c_u else
                "v" if want_v and columns[nxt] == cv_t else None)

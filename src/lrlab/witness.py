@@ -22,7 +22,9 @@ The construction reads the partition's column tuples
 (``pole_partition_columns``) and builds no tableau.  In Jordan
 coordinates T is a shift, so the commutation checks take T M and M T as
 gathers of rows and columns of M (``_t_times``, ``_times_t``) instead of
-products with the action matrices.
+products with the action matrices.  The subspace checks read each term's
+echelon form in layer order (``Embedding.map_image``,
+``Embedding.contains``), so a verified op derives no block-order span.
 """
 
 from __future__ import annotations
@@ -212,10 +214,11 @@ def _verify(ws: WitnessSequence) -> None:
     checks["iota_degree_zero"] = _degree_zero(iota, y.B.grading, xt.B.grading)
     checks["pi_degree_zero"] = _degree_zero(pi, zt.B.grading, y.B.grading)
 
-    image_sub = la.row_space(la.mul(xt.span, list(zip(*iota)), p), p)
-    checks["iota_maps_subspace"] = all(y.contains(row) for row in image_sub)
-    pushed = la.row_space(la.mul(y.span, list(zip(*pi)), p), p)
-    checks["pi_onto_subspace"] = pushed == zt.span
+    checks["iota_maps_subspace"] = all(y.contains(row) for row in xt.map_image(iota))
+    # pi(A_Y) inside A_Zt and of its dimension is all of A_Zt
+    pushed = y.map_image(pi)
+    checks["pi_onto_subspace"] = (len(pushed) == zt.dim_sub()
+                                  and all(zt.contains(row) for row in pushed))
     checks["subspace_dimension_split"] = (
         y.dim_sub() == xt.dim_sub() + zt.dim_sub()
     )

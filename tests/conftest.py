@@ -1,5 +1,7 @@
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,17 @@ def strip_tableaux_12():
     """Every tableau of every horizontal-strip shape with |beta| <= 12
     (5814 of them), by shape."""
     return {shape: enumerate_tableaux(shape) for shape in iter_strip_shapes(12)}
+
+
+def census_pool():
+    """The 50 shapes and primes of the benchmark's census workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lrbench"))
+    try:
+        from workloads import CENSUS_POOL
+    finally:
+        sys.path.pop(0)
+    assert len(CENSUS_POOL) == 50
+    return [(Shape(*raw), p) for raw, p in CENSUS_POOL]
 
 
 def horizontal_gammas(beta):

@@ -13,8 +13,11 @@ and per-part tableau realizations that one ``graded_pole_module`` per
 embedding replaced, the
 layer order by one sum per layer that canonical modules no longer use
 and the layer order by a position dict that the package replaced with
-indices carried from layer to layer, and the Jordan type as the
-transpose of the rank differences that second differences replaced.
+indices carried from layer to layer, the Jordan type as the
+transpose of the rank differences that second differences replaced,
+and the closure in block order and the layer table that row-reduced
+every stage afresh, which the closure in layer order and the stages
+carried by T replaced.
 They are kept only so tests can require identical answers from both.
 
 The package has one module representation, N_beta in its own Jordan
@@ -29,13 +32,15 @@ on the converted module.
 They compute on numpy arrays and convert at their boundary: the
 package's rows come in through ``mat``, and the echelon forms run the
 package's kernel (checked against the numpy one in
-``tests/test_linalg.py``) on ``tolist`` rows; the block-generator solver
-runs on rows as it ran in the package.
+``tests/test_linalg.py``) on ``tolist`` rows; the block-generator solver,
+the block-order closure and the old layer table run on rows as they ran
+in the package.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -45,7 +50,9 @@ from linalg_reference import mat
 from lrlab import linalg
 from lrlab import partitions as pt
 from lrlab import tableaux as tb
-from lrlab.nilmod import (Embedding, _chain_pole_split, block_offsets,
+from lrlab.errors import InvariantViolation
+from lrlab.nilmod import _type_from_ranks as _type_from_ranks_package
+from lrlab.nilmod import (Embedding, _chain_pole_split, _vectors, block_offsets,
                           canonical_module, direct_sum, tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
@@ -348,6 +355,53 @@ def invariant_closure(B, vectors):
         if len(grown_pivots) == len(pivots):
             return span, pivots
         span, pivots = grown, grown_pivots
+
+
+def orbit_closure(B, vectors):
+    """Rref basis and pivots of the invariant closure in block order, as
+    the package took it before it closed in layer order: one ``rref`` of
+    the orbits under ``B.image``, then the residues of the basis's images
+    as the invariance check."""
+    p = B.p
+    rows = _vectors(vectors, B.dim, p)
+    step = [v for v in rows if any(v)]
+    orbits = []
+    while step:
+        orbits += step
+        step = [v for v in B.image(step) if any(v)]
+    span, pivots = linalg.rref(orbits, p)
+    residue = [linalg.reduce_vec(v, span, pivots, p) for v in B.image(span)]
+    if any(map(any, residue)):
+        raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
+                                 f" of blocks {list(B.sizes)} over F_{p} do not span"
+                                 " an invariant subspace")
+    return span, pivots
+
+
+def in_layer_order(B, span):
+    """The rref and pivots of a block-order span's rows taken to B's layer
+    order."""
+    order = B._order[0]
+    return linalg.rref([tuple([row[q] for q in order]) for row in span], B.p)
+
+
+def layer_table(E):
+    """(alpha, chain, d) of E's layer table as the package took it before
+    T carried each stage to the next: the block-order span taken to layer
+    order, and every stage row-reduced from its T-images afresh."""
+    (order, shift, prefix), p, n = E.B._order, E.p, E.B.dim
+    C = [[c[q] for q in order] for c in E.span]
+    dims, table = [], []
+    while any(map(any, C)):
+        R, pivots = linalg.rref(C, p)
+        dims.append(len(pivots))
+        table.append(tuple(n - s + bisect_left(pivots, s) for s in prefix))
+        C = [[row[s] for s in shift] for row in (r + (0,) for r in R)]
+    dims.append(0)
+    table.append(tuple(n - s for s in prefix))
+    chain = tuple(_type_from_ranks_package([x - a for x in row])
+                  for row, a in zip(table, dims))
+    return _type_from_ranks_package(dims), chain, tuple(table)
 
 
 def graded_pole_embedding(t: LRTableau, p: int, shift: int = 0) -> Embedding:

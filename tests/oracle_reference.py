@@ -32,9 +32,9 @@ import numpy as np
 
 from lrlab import linalg
 from lrlab.nilmod import (_closed, _reduced_rank, coordinate_meet_dim, generator_blocks,
-                          hom_images, hom_positions, invariant_closure)
+                          hom_images, hom_positions)
 from lrlab.oracle import _residue_lines
-from nilmod_reference import action_of, kron_hom_system, la, power, span_of
+from nilmod_reference import action_of, kron_hom_system, la, orbit_closure, power, span_of
 
 
 def distinct_submodules(B, alpha):
@@ -55,7 +55,7 @@ def distinct_submodules(B, alpha):
                     if c:
                         v = (v + c * row) % p
                 gens.append(v)
-        seen.add(invariant_closure(B, gens)[0])
+        seen.add(orbit_closure(B, gens)[0])
     return list(seen)
 
 

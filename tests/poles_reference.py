@@ -1,16 +1,73 @@
 """The pole partition as ``lrlab.poles`` cut and checked it before it ran
 on column tuples: five ``LRTableau`` pieces, built and then re-validated
-by ``validate``, the strip test and the entry counts of their shapes.
-Kept only so tests can require the same pieces, and the same messages on
-tampered pieces, from the column core ``pole_partition_columns``.
+by ``validate``, the strip test and the entry counts of their shapes; and
+the split-off scan as it ran before it kept the columns' single entries
+in a list, each pick a search over the column records.  Kept only so
+tests can require the same pieces, and the same messages on tampered
+pieces, from the column core ``pole_partition_columns`` and from
+``pole_pieces``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import lrlab.tableaux as tb
 from lrlab.errors import InvariantViolation
-from lrlab.poles import _scan
 from lrlab.tableaux import Column, LRTableau
+
+
+def pole_pieces(columns) -> list[list[Column]]:
+    """A horizontal strip's columns cut by repeated split-off scans: one
+    group per pole, then the blank columns left over (possibly none)."""
+    work = list(columns)
+    return [group for group, _ in _scan(work)] + [work]
+
+
+def _scan(work: list[Column], c_u=None, cv_t=None, missing_key=None):
+    """Repeated split-off scans while ``work`` holds an entry: yields
+    (group, flag) per scan and deletes the group from ``work``, leaving
+    the blank columns.  ``c_u`` and ``cv_t``, when given, stay wanted
+    until a scan flags them (see ``_pick_with_detour``)."""
+    want_u, want_v = c_u is not None, cv_t is not None
+    while any(c.entries for c in work):
+        indices, flag = _pick_with_detour(
+            work, c_u, cv_t, missing_key, want_u, want_v)
+        group = [work[i] for i in indices]
+        for i in sorted(indices, reverse=True):
+            del work[i]
+        want_u, want_v = want_u and flag != "u", want_v and flag != "v"
+        yield group, flag
+
+
+def _pick_with_detour(columns, c_u, cv_t, missing_key, want_u, want_v):
+    """One split-off scan over ``columns``.
+
+    Picks the first column holding the largest entry, then for each
+    smaller value the first column holding it right of the last pick.
+    When a pick is a still-wanted special column (the first one only),
+    the next search starts at the removed column's position instead.
+    Returns (indices, flag) with flag in {"u", "v", None}.  With nothing
+    wanted it is the plain scan.
+    """
+    top = max(c.entries[0] for c in columns if c.entries)
+    picked, flag = [], None
+    start, gap = 0, False
+    for e in range(top, 0, -1):
+        nxt = next((i for i in range(start, len(columns))
+                    if columns[i].entries == (e,)), None)
+        if nxt is None:
+            where = "the gap" if gap else f"position {start - 1}"
+            raise InvariantViolation(f"no column with entry {e} right of {where}")
+        picked.append(nxt)
+        hit = ("u" if want_u and columns[nxt] == c_u else
+               "v" if want_v and columns[nxt] == cv_t else None)
+        if hit and flag:
+            raise InvariantViolation("second special column in a detoured scan")
+        flag, gap = flag or hit, hit is not None
+        start = (bisect_left([c.sort_key() for c in columns], missing_key)
+                 if gap else nxt + 1)
+    return picked, flag
 
 
 def box_move_pole_partition(

@@ -10,8 +10,8 @@ import pytest
 import nilmod_reference as ref
 import oracle_reference
 import tableaux_reference
-from conftest import (FIVE_CLASS, TWO_CLASS, iter_all_shapes, iter_strip_shapes,
-                      random_pole)
+from conftest import (FIVE_CLASS, TWO_CLASS, census_pool, iter_all_shapes,
+                      iter_strip_shapes, random_pole)
 from linalg_reference import mat
 from lrlab import linalg as la
 from lrlab import nilmod
@@ -26,6 +26,7 @@ from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
                           picket_hom_profile, pole_generator, realize_picket,
                           realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.boxmoves import box_successors
+from lrlab.cli import run
 from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
                           iso_fingerprint, picket_pole_catalog, s4_catalog)
 from lrlab.partitions import partition, partitions_of
@@ -294,7 +295,7 @@ HOM_CENSUS_SHAPES = [(TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), 
 def _census_targets(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
     B = canonical_module(shape.beta, p)
-    return [Embedding(B, S) for S in _distinct_submodules(B, shape.alpha, shape.gamma)]
+    return [Embedding(B, S) for S, _ in _distinct_submodules(B, shape.alpha, shape.gamma)]
 
 
 @pytest.mark.parametrize("shape,p", HOM_CENSUS_SHAPES, ids=str)
@@ -434,11 +435,13 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
         for k in range(3):
             gens = rng.integers(0, p, size=(k, n))
             # in Jordan coordinates, and in general position through the
-            # boundary, against the loop on the conjugated T as given
-            span, pivots = invariant_closure(B, gens)
+            # boundary, against the loop on the conjugated T as given; the
+            # closure is in layer order, and the block-order span derived
+            E = Embedding(B, gens)
             want, want_pivots = ref.invariant_closure(B, gens)
-            assert span == tuple(map(tuple, want.tolist()))
-            assert pivots == want_pivots
+            assert E.span == tuple(map(tuple, want.tolist()))
+            assert E._pivots == want_pivots
+            assert invariant_closure(B, gens)[:2] == ref.in_layer_order(B, E.span)
             data = {"p": p, "T": T.tolist(), "A_span": gens.tolist()}
             got = Embedding.from_json(data).to_json()["A_span"]
             want, want_pivots = ref.invariant_closure(ref.general_embedding(data).B, gens)
@@ -464,9 +467,13 @@ def test_graded_pole_generators_are_taken_as_they_are(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
     def check(B, vectors):
-        span, pivots = invariant_closure(B, vectors)
+        # the closure in layer order, the block-order span derived from it,
+        # and the orbit closure that the package took in block order
         want, want_pivots = ref.invariant_closure(B, vectors)
-        assert (span, pivots) == (tuple(map(tuple, want.tolist())), want_pivots), vectors
+        want = tuple(map(tuple, want.tolist()))
+        E = Embedding(B, vectors)
+        assert (E.span, E._pivots) == (want, want_pivots) == ref.orbit_closure(B, vectors)
+        assert invariant_closure(B, vectors)[:2] == ref.in_layer_order(B, want), vectors
 
     # graded pole modules with the generators of their poles
     for shape in iter_strip_shapes(6):
@@ -504,13 +511,13 @@ def test_closure_check_refuses_a_span_that_t_leaves(monkeypatch):
     # the residue pass stays as the invariance check: orbits cut short
     # leave the span, and the check names them
     B = canonical_module((3, 1), 2)
-    image, calls = nilmod.NilModule.image, []
+    image, calls = nilmod.NilModule.layer_image, []
 
     def short(self, rows):  # the first orbit step finds T v = 0
         calls.append(rows)
-        return image(self, rows) if len(calls) > 1 else tuple((0,) * self.dim for _ in rows)
+        return image(self, rows) if len(calls) > 1 else [(0,) * self.dim for _ in rows]
 
-    monkeypatch.setattr(nilmod.NilModule, "image", short)
+    monkeypatch.setattr(nilmod.NilModule, "layer_image", short)
     with pytest.raises(InvariantViolation, match=re.escape("[[1, 0, 0, 0]]")):
         invariant_closure(B, [[1, 0, 0, 0]])
 
@@ -778,14 +785,19 @@ def test_witness_json_matches_general_path():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_census_embeddings_skip_closure_alike(p):
-    # the census builds its embeddings without closing the search's spans
+    # the census builds its embeddings without closing the search's spans,
+    # from the block-order span and the search's layer-order echelon form,
+    # which is the one an embedding derives from that span
     B = canonical_module(FIVE_CLASS.beta, p)
     spans = _distinct_submodules(B, FIVE_CLASS.alpha, FIVE_CLASS.gamma)
     assert spans
-    for span in spans:
-        E, F = nilmod._closed(B, span), Embedding(B, span)
-        assert (E.span, E._pivots) == (F.span, F._pivots)
-        assert (E.alpha, E.chain()) == (F.alpha, F.chain())
+    for span, layered in spans:
+        assert layered == ref.in_layer_order(B, span)
+        for E in (nilmod._closed(B, span, layered), nilmod._closed(B, span)):
+            F = Embedding(B, span)
+            assert (E.span, E._pivots) == (F.span, F._pivots)
+            assert (E._echelon, E._leads) == (F._echelon, F._leads) == layered
+            assert (E.alpha, E.chain()) == (F.alpha, F.chain())
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -824,16 +836,19 @@ def _same_as_reference(E):
 
 def test_strip_realizations_match_reference_in_two_echelons_per_stage(monkeypatch):
     calls = []
-    rref = la.rref
-    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
+    rref, extend = la.rref, la.extend
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append("rref") or rref(*a))
+    monkeypatch.setattr(la, "extend", lambda *a: calls.append("extend") or extend(*a))
     for shape in iter_strip_shapes(8):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
                 calls.clear()
                 E = realize_tableau(t, p)
                 tableau_of_embedding(E)
-                # alpha_1 for the closure, alpha_1 for the layer table
-                assert len(calls) <= 2 * t.shape.alpha[0] + 2, t
+                # one rref for the closure (an extend of the empty form), and
+                # one extend per stage of the layer table after it
+                assert calls.count("rref") == 1, t
+                assert calls.count("extend") == t.shape.alpha[0] + 1, t
                 assert _same_as_reference(E), t
 
 
@@ -857,6 +872,163 @@ def test_census_spans_match_reference(p):
         assert _same_as_reference(E)
         kept += (E.alpha, E.gamma) == (TWO_CLASS.alpha, TWO_CLASS.gamma)
     assert 0 < kept
+
+
+def _same_table_as_reference(E):
+    """E's layer table, carried from stage to stage by T, against the one
+    that row-reduces every stage afresh from the block-order span."""
+    return E._table() == ref.layer_table(E)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_layer_table_matches_reference_on_strip_realizations(p):
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            assert _same_table_as_reference(realize_tableau(t, p)), t
+
+
+def test_layer_table_matches_reference_on_census_pool_and_catalogs():
+    # the census's embeddings from the search's layer-order forms
+    spans = 0
+    for shape, p in census_pool():
+        B = canonical_module(shape.beta, p)
+        for span, layered in _distinct_submodules(B, shape.alpha, shape.gamma):
+            assert _same_table_as_reference(nilmod._closed(B, span, layered)), (shape, p, span)
+            spans += 1
+    assert spans == 390
+    for p in (2, 3):
+        for name, E in s4_catalog(p) + picket_pole_catalog(p, 5):
+            assert _same_table_as_reference(E), (name, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_layer_table_matches_reference_in_random_bases(p):
+    # embeddings read from JSON in random non-Jordan bases: catalog objects,
+    # realizations and random subspaces; d[i][k] = dim(T^k B + T^i A) does
+    # not depend on the basis
+    rng = np.random.default_rng(90 + p)
+    shape = Shape((2, 1), (4, 3, 2), (3, 2, 1))
+    given = ([E for _, E in s4_catalog(p)]
+             + [realize_tableau(t, p) for t in enumerate_tableaux(shape)])
+    for E in given:
+        F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
+        assert _same_table_as_reference(F) and F._table() == E._table()
+    for beta in JORDAN_TYPES:
+        n = sum(beta)
+        S = _random_invertible(rng, n, p) if n else np.zeros((0, 0), dtype=np.int64)
+        T = ref.action_of(canonical_module(beta, p))
+        T = (((S @ T) % p) @ _inverse_mod_p(S, p)) % p if n else T
+        for k in range(1, 3):
+            data = {"p": p, "T": T.tolist(), "A_span": rng.integers(0, p, size=(k, n)).tolist()}
+            F = Embedding.from_json(data)
+            assert _same_table_as_reference(F), data
+            assert F.chain() == ref.chain(ref.general_embedding(data)), data
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_t_carries_a_reduced_stage_to_reduced_rows(p):
+    """In layer order T moves the coordinate c it keeps to to[c], in order.
+    So on every stage of the layer table of a random invariant subspace
+    (the closure of random vectors in a random module), the images of the
+    rows whose pivot c T keeps are reduced, with pivots to[c]."""
+    rng = random.Random(80 + p)
+    kept = killed = 0
+    for _ in range(80):
+        sizes, shifts = _random_blocks(rng)
+        B = canonical_module(sizes, p, shifts)
+        n, to = B.dim, B._to
+        for c, unit in enumerate(la.identity(n)):
+            (image,) = B.layer_image([unit])
+            assert image == (la.identity(n)[to[c]] if c in to else (0,) * n), (sizes, c)
+        vectors = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        E = Embedding(B, vectors)
+        R, pivots = E._echelon, E._leads
+        assert (R, pivots) == ref.in_layer_order(B, E.span)
+        while R:
+            images = B.layer_image(R)
+            moved = [(v, to[c]) for v, c in zip(images, pivots) if c in to]
+            leads = [k for _, k in moved]
+            assert leads == sorted(set(leads)), (sizes, vectors)
+            for v, k in moved:
+                assert v[:k] == (0,) * k and v[k] == 1, (sizes, vectors)
+                assert all(v[j] == 0 for j in leads if j != k), (sizes, vectors)
+            kept += len(moved)
+            killed += len(R) - len(moved)
+            R, pivots = la.rref(images, p)
+    assert kept > 200 and killed > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_membership_and_map_images_match_the_block_order_span(p):
+    # ``contains`` and ``map_image`` read the layer-order form; on the
+    # block-order span they are ``in_space`` and the row space of A M^T
+    rng = random.Random(110 + p)
+    members = 0
+    for _ in range(60):
+        sizes, shifts = _random_blocks(rng)
+        B = canonical_module(sizes, p, shifts)
+        n = B.dim
+        E = Embedding(B, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, 2))])
+        span, pivots = E.span, E._pivots
+        sums = [tuple([sum(c * x for c, x in zip(cs, column)) % p for column in zip(*span)])
+                for cs in ([rng.randrange(p) for _ in span] for _ in range(3))] if span else []
+        for v in sums + [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]:
+            assert E.contains(v) == la.in_space(v, span, pivots, p), (sizes, v)
+            members += E.contains(v)
+        for m in (0, 1, rng.randint(2, 6)):
+            M = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            assert E.map_image(M) == la.row_space(la.mul(span, list(zip(*M)), p), p), sizes
+    assert members > 60
+
+
+def test_realization_and_its_tableau_derive_no_block_span(monkeypatch):
+    # the block-order span is derived only when read: a realization and its
+    # tableau read none, and neither does a witness sequence, whose
+    # subspace checks run on the layer-order forms
+    monkeypatch.setattr(Embedding, "_derive_span",
+                        lambda self: pytest.fail("block-order span derived"))
+    with pytest.raises(pytest.fail.Exception, match="span derived"):
+        Embedding(canonical_module((2, 1), 2), [[1, 0, 0]]).span
+    for shape in iter_strip_shapes(6):
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                assert tableau_of_embedding(realize_tableau(t, p)) == t
+                for up, move in box_successors(t):
+                    assert all(witness_sequence(t, up, move, p).report.values())
+
+
+def test_json_alike_whether_span_is_read_before_or_after_the_chain():
+    for shape in iter_strip_shapes(6):
+        for t in enumerate_tableaux(shape):
+            pieces = pole_pieces(t.columns)
+            for p in (2, 3):
+                first, second = (Embedding(*graded_pole_module(pieces, p, [0] * len(pieces)))
+                                 for _ in range(2))
+                first.span
+                assert first.chain() == second.chain() == t.chain
+                assert json.dumps(first.to_json()) == json.dumps(second.to_json()), t
+
+
+def test_non_invariant_span_raises_from_embedding_and_cli(monkeypatch, capsys):
+    # orbits cut short by a patch leave a span that T leaves: the invariance
+    # check names the vectors, and ``lrlab tableau`` exits 1 with it
+    image = nilmod.NilModule.layer_image
+
+    def cut(calls):
+        def short(self, rows):  # the first orbit step finds T v = 0
+            calls.append(rows)
+            return image(self, rows) if len(calls) > 1 else [(0,) * self.dim for _ in rows]
+        return short
+
+    message = ("the orbits of [[1, 0, 0]] in the module of blocks [3] over F_2 do not span"
+               " an invariant subspace")
+    monkeypatch.setattr(nilmod.NilModule, "layer_image", cut([]))
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        Embedding(canonical_module((3,), 2), [[1, 0, 0]])
+    monkeypatch.setattr(nilmod.NilModule, "layer_image", cut([]))
+    data = {"p": 2, "T": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "A_span": [[1, 0, 0]]}
+    assert run(["tableau", json.dumps(data)]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def test_embedding_closes_generators():

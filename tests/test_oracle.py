@@ -2,11 +2,9 @@ import hashlib
 import json
 import random
 import shlex
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +12,7 @@ import pytest
 
 import nilmod_reference
 import oracle_reference as ref
-from conftest import FIVE_CLASS, TWO_CLASS, sub_partitions
+from conftest import FIVE_CLASS, TWO_CLASS, census_pool, sub_partitions
 from linalg_reference import mat
 import lrlab.cli as cli
 from lrlab import linalg as la
@@ -30,6 +28,12 @@ from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
 from lrlab.poles import Pole
 from lrlab.tableaux import Shape, enumerate_tableaux
 from lrlab.worked_examples import EXT_DEG_SHAPE, ext_deg_modules
+
+
+def _spans(B, alpha, gamma):
+    """The block-order spans of the census search, without the layer-order
+    echelon forms that it hands over with them."""
+    return [span for span, _ in _distinct_submodules(B, alpha, gamma)]
 
 
 def test_catalog_has_twenty_objects():
@@ -160,7 +164,7 @@ def test_five_class_census_distribution(censuses):
 ], ids=str)
 def test_level_wise_search_matches_per_tuple_reference(shape, p):
     B = canonical_module(shape.beta, p)
-    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
+    spans = _spans(B, shape.alpha, shape.gamma)
     assert spans == sorted(set(spans))
     every = ref.distinct_submodules(B, shape.alpha)
     assert set(ref.level_wise_submodules(B, shape.alpha)) == set(every)
@@ -184,7 +188,7 @@ def test_census_dimension_skip_is_exact(shape, p):
     away."""
     B = canonical_module(shape.beta, p)
     size = sum(shape.alpha)
-    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
+    spans = _spans(B, shape.alpha, shape.gamma)
     every = ref.level_wise_submodules(B, shape.alpha)
     assert spans == [S for S in every
                      if len(S) == size and Embedding(B, S).gamma == shape.gamma]
@@ -227,7 +231,7 @@ def test_search_takes_one_echelon_form_per_span_a_parent_reaches(shape, p, monke
     monkeypatch.setattr(oracle, "la", SimpleNamespace(
         **{**vars(la), "extend": recording_extend, "rref": recording_rref}))
     B = canonical_module(shape.beta, p)
-    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
+    spans = _spans(B, shape.alpha, shape.gamma)
     monkeypatch.undo()
     assert spans == sorted(ref.cotype_submodules(B, shape.alpha, shape.gamma))
     # the only ``rref`` calls take each survivor back to block order
@@ -242,17 +246,6 @@ def test_search_takes_one_echelon_form_per_span_a_parent_reaches(shape, p, monke
     for _, R in extensions:
         E = Embedding(B, [[row[i] for i in back] for row in R])
         assert pt.contains(E.gamma, shape.gamma), (R, E.gamma)
-
-
-def _census_pool():
-    """The 50 shapes and primes of the benchmark's census workload."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lrbench"))
-    try:
-        from workloads import CENSUS_POOL
-    finally:
-        sys.path.pop(0)
-    assert len(CENSUS_POOL) == 50
-    return [(Shape(*raw), p) for raw, p in CENSUS_POOL]
 
 
 def test_residue_leads_give_the_pivots_of_the_grown_span(monkeypatch):
@@ -274,7 +267,7 @@ def test_residue_leads_give_the_pivots_of_the_grown_span(monkeypatch):
 
     monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "extend": recording}))
     lines = moved = 0
-    for shape, p in _census_pool() + [(Shape((2, 2), (3, 3, 1), (2, 1)), 2)]:
+    for shape, p in census_pool() + [(Shape((2, 2), (3, 3, 1), (2, 1)), 2)]:
         B = canonical_module(shape.beta, p)
         order, shift, _ = B._order
         del parents[:]
@@ -344,7 +337,7 @@ def test_residue_lines_match_the_coordinate_enumeration(p):
 def _census_embeddings(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
     B = canonical_module(shape.beta, p)
-    for span in _distinct_submodules(B, shape.alpha, shape.gamma):
+    for span in _spans(B, shape.alpha, shape.gamma):
         yield Embedding(B, span)
 
 
@@ -407,8 +400,8 @@ def test_fingerprints_match_hom_dim_on_census_embeddings(shape, p):
 
 
 @pytest.mark.slow
-def test_fingerprints_match_hom_dim_on_census_pool():
-    for shape, p in _census_pool() + [(FIVE_CLASS, 3)]:
+def test_fingerprints_match_hom_dim_oncensus_pool():
+    for shape, p in census_pool() + [(FIVE_CLASS, 3)]:
         _assert_fingerprints_solve_alike(shape, p)
 
 
@@ -505,7 +498,7 @@ def test_default_catalog_collision_names_it_and_its_command(monkeypatch, capsys,
 def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # the search returns only spans of type alpha; one that is not raises
     monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha, gamma: [((0, 0, 0, 1),)])
+                        lambda B, alpha, gamma: [(((0, 0, 0, 1),), None)])
     shape = Shape((2,), (3, 1), (2,))
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 2)
@@ -517,7 +510,7 @@ def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # past nilpotency four the default is the picket-pole catalog
     shape = Shape((2,), (5, 1), (4,))
     monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha, gamma: [((0, 0, 0, 0, 0, 1),)])
+                        lambda B, alpha, gamma: [(((0, 0, 0, 0, 0, 1),), None)])
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 3)
     message = str(info.value)
@@ -529,7 +522,8 @@ def test_census_refuses_a_span_of_another_cotype(monkeypatch, capsys):
     # T B in N_(3,1) has type (2) but cotype (1, 1); the search returns
     # only spans of cotype gamma, and one that is not raises
     span = ((0, 1, 0, 0), (0, 0, 1, 0))
-    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha, gamma: [span])
+    monkeypatch.setattr(oracle, "_distinct_submodules",
+                        lambda B, alpha, gamma: [(span, None)])
     shape = Shape((2,), (3, 1), (2,))
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 2)
@@ -663,7 +657,7 @@ def test_census_classes_are_sums_of_catalog_objects(p):
 
 
 def test_census_pool_classes_are_sums_of_catalog_objects():
-    pool = _census_pool()
+    pool = census_pool()
     assert sum(_decomposed_classes([shape for shape, q in pool if q == p], p)
                for p in (2, 3)) == 65
 
@@ -686,7 +680,7 @@ def test_census_order_independence():
         B = canonical_module(shape.beta, p)
         orders = (shape.alpha, tuple(reversed(shape.alpha)))
         every = [ref.unpruned_submodules(B, alpha) for alpha in orders]
-        keys = [_distinct_submodules(B, alpha, shape.gamma) for alpha in orders]
+        keys = [_spans(B, alpha, shape.gamma) for alpha in orders]
         assert len(every[0]) == count and len(keys[0]) == kept
         assert every[0] == every[1]
         assert keys[0] == keys[1] == ref.cotype_submodules(B, shape.alpha, shape.gamma)
@@ -822,7 +816,7 @@ def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
             if pt.weight(gamma) + pt.weight(alpha) != pt.weight(beta):
                 continue
             shape = Shape(alpha, beta, gamma)
-            spans = _distinct_submodules(B, alpha, gamma)
+            spans = _spans(B, alpha, gamma)
             assert spans == strata.get(gamma, []), shape
             got = {tableau_of_embedding(Embedding(B, S)) for S in spans}
             assert got == set(enumerate_tableaux(shape)), shape

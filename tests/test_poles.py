@@ -106,6 +106,30 @@ def test_split_off_errors():
         split_off_pole(not_strip)
 
 
+def test_pole_pieces_match_the_scan_over_column_records():
+    # the scan on the list of single entries against the one that
+    # searched the column records for each pick, on every strip with
+    # |beta| <= 10
+    strips = 0
+    for shape in iter_strip_shapes(10):
+        for t in enumerate_tableaux(shape):
+            assert pole_pieces(t.columns) == poles_reference.pole_pieces(t.columns), t
+            strips += 1
+    assert strips > 1500
+
+
+def test_scan_never_picks_a_longer_column():
+    # a column of two entries is no pole column: the scan skips it, but it
+    # still counts as holding an entry and may set the top, as it did
+    # when each pick searched the column records
+    long = Column(3, 1, (2, 3))
+    for cols in ([Column(2, 1, (1,)), long], [long, Column(2, 1, (2,)), Column(1, 0, (1,))],
+                 [long]):
+        got = _scan_outcome(lambda: pole_pieces(cols))
+        assert got == _scan_outcome(lambda: poles_reference.pole_pieces(cols)), cols
+        assert isinstance(got, str) and got.startswith("no column with entry 2"), got
+
+
 def test_pole_pieces_match_split_off_reference():
     # the column scan against splits of LRTableau remainders by the
     # two-copy scan
@@ -307,6 +331,21 @@ def _scan_outcome(scan, *args):
         return str(exc)
 
 
+def _singles(columns):
+    """The single entries that ``poles._scan`` keeps beside its columns: 0
+    for a blank column, -1 for a longer one."""
+    return [(c.entries[0] if len(c.entries) == 1 else -1) if c.entries else 0
+            for c in columns]
+
+
+def _scan_outcomes(columns, *rest):
+    """The one scan by ``_pick_with_detour``, by the scan it replaced
+    (``poles_reference``) and by the two-copy reference."""
+    return (_scan_outcome(_pick_with_detour, columns, _singles(columns), *rest),
+            _scan_outcome(poles_reference._pick_with_detour, columns, *rest),
+            _scan_outcome(ref.pick_with_detour, columns, *rest))
+
+
 def test_scan_matches_two_copy_reference():
     # the scans box_move_pole_partition makes on every box-move edge,
     # started from each of the four (want_u, want_v) pairs and repeated
@@ -325,8 +364,8 @@ def test_scan_matches_two_copy_reference():
                     work = start
                     while any(c.entries for c in work):
                         args = (work, c_u, cv_t, c_v.sort_key(), want_u, want_v)
-                        got = _scan_outcome(_pick_with_detour, *args)
-                        assert got == _scan_outcome(ref.pick_with_detour, *args)
+                        got, *want = _scan_outcomes(*args)
+                        assert want == [got, got], args
                         scans += 1
                         if isinstance(got, str):
                             break
@@ -352,8 +391,8 @@ def test_scan_matches_two_copy_reference_on_random_columns():
             continue
         c_u, cv_t, gap = (rng.choice(cols) for _ in range(3))
         args = (cols, c_u, cv_t, gap.sort_key(), rng.random() < 0.7, rng.random() < 0.7)
-        got = _scan_outcome(_pick_with_detour, *args)
-        assert got == _scan_outcome(ref.pick_with_detour, *args), args
+        got, *want = _scan_outcomes(*args)
+        assert want == [got, got], args
         raised += isinstance(got, str)
     assert raised > 100
 
