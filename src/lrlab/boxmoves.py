@@ -15,6 +15,7 @@ by the lattice comparisons of u - 1 with u and of v with v + 1 alone.
 
 from __future__ import annotations
 
+import json
 from operator import le
 from typing import Literal, Sequence
 
@@ -181,7 +182,9 @@ def dom_to_box_chain(
 
     Iterates :func:`dom_to_box_step` from the top; every consecutive pair
     of the returned chain differs by a single box move, which that step
-    verifies.
+    verifies.  A step that fails its verification raises
+    ``InvariantViolation`` ending in the ``lrlab dom2box`` command that
+    reproduces it.
     """
     if gamma.shape != gamma_t.shape:
         raise ValueError(f"shape mismatch: {gamma.shape} vs {gamma_t.shape}")
@@ -189,10 +192,23 @@ def dom_to_box_chain(
         raise ValueError("need gamma <= gamma_t in dominance")
     desc = [gamma_t]
     pick = pick_l_first
-    while desc[-1] != gamma:
-        desc.append(dom_to_box_step(gamma, desc[-1], pick_l=pick))
-        pick = None
+    try:
+        while desc[-1] != gamma:
+            desc.append(dom_to_box_step(gamma, desc[-1], pick_l=pick))
+            pick = None
+    except InvariantViolation as exc:
+        option = "" if pick_l_first is None else f" --pick-l {pick_l_first}"
+        raise InvariantViolation(f"{exc}{reproducer('dom2box', gamma, gamma_t, option)}") from exc
     return list(reversed(desc))
+
+
+def reproducer(command: str, t_low: LRTableau, t_high: LRTableau, options: str) -> str:
+    """The tail of a failure message: the ``lrlab`` ``command`` that runs
+    the construction from ``t_low`` to ``t_high`` again, with ``options``
+    after the two reading words."""
+    low, high = (",".join(map(str, tb.reading_word(t))) for t in (t_low, t_high))
+    shape = json.dumps(t_low.shape.to_json(), separators=(",", ":"))
+    return f"; reproduce with: lrlab {command} '{shape}' --from {low} --to {high}{options}"
 
 
 class HasseDiagram:

@@ -17,17 +17,20 @@ subspace A.  In Jordan coordinates ordered by position in block, then by
 block (layer order), T^k B is a tail of the coordinates, so one echelon
 form of T^i A gives d[i][k] = dim(T^k B + T^i A) for every k; that layer
 table yields the type of A, the chain of types of B / T^i A and the
-entry counts.  So an embedding keeps A's echelon form in layer order:
-closing given vectors (``Embedding``) yields it, and it is the table's
-first stage.  In layer order T is a partial shift that keeps the order
-of the coordinates it keeps, so the images of a reduced stage's rows
-are already reduced but for those of the rows whose pivots T kills,
-which alone are reduced into them to give the next stage.  The
-canonical basis of A in block order, which JSON, hom spaces,
-fingerprints and the witness read, is derived from the layer-order
-form when first read.  A span given in block order (``_closed``: census
-spans, direct sums) is kept as given, and its layer-order form is
-derived at once, unless the census hands over the one it built.
+entry counts.  So an embedding keeps A's echelon form in layer order.
+Closing given vectors (``Embedding``) extends one echelon form by their
+orbits level by level, from the deepest up, so it passes through the
+echelon form of every T^i A and reads the table off them.  A span given
+in block order (``_closed``: census spans, direct sums) comes without
+orbits: it is kept as given, its layer-order form is derived at once,
+unless the census hands over the one it built, and its table starts
+from that form, T carrying each stage to the next (``_stage_walk``).
+In layer order T is a partial shift that keeps the order of the
+coordinates it keeps, so the images of a reduced stage's rows are
+already reduced but for those of the rows whose pivots T kills, which
+alone are reduced into them.  The canonical basis of A in block order,
+which JSON, hom spaces, fingerprints and the witness read, is derived
+from the layer-order form when first read.
 Hom spaces and realizations are exact linear algebra mod p too: dim
 Hom(C, E) is the number of maps of C's block generators into E's kernels
 less the rank of their images on C's subspace generators, each image
@@ -42,6 +45,7 @@ subspace those generators span.
 
 from __future__ import annotations
 
+import json
 import operator
 from bisect import bisect_left
 from functools import lru_cache
@@ -95,9 +99,11 @@ class NilModule:
     gather ``_step`` of T on rows in layer order (``layer_image``), and
     ``_to``, where T moves each coordinate it keeps in layer order:
     to[shift[k]] = k.  ``action``, T as a tuple of rows, is built from
-    ``_moves`` when it is read.  The checks run on the tables: the prime,
-    the grading, and the gather against the layer walk, T moving into the
-    coordinate order[k] the one at (order + [dim])[shift[k]] for every k.
+    ``_moves`` when it is read.  The grading is d + j at place j of a
+    block of degree d, which T raises by one by construction.  The checks
+    run on the tables: the prime, one degree per block, and the gather
+    against the layer walk, T moving into the coordinate order[k] the one
+    at (order + [dim])[shift[k]] for every k.
     """
 
     __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_gather", "_order",
@@ -114,9 +120,10 @@ class NilModule:
             moves += [n, *range(o, o + b - 1)]
         self.p, self.dim, self.sizes, self._moves = p, n, sizes, moves
         self._gather = _picker(moves)
+        if shifts is not None and len(shifts) != len(sizes):
+            raise ValueError("grading must assign a degree per basis vector")
         self.grading = (None if shifts is None else
-                        _graded([d + j for d, b in zip(shifts, sizes) for j in range(b)], n,
-                                ((i, m) for i, m in enumerate(moves) if m < n)))
+                        tuple([int(d) + j for d, b in zip(shifts, sizes) for j in range(b)]))
         order, shift, _ = self._order = _layer_order(sizes)
         # in layer order T moves the coordinate at shift[k] to k, n reading 0
         ends = order + [n]
@@ -168,9 +175,10 @@ def _check_field(p: int, n: int) -> None:
 
 
 def _graded(grading, n: int, nonzeros) -> tuple[int, ...]:
-    """The grading as a tuple of ints, checked to be raised by one by T at
-    every nonzero entry (i, j) of T; they come column-major, so the first
-    offending (i, j) is reported."""
+    """A caller's grading of a caller's T (``Embedding.from_json``) as a
+    tuple of ints, checked to be raised by one by T at every nonzero
+    entry (i, j) of T; they come column-major, so the first offending
+    (i, j) is reported."""
     grading = tuple(int(d) for d in grading)
     if len(grading) != n:
         raise ValueError("grading must assign a degree per basis vector")
@@ -288,36 +296,43 @@ def _check_basis(action: la.Rows, p: int, sizes, Q, inverse) -> None:
         _not_a_basis(sizes)
 
 
-def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[tuple[int, ...]]]:
-    """Canonical (rref) basis in B's layer order (``_layer_order``), its
-    pivots and the T-images of its rows, for the smallest invariant
-    subspace of B containing ``vectors``, given in block order.
+def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[int],
+                                                     list[tuple[int, ...]]]:
+    """Canonical (rref) basis A in B's layer order (``_layer_order``) and
+    its pivots for the smallest invariant subspace of B containing
+    ``vectors``, given in block order, with the dims and the rows of its
+    layer table (``Embedding._table``) up to the last nonzero T^i A.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
-    vectors, each taken until it vanishes, so one ``rref`` of the orbits,
-    taken to layer order, gives it.  The images of the basis rows are
-    then reduced modulo the span in one step (see ``la.reduce_vec``) as
-    the invariance check: a nonzero residue raises ``InvariantViolation``.
-    A span that is already invariant costs one ``rref`` and that check.
-    The images are returned for the layer table, whose next stage they
-    span.
+    vectors, each taken until it vanishes.  They are kept as levels, level
+    k holding the nonzero T^k v in layer order, so T^i A is spanned by the
+    levels from i on.  One echelon form is extended (``la.extend``) by
+    the levels from the deepest up: after level i it is the rref of
+    T^i A, whose pivots give dims[i] = dim T^i A and, by bisection on the
+    layer prefixes, table row i; after level 0 it is A's.  The images of
+    A's rows are then reduced modulo A in one step (see ``la.reduce_vec``)
+    as the invariance check: a nonzero residue raises
+    ``InvariantViolation``.
     """
-    p = B.p
-    rows = _vectors(vectors, B.dim, p)
+    p, n, prefix = B.p, B.dim, B._order[2]
+    rows = _vectors(vectors, n, p)
     layered = B._layered
-    step = [layered(v) for v in rows if any(v)]
-    orbits = []
-    while step:
-        orbits += step
-        step = [v for v in B.layer_image(step) if any(v)]
-    span, pivots = la.rref(orbits, p)
-    images = B.layer_image(span)
-    residue = [la.reduce_vec(v, span, pivots, p) for v in images]
+    level = [layered(v) for v in rows if any(v)]
+    levels = []
+    while level:
+        levels.append(level)
+        level = [v for v in B.layer_image(level) if any(v)]
+    span, pivots, dims, table = (), [], [], []
+    for level in reversed(levels):
+        span, pivots = la.extend(span, pivots, level, p)
+        dims.append(len(pivots))
+        table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
+    residue = [la.reduce_vec(v, span, pivots, p) for v in B.layer_image(span)]
     if any(map(any, residue)):
         raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
                                  f" of blocks {list(B.sizes)} over F_{p} do not span"
                                  " an invariant subspace")
-    return span, pivots, images
+    return span, pivots, dims[::-1], table[::-1]
 
 
 class Embedding:
@@ -326,31 +341,34 @@ class Embedding:
     The embedding keeps the echelon form of A that its layer table reads:
     the canonical (rref) row basis of A in B's layer order
     (``_layer_order``), with its pivots.  The constructor closes the given
-    vectors under the action there (``invariant_closure``: one ``rref``
-    of their orbits, then the invariance check), so they may be just
-    generators, and keeps the check's T-images of the basis as the
-    table's next stage.  ``span``, the canonical row basis of A in block
+    vectors under the action there (``invariant_closure``: one echelon
+    form extended by their orbits level by level, then the invariance
+    check), so they may be just generators, and keeps the layer table
+    (with alpha and the chain) that the closure read off its echelon
+    forms on the way.  ``span``, the canonical row basis of A in block
     order, a tuple of row tuples and so its own dictionary key, and its
     pivots are derived from that form on first read (``_derive_span``:
     one permutation and one ``rref``) and kept; embeddings made from a
-    block-order span (``_closed``) keep it as given.  The layer table
-    (with alpha and the chain), the tableau, A's module generators (for
+    block-order span (``_closed``) keep it as given, and take their layer
+    table on first use by carrying A's echelon form from stage to stage
+    (``_table``).  The tableau, A's module generators (for
     ``hom_images``) and, for a cyclic A, the blocks of its generator are
     computed on first use and kept.  An embedding read by ``from_json``
     keeps the caller's T, grading and subspace rows as ``_source``, for
     ``to_json``.
     """
 
-    __slots__ = ("B", "_echelon", "_leads", "_images", "_span", "_span_pivots", "_layers",
+    __slots__ = ("B", "_echelon", "_leads", "_span", "_span_pivots", "_layers",
                  "_tableau", "_gens", "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
-        self._fill(B, *invariant_closure(B, vectors))
+        echelon, leads, dims, table = invariant_closure(B, vectors)
+        self._fill(B, echelon, leads)
+        self._layers = _layers(B, dims, table)
 
-    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int],
-              images=None) -> "Embedding":
+    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int]) -> "Embedding":
         self.B = B
-        self._echelon, self._leads, self._images = echelon, leads, images
+        self._echelon, self._leads = echelon, leads
         self._span = self._span_pivots = None
         self._layers = None
         self._tableau = None
@@ -387,48 +405,11 @@ class Embedding:
 
     def _table(self):
         """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
-        alpha_1 and k up to beta_1, computed once.
-
-        In B's coordinates in layer order, T^k B is the coordinates from
-        prefix[k] on, so d[i][k] is dim T^k B plus the pivots of the
-        echelon form of T^i A before prefix[k].  Stage i of the chain,
-        B / T^i A, has dim T^k(B / T^i A) = d[i][k] - dim T^i A.
-
-        Stage 0 is the kept echelon form of A, and T carries each stage to
-        the next: the T-images of the rows of T^i A's rref span T^(i+1) A.
-        In layer order T is a partial shift that keeps the order of the
-        coordinates it keeps (``NilModule._to``).  So the image of a row
-        whose pivot c T keeps has its lead 1 at to[c], and at the moved
-        pivot of every other such row the entry that the row had at that
-        pivot, 0: these images are already reduced, with pivots to[c] in
-        order.  Only the images of the rows whose pivot T kills are
-        reduced into them (``la.extend``).
-        """
+        alpha_1 and k up to beta_1 (``_layers``).  An embedding built by
+        the constructor has them from its closure; one made by ``_closed``
+        gets them here on first use, by ``_stage_walk``."""
         if self._layers is None:
-            B, p = self.B, self.p
-            n, to, prefix = B.dim, B._to, B._order[2]
-            R, pivots, images = self._echelon, self._leads, self._images
-            dims, table = [], []
-            while R:
-                dims.append(len(pivots))
-                table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
-                if images is None:
-                    images = B.layer_image(R)
-                kept, moved, killed = [], [], []
-                for v, c in zip(images, pivots):
-                    if c in to:
-                        kept.append(v)
-                        moved.append(to[c])
-                    else:
-                        killed.append(v)
-                R, pivots = la.extend(kept, moved, killed, p)
-                images = None
-            dims.append(0)
-            table.append(tuple(n - s for s in prefix))
-            chain = tuple(_type_from_ranks([x - a for x in row])
-                          for row, a in zip(table, dims))
-            self._layers = _type_from_ranks(dims), chain, tuple(table)
-            self._images = None
+            self._layers = _layers(self.B, *_stage_walk(self.B, self._echelon, self._leads))
         return self._layers
 
     @property
@@ -521,12 +502,59 @@ def _closed(B: NilModule, span: la.Rows, layered=None) -> Embedding:
     in block order: no closure is run, the span is kept as given, and each
     row's pivot is its first entry 1.  ``layered`` is the span's echelon
     form in layer order with its pivots, when the caller has it; else it
-    is derived with one permutation and one ``rref``."""
+    is derived with one permutation and one ``rref``.  With no orbits to
+    read it off, the layer table is taken by ``_stage_walk`` when first
+    read."""
     if layered is None:
         layered = la.rref([B._layered(row) for row in span], B.p)
     E = object.__new__(Embedding)._fill(B, *layered)
     E._span, E._span_pivots = span, [row.index(1) for row in span]
     return E
+
+
+def _stage_walk(B: NilModule, R: la.Rows,
+                pivots: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The dims of T^i A and the rows d[i] of the layer table while T^i A
+    is nonzero, for A of echelon form R with these pivots in B's layer
+    order.
+
+    In layer order T^k B is the coordinates from prefix[k] on, so d[i][k]
+    is dim T^k B plus the pivots of the echelon form of T^i A before
+    prefix[k].  The walk starts from R, and T carries each stage to the
+    next: the T-images of the rows of T^i A's rref span T^(i+1) A.  In
+    layer order T is a partial shift that keeps the order of the
+    coordinates it keeps (``NilModule._to``).  So the image of a row whose
+    pivot c T keeps has its lead 1 at to[c], and at the moved pivot of
+    every other such row the entry that the row had at that pivot, 0:
+    these images are already reduced, with pivots to[c] in order.  Only
+    the images of the rows whose pivot T kills are reduced into them
+    (``la.extend``).
+    """
+    n, to, prefix = B.dim, B._to, B._order[2]
+    dims, table = [], []
+    while R:
+        dims.append(len(pivots))
+        table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
+        kept, moved, killed = [], [], []
+        for v, c in zip(B.layer_image(R), pivots):
+            if c in to:
+                kept.append(v)
+                moved.append(to[c])
+            else:
+                killed.append(v)
+        R, pivots = la.extend(kept, moved, killed, B.p)
+    return dims, table
+
+
+def _layers(B: NilModule, dims: list[int], table: list[tuple[int, ...]]):
+    """(alpha, chain, d) from the dims of T^i A and the rows d[i] of the
+    layer table while T^i A is nonzero: the last stage, T^i A = 0, is
+    appended, alpha is the Jordan type of the dims, and stage i of the
+    chain, B / T^i A, has dim T^k(B / T^i A) = d[i][k] - dim T^i A."""
+    table = (*table, tuple([B.dim - s for s in B._order[2]]))
+    dims = [*dims, 0]
+    chain = tuple(_type_from_ranks([x - a for x in row]) for row, a in zip(table, dims))
+    return _type_from_ranks(dims), chain, table
 
 
 def _type_from_ranks(ranks) -> Partition:
@@ -883,11 +911,15 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
     Horizontal strips always succeed: ``pole_pieces`` cuts their columns
     into pole column groups.  Other tableaux are attempted by peeling
     minimal poles off the partition chain; tableaux with no pole-sum
-    realization at all (they exist) are rejected.  The groups and the
-    empty leftover columns make one ``graded_pole_module``, every generator
-    in degree 0, re-verified on chains.
+    realization at all (they exist) are rejected with ValueError.  The
+    groups and the empty leftover columns make one ``graded_pole_module``,
+    every generator in degree 0, re-verified on chains: a strip whose
+    realization reads back another chain is a bug, and raises
+    ``InvariantViolation`` ending in the ``lrlab realize`` command that
+    reproduces it.
     """
-    if tb.is_horizontal_strip(t.shape.beta, t.shape.gamma):
+    strip = tb.is_horizontal_strip(t.shape.beta, t.shape.gamma)
+    if strip:
         pieces = pole_pieces(t.columns)
     else:
         pieces, rest = [], t
@@ -897,6 +929,12 @@ def realize_tableau(t: LRTableau, p: int) -> Embedding:
         pieces.append(rest.columns)
     E = Embedding(*graded_pole_module(pieces, p, [0] * len(pieces)))
     if E.chain() != t.chain:
+        if strip:
+            tableau = json.dumps(t.to_json(), separators=(",", ":"))
+            raise InvariantViolation(
+                f"the realization of a horizontal strip reads back the chain"
+                f" {[list(c) for c in E.chain()]}, not {[list(c) for c in t.chain]};"
+                f" reproduce with: lrlab realize '{tableau}' -p {p}")
         raise ValueError("tableau is not a union of pole tableaux: got "
                          f"{tb.from_chain(list(E.chain()))}")
     E._tableau = t

@@ -29,16 +29,15 @@ echelon form in layer order (``Embedding.map_image``,
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate
 from operator import itemgetter
 
 from . import linalg as la
-from .boxmoves import BoxMove
+from .boxmoves import BoxMove, reproducer
 from .errors import InvariantViolation
 from .nilmod import Embedding, block_offsets, graded_pole_module
 from .poles import chain_union, pole_partition_columns, pole_pieces
-from .tableaux import LRTableau, reading_word
+from .tableaux import LRTableau
 
 
 class WitnessSequence:
@@ -163,10 +162,7 @@ def _sequence(t_low: LRTableau, t_high: LRTableau, move: BoxMove,
 def _reproduce(t_low: LRTableau, t_high: LRTableau, move: BoxMove, p: int) -> str:
     """The tail of a failure message: the ``lrlab witness`` command that
     runs the construction for this move again."""
-    low, high = (",".join(map(str, reading_word(t))) for t in (t_low, t_high))
-    shape = json.dumps(t_low.shape.to_json(), separators=(",", ":"))
-    return (f"; reproduce with: lrlab witness '{shape}' --from {low} --to {high}"
-            f" --move {move.u},{move.v} -p {p}")
+    return reproducer("witness", t_low, t_high, f" --move {move.u},{move.v} -p {p}")
 
 
 def _t_times(M, sizes) -> la.Rows:

@@ -1,11 +1,14 @@
+import shlex
 from collections import Counter
 
 import pytest
 
 import boxmoves_reference as ref
 import lrlab.boxmoves as bm
+import lrlab.cli as cli
 import lrlab.tableaux as tb
 from conftest import iter_all_shapes, iter_strip_shapes
+from lrlab.errors import InvariantViolation
 from lrlab.boxmoves import (BoxMove, apply_move, box_leq, box_successors,
                             dom_to_box_chain, dom_to_box_step, hasse,
                             relation_matrix)
@@ -113,6 +116,38 @@ def test_word_algorithm_example():
         dom_to_box_step(low, high, pick_l=2)  # position 2 holds 3, not y=2
     chain = dom_to_box_chain(low, high)
     assert chain[0] == low and chain[-1] == high and len(chain) == 2
+
+
+@pytest.mark.parametrize("low, high, pick, failing", [
+    ((1, 2, 1, 3, 2, 1), (3, 2, 1, 2, 1, 1), None, 3),
+    ((1, 3, 2, 2, 1, 1), (2, 3, 2, 1, 1, 1), 3, 2),
+])
+def test_failed_step_names_the_dom2box_command(monkeypatch, capsys, low, high, pick, failing):
+    # a step of the chain that fails its verification ends in the command
+    # for the whole chain, with its --pick-l when one was given
+    low, high = from_word(ALGO, low), from_word(ALGO, high)
+    step, calls = bm.dom_to_box_step, []
+
+    def fails(gamma, gamma_t, pick_l=None):
+        calls.append(pick_l)
+        if len(calls) == failing:
+            raise InvariantViolation("step output is not one box move below the input")
+        return step(gamma, gamma_t, pick_l=pick_l)
+
+    monkeypatch.setattr(bm, "dom_to_box_step", fails)
+    with pytest.raises(InvariantViolation) as info:
+        dom_to_box_chain(low, high, pick_l_first=pick)
+    message = str(info.value)
+    assert message.startswith("step output is not one box move below the input;"
+                              " reproduce with: lrlab dom2box '")
+    argv = shlex.split(message.split("; reproduce with: ")[1])
+    args = cli.build_parser().parse_args(argv[1:])
+    shape = cli._shape(args.shape)
+    assert (shape, from_word(shape, cli._word(args.frm)), from_word(shape, cli._word(args.to)),
+            args.pick_l) == (ALGO, low, high, pick)
+    calls.clear()
+    assert cli.run(argv[1:]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def test_step_preconditions():

@@ -3,7 +3,10 @@ the demos: code that only tests reach is a test reference, not package
 code.  Dunder names such as ``__version__`` are read by tools, not
 callers, and are left out.  Every parameter with a default, of a
 top-level function or class, is set by some call in the package, the
-demos or the benchmark: a knob that nothing turns is not a feature."""
+demos or the benchmark: a knob that nothing turns is not a feature.
+Every ``__slots__`` entry of a class in the package is read as an
+attribute somewhere in the package or the demos: a slot that is only
+ever set is state that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -111,3 +114,26 @@ def test_every_parameter_with_a_default_is_set_by_some_call():
     unset = [f"{module}: {name}({param}=...)" for name, params in knobs.items()
              for _, param, module in params if (name, param) not in turned]
     assert not unset, unset
+
+
+def _slots(tree):
+    """(class, name) for every string in the ``__slots__`` of a top-level
+    class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    for value in ast.walk(stmt.value):
+                        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                            yield node.name, value.value
+
+
+def test_every_slot_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE + DEMOS}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    slots = [(path.name, *slot) for path in PACKAGE for slot in _slots(trees[path])]
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in slots if name not in read]
+    assert len(slots) > 40 and not unread, unread

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +19,9 @@ from lrlab import linalg as la
 from lrlab import nilmod
 from lrlab.boxmoves import box_successors
 from lrlab.cli import run
-from lrlab.errors import guard_budget
+from lrlab.errors import InvariantViolation, guard_budget
 from lrlab.nilmod import realize_tableau
-from lrlab.tableaux import enumerate_tableaux, reading_word
+from lrlab.tableaux import Shape, enumerate_tableaux, reading_word
 
 FIVE = '{"alpha":[3,1],"beta":[4,3,2,1],"gamma":[3,2,1]}'
 ALGO = '{"alpha":[3,2,1],"beta":[6,5,4,3,2,1],"gamma":[5,4,3,2,1]}'
@@ -98,6 +99,25 @@ def test_decompose_realize_tableau_round_trip(capsys, tmp_path):
     code, back = run_json(capsys, ["tableau", str(path)])
     assert code == 0
     assert back["chain"] == tabs["tableaux"][0]["chain"]
+
+
+def test_strip_realization_of_another_chain_exits_1_with_a_reproducer(capsys, monkeypatch):
+    # a strip's pole pieces always realize it, so a realization that reads
+    # back another chain is a verification failure, and its message ends
+    # in the one command that runs it again
+    t, other = enumerate_tableaux(Shape.from_json(json.loads(SMALL)))
+    wrong = realize_tableau(other, 3)
+    monkeypatch.setattr(nilmod, "graded_pole_module",
+                        lambda pieces, p, degrees: (wrong.B, wrong.span))
+    with pytest.raises(InvariantViolation) as info:
+        realize_tableau(t, 3)
+    message = str(info.value)
+    argv = shlex.split(message.split("; reproduce with: ")[1])
+    assert argv[:2] == ["lrlab", "realize"]
+    args = cli.build_parser().parse_args(argv[1:])
+    assert (cli._tableau(args.tableau), args.prime) == (t, 3)
+    assert run(argv[1:]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def test_witness(capsys):

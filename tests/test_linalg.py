@@ -105,8 +105,9 @@ def test_rref_matches_numpy_reference(monkeypatch):
     replaced on seeded random inputs, and the numpy reference on every
     echelon form of the published censuses and of the round trip on strip
     tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend`` call is
-    checked too: the census search extends a parent's echelon form by the
-    residues of its orbit directly."""
+    checked and counted too: the census search extends a parent's echelon
+    form by the residues of its orbit directly, and the closure extends
+    one echelon form by its orbit levels."""
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
@@ -116,7 +117,7 @@ def test_rref_matches_numpy_reference(monkeypatch):
             assert la.rank(M.tolist(), p) == len(linalg_ref.rref(M, p)[1])
 
     kernel_rref, kernel_rank, kernel_extend = la.rref, la.rank, la.extend
-    calls, extensions = [], []
+    calls, extended, extensions = [], [], []
 
     def checked_rref(M, p):
         got = kernel_rref(M, p)
@@ -136,7 +137,8 @@ def test_rref_matches_numpy_reference(monkeypatch):
         rows = [*R, *M]
         width = len(rows[0]) if rows else 0
         assert _same(got, linalg_ref.rref(mat(rows, width), p)), (R, pivots, M, p)
-        if R:  # rref extends the empty form; only the search passes a parent
+        extended.append(len(rows) * width)
+        if R:  # rref extends the empty form; the search and the closure pass a parent
             extensions.append(len(M))
         return got
 
@@ -149,7 +151,7 @@ def test_rref_matches_numpy_reference(monkeypatch):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
                 assert tableau_of_embedding(realize_tableau(t, p)) == t
-    assert len(calls) > 1000 and len(extensions) > 100
+    assert len(calls) > 500 and len(extended) > 2000 and len(extensions) > 500
 
 
 @st.composite

@@ -28,7 +28,8 @@ from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
 from lrlab.boxmoves import box_successors
 from lrlab.cli import run
 from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
-                          iso_fingerprint, picket_pole_catalog, s4_catalog)
+                          enumerate_submodules, iso_fingerprint, picket_pole_catalog,
+                          s4_catalog)
 from lrlab.partitions import partition, partitions_of
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_pieces, pole_tableau, tableau_union)
@@ -468,12 +469,15 @@ def test_graded_pole_generators_are_taken_as_they_are(p):
 def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
     def check(B, vectors):
         # the closure in layer order, the block-order span derived from it,
-        # and the orbit closure that the package took in block order
+        # and the orbit closure that the package took in block order; the
+        # layer table read off the closure's echelon forms, against the one
+        # that row-reduces every stage afresh
         want, want_pivots = ref.invariant_closure(B, vectors)
         want = tuple(map(tuple, want.tolist()))
         E = Embedding(B, vectors)
         assert (E.span, E._pivots) == (want, want_pivots) == ref.orbit_closure(B, vectors)
         assert invariant_closure(B, vectors)[:2] == ref.in_layer_order(B, want), vectors
+        assert _same_table_as_reference(E), (B.sizes, vectors)
 
     # graded pole modules with the generators of their poles
     for shape in iter_strip_shapes(6):
@@ -729,8 +733,9 @@ def test_canonical_module_refuses_what_the_general_path_refuses():
             canonical_module((3, 2), p)
         assert str(canonical.value) == str(general.value)
     assert str(general.value).startswith(f"p = {P_OVER_DIM5} is too large for dimension 5")
-    with pytest.raises(ValueError, match="a degree per basis vector"):
-        canonical_module((3, 2), 2, shifts=[0])
+    for shifts in ([0], [0, 1, 2]):  # one degree per block, no more and no fewer
+        with pytest.raises(ValueError, match="a degree per basis vector"):
+            canonical_module((3, 2), 2, shifts=shifts)
 
 
 def test_canonical_module_checks_its_basis(monkeypatch):
@@ -845,21 +850,25 @@ def test_strip_realizations_match_reference_in_two_echelons_per_stage(monkeypatc
                 calls.clear()
                 E = realize_tableau(t, p)
                 tableau_of_embedding(E)
-                # one rref for the closure (an extend of the empty form), and
-                # one extend per stage of the layer table after it
-                assert calls.count("rref") == 1, t
-                assert calls.count("extend") == t.shape.alpha[0] + 1, t
+                # no rref, and one extend per orbit level of the closure,
+                # which reads the layer table off its echelon forms
+                assert calls.count("rref") == 0, t
+                assert calls.count("extend") == t.shape.alpha[0], t
                 assert _same_as_reference(E), t
 
 
 def test_witness_terms_match_reference():
-    for shape in iter_strip_shapes(8):
+    # every term's layer table, read off its closure (Y's generator carries
+    # the cross term), and the direct sum of the end terms by the stage walk
+    for shape in iter_strip_shapes(10):
         for t in enumerate_tableaux(shape):
             for t2, move in box_successors(t):
                 for p in (2, 3):
                     ws = witness_sequence(t, t2, move, p)
                     assert _same_as_reference(ws.y), (t, t2)
                     assert _same_as_reference(direct_sum(ws.xt, ws.zt)), (t, t2)
+                    for E in (ws.xt, ws.y, ws.zt):
+                        assert _same_table_as_reference(E), (t, t2, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -995,6 +1004,25 @@ def test_realization_and_its_tableau_derive_no_block_span(monkeypatch):
                 assert tableau_of_embedding(realize_tableau(t, p)) == t
                 for up, move in box_successors(t):
                     assert all(witness_sequence(t, up, move, p).report.values())
+
+
+def test_closure_built_embeddings_take_no_stage_walk(monkeypatch):
+    # realizations and witness terms have their layer tables from their
+    # closures; census spans and direct sums, handed over closed, have no
+    # orbits and take the stage walk
+    walk, walks = nilmod._stage_walk, []
+    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: pytest.fail("stage walk taken"))
+    for shape in iter_strip_shapes(9):
+        for t in enumerate_tableaux(shape):
+            for p in (2, 3):
+                assert tableau_of_embedding(realize_tableau(t, p)) == t
+                for up, move in box_successors(t):
+                    assert all(witness_sequence(t, up, move, p).report.values())
+    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: walks.append(a) or walk(*a))
+    census = enumerate_submodules(TWO_CLASS, 2)
+    assert len(walks) == census.total_submodules > 0
+    E = realize_tableau(enumerate_tableaux(TWO_CLASS)[0], 2)
+    assert direct_sum(E, E).chain() and len(walks) == census.total_submodules + 1
 
 
 def test_json_alike_whether_span_is_read_before_or_after_the_chain():
@@ -1234,12 +1262,23 @@ def test_strip_realization_builds_no_tableau(monkeypatch):
 
 
 def test_realize_rejects_a_sum_of_another_tableau(monkeypatch):
-    t, other = enumerate_tableaux(TWO_CLASS)
-    wrong = realize_tableau(other, 2)
-    monkeypatch.setattr(nilmod, "graded_pole_module",
-                        lambda pieces, p, degrees: (wrong.B, wrong.span))
-    with pytest.raises(ValueError, match="not a union of pole tableaux: got "):
-        realize_tableau(t, 2)
+    # peeled poles of a tableau that is no strip summing to another tableau
+    # are bad input; a strip's pole pieces always realize it, so a strip
+    # whose realization reads back another chain is a bug, and the message
+    # ends in the command that reproduces it
+    strip = Shape((2, 1), (5, 2, 1), (4, 1))
+    for shape, error, message in (
+            (TWO_CLASS, ValueError, "not a union of pole tableaux: got "),
+            (strip, InvariantViolation, "the realization of a horizontal strip reads back")):
+        t, other = enumerate_tableaux(shape)
+        wrong = realize_tableau(other, 2)
+        monkeypatch.setattr(nilmod, "graded_pole_module",
+                            lambda pieces, p, degrees, wrong=wrong: (wrong.B, wrong.span))
+        with pytest.raises(error, match=message) as info:
+            realize_tableau(t, 2)
+        monkeypatch.undo()
+        reproduced = "; reproduce with: lrlab realize '" in str(info.value)
+        assert reproduced == (error is InvariantViolation)
 
 
 def test_realize_non_horizontal_cases():

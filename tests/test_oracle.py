@@ -801,6 +801,37 @@ def test_counts_by_cotype_are_hall_symmetric_slow(p, max_weight):
     assert _assert_hall_symmetric(p, max_weight) == SLOW_COUNT_RANGES[p, max_weight][1]
 
 
+def _dual(E: Embedding) -> Embedding:
+    """D(A <= B) = ((B/A)* <= B*): the transposed action, on the dual
+    space, with the functionals that vanish on A as the subspace."""
+    return Embedding.from_json({"p": E.p, "T": [list(c) for c in zip(*E.B.action)],
+                                "A_span": [list(r) for r in la.null_space(E.span, E.p)]})
+
+
+def test_census_classes_correspond_under_duality():
+    """D is a duality on invariant-subspace pairs, B* is isomorphic to B,
+    and D(A <= B) has A's cotype as its type and A's type as its cotype
+    (Ringel and Schmidmeier).  So the census of (alpha, beta, gamma) and
+    that of (gamma, beta, alpha) correspond class by class, with equal
+    counts: on every pool shape the duals of one census's representatives,
+    each with its tableau chain, its fingerprint (computed afresh, since D
+    is contravariant) and its class's count, are the other census's
+    classes.  A split, merged or miscounted class on either side shows.
+    The swapped census often needs ``slow``, since the nominal tuple count
+    is not symmetric in alpha and gamma."""
+    classes = 0
+    for shape, p in census_pool():
+        catalog = s4_catalog(p)
+        duals = [(D.chain(), iso_fingerprint(D, catalog), c.submodule_count)
+                 for c in enumerate_submodules(shape, p).classes
+                 for D in [_dual(c.representative)]]
+        swapped = enumerate_submodules(Shape(shape.gamma, shape.beta, shape.alpha), p, slow=True)
+        assert sorted(duals) == sorted((c.tableau.chain, c.fingerprint, c.submodule_count)
+                                       for c in swapped.classes), (shape, p)
+        classes += len(duals)
+    assert classes == 65
+
+
 def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
     """On every shape in range with beta_1 <= top: the pruned search is
     the reference filtered to cotype gamma, in its order, and the
