@@ -329,10 +329,14 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
         table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
     residue = [la.reduce_vec(v, span, pivots, p) for v in B.layer_image(span)]
     if any(map(any, residue)):
-        raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
-                                 f" of blocks {list(B.sizes)} over F_{p} do not span"
-                                 " an invariant subspace")
+        _not_invariant(B, rows)
     return span, pivots, dims[::-1], table[::-1]
+
+
+def _not_invariant(B: NilModule, rows) -> None:
+    raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
+                             f" of blocks {list(B.sizes)} over F_{B.p} do not span"
+                             " an invariant subspace")
 
 
 class Embedding:

@@ -1,6 +1,13 @@
 """Brute-force submodule census and fingerprint-based classification.
 
-The census lists the invariant submodules of type alpha and cotype gamma
+The census searches one side of the duality D(A <= B) = ((B/A)* <= B*),
+which swaps type and cotype (``_census_spans``): the side whose search
+visits fewer generator tuples, p^e(lambda) for type lambda with
+e(lambda) the sum of min(a, b) over the parts a of lambda and the blocks
+b of beta.  On the dual side it lists the spans of type gamma and cotype
+alpha and maps each back by its block-reversed annihilator.  The guard
+still counts the nominal tuples of type alpha.
+The search lists the invariant submodules of type alpha and cotype gamma
 of the canonical ambient module level by level, in the module's layer
 order, adding one generator per part of alpha and deduplicating by
 reduced row echelon form after each.  A span that grows by less than
@@ -67,9 +74,9 @@ from . import linalg as la
 from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
-from .nilmod import (Embedding, _closed, _reduced_rank, canonical_module,
-                     generator_blocks, hom_images, hom_positions, realize_picket,
-                     realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, _closed, _not_invariant, _reduced_rank, block_offsets,
+                     canonical_module, generator_blocks, hom_images, hom_positions,
+                     realize_picket, realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -250,13 +257,15 @@ def enumerate_submodules(
     so far with one more such generator per level and keeps one span per
     canonical basis, so generator tuples are never listed; the guard is
     nevertheless expressed in nominal full-tuple terms so configured
-    budgets stay comparable across implementations.  The search returns
-    only spans of type alpha and cotype gamma, invariant and in rref, so
-    their embeddings need no closure; both types are re-checked, and a
-    span of another type or cotype raises, naming shape, p and span.
-    That failure and a fingerprint collision name the catalog, and with
-    the default one end in the ``lrlab oracle`` command that reproduces
-    them.
+    budgets stay comparable across implementations, and count type
+    alpha's tuples whichever side ``_census_spans`` searches.  The search
+    returns only spans of type alpha and cotype gamma, invariant and in
+    rref, so their embeddings need no closure; both types are re-checked,
+    and a span of another type or cotype raises, naming shape, p and span.
+    That failure, a fingerprint collision and a failure inside the search,
+    re-raised with the shape and the side searched, name the catalog, and
+    with the default one end in the ``lrlab oracle`` command that
+    reproduces them.
     """
     if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
@@ -278,7 +287,13 @@ def enumerate_submodules(
 
     B = canonical_module(shape.beta, p)
     plan = _fingerprint_plan(catalog, B.sizes, p)
-    spans = _distinct_submodules(B, shape.alpha, shape.gamma)
+    try:
+        spans = _census_spans(B, shape.alpha, shape.gamma)
+    except InvariantViolation as err:
+        side = (", searched on its dual side (gamma, beta, alpha)"
+                if _searches_dual(B.sizes, shape.alpha, shape.gamma) else "")
+        raise InvariantViolation(f"{err}; census of shape {json.dumps(shape.to_json())},"
+                                 f" p = {p}{side}, catalog {catalog_note}") from err
 
     tableaux: dict[tuple[pt.Partition, ...], LRTableau] = {}  # chain -> its tableau
     per_tableau: dict[LRTableau, int] = {}
@@ -335,6 +350,53 @@ def _picket_pole_catalog(p: int, top: int) -> tuple[tuple[str, Embedding], ...]:
                 pole = Pole(layers, amb)
                 catalog.append((f"P{layers}", realize_pole(pole, p)))
     return tuple(catalog)
+
+
+def _searches_dual(sizes, alpha, gamma) -> bool:
+    """Whether the census of type alpha and cotype gamma in the module of
+    block sizes ``sizes`` searches the dual side, type gamma and cotype
+    alpha: whether it visits fewer generator tuples there.  A search for
+    type lambda adds generators from the kernels of T^a, a in lambda, so
+    its tuples number p^e(lambda), with e(lambda) the sum of dim ker T^a
+    = sum of min(a, b) over the blocks b.  A tie searches alpha."""
+    def exponent(parts):
+        return sum([min(a, b) for a in parts for b in sizes])
+    return exponent(gamma) < exponent(alpha)
+
+
+def _census_spans(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[int]] | None]]:
+    """The spans of B of type alpha and cotype gamma, sorted, as
+    ``_distinct_submodules`` returns them, searched on the cheaper side
+    (``_searches_dual``).
+
+    D(A <= B) = ((B/A)* <= B*) is a duality on invariant-subspace pairs,
+    under which the type and the cotype change places (Ringel and
+    Schmidmeier, J. reine angew. Math. 614, 2008), and B* is isomorphic
+    to B: reversing the coordinates inside each Jordan block (rev) takes
+    the transposed action to T, since rev T^t rev = T.  So A' -> A =
+    (rev A')^perp, the annihilator of A' reversed, takes the spans of type
+    gamma and cotype alpha one to one to those of type alpha and cotype
+    gamma; the zero span maps to all of B.  Each mapped span is re-checked
+    invariant (the message of ``invariant_closure``'s check) and handed
+    over without a layer-order echelon form, which ``_closed`` derives.
+    Sorted by the block-order span, as the search sorts, so the side does
+    not show.  The dual search takes alpha as its cotype, which must lie
+    inside beta; a type that does not has no submodule.
+    """
+    if not _searches_dual(B.sizes, alpha, gamma):
+        return _distinct_submodules(B, alpha, gamma)
+    if not pt.contains(B.sizes, alpha):
+        return []
+    p, n = B.p, B.dim
+    rev = [o + b - 1 - j for o, b in zip(block_offsets(B.sizes), B.sizes) for j in range(b)]
+    spans = []
+    for dual, _ in _distinct_submodules(B, gamma, alpha):
+        A = la.null_space([[row[q] for q in rev] for row in dual], p) if dual else la.identity(n)
+        pivots = [row.index(1) for row in A]
+        if any([any(la.reduce_vec(v, A, pivots, p)) for v in B.image(A)]):
+            _not_invariant(B, A)
+        spans.append(A)
+    return [(A, None) for A in sorted(spans)]
 
 
 def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[int]]]]:

@@ -12,7 +12,7 @@ import pytest
 
 import nilmod_reference
 import oracle_reference as ref
-from conftest import FIVE_CLASS, TWO_CLASS, census_pool, sub_partitions
+from conftest import FIVE_CLASS, TWO_CLASS, census_pool, iter_all_shapes, sub_partitions
 from linalg_reference import mat
 import lrlab.cli as cli
 from lrlab import linalg as la
@@ -298,10 +298,14 @@ def test_residue_leads_give_the_pivots_of_the_grown_span(monkeypatch):
     assert lines > 4000 and moved  # 4654 lines; the orbit's leads are not the residues'
 
 
-def test_search_refuses_an_echelon_form_off_its_residues_leads(monkeypatch):
+def test_search_refuses_an_echelon_form_off_its_residues_leads(monkeypatch, capsys):
     """A grown span whose echelon form has other pivots than the merge of
     its parent's pivots and its residues' leads raises, naming beta,
-    alpha, gamma, p and the parent span in block order."""
+    alpha, gamma, p and the parent span in block order.  The census
+    re-raises it with the user's shape, the side it searched and the
+    catalog note, which ends in the command that reproduces it: here the
+    swap of the five-class shape, whose census searches the five-class
+    one."""
     extend = la.extend
 
     def wrong(R, pivots, M, p):
@@ -316,6 +320,17 @@ def test_search_refuses_an_echelon_form_off_its_residues_leads(monkeypatch):
     assert "beta [4, 3, 2, 1], alpha [3, 1], gamma [3, 2, 1], p = 2" in message
     parent = json.loads(message.split("parent span ")[1])
     assert len(parent) == 3 and Embedding(B, parent).alpha == (3,)
+    swapped = Shape(FIVE_CLASS.gamma, FIVE_CLASS.beta, FIVE_CLASS.alpha)
+    assert oracle._searches_dual(B.sizes, swapped.alpha, swapped.gamma)
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_submodules(swapped, 2, slow=True)
+    census_message = str(err.value)
+    assert census_message.startswith(message + "; census of shape "
+                                     + json.dumps(swapped.to_json()) + ", p = 2,"
+                                     " searched on its dual side (gamma, beta, alpha),"
+                                     " catalog s4_catalog(2); reproduce with: lrlab oracle")
+    assert census_message.endswith(" -p 2 --slow")
+    assert _reproduce(census_message, capsys) == (1, f"verification failure: {census_message}\n")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -534,12 +549,47 @@ def test_census_refuses_a_span_of_another_cotype(monkeypatch, capsys):
     assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
 
 
+def test_census_refuses_a_dual_span_mapped_to_a_span_that_is_not_invariant(monkeypatch,
+                                                                            capsys):
+    """A span found on the dual side maps back by its block-reversed
+    annihilator; one that maps to a span that T does not keep raises with
+    the message of the closure's invariance check, here for the reversed
+    span in place of its annihilator, which the transpose keeps instead."""
+    monkeypatch.setattr(oracle, "la", SimpleNamespace(**{**vars(la), "null_space": la.row_space}))
+    shape = Shape(FIVE_CLASS.gamma, FIVE_CLASS.beta, FIVE_CLASS.alpha)
+    with pytest.raises(InvariantViolation, match="do not span an invariant subspace") as info:
+        enumerate_submodules(shape, 2, slow=True)
+    message = str(info.value)
+    rows = json.loads(message.split("the orbits of ")[1].split(" in the module")[0])
+    assert message == (f"the orbits of {rows} in the module of blocks [4, 3, 2, 1] over F_2"
+                       " do not span an invariant subspace; census of shape"
+                       f" {json.dumps(shape.to_json())}, p = 2, searched on its dual side"
+                       " (gamma, beta, alpha), catalog s4_catalog(2); reproduce with:"
+                       f" lrlab oracle '{json.dumps(shape.to_json(), separators=(',', ':'))}'"
+                       " -p 2 --slow")
+    assert len(rows) == sum(FIVE_CLASS.alpha)
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
+
+
 def test_zero_alpha_census():
     shape = Shape((), (3, 1), (3, 1))
     census = enumerate_submodules(shape, 2)
     assert census.total_submodules == 1
     assert len(census.classes) == 1
     assert census.classes[0].representative.dim_sub() == 0
+
+
+def test_census_on_the_dual_side_of_a_type_outside_beta():
+    """A shape's alpha need not fit inside beta, and then it has no
+    submodule; its census searches the dual side, where alpha is the
+    cotype, and finds none either.  With gamma empty the one candidate is
+    B itself, of type beta."""
+    for shape, total in [(Shape((2, 1), (2, 1), ()), 1), (Shape((3,), (2, 1), ()), 0),
+                         (Shape((1, 1, 1), (2, 1), ()), 0), (Shape((3,), (2, 2), (1,)), 0)]:
+        assert oracle._searches_dual(shape.beta, shape.alpha, shape.gamma), shape
+        for p in (2, 3):
+            census = enumerate_submodules(shape, p)
+            assert census.total_submodules == len(census.classes) == total, (shape, p)
 
 
 def test_guard():
@@ -808,7 +858,13 @@ def _dual(E: Embedding) -> Embedding:
                                 "A_span": [list(r) for r in la.null_space(E.span, E.p)]})
 
 
-def test_census_classes_correspond_under_duality():
+def _force_forward_search(monkeypatch):
+    """Every census searches its own type, never the dual side, so that
+    two censuses related by D come from two separate searches."""
+    monkeypatch.setattr(oracle, "_searches_dual", lambda sizes, alpha, gamma: False)
+
+
+def test_census_classes_correspond_under_duality(monkeypatch):
     """D is a duality on invariant-subspace pairs, B* is isomorphic to B,
     and D(A <= B) has A's cotype as its type and A's type as its cotype
     (Ringel and Schmidmeier).  So the census of (alpha, beta, gamma) and
@@ -817,8 +873,11 @@ def test_census_classes_correspond_under_duality():
     each with its tableau chain, its fingerprint (computed afresh, since D
     is contravariant) and its class's count, are the other census's
     classes.  A split, merged or miscounted class on either side shows.
-    The swapped census often needs ``slow``, since the nominal tuple count
-    is not symmetric in alpha and gamma."""
+    Both censuses search forward: the side-choosing census would take one
+    of them from the other's search, mapped through D.  The swapped census
+    often needs ``slow``, since the nominal tuple count is not symmetric
+    in alpha and gamma."""
+    _force_forward_search(monkeypatch)
     classes = 0
     for shape, p in census_pool():
         catalog = s4_catalog(p)
@@ -832,12 +891,38 @@ def test_census_classes_correspond_under_duality():
     assert classes == 65
 
 
+def test_census_class_counts_correspond_under_duality_beyond_nilpotency_four(monkeypatch):
+    """The class-level check for beta_1 >= 5, where no catalog is known to
+    be complete: on every shape with beta_1 >= 5, |beta| <= 8, alpha and
+    gamma not empty and a nonzero LR coefficient, at p = 2, the sorted
+    class counts of the census and of its alpha-gamma swap are equal, both
+    searched forward.  A fingerprint merge on one side would show here.
+    Every census with |beta| <= 7 there has one class, so this check is
+    Hall symmetry; three at |beta| = 8, over beta = (5, 2, 1), have three
+    classes on two tableaux."""
+    _force_forward_search(monkeypatch)
+    shapes = [s for s in iter_all_shapes(8)
+              if s.beta[0] >= 5 and s.gamma and enumerate_tableaux(s)]
+    assert (len(shapes), sum(pt.weight(s.beta) <= 7 for s in shapes)) == (277, 88)
+    split = 0
+    for shape in shapes:
+        counts = [sorted(c.submodule_count for c in
+                         enumerate_submodules(Shape(*side), 2, slow=True).classes)
+                  for side in ((shape.alpha, shape.beta, shape.gamma),
+                               (shape.gamma, shape.beta, shape.alpha))]
+        assert counts[0] == counts[1], shape
+        split += len(counts[0]) > 1
+    assert split == 3
+
+
 def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
-    """On every shape in range with beta_1 <= top: the pruned search is
-    the reference filtered to cotype gamma, in its order, and the
-    tableaux of its spans are those of the shape (one stratum per
-    tableau; T. Klein, J. London Math. Soc. 43, 1968)."""
-    shapes = 0
+    """On every shape in range with beta_1 <= top: the pruned search, and
+    the census's side-choosing path (``_census_spans``), are the reference
+    filtered to cotype gamma, in its order, and the tableaux of its spans
+    are those of the shape (one stratum per tableau; T. Klein, J. London
+    Math. Soc. 43, 1968).  Returns the number of shapes and of those whose
+    census searches the dual side."""
+    shapes = dual = 0
     for beta, alpha in _types_in_range(max_weight, p):
         if top and beta[0] > top:
             continue
@@ -849,22 +934,29 @@ def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
             shape = Shape(alpha, beta, gamma)
             spans = _spans(B, alpha, gamma)
             assert spans == strata.get(gamma, []), shape
+            assert [S for S, _ in oracle._census_spans(B, alpha, gamma)] == spans, shape
             got = {tableau_of_embedding(Embedding(B, S)) for S in spans}
             assert got == set(enumerate_tableaux(shape)), shape
             shapes += 1
-    return shapes
+            dual += oracle._searches_dual(B.sizes, alpha, gamma)
+    return shapes, dual
 
 
-@pytest.mark.parametrize("p,max_weight,shapes", [(2, 6, 338), (3, 5, 129)], ids=str)
+# (p, largest |beta|): the shapes whose census searches the dual side
+DUAL_SIDE = {(2, 6): 139, (3, 5): 49, (5, 4): 20}
+
+
+@pytest.mark.parametrize("p,max_weight,shapes", [(2, 6, 338), (3, 5, 129), (5, 4, 56)], ids=str)
 def test_pruned_search_is_one_stratum_per_tableau(p, max_weight, shapes):
-    assert _assert_pruned_search_is_the_stratum(p, max_weight) == shapes
+    assert _assert_pruned_search_is_the_stratum(p, max_weight) == (shapes,
+                                                                   DUAL_SIDE[p, max_weight])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("p,max_weight,top,shapes", [(2, 7, None, 739), (3, 6, 4, 254)],
                          ids=str)
 def test_pruned_search_is_one_stratum_per_tableau_slow(p, max_weight, top, shapes):
-    assert _assert_pruned_search_is_the_stratum(p, max_weight, top) == shapes
+    assert _assert_pruned_search_is_the_stratum(p, max_weight, top)[0] == shapes
 
 
 def _members(shape, p, catalog):
