@@ -43,7 +43,7 @@ set of it.  For the
 others, X among them, it applies ``nilmod.hom_dim``'s formula in two
 halves: the echelon form U of the hom unknowns' images depends only on
 the census's block sizes and is taken once per census
-(``nilmod.hom_images``), and each span reduces it
+(``nilmod.hom_images``), and a span reduces it
 (``nilmod._reduced_rank``).
 
 Fingerprints agree for isomorphic embeddings.  For beta_1 <= 4 the
@@ -51,10 +51,25 @@ converse is a theorem at p = 2 and 3.  The 20 catalog objects are all
 the indecomposables of nilpotency index at most 4 (Ringel and
 Schmidmeier, J. reine angew. Math. 614, 2008).  So by Krull-Schmidt a
 census member is fixed up to isomorphism by its multiplicities m, and
-its fingerprint is H m with H the catalog's matrix of hom dimensions.
-The tests check at both primes that each object has a local
-endomorphism ring and that H is invertible, and decompose every class
-of the pinned and the benchmark censuses.  For beta_1 >= 5 the picket
+its fingerprint is H m with H the catalog's matrix of hom dimensions,
+which is unimodular.  H without X's row has rank 19, with kernel
+spanned by delta = X + P(1,3) - P(1,) - P(2,3) - P(0,1,3); so two spans
+whose 19 cyclic entries agree have m' = m + k delta.  With the default
+catalog the census therefore takes X's entry once per bucket of spans
+that share their cyclic entries: for the bucket's first span.  When a
+second span lands in it, the first's fingerprint is decoded to
+m = H^-1 fp (``_decoder``, built from the catalog's own fingerprints on
+first use and kept), and an m outside N^20 raises, naming shape, p and
+the ``lrlab oracle`` command.  Unless m + delta or m - delta lies in
+N^20 the bucket is closed, since the k with m + k delta in N^20 form an
+interval that holds 0: every member has the first one's fingerprint,
+and X's entry is not taken.  In an open bucket it is taken for every
+span.  A caller's catalog, and the picket and pole catalog for
+beta_1 >= 5, take every entry for every span.  The tests check at both
+primes that each object has a local endomorphism ring and that H is
+unimodular, and decompose every class of the pinned and the benchmark
+censuses, against a closed-form census by Krull-Schmidt among them
+(``tests/oracle_reference.py``).  For beta_1 >= 5 the picket
 and pole catalog is not complete and the converse is not a theorem:
 distinct classes of one tableau with equal fingerprints would be merged
 silently (across distinct tableaux the census raises, naming a
@@ -182,15 +197,100 @@ def _fingerprint_plan(catalog, sizes, p: int):
 
 
 def _fingerprint(plan, E: Embedding) -> tuple[int, ...]:
-    """The fingerprint of E by ``plan``: one echelon form of E's span per
-    chain, its columns in the chain's order, whose pivots below L count
-    the rank of the set with prefix length L; and for each non-cyclic
-    source the rank of U with every part reduced modulo E's span."""
+    """The fingerprint of E by ``plan``: its ``_cyclic_entries``, completed
+    by ``_solved``."""
+    return _solved(plan, E, _cyclic_entries(plan, E))
+
+
+def _cyclic_entries(plan, E: Embedding) -> tuple[int | None, ...]:
+    """The fingerprint entries of E for the cyclic sources, None for the
+    others: one echelon form of E's span per chain, its columns in the
+    chain's order, whose pivots below L count the rank of the set with
+    prefix length L."""
     steps, orders = plan
     span, p, n = E.span, E.p, len(E.span)
     pivots = [la.rref([[row[q] for q in order] for row in span], p)[1] for order in orders]
-    return tuple([base + n - bisect_left(pivots[i], L) if U is None
-                  else base - _reduced_rank(U, E) for base, i, L, U in steps])
+    return tuple([base + n - bisect_left(pivots[i], L) if U is None else None
+                  for base, i, L, U in steps])
+
+
+def _solved(plan, E: Embedding, entries) -> tuple[int, ...]:
+    """``entries`` with the entry of each non-cyclic source filled in: the
+    rank of its U with every part reduced modulo E's span, taken from its
+    number of unknowns."""
+    return tuple([x if U is None else base - _reduced_rank(U, E)
+                  for x, (base, _, _, U) in zip(entries, plan[0])])
+
+
+_LIFT = 2**31 - 1  # a prime; H^-1 mod it lifts to the integers (entries below 2^30)
+
+
+@lru_cache(maxsize=8)
+def _decoder(catalog: tuple) -> tuple[tuple, list[int] | None]:
+    """(H^-1, delta) for a complete catalog of indecomposables, kept for
+    the last eight catalogs (by their objects, so once per prime for
+    ``s4_catalog``).
+
+    H is the catalog's hom matrix, H[i][j] = dim Hom(C_i, C_j), read off
+    the objects' own fingerprints: column j is C_j's.  A sum of catalog
+    objects with multiplicities m has fingerprint H m.  H is unimodular,
+    so H^-1 is an integer matrix and m = H^-1 fp.  It is inverted over
+    F_P for the prime P = ``_LIFT``, lifted to the residues of least
+    absolute value and kept as each row's nonzero (column, entry) pairs,
+    about four of twenty.  That every object decodes to itself is
+    re-checked over the integers, and a matrix that fails it raises.
+    Delta spans the kernel of H's rows of the cyclic sources: H H^-1 = I,
+    so the columns of H^-1 of the non-cyclic sources do, and for a
+    catalog with one such source (X of ``s4_catalog``) delta is its
+    column, signed to have a 1 at X.  None when every source is cyclic.
+    The fingerprints take one plan per distinct block sizes.
+    """
+    p = catalog[0][1].p
+    plans = {sizes: _fingerprint_plan(catalog, sizes, p)
+             for sizes in dict.fromkeys([C.B.sizes for _, C in catalog])}
+    columns = [_fingerprint(plans[C.B.sizes], C) for _, C in catalog]
+    n = len(columns)
+    unit = la.identity(n)
+    reduced = la.row_space([row + e for row, e in zip(zip(*columns), unit)], _LIFT)
+    inverse = [[x if 2 * x < _LIFT else x - _LIFT for x in row[n:]] for row in reduced]
+    terms = tuple(tuple([(j, a) for j, a in enumerate(row) if a]) for row in inverse)
+    if [tuple(_multiplicities(terms, fp)) for fp in columns] != list(unit):
+        raise InvariantViolation(f"the hom matrix of the catalog, with columns"
+                                 f" {[list(fp) for fp in columns]}, is not unimodular")
+    solved = [i for i, (_, C) in enumerate(catalog) if generator_blocks(C) is None]
+    if not solved:
+        return terms, None
+    (x,) = solved
+    return terms, [inverse[x][x] * row[x] for row in inverse]
+
+
+def _multiplicities(terms, fp) -> list[int]:
+    """m = H^-1 fp: the multiplicities of the catalog objects in a sum
+    with fingerprint fp, for the rows of H^-1 as their nonzero (column,
+    entry) pairs (``_decoder``)."""
+    return [sum([a * fp[j] for j, a in row]) for row in terms]
+
+
+def _is_open(decoder, fp, where: str) -> bool:
+    """Whether spans with the cyclic entries of a member of fingerprint fp
+    can have another fingerprint, by ``decoder`` = (H^-1, delta).
+
+    The member is a sum of catalog objects with multiplicities
+    m = H^-1 fp, which must lie in N^n: one that does not raises, naming
+    fp, m and ``where``.  Another span with equal cyclic entries has m'
+    with H m' - H m in the kernel of the cyclic rows, so m' = m + k delta
+    for an integer k, since delta has a 1 at X.  The k with m + k delta in
+    N^n form an interval that holds 0, so when neither m + delta nor
+    m - delta lies in N^n, k = 0 and every such span has fingerprint fp.
+    Without a delta every source is cyclic, and fp is fixed by them.
+    """
+    terms, delta = decoder
+    m = _multiplicities(terms, fp)
+    if min(m) < 0:
+        raise InvariantViolation(f"the class of fingerprint {list(fp)} decodes to"
+                                 f" multiplicities {m}, not a sum of catalog objects: {where}")
+    return delta is not None and any([all([x + s * d >= 0 for x, d in zip(m, delta)])
+                                      for s in (1, -1)])
 
 
 class CensusClass:
@@ -265,7 +365,10 @@ def enumerate_submodules(
     That failure, a fingerprint collision and a failure inside the search,
     re-raised with the shape and the side searched, name the catalog, and
     with the default one end in the ``lrlab oracle`` command that
-    reproduces them.
+    reproduces them.  With the default catalog for beta_1 <= 4, X's entry
+    is taken once per bucket of spans that share their cyclic entries,
+    unless the bucket is open (``_is_open``), and a class that does not
+    decode to a sum of catalog objects raises, with that command too.
     """
     if not slow and nominal_tuple_count(shape, p) > guard_budget(guard):
         raise GuardExceeded(
@@ -275,7 +378,8 @@ def enumerate_submodules(
         )
     if catalog is None:
         top = shape.beta[0] if shape.beta else 0
-        if top <= 4:
+        by_class = top <= 4
+        if by_class:
             catalog, catalog_note = s4_catalog(p), f"s4_catalog({p})"
         else:
             catalog, catalog_note = picket_pole_catalog(p, top), f"picket_pole_catalog({p}, {top})"
@@ -283,6 +387,7 @@ def enumerate_submodules(
         catalog_note += (f"; reproduce with: lrlab oracle"
                    f" '{json.dumps(shape.to_json(), separators=(',', ':'))}' -p {p}{flag}")
     else:
+        by_class = False
         catalog_note = f"a caller-given catalog of {len(catalog)} objects"
 
     B = canonical_module(shape.beta, p)
@@ -298,6 +403,7 @@ def enumerate_submodules(
     tableaux: dict[tuple[pt.Partition, ...], LRTableau] = {}  # chain -> its tableau
     per_tableau: dict[LRTableau, int] = {}
     buckets: dict[tuple[int, ...], CensusClass] = {}
+    firsts: dict[tuple, list] = {}  # cyclic entries -> [first fingerprint, open or None]
     total = 0
     for span, layered in spans:
         E = _closed(B, span, layered)  # the search closed and reduced it
@@ -312,7 +418,17 @@ def enumerate_submodules(
         if t is None:
             t = tableaux[chain] = tableau_of_embedding(E)
         per_tableau[t] = per_tableau.get(t, 0) + 1
-        fp = _fingerprint(plan, E)
+        entries = _cyclic_entries(plan, E)
+        first = firsts.get(entries)
+        if first is None:
+            fp = _solved(plan, E, entries)
+            firsts[entries] = [fp, None if by_class else True]
+        else:
+            if first[1] is None:
+                first[1] = _is_open(_decoder(tuple(catalog)), first[0],
+                                    f"shape {json.dumps(shape.to_json())}, p = {p},"
+                                    f" catalog {catalog_note}")
+            fp = _solved(plan, E, entries) if first[1] else first[0]
         if fp in buckets:
             cls = buckets[fp]
             cls.submodule_count += 1
@@ -380,13 +496,12 @@ def _census_spans(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[in
     invariant (the message of ``invariant_closure``'s check) and handed
     over without a layer-order echelon form, which ``_closed`` derives.
     Sorted by the block-order span, as the search sorts, so the side does
-    not show.  The dual search takes alpha as its cotype, which must lie
-    inside beta; a type that does not has no submodule.
+    not show.  The dual search takes alpha as its cotype, and finds no
+    span when alpha does not lie inside beta; nor has a type outside beta
+    a submodule.
     """
     if not _searches_dual(B.sizes, alpha, gamma):
         return _distinct_submodules(B, alpha, gamma)
-    if not pt.contains(B.sizes, alpha):
-        return []
     p, n = B.p, B.dim
     rev = [o + b - 1 - j for o, b in zip(block_offsets(B.sizes), B.sizes) for j in range(b)]
     spans = []
@@ -455,8 +570,13 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, 
     kept has cotype gamma.  The survivors go back to block order, one
     ``rref`` each, and are sorted by that form, so the order in which
     lines and spans are visited does not show.
+
+    A cotype gamma outside beta, or with |alpha| + |gamma| not |beta|, has
+    no span; so the zero span, for an empty alpha, only with gamma = beta.
     """
     p, n = B.p, B.dim
+    if not pt.contains(B.sizes, gamma) or pt.weight(alpha) + pt.weight(gamma) != n:
+        return []
     order, _, prefix = B._order
     back = sorted(range(n), key=order.__getitem__)  # q -> its index in layer order
     image = B._step  # T on a row in layer order with a 0 appended

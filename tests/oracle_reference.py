@@ -22,17 +22,27 @@ one ``coordinate_meet_dim``, a full rank, per distinct position set.
 forms by fingerprint: it looks for an isomorphism itself, among seeded
 random combinations of a basis of the embedding morphisms
 (``hom_basis``).
+
+``closed_form_census`` is the census for beta_1 <= 4 without a search,
+by Krull-Schmidt over the 20 indecomposables of ``s4_catalog``: its
+classes are the multiplicities m in N^20 whose summed types are
+(alpha, beta, gamma), each with fingerprint H m and
+|Aut N_beta| / |Aut M| members.  It needs H = [dim Hom(C_i, C_j)]
+(``hom_matrix``, by ``hom_dim``) and its inverse, which is an integer
+matrix (``integer_inverse``, over the rationals).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from lrlab import linalg
-from lrlab.nilmod import (_closed, _reduced_rank, coordinate_meet_dim, generator_blocks,
-                          hom_images, hom_positions)
+from lrlab.nilmod import (_closed, _reduced_rank, coordinate_meet_dim, direct_sum,
+                          generator_blocks, hom_dim, hom_images, hom_positions)
 from lrlab.oracle import _residue_lines
 from nilmod_reference import action_of, kron_hom_system, la, orbit_closure, power, span_of
 
@@ -189,3 +199,102 @@ def isomorphic(E1, E2, rng, draws=200):
             assert la.rank(np.vstack([A2, (A1 @ g.T) % p]), p) == len(A2)
             return True
     return False
+
+
+def hom_matrix(catalog):
+    """H[i][j] = dim Hom(C_i, C_j) over the catalog, by ``hom_dim``: the
+    fingerprint of a sum with multiplicities m is H m."""
+    return [[hom_dim(ci, cj) for _, cj in catalog] for _, ci in catalog]
+
+
+def integer_inverse(H):
+    """H^-1 by Gauss-Jordan over the rationals, for an H whose inverse is
+    an integer matrix (a unimodular H); anything else fails an assert."""
+    n = len(H)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(H)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    inverse = [row[n:] for row in aug]
+    assert all(x.denominator == 1 for row in inverse for x in row), "H is not unimodular"
+    return [[int(x) for x in row] for row in inverse]
+
+
+def mat_vec(matrix, v):
+    """The matrix times the vector v: m = H^-1 fp decodes a fingerprint,
+    and fp = H m encodes multiplicities."""
+    return [sum(a * b for a, b in zip(row, v)) for row in matrix]
+
+
+def _gl_order(k, q):
+    """|GL_k(F_q)|."""
+    out = 1
+    for i in range(k):
+        out *= q ** k - q ** i
+    return out
+
+
+def _aut_order(H, m, q):
+    """|Aut M| for M the sum with multiplicities m of catalog objects
+    whose endomorphism rings are local with residue field F_q: End M has
+    dimension m^T H m, and modulo its radical it is the product of the
+    matrix rings M_(m_j)(F_q)."""
+    dim_end = sum(mi * H[i][j] * mj for i, mi in enumerate(m) for j, mj in enumerate(m))
+    out = q ** (dim_end - sum(x * x for x in m))
+    for x in m:
+        out *= _gl_order(x, q)
+    return out
+
+
+def _parts(alpha, beta, gamma):
+    """The parts of three partitions, as one multiset."""
+    return Counter([("alpha", a) for a in alpha] + [("beta", b) for b in beta]
+                   + [("gamma", c) for c in gamma])
+
+
+def _sums(types, remaining, j=0):
+    """Every m, over the catalog objects from j on, whose objects' summed
+    ``_parts`` are ``remaining``.  Every object has a part in beta, so
+    each multiplicity is bounded."""
+    if j == len(types):
+        if not +remaining:
+            yield []
+        return
+    k = 0
+    while True:
+        for rest in _sums(types, remaining, j + 1):
+            yield [k] + rest
+        if any(remaining[key] < count for key, count in types[j].items()):
+            return
+        remaining = remaining - types[j]
+        k += 1
+
+
+def closed_form_census(shape, p, catalog, H):
+    """The census of ``shape`` over F_p, beta_1 <= 4, by Krull-Schmidt:
+    the sorted (chain, fingerprint, count) of its classes.
+
+    Every member is a sum of the catalog objects, fixed up to isomorphism
+    by its multiplicities m, and types add under sums, so the classes are
+    the m whose summed types are the shape's.  A class has fingerprint
+    H m and the tableau chain of the sum (``direct_sum``).  Aut N_beta
+    acts transitively on the submodules A with (A <= N_beta) isomorphic
+    to M, with stabilizer Aut M, so the class has |Aut N_beta| / |Aut M|
+    members; N_beta is the sum of the empty pickets (0 <= N_n), one per
+    part n of beta.
+    """
+    types = [_parts(C.alpha, C.beta, C.gamma) for _, C in catalog]
+    ambient = [shape.beta.count(C.beta[0]) if not C.alpha and len(C.beta) == 1 else 0
+               for _, C in catalog]
+    out = []
+    for m in _sums(types, _parts(shape.alpha, shape.beta, shape.gamma)):
+        summed = direct_sum(*[C for (_, C), k in zip(catalog, m) for _ in range(k)])
+        count, rest = divmod(_aut_order(H, ambient, p), _aut_order(H, m, p))
+        assert rest == 0, (shape, m)
+        out.append((summed.chain(), tuple(mat_vec(H, m)), count))
+    return sorted(out)

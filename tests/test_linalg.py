@@ -11,7 +11,7 @@ from linalg_reference import mat
 from conftest import FIVE_CLASS, TWO_CLASS, iter_strip_shapes
 from lrlab import linalg as la
 from lrlab.nilmod import realize_tableau, tableau_of_embedding
-from lrlab.oracle import enumerate_submodules
+from lrlab.oracle import enumerate_submodules, s4_catalog
 from lrlab.tableaux import enumerate_tableaux
 
 
@@ -103,11 +103,12 @@ def _same(got, want):
 def test_rref_matches_numpy_reference(monkeypatch):
     """The kernel equals the numpy reference and the column sweep it
     replaced on seeded random inputs, and the numpy reference on every
-    echelon form of the published censuses and of the round trip on strip
-    tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend`` call is
-    checked and counted too: the census search extends a parent's echelon
-    form by the residues of its orbit directly, and the closure extends
-    one echelon form by its orbit levels."""
+    echelon form of the published censuses, with X's entry taken once per
+    bucket and for every span (a caller's catalog), and of the round trip
+    on strip tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend``
+    call is checked and counted too: the census search extends a parent's
+    echelon form by the residues of its orbit directly, and the closure
+    extends one echelon form by its orbit levels."""
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
@@ -145,8 +146,9 @@ def test_rref_matches_numpy_reference(monkeypatch):
     monkeypatch.setattr(la, "rref", checked_rref)
     monkeypatch.setattr(la, "rank", checked_rank)
     monkeypatch.setattr(la, "extend", checked_extend)
-    for shape in (TWO_CLASS, FIVE_CLASS):
+    for shape in (TWO_CLASS, FIVE_CLASS):  # by class, and span by span
         enumerate_submodules(shape, 2)
+        enumerate_submodules(shape, 2, catalog=s4_catalog(2))
     for shape in iter_strip_shapes(7):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import shlex
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -585,11 +584,31 @@ def test_census_on_the_dual_side_of_a_type_outside_beta():
     cotype, and finds none either.  With gamma empty the one candidate is
     B itself, of type beta."""
     for shape, total in [(Shape((2, 1), (2, 1), ()), 1), (Shape((3,), (2, 1), ()), 0),
-                         (Shape((1, 1, 1), (2, 1), ()), 0), (Shape((3,), (2, 2), (1,)), 0)]:
+                         (Shape((1, 1, 1), (2, 1), ()), 0), (Shape((3,), (2, 2), (1,)), 0),
+                         (Shape((1, 1), (2,), ()), 0)]:
         assert oracle._searches_dual(shape.beta, shape.alpha, shape.gamma), shape
         for p in (2, 3):
             census = enumerate_submodules(shape, p)
             assert census.total_submodules == len(census.classes) == total, (shape, p)
+
+
+def test_search_answers_at_its_edges():
+    """The search's own contract: an empty alpha has the zero span exactly
+    when gamma is beta, and a cotype outside beta has no span (it once
+    raised IndexError).  On the dual side the census of (1, 1) in (2)
+    with gamma empty searches type () and cotype (1, 1), and that of (3)
+    in (2, 2) with cotype (1) searches type (1) and cotype (3): neither
+    finds a span."""
+    for p in (2, 3):
+        B = canonical_module((2, 2), p)
+        assert _spans(B, (), (2, 2)) == [()]
+        assert _spans(B, (), (2, 1)) == _spans(B, (), (1, 1)) == _spans(B, (), ()) == []
+        assert _spans(B, (1,), (3,)) == _spans(B, (), (2, 2, 1)) == _spans(B, (2,), (3, 1)) == []
+        for shape in (Shape((1, 1), (2,), ()), Shape((3,), (2, 2), (1,))):
+            B = canonical_module(shape.beta, p)
+            assert oracle._searches_dual(B.sizes, shape.alpha, shape.gamma), shape
+            assert _distinct_submodules(B, shape.gamma, shape.alpha) == []
+            assert oracle._census_spans(B, shape.alpha, shape.gamma) == []
 
 
 def test_guard():
@@ -619,40 +638,25 @@ def test_fingerprints_separate_known_nonisomorphic():
     assert iso_fingerprint(M12, cat) != iso_fingerprint(M1, cat)
 
 
+@lru_cache(maxsize=None)
+def _hom_inverse(p):
+    """The catalog's hom matrix H over F_p, by ``hom_dim``, and its
+    inverse over the rationals, which is an integer matrix."""
+    H = ref.hom_matrix(s4_catalog(p))
+    return H, ref.integer_inverse(H)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_fingerprint_recovers_multiplicities(p):
     # fingerprint of a direct sum solves back to its summand multiplicities
     # through the catalog self-hom matrix, checked entry by entry against
     # the block-generator solver
     cat = s4_catalog(p)
-    hom_matrix = [[Fraction(hom_dim(ci, cj)) for _, cj in cat] for _, ci in cat]
-    assert hom_matrix == [[nilmod_reference.block_hom_dim(ci, cj) for _, cj in cat]
-                          for _, ci in cat]
+    H, inverse = _hom_inverse(p)
+    assert H == [[nilmod_reference.block_hom_dim(ci, cj) for _, cj in cat] for _, ci in cat]
     mult = {4: 2, 9: 1, 16: 1}  # arbitrary catalog picks
     E = direct_sum(*[cat[i][1] for i, m in mult.items() for _ in range(m)])
-    fp = [Fraction(x) for x in iso_fingerprint(E, cat)]
-    solved = _solve_exact(hom_matrix, fp)
-    assert solved is not None
-    for i, value in enumerate(solved):
-        assert value == mult.get(i, 0)
-
-
-def _solve_exact(matrix, rhs):
-    n = len(matrix)
-    # fp[i] = sum_j hom(c_i, c_j) m_j, so solve H m = fp directly
-    aug = [[matrix[i][j] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    assert ref.mat_vec(inverse, iso_fingerprint(E, cat)) == [mult.get(i, 0) for i in range(20)]
 
 
 def _is_local(E):
@@ -681,20 +685,19 @@ def _decomposed_classes(shapes, p):
     """Krull-Schmidt: the catalog objects are indecomposable (local End),
     so a census member with beta_1 <= 4 is a sum of them, fixed up to
     isomorphism by the multiplicities m, and its fingerprint is H m with
-    H = [dim Hom(C_i, C_j)].  H is invertible, so equal fingerprints mean
+    H = [dim Hom(C_i, C_j)].  H is unimodular, so equal fingerprints mean
     isomorphic members: each class of each census over F_p of ``shapes``
     is the sum that H^-1 fingerprint names.  Returns the number of
     classes."""
     cat = s4_catalog(p)
-    H = [[Fraction(hom_dim(ci, cj)) for _, cj in cat] for _, ci in cat]
-    assert _solve_exact(H, [Fraction(0)] * len(cat)) is not None  # invertible
+    inverse = _hom_inverse(p)[1]
     rng = random.Random(23)
     classes = 0
     for shape in shapes:
         for c in enumerate_submodules(shape, p).classes:
-            m = _solve_exact(H, [Fraction(x) for x in c.fingerprint])
-            assert all(x.denominator == 1 and x >= 0 for x in m), (shape, m)
-            summed = direct_sum(*[C for (_, C), k in zip(cat, m) for _ in range(int(k))])
+            m = ref.mat_vec(inverse, c.fingerprint)
+            assert min(m) >= 0, (shape, m)
+            summed = direct_sum(*[C for (_, C), k in zip(cat, m) for _ in range(k)])
             assert ref.isomorphic(summed, c.representative, rng), (shape, m)
             classes += 1
     return classes
@@ -710,6 +713,124 @@ def test_census_pool_classes_are_sums_of_catalog_objects():
     pool = census_pool()
     assert sum(_decomposed_classes([shape for shape, q in pool if q == p], p)
                for p in (2, 3)) == 65
+
+
+def _assert_closed_form(shapes):
+    """On every (shape, p) of ``shapes``, beta_1 <= 4: every census class
+    decodes to multiplicities in N^20, and the census's sorted (chain,
+    fingerprint, count) triples are those of the closed-form census by
+    Krull-Schmidt (``ref.closed_form_census``).  Returns the number of
+    classes."""
+    classes = 0
+    for shape, p in shapes:
+        H, inverse = _hom_inverse(p)
+        census = enumerate_submodules(shape, p, slow=True)
+        got = sorted((c.tableau.chain, c.fingerprint, c.submodule_count) for c in census.classes)
+        assert all(min(ref.mat_vec(inverse, fp)) >= 0 for _, fp, _ in got), (shape, p)
+        assert got == ref.closed_form_census(shape, p, s4_catalog(p), H), (shape, p)
+        classes += len(got)
+    return classes
+
+
+def test_census_pool_matches_the_closed_form():
+    assert _assert_closed_form(census_pool()) == 65
+
+
+@pytest.mark.slow
+def test_censuses_match_the_closed_form():
+    """Every shape with beta_1 <= 4 and a nonzero LR coefficient, with
+    |beta| <= 7 at p = 2 and |beta| <= 6 at p = 3."""
+    shapes = [(s, p) for p, w in ((2, 7), (3, 6)) for s in iter_all_shapes(w)
+              if s.beta[0] <= 4 and enumerate_tableaux(s)]
+    assert len(shapes) == 731
+    _assert_closed_form(shapes)
+
+
+def _count_x(monkeypatch):
+    """A one-entry list that counts the census's X entries, the calls of
+    ``_reduced_rank``, from now on."""
+    calls, reduced_rank = [0], oracle._reduced_rank
+
+    def counting(U, E):
+        calls[0] += 1
+        return reduced_rank(U, E)
+
+    monkeypatch.setattr(oracle, "_reduced_rank", counting)
+    return calls
+
+
+def test_x_entry_is_taken_once_per_closed_bucket(monkeypatch):
+    """On the pool, the census with the default catalog gives the output of
+    the per-span path (the same catalog passed by the caller), and takes
+    X's entry at most 110 times where the per-span path takes it for each
+    of the 390 spans with beta_1 <= 4."""
+    calls = _count_x(monkeypatch)
+    counts = []
+    for per_span in (True, False):
+        calls[0] = 0
+        out = [enumerate_submodules(shape, p, catalog=s4_catalog(p) if per_span else None)
+               .to_json() for shape, p in census_pool()]
+        counts.append(calls[0])
+        if per_span:
+            want = out
+    assert out == want
+    assert counts[0] == 390 and counts[1] <= 110, counts
+
+
+OPEN_CASE = Shape((3, 2, 1), (4, 4, 2, 2), (3, 2, 1))
+
+
+def test_an_open_bucket_takes_x_for_every_span(monkeypatch):
+    """X + P(1,3) and P(1,) + P(2,3) + P(0,1,3) share their cyclic entries
+    and their tableau, and both are classes of ``OPEN_CASE`` at p = 2: its
+    three classes fall in two buckets, one of them open.  The census equals
+    the per-span path's, and takes X's entry for the 91 spans of the open
+    bucket and the first of the other, not for all 234."""
+    calls = _count_x(monkeypatch)
+    census = enumerate_submodules(OPEN_CASE, 2, slow=True)
+    assert calls[0] == 91 and census.total_submodules == 234
+    fps = [c.fingerprint for c in census.classes]
+    assert len(fps) == 3 and len({fp[:19] for fp in fps}) == 2
+    per_span = enumerate_submodules(OPEN_CASE, 2, slow=True, catalog=s4_catalog(2))
+    assert calls[0] == 91 + 234
+    assert census.to_json() == per_span.to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decoder_inverts_the_hom_matrix_and_delta_spans_its_cyclic_kernel(p):
+    """The census's decoder is the integer inverse of H (so H is
+    unimodular), and delta is X + P(1,3) - P(1,) - P(2,3) - P(0,1,3): H
+    delta is 0 on every cyclic row.  A hom matrix that is not unimodular,
+    here singular, raises."""
+    catalog = s4_catalog(p)
+    terms, delta = oracle._decoder(tuple(catalog))
+    H, want = _hom_inverse(p)
+    assert [[dict(row).get(j, 0) for j in range(20)] for row in terms] == want
+    signs = {"X": 1, "P(1, 3)": 1, "P(1,)": -1, "P(2, 3)": -1, "P(0, 1, 3)": -1}
+    assert delta == [signs.get(name, 0) for name, _ in catalog]
+    assert ref.mat_vec(H, delta) == [0] * 19 + [1]
+    with pytest.raises(InvariantViolation, match="is not unimodular"):
+        oracle._decoder(tuple(catalog + catalog[:1]))
+
+
+def test_a_class_that_does_not_decode_names_its_reproducer(monkeypatch, capsys):
+    """A default catalog that lacks P(2,) still has a unimodular hom
+    matrix, but a class of (2,1) in (3,2,1) with cotype (2,1) at p = 2 is
+    not a sum of its objects: its fingerprint decodes to a negative
+    multiplicity, which raises, naming the fingerprint, the shape and the
+    command, which exits 1."""
+    full = s4_catalog(2)
+    monkeypatch.setattr(oracle, "s4_catalog", lambda p: full[:6] + full[7:])
+    shape = Shape((2, 1), (3, 2, 1), (2, 1))
+    with pytest.raises(InvariantViolation, match="not a sum of catalog objects") as info:
+        enumerate_submodules(shape, 2)
+    message = str(info.value)
+    assert message.startswith("the class of fingerprint [")
+    assert message.endswith(
+        f"not a sum of catalog objects: shape {json.dumps(shape.to_json())}, p = 2, catalog"
+        f" s4_catalog(2); reproduce with: lrlab oracle"
+        f" '{json.dumps(shape.to_json(), separators=(',', ':'))}' -p 2")
+    assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
 
 
 def test_zero_embedding_fingerprint():
