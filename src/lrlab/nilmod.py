@@ -17,20 +17,21 @@ subspace A.  In Jordan coordinates ordered by position in block, then by
 block (layer order), T^k B is a tail of the coordinates, so one echelon
 form of T^i A gives d[i][k] = dim(T^k B + T^i A) for every k; that layer
 table yields the type of A, the chain of types of B / T^i A and the
-entry counts.  So an embedding keeps A's echelon form in layer order.
-Closing given vectors (``Embedding``) extends one echelon form by their
-orbits level by level, from the deepest up, so it passes through the
-echelon form of every T^i A and reads the table off them.  A span given
-in block order (``_closed``: census spans, direct sums) comes without
-orbits: it is kept as given, its layer-order form is derived at once,
-unless the census hands over the one it built, and its table starts
-from that form, T carrying each stage to the next (``_stage_walk``).
-In layer order T is a partial shift that keeps the order of the
-coordinates it keeps, so the images of a reduced stage's rows are
-already reduced but for those of the rows whose pivots T kills, which
-alone are reduced into them.  The canonical basis of A in block order,
-which JSON, hom spaces, fingerprints and the witness read, is derived
-from the layer-order form when first read.
+entry counts.  So an embedding keeps A's echelon form in layer order,
+and its table from when it is built.  Closing given vectors
+(``Embedding``) extends one echelon form by their orbits level by level,
+from the deepest up, so it passes through the echelon form of every
+T^i A and reads the table off them.  The census hands over the
+layer-order echelon forms of invariant spans, which come without orbits
+(``_from_echelon``): their tables start from that form, T carrying each
+stage to the next (``_stage_walk``).  In layer order T is a partial
+shift that keeps the order of the coordinates it keeps, so the images
+of a reduced stage's rows are already reduced but for those of the rows
+whose pivots T kills, which alone are reduced into them.  The canonical
+basis of A in block order, which JSON, hom spaces, fingerprints and the
+witness read, is derived from the layer-order form when first read, by
+the one permutation that takes layer order back to block order
+(``_block_places``).
 Hom spaces and realizations are exact linear algebra mod p too: dim
 Hom(C, E) is the number of maps of C's block generators into E's kernels
 less the rank of their images on C's subspace generators, each image
@@ -86,27 +87,25 @@ class NilModule:
     Jordan block per size, the basis ordered block by block, generator
     first, so the module is its own Jordan basis.
 
-    T acts on column vectors, so a row vector a maps to the row of T a
-    (``image``).  ``shifts`` optionally assigns a degree to each block
-    generator, making the module graded.  The prime is bounded by
+    T acts on column vectors, so a row vector a maps to the row of T a.
+    ``shifts`` optionally assigns a degree to each block generator,
+    making the module graded.  The prime is bounded by
     dim * p**2 < 2**63 (dim taken as at least 1), an input contract that
     Python's unbounded ints no longer need.  The module keeps only tables
     of its sizes: ``_moves``, where moves[j] is the coordinate that T
-    moves into j, dim at a block start, the gather ``_gather`` that
-    applies T to a row with a 0 appended by picking those coordinates,
-    and the layer order ``_order`` of ``_layer_order``.  Beside the layer
-    order it keeps ``_layered``, which takes a row to layer order, the
-    gather ``_step`` of T on rows in layer order (``layer_image``), and
-    ``_to``, where T moves each coordinate it keeps in layer order:
-    to[shift[k]] = k.  ``action``, T as a tuple of rows, is built from
-    ``_moves`` when it is read.  The grading is d + j at place j of a
-    block of degree d, which T raises by one by construction.  The checks
-    run on the tables: the prime, one degree per block, and the gather
-    against the layer walk, T moving into the coordinate order[k] the one
-    at (order + [dim])[shift[k]] for every k.
+    moves into j, dim at a block start, and the layer order ``_order`` of
+    ``_layer_order``.  Beside the layer order it keeps ``_layered``, which
+    takes a row to layer order, the gather ``_step`` of T on rows in layer
+    order (``layer_image``), and ``_to``, where T moves each coordinate it
+    keeps in layer order: to[shift[k]] = k.  ``action``, T as a tuple of
+    rows, is built from ``_moves`` when it is read.  The grading is d + j
+    at place j of a block of degree d, which T raises by one by
+    construction.  The checks run on the tables: the prime, one degree per
+    block, and the moves against the layer walk, T moving into the
+    coordinate order[k] the one at (order + [dim])[shift[k]] for every k.
     """
 
-    __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_gather", "_order",
+    __slots__ = ("p", "dim", "sizes", "grading", "_moves", "_order",
                  "_layered", "_step", "_to")
 
     def __init__(self, sizes, p: int, shifts=None):
@@ -119,7 +118,6 @@ class NilModule:
         for o, b in zip(block_offsets(sizes), sizes):
             moves += [n, *range(o, o + b - 1)]
         self.p, self.dim, self.sizes, self._moves = p, n, sizes, moves
-        self._gather = _picker(moves)
         if shifts is not None and len(shifts) != len(sizes):
             raise ValueError("grading must assign a degree per basis vector")
         self.grading = (None if shifts is None else
@@ -141,14 +139,9 @@ class NilModule:
         I, zero = la.identity(n), (0,) * n
         return tuple([zero if m == n else I[m] for m in self._moves])
 
-    def image(self, rows) -> la.Rows:
-        """The rows of T a for the row vectors a in ``rows``, entries in
-        [0, p)."""
-        gather = self._gather
-        return tuple([gather((*row, 0)) for row in rows])
-
     def layer_image(self, rows) -> list[tuple[int, ...]]:
-        """``image`` for rows in layer order."""
+        """The rows of T a for the row vectors a in ``rows``, in layer
+        order, entries in [0, p)."""
         step = self._step
         return [step((*row, 0)) for row in rows]
 
@@ -222,6 +215,12 @@ def _layer_order(sizes) -> tuple[list[int], tuple[int, ...], list[int]]:
         blocks = alive
         prefix.append(len(order))
     return order, tuple(shift), prefix
+
+
+def _block_places(B: NilModule) -> list[int]:
+    """back[q], the place of block coordinate q in B's layer order: a row
+    in layer order picked at back is in block order."""
+    return sorted(range(B.dim), key=B._order[0].__getitem__)
 
 
 def _shift(sizes) -> la.Rows:
@@ -301,7 +300,7 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
     """Canonical (rref) basis A in B's layer order (``_layer_order``) and
     its pivots for the smallest invariant subspace of B containing
     ``vectors``, given in block order, with the dims and the rows of its
-    layer table (``Embedding._table``) up to the last nonzero T^i A.
+    layer table (``_layers``) up to the last nonzero T^i A.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
     vectors, each taken until it vanishes.  They are kept as levels, level
@@ -309,10 +308,8 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
     levels from i on.  One echelon form is extended (``la.extend``) by
     the levels from the deepest up: after level i it is the rref of
     T^i A, whose pivots give dims[i] = dim T^i A and, by bisection on the
-    layer prefixes, table row i; after level 0 it is A's.  The images of
-    A's rows are then reduced modulo A in one step (see ``la.reduce_vec``)
-    as the invariance check: a nonzero residue raises
-    ``InvariantViolation``.
+    layer prefixes, table row i; after level 0 it is A's.  A that T does
+    not keep (``_is_invariant``) raises ``InvariantViolation``.
     """
     p, n, prefix = B.p, B.dim, B._order[2]
     rows = _vectors(vectors, n, p)
@@ -327,10 +324,16 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
         span, pivots = la.extend(span, pivots, level, p)
         dims.append(len(pivots))
         table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
-    residue = [la.reduce_vec(v, span, pivots, p) for v in B.layer_image(span)]
-    if any(map(any, residue)):
+    if not _is_invariant(B, span, pivots):
         _not_invariant(B, rows)
     return span, pivots, dims[::-1], table[::-1]
+
+
+def _is_invariant(B: NilModule, R: la.Rows, pivots: list[int]) -> bool:
+    """Whether T keeps the row space of R, rref with these pivots in B's
+    layer order: whether the images of its rows reduce to 0 modulo R,
+    each in one step (see ``la.reduce_vec``)."""
+    return not any([any(la.reduce_vec(v, R, pivots, B.p)) for v in B.layer_image(R)])
 
 
 def _not_invariant(B: NilModule, rows) -> None:
@@ -348,18 +351,17 @@ class Embedding:
     vectors under the action there (``invariant_closure``: one echelon
     form extended by their orbits level by level, then the invariance
     check), so they may be just generators, and keeps the layer table
-    (with alpha and the chain) that the closure read off its echelon
-    forms on the way.  ``span``, the canonical row basis of A in block
-    order, a tuple of row tuples and so its own dictionary key, and its
-    pivots are derived from that form on first read (``_derive_span``:
-    one permutation and one ``rref``) and kept; embeddings made from a
-    block-order span (``_closed``) keep it as given, and take their layer
-    table on first use by carrying A's echelon form from stage to stage
-    (``_table``).  The tableau, A's module generators (for
-    ``hom_images``) and, for a cyclic A, the blocks of its generator are
-    computed on first use and kept.  An embedding read by ``from_json``
-    keeps the caller's T, grading and subspace rows as ``_source``, for
-    ``to_json``.
+    that the closure read off its echelon forms on the way: alpha, the
+    chain and d (``_layers``).  An embedding of the census
+    (``_from_echelon``) is handed A's echelon form and takes its table at
+    once, by carrying that form from stage to stage.  ``span``, the
+    canonical row basis of A in block order, a tuple of row tuples and so
+    its own dictionary key, and its pivots are derived from that form on
+    first read (``_derive_span``: one permutation and one ``rref``) and
+    kept.  The tableau, A's module generators (for ``hom_images``) and,
+    for a cyclic A, the blocks of its generator are computed on first use
+    and kept.  An embedding read by ``from_json`` keeps the caller's T,
+    grading and subspace rows as ``_source``, for ``to_json``.
     """
 
     __slots__ = ("B", "_echelon", "_leads", "_span", "_span_pivots", "_layers",
@@ -367,14 +369,13 @@ class Embedding:
 
     def __init__(self, B: NilModule, vectors):
         echelon, leads, dims, table = invariant_closure(B, vectors)
-        self._fill(B, echelon, leads)
-        self._layers = _layers(B, dims, table)
+        self._fill(B, echelon, leads, _layers(B, dims, table))
 
-    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int]) -> "Embedding":
+    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int], layers) -> "Embedding":
         self.B = B
         self._echelon, self._leads = echelon, leads
         self._span = self._span_pivots = None
-        self._layers = None
+        self._layers = layers
         self._tableau = None
         self._gens = None
         self._generator = None
@@ -400,28 +401,18 @@ class Embedding:
     def _derive_span(self) -> None:
         """The block-order ``span`` and its pivots from the layer-order
         echelon form: its rows taken back to block order, then reduced."""
-        order = self.B._order[0]
-        back = _picker(sorted(range(self.B.dim), key=order.__getitem__))
+        back = _picker(_block_places(self.B))
         self._span, self._span_pivots = la.rref([back(row) for row in self._echelon], self.p)
 
     def dim_sub(self) -> int:
         return len(self._echelon)
 
-    def _table(self):
-        """alpha, the chain and d[i][k] = dim(T^k B + T^i A) for i up to
-        alpha_1 and k up to beta_1 (``_layers``).  An embedding built by
-        the constructor has them from its closure; one made by ``_closed``
-        gets them here on first use, by ``_stage_walk``."""
-        if self._layers is None:
-            self._layers = _layers(self.B, *_stage_walk(self.B, self._echelon, self._leads))
-        return self._layers
-
     @property
     def alpha(self) -> Partition:
-        return self._table()[0]
+        return self._layers[0]
 
     def chain(self) -> tuple[Partition, ...]:
-        return self._table()[1]
+        return self._layers[1]
 
     @property
     def gamma(self) -> Partition:
@@ -501,19 +492,12 @@ class Embedding:
                 f"gamma={self.gamma})")
 
 
-def _closed(B: NilModule, span: la.Rows, layered=None) -> Embedding:
-    """The embedding of a span of B that is already invariant and in rref,
-    in block order: no closure is run, the span is kept as given, and each
-    row's pivot is its first entry 1.  ``layered`` is the span's echelon
-    form in layer order with its pivots, when the caller has it; else it
-    is derived with one permutation and one ``rref``.  With no orbits to
-    read it off, the layer table is taken by ``_stage_walk`` when first
-    read."""
-    if layered is None:
-        layered = la.rref([B._layered(row) for row in span], B.p)
-    E = object.__new__(Embedding)._fill(B, *layered)
-    E._span, E._span_pivots = span, [row.index(1) for row in span]
-    return E
+def _from_echelon(B: NilModule, R: la.Rows, pivots: list[int]) -> Embedding:
+    """The embedding of the invariant subspace of B whose echelon form in
+    B's layer order is R, with these pivots: no closure is run, and with
+    no orbits to read it off, the layer table is taken by
+    ``_stage_walk``."""
+    return object.__new__(Embedding)._fill(B, R, pivots, _layers(B, *_stage_walk(B, R, pivots)))
 
 
 def _stage_walk(B: NilModule, R: la.Rows,
@@ -598,7 +582,7 @@ def mu_entries(E: Embedding, ell: int, r: int) -> int:
     (d[ell-1][r] - d[ell][r]) - (d[ell-1][r-1] - d[ell][r-1])."""
     if ell < 1 or r < 1:
         raise ValueError("ell and r are 1-based")
-    d = E._table()[2]
+    d = E._layers[2]
 
     def at(i: int, k: int) -> int:
         # T^i A = 0 past alpha_1 and T^k B = 0 past beta_1
@@ -632,9 +616,8 @@ def invariant_intersection_dim(E: Embedding, r: int, s: int) -> int:
 def direct_sum(*embeddings: Embedding) -> Embedding:
     """Block-diagonal direct sum: the module of the concatenated block
     sizes, graded by the summands' degrees at their block starts when
-    every summand is graded; the stacked block-order spans are already
-    closed and reduced, and ``_closed`` derives the sum's layer-order
-    form from them."""
+    every summand is graded; the subspace is the closure of the stacked
+    block-order spans, like any other embedding's."""
     if not embeddings:
         raise ValueError("need at least one summand")
     p = embeddings[0].p
@@ -648,8 +631,8 @@ def direct_sum(*embeddings: Embedding) -> Embedding:
         off += e.B.dim
     shifts = (None if any(e.B.grading is None for e in embeddings)
               else [e.B.grading[o] for e in embeddings for o in block_offsets(e.B.sizes)])
-    return _closed(canonical_module([b for e in embeddings for b in e.B.sizes], p, shifts),
-                   tuple(spans))
+    return Embedding(canonical_module([b for e in embeddings for b in e.B.sizes], p, shifts),
+                     spans)
 
 
 def hom_dim(E1: Embedding, E2: Embedding) -> int:
@@ -713,13 +696,15 @@ def _reduced_rank(U: la.Rows, E: Embedding) -> int:
 
 
 def _generators(E: Embedding) -> la.Rows:
-    """Module generators of A, kept on E: the rows of A's block-order
-    echelon form (``span``) whose pivots are not pivots of T A.  They are
-    independent modulo T A, and there are dim A - dim T A = len(alpha) of
-    them."""
+    """Module generators of A in block order, kept on E: the rows of A's
+    layer-order echelon form whose leads are not pivots of T A there.  A
+    combination of them has the lead of one of them, and every vector of
+    T A has its lead at a pivot of T A, so they are independent modulo
+    T A, and there are dim A - dim T A = len(alpha) of them."""
     if E._gens is None:
-        shifted = la.rref(E.B.image(E.span), E.p)[1]
-        E._gens = tuple(r for r, c in zip(E.span, E._pivots) if c not in shifted)
+        shifted = la.rref(E.B.layer_image(E._echelon), E.p)[1]
+        back = _picker(_block_places(E.B))
+        E._gens = tuple([back(r) for r, c in zip(E._echelon, E._leads) if c not in shifted])
     return E._gens
 
 

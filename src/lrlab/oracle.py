@@ -5,8 +5,8 @@ which swaps type and cotype (``_census_spans``): the side whose search
 visits fewer generator tuples, p^e(lambda) for type lambda with
 e(lambda) the sum of min(a, b) over the parts a of lambda and the blocks
 b of beta.  On the dual side it lists the spans of type gamma and cotype
-alpha and maps each back by its block-reversed annihilator.  The guard
-still counts the nominal tuples of type alpha.
+alpha and maps each back by its block-reversed annihilator, built in
+layer order.  The guard still counts the nominal tuples of type alpha.
 The search lists the invariant submodules of type alpha and cotype gamma
 of the canonical ambient module level by level, in the module's layer
 order, adding one generator per part of alpha and deduplicating by
@@ -20,14 +20,14 @@ others that would, and they are skipped.  The pivots of a grown span
 are its parent's merged with the leading entries of the residues of the
 line's orbit, so the cotype test takes no elimination, and only a span
 that passes it gets an echelon form, by extending its parent's
-(``linalg.extend``).  One path serves every prime.  The census
-re-checks the type and cotype of every span it gets back, reading its
-layer table off the search's own echelon form, and buckets the spans,
-now in block order, by tableau and by hom-dimension fingerprint against
-a catalog of known indecomposables.
-Spans are visited in the order of their row tuples, so each class
-representative is its least member.  Catalogs are built once per
-argument and kept.
+(``linalg.extend``).  One path serves every prime.  Either side hands
+over layer-order echelon forms, and each becomes an embedding whose
+layer table is read off that form (``nilmod._from_echelon``).  The
+census re-checks the type and cotype of every span it gets back, and
+buckets the spans by tableau and by hom-dimension fingerprint against a
+catalog of known indecomposables.  Spans are visited in the order of
+their block-order row tuples, so each class representative is its least
+member.  Catalogs are built once per argument and kept.
 What does not change within one census is done once per census: the
 fingerprint plan (the chains of position sets the cyclic catalog
 objects read, a column order each, and the image echelon form of the
@@ -89,9 +89,10 @@ from . import linalg as la
 from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
-from .nilmod import (Embedding, _closed, _not_invariant, _reduced_rank, block_offsets,
-                     canonical_module, generator_blocks, hom_images, hom_positions,
-                     realize_picket, realize_pole, tableau_of_embedding)
+from .nilmod import (Embedding, _block_places, _from_echelon, _is_invariant, _not_invariant,
+                     _picker, _reduced_rank, block_offsets, canonical_module,
+                     generator_blocks, hom_images, hom_positions, realize_picket,
+                     realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
 from .tableaux import LRTableau, Shape
 
@@ -405,13 +406,12 @@ def enumerate_submodules(
     buckets: dict[tuple[int, ...], CensusClass] = {}
     firsts: dict[tuple, list] = {}  # cyclic entries -> [first fingerprint, open or None]
     total = 0
-    for span, layered in spans:
-        E = _closed(B, span, layered)  # the search closed and reduced it
+    for E in spans:
         if E.alpha != shape.alpha or E.gamma != shape.gamma:
             raise InvariantViolation(
                 f"search returned a span of type {list(E.alpha)} and cotype"
                 f" {list(E.gamma)}: shape {json.dumps(shape.to_json())}, p = {p},"
-                f" span {[list(row) for row in span]}, catalog {catalog_note}")
+                f" span {[list(row) for row in E.span]}, catalog {catalog_note}")
         total += 1
         chain = E.chain()
         t = tableaux.get(chain)
@@ -480,10 +480,11 @@ def _searches_dual(sizes, alpha, gamma) -> bool:
     return exponent(gamma) < exponent(alpha)
 
 
-def _census_spans(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[int]] | None]]:
-    """The spans of B of type alpha and cotype gamma, sorted, as
-    ``_distinct_submodules`` returns them, searched on the cheaper side
-    (``_searches_dual``).
+def _census_spans(B, alpha, gamma) -> list[Embedding]:
+    """The embeddings of the spans of B of type alpha and cotype gamma,
+    each built from its echelon form in B's layer order
+    (``nilmod._from_echelon``), sorted by block-order span, searched on the
+    cheaper side (``_searches_dual``).
 
     D(A <= B) = ((B/A)* <= B*) is a duality on invariant-subspace pairs,
     under which the type and the cotype change places (Ringel and
@@ -492,34 +493,41 @@ def _census_spans(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[in
     the transposed action to T, since rev T^t rev = T.  So A' -> A =
     (rev A')^perp, the annihilator of A' reversed, takes the spans of type
     gamma and cotype alpha one to one to those of type alpha and cotype
-    gamma; the zero span maps to all of B.  Each mapped span is re-checked
-    invariant (the message of ``invariant_closure``'s check) and handed
-    over without a layer-order echelon form, which ``_closed`` derives.
-    Sorted by the block-order span, as the search sorts, so the side does
-    not show.  The dual search takes alpha as its cotype, and finds no
-    span when alpha does not lie inside beta; nor has a type outside beta
-    a submodule.
+    gamma; the zero span maps to all of B.  A is built in layer order at
+    once: coordinate k of A pairs with coordinate rev[order[k]] of A' in
+    block order, which is perm[k] = back[rev[order[k]]] of A' in layer
+    order, back the inverse of the layer order (``nilmod._block_places``).
+    Each mapped span is re-checked invariant (``nilmod._is_invariant``,
+    with the message of the closure's check, naming A in block order).
+    Sorted by the block-order span, so the side does not show, and each
+    class representative is its least member.  The dual search takes
+    alpha as its cotype, and finds no span when alpha does not lie inside
+    beta; nor has a type outside beta a submodule.
     """
     if not _searches_dual(B.sizes, alpha, gamma):
-        return _distinct_submodules(B, alpha, gamma)
-    p, n = B.p, B.dim
+        found = _distinct_submodules(B, alpha, gamma)
+        return sorted([_from_echelon(B, S, pivots) for S, pivots in found], key=lambda E: E.span)
+    p, n, order = B.p, B.dim, B._order[0]
+    back = _block_places(B)
     rev = [o + b - 1 - j for o, b in zip(block_offsets(B.sizes), B.sizes) for j in range(b)]
-    spans = []
+    perm = _picker([back[rev[q]] for q in order])
+    found = []
     for dual, _ in _distinct_submodules(B, gamma, alpha):
-        A = la.null_space([[row[q] for q in rev] for row in dual], p) if dual else la.identity(n)
+        A = la.null_space([perm(row) for row in dual], p) if dual else la.identity(n)
         pivots = [row.index(1) for row in A]
-        if any([any(la.reduce_vec(v, A, pivots, p)) for v in B.image(A)]):
-            _not_invariant(B, A)
-        spans.append(A)
-    return [(A, None) for A in sorted(spans)]
+        if not _is_invariant(B, A, pivots):
+            block = _picker(back)
+            _not_invariant(B, la.row_space([block(row) for row in A], p))
+        found.append(_from_echelon(B, A, pivots))
+    return sorted(found, key=lambda E: E.span)
 
 
-def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, list[int]]]]:
-    """Canonical bases of the distinct invariant subspaces S of B of type
-    alpha and cotype gamma (B / S of type gamma), sorted, each with its
-    echelon form and pivots in B's layer order, which the search built
-    and an embedding's layer table reads; alpha and gamma as in a
-    ``Shape`` whose beta is B's type.
+def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, list[int]]]:
+    """The echelon forms in B's layer order, with their pivots, of the
+    distinct invariant subspaces S of B of type alpha and cotype gamma
+    (B / S of type gamma), as the search built them, in the order it
+    reached them; alpha and gamma as in a ``Shape`` whose beta is B's
+    type.
 
     Every such S is generated by a tuple with the i-th generator inside
     ker T^alpha_i, and the search adds one generator per part of alpha and
@@ -567,9 +575,7 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, 
     r_(k-1) - r_k, the number of parts of B / S of size at least k.  This
     is the cotype test.  After the last level B / S has |beta| - |alpha|
     = |gamma| boxes, so there containment is equality, and every span
-    kept has cotype gamma.  The survivors go back to block order, one
-    ``rref`` each, and are sorted by that form, so the order in which
-    lines and spans are visited does not show.
+    kept has cotype gamma.
 
     A cotype gamma outside beta, or with |alpha| + |gamma| not |beta|, has
     no span; so the zero span, for an empty alpha, only with gamma = beta.
@@ -577,8 +583,7 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, 
     p, n = B.p, B.dim
     if not pt.contains(B.sizes, gamma) or pt.weight(alpha) + pt.weight(gamma) != n:
         return []
-    order, _, prefix = B._order
-    back = sorted(range(n), key=order.__getitem__)  # q -> its index in layer order
+    prefix = B._order[2]
     image = B._step  # T on a row in layer order with a 0 appended
     columns = pt.transpose(gamma)
     level: dict[la.Rows, list[int]] = {(): []}  # span -> pivots, in layer order
@@ -612,11 +617,10 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, tuple[la.Rows, 
                             f"search: a span grown from a parent has pivots {got}, not"
                             f" {R_pivots} from its residues' leads: beta {list(B.sizes)},"
                             f" alpha {list(alpha)}, gamma {list(gamma)}, p = {p}, parent"
-                            f" span {[[row[i] for i in back] for row in S]}")
+                            f" span {[[row[i] for i in _block_places(B)] for row in S]}")
                     grown.setdefault(R, R_pivots)
         level = grown
-    return sorted([(la.rref([tuple([row[i] for i in back]) for row in S], p)[0], (S, pivots))
-                   for S, pivots in level.items()])
+    return list(level.items())
 
 
 def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, ...]]:

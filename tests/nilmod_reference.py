@@ -17,7 +17,8 @@ indices carried from layer to layer, the Jordan type as the
 transpose of the rank differences that second differences replaced,
 and the closure in block order and the layer table that row-reduced
 every stage afresh, which the closure in layer order and the stages
-carried by T replaced.
+carried by T replaced, and the block-order gather of T (``image``) that
+layer-order echelon forms made unused.
 They are kept only so tests can require identical answers from both.
 
 The package has one module representation, N_beta in its own Jordan
@@ -341,8 +342,15 @@ def _hom_block(E, b):
     out = []
     for _ in range(b):
         out.append(tuple([sum(map(operator.mul, k, v)) % p for k in K for v in TN]))
-        TN = B.image(TN)
+        TN = image(B, TN)
     return tuple(out), len(N)
+
+
+def image(B, rows):
+    """The rows of T a for the row vectors a in ``rows``, in block order:
+    coordinate j of T a is a's at moves[j] (``NilModule._moves``), 0 at a
+    block start, as the package's block-order gather took it."""
+    return tuple([tuple([(*row, 0)[m] for m in B._moves]) for row in rows])
 
 
 def invariant_closure(B, vectors):
@@ -360,7 +368,7 @@ def invariant_closure(B, vectors):
 def orbit_closure(B, vectors):
     """Rref basis and pivots of the invariant closure in block order, as
     the package took it before it closed in layer order: one ``rref`` of
-    the orbits under ``B.image``, then the residues of the basis's images
+    the orbits under ``image``, then the residues of the basis's images
     as the invariance check."""
     p = B.p
     rows = _vectors(vectors, B.dim, p)
@@ -368,9 +376,9 @@ def orbit_closure(B, vectors):
     orbits = []
     while step:
         orbits += step
-        step = [v for v in B.image(step) if any(v)]
+        step = [v for v in image(B, step) if any(v)]
     span, pivots = linalg.rref(orbits, p)
-    residue = [linalg.reduce_vec(v, span, pivots, p) for v in B.image(span)]
+    residue = [linalg.reduce_vec(v, span, pivots, p) for v in image(B, span)]
     if any(map(any, residue)):
         raise InvariantViolation(f"the orbits of {[list(v) for v in rows]} in the module"
                                  f" of blocks {list(B.sizes)} over F_{p} do not span"

@@ -12,7 +12,9 @@ of a residue space by coordinates, one product per line
 was before it was pruned by the quotient's type: it returns every
 submodule of type alpha, so closed-form counts (Birkhoff's, Hall
 symmetry) can check it, and the pruned search must equal it filtered to
-one cotype (``cotype_submodules``).
+one cotype (``cotype_submodules``).  ``searched`` gives the pruned
+search's spans as the embeddings the census builds from them, for the
+tests that read the search's own output.
 
 ``fingerprint_plan`` and ``fingerprint`` are the census fingerprint as
 it was before the position sets of one census were covered by chains:
@@ -41,10 +43,11 @@ from itertools import product
 import numpy as np
 
 from lrlab import linalg
-from lrlab.nilmod import (_closed, _reduced_rank, coordinate_meet_dim, direct_sum,
-                          generator_blocks, hom_dim, hom_images, hom_positions)
-from lrlab.oracle import _residue_lines
-from nilmod_reference import action_of, kron_hom_system, la, orbit_closure, power, span_of
+from lrlab.nilmod import (Embedding, _from_echelon, _reduced_rank, coordinate_meet_dim,
+                          direct_sum, generator_blocks, hom_dim, hom_images, hom_positions)
+from lrlab.oracle import _distinct_submodules, _residue_lines
+from nilmod_reference import (action_of, image, kron_hom_system, la, orbit_closure, power,
+                              span_of)
 
 
 def distinct_submodules(B, alpha):
@@ -84,7 +87,7 @@ def level_wise_submodules(B, alpha):
             for v in residue_lines(W, p):
                 orbit = (v,)
                 for _ in range(a - 1):
-                    orbit += B.image(orbit[-1:])
+                    orbit += image(B, orbit[-1:])
                 R, R_pivots = linalg.rref(S + orbit, p)
                 grown.setdefault(R, R_pivots)
         level = grown
@@ -111,7 +114,7 @@ def unpruned_submodules(B, alpha):
             for v in _residue_lines(W, p):
                 orbit = (v,)
                 for _ in range(a - 1):
-                    orbit += B.image(orbit[-1:])
+                    orbit += image(B, orbit[-1:])
                 if not any(linalg.reduce_vec(orbit[-1], S, pivots, p)):
                     continue
                 R, R_pivots = linalg.rref(S + orbit, p)
@@ -123,7 +126,15 @@ def unpruned_submodules(B, alpha):
 def cotype_submodules(B, alpha, gamma):
     """The spans of ``unpruned_submodules`` whose quotient has type gamma,
     in its order."""
-    return [S for S in unpruned_submodules(B, alpha) if _closed(B, S).gamma == gamma]
+    return [S for S in unpruned_submodules(B, alpha) if Embedding(B, S).gamma == gamma]
+
+
+def searched(B, alpha, gamma):
+    """The embeddings of the forward search's spans of type alpha and
+    cotype gamma, built as the census builds them from the layer-order
+    echelon forms the search hands over, sorted by block-order span."""
+    found = _distinct_submodules(B, alpha, gamma)
+    return sorted([_from_echelon(B, S, pivots) for S, pivots in found], key=lambda E: E.span)
 
 
 def residue_lines(W, p):

@@ -10,6 +10,7 @@ import nilmod_reference as ref
 from linalg_reference import mat
 from conftest import FIVE_CLASS, TWO_CLASS, iter_strip_shapes
 from lrlab import linalg as la
+from lrlab import oracle
 from lrlab.nilmod import realize_tableau, tableau_of_embedding
 from lrlab.oracle import enumerate_submodules, s4_catalog
 from lrlab.tableaux import enumerate_tableaux
@@ -108,7 +109,9 @@ def test_rref_matches_numpy_reference(monkeypatch):
     on strip tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend``
     call is checked and counted too: the census search extends a parent's
     echelon form by the residues of its orbit directly, and the closure
-    extends one echelon form by its orbit levels."""
+    extends one echelon form by its orbit levels.  The kept catalogs and
+    decoders are dropped first, so the counts include building them
+    whichever tests ran before."""
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
@@ -143,6 +146,8 @@ def test_rref_matches_numpy_reference(monkeypatch):
             extensions.append(len(M))
         return got
 
+    oracle._s4_catalog.cache_clear()
+    oracle._decoder.cache_clear()
     monkeypatch.setattr(la, "rref", checked_rref)
     monkeypatch.setattr(la, "rank", checked_rank)
     monkeypatch.setattr(la, "extend", checked_extend)

@@ -15,6 +15,7 @@ from conftest import (FIVE_CLASS, TWO_CLASS, census_pool, iter_all_shapes,
 from linalg_reference import mat
 from lrlab import linalg as la
 from lrlab import nilmod
+from lrlab import oracle
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
@@ -27,9 +28,8 @@ from lrlab.nilmod import (Embedding, canonical_module, direct_sum,
                           realize_pole, realize_tableau, tableau_of_embedding)
 from lrlab.boxmoves import box_successors
 from lrlab.cli import run
-from lrlab.oracle import (_distinct_submodules, _fingerprint, _fingerprint_plan,
-                          enumerate_submodules, iso_fingerprint, picket_pole_catalog,
-                          s4_catalog)
+from lrlab.oracle import (_fingerprint, _fingerprint_plan, enumerate_submodules,
+                          iso_fingerprint, picket_pole_catalog, s4_catalog)
 from lrlab.partitions import partition, partitions_of
 from lrlab.poles import (Picket, Pole, minimal_ambient, picket_tableau,
                          pole_pieces, pole_tableau, tableau_union)
@@ -295,8 +295,7 @@ HOM_CENSUS_SHAPES = [(TWO_CLASS, 2), (FIVE_CLASS, 2), (Shape((2, 1), (3, 2, 1), 
 
 def _census_targets(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
-    B = canonical_module(shape.beta, p)
-    return [Embedding(B, S) for S, _ in _distinct_submodules(B, shape.alpha, shape.gamma)]
+    return oracle_reference.searched(canonical_module(shape.beta, p), shape.alpha, shape.gamma)
 
 
 @pytest.mark.parametrize("shape,p", HOM_CENSUS_SHAPES, ids=str)
@@ -649,21 +648,25 @@ def test_canonical_module_matches_references(p):
         for k in range(max(sizes, default=0) + 2):
             assert M.kernel(k) == la.null_space(ref.power(M, k).tolist(), p), (sizes, k)
         rows = [tuple(rng.randrange(p) for _ in range(M.dim)) for _ in range(5)]
-        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p)
-        assert M.image([]) == ()
+        layered = [M._layered(row) for row in la.mul(rows, tuple(zip(*M.action)), p)]
+        assert M.layer_image([M._layered(row) for row in rows]) == layered
+        assert M.layer_image([]) == []
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_action_is_built_from_the_gather_when_read(p):
     # the matrix a module no longer keeps: the transposed shift of its
-    # sizes, and the product that its gather stands for
+    # sizes, and the product that its layer-order gather stands for
     rng = random.Random(70 + p)
     for sizes in [(), (1,), (1, 1)] + [_random_blocks(rng)[0] for _ in range(40)]:
         M = canonical_module(sizes, p)
         assert M.action == tuple(zip(*nilmod._shift(sizes)))
         assert all(type(row) is tuple for row in M.action)
         rows = [tuple(rng.randrange(p) for _ in range(M.dim)) for _ in range(4)]
-        assert M.image(rows) == la.mul(rows, tuple(zip(*M.action)), p)
+        product = la.mul(rows, tuple(zip(*M.action)), p)
+        assert ref.image(M, rows) == product
+        layered = [M._layered(row) for row in product]
+        assert M.layer_image([M._layered(row) for row in rows]) == layered
 
 
 # sha256 over json.dumps(realize_tableau(t, p).to_json(), sort_keys=True) of
@@ -788,21 +791,25 @@ def test_witness_json_matches_general_path():
                 assert E.chain() == G.chain()
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_census_embeddings_skip_closure_alike(p):
-    # the census builds its embeddings without closing the search's spans,
-    # from the block-order span and the search's layer-order echelon form,
-    # which is the one an embedding derives from that span
-    B = canonical_module(FIVE_CLASS.beta, p)
-    spans = _distinct_submodules(B, FIVE_CLASS.alpha, FIVE_CLASS.gamma)
-    assert spans
-    for span, layered in spans:
-        assert layered == ref.in_layer_order(B, span)
-        for E in (nilmod._closed(B, span, layered), nilmod._closed(B, span)):
-            F = Embedding(B, span)
-            assert (E.span, E._pivots) == (F.span, F._pivots)
-            assert (E._echelon, E._leads) == (F._echelon, F._leads) == layered
-            assert (E.alpha, E.chain()) == (F.alpha, F.chain())
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_census_embeddings_skip_closure_alike(dual, monkeypatch):
+    # the census builds its embeddings without closing the spans, from the
+    # layer-order echelon forms that either side of the duality hands over:
+    # those an embedding closes its block-order span to, with its table
+    monkeypatch.setattr(oracle, "_searches_dual", lambda sizes, alpha, gamma: dual)
+    spans = 0
+    for shape, p in census_pool() + [(FIVE_CLASS, 3)]:
+        B = canonical_module(shape.beta, p)
+        found = oracle._census_spans(B, shape.alpha, shape.gamma)
+        searched = oracle_reference.searched(B, shape.alpha, shape.gamma)
+        assert [E.span for E in found] == [E.span for E in searched], (shape, p)
+        for E in found:
+            F = Embedding(B, E.span)
+            assert (E._echelon, E._leads) == (F._echelon, F._leads) \
+                == ref.in_layer_order(B, E.span), (shape, p)
+            assert (E.span, E._pivots, E._layers) == (F.span, F._pivots, F._layers), (shape, p)
+        spans += len(found)
+    assert spans == 390 + 756
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -886,7 +893,7 @@ def test_census_spans_match_reference(p):
 def _same_table_as_reference(E):
     """E's layer table, carried from stage to stage by T, against the one
     that row-reduces every stage afresh from the block-order span."""
-    return E._table() == ref.layer_table(E)
+    return E._layers == ref.layer_table(E)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -897,12 +904,12 @@ def test_layer_table_matches_reference_on_strip_realizations(p):
 
 
 def test_layer_table_matches_reference_on_census_pool_and_catalogs():
-    # the census's embeddings from the search's layer-order forms
+    # the census's embeddings from the layer-order forms either side hands over
     spans = 0
     for shape, p in census_pool():
         B = canonical_module(shape.beta, p)
-        for span, layered in _distinct_submodules(B, shape.alpha, shape.gamma):
-            assert _same_table_as_reference(nilmod._closed(B, span, layered)), (shape, p, span)
+        for E in oracle._census_spans(B, shape.alpha, shape.gamma):
+            assert _same_table_as_reference(E), (shape, p, E.span)
             spans += 1
     assert spans == 390
     for p in (2, 3):
@@ -921,7 +928,7 @@ def test_layer_table_matches_reference_in_random_bases(p):
              + [realize_tableau(t, p) for t in enumerate_tableaux(shape)])
     for E in given:
         F = _conjugate(E, _random_invertible(rng, E.B.dim, p))
-        assert _same_table_as_reference(F) and F._table() == E._table()
+        assert _same_table_as_reference(F) and F._layers == E._layers
     for beta in JORDAN_TYPES:
         n = sum(beta)
         S = _random_invertible(rng, n, p) if n else np.zeros((0, 0), dtype=np.int64)
@@ -1007,22 +1014,25 @@ def test_realization_and_its_tableau_derive_no_block_span(monkeypatch):
 
 
 def test_closure_built_embeddings_take_no_stage_walk(monkeypatch):
-    # realizations and witness terms have their layer tables from their
-    # closures; census spans and direct sums, handed over closed, have no
-    # orbits and take the stage walk
+    # realizations, witness terms and direct sums have their layer tables
+    # from their closures; census spans, handed over as echelon forms with
+    # no orbits, take one stage walk each, on either side of the duality
     walk, walks = nilmod._stage_walk, []
     monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: pytest.fail("stage walk taken"))
     for shape in iter_strip_shapes(9):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
-                assert tableau_of_embedding(realize_tableau(t, p)) == t
+                E = realize_tableau(t, p)
+                assert tableau_of_embedding(E) == t and direct_sum(E, E).chain()
                 for up, move in box_successors(t):
                     assert all(witness_sequence(t, up, move, p).report.values())
-    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: walks.append(a) or walk(*a))
-    census = enumerate_submodules(TWO_CLASS, 2)
-    assert len(walks) == census.total_submodules > 0
-    E = realize_tableau(enumerate_tableaux(TWO_CLASS)[0], 2)
-    assert direct_sum(E, E).chain() and len(walks) == census.total_submodules + 1
+    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: walks.append(a[1]) or walk(*a))
+    swapped = Shape(FIVE_CLASS.gamma, FIVE_CLASS.beta, FIVE_CLASS.alpha)
+    for shape, dual in ((TWO_CLASS, False), (swapped, True)):
+        assert oracle._searches_dual(shape.beta, shape.alpha, shape.gamma) == dual
+        del walks[:]
+        census = enumerate_submodules(shape, 2, slow=True)
+        assert len(walks) == len(set(walks)) == census.total_submodules > 0
 
 
 def test_json_alike_whether_span_is_read_before_or_after_the_chain():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import shlex
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -30,9 +31,8 @@ from lrlab.worked_examples import EXT_DEG_SHAPE, ext_deg_modules
 
 
 def _spans(B, alpha, gamma):
-    """The block-order spans of the census search, without the layer-order
-    echelon forms that it hands over with them."""
-    return [span for span, _ in _distinct_submodules(B, alpha, gamma)]
+    """The block-order spans of the census search, sorted."""
+    return [E.span for E in ref.searched(B, alpha, gamma)]
 
 
 def test_catalog_has_twenty_objects():
@@ -233,8 +233,8 @@ def test_search_takes_one_echelon_form_per_span_a_parent_reaches(shape, p, monke
     spans = _spans(B, shape.alpha, shape.gamma)
     monkeypatch.undo()
     assert spans == sorted(ref.cotype_submodules(B, shape.alpha, shape.gamma))
-    # the only ``rref`` calls take each survivor back to block order
-    assert sorted(conversions) == spans
+    # the search hands over its own echelon forms and takes no ``rref``
+    assert conversions == []
     reached = {}  # parent -> the spans its echelon forms gave
     for parent, R in extensions:
         reached.setdefault(parent, []).append(R)
@@ -350,9 +350,7 @@ def test_residue_lines_match_the_coordinate_enumeration(p):
 
 def _census_embeddings(shape, p):
     """Every embedding the census of ``shape`` over F_p fingerprints."""
-    B = canonical_module(shape.beta, p)
-    for span in _spans(B, shape.alpha, shape.gamma):
-        yield Embedding(B, span)
+    yield from ref.searched(canonical_module(shape.beta, p), shape.alpha, shape.gamma)
 
 
 def _assert_fingerprints_solve_alike(shape, p):
@@ -511,8 +509,8 @@ def test_default_catalog_collision_names_it_and_its_command(monkeypatch, capsys,
 
 def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     # the search returns only spans of type alpha; one that is not raises
-    monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha, gamma: [(((0, 0, 0, 1),), None)])
+    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha, gamma:
+                        [nilmod_reference.in_layer_order(B, ((0, 0, 0, 1),))])
     shape = Shape((2,), (3, 1), (2,))
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 2)
@@ -523,8 +521,8 @@ def test_census_refuses_a_span_of_another_type(monkeypatch, capsys):
     assert _reproduce(message, capsys) == (1, f"verification failure: {message}\n")
     # past nilpotency four the default is the picket-pole catalog
     shape = Shape((2,), (5, 1), (4,))
-    monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha, gamma: [(((0, 0, 0, 0, 0, 1),), None)])
+    monkeypatch.setattr(oracle, "_distinct_submodules", lambda B, alpha, gamma:
+                        [nilmod_reference.in_layer_order(B, ((0, 0, 0, 0, 0, 1),))])
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 3)
     message = str(info.value)
@@ -537,7 +535,7 @@ def test_census_refuses_a_span_of_another_cotype(monkeypatch, capsys):
     # only spans of cotype gamma, and one that is not raises
     span = ((0, 1, 0, 0), (0, 0, 1, 0))
     monkeypatch.setattr(oracle, "_distinct_submodules",
-                        lambda B, alpha, gamma: [(span, None)])
+                        lambda B, alpha, gamma: [nilmod_reference.in_layer_order(B, span)])
     shape = Shape((2,), (3, 1), (2,))
     with pytest.raises(InvariantViolation, match="span of type") as info:
         enumerate_submodules(shape, 2)
@@ -972,6 +970,79 @@ def test_counts_by_cotype_are_hall_symmetric_slow(p, max_weight):
     assert _assert_hall_symmetric(p, max_weight) == SLOW_COUNT_RANGES[p, max_weight][1]
 
 
+def _n(partition):
+    """n(lambda) = sum of (i - 1) lambda_i."""
+    return sum([i * x for i, x in enumerate(partition)])
+
+
+def _interpolate(points):
+    """The coefficients, lowest first, of the polynomial of degree below
+    len(points) through the points (q, y), over the rationals (Lagrange)."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (q_i, y_i) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j, (q_j, _) in enumerate(points):
+            if j != i:
+                basis = [a - q_j * b for a, b in zip([0] + basis, basis + [0])]
+                scale *= q_i - q_j
+        coeffs = [c + y_i * b / scale for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _monic_of_degree(counts, d):
+    """Whether the counts at the first d + 1 of ``EQUAL_DIMENSION_PRIMES``
+    interpolate to a monic integer polynomial of degree d that predicts
+    the count at the next one, if there is one (not for d = 3)."""
+    primes = EQUAL_DIMENSION_PRIMES[:d + 2]
+    coeffs = _interpolate([(q, counts[q]) for q in primes[:d + 1]])
+    return (all(c.denominator == 1 for c in coeffs) and coeffs[-1] == 1
+            and all(sum(c * q ** k for k, c in enumerate(coeffs)) == counts[q]
+                    for q in primes[d + 1:]))
+
+
+# a census at 11 would predict the d = 3 counts, but takes minutes on |beta| <= 6
+EQUAL_DIMENSION_PRIMES = (2, 3, 5, 7)
+
+
+def _assert_strata_of_equal_dimension(max_weight, max_d):
+    """The paper's claim over F_q: the variety of short exact sequences of
+    a shape is cut by its LR tableaux into strata of equal dimension
+    d = n(beta) - n(alpha) - n(gamma).  Over F_q each stratum's submodules
+    number a monic polynomial in q of degree d, the leading term
+    c q^d of the Hall polynomial shared among the c tableaux (Macdonald,
+    Symmetric functions and Hall polynomials, Ch. II; T. Klein, J. Algebra
+    12, 1969).  On every shape in range with a nonempty alpha and a
+    tableau, each tableau's census counts pass ``_monic_of_degree``, and
+    a count off by one at any one prime fails it.  Returns the number of
+    shapes."""
+    shapes = 0
+    for shape in iter_all_shapes(max_weight):
+        d = _n(shape.beta) - _n(shape.alpha) - _n(shape.gamma)
+        tableaux = enumerate_tableaux(shape)
+        if d > max_d or not tableaux:
+            continue
+        censuses = {q: enumerate_submodules(shape, q, slow=True).per_tableau
+                    for q in EQUAL_DIMENSION_PRIMES[:d + 2]}
+        for t in tableaux:
+            counts = {q: per_tableau.get(t, 0) for q, per_tableau in censuses.items()}
+            assert _monic_of_degree(counts, d), (shape, t, counts)
+            for q in counts:
+                for off in (-1, 1):
+                    assert not _monic_of_degree({**counts, q: counts[q] + off}, d), (shape, t)
+        shapes += 1
+    return shapes
+
+
+def test_strata_count_monic_polynomials_of_degree_d():
+    assert _assert_strata_of_equal_dimension(6, 2) == 205
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("max_weight,max_d,shapes", [(6, 3, 232), (7, 2, 408)], ids=str)
+def test_strata_count_monic_polynomials_of_degree_d_slow(max_weight, max_d, shapes):
+    assert _assert_strata_of_equal_dimension(max_weight, max_d) == shapes
+
+
 def _dual(E: Embedding) -> Embedding:
     """D(A <= B) = ((B/A)* <= B*): the transposed action, on the dual
     space, with the functionals that vanish on A as the subspace."""
@@ -1055,7 +1126,7 @@ def _assert_pruned_search_is_the_stratum(p, max_weight, top=None):
             shape = Shape(alpha, beta, gamma)
             spans = _spans(B, alpha, gamma)
             assert spans == strata.get(gamma, []), shape
-            assert [S for S, _ in oracle._census_spans(B, alpha, gamma)] == spans, shape
+            assert [E.span for E in oracle._census_spans(B, alpha, gamma)] == spans, shape
             got = {tableau_of_embedding(Embedding(B, S)) for S in spans}
             assert got == set(enumerate_tableaux(shape)), shape
             shapes += 1
