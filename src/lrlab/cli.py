@@ -64,8 +64,7 @@ def _word(arg: str) -> tuple[int, ...]:
 
 def _emit(args, payload, text_lines=None):
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")  # one write, not one per chunk
     else:
         for line in text_lines or [json.dumps(payload)]:
             print(line)

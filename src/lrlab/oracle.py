@@ -20,7 +20,10 @@ others that would, and they are skipped.  The pivots of a grown span
 are its parent's merged with the leading entries of the residues of the
 line's orbit, so the cotype test takes no elimination, and only a span
 that passes it gets an echelon form, by extending its parent's
-(``linalg.extend``).  One path serves every prime.  Either side hands
+(``linalg.extend``).  At a level whose part is 1 a line's residue is the
+line itself, led by the pivot of the row of the residue space that lists
+it, so the test is taken once per such row, and a row that fails it
+skips all its lines.  One path serves every prime.  Either side hands
 over layer-order echelon forms, and each becomes an embedding whose
 layer table is read off that form (``nilmod._from_echelon``).  The
 census re-checks the type and cotype of every span it gets back, and
@@ -573,9 +576,18 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, list[int]]]:
     polynomials*, Ch. II).  So a span is dropped unless gamma lies inside
     the type of B / S: unless the k-th column of gamma is at most
     r_(k-1) - r_k, the number of parts of B / S of size at least k.  This
-    is the cotype test.  After the last level B / S has |beta| - |alpha|
-    = |gamma| boxes, so there containment is equality, and every span
-    kept has cotype gamma.
+    is the cotype test (``_holds_cotype``).  After the last level B / S
+    has |beta| - |alpha| = |gamma| boxes, so there containment is
+    equality, and every span kept has cotype gamma.
+
+    At a level whose part a is 1 the residues are the line v alone, and
+    the lines listed from row j of W are W[j] plus a vector of
+    span(W[j+1:]), all led by W[j]'s pivot.  So every line of one row
+    gives one set of pivots, and the search takes the cotype test once
+    per row: a row that fails it has its lines skipped, and each line of
+    a row that passes it is extended, with its pivots re-checked as
+    above.  No two lines give one span there (p^(a-1) = 1), so nothing is
+    recorded as reached.
 
     A cotype gamma outside beta, or with |alpha| + |gamma| not |beta|, has
     no span; so the zero span, for an empty alpha, only with gamma = beta.
@@ -593,24 +605,30 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, list[int]]]:
         for S, pivots in level.items():
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
             reached = set()  # lines of W whose closure with S is already taken
-            for v in _residue_lines(W, p):
-                if v in reached:
-                    continue
-                residues = [v]  # v is reduced modulo S, and not 0
-                for _ in range(a - 1):
-                    residues.append(la.reduce_vec(image((*residues[-1], 0)), S, pivots, p))
-                if not any(residues[-1]):
-                    continue
-                same = [v]  # v plus every combination of the later residues
-                for res in residues[1:]:
-                    same = [tuple([(x + c * y) % p for x, y in zip(u, res)])
-                            for u in same for c in range(p)]
-                reached.update(same)
-                leads = [res.index(next(filter(None, res))) for res in residues]  # first nonzero
-                R_pivots = sorted(pivots + leads)
-                d = n - len(R_pivots)
-                r = [d - s + bisect_left(R_pivots, s) for s in prefix]
-                if all([r[k] - r[k + 1] >= c for k, c in enumerate(columns)]):
+            for j, lines in _residue_lines(W, p):
+                if a == 1:  # each line is its own residue, led by W[j]'s pivot
+                    R_pivots = sorted([*pivots, W[j].index(1)])
+                    if not _holds_cotype(R_pivots, n, prefix, columns):
+                        continue
+                for v in lines:
+                    residues = [v]  # v is reduced modulo S, and not 0
+                    if a > 1:
+                        if v in reached:
+                            continue
+                        for _ in range(a - 1):
+                            residues.append(la.reduce_vec(image((*residues[-1], 0)), S, pivots,
+                                                          p))
+                        if not any(residues[-1]):
+                            continue
+                        same = [v]  # v plus every combination of the later residues
+                        for res in residues[1:]:
+                            same = [tuple([(x + c * y) % p for x, y in zip(u, res)])
+                                    for u in same for c in range(p)]
+                        reached.update(same)
+                        leads = [res.index(next(filter(None, res))) for res in residues]
+                        R_pivots = sorted(pivots + leads)
+                        if not _holds_cotype(R_pivots, n, prefix, columns):
+                            continue
                     R, got = la.extend(S, pivots, residues, p)
                     if got != R_pivots:
                         raise InvariantViolation(
@@ -623,21 +641,35 @@ def _distinct_submodules(B, alpha, gamma) -> list[tuple[la.Rows, list[int]]]:
     return list(level.items())
 
 
-def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, ...]]:
-    """One vector per line of the row space of W, which is in rref: W[j]
-    plus each vector of span(W[j+1:]), for every j, so the first nonzero
-    entry of each is 1.  The spans grow from the last row up, one row at a
-    time, and each new vector is one addition of that row to a vector
-    already listed; the span of all of W is not built."""
-    lines: list[tuple[int, ...]] = []
+def _holds_cotype(pivots: list[int], n: int, prefix, columns) -> bool:
+    """The cotype test: whether the type of B / S, for a span S of B with
+    ``pivots`` in B's layer order, contains gamma, whose ``columns`` are
+    given.  dim(T^k B + S) is n - prefix[k] plus the pivots of S before
+    prefix[k], which gives the rank r_k of T^k on B / S, and gamma lies
+    inside the type of B / S when its k-th column is at most
+    r_(k-1) - r_k."""
+    d = n - len(pivots)
+    r = [d - s + bisect_left(pivots, s) for s in prefix]
+    return all([r[k] - r[k + 1] >= c for k, c in enumerate(columns)])
+
+
+def _residue_lines(W: la.Rows, p: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """One vector per line of the row space of W, which is in rref, grouped
+    by the row that leads it: (j, W[j] plus each vector of span(W[j+1:]))
+    for every j, from the last row up, so every vector of a group has its
+    first nonzero entry, a 1, at W[j]'s pivot.  The spans grow from the
+    last row up, one row at a time, and each new vector is one addition
+    of that row to a vector already listed; the span of all of W is not
+    built."""
+    groups: list[tuple[int, list[tuple[int, ...]]]] = []
     span = [(0,) * len(W[0])] if W else []  # span(W[j+1:])
     for j in range(len(W) - 1, -1, -1):
         row = W[j]
         shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in span]
-        lines += shifted
+        groups.append((j, shifted))
         if j:
             span = span + shifted
             for _ in range(p - 2):  # the multiples 2 W[j] .. (p-1) W[j]
                 shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in shifted]
                 span += shifted
-    return lines
+    return groups

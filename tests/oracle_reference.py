@@ -14,7 +14,10 @@ submodule of type alpha, so closed-form counts (Birkhoff's, Hall
 symmetry) can check it, and the pruned search must equal it filtered to
 one cotype (``cotype_submodules``).  ``searched`` gives the pruned
 search's spans as the embeddings the census builds from them, for the
-tests that read the search's own output.
+tests that read the search's own output.  ``per_line_submodules`` is
+the search as it was before its single-box levels took the cotype test
+once per row of the residue space: every line alone, listed flat by
+row additions (``listed_residue_lines``).
 
 ``fingerprint_plan`` and ``fingerprint`` are the census fingerprint as
 it was before the position sets of one census were covered by chains:
@@ -36,6 +39,7 @@ matrix (``integer_inverse``, over the rationals).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -45,7 +49,10 @@ import numpy as np
 from lrlab import linalg
 from lrlab.nilmod import (Embedding, _from_echelon, _reduced_rank, coordinate_meet_dim,
                           direct_sum, generator_blocks, hom_dim, hom_images, hom_positions)
-from lrlab.oracle import _distinct_submodules, _residue_lines
+from lrlab import partitions as pt
+from lrlab.errors import InvariantViolation
+from lrlab.nilmod import _block_places
+from lrlab.oracle import _distinct_submodules
 from nilmod_reference import (action_of, image, kron_hom_system, la, orbit_closure, power,
                               span_of)
 
@@ -111,7 +118,7 @@ def unpruned_submodules(B, alpha):
         grown = {}
         for S, pivots in level.items():
             W = linalg.row_space([linalg.reduce_vec(v, S, pivots, p) for v in kernel], p)
-            for v in _residue_lines(W, p):
+            for v in listed_residue_lines(W, p):
                 orbit = (v,)
                 for _ in range(a - 1):
                     orbit += image(B, orbit[-1:])
@@ -129,12 +136,81 @@ def cotype_submodules(B, alpha, gamma):
     return [S for S in unpruned_submodules(B, alpha) if Embedding(B, S).gamma == gamma]
 
 
+def per_line_submodules(B, alpha, gamma):
+    """The census search as it was before its single-box levels took the
+    cotype test once per row of the residue space: the (echelon form,
+    pivots) in B's layer order of the spans of type alpha and cotype
+    gamma, in the order it reached them.  Every line, of every level, has
+    its residues, leads and cotype test taken alone, and is recorded as
+    reached."""
+    p, n = B.p, B.dim
+    if not pt.contains(B.sizes, gamma) or pt.weight(alpha) + pt.weight(gamma) != n:
+        return []
+    prefix = B._order[2]
+    image = B._step
+    columns = pt.transpose(gamma)
+    level = {(): []}  # span -> pivots, in layer order
+    for a in alpha:
+        kernel = [B._layered(v) for v in B.kernel(a)]
+        grown = {}
+        for S, pivots in level.items():
+            W = linalg.row_space([linalg.reduce_vec(v, S, pivots, p) for v in kernel], p)
+            reached = set()
+            for v in listed_residue_lines(W, p):
+                if v in reached:
+                    continue
+                residues = [v]
+                for _ in range(a - 1):
+                    residues.append(linalg.reduce_vec(image((*residues[-1], 0)), S, pivots, p))
+                if not any(residues[-1]):
+                    continue
+                same = [v]
+                for res in residues[1:]:
+                    same = [tuple([(x + c * y) % p for x, y in zip(u, res)])
+                            for u in same for c in range(p)]
+                reached.update(same)
+                leads = [res.index(next(filter(None, res))) for res in residues]
+                R_pivots = sorted(pivots + leads)
+                d = n - len(R_pivots)
+                r = [d - s + bisect_left(R_pivots, s) for s in prefix]
+                if all([r[k] - r[k + 1] >= c for k, c in enumerate(columns)]):
+                    R, got = linalg.extend(S, pivots, residues, p)
+                    if got != R_pivots:
+                        raise InvariantViolation(
+                            f"search: a span grown from a parent has pivots {got}, not"
+                            f" {R_pivots} from its residues' leads: beta {list(B.sizes)},"
+                            f" alpha {list(alpha)}, gamma {list(gamma)}, p = {p}, parent"
+                            f" span {[[row[i] for i in _block_places(B)] for row in S]}")
+                    grown.setdefault(R, R_pivots)
+        level = grown
+    return list(level.items())
+
+
 def searched(B, alpha, gamma):
     """The embeddings of the forward search's spans of type alpha and
     cotype gamma, built as the census builds them from the layer-order
     echelon forms the search hands over, sorted by block-order span."""
     found = _distinct_submodules(B, alpha, gamma)
     return sorted([_from_echelon(B, S, pivots) for S, pivots in found], key=lambda E: E.span)
+
+
+def listed_residue_lines(W, p):
+    """One vector per line of the row space of W (rref), as the search
+    listed them before it grouped them by row: W[j] plus each vector of
+    span(W[j+1:]), for every j from the last row up, each new vector one
+    addition of a row to a vector already listed."""
+    lines = []
+    span = [(0,) * len(W[0])] if W else []  # span(W[j+1:])
+    for j in range(len(W) - 1, -1, -1):
+        row = W[j]
+        shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in span]
+        lines += shifted
+        if j:
+            span = span + shifted
+            for _ in range(p - 2):  # the multiples 2 W[j] .. (p-1) W[j]
+                shifted = [tuple([(x + y) % p for x, y in zip(row, v)]) for v in shifted]
+                span += shifted
+    return lines
 
 
 def residue_lines(W, p):

@@ -150,6 +150,48 @@ def test_hom_and_profile(capsys, tmp_path):
     assert prof["profile"]
 
 
+def test_json_output_is_one_write_of_json_dumps_bytes(capsys, monkeypatch, tmp_path):
+    """Every subcommand above that prints JSON writes it in one call, and
+    its bytes are those of ``json.dump`` with indent 2 and a newline,
+    which writes once per encoder chunk."""
+    embedding = tmp_path / "e.json"
+    embedding.write_text(PICKET_EMBEDDING)
+    payloads = []
+    emit = cli._emit
+
+    def recording(args, payload, text_lines=None):
+        payloads.append(payload)
+        return emit(args, payload, text_lines)
+
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    for argv in [["enumerate", FIVE],
+                 ["orders", FIVE, "--relation", "dom"],
+                 ["hasse", FIVE, "--relation", "box"],
+                 ["dom2box", ALGO, "--from", "1,3,2,2,1,1", "--to", "2,3,2,1,1,1"],
+                 ["decompose", PICKET],
+                 ["realize", PICKET, "-p", "3"],
+                 ["tableau", str(embedding)],
+                 ["witness", SMALL, "--from", "1,2,1", "--to", "2,1,1", "--move", "1,2"],
+                 ["hom", str(embedding), str(embedding)],
+                 ["profile", str(embedding)],
+                 ["oracle", '{"alpha":[3,1],"beta":[4,3,1],"gamma":[3,1]}', "-p", "2"]]:
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(argv) == 0, argv
+        expected = io.StringIO()
+        json.dump(payloads[-1], expected, indent=2)
+        expected.write("\n")
+        assert (out.writes, out.getvalue()) == (1, expected.getvalue()), argv
+    assert len(payloads) == 11
+
+
 def _conjugated(data, rng):
     """The embedding JSON ``data`` under a random invertible base change S
     over F_p: T becomes S T S^-1 and A_span the rows of S a.  The grading

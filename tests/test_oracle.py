@@ -4,7 +4,7 @@ import random
 import shlex
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,7 +277,7 @@ def test_residue_leads_give_the_pivots_of_the_grown_span(monkeypatch):
             a = parts[len(S)]
             kernel = [tuple([v[q] for q in order]) for v in B.kernel(a)]
             W = la.row_space([la.reduce_vec(v, S, pivots, p) for v in kernel], p)
-            for v in _residue_lines(W, p):
+            for v in ref.listed_residue_lines(W, p):
                 orbit = [v]
                 for _ in range(a - 1):
                     orbit.append(tuple([(orbit[-1] + (0,))[k] for k in shift]))
@@ -335,17 +335,95 @@ def test_search_refuses_an_echelon_form_off_its_residues_leads(monkeypatch, caps
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_residue_lines_match_the_coordinate_enumeration(p):
     """The lines built by row additions are those of the coordinate
-    products they replaced, each once and with a first nonzero entry 1."""
+    products they replaced, each once and with a first nonzero entry 1.
+    They come grouped by the row j of W that builds them, from the last
+    row up: each group is the products (1, t) times W[j:], every line of
+    it has its first nonzero entry, a 1, at W[j]'s pivot, and the groups,
+    in order, are the listing of the per-line search."""
     rng = random.Random(p)
     for rows in [0, 1, 1, 2, 2, 3, 3, 4]:
         n = rng.randint(max(rows, 1), 7)
         W = ()
         while len(W) < rows:  # seeded random rref of exactly ``rows`` rows
             W = la.row_space([[rng.randrange(p) for _ in range(n)] for _ in range(rows)], p)
-        lines = _residue_lines(W, p)
+        groups = _residue_lines(W, p)
+        lines = [v for _, group in groups for v in group]
         assert len(lines) == len(set(lines)) == (p ** rows - 1) // (p - 1)
         assert set(lines) == set(ref.residue_lines(W, p))
         assert all(next(x for x in v if x) == 1 for v in lines)
+        assert lines == ref.listed_residue_lines(W, p)
+        assert [j for j, _ in groups] == list(range(rows - 1, -1, -1))
+        for j, group in groups:
+            lead = W[j].index(1)
+            assert all(v[:lead] == (0,) * lead and v[lead] == 1 for v in group)
+            assert sorted(group) == sorted(la.mul([(1,) + tail], W[j:], p)[0] for tail in
+                                           product(range(p), repeat=rows - 1 - j))
+
+
+def _assert_search_matches_the_per_line_reference(shapes):
+    """On every (shape, p) of ``shapes``, each side the census can search,
+    type alpha and cotype gamma forward and type gamma and cotype alpha on
+    the dual side (``oracle._searches_dual``): the search returns the same
+    (layer-order echelon form, pivots) pairs, each once, as the per-line
+    search it replaced (``ref.per_line_submodules``).  Each (beta, type,
+    cotype, p) is searched once.  Returns the number of searches and of
+    those that found a span."""
+    searches = {(shape.beta, x, y, p) for shape, p in shapes
+                for x, y in ((shape.alpha, shape.gamma), (shape.gamma, shape.alpha))}
+    found = 0
+    for beta, x, y, p in searches:
+        B = canonical_module(beta, p)
+        got = [(S, tuple(pivots)) for S, pivots in _distinct_submodules(B, x, y)]
+        want = {(S, tuple(pivots)) for S, pivots in ref.per_line_submodules(B, x, y)}
+        assert len(got) == len(set(got)) and set(got) == want, (beta, x, y, p)
+        found += bool(got)
+    return len(searches), found
+
+
+def _shapes_up_to(max_weights):
+    """(shape, p) for every shape with beta_1 <= 4 and |beta| at most
+    ``max_weights[p]``."""
+    return [(s, p) for p, w in max_weights.items() for s in iter_all_shapes(w)
+            if s.beta[0] <= 4]
+
+
+def test_search_matches_the_per_line_reference():
+    shapes = census_pool() + _shapes_up_to({2: 6, 3: 5})
+    assert _assert_search_matches_the_per_line_reference(shapes) == (1316, 433)
+
+
+@pytest.mark.slow
+def test_search_matches_the_per_line_reference_slow():
+    shapes = _shapes_up_to({2: 7, 3: 6})
+    assert _assert_search_matches_the_per_line_reference(shapes) == (3004, 794)
+
+
+def test_single_box_levels_take_the_cotype_test_once_per_row(monkeypatch):
+    """Where every part of alpha is 1, the search calls the cotype test
+    once per parent and row of its residue space W, not once per line,
+    and still returns the spans of the per-line reference."""
+    rows, tests, lines = [0], [0], [0]
+    residue_lines, holds_cotype = oracle._residue_lines, oracle._holds_cotype
+
+    def counting_groups(W, p):
+        groups = residue_lines(W, p)
+        rows[0] += len(groups)
+        lines[0] += sum(len(group) for _, group in groups)
+        return groups
+
+    def counting_tests(*args):
+        tests[0] += 1
+        return holds_cotype(*args)
+
+    monkeypatch.setattr(oracle, "_residue_lines", counting_groups)
+    monkeypatch.setattr(oracle, "_holds_cotype", counting_tests)
+    shapes = [(s, p) for s, p in _shapes_up_to({2: 5, 3: 4}) if set(s.alpha) == {1}]
+    for shape, p in shapes:
+        B = canonical_module(shape.beta, p)
+        got = _distinct_submodules(B, shape.alpha, shape.gamma)
+        assert got == ref.per_line_submodules(B, shape.alpha, shape.gamma), (shape, p)
+    assert tests[0] == rows[0] < lines[0]
+    assert (len(shapes), tests[0], lines[0]) == (126, 5236, 12167)
 
 
 def _census_embeddings(shape, p):
@@ -1004,6 +1082,25 @@ def _monic_of_degree(counts, d):
 EQUAL_DIMENSION_PRIMES = (2, 3, 5, 7)
 
 
+@lru_cache(maxsize=None)
+def _strata_counts(max_weight, max_d):
+    """(shape, d, {tableau: {q: its census count over F_q}}) for every
+    shape with |beta| <= max_weight, a nonempty alpha, a tableau and
+    d = n(beta) - n(alpha) - n(gamma) <= max_d, at the first d + 2 of
+    ``EQUAL_DIMENSION_PRIMES``."""
+    out = []
+    for shape in iter_all_shapes(max_weight):
+        d = _n(shape.beta) - _n(shape.alpha) - _n(shape.gamma)
+        tableaux = enumerate_tableaux(shape)
+        if d > max_d or not tableaux:
+            continue
+        censuses = {q: enumerate_submodules(shape, q, slow=True).per_tableau
+                    for q in EQUAL_DIMENSION_PRIMES[:d + 2]}
+        out.append((shape, d, {t: {q: per_tableau.get(t, 0) for q, per_tableau in
+                                   censuses.items()} for t in tableaux}))
+    return out
+
+
 def _assert_strata_of_equal_dimension(max_weight, max_d):
     """The paper's claim over F_q: the variety of short exact sequences of
     a shape is cut by its LR tableaux into strata of equal dimension
@@ -1015,22 +1112,14 @@ def _assert_strata_of_equal_dimension(max_weight, max_d):
     tableau, each tableau's census counts pass ``_monic_of_degree``, and
     a count off by one at any one prime fails it.  Returns the number of
     shapes."""
-    shapes = 0
-    for shape in iter_all_shapes(max_weight):
-        d = _n(shape.beta) - _n(shape.alpha) - _n(shape.gamma)
-        tableaux = enumerate_tableaux(shape)
-        if d > max_d or not tableaux:
-            continue
-        censuses = {q: enumerate_submodules(shape, q, slow=True).per_tableau
-                    for q in EQUAL_DIMENSION_PRIMES[:d + 2]}
-        for t in tableaux:
-            counts = {q: per_tableau.get(t, 0) for q, per_tableau in censuses.items()}
+    strata = _strata_counts(max_weight, max_d)
+    for shape, d, by_tableau in strata:
+        for t, counts in by_tableau.items():
             assert _monic_of_degree(counts, d), (shape, t, counts)
             for q in counts:
                 for off in (-1, 1):
                     assert not _monic_of_degree({**counts, q: counts[q] + off}, d), (shape, t)
-        shapes += 1
-    return shapes
+    return len(strata)
 
 
 def test_strata_count_monic_polynomials_of_degree_d():
@@ -1041,6 +1130,46 @@ def test_strata_count_monic_polynomials_of_degree_d():
 @pytest.mark.parametrize("max_weight,max_d,shapes", [(6, 3, 232), (7, 2, 408)], ids=str)
 def test_strata_count_monic_polynomials_of_degree_d_slow(max_weight, max_d, shapes):
     assert _assert_strata_of_equal_dimension(max_weight, max_d) == shapes
+
+
+def test_strata_with_two_tableaux_counts_swapped_at_one_prime_fail():
+    """The mutant "two classes' tableaux swapped": on the shapes of the
+    tier-1 range above, swapping the counts of two tableaux of one shape
+    at one prime where they differ fails ``_monic_of_degree`` for both.
+    A swap at every prime passes this oracle: q^2 and q^2 + q - 1, the
+    counts of the two tableaux of (2,1) <= (3,2,1) with cotype (2,1), are
+    both monic of degree 2.  So it is the closed-form census
+    (``ref.closed_form_census``), not this oracle, that ties classes to
+    tableaux."""
+    swaps = 0
+    for shape, d, by_tableau in _strata_counts(6, 2):
+        for (t, ct), (u, cu) in combinations(by_tableau.items(), 2):
+            for q in ct:
+                if ct[q] != cu[q]:
+                    assert not _monic_of_degree({**ct, q: cu[q]}, d), (shape, t, u, q)
+                    assert not _monic_of_degree({**cu, q: ct[q]}, d), (shape, t, u, q)
+                    swaps += 1
+    assert swaps == 4
+
+
+def test_closed_form_class_counts_meet_birkhoffs_count():
+    """The premise of the closed-form census: on the pairs (beta, alpha)
+    with beta_1 <= 4 of the tier-1 ``COUNT_RANGES``, its class counts,
+    summed over every cotype gamma, are Birkhoff's count of the
+    submodules of type alpha."""
+    pairs = 0
+    for p, max_weight in COUNT_RANGES:
+        H = ref.hom_matrix(s4_catalog(p))
+        for beta, alpha in _types_in_range(max_weight, p):
+            if beta[0] > 4:
+                continue
+            counts = [count for gamma in sub_partitions(beta)
+                      if pt.weight(gamma) + pt.weight(alpha) == pt.weight(beta)
+                      for _, _, count in
+                      ref.closed_form_census(Shape(alpha, beta, gamma), p, s4_catalog(p), H)]
+            assert sum(counts) == _birkhoff_count(alpha, beta, p), (beta, alpha, p)
+            pairs += 1
+    assert pairs == 280
 
 
 def _dual(E: Embedding) -> Embedding:
