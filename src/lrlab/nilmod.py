@@ -12,26 +12,33 @@ boundary: ``jordan_basis`` finds the block sizes, a Jordan basis Q and
 Q^-1, and the subspace moves to Jordan coordinates; the caller's T,
 grading and subspace are kept only to be printed back.
 
-An embedding is a module together with the reduced basis of an invariant
+An embedding is a module together with a basis of an invariant
 subspace A.  In Jordan coordinates ordered by position in block, then by
-block (layer order), T^k B is a tail of the coordinates, so one echelon
-form of T^i A gives d[i][k] = dim(T^k B + T^i A) for every k; that layer
-table yields the type of A, the chain of types of B / T^i A and the
-entry counts.  So an embedding keeps A's echelon form in layer order,
-and its table from when it is built.  Closing given vectors
-(``Embedding``) extends one echelon form by their orbits level by level,
-from the deepest up, so it passes through the echelon form of every
-T^i A and reads the table off them.  The census hands over the
-layer-order echelon forms of invariant spans, which come without orbits
-(``_from_echelon``): their tables start from that form, T carrying each
-stage to the next (``_stage_walk``).  In layer order T is a partial
-shift that keeps the order of the coordinates it keeps, so the images
-of a reduced stage's rows are already reduced but for those of the rows
-whose pivots T kills, which alone are reduced into them.  The canonical
-basis of A in block order, which JSON, hom spaces, fingerprints and the
-witness read, is derived from the layer-order form when first read, by
-the one permutation that takes layer order back to block order
-(``_block_places``).
+block (layer order), T^k B is a tail of the coordinates, so the pivots
+of one echelon form of T^i A give d[i][k] = dim(T^k B + T^i A) for every
+k; that layer table yields the type of A, the chain of types of
+B / T^i A and the entry counts.  So an embedding keeps a basis of A in
+layer order whose rows have distinct leads, A's pivots, and its table
+from when it is built.  Closing given vectors (``Embedding``) takes
+their orbits level by level.  In layer order T is a partial shift that
+keeps the order of the coordinates it keeps, so an orbit vector's lead
+is read off its parent's whenever T keeps that one.  When the leads are
+distinct, as in the realization of every strip tableau with
+|beta| <= 12, the orbit vectors are already an echelon basis: the
+pivots of T^i A are the leads of the levels from i on, the table is
+read off them with no elimination, and A's echelon form is derived
+only when it is first read.  When two leads coincide, one
+echelon form is extended by the orbits from the deepest level up, so it
+passes through the echelon form of every T^i A and reads the table off
+them.  The census hands over the layer-order echelon forms of invariant
+spans, which come without orbits (``_from_echelon``): their tables start
+from that form, T carrying each stage to the next (``_stage_walk``), and
+the images of a reduced stage's rows are already reduced but for those
+of the rows whose pivots T kills, which alone are reduced into them.
+The canonical basis of A in block order, which JSON, hom spaces,
+fingerprints and the witness read, is derived from the layer-order
+echelon form when first read, by the one permutation that takes layer
+order back to block order (``_block_places``).
 Hom spaces and realizations are exact linear algebra mod p too: dim
 Hom(C, E) is the number of maps of C's block generators into E's kernels
 less the rank of their images on C's subspace generators, each image
@@ -50,6 +57,7 @@ import json
 import operator
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import chain, compress
 
 from . import linalg as la
 from . import partitions as pt
@@ -109,9 +117,10 @@ class NilModule:
                  "_layered", "_step", "_to")
 
     def __init__(self, sizes, p: int, shifts=None):
+        given, sizes = sizes, tuple(sizes)  # sizes may be a one-shot iterable
         if any(b <= 0 for b in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        sizes = tuple(sizes)
+            raise ValueError("block sizes must be positive, got"
+                             f" {given if isinstance(given, list) else sizes}")
         n = sum(sizes)
         _check_field(p, n)
         moves = []
@@ -296,37 +305,118 @@ def _check_basis(action: la.Rows, p: int, sizes, Q, inverse) -> None:
 
 
 def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[int],
-                                                     list[tuple[int, ...]]]:
-    """Canonical (rref) basis A in B's layer order (``_layer_order``) and
-    its pivots for the smallest invariant subspace of B containing
-    ``vectors``, given in block order, with the dims and the rows of its
-    layer table (``_layers``) up to the last nonzero T^i A.
+                                                     list[tuple[int, ...]], la.Rows | None]:
+    """A basis in B's layer order (``_layer_order``) of the smallest
+    invariant subspace A of B containing ``vectors``, given in block
+    order, its rows sorted by their distinct leads, and those leads, the
+    pivots of A; the dims and the rows of A's layer table (``_layers``)
+    up to the last nonzero T^i A; and the basis again when it is A's
+    canonical (rref) form, else None.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
     vectors, each taken until it vanishes.  They are kept as levels, level
     k holding the nonzero T^k v in layer order, so T^i A is spanned by the
-    levels from i on.  One echelon form is extended (``la.extend``) by
-    the levels from the deepest up: after level i it is the rref of
-    T^i A, whose pivots give dims[i] = dim T^i A and, by bisection on the
-    layer prefixes, table row i; after level 0 it is A's.  A that T does
-    not keep (``_is_invariant``) raises ``InvariantViolation``.
+    levels from i on, each vector with its lead (``_orbit_levels``).  When
+    the leads are distinct, the orbit vectors are already an echelon
+    basis: the pivots of T^i A are the sorted leads of the levels from i
+    on, no elimination runs, and the basis is checked invariant by one
+    fresh image of its rows (``_maps_into_itself``).  When two leads
+    coincide, one echelon form is extended (``la.extend``) by the levels
+    from the deepest up (``_extended_closure``): after level i it is the
+    rref of T^i A, and after level 0 A's, checked by ``_is_invariant``.
+    Either way the pivots of T^i A give dims[i] = dim T^i A and, by
+    bisection on the layer prefixes, table row i.  A that T does not keep
+    raises ``InvariantViolation``.
     """
-    p, n, prefix = B.p, B.dim, B._order[2]
-    rows = _vectors(vectors, n, p)
-    layered = B._layered
-    level = [layered(v) for v in rows if any(v)]
-    levels = []
+    rows = _vectors(vectors, B.dim, B.p)
+    levels, leads = _orbit_levels(B, rows)
+    at = dict(zip(chain(*leads), chain(*levels)))  # each orbit vector by its lead
+    if len(at) < sum(map(len, leads)):
+        echelon, pivots, dims, table = _extended_closure(B, levels)
+        if not _is_invariant(B, echelon, pivots):
+            _not_invariant(B, rows)
+        return echelon, pivots, dims, table, echelon
+    if not _maps_into_itself(B, at):
+        _not_invariant(B, rows)
+    stages, pivots = [], []
+    for level in reversed(leads):
+        pivots = sorted(pivots + level)
+        stages.append(pivots)
+    return (tuple(map(at.__getitem__, pivots)), pivots, *_stage_rows(B, stages[::-1]), None)
+
+
+def _orbit_levels(B: NilModule, rows: la.Rows) -> tuple[list[list[tuple[int, ...]]],
+                                                       list[list[int]]]:
+    """The orbits of ``rows`` (block order) as levels in B's layer order,
+    level k holding the nonzero T^k v, and the leads of each level's
+    vectors.  A level-0 vector's lead takes a scan.  In layer order T
+    keeps the order of the coordinates it keeps (``_stage_walk``), so the
+    image of a vector whose lead c T keeps has its lead at to[c], where it
+    holds the entry the vector had at c; only the other images take a
+    scan, and those that vanish are dropped."""
+    n, to, layered, every = B.dim, B._to, B._layered, range(B.dim)
+    level, leads = [], []
+    for v in rows:
+        v = layered(v)
+        c = next(compress(every, v), n)
+        if c < n:
+            level.append(v)
+            leads.append(c)
+    levels, level_leads = [], []
     while level:
         levels.append(level)
-        level = [v for v in B.layer_image(level) if any(v)]
-    span, pivots, dims, table = (), [], [], []
+        level_leads.append(leads)
+        images, parents, level, leads = B.layer_image(level), leads, [], []
+        for w, c in zip(images, parents):
+            c = to.get(c)
+            if c is None or not w[c]:
+                c = next(compress(every, w), n)
+                if c == n:
+                    continue
+            level.append(w)
+            leads.append(c)
+    return levels, level_leads
+
+
+def _extended_closure(B: NilModule, levels) -> tuple[la.Rows, list[int], list[int],
+                                                     list[tuple[int, ...]]]:
+    """A's canonical (rref) basis in layer order and its pivots, with the
+    dims and the rows of its layer table, for A spanned by the orbit
+    ``levels`` of ``_orbit_levels``: one echelon form extended by the
+    levels from the deepest up, so after level i it is the rref of
+    T^i A.  It makes no invariance check."""
+    span, pivots, stages = (), [], []
     for level in reversed(levels):
-        span, pivots = la.extend(span, pivots, level, p)
-        dims.append(len(pivots))
-        table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
-    if not _is_invariant(B, span, pivots):
-        _not_invariant(B, rows)
-    return span, pivots, dims[::-1], table[::-1]
+        span, pivots = la.extend(span, pivots, level, B.p)
+        stages.append(pivots)
+    return (span, pivots, *_stage_rows(B, stages[::-1]))
+
+
+def _stage_rows(B: NilModule, stages) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The dims of T^i A and the rows d[i] of the layer table from the
+    pivots of the echelon forms of T^i A in layer order, one list per
+    stage: T^k B is the coordinates from prefix[k] on, so d[i][k] is
+    dim T^k B plus the pivots of T^i A before prefix[k]."""
+    n, prefix = B.dim, B._order[2]
+    return ([len(pivots) for pivots in stages],
+            [tuple([n - s + bisect_left(pivots, s) for s in prefix]) for pivots in stages])
+
+
+def _maps_into_itself(B: NilModule, at: dict[int, tuple[int, ...]]) -> bool:
+    """Whether T keeps the span of the rows in B's layer order that ``at``
+    holds by their distinct leads: whether T maps each of them to 0 or to
+    the row with its lead, found as in ``_orbit_levels``, so that T maps a
+    basis into the span.  The images are taken afresh."""
+    n, to, every = B.dim, B._to, range(B.dim)
+    for c, w in zip(at, B.layer_image(at.values())):
+        c = to.get(c)
+        if c is None or not w[c]:
+            c = next(compress(every, w), n)
+            if c == n:
+                continue
+        if w != at.get(c):
+            return False
+    return True
 
 
 def _is_invariant(B: NilModule, R: la.Rows, pivots: list[int]) -> bool:
@@ -345,35 +435,40 @@ def _not_invariant(B: NilModule, rows) -> None:
 class Embedding:
     """An invariant subspace A inside the module B.
 
-    The embedding keeps the echelon form of A that its layer table reads:
-    the canonical (rref) row basis of A in B's layer order
-    (``_layer_order``), with its pivots.  The constructor closes the given
-    vectors under the action there (``invariant_closure``: one echelon
-    form extended by their orbits level by level, then the invariance
-    check), so they may be just generators, and keeps the layer table
-    that the closure read off its echelon forms on the way: alpha, the
-    chain and d (``_layers``).  An embedding of the census
-    (``_from_echelon``) is handed A's echelon form and takes its table at
-    once, by carrying that form from stage to stage.  ``span``, the
-    canonical row basis of A in block order, a tuple of row tuples and so
-    its own dictionary key, and its pivots are derived from that form on
-    first read (``_derive_span``: one permutation and one ``rref``) and
-    kept.  The tableau, A's module generators (for ``hom_images``) and,
-    for a cyclic A, the blocks of its generator are computed on first use
-    and kept.  An embedding read by ``from_json`` keeps the caller's T,
-    grading and subspace rows as ``_source``, for ``to_json``.
+    The embedding keeps a basis of A in B's layer order (``_layer_order``)
+    whose rows have distinct leads, sorted, and those leads, A's pivots
+    (``_leads``).  The constructor closes the given vectors under the
+    action there (``invariant_closure``), so they may be just generators,
+    and keeps the layer table that the closure read off the pivots of
+    every T^i A on the way: alpha, the chain and d (``_layers``).  When
+    the orbit vectors' leads are distinct the kept basis is the orbit
+    basis, and the canonical (rref) row basis of A in layer order,
+    ``_echelon``, is derived from it on first read (one ``rref``, its
+    pivots checked to be the leads) and kept in its place; when two leads
+    coincide the closure took the echelon form itself.  An embedding of
+    the census (``_from_echelon``) is handed A's echelon form and takes
+    its table at once, by carrying that form from stage to stage.
+    ``span``, the canonical row basis of A in block order, a tuple of row
+    tuples and so its own dictionary key, and its pivots are derived from
+    the echelon form on first read (``_derive_span``: one permutation and
+    one ``rref``) and kept.  The tableau, A's module generators (for
+    ``hom_images``) and, for a cyclic A, the blocks of its generator are
+    computed on first use and kept.  An embedding read by ``from_json``
+    keeps the caller's T, grading and subspace rows as ``_source``, for
+    ``to_json``.
     """
 
-    __slots__ = ("B", "_echelon", "_leads", "_span", "_span_pivots", "_layers",
+    __slots__ = ("B", "_basis", "_leads", "_rref", "_span", "_span_pivots", "_layers",
                  "_tableau", "_gens", "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
-        echelon, leads, dims, table = invariant_closure(B, vectors)
-        self._fill(B, echelon, leads, _layers(B, dims, table))
+        basis, leads, dims, table, echelon = invariant_closure(B, vectors)
+        self._fill(B, basis, leads, _layers(B, dims, table), echelon)
 
-    def _fill(self, B: NilModule, echelon: la.Rows, leads: list[int], layers) -> "Embedding":
+    def _fill(self, B: NilModule, basis: la.Rows, leads: list[int], layers,
+              echelon: la.Rows | None) -> "Embedding":
         self.B = B
-        self._echelon, self._leads = echelon, leads
+        self._basis, self._leads, self._rref = basis, leads, echelon
         self._span = self._span_pivots = None
         self._layers = layers
         self._tableau = None
@@ -398,6 +493,21 @@ class Embedding:
             self._derive_span()
         return self._span_pivots
 
+    @property
+    def _echelon(self) -> la.Rows:
+        """The canonical (rref) basis of A in B's layer order, derived from
+        the kept basis on first read and kept in its place: one ``rref``,
+        whose pivots must be the kept leads."""
+        if self._rref is None:
+            R, pivots = la.rref(self._basis, self.p)
+            if pivots != self._leads:
+                raise InvariantViolation(
+                    f"the basis {[list(v) for v in self._basis]} in the layer order of the"
+                    f" module of blocks {list(self.B.sizes)} over F_{self.p} has the leads"
+                    f" {self._leads}, but its echelon form has the pivots {pivots}")
+            self._basis = self._rref = R
+        return self._rref
+
     def _derive_span(self) -> None:
         """The block-order ``span`` and its pivots from the layer-order
         echelon form: its rows taken back to block order, then reduced."""
@@ -405,7 +515,7 @@ class Embedding:
         self._span, self._span_pivots = la.rref([back(row) for row in self._echelon], self.p)
 
     def dim_sub(self) -> int:
-        return len(self._echelon)
+        return len(self._leads)
 
     @property
     def alpha(self) -> Partition:
@@ -424,17 +534,18 @@ class Embedding:
 
     def contains(self, v) -> bool:
         """Whether the row v, in block order, lies in A: v taken to layer
-        order against the kept echelon form, so no block-order span is
-        derived."""
+        order against the layer-order echelon form (``_echelon``), so no
+        block-order span is derived."""
         return la.in_space(self.B._layered(v), self._echelon, self._leads, self.p)
 
     def map_image(self, M) -> la.Rows:
         """The canonical (rref) basis of g(A), for the map g of the matrix
-        M with B.dim columns, acting on column vectors: the kept echelon
-        form of A times the transpose of M, whose rows are taken to layer
-        order to match it, so no block-order span is derived."""
+        M with B.dim columns, acting on column vectors: the kept basis of
+        A, whichever it is, times the transpose of M, whose rows are taken
+        to layer order to match it, then row-reduced, so neither A's
+        echelon form nor its block-order span is derived."""
         columns = list(zip(*M)) if M else [()] * self.B.dim  # M^T, also of a map to 0
-        return la.row_space(la.mul(self._echelon, self.B._layered(columns), self.p), self.p)
+        return la.row_space(la.mul(self._basis, self.B._layered(columns), self.p), self.p)
 
     def to_json(self) -> dict:
         T, grading, span = self._source or (self.B.action, self.B.grading, self.span)
@@ -497,7 +608,8 @@ def _from_echelon(B: NilModule, R: la.Rows, pivots: list[int]) -> Embedding:
     B's layer order is R, with these pivots: no closure is run, and with
     no orbits to read it off, the layer table is taken by
     ``_stage_walk``."""
-    return object.__new__(Embedding)._fill(B, R, pivots, _layers(B, *_stage_walk(B, R, pivots)))
+    layers = _layers(B, *_stage_walk(B, R, pivots))
+    return object.__new__(Embedding)._fill(B, R, pivots, layers, R)
 
 
 def _stage_walk(B: NilModule, R: la.Rows,
@@ -506,23 +618,20 @@ def _stage_walk(B: NilModule, R: la.Rows,
     is nonzero, for A of echelon form R with these pivots in B's layer
     order.
 
-    In layer order T^k B is the coordinates from prefix[k] on, so d[i][k]
-    is dim T^k B plus the pivots of the echelon form of T^i A before
-    prefix[k].  The walk starts from R, and T carries each stage to the
-    next: the T-images of the rows of T^i A's rref span T^(i+1) A.  In
-    layer order T is a partial shift that keeps the order of the
-    coordinates it keeps (``NilModule._to``).  So the image of a row whose
-    pivot c T keeps has its lead 1 at to[c], and at the moved pivot of
-    every other such row the entry that the row had at that pivot, 0:
-    these images are already reduced, with pivots to[c] in order.  Only
-    the images of the rows whose pivot T kills are reduced into them
-    (``la.extend``).
+    The rows are read off the pivots of each stage's echelon form
+    (``_stage_rows``).  The walk starts from R, and T carries each stage
+    to the next: the T-images of the rows of T^i A's rref span
+    T^(i+1) A.  In layer order T is a partial shift that keeps the order
+    of the coordinates it keeps (``NilModule._to``).  So the image of a
+    row whose pivot c T keeps has its lead 1 at to[c], and at the moved
+    pivot of every other such row the entry that the row had at that
+    pivot, 0: these images are already reduced, with pivots to[c] in
+    order.  Only the images of the rows whose pivot T kills are reduced
+    into them (``la.extend``).
     """
-    n, to, prefix = B.dim, B._to, B._order[2]
-    dims, table = [], []
+    to, stages = B._to, []
     while R:
-        dims.append(len(pivots))
-        table.append(tuple([n - s + bisect_left(pivots, s) for s in prefix]))
+        stages.append(pivots)
         kept, moved, killed = [], [], []
         for v, c in zip(B.layer_image(R), pivots):
             if c in to:
@@ -531,7 +640,7 @@ def _stage_walk(B: NilModule, R: la.Rows,
             else:
                 killed.append(v)
         R, pivots = la.extend(kept, moved, killed, B.p)
-    return dims, table
+    return _stage_rows(B, stages)
 
 
 def _layers(B: NilModule, dims: list[int], table: list[tuple[int, ...]]):

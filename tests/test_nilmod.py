@@ -441,7 +441,7 @@ def test_invariant_closure_matches_stacked_rref_loop(p):
             want, want_pivots = ref.invariant_closure(B, gens)
             assert E.span == tuple(map(tuple, want.tolist()))
             assert E._pivots == want_pivots
-            assert invariant_closure(B, gens)[:2] == ref.in_layer_order(B, E.span)
+            assert (E._echelon, E._leads) == ref.in_layer_order(B, E.span)
             data = {"p": p, "T": T.tolist(), "A_span": gens.tolist()}
             got = Embedding.from_json(data).to_json()["A_span"]
             want, want_pivots = ref.invariant_closure(ref.general_embedding(data).B, gens)
@@ -475,7 +475,7 @@ def test_orbit_closure_matches_stacked_rref_loop(p, monkeypatch):
         want = tuple(map(tuple, want.tolist()))
         E = Embedding(B, vectors)
         assert (E.span, E._pivots) == (want, want_pivots) == ref.orbit_closure(B, vectors)
-        assert invariant_closure(B, vectors)[:2] == ref.in_layer_order(B, want), vectors
+        assert (E._echelon, E._leads) == ref.in_layer_order(B, want), vectors
         assert _same_table_as_reference(E), (B.sizes, vectors)
 
     # graded pole modules with the generators of their poles
@@ -523,6 +523,86 @@ def test_closure_check_refuses_a_span_that_t_leaves(monkeypatch):
     monkeypatch.setattr(nilmod.NilModule, "layer_image", short)
     with pytest.raises(InvariantViolation, match=re.escape("[[1, 0, 0, 0]]")):
         invariant_closure(B, [[1, 0, 0, 0]])
+
+
+def test_closure_check_refuses_a_span_that_t_leaves_on_the_extend_path(monkeypatch):
+    # the twin of the check above, with two vectors of one lead, so the
+    # closure extends an echelon form and the residue pass names them
+    B = canonical_module((3, 1), 2)
+    image, calls, extends = nilmod.NilModule.layer_image, [], []
+    extend = la.extend
+
+    def short(self, rows):  # the first orbit step finds T v = 0
+        calls.append(rows)
+        return image(self, rows) if len(calls) > 1 else [(0,) * self.dim for _ in rows]
+
+    monkeypatch.setattr(nilmod.NilModule, "layer_image", short)
+    monkeypatch.setattr(la, "extend", lambda *a: extends.append(a) or extend(*a))
+    with pytest.raises(InvariantViolation, match=re.escape("[[1, 0, 0, 0], [1, 0, 0, 1]]")):
+        invariant_closure(B, [[1, 0, 0, 0], [1, 0, 0, 1]])
+    assert len(extends) == 1
+
+
+def test_derived_echelon_form_is_checked_against_the_leads():
+    # the orbit basis is kept, and its echelon form derived on first read
+    # must have the kept leads as pivots
+    t = enumerate_tableaux(Shape((2, 1), (3, 2, 1), (2, 1)))[0]
+    E = realize_tableau(t, 3)
+    assert E._rref is None
+    E._leads = E._leads[::-1]
+    with pytest.raises(InvariantViolation, match="but its echelon form has the pivots"):
+        E._echelon
+
+
+def _closures_on_both_paths(B, vectors):
+    """The closure of ``vectors`` against the extend path, called directly
+    on the same orbit levels: the same pivots, dims, table rows and
+    echelon form.  True when the closure read the table off the leads."""
+    basis, leads, dims, table, echelon = invariant_closure(B, vectors)
+    E = Embedding(B, vectors)
+    assert (E._leads, E.dim_sub()) == (leads, len(basis))
+    levels, _ = nilmod._orbit_levels(B, nilmod._vectors(vectors, B.dim, B.p))
+    assert nilmod._extended_closure(B, levels) == (E._echelon, leads, dims, table), \
+        (B.sizes, vectors)
+    return echelon is None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lead_path_matches_extend_path(p, monkeypatch):
+    # every strip realization with |beta| <= 8 reads its table off the
+    # leads, without deriving its echelon form for the table, the
+    # dimension or a map image
+    for shape in iter_strip_shapes(8):
+        for t in enumerate_tableaux(shape):
+            pieces = pole_pieces(t.columns)
+            B, gens = graded_pole_module(pieces, p, [0] * len(pieces))
+            E = realize_tableau(t, p)
+            image, dim = E.map_image(B.action), E.dim_sub()  # T A, from the orbit basis
+            assert E._rref is None, t
+            assert image == la.row_space(la.mul(E.span, list(zip(*B.action)), p), p), t
+            assert dim == len(E.span), t
+            assert _closures_on_both_paths(B, gens), t
+    # every closure of 12 sampled witness sequences: Y's generator carries a
+    # cross term, and its orbits may share a lead
+    closures, closure = [], nilmod.invariant_closure
+    monkeypatch.setattr(nilmod, "invariant_closure",
+                        lambda B, vectors: closures.append((B, vectors)) or closure(B, vectors))
+    edges = [(t, up, move) for shape in iter_strip_shapes(9)
+             for t in enumerate_tableaux(shape) for up, move in box_successors(t)]
+    for t, up, move in random.Random(60 + p).sample(edges, 12):
+        witness_sequence(t, up, move, p)
+    monkeypatch.undo()
+    on_leads = [_closures_on_both_paths(B, vectors) for B, vectors in closures]
+    assert len(on_leads) == 36 and 0 < on_leads.count(False) < 36
+    # random vectors in block sizes in any order
+    rng = random.Random(70 + p)
+    on_leads = []
+    for _ in range(120):
+        sizes, shifts = _random_blocks(rng)
+        B = canonical_module(sizes, p, shifts)
+        vectors = [[rng.randrange(p) for _ in range(B.dim)] for _ in range(rng.randint(0, 3))]
+        on_leads.append(_closures_on_both_paths(B, vectors))
+    assert on_leads.count(True) > 20 and on_leads.count(False) > 20
 
 
 def _ranks(lam):
@@ -741,6 +821,16 @@ def test_canonical_module_refuses_what_the_general_path_refuses():
             canonical_module((3, 2), 2, shifts=shifts)
 
 
+def test_canonical_module_takes_sizes_from_a_one_shot_iterable():
+    # the sizes are read once, so a generator gives the module of its sizes
+    # and a bad one is refused, not the empty module
+    B = canonical_module((b for b in (2, 1)), 2)
+    assert (B.sizes, B.dim) == ((2, 1), 3)
+    assert B.action == canonical_module((2, 1), 2).action
+    with pytest.raises(ValueError, match=r"positive, got \(2, 0\)$"):
+        canonical_module((b for b in (2, 0)), 2)
+
+
 def test_canonical_module_checks_its_basis(monkeypatch):
     # the module checks its gather against the layer walk: a shift moved by
     # one place, or two coordinates of a layer swapped, is refused
@@ -857,10 +947,11 @@ def test_strip_realizations_match_reference_in_two_echelons_per_stage(monkeypatc
                 calls.clear()
                 E = realize_tableau(t, p)
                 tableau_of_embedding(E)
-                # no rref, and one extend per orbit level of the closure,
-                # which reads the layer table off its echelon forms
+                # no rref and no extend: the orbit vectors of a pole sum
+                # have distinct leads, and the closure reads the layer
+                # table off them
                 assert calls.count("rref") == 0, t
-                assert calls.count("extend") == t.shape.alpha[0], t
+                assert calls.count("extend") == 0, t
                 assert _same_as_reference(E), t
 
 
