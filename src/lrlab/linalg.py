@@ -116,11 +116,6 @@ def reduce_vec(v, R, pivots: list[int], p: int) -> tuple[int, ...]:
     return tuple([x % p for x in out])
 
 
-def in_space(v, R, pivots: list[int], p: int) -> bool:
-    """Whether v lies in the row space of R, which must be rref (see reduce_vec)."""
-    return not any(reduce_vec(v, R, pivots, p))
-
-
 def annihilator(R, pivots: list[int], n: int, p: int) -> list[list[int]]:
     """The rows e_f - sum_i R[i][f] e_(pivots[i]), one per column f off the
     pivots, for R rref with these pivots and n columns: a basis of

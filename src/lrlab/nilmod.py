@@ -24,17 +24,21 @@ their orbits level by level.  In layer order T is a partial shift that
 keeps the order of the coordinates it keeps, so an orbit vector's lead
 is read off its parent's whenever T keeps that one.  When the leads are
 distinct, as in the realization of every strip tableau with
-|beta| <= 12, the orbit vectors are already an echelon basis: the
-pivots of T^i A are the leads of the levels from i on, the table is
-read off them with no elimination, and A's echelon form is derived
-only when it is first read.  When two leads coincide, one
-echelon form is extended by the orbits from the deepest level up, so it
-passes through the echelon form of every T^i A and reads the table off
-them.  The census hands over the layer-order echelon forms of invariant
-spans, which come without orbits (``_from_echelon``): their tables start
-from that form, T carrying each stage to the next (``_stage_walk``), and
-the images of a reduced stage's rows are already reduced but for those
-of the rows whose pivots T kills, which alone are reduced into them.
+|beta| <= 12, the orbit vectors are already a basis with distinct
+leads.  When two coincide, as in the witness's middle term, whose
+generator carries a cross term, the levels are walked from the deepest
+up, and a vector whose lead is taken is reduced at the kept leads, in
+lead order, so that its lead is new unless it vanishes.  Either way the
+pivots of T^i A are the kept leads of the levels from i on, and the
+table is read off them with no echelon form taken.  The same reduction
+at the kept leads checks the basis invariant and decides membership
+(``Embedding.contains``), so A's echelon form is derived only when it
+is first read.  The census hands over the layer-order echelon forms of
+invariant spans, which come without orbits (``_from_echelon``): their
+tables start from that form, T carrying each stage to the next
+(``_stage_walk``), and the images of a reduced stage's rows are already
+reduced but for those of the rows whose pivots T kills, which alone are
+reduced into them.
 The canonical basis of A in block order, which JSON, hom spaces,
 fingerprints and the witness read, is derived from the layer-order
 echelon form when first read, by the one permutation that takes layer
@@ -57,7 +61,7 @@ import json
 import operator
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 
 from . import linalg as la
 from . import partitions as pt
@@ -305,44 +309,47 @@ def _check_basis(action: la.Rows, p: int, sizes, Q, inverse) -> None:
 
 
 def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[int],
-                                                     list[tuple[int, ...]], la.Rows | None]:
+                                                     list[tuple[int, ...]]]:
     """A basis in B's layer order (``_layer_order``) of the smallest
     invariant subspace A of B containing ``vectors``, given in block
     order, its rows sorted by their distinct leads, and those leads, the
-    pivots of A; the dims and the rows of A's layer table (``_layers``)
-    up to the last nonzero T^i A; and the basis again when it is A's
-    canonical (rref) form, else None.
+    pivots of A; and the dims and the rows of A's layer table
+    (``_layers``) up to the last nonzero T^i A.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
     vectors, each taken until it vanishes.  They are kept as levels, level
     k holding the nonzero T^k v in layer order, so T^i A is spanned by the
-    levels from i on, each vector with its lead (``_orbit_levels``).  When
-    the leads are distinct, the orbit vectors are already an echelon
-    basis: the pivots of T^i A are the sorted leads of the levels from i
-    on, no elimination runs, and the basis is checked invariant by one
-    fresh image of its rows (``_maps_into_itself``).  When two leads
-    coincide, one echelon form is extended (``la.extend``) by the levels
-    from the deepest up (``_extended_closure``): after level i it is the
-    rref of T^i A, and after level 0 A's, checked by ``_is_invariant``.
-    Either way the pivots of T^i A give dims[i] = dim T^i A and, by
-    bisection on the layer prefixes, table row i.  A that T does not keep
-    raises ``InvariantViolation``.
+    levels from i on, each vector with its lead (``_orbit_levels``).  The
+    levels are walked from the deepest up: a vector whose lead is new is
+    kept as it is, and one whose lead is taken is reduced at the kept
+    leads, in lead order (``_reduce_at_leads``), so that its lead is new
+    unless it vanishes.  So after level i the kept vectors are a basis
+    of T^i A with distinct leads, and when the orbit vectors' leads are
+    distinct, as in every strip realization, they are that basis and no
+    vector is reduced.  No echelon form is taken: the pivots of T^i A are
+    the kept leads after level i, which give dims[i] = dim T^i A and, by
+    bisection on the layer prefixes, table row i.  The kept basis is
+    checked invariant by one fresh image of its rows
+    (``_maps_into_itself``); a span that T does not keep raises
+    ``InvariantViolation``.
     """
     rows = _vectors(vectors, B.dim, B.p)
     levels, leads = _orbit_levels(B, rows)
-    at = dict(zip(chain(*leads), chain(*levels)))  # each orbit vector by its lead
-    if len(at) < sum(map(len, leads)):
-        echelon, pivots, dims, table = _extended_closure(B, levels)
-        if not _is_invariant(B, echelon, pivots):
-            _not_invariant(B, rows)
-        return echelon, pivots, dims, table, echelon
+    at, stages, n, p = {}, [], B.dim, B.p  # the kept vectors by their leads
+    for level, level_leads in zip(reversed(levels), reversed(leads)):
+        for v, c in zip(level, level_leads):
+            if c in at:
+                kept = sorted(at)
+                v = tuple(_reduce_at_leads(v, map(at.__getitem__, kept), kept, p))
+                c = next(compress(range(n), v), n)
+                if c == n:
+                    continue
+            at[c] = v
+        stages.append(sorted(at))
     if not _maps_into_itself(B, at):
         _not_invariant(B, rows)
-    stages, pivots = [], []
-    for level in reversed(leads):
-        pivots = sorted(pivots + level)
-        stages.append(pivots)
-    return (tuple(map(at.__getitem__, pivots)), pivots, *_stage_rows(B, stages[::-1]), None)
+    pivots = stages[-1] if stages else []
+    return (tuple(map(at.__getitem__, pivots)), pivots, *_stage_rows(B, stages[::-1]))
 
 
 def _orbit_levels(B: NilModule, rows: la.Rows) -> tuple[list[list[tuple[int, ...]]],
@@ -378,20 +385,6 @@ def _orbit_levels(B: NilModule, rows: la.Rows) -> tuple[list[list[tuple[int, ...
     return levels, level_leads
 
 
-def _extended_closure(B: NilModule, levels) -> tuple[la.Rows, list[int], list[int],
-                                                     list[tuple[int, ...]]]:
-    """A's canonical (rref) basis in layer order and its pivots, with the
-    dims and the rows of its layer table, for A spanned by the orbit
-    ``levels`` of ``_orbit_levels``: one echelon form extended by the
-    levels from the deepest up, so after level i it is the rref of
-    T^i A.  It makes no invariance check."""
-    span, pivots, stages = (), [], []
-    for level in reversed(levels):
-        span, pivots = la.extend(span, pivots, level, B.p)
-        stages.append(pivots)
-    return (span, pivots, *_stage_rows(B, stages[::-1]))
-
-
 def _stage_rows(B: NilModule, stages) -> tuple[list[int], list[tuple[int, ...]]]:
     """The dims of T^i A and the rows d[i] of the layer table from the
     pivots of the echelon forms of T^i A in layer order, one list per
@@ -404,9 +397,10 @@ def _stage_rows(B: NilModule, stages) -> tuple[list[int], list[tuple[int, ...]]]
 
 def _maps_into_itself(B: NilModule, at: dict[int, tuple[int, ...]]) -> bool:
     """Whether T keeps the span of the rows in B's layer order that ``at``
-    holds by their distinct leads: whether T maps each of them to 0 or to
-    the row with its lead, found as in ``_orbit_levels``, so that T maps a
-    basis into the span.  The images are taken afresh."""
+    holds by their distinct leads: whether T maps each of them to 0, to
+    the row with its lead, found as in ``_orbit_levels``, or to a row that
+    reduces to 0 at the kept leads (``_reduce_at_leads``), so that T maps
+    a basis into the span.  The images are taken afresh."""
     n, to, every = B.dim, B._to, range(B.dim)
     for c, w in zip(at, B.layer_image(at.values())):
         c = to.get(c)
@@ -415,8 +409,26 @@ def _maps_into_itself(B: NilModule, at: dict[int, tuple[int, ...]]) -> bool:
             if c == n:
                 continue
         if w != at.get(c):
-            return False
+            kept = sorted(at)
+            if any(_reduce_at_leads(w, map(at.__getitem__, kept), kept, B.p)):
+                return False
     return True
+
+
+def _reduce_at_leads(v, rows, leads: list[int], p: int) -> list[int]:
+    """The row v less the multiples of ``rows`` that leave it 0 at their
+    ``leads``, which are distinct and increasing, entries mod p: each row
+    in turn, scaled to v's entry at its lead, is taken off v, and a row is
+    0 before its lead, so the entries at the earlier leads stay 0.  What
+    is left has a lead that is none of theirs, and it is 0 exactly when v
+    lies in the span of the rows."""
+    for row, c in zip(rows, leads):
+        f = v[c] % p
+        if f:
+            if row[c] != 1:
+                f = f * pow(row[c], p - 2, p)
+            v = [x - f * y for x, y in zip(v, row)]
+    return [x % p for x in v]
 
 
 def _is_invariant(B: NilModule, R: la.Rows, pivots: list[int]) -> bool:
@@ -440,14 +452,15 @@ class Embedding:
     (``_leads``).  The constructor closes the given vectors under the
     action there (``invariant_closure``), so they may be just generators,
     and keeps the layer table that the closure read off the pivots of
-    every T^i A on the way: alpha, the chain and d (``_layers``).  When
-    the orbit vectors' leads are distinct the kept basis is the orbit
-    basis, and the canonical (rref) row basis of A in layer order,
-    ``_echelon``, is derived from it on first read (one ``rref``, its
-    pivots checked to be the leads) and kept in its place; when two leads
-    coincide the closure took the echelon form itself.  An embedding of
-    the census (``_from_echelon``) is handed A's echelon form and takes
-    its table at once, by carrying that form from stage to stage.
+    every T^i A on the way: alpha, the chain and d (``_layers``).  The
+    kept basis is the orbit basis, each vector whose lead was taken
+    reduced at the kept leads, and membership (``contains``) and map
+    images (``map_image``) read it as it is.  The canonical (rref) row
+    basis of A in layer order, ``_echelon``, is derived from it on first
+    read (one ``rref``, its pivots checked to be the leads) and kept in
+    its place.  An embedding of the census (``_from_echelon``) is handed
+    A's echelon form and takes its table at once, by carrying that form
+    from stage to stage.
     ``span``, the canonical row basis of A in block order, a tuple of row
     tuples and so its own dictionary key, and its pivots are derived from
     the echelon form on first read (``_derive_span``: one permutation and
@@ -462,8 +475,8 @@ class Embedding:
                  "_tableau", "_gens", "_generator", "_source")
 
     def __init__(self, B: NilModule, vectors):
-        basis, leads, dims, table, echelon = invariant_closure(B, vectors)
-        self._fill(B, basis, leads, _layers(B, dims, table), echelon)
+        basis, leads, dims, table = invariant_closure(B, vectors)
+        self._fill(B, basis, leads, _layers(B, dims, table), None)
 
     def _fill(self, B: NilModule, basis: la.Rows, leads: list[int], layers,
               echelon: la.Rows | None) -> "Embedding":
@@ -534,18 +547,26 @@ class Embedding:
 
     def contains(self, v) -> bool:
         """Whether the row v, in block order, lies in A: v taken to layer
-        order against the layer-order echelon form (``_echelon``), so no
-        block-order span is derived."""
-        return la.in_space(self.B._layered(v), self._echelon, self._leads, self.p)
+        order and reduced by the kept basis in lead order
+        (``_reduce_at_leads``), so no echelon form is derived.  A v of the
+        wrong length is refused with ValueError."""
+        if len(v) != self.B.dim:
+            raise ValueError(f"a vector of the wrong length: {len(v)} entries"
+                             f" in a module of dimension {self.B.dim}")
+        return not any(_reduce_at_leads(self.B._layered(v), self._basis, self._leads, self.p))
 
     def map_image(self, M) -> la.Rows:
-        """The canonical (rref) basis of g(A), for the map g of the matrix
-        M with B.dim columns, acting on column vectors: the kept basis of
-        A, whichever it is, times the transpose of M, whose rows are taken
-        to layer order to match it, then row-reduced, so neither A's
-        echelon form nor its block-order span is derived."""
-        columns = list(zip(*M)) if M else [()] * self.B.dim  # M^T, also of a map to 0
-        return la.row_space(la.mul(self._basis, self.B._layered(columns), self.p), self.p)
+        """Rows spanning g(A), for the map g of the matrix M with B.dim
+        columns and entries in [0, p), acting on column vectors: the kept
+        basis of A, whichever it is, times the transpose of M, whose rows
+        are taken to layer order to match it.  They are not reduced, so
+        neither an echelon form nor the block-order span is derived.  An M
+        whose rows are not of length B.dim is refused with ValueError."""
+        n = self.B.dim
+        if any(len(row) != n for row in M):
+            raise ValueError(f"a map of a module of dimension {n} needs rows of {n} entries")
+        columns = list(zip(*M)) if M else [()] * n  # M^T, also of a map to 0
+        return la.mul(self._basis, self.B._layered(columns), self.p)
 
     def to_json(self) -> dict:
         T, grading, span = self._source or (self.B.action, self.B.grading, self.span)

@@ -23,8 +23,13 @@ The construction reads the partition's column tuples
 coordinates T is a shift, so the commutation checks take T M and M T as
 gathers of rows and columns of M (``_t_times``, ``_times_t``) instead of
 products with the action matrices.  The subspace checks read each term's
-echelon form in layer order (``Embedding.map_image``,
-``Embedding.contains``), so a verified op derives no block-order span.
+kept basis in layer order: the images of X-tilde's basis under iota
+(``Embedding.map_image``) are tested one by one for membership in Y
+(``Embedding.contains``, a reduction at Y's kept leads), and the images
+of Y's basis under pi are row-reduced once, since their rank is compared
+with dim A of Z-tilde.  So a verified op derives no term's echelon form
+and no block-order span: its echelon forms are the ranks of iota, taken
+on its transpose, which has fewer rows, and of pi, and pi's image.
 """
 
 from __future__ import annotations
@@ -201,7 +206,8 @@ def _verify(ws: WitnessSequence) -> None:
     checks = ws.report
 
     checks["dimension_split"] = y.B.dim == xt.B.dim + zt.B.dim
-    checks["iota_injective"] = la.rank(iota, p) == xt.B.dim
+    # the rank of iota taken on its fewer columns, as rows of iota^T
+    checks["iota_injective"] = la.rank(list(zip(*iota)), p) == xt.B.dim
     checks["pi_surjective"] = la.rank(pi, p) == zt.B.dim
     # the maps are sparse, and products skip zeros
     checks["composition_zero"] = not any(map(any, la.mul(pi, iota, p)))
@@ -212,7 +218,7 @@ def _verify(ws: WitnessSequence) -> None:
 
     checks["iota_maps_subspace"] = all(y.contains(row) for row in xt.map_image(iota))
     # pi(A_Y) inside A_Zt and of its dimension is all of A_Zt
-    pushed = y.map_image(pi)
+    pushed = la.row_space(y.map_image(pi), p)
     checks["pi_onto_subspace"] = (len(pushed) == zt.dim_sub()
                                   and all(zt.contains(row) for row in pushed))
     checks["subspace_dimension_split"] = (

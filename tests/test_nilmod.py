@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import linalg_reference
 import nilmod_reference as ref
 import oracle_reference
 import tableaux_reference
@@ -525,9 +526,10 @@ def test_closure_check_refuses_a_span_that_t_leaves(monkeypatch):
         invariant_closure(B, [[1, 0, 0, 0]])
 
 
-def test_closure_check_refuses_a_span_that_t_leaves_on_the_extend_path(monkeypatch):
+def test_closure_check_refuses_a_span_that_t_leaves_with_coinciding_leads(monkeypatch):
     # the twin of the check above, with two vectors of one lead, so the
-    # closure extends an echelon form and the residue pass names them
+    # closure reduces one at the other's lead, and the check still names
+    # them; no echelon form is extended
     B = canonical_module((3, 1), 2)
     image, calls, extends = nilmod.NilModule.layer_image, [], []
     extend = la.extend
@@ -538,9 +540,11 @@ def test_closure_check_refuses_a_span_that_t_leaves_on_the_extend_path(monkeypat
 
     monkeypatch.setattr(nilmod.NilModule, "layer_image", short)
     monkeypatch.setattr(la, "extend", lambda *a: extends.append(a) or extend(*a))
-    with pytest.raises(InvariantViolation, match=re.escape("[[1, 0, 0, 0], [1, 0, 0, 1]]")):
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "the orbits of [[1, 0, 0, 0], [1, 0, 0, 1]] in the module of blocks [3, 1]"
+            " over F_2 do not span an invariant subspace")):
         invariant_closure(B, [[1, 0, 0, 0], [1, 0, 0, 1]])
-    assert len(extends) == 1
+    assert extends == []
 
 
 def test_derived_echelon_form_is_checked_against_the_leads():
@@ -554,24 +558,38 @@ def test_derived_echelon_form_is_checked_against_the_leads():
         E._echelon
 
 
-def _closures_on_both_paths(B, vectors):
-    """The closure of ``vectors`` against the extend path, called directly
-    on the same orbit levels: the same pivots, dims, table rows and
-    echelon form.  True when the closure read the table off the leads."""
-    basis, leads, dims, table, echelon = invariant_closure(B, vectors)
+def _closure_matches_reference(B, vectors, rng):
+    """The closure of ``vectors`` against the reference that extends one
+    echelon form by the same orbit levels: the same leads, dims, table
+    rows and, derived from the kept basis, echelon form; and, before that
+    form is derived, ``contains`` on the kept basis against membership in
+    the reference's echelon form, on members and on random vectors.  True
+    when two orbit vectors share a lead."""
+    p, n = B.p, B.dim
+    basis, leads, dims, table = invariant_closure(B, vectors)
+    levels, orbit_leads = nilmod._orbit_levels(B, nilmod._vectors(vectors, n, p))
+    R, pivots, want_dims, want_table = ref._extended_closure(B, levels)
+    assert (leads, dims, table) == (pivots, want_dims, want_table), (B.sizes, vectors)
+    assert leads == sorted(set(leads)), (B.sizes, vectors)
+    assert all(v[c] and not any(v[:c]) for v, c in zip(basis, leads)), (B.sizes, vectors)
     E = Embedding(B, vectors)
-    assert (E._leads, E.dim_sub()) == (leads, len(basis))
-    levels, _ = nilmod._orbit_levels(B, nilmod._vectors(vectors, B.dim, B.p))
-    assert nilmod._extended_closure(B, levels) == (E._echelon, leads, dims, table), \
-        (B.sizes, vectors)
-    return echelon is None
+    back = nilmod._picker(nilmod._block_places(B))
+    members = [[sum(c * row[j] for c, row in zip(cs, R)) % p for j in range(n)]
+               for cs in ([rng.randrange(p) for _ in R] for _ in range(2))]
+    for u in members + [[rng.randrange(p) for _ in range(n)] for _ in range(2)]:
+        assert E.contains(back(u)) == linalg_reference.in_space(u, R, pivots, p), \
+            (B.sizes, vectors, u)
+    assert E._rref is None and E._echelon == R, (B.sizes, vectors)
+    orbit_leads = list(itertools.chain(*orbit_leads))
+    return len(set(orbit_leads)) < len(orbit_leads)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_lead_path_matches_extend_path(p, monkeypatch):
-    # every strip realization with |beta| <= 8 reads its table off the
-    # leads, without deriving its echelon form for the table, the
-    # dimension or a map image
+    # every strip realization with |beta| <= 8 has orbit vectors of
+    # distinct leads and reads its table off them, without deriving its
+    # echelon form for the table, the dimension or a map image
+    rng = random.Random(60 + p)
     for shape in iter_strip_shapes(8):
         for t in enumerate_tableaux(shape):
             pieces = pole_pieces(t.columns)
@@ -579,11 +597,12 @@ def test_lead_path_matches_extend_path(p, monkeypatch):
             E = realize_tableau(t, p)
             image, dim = E.map_image(B.action), E.dim_sub()  # T A, from the orbit basis
             assert E._rref is None, t
-            assert image == la.row_space(la.mul(E.span, list(zip(*B.action)), p), p), t
+            assert la.row_space(image, p) == la.row_space(
+                la.mul(E.span, list(zip(*B.action)), p), p), t
             assert dim == len(E.span), t
-            assert _closures_on_both_paths(B, gens), t
+            assert not _closure_matches_reference(B, gens, rng), t
     # every closure of 12 sampled witness sequences: Y's generator carries a
-    # cross term, and its orbits may share a lead
+    # cross term, and its orbits share a lead
     closures, closure = [], nilmod.invariant_closure
     monkeypatch.setattr(nilmod, "invariant_closure",
                         lambda B, vectors: closures.append((B, vectors)) or closure(B, vectors))
@@ -592,17 +611,37 @@ def test_lead_path_matches_extend_path(p, monkeypatch):
     for t, up, move in random.Random(60 + p).sample(edges, 12):
         witness_sequence(t, up, move, p)
     monkeypatch.undo()
-    on_leads = [_closures_on_both_paths(B, vectors) for B, vectors in closures]
-    assert len(on_leads) == 36 and 0 < on_leads.count(False) < 36
-    # random vectors in block sizes in any order
+    colliding = [_closure_matches_reference(B, vectors, rng) for B, vectors in closures]
+    assert len(colliding) == 36 and colliding.count(True) == 12
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lead_reduction_matches_extend_path_on_random_vectors(p, monkeypatch):
+    # random vectors in block sizes in any order, graded or not, and
+    # random subspaces read from JSON through a conjugated T, whose
+    # closure runs on the vectors moved to Jordan coordinates
     rng = random.Random(70 + p)
-    on_leads = []
-    for _ in range(120):
+    colliding = []
+    for _ in range(100):
         sizes, shifts = _random_blocks(rng)
         B = canonical_module(sizes, p, shifts)
         vectors = [[rng.randrange(p) for _ in range(B.dim)] for _ in range(rng.randint(0, 3))]
-        on_leads.append(_closures_on_both_paths(B, vectors))
-    assert on_leads.count(True) > 20 and on_leads.count(False) > 20
+        colliding.append(_closure_matches_reference(B, vectors, rng))
+    assert colliding.count(True) > 20 and colliding.count(False) > 20
+    closures, closure = [], nilmod.invariant_closure
+    monkeypatch.setattr(nilmod, "invariant_closure",
+                        lambda B, vectors: closures.append((B, vectors)) or closure(B, vectors))
+    np_rng = np.random.default_rng(70 + p)
+    given = [beta for beta in JORDAN_TYPES if beta]
+    for beta in given:
+        n = sum(beta)
+        S = _random_invertible(np_rng, n, p)
+        T = (((S @ ref.action_of(canonical_module(beta, p))) % p) @ _inverse_mod_p(S, p)) % p
+        data = {"p": p, "T": T.tolist(), "A_span": np_rng.integers(0, p, size=(2, n)).tolist()}
+        assert Embedding.from_json(data).chain() == ref.chain(ref.general_embedding(data)), data
+    monkeypatch.undo()
+    colliding = [_closure_matches_reference(B, vectors, rng) for B, vectors in closures]
+    assert len(colliding) == len(given) and any(colliding)
 
 
 def _ranks(lam):
@@ -1067,8 +1106,8 @@ def test_t_carries_a_reduced_stage_to_reduced_rows(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_membership_and_map_images_match_the_block_order_span(p):
-    # ``contains`` and ``map_image`` read the layer-order form; on the
-    # block-order span they are ``in_space`` and the row space of A M^T
+    # ``contains`` and ``map_image`` read the kept basis in layer order; on
+    # the block-order span they are ``in_space`` and rows spanning A M^T
     rng = random.Random(110 + p)
     members = 0
     for _ in range(60):
@@ -1080,12 +1119,30 @@ def test_membership_and_map_images_match_the_block_order_span(p):
         sums = [tuple([sum(c * x for c, x in zip(cs, column)) % p for column in zip(*span)])
                 for cs in ([rng.randrange(p) for _ in span] for _ in range(3))] if span else []
         for v in sums + [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]:
-            assert E.contains(v) == la.in_space(v, span, pivots, p), (sizes, v)
+            assert E.contains(v) == linalg_reference.in_space(v, span, pivots, p), (sizes, v)
             members += E.contains(v)
         for m in (0, 1, rng.randint(2, 6)):
             M = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
-            assert E.map_image(M) == la.row_space(la.mul(span, list(zip(*M)), p), p), sizes
+            image = E.map_image(M)
+            assert len(image) == E.dim_sub(), sizes
+            assert la.row_space(image, p) == la.row_space(la.mul(span, list(zip(*M)), p), p), sizes
     assert members > 60
+
+
+def test_membership_and_map_images_refuse_the_wrong_length():
+    # a vector or map rows of another length than the module's dimension are
+    # refused, as the subspace vectors of ``Embedding`` are, before any entry
+    # past it is ignored or one short of it is indexed
+    E = Embedding(canonical_module((2, 1), 3), [[0, 1, 0]])
+    assert E.contains((0, 1, 0)) and E.contains([0, 4, -3]) and not E.contains((1, 0, 0))
+    for v in ((0, 1, 0, 5), (0, 1), (0, 1, 0, 0), ()):
+        with pytest.raises(ValueError, match="wrong length"):
+            E.contains(v)
+    assert E.map_image([[1, 0, 0], [0, 1, 0]]) == ((0, 1),)
+    assert E.map_image([]) == ((),)
+    for M in ([[1, 0, 0, 9], [0, 1, 0, 9]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="needs rows of 3 entries"):
+            E.map_image(M)
 
 
 def test_realization_and_its_tableau_derive_no_block_span(monkeypatch):

@@ -282,6 +282,26 @@ def test_witness_builds_no_tableau_and_multiplies_no_action(monkeypatch):
             assert tableau_of_embedding(realize_tableau(t, p)) == t
 
 
+def test_witness_op_takes_two_ranks_and_one_row_space(monkeypatch):
+    """The linear algebra of one op: the ranks of iota (on its transpose)
+    and of pi, and the echelon form of pi's image, each one ``rref``, so
+    one ``extend`` each; no closure extends an echelon form, and none of
+    Xt, Y and Zt derives its own."""
+    calls = []
+    for name in ("rank", "row_space", "rref", "extend"):
+        monkeypatch.setattr(la, name, lambda *a, name=name, f=getattr(la, name):
+                            calls.append(name) or f(*a))
+    ops = 0
+    for t, t2, move in _edges_small():
+        for p in (2, 3):
+            calls.clear()
+            ws = witness_sequence(t, t2, move, p)
+            assert sorted(calls) == ["extend"] * 3 + ["rank"] * 2 + ["row_space"] + ["rref"] * 3
+            assert all(E._rref is None for E in (ws.xt, ws.y, ws.zt)), (t, t2, p)
+            ops += 1
+    assert ops == 72
+
+
 def test_end_tableau_is_the_chain_of_the_direct_sum():
     """The union of the summands' chains, the shorter one padded, is the
     chain of the direct sum that ``_verify`` used to build: on every edge
