@@ -30,9 +30,10 @@ def extend(R, pivots: list[int], M, p: int) -> tuple[Rows, list[int]]:
     it zero, scaled to a unit lead, cleared from the earlier rows and
     put in its place by its lead.  Reducing subtracts each earlier row
     once, scaled by the new row's entry at that row's pivot, and takes
-    the entries mod p after the last: a pivot column of an echelon form is
-    a unit vector, so no subtraction moves another pivot's entry (see
-    ``reduce_vec``).
+    the entries mod p after the last.  That is ``reduce_vec`` on rows in
+    rref, inline: their leads are 1, so no row is scaled, and a pivot
+    column is a unit vector, so no subtraction moves another pivot's
+    entry.
     """
     rows, pivots = list(R), list(pivots)
     for v in M:
@@ -101,19 +102,23 @@ def identity(n: int) -> Rows:
     return tuple(tuple([0] * i + [1] + [0] * (n - i - 1)) for i in range(n))
 
 
-def reduce_vec(v, R, pivots: list[int], p: int) -> tuple[int, ...]:
-    """Residual of v after elimination against the basis R.
-
-    R must be in reduced row echelon form with these pivots: each pivot
-    column is then a unit vector, so subtracting every row at once,
-    scaled by v's pivot entries, equals eliminating one row at a time.
+def reduce_vec(v, rows, leads: list[int], p: int) -> tuple[int, ...]:
+    """The row v less the multiples of ``rows`` that leave it 0 at their
+    ``leads``, which are distinct and increasing, entries mod p: each row
+    in turn, scaled to v's running entry at its lead, is taken off v, and
+    a row is 0 before its lead, so the entries at the earlier leads stay
+    0.  What is left has a lead that is none of theirs, and it is 0
+    exactly when v lies in the span of the rows.  Rows in rref with their
+    pivots are a case of this: a pivot column is then a unit vector, so
+    no row moves another's lead entry, and each lead entry is 1.
     """
-    out = list(v)
-    for row, c in zip(R, pivots):
-        f = v[c]
+    for row, c in zip(rows, leads):
+        f = v[c] % p
         if f:
-            out = [x - f * y for x, y in zip(out, row)]
-    return tuple([x % p for x in out])
+            if row[c] != 1:
+                f = f * pow(row[c], p - 2, p)
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple([x % p for x in v])
 
 
 def annihilator(R, pivots: list[int], n: int, p: int) -> list[list[int]]:

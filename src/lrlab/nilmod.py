@@ -31,11 +31,13 @@ up, and a vector whose lead is taken is reduced at the kept leads, in
 lead order, so that its lead is new unless it vanishes.  Either way the
 pivots of T^i A are the kept leads of the levels from i on, and the
 table is read off them with no echelon form taken.  The same reduction
-at the kept leads checks the basis invariant and decides membership
+at the kept leads (``linalg.reduce_vec``) decides membership
 (``Embedding.contains``), so A's echelon form is derived only when it
-is first read.  The census hands over the layer-order echelon forms of
-invariant spans, which come without orbits (``_from_echelon``): their
-tables start from that form, T carrying each stage to the next
+is first read, and whether T keeps a span of rows with distinct leads
+(``_maps_into_itself``): the one invariance test, which the census's
+dual side takes too.  The census hands over the layer-order echelon
+forms of invariant spans, which come without orbits (``_from_echelon``):
+their tables start from that form, T carrying each stage to the next
 (``_stage_walk``), and the images of a reduced stage's rows are already
 reduced but for those of the rows whose pivots T kills, which alone are
 reduced into them.
@@ -322,7 +324,7 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
     levels from i on, each vector with its lead (``_orbit_levels``).  The
     levels are walked from the deepest up: a vector whose lead is new is
     kept as it is, and one whose lead is taken is reduced at the kept
-    leads, in lead order (``_reduce_at_leads``), so that its lead is new
+    leads, in lead order (``la.reduce_vec``), so that its lead is new
     unless it vanishes.  So after level i the kept vectors are a basis
     of T^i A with distinct leads, and when the orbit vectors' leads are
     distinct, as in every strip realization, they are that basis and no
@@ -340,7 +342,7 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
         for v, c in zip(level, level_leads):
             if c in at:
                 kept = sorted(at)
-                v = tuple(_reduce_at_leads(v, map(at.__getitem__, kept), kept, p))
+                v = la.reduce_vec(v, map(at.__getitem__, kept), kept, p)
                 c = next(compress(range(n), v), n)
                 if c == n:
                     continue
@@ -399,7 +401,7 @@ def _maps_into_itself(B: NilModule, at: dict[int, tuple[int, ...]]) -> bool:
     """Whether T keeps the span of the rows in B's layer order that ``at``
     holds by their distinct leads: whether T maps each of them to 0, to
     the row with its lead, found as in ``_orbit_levels``, or to a row that
-    reduces to 0 at the kept leads (``_reduce_at_leads``), so that T maps
+    reduces to 0 at the kept leads (``la.reduce_vec``), so that T maps
     a basis into the span.  The images are taken afresh."""
     n, to, every = B.dim, B._to, range(B.dim)
     for c, w in zip(at, B.layer_image(at.values())):
@@ -410,32 +412,9 @@ def _maps_into_itself(B: NilModule, at: dict[int, tuple[int, ...]]) -> bool:
                 continue
         if w != at.get(c):
             kept = sorted(at)
-            if any(_reduce_at_leads(w, map(at.__getitem__, kept), kept, B.p)):
+            if any(la.reduce_vec(w, map(at.__getitem__, kept), kept, B.p)):
                 return False
     return True
-
-
-def _reduce_at_leads(v, rows, leads: list[int], p: int) -> list[int]:
-    """The row v less the multiples of ``rows`` that leave it 0 at their
-    ``leads``, which are distinct and increasing, entries mod p: each row
-    in turn, scaled to v's entry at its lead, is taken off v, and a row is
-    0 before its lead, so the entries at the earlier leads stay 0.  What
-    is left has a lead that is none of theirs, and it is 0 exactly when v
-    lies in the span of the rows."""
-    for row, c in zip(rows, leads):
-        f = v[c] % p
-        if f:
-            if row[c] != 1:
-                f = f * pow(row[c], p - 2, p)
-            v = [x - f * y for x, y in zip(v, row)]
-    return [x % p for x in v]
-
-
-def _is_invariant(B: NilModule, R: la.Rows, pivots: list[int]) -> bool:
-    """Whether T keeps the row space of R, rref with these pivots in B's
-    layer order: whether the images of its rows reduce to 0 modulo R,
-    each in one step (see ``la.reduce_vec``)."""
-    return not any([any(la.reduce_vec(v, R, pivots, B.p)) for v in B.layer_image(R)])
 
 
 def _not_invariant(B: NilModule, rows) -> None:
@@ -453,14 +432,14 @@ class Embedding:
     action there (``invariant_closure``), so they may be just generators,
     and keeps the layer table that the closure read off the pivots of
     every T^i A on the way: alpha, the chain and d (``_layers``).  The
-    kept basis is the orbit basis, each vector whose lead was taken
-    reduced at the kept leads, and membership (``contains``) and map
-    images (``map_image``) read it as it is.  The canonical (rref) row
-    basis of A in layer order, ``_echelon``, is derived from it on first
-    read (one ``rref``, its pivots checked to be the leads) and kept in
-    its place.  An embedding of the census (``_from_echelon``) is handed
-    A's echelon form and takes its table at once, by carrying that form
-    from stage to stage.
+    kept basis is the orbit basis, each vector whose lead was taken reduced
+    at the kept leads (``la.reduce_vec``), and membership (``contains``,
+    the same reduction) and map images (``map_image``) read it as it is.
+    The canonical (rref) row basis of A in layer order, ``_echelon``, is
+    derived from it on first read (one ``rref``, its pivots checked to be
+    the leads) and kept in its place.  An embedding of the census
+    (``_from_echelon``) is handed A's echelon form and takes its table at
+    once, by carrying that form from stage to stage.
     ``span``, the canonical row basis of A in block order, a tuple of row
     tuples and so its own dictionary key, and its pivots are derived from
     the echelon form on first read (``_derive_span``: one permutation and
@@ -548,12 +527,12 @@ class Embedding:
     def contains(self, v) -> bool:
         """Whether the row v, in block order, lies in A: v taken to layer
         order and reduced by the kept basis in lead order
-        (``_reduce_at_leads``), so no echelon form is derived.  A v of the
+        (``la.reduce_vec``), so no echelon form is derived.  A v of the
         wrong length is refused with ValueError."""
         if len(v) != self.B.dim:
             raise ValueError(f"a vector of the wrong length: {len(v)} entries"
                              f" in a module of dimension {self.B.dim}")
-        return not any(_reduce_at_leads(self.B._layered(v), self._basis, self._leads, self.p))
+        return not any(la.reduce_vec(self.B._layered(v), self._basis, self._leads, self.p))
 
     def map_image(self, M) -> la.Rows:
         """Rows spanning g(A), for the map g of the matrix M with B.dim
@@ -809,9 +788,10 @@ def hom_images(C: Embedding, sizes) -> tuple[int, la.Rows]:
 
 def _reduced_rank(U: la.Rows, E: Embedding) -> int:
     """The rank of U with each of its parts of E.B.dim entries reduced
-    modulo E's span.  The span is in rref, so each part loses the span's
-    rows scaled by its own entries at their pivots (see ``la.reduce_vec``);
-    ``la.rank`` takes the entries mod p."""
+    modulo E's span.  The span is in rref, so its pivot columns are unit
+    vectors and no row it takes off a part moves the part's entry at
+    another pivot: each part loses the span's rows scaled by its original
+    entries at their pivots, and ``la.rank`` takes the entries mod p."""
     span, pivots, n = E.span, E._pivots, E.B.dim
     rows = []
     for u in U:

@@ -6,7 +6,9 @@ visits fewer generator tuples, p^e(lambda) for type lambda with
 e(lambda) the sum of min(a, b) over the parts a of lambda and the blocks
 b of beta.  On the dual side it lists the spans of type gamma and cotype
 alpha and maps each back by its block-reversed annihilator, built in
-layer order.  The guard still counts the nominal tuples of type alpha.
+layer order and re-checked invariant by the closure's test
+(``nilmod._maps_into_itself``).  The guard still counts the nominal
+tuples of type alpha.
 The search lists the invariant submodules of type alpha and cotype gamma
 of the canonical ambient module level by level, in the module's layer
 order, adding one generator per part of alpha and deduplicating by
@@ -92,8 +94,8 @@ from . import linalg as la
 from . import partitions as pt
 from .errors import DEFAULT_GUARD  # noqa: F401  (the census default, public here)
 from .errors import GuardExceeded, InvariantViolation, guard_budget
-from .nilmod import (Embedding, _block_places, _from_echelon, _is_invariant, _not_invariant,
-                     _picker, _reduced_rank, block_offsets, canonical_module,
+from .nilmod import (Embedding, _block_places, _from_echelon, _maps_into_itself,
+                     _not_invariant, _picker, _reduced_rank, block_offsets, canonical_module,
                      generator_blocks, hom_images, hom_positions, realize_picket,
                      realize_pole, tableau_of_embedding)
 from .poles import Pole, minimal_ambient
@@ -500,8 +502,9 @@ def _census_spans(B, alpha, gamma) -> list[Embedding]:
     once: coordinate k of A pairs with coordinate rev[order[k]] of A' in
     block order, which is perm[k] = back[rev[order[k]]] of A' in layer
     order, back the inverse of the layer order (``nilmod._block_places``).
-    Each mapped span is re-checked invariant (``nilmod._is_invariant``,
-    with the message of the closure's check, naming A in block order).
+    Each mapped span is re-checked invariant by the closure's test
+    (``nilmod._maps_into_itself``, its rows keyed by their pivots), with
+    that check's message, naming A in block order.
     Sorted by the block-order span, so the side does not show, and each
     class representative is its least member.  The dual search takes
     alpha as its cotype, and finds no span when alpha does not lie inside
@@ -518,7 +521,7 @@ def _census_spans(B, alpha, gamma) -> list[Embedding]:
     for dual, _ in _distinct_submodules(B, gamma, alpha):
         A = la.null_space([perm(row) for row in dual], p) if dual else la.identity(n)
         pivots = [row.index(1) for row in A]
-        if not _is_invariant(B, A, pivots):
+        if not _maps_into_itself(B, dict(zip(pivots, A))):
             block = _picker(back)
             _not_invariant(B, la.row_space([block(row) for row in A], p))
         found.append(_from_echelon(B, A, pivots))

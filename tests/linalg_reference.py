@@ -1,21 +1,22 @@
 """Test-only references: the two echelon forms that ``linalg.extend``
-replaced, and the membership test on an echelon form that
-``Embedding.contains`` replaced by a reduction at the kept leads.
+replaced, the one-pass reduction on an echelon form that
+``linalg.reduce_vec`` replaced by a reduction at any distinct leads, and
+membership by rank.
 
 ``rref`` is the numpy one, which eliminates with whole-array operations
 (one ``outer`` and ``%`` per pivot).  ``sweep_rref`` is the list kernel
 that came after it, which sweeps the columns left to right and clears
 each pivot from every other row.  ``tests/test_linalg.py`` checks that
 ``lrlab.linalg`` returns the same ``(R, pivots)`` as both.  ``mat`` reads
-the package's rows into arrays.  ``in_space`` asks whether a vector
-reduces to 0 modulo an rref.
+the package's rows into arrays.  ``reduce_vec`` takes every row of an
+rref off a vector at once, scaled by the vector's original entries at
+the pivots.  ``in_space`` asks whether a vector adds nothing to the rank
+of some rows, by ``rref``, so it shares no code with the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from lrlab import linalg
 
 
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -87,7 +88,23 @@ def sweep_rref(M, p: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(map(tuple, rows[:r])), pivots
 
 
-def in_space(v, R, pivots: list[int], p: int) -> bool:
-    """Whether v lies in the row space of R, which must be rref (see
-    ``linalg.reduce_vec``)."""
-    return not any(linalg.reduce_vec(v, R, pivots, p))
+def reduce_vec(v, R, pivots: list[int], p: int) -> tuple[int, ...]:
+    """Residual of v after elimination against the basis R.
+
+    R must be in reduced row echelon form with these pivots: each pivot
+    column is then a unit vector, so subtracting every row at once,
+    scaled by v's pivot entries, equals eliminating one row at a time.
+    """
+    out = list(v)
+    for row, c in zip(R, pivots):
+        f = v[c]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple([x % p for x in out])
+
+
+def in_space(v, R, p: int) -> bool:
+    """Whether v lies in the row space of the rows R, any rows at all:
+    whether stacking v on them leaves the rank, by ``rref``, as it is."""
+    n = len(v)
+    return len(rref(mat([*R, v], n), p)[1]) == len(rref(mat(R, n), p)[1])

@@ -52,16 +52,51 @@ def test_intersection_dimensions(p):
         Ra, pa = la.rref(A, p)
         Rb, pb = la.rref(B, p)
         for v in inter.tolist():
-            assert linalg_ref.in_space(v, Ra, pa, p)
-            assert linalg_ref.in_space(v, Rb, pb, p)
+            assert linalg_ref.in_space(v, Ra, p)
+            assert linalg_ref.in_space(v, Rb, p)
 
 
 def test_reduce_and_membership():
     A = la.row_space([[1, 1, 0], [0, 1, 1]], 2)
     R, piv = la.rref(A, 2)
-    assert linalg_ref.in_space([1, 0, 1], R, piv, 2)
-    assert not linalg_ref.in_space([1, 0, 0], R, piv, 2)
+    assert linalg_ref.in_space([1, 0, 1], R, 2)
+    assert not linalg_ref.in_space([1, 0, 0], R, 2)
     assert la.reduce_vec([1, 0, 0], R, piv, 2) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_vec_matches_reference(p):
+    """On rows in rref the helper gives the residual of the one-pass rule
+    it replaced, which reads v's original entries.  On rows with distinct
+    increasing leads, lead entries other than 1 (for p > 2) and entries at
+    each other's leads, its residual lies in [0, p), differs from v by a
+    member of the rows' span, and is 0 exactly when v lies in that span,
+    by rank; otherwise its lead is none of the rows' leads."""
+    rng = random.Random(90 + p)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        R, pivots = la.rref([[rng.randrange(p) for _ in range(n)]
+                             for _ in range(rng.randint(0, n))], p)
+        v = [rng.randrange(-p, 2 * p) for _ in range(n)]
+        assert la.reduce_vec(v, R, pivots, p) == linalg_ref.reduce_vec(v, R, pivots, p)
+    members = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        leads = sorted(rng.sample(range(n), rng.randint(0, n)))
+        rows = [(0,) * c + (rng.randrange(1, p),)
+                + tuple(rng.randrange(p) for _ in range(c + 1, n)) for c in leads]
+        cs = [rng.randrange(p) for _ in rows]
+        v = ([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)] if rng.random() < 0.5
+             else [rng.randrange(-p, 2 * p) for _ in range(n)])
+        w = la.reduce_vec(v, rows, leads, p)
+        assert all(0 <= x < p for x in w) and len(w) == n
+        assert linalg_ref.in_space([x - y for x, y in zip(v, w)], rows, p)
+        if linalg_ref.in_space(v, rows, p):
+            members += 1
+            assert not any(w), (rows, v)
+        else:
+            assert any(w) and w.index(next(filter(None, w))) not in leads, (rows, v)
+    assert 100 < members < 250
 
 
 def test_space_key_distinguishes():
@@ -185,7 +220,7 @@ def test_rref_properties(case):
     assert all(any(row) for row in R)
     R2, pivots2 = la.rref(R, p)
     assert R2 == R and pivots2 == pivots
-    assert all(linalg_ref.in_space(v, R, pivots, p) for v in M)
+    assert all(linalg_ref.in_space(v, R, p) for v in M)
     assert la.rank(M, p) == len(pivots)
 
 

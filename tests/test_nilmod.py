@@ -547,6 +547,43 @@ def test_closure_check_refuses_a_span_that_t_leaves_with_coinciding_leads(monkey
     assert extends == []
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_invariance_test_matches_membership_of_the_images(p):
+    """``_maps_into_itself`` on an rref span in layer order, its rows keyed
+    by their pivots, says that T keeps the span exactly when every image
+    row lies in it, decided by the reference ``rref`` in block order.  The
+    spans: the echelon forms of random embeddings, which T keeps; the same
+    forms with one row moved by a random vector on the non-pivot columns
+    right of its lead, still rref with the same pivots, so that an image
+    may lead at a pivot and still leave the span; and the echelon forms of
+    random rows."""
+    rng = random.Random(80 + p)
+    answers = {"kept": [], "moved": [], "rows": []}
+    for _ in range(150):
+        sizes, shifts = _random_blocks(rng)
+        B = canonical_module(sizes, p, shifts)
+        n, order = B.dim, B._order[0]
+        T = ref.action_of(B)
+        vectors = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        E = Embedding(B, vectors)
+        kept = E._echelon, E._leads
+        moved = list(E._echelon)
+        if moved:
+            i = rng.randrange(len(moved))
+            moved[i] = tuple([(x + rng.randrange(p)) % p if j > E._leads[i] and j not in E._leads
+                              else x for j, x in enumerate(moved[i])])
+        for kind, (R, pivots) in (("kept", kept), ("moved", (moved, E._leads)),
+                                  ("rows", la.rref(vectors, p))):
+            span = np.zeros((len(R), n), dtype=np.int64)
+            span[:, order] = mat(R, n)  # layer coordinate k is block coordinate order[k]
+            want = all(linalg_reference.in_space(w, span.tolist(), p)
+                       for w in ((span @ T.T) % p).tolist())
+            assert nilmod._maps_into_itself(B, dict(zip(pivots, R))) == want, (sizes, R)
+            answers[kind].append(want)
+    assert all(answers["kept"]) and answers["moved"].count(False) > 15
+    assert 40 < answers["rows"].count(False) < 140
+
+
 def test_derived_echelon_form_is_checked_against_the_leads():
     # the orbit basis is kept, and its echelon form derived on first read
     # must have the kept leads as pivots
@@ -577,7 +614,7 @@ def _closure_matches_reference(B, vectors, rng):
     members = [[sum(c * row[j] for c, row in zip(cs, R)) % p for j in range(n)]
                for cs in ([rng.randrange(p) for _ in R] for _ in range(2))]
     for u in members + [[rng.randrange(p) for _ in range(n)] for _ in range(2)]:
-        assert E.contains(back(u)) == linalg_reference.in_space(u, R, pivots, p), \
+        assert E.contains(back(u)) == linalg_reference.in_space(u, R, p), \
             (B.sizes, vectors, u)
     assert E._rref is None and E._echelon == R, (B.sizes, vectors)
     orbit_leads = list(itertools.chain(*orbit_leads))
@@ -1115,11 +1152,11 @@ def test_membership_and_map_images_match_the_block_order_span(p):
         B = canonical_module(sizes, p, shifts)
         n = B.dim
         E = Embedding(B, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, 2))])
-        span, pivots = E.span, E._pivots
+        span = E.span
         sums = [tuple([sum(c * x for c, x in zip(cs, column)) % p for column in zip(*span)])
                 for cs in ([rng.randrange(p) for _ in span] for _ in range(3))] if span else []
         for v in sums + [tuple(rng.randrange(p) for _ in range(n)) for _ in range(3)]:
-            assert E.contains(v) == linalg_reference.in_space(v, span, pivots, p), (sizes, v)
+            assert E.contains(v) == linalg_reference.in_space(v, span, p), (sizes, v)
             members += E.contains(v)
         for m in (0, 1, rng.randint(2, 6)):
             M = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
