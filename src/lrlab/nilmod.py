@@ -19,28 +19,27 @@ of one echelon form of T^i A give d[i][k] = dim(T^k B + T^i A) for every
 k; that layer table yields the type of A, the chain of types of
 B / T^i A and the entry counts.  So an embedding keeps a basis of A in
 layer order whose rows have distinct leads, A's pivots, and its table
-from when it is built.  Closing given vectors (``Embedding``) takes
-their orbits level by level.  In layer order T is a partial shift that
-keeps the order of the coordinates it keeps, so an orbit vector's lead
-is read off its parent's whenever T keeps that one.  When the leads are
-distinct, as in the realization of every strip tableau with
-|beta| <= 12, the orbit vectors are already a basis with distinct
-leads.  When two coincide, as in the witness's middle term, whose
-generator carries a cross term, the levels are walked from the deepest
-up, and a vector whose lead is taken is reduced at the kept leads, in
-lead order, so that its lead is new unless it vanishes.  Either way the
-pivots of T^i A are the kept leads of the levels from i on, and the
-table is read off them with no echelon form taken.  The same reduction
-at the kept leads (``linalg.reduce_vec``) decides membership
-(``Embedding.contains``), so A's echelon form is derived only when it
-is first read, and whether T keeps a span of rows with distinct leads
-(``_maps_into_itself``): the one invariance test, which the census's
-dual side takes too.  The census hands over the layer-order echelon
-forms of invariant spans, which come without orbits (``_from_echelon``):
-their tables start from that form, T carrying each stage to the next
-(``_stage_walk``), and the images of a reduced stage's rows are already
-reduced but for those of the rows whose pivots T kills, which alone are
-reduced into them.
+from when it is built.  One walk takes every table (``_walk``): it
+takes, level by level, the orbits of vectors that generate A as a
+module.  In layer order T is a partial shift that keeps the order of the
+coordinates it keeps, so an orbit vector's lead is read off its
+parent's whenever T keeps that one.  When the leads are distinct, as in
+the realization of every strip tableau with |beta| <= 12, the orbit
+vectors are already a basis with distinct leads.  When two coincide, as
+in the witness's middle term, whose generator carries a cross term, the
+levels are walked from the deepest up, and a vector whose lead is taken
+is reduced at the kept leads, in lead order, so that its lead is new
+unless it vanishes.  Either way the pivots of T^i A are the kept leads
+of the levels from i on, and the table is read off them with no echelon
+form taken.  Closing given vectors (``Embedding``) walks their orbits.
+The census hands over the layer-order echelon forms of invariant spans
+(``_from_echelon``), and the walk takes the orbits of the form's
+generator rows: those whose pivot T does not reach from another pivot,
+which span A modulo T A.  The same reduction at the kept leads
+(``linalg.reduce_vec``) decides membership (``Embedding.contains``), so
+A's echelon form is derived only when it is first read, and whether T
+keeps a span of rows with distinct leads (``_maps_into_itself``): the
+one invariance test, which the census's dual side takes too.
 The canonical basis of A in block order, which JSON, hom spaces,
 fingerprints and the witness read, is derived from the layer-order
 echelon form when first read, by the one permutation that takes layer
@@ -134,7 +133,7 @@ class NilModule:
             moves += [n, *range(o, o + b - 1)]
         self.p, self.dim, self.sizes, self._moves = p, n, sizes, moves
         if shifts is not None and len(shifts) != len(sizes):
-            raise ValueError("grading must assign a degree per basis vector")
+            raise ValueError("grading must assign a degree per block")
         self.grading = (None if shifts is None else
                         tuple([int(d) + j for d, b in zip(shifts, sizes) for j in range(b)]))
         order, shift, _ = self._order = _layer_order(sizes)
@@ -319,27 +318,48 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
     (``_layers``) up to the last nonzero T^i A.
 
     The closure is spanned by the orbits v, T v, T^2 v, ... of the given
-    vectors, each taken until it vanishes.  They are kept as levels, level
-    k holding the nonzero T^k v in layer order, so T^i A is spanned by the
-    levels from i on, each vector with its lead (``_orbit_levels``).  The
+    vectors, each taken until it vanishes: the nonzero vectors, taken to
+    layer order with their leads, are walked (``_walk``), and when the
+    orbit vectors' leads are distinct, as in every strip realization,
+    they are the kept basis and no vector is reduced.  No echelon form is
+    taken.  The kept basis is checked invariant by one fresh image of its
+    rows (``_maps_into_itself``); a span that T does not keep raises
+    ``InvariantViolation``.
+    """
+    rows = _vectors(vectors, B.dim, B.p)
+    n, every, level, leads = B.dim, range(B.dim), [], []
+    for v in map(B._layered, rows):
+        c = next(compress(every, v), n)
+        if c < n:
+            level.append(v)
+            leads.append(c)
+    at, stages = _walk(B, level, leads)
+    if not _maps_into_itself(B, at):
+        _not_invariant(B, rows)
+    pivots = stages[0] if stages else []
+    return (tuple(map(at.__getitem__, pivots)), pivots, *_stage_rows(B, stages))
+
+
+def _walk(B: NilModule, level: list[tuple[int, ...]],
+          leads: list[int]) -> tuple[dict[int, tuple[int, ...]], list[list[int]]]:
+    """The span A of the orbits of the nonzero rows ``level`` in B's layer
+    order, with their ``leads``: a basis of A by its distinct leads, and
+    the pivots of T^i A for each i from 0 while T^i A is nonzero.
+
+    The orbits are kept as levels, level k holding the nonzero T^k v, so
+    T^i A is spanned by the levels from i on (``_orbit_levels``).  The
     levels are walked from the deepest up: a vector whose lead is new is
     kept as it is, and one whose lead is taken is reduced at the kept
     leads, in lead order (``la.reduce_vec``), so that its lead is new
     unless it vanishes.  So after level i the kept vectors are a basis
-    of T^i A with distinct leads, and when the orbit vectors' leads are
-    distinct, as in every strip realization, they are that basis and no
-    vector is reduced.  No echelon form is taken: the pivots of T^i A are
-    the kept leads after level i, which give dims[i] = dim T^i A and, by
-    bisection on the layer prefixes, table row i.  The kept basis is
-    checked invariant by one fresh image of its rows
-    (``_maps_into_itself``); a span that T does not keep raises
-    ``InvariantViolation``.
+    of T^i A with distinct leads, whose leads are its pivots, and they
+    give dims[i] = dim T^i A and, by bisection on the layer prefixes,
+    table row i (``_stage_rows``).
     """
-    rows = _vectors(vectors, B.dim, B.p)
-    levels, leads = _orbit_levels(B, rows)
+    levels, level_leads = _orbit_levels(B, level, leads)
     at, stages, n, p = {}, [], B.dim, B.p  # the kept vectors by their leads
-    for level, level_leads in zip(reversed(levels), reversed(leads)):
-        for v, c in zip(level, level_leads):
+    for level, leads in zip(reversed(levels), reversed(level_leads)):
+        for v, c in zip(level, leads):
             if c in at:
                 kept = sorted(at)
                 v = la.reduce_vec(v, map(at.__getitem__, kept), kept, p)
@@ -348,29 +368,19 @@ def invariant_closure(B: NilModule, vectors) -> tuple[la.Rows, list[int], list[i
                     continue
             at[c] = v
         stages.append(sorted(at))
-    if not _maps_into_itself(B, at):
-        _not_invariant(B, rows)
-    pivots = stages[-1] if stages else []
-    return (tuple(map(at.__getitem__, pivots)), pivots, *_stage_rows(B, stages[::-1]))
+    return at, stages[::-1]
 
 
-def _orbit_levels(B: NilModule, rows: la.Rows) -> tuple[list[list[tuple[int, ...]]],
-                                                       list[list[int]]]:
-    """The orbits of ``rows`` (block order) as levels in B's layer order,
-    level k holding the nonzero T^k v, and the leads of each level's
-    vectors.  A level-0 vector's lead takes a scan.  In layer order T
-    keeps the order of the coordinates it keeps (``_stage_walk``), so the
-    image of a vector whose lead c T keeps has its lead at to[c], where it
-    holds the entry the vector had at c; only the other images take a
-    scan, and those that vanish are dropped."""
-    n, to, layered, every = B.dim, B._to, B._layered, range(B.dim)
-    level, leads = [], []
-    for v in rows:
-        v = layered(v)
-        c = next(compress(every, v), n)
-        if c < n:
-            level.append(v)
-            leads.append(c)
+def _orbit_levels(B: NilModule, level: list[tuple[int, ...]],
+                  leads: list[int]) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
+    """The orbits of the nonzero rows ``level`` in B's layer order, with
+    their ``leads``, as levels, level k holding the nonzero T^k v, and
+    the leads of each level's vectors.  In layer order T keeps the order
+    of the coordinates it keeps (``NilModule._to``), so the image of a
+    vector whose lead c T keeps has its lead at to[c], where it holds the
+    entry the vector had at c; only the other images take a scan, and
+    those that vanish are dropped."""
+    n, to, every = B.dim, B._to, range(B.dim)
     levels, level_leads = [], []
     while level:
         levels.append(level)
@@ -439,7 +449,7 @@ class Embedding:
     derived from it on first read (one ``rref``, its pivots checked to be
     the leads) and kept in its place.  An embedding of the census
     (``_from_echelon``) is handed A's echelon form and takes its table at
-    once, by carrying that form from stage to stage.
+    once, by the same walk over the orbits of that form's generator rows.
     ``span``, the canonical row basis of A in block order, a tuple of row
     tuples and so its own dictionary key, and its pivots are derived from
     the echelon form on first read (``_derive_span``: one permutation and
@@ -604,43 +614,22 @@ class Embedding:
 
 
 def _from_echelon(B: NilModule, R: la.Rows, pivots: list[int]) -> Embedding:
-    """The embedding of the invariant subspace of B whose echelon form in
-    B's layer order is R, with these pivots: no closure is run, and with
-    no orbits to read it off, the layer table is taken by
-    ``_stage_walk``."""
-    layers = _layers(B, *_stage_walk(B, R, pivots))
-    return object.__new__(Embedding)._fill(B, R, pivots, layers, R)
+    """The embedding of the invariant subspace A of B whose echelon form
+    in B's layer order is R, with these pivots: no closure is run, and R
+    is kept as A's basis and echelon form.
 
-
-def _stage_walk(B: NilModule, R: la.Rows,
-                pivots: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The dims of T^i A and the rows d[i] of the layer table while T^i A
-    is nonzero, for A of echelon form R with these pivots in B's layer
-    order.
-
-    The rows are read off the pivots of each stage's echelon form
-    (``_stage_rows``).  The walk starts from R, and T carries each stage
-    to the next: the T-images of the rows of T^i A's rref span
-    T^(i+1) A.  In layer order T is a partial shift that keeps the order
-    of the coordinates it keeps (``NilModule._to``).  So the image of a
-    row whose pivot c T keeps has its lead 1 at to[c], and at the moved
-    pivot of every other such row the entry that the row had at that
-    pivot, 0: these images are already reduced, with pivots to[c] in
-    order.  Only the images of the rows whose pivot T kills are reduced
-    into them (``la.extend``).
-    """
-    to, stages = B._to, []
-    while R:
-        stages.append(pivots)
-        kept, moved, killed = [], [], []
-        for v, c in zip(B.layer_image(R), pivots):
-            if c in to:
-                kept.append(v)
-                moved.append(to[c])
-            else:
-                killed.append(v)
-        R, pivots = la.extend(kept, moved, killed, B.p)
-    return _stage_rows(B, stages)
+    The layer table is walked (``_walk``) from R's generator rows, those
+    whose pivot is not to[c] for a pivot c that T keeps.  For such a c,
+    T R[c] is a vector of A led at to[c] with entry 1, since in layer
+    order T keeps the order of the coordinates it keeps
+    (``NilModule._to``).  So, from the last pivot down, every other row
+    lies in the span of T A and the generator rows; these span A modulo
+    T A, and by Nakayama their orbits span A."""
+    to = B._to
+    hit = {to[c] for c in pivots if c in to}
+    level = [v for v, c in zip(R, pivots) if c not in hit]
+    _, stages = _walk(B, level, [c for c in pivots if c not in hit])
+    return object.__new__(Embedding)._fill(B, R, pivots, _layers(B, *_stage_rows(B, stages)), R)
 
 
 def _layers(B: NilModule, dims: list[int], table: list[tuple[int, ...]]):

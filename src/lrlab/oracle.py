@@ -27,7 +27,8 @@ line itself, led by the pivot of the row of the residue space that lists
 it, so the test is taken once per such row, and a row that fails it
 skips all its lines.  One path serves every prime.  Either side hands
 over layer-order echelon forms, and each becomes an embedding whose
-layer table is read off that form (``nilmod._from_echelon``).  The
+layer table is walked from the orbits of that form's generator rows, as
+a closure's is from its vectors' (``nilmod._from_echelon``).  The
 census re-checks the type and cotype of every span it gets back, and
 buckets the spans by tableau and by hom-dimension fingerprint against a
 catalog of known indecomposables.  Spans are visited in the order of
@@ -487,9 +488,10 @@ def _searches_dual(sizes, alpha, gamma) -> bool:
 
 def _census_spans(B, alpha, gamma) -> list[Embedding]:
     """The embeddings of the spans of B of type alpha and cotype gamma,
-    each built from its echelon form in B's layer order
-    (``nilmod._from_echelon``), sorted by block-order span, searched on the
-    cheaper side (``_searches_dual``).
+    each kept as its echelon form in B's layer order, its layer table
+    walked from that form's generator rows (``nilmod._from_echelon``),
+    sorted by block-order span, searched on the cheaper side
+    (``_searches_dual``).
 
     D(A <= B) = ((B/A)* <= B*) is a duality on invariant-subspace pairs,
     under which the type and the cotype change places (Ringel and

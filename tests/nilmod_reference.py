@@ -20,7 +20,10 @@ every stage afresh, which the closure in layer order and the stages
 carried by T replaced, the block-order gather of T (``image``) that
 layer-order echelon forms made unused, and the closure that extended one
 echelon form by the orbit levels whenever two orbit leads coincided
-(``_extended_closure``), which the reduction at the kept leads replaced.
+(``_extended_closure``), which the reduction at the kept leads replaced,
+and the census spans' layer tables carried from stage to stage by T
+(``stage_walk``), which the walk over their generator rows' orbits
+replaced.
 They are kept only so tests can require identical answers from both.
 
 The package has one module representation, N_beta in its own Jordan
@@ -401,6 +404,37 @@ def _extended_closure(B, levels):
         span, pivots = linalg.extend(span, pivots, level, B.p)
         stages.append(pivots)
     return (span, pivots, *_stage_rows(B, stages[::-1]))
+
+
+def stage_walk(B, R, pivots):
+    """The dims of T^i A and the rows d[i] of the layer table while T^i A
+    is nonzero, for A of echelon form R with these pivots in B's layer
+    order, as the package took the tables of census spans before it
+    walked the orbits of their generator rows.
+
+    The rows are read off the pivots of each stage's echelon form
+    (``_stage_rows``).  The walk starts from R, and T carries each stage
+    to the next: the T-images of the rows of T^i A's rref span
+    T^(i+1) A.  In layer order T is a partial shift that keeps the order
+    of the coordinates it keeps (``NilModule._to``).  So the image of a
+    row whose pivot c T keeps has its lead 1 at to[c], and at the moved
+    pivot of every other such row the entry that the row had at that
+    pivot, 0: these images are already reduced, with pivots to[c] in
+    order.  Only the images of the rows whose pivot T kills are reduced
+    into them (``linalg.extend``).
+    """
+    to, stages = B._to, []
+    while R:
+        stages.append(pivots)
+        kept, moved, killed = [], [], []
+        for v, c in zip(B.layer_image(R), pivots):
+            if c in to:
+                kept.append(v)
+                moved.append(to[c])
+            else:
+                killed.append(v)
+        R, pivots = linalg.extend(kept, moved, killed, B.p)
+    return _stage_rows(B, stages)
 
 
 def in_layer_order(B, span):

@@ -13,7 +13,7 @@ from lrlab import linalg as la
 from lrlab import oracle
 from lrlab.nilmod import realize_tableau, tableau_of_embedding
 from lrlab.oracle import enumerate_submodules, s4_catalog
-from lrlab.tableaux import enumerate_tableaux
+from lrlab.tableaux import Shape, enumerate_tableaux
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -140,13 +140,13 @@ def test_rref_matches_numpy_reference(monkeypatch):
     """The kernel equals the numpy reference and the column sweep it
     replaced on seeded random inputs, and the numpy reference on every
     echelon form of the published censuses, with X's entry taken once per
-    bucket and for every span (a caller's catalog), and of the round trip
-    on strip tableaux with |beta| <= 7 over F_2 and F_3.  Every ``extend``
-    call is checked and counted too: the census search extends a parent's
-    echelon form by the residues of its orbit directly, and the closure
-    extends one echelon form by its orbit levels.  The kept catalogs and
-    decoders are dropped first, so the counts include building them
-    whichever tests ran before."""
+    bucket and for every span (a caller's catalog), of the five-class
+    census with type and cotype swapped, which searches the dual side,
+    and of the round trip on strip tableaux with |beta| <= 7 over F_2 and
+    F_3.  Every ``extend`` call is checked and counted too: the census
+    search extends a parent's echelon form by the residues of its orbit
+    directly.  The kept catalogs and decoders are dropped first, so the
+    counts include building them whichever tests ran before."""
     for p in (2, 3, 5, 7, 1358187913):
         rng = np.random.default_rng(p)
         for M in _random_matrices(rng, p):
@@ -189,6 +189,9 @@ def test_rref_matches_numpy_reference(monkeypatch):
     for shape in (TWO_CLASS, FIVE_CLASS):  # by class, and span by span
         enumerate_submodules(shape, 2)
         enumerate_submodules(shape, 2, catalog=s4_catalog(2))
+    swapped = Shape(FIVE_CLASS.gamma, FIVE_CLASS.beta, FIVE_CLASS.alpha)
+    assert oracle._searches_dual(swapped.beta, swapped.alpha, swapped.gamma)
+    enumerate_submodules(swapped, 2, slow=True)
     for shape in iter_strip_shapes(7):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):

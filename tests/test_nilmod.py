@@ -595,6 +595,13 @@ def test_derived_echelon_form_is_checked_against_the_leads():
         E._echelon
 
 
+def _layered_rows(B, vectors):
+    """The nonzero ``vectors``, given in block order, in B's layer order,
+    and their leads."""
+    rows = [B._layered(v) for v in nilmod._vectors(vectors, B.dim, B.p) if any(v)]
+    return rows, [next(j for j, x in enumerate(v) if x) for v in rows]
+
+
 def _closure_matches_reference(B, vectors, rng):
     """The closure of ``vectors`` against the reference that extends one
     echelon form by the same orbit levels: the same leads, dims, table
@@ -604,7 +611,7 @@ def _closure_matches_reference(B, vectors, rng):
     when two orbit vectors share a lead."""
     p, n = B.p, B.dim
     basis, leads, dims, table = invariant_closure(B, vectors)
-    levels, orbit_leads = nilmod._orbit_levels(B, nilmod._vectors(vectors, n, p))
+    levels, orbit_leads = nilmod._orbit_levels(B, *_layered_rows(B, vectors))
     R, pivots, want_dims, want_table = ref._extended_closure(B, levels)
     assert (leads, dims, table) == (pivots, want_dims, want_table), (B.sizes, vectors)
     assert leads == sorted(set(leads)), (B.sizes, vectors)
@@ -893,7 +900,7 @@ def test_canonical_module_refuses_what_the_general_path_refuses():
         assert str(canonical.value) == str(general.value)
     assert str(general.value).startswith(f"p = {P_OVER_DIM5} is too large for dimension 5")
     for shifts in ([0], [0, 1, 2]):  # one degree per block, no more and no fewer
-        with pytest.raises(ValueError, match="a degree per basis vector"):
+        with pytest.raises(ValueError, match="a degree per block$"):
             canonical_module((3, 2), 2, shifts=shifts)
 
 
@@ -1033,7 +1040,7 @@ def test_strip_realizations_match_reference_in_two_echelons_per_stage(monkeypatc
 
 def test_witness_terms_match_reference():
     # every term's layer table, read off its closure (Y's generator carries
-    # the cross term), and the direct sum of the end terms by the stage walk
+    # the cross term), and the direct sum of the end terms, closed in turn
     for shape in iter_strip_shapes(10):
         for t in enumerate_tableaux(shape):
             for t2, move in box_successors(t):
@@ -1058,8 +1065,8 @@ def test_census_spans_match_reference(p):
 
 
 def _same_table_as_reference(E):
-    """E's layer table, carried from stage to stage by T, against the one
-    that row-reduces every stage afresh from the block-order span."""
+    """E's layer table, walked from orbits, against the one that
+    row-reduces every stage afresh from the block-order span."""
     return E._layers == ref.layer_table(E)
 
 
@@ -1082,6 +1089,42 @@ def test_layer_table_matches_reference_on_census_pool_and_catalogs():
     for p in (2, 3):
         for name, E in s4_catalog(p) + picket_pole_catalog(p, 5):
             assert _same_table_as_reference(E), (name, p)
+
+
+def test_generator_row_walk_matches_the_stage_walk(monkeypatch):
+    """The layer table that ``_from_echelon`` walks from the orbits of an
+    echelon form's generator rows against the reference that carries the
+    form from stage to stage by T (``stage_walk``): on every span of the
+    census pool, searched on either side of the duality, which find the
+    same spans; on the layer-order echelon forms of random closures, at
+    p = 2, 3 and 5, taken by the reference closure; and on the zero span
+    and all of B."""
+    handed, from_echelon = [], oracle._from_echelon
+
+    def checked(B, R, pivots):
+        E = from_echelon(B, R, pivots)
+        assert E._layers == nilmod._layers(B, *ref.stage_walk(B, R, pivots)), (B.sizes, R)
+        handed.append(R)
+        return E
+
+    monkeypatch.setattr(oracle, "_from_echelon", checked)
+    sides = []
+    for dual in (False, True):
+        monkeypatch.setattr(oracle, "_searches_dual", lambda *a: dual)
+        sides.append([E.span for shape, p in census_pool() for E in oracle._census_spans(
+            canonical_module(shape.beta, p), shape.alpha, shape.gamma)])
+    assert sides[0] == sides[1] and len(sides[0]) == 390 and len(handed) == 780
+    rng = random.Random(120)
+    for p in (2, 3, 5):
+        for _ in range(100):
+            sizes, shifts = _random_blocks(rng)
+            B = canonical_module(sizes, p, shifts)
+            n = B.dim
+            vectors = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            closed = ref.in_layer_order(B, ref.orbit_closure(B, vectors)[0])
+            for R, pivots in (closed, ((), []), (la.identity(n), list(range(n)))):
+                checked(B, R, pivots)
+    assert len(handed) == 780 + 900
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1198,12 +1241,17 @@ def test_realization_and_its_tableau_derive_no_block_span(monkeypatch):
                     assert all(witness_sequence(t, up, move, p).report.values())
 
 
-def test_closure_built_embeddings_take_no_stage_walk(monkeypatch):
-    # realizations, witness terms and direct sums have their layer tables
-    # from their closures; census spans, handed over as echelon forms with
-    # no orbits, take one stage walk each, on either side of the duality
-    walk, walks = nilmod._stage_walk, []
-    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: pytest.fail("stage walk taken"))
+def test_every_embedding_takes_one_walk(monkeypatch):
+    # realizations, witness terms and direct sums walk the orbits of the
+    # vectors they close, and census spans, handed over as echelon forms,
+    # those of their generator rows: one walk per embedding, on either
+    # side of the duality, and none for anything else
+    walk, fill, from_echelon = nilmod._walk, Embedding._fill, oracle._from_echelon
+    walks, fills, spans = [], [], []
+    monkeypatch.setattr(nilmod, "_walk", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(Embedding, "_fill", lambda self, *a: fills.append(a) or fill(self, *a))
+    monkeypatch.setattr(oracle, "_from_echelon",
+                        lambda B, R, pivots: spans.append(R) or from_echelon(B, R, pivots))
     for shape in iter_strip_shapes(9):
         for t in enumerate_tableaux(shape):
             for p in (2, 3):
@@ -1211,13 +1259,14 @@ def test_closure_built_embeddings_take_no_stage_walk(monkeypatch):
                 assert tableau_of_embedding(E) == t and direct_sum(E, E).chain()
                 for up, move in box_successors(t):
                     assert all(witness_sequence(t, up, move, p).report.values())
-    monkeypatch.setattr(nilmod, "_stage_walk", lambda *a: walks.append(a[1]) or walk(*a))
+    assert len(walks) == len(fills) > 1000 and spans == []
     swapped = Shape(FIVE_CLASS.gamma, FIVE_CLASS.beta, FIVE_CLASS.alpha)
     for shape, dual in ((TWO_CLASS, False), (swapped, True)):
         assert oracle._searches_dual(shape.beta, shape.alpha, shape.gamma) == dual
-        del walks[:]
+        del walks[:], fills[:], spans[:]
         census = enumerate_submodules(shape, 2, slow=True)
-        assert len(walks) == len(set(walks)) == census.total_submodules > 0
+        assert len(walks) == len(fills) >= len(spans) == len(set(spans))
+        assert len(spans) == census.total_submodules > 0
 
 
 def test_json_alike_whether_span_is_read_before_or_after_the_chain():
